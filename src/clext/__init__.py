@@ -18,7 +18,7 @@ from .algebra import (
     validate_params,
 )
 from .errors import ClextError
-from .specfun import SeriesValue, MeijerSpec
+from .specfun import SeriesValue
 
 __all__ = [
     "AlgebraParams",
@@ -26,7 +26,6 @@ __all__ = [
     "TruncatedOperator",
     "ClextError",
     "SeriesValue",
-    "MeijerSpec",
     "build_operator",
     "energy_eigenvalue",
     "params_from_beta_bar",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    NonFiniteParameter,
     PositivityViolation,
     ShapeError,
     TruncationTooSmall,
@@ -77,8 +78,8 @@ class FockIndex:
 def validate_params(lam: int, alpha) -> AlgebraParams:
     """Check the defining constraints and derive beta, beta_bar.
 
-    Raises ShapeError, ZeroSumViolation or PositivityViolation; inputs
-    are never silently renormalized.
+    Raises ShapeError, NonFiniteParameter, ZeroSumViolation or
+    PositivityViolation; inputs are never silently renormalized.
     """
     lam = int(lam)
     if lam < 2:
@@ -86,6 +87,8 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     alpha = tuple(float(v) for v in alpha)
     if len(alpha) != lam:
         raise ShapeError(f"alpha must have exactly {lam} entries, got {len(alpha)}")
+    if not all(math.isfinite(v) for v in alpha):
+        raise NonFiniteParameter(f"alpha must be finite, got {alpha}")
     s = math.fsum(alpha)
     if abs(s) > ZERO_SUM_TOL:
         raise ZeroSumViolation(f"sum(alpha) = {s:.3e} exceeds tolerance {ZERO_SUM_TOL}")
@@ -235,16 +238,12 @@ def sga_structure_poly(params: AlgebraParams, j0: float, mu: int) -> float:
     return -total / lam
 
 
-def fock_normalization_sq(params: AlgebraParams, n: int) -> float:
-    """lam^n * k! * prod (beta_bar_nu)_{k+1} * prod (beta_bar_nu)_k for n = k*lam+mu.
+def log_fock_norms(params: AlgebraParams, n_max: int) -> np.ndarray:
+    """L(n) = log prod_{j=1..n} F(j) for n = 0..n_max, as a cumulative sum of log F(j).
 
-    Equals prod_{j=1..n} F(j); |n> = (adag)^n |0> / sqrt(of this).
+    |n> = (adag)^n |0> / exp(L(n)/2); the coherent-state coefficients,
+    Bargmann basis weights and resolution diagonals all derive from L.
     """
-    lam = params.lam
-    k, mu = divmod(n, lam)
-    log = n * math.log(lam) + math.lgamma(k + 1)
-    for nu in range(1, lam):
-        bb = params.beta_bar_at(nu)
-        reps = k + 1 if nu <= mu else k
-        log += math.lgamma(bb + reps) - math.lgamma(bb)
-    return math.exp(log)
+    j = np.arange(1, n_max + 1)
+    f = j + np.asarray(params.beta)[j % params.lam]
+    return np.concatenate(([0.0], np.cumsum(np.log(f))))

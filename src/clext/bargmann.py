@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraParams, build_operator
+from .algebra import AlgebraParams, build_operator, log_fock_norms
 from .errors import NonPolynomialResult, SectorError, UnsupportedOp
 from .measures import EigenstateMeasures, WeightFunction
-from .states import StateVector
+from .states import StateVector, sector_log_weights
 
 SECTOR_OPS = ("N", "Jplus", "Jminus", "J0")
 VECTOR_OPS = ("N", "Jplus", "Jminus", "J0", "a", "adag", "P")
@@ -241,28 +241,10 @@ def apply_realization(
 
 # ---- basis functions and transforms ----------------------------------------
 
-def _log_w_sector(params: AlgebraParams, mu: int, alpha: int, k: int) -> float:
-    """log of the squared coefficient weight entering phi_{mu,k}."""
-    lam = params.lam
-    out = -math.lgamma(k + 1.0)
-    for nu in range(mu + 1, mu + alpha + 1):
-        bbv = params.beta_bar_at(nu)
-        out += math.lgamma(bbv + k) - math.lgamma(bbv)
-    for nu in range(1, mu + 1):
-        bbv = params.beta_bar_at(nu) + 1.0
-        out -= math.lgamma(bbv + k) - math.lgamma(bbv)
-    for nu in range(mu + alpha + 1, lam):
-        bbv = params.beta_bar_at(nu)
-        out -= math.lgamma(bbv + k) - math.lgamma(bbv)
-    return out
-
-
 def basis_function(params: AlgebraParams, mu: int, alpha: int, k: int) -> PolyFunction:
-    """Orthonormal basis monomial phi_{mu,k}(z) = w_k^(1/2) (scale z)^k."""
-    lam = params.lam
-    scale = lam ** (-(lam - 2 * alpha) / 2.0)
+    """Orthonormal basis monomial phi_{mu,k}(z) = |c_k / z^k| z^k of |z; mu; alpha>."""
     coeffs = np.zeros(k + 1, dtype=complex)
-    coeffs[k] = math.exp(0.5 * _log_w_sector(params, mu, alpha, k)) * scale**k
+    coeffs[k] = math.exp(0.5 * sector_log_weights(params, mu, alpha, k)[k])
     return PolyFunction(coeffs, mu)
 
 
@@ -278,14 +260,10 @@ def bargmann_transform(
     if basis == "sector":
         if mu is None:
             raise SectorError("sector transform needs mu")
-        k_max = (psi.dim - 1 - mu) // lam
-        out = np.zeros(k_max + 1, dtype=complex)
-        scale = lam ** (-(lam - 2 * alpha) / 2.0)
-        for k in range(k_max + 1):
-            amp = psi.coeffs[k * lam + mu]
-            if amp != 0:
-                out[k] = amp * math.exp(0.5 * _log_w_sector(params, mu, alpha, k)) * scale**k
-        return PolyFunction(out, mu)
+        k = np.arange((psi.dim - 1 - mu) // lam + 1)
+        with np.errstate(under="ignore"):
+            weights = np.exp(0.5 * sector_log_weights(params, mu, alpha, len(k) - 1))
+        return PolyFunction(psi.coeffs[k * lam + mu] * weights, mu)
     if basis == "vector_alpha0":
         k_max = (psi.dim - 1) // lam
         out = np.zeros((lam, k_max + 1), dtype=complex)
@@ -294,15 +272,10 @@ def bargmann_transform(
             out[m, : len(sec.coeffs)] = sec.coeffs
         return PolyFunction(out, None)
     if basis == "eigenstate":
+        n = np.arange(psi.dim)
         out = np.zeros((lam, psi.dim), dtype=complex)
-        for n in range(psi.dim):
-            amp = psi.coeffs[n]
-            if amp != 0:
-                from .measures import _log_d
-
-                out[n % lam, n] = amp * math.exp(
-                    -0.5 * (_log_d(params, n) + n * math.log(lam))
-                )
+        with np.errstate(under="ignore"):
+            out[n % lam, n] = psi.coeffs * np.exp(-0.5 * log_fock_norms(params, psi.dim - 1))
         return PolyFunction(out, None)
     raise UnsupportedOp(f"unknown basis {basis!r}")
 

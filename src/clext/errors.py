@@ -9,6 +9,10 @@ class ShapeError(ClextError, ValueError):
     """A vector argument has the wrong length."""
 
 
+class NonFiniteParameter(ClextError, ValueError):
+    """An algebra parameter is NaN or infinite."""
+
+
 class ZeroSumViolation(ClextError, ValueError):
     """The algebra parameters do not sum to zero."""
 
@@ -46,10 +50,6 @@ class DivergentSeries(ClextError, ValueError):
 
 class NoConvergence(ClextError, ArithmeticError):
     """Iteration/term cap reached before the tolerance was met."""
-
-
-class CancellationLoss(ClextError, ArithmeticError):
-    """Catastrophic cancellation detected; no accurate digits remain."""
 
 
 class QuadratureFailure(ClextError, ArithmeticError):

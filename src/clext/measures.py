@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraParams
+from .algebra import AlgebraParams, log_fock_norms
 from .errors import PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
 from .specfun import (
@@ -358,22 +358,6 @@ def h30_appell_value(
     ) * f3
 
 
-def h20_value_swapped(params: AlgebraParams, mu: int, y: float) -> float:
-    """The alpha = 2 weight from the other positivity branch.
-
-    Same density with the roles of the two lower Mellin parameters
-    exchanged; equals _h20_value by the 2F1 linear transformation.
-    """
-    bb = lambda j: params.beta_bar_at(mu + j)
-    a1, a2 = bb(1) - 1.0, bb(2) - 1.0
-    b_in, b_pow = 0.0, bb(3) - 1.0
-    s = a1 + a2 - b_in - b_pow
-    lg, sg = lgamma_signed(s)
-    f = gauss_2f1(a1 - b_in, a2 - b_in, s, 1.0 - y).value
-    amp = math.exp(MomentProblem(params, mu, 2).log_A)
-    return amp * sg * math.exp(b_pow * math.log(y) + (s - 1.0) * math.log1p(-y) - lg) * f
-
-
 def halpha0_series(
     params: AlgebraParams,
     mu: int,
@@ -625,18 +609,6 @@ class ResolutionReport:
         return self.max_error < self.tol
 
 
-def _log_d(params: AlgebraParams, n: int) -> float:
-    """log of D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k."""
-    lam = params.lam
-    k, mu = divmod(n, lam)
-    out = math.lgamma(k + 1.0)
-    for nu in range(1, lam):
-        bbv = params.beta_bar_at(nu)
-        reps = k + 1 if nu <= mu else k
-        out += math.lgamma(bbv + reps) - math.lgamma(bbv)
-    return out
-
-
 def verify_identity_resolution(
     params: AlgebraParams,
     mode: str,
@@ -654,6 +626,8 @@ def verify_identity_resolution(
     if n_max > 8:
         raise ValueError("n_max above 8 exceeds the supported range")
     lam = params.lam
+    # log D_n = L(n) - n log(lam), D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
+    log_d = log_fock_norms(params, n_max) - np.arange(n_max + 1) * math.log(lam)
     diag = []
     if mode == "diagonal_alpha0":
         weights = (
@@ -664,9 +638,8 @@ def verify_identity_resolution(
         for n in range(n_max + 1):
             k, mu = divmod(n, lam)
             m_k, _ = weights[mu].moment(float(k))
-            # squared unnormalized coefficient w_k of |k lam + mu>, via
-            # D_n = k! prod_(nu<=mu) bb_nu (bb_nu+1)_k prod_(nu>mu) (bb_nu)_k
-            log_w = -_log_d(params, n)
+            # squared unnormalized coefficient w_k of |k lam + mu>
+            log_w = -log_d[n]
             for nu in range(1, mu + 1):
                 log_w += math.log(params.beta_bar_at(nu))
             val = math.pi * lam**lam * math.exp(log_w) * m_k
@@ -685,7 +658,7 @@ def verify_identity_resolution(
                         f"off-diagonal resolution produced imaginary part {acc.imag:.3e}", None
                     )
                 mn = acc.real
-            val = math.pi * lam * math.exp(-_log_d(params, n)) * mn
+            val = math.pi * lam * math.exp(-log_d[n]) * mn
             diag.append(val)
     else:
         raise ValueError(f"unknown resolution mode {mode!r}")

@@ -23,7 +23,6 @@ from .states import (
     _cs_alpha_lists,
     cs_alpha_state,
     eigenstate,
-    eigenstate_norm,
     eigenstate_norm_components,
 )
 
@@ -187,7 +186,8 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
 
 
 def _eigenstate_s_series(params: AlgebraParams, t: float):
-    """(norm, S1, S2) entering the eigenstate photon moments."""
+    """(norm, S1, S2) entering the eigenstate photon moments, plus the
+    sector norm components they are summed from."""
     lam = params.lam
     bb = params.beta_bar_at
     comps = eigenstate_norm_components(params, t)
@@ -207,7 +207,7 @@ def _eigenstate_s_series(params: AlgebraParams, t: float):
             + (2 * mu + 1 - lam * bb(mu) - lam * bb(mu + 1)) * t
             + lam * t * t
         ) * pref
-    return norm, s1, s2
+    return norm, s1, s2, comps
 
 
 def mandel_q_eigenstate(params: AlgebraParams, z_abs: float, method: str = "closed") -> PhotonStats:
@@ -238,14 +238,14 @@ def mandel_q_eigenstate(params: AlgebraParams, z_abs: float, method: str = "clos
             * (2.0 * t - 2.0 * (2.0 * t + bb1) * r - (1.0 - 2.0 * bb1) * r * r)
             / (2.0 * t + (1.0 - 2.0 * bb1) * r)
         )
-        norm, s1, _ = _eigenstate_s_series(params, t)
+        norm, s1, _, _ = _eigenstate_s_series(params, t)
         mean = lam * s1 / norm
         return PhotonStats(mean, (q + mean + 1.0) * mean + 1e-300, q, "bessel_form")
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     if t <= 1e-14:
         return PhotonStats(0.0, 0.0, 0.0, "closed_limit")
-    norm, s1, s2 = _eigenstate_s_series(params, t)
+    norm, s1, s2, _ = _eigenstate_s_series(params, t)
     mean = lam * s1 / norm
     q = s2 / s1 - lam * s1 / norm
     mean2 = (q + mean) * mean + mean
@@ -397,8 +397,7 @@ def squeezing_eigenstate(
         return SqueezeReport(
             var, var, vac_x, vac_p, var * var, var * var, kind, "closed_form"
         )
-    comps = eigenstate_norm_components(params, t)
-    norm = eigenstate_norm(params, t)
+    norm, s1, _, comps = _eigenstate_s_series(params, t)
     if kind == "dressed":
         total = 0.0
         pref = 1.0
@@ -411,8 +410,7 @@ def squeezing_eigenstate(
             var, var, vac_x, vac_p, var * var, var * var, kind, "closed_form"
         )
     # real photons: E1 = <sqrt((N+1)/F(N+1))>, E2 = <sqrt((N+1)(N+2)/(F F))>
-    norm_series, s1, _ = _eigenstate_s_series(params, t)
-    mean_n = lam * s1 / norm_series
+    mean_n = lam * s1 / norm
     e1 = 0.0
     e2 = 0.0
     pref = 1.0

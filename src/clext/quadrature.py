@@ -100,58 +100,25 @@ def tanh_sinh(
     """
     prev = None
     value = 0.0
+    err = math.inf
     nodes_used = 0
     for level in range(3, max_level + 1):
         x, dl, dr, w = _level_nodes(a, b, level)
         vals = np.asarray(f(x, dl, dr) if with_offsets else f(x), dtype=float)
         vals = np.where(np.isfinite(vals), vals, 0.0)
-        total = float(np.dot(w, vals))
+        value = float(np.dot(w, vals))
         nodes_used = len(x)
         if prev is not None:
-            err = abs(total - prev)
-            if err <= tol * max(1e-300, abs(total)) or err <= tol * tol:
-                return QuadResult(total, err, nodes_used)
-        prev = total
-        value = total
+            # the last two levels' difference, also when the loop gives up
+            err = abs(value - prev)
+            if err <= tol * max(1e-300, abs(value)) or err <= tol * tol:
+                return QuadResult(value, err, nodes_used)
+        prev = value
         if nodes_used > MAX_NODES:
             break
-    err = abs(value - prev) if prev is not None else float("inf")
     if not math.isfinite(value):
         raise QuadratureFailure("tanh-sinh produced a non-finite value", (a, b))
     return QuadResult(value, err, nodes_used)
-
-
-def integral_zero_inf(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-9,
-    max_level: int = 12,
-    v_max: float = 64.0,
-) -> QuadResult:
-    """Integrate f over (0, inf): tanh-sinh on (0, 1), then y = exp(v).
-
-    The exponential substitution maps (1, inf) to v in (0, v_max); v_max
-    grows until the integrand at the far end is negligible.  Integrands
-    must decay at least exponentially, which holds for every moment
-    integral in this package.
-    """
-    r1 = tanh_sinh(f, 0.0, 1.0, tol=tol, max_level=max_level)
-
-    def g(v: np.ndarray) -> np.ndarray:
-        y = np.exp(v)
-        vals = np.asarray(f(y), dtype=float) * y
-        return np.where(np.isfinite(vals), vals, 0.0)
-
-    v_hi = 16.0
-    while v_hi < v_max:
-        probe = g(np.array([v_hi - 1.0, v_hi]))
-        if np.max(np.abs(probe)) < tol * 1e-3 * max(1.0, abs(r1.value)):
-            break
-        v_hi *= 2.0
-    v_hi = min(v_hi, v_max)
-    r2 = tanh_sinh(g, 0.0, v_hi, tol=tol, max_level=max_level)
-    return QuadResult(
-        r1.value + r2.value, r1.abs_error + r2.abs_error, r1.nodes + r2.nodes
-    )
 
 
 @dataclass

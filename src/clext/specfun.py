@@ -2,15 +2,16 @@
 
 Everything the rest of the package needs is evaluated here in double
 precision with explicit error estimates: generalized hypergeometric pFq
-series, modified Bessel I/K of real order, Kummer U, Gauss 2F1, the
-Appell F3 double series, and the restricted Meijer G classes
+series, modified Bessel I/K of real order, Gauss 2F1, the Appell F3
+double series, and the restricted Meijer G classes
 G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution weight
 functions are built from (Slater expansions, saddle-point Bromwich
 contours, and nested Mellin-convolution quadrature).
 
-Every evaluation returns a SeriesValue carrying the value, an absolute
+Scalar evaluations return a SeriesValue carrying the value, an absolute
 error estimate, the number of terms (or nodes) consumed and a
-convergence flag.
+convergence flag; the Meijer-G and Bessel-K routes are vectorized over
+their argument array.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    CancellationLoss,
     DivergentSeries,
     DomainError,
     NoConvergence,
@@ -32,16 +32,14 @@ from .quadrature import tanh_sinh
 
 __all__ = [
     "SeriesValue",
-    "MeijerSpec",
     "pfq",
     "bessel_i",
-    "bessel_k",
-    "kummer_u",
+    "bessel_k_vec",
     "gauss_2f1",
     "appell_f3",
-    "meijer_g",
-    "meijer_g_slater",
-    "meijer_g_contour",
+    "m0_eval_vec",
+    "g_general_vec",
+    "build_convolution_kernel",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -227,31 +225,6 @@ def pfq(
     return SeriesValue(total, err, k + 2, True)
 
 
-def _pfq_with_majorant(a, b, z, tol=1e-14, max_terms=4000):
-    """(sum, sum of |terms|) for the cancellation estimate in Slater sums."""
-    total = 1.0
-    major = 1.0
-    term = 1.0
-    small_run = 0
-    for k in range(max_terms):
-        num = 1.0
-        for ai in a:
-            num *= ai + k
-        den = k + 1.0
-        for bi in b:
-            den *= bi + k
-        term = term * (num / den) * z
-        total += term
-        major += abs(term)
-        if abs(term) < tol * max(abs(total), 1e-300) + 1e-300:
-            small_run += 1
-            if small_run >= 3:
-                return total, major
-        else:
-            small_run = 0
-    raise NoConvergence("series for Slater branch did not converge")
-
-
 # --------------------------------------------------------------------------
 # modified Bessel functions
 # --------------------------------------------------------------------------
@@ -341,51 +314,6 @@ def _bessel_k_quad(nu: float, x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
     return out
 
 
-def _bessel_k_reflection(nu: float, x: float, tol: float) -> float:
-    if abs(nu - round(nu)) < 1e-3:
-        # integer (or nearly integer) order: symmetric averages kill the
-        # odd orders in eps, one Richardson step kills eps^2
-        eps = 1e-4
-        n = round(nu)
-
-        def sym(e):
-            return 0.5 * (
-                _bessel_k_reflection_raw(n + e, x, tol)
-                + _bessel_k_reflection_raw(n - e, x, tol)
-            )
-
-        return (4.0 * sym(eps) - sym(2.0 * eps)) / 3.0
-    return _bessel_k_reflection_raw(nu, x, tol)
-
-
-def _bessel_k_reflection_raw(nu: float, x: float, tol: float) -> float:
-    im, _ = _bessel_i_series(-nu, x, tol)
-    ip, _ = _bessel_i_series(nu, x, tol)
-    return math.pi * (im - ip) / (2.0 * sinpi(nu))
-
-
-def bessel_k(nu: float, x: float, tol: float = 1e-12) -> SeriesValue:
-    """Modified Bessel K_nu(x) for real order, x > 0.
-
-    Three branches: the I reflection formula below x = 2 (where its
-    e^{2x} cancellation is harmless), the cosh-integral quadrature for
-    2 <= x <= 30, and the asymptotic expansion beyond.
-    """
-    if x <= 0:
-        raise DomainError("bessel_k requires x > 0")
-    nu = abs(nu)
-    if x < 1.0:
-        val = _bessel_k_reflection(nu, x, min(tol, 1e-14))
-        err = abs(val) * max(tol, math.exp(2.0 * x) * _EPS) + 1e-300
-        return SeriesValue(val, err, 0, True)
-    if x > 30.0 and 4.0 * nu * nu + 3.0 < 2.0 * x:
-        s, k = _asym_coeffs(nu, x, 1.0, tol)
-        val = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * s
-        return SeriesValue(val, abs(val) * max(tol, 1e-14), k, True)
-    val = float(_bessel_k_quad(nu, np.array([x]))[0])
-    return SeriesValue(val, abs(val) * 1e-13 + 1e-300, 256, True)
-
-
 def _bessel_i_series_vec(nu: float, x: np.ndarray, terms: int = 60) -> np.ndarray:
     """Ascending I series over an array of small x (all terms positive)."""
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -418,7 +346,12 @@ def _bessel_k_reflection_vec(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """Vectorized K_nu over positive x (used by weight-function kernels)."""
+    """Modified Bessel K_nu over an array of positive x, real order.
+
+    Three branches: the I reflection formula below x = 1 (where its
+    e^{2x} cancellation is harmless), the cosh-integral quadrature up to
+    x = 30, and the asymptotic expansion beyond.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < 1.0
@@ -433,81 +366,6 @@ def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
         s, _ = _asym_coeffs(abs(nu), xi, 1.0, 1e-14)
         out.ravel()[i] = math.sqrt(math.pi / (2.0 * xi)) * math.exp(-xi) * s
     return out
-
-
-# --------------------------------------------------------------------------
-# Kummer U
-# --------------------------------------------------------------------------
-
-def _kummer_u_connection(a: float, b: float, y: float, tol: float) -> float:
-    # U = G(1-b)/G(a-b+1) 1F1(a;b;y) + G(b-1)/G(a) y^{1-b} 1F1(a-b+1;2-b;y)
-    # The two branches cancel; sum each 1F1 tightly so absolute tails stay
-    # below the cancellation scale.
-    tol = min(tol, 1e-15)
-    t1 = rgamma(a - b + 1.0)
-    if t1 != 0.0:
-        lg, sg = lgamma_signed(1.0 - b)
-        t1 *= sg * math.exp(lg)
-        t1 *= pfq([a], [b], y, tol=tol).value
-    t2 = rgamma(a)
-    if t2 != 0.0:
-        lg, sg = lgamma_signed(b - 1.0)
-        t2 *= sg * math.exp(lg)
-        t2 *= y ** (1.0 - b) * pfq([a - b + 1.0], [2.0 - b], y, tol=tol).value
-    return t1 + t2
-
-
-def _kummer_u_small(a: float, b: float, y: float, tol: float) -> float:
-    if abs(b - round(b)) < 1e-8:
-        eps = 1e-6
-        return 0.5 * (
-            _kummer_u_connection(a, b + eps, y, tol)
-            + _kummer_u_connection(a, b - eps, y, tol)
-        )
-    return _kummer_u_connection(a, b, y, tol)
-
-
-def _kummer_u_laplace(a: float, b: float, y: float, tol: float) -> float:
-    # Re a > 0 only: U = 1/Gamma(a) int_0^inf e^{-yt} t^{a-1} (1+t)^{b-a-1} dt
-    from .quadrature import integral_zero_inf
-
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(-y * t + (a - 1.0) * np.log(t) + (b - a - 1.0) * np.log1p(t))
-
-    r = integral_zero_inf(f, tol=tol)
-    return r.value * rgamma(a)
-
-
-def kummer_u(a: float, b: float, y: float, tol: float = 1e-12) -> SeriesValue:
-    """Kummer's U(a, b, y) for y > 0.
-
-    Small y uses the two-1F1 connection formula (integer b by eps
-    extrapolation).  Beyond y = 8 that formula cancels catastrophically,
-    so U switches to the Laplace integral (a > 0) or reaches positive a
-    by the three-term downward recurrence in a.
-    """
-    if y <= 0:
-        raise DomainError("kummer_u requires y > 0")
-    if is_nonpositive_integer(a):
-        # terminating polynomial: connection formula is exact and stable
-        val = _kummer_u_small(a, b, y, tol)
-        return SeriesValue(val, abs(val) * 1e-12 + 1e-300, 0, True)
-    if y <= 8.0:
-        val = _kummer_u_small(a, b, y, tol)
-        err = abs(val) * max(tol, math.exp(y) * 1e-16) + 1e-300
-        return SeriesValue(val, err, 0, True)
-    if a > 0:
-        val = _kummer_u_laplace(a, b, y, tol)
-        return SeriesValue(val, abs(val) * 1e-10 + 1e-300, 0, True)
-    n = int(math.ceil(-a)) + 1
-    hi = _kummer_u_laplace(a + n + 1.0, b, y, tol)
-    lo = _kummer_u_laplace(a + n, b, y, tol)
-    for j in range(n):
-        aa = a + n - j
-        lo, hi = (2.0 * aa - b + y) * lo - aa * (aa - b + 1.0) * hi, lo
-    return SeriesValue(lo, abs(lo) * 1e-9 + 1e-300, n, True)
 
 
 # --------------------------------------------------------------------------
@@ -704,73 +562,6 @@ def appell_f3(
 # Meijer G
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeijerSpec:
-    """Parameters of G^{m,0}_{alpha,m}(y | a; b).
-
-    kind "m0_0m" has no upper parameters; "general_convolution" carries
-    len(a) >= 1 upper parameters and an optional pairing: pairing[i] is
-    the index into b matched with a[i] by the positivity certificate
-    (a[i] > b[pairing[i]]), which fixes the convolution order.
-    """
-
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    kind: str = "m0_0m"
-    pairing: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if any(v <= -1.0 for v in self.a) or any(v <= -1.0 for v in self.b):
-            raise DomainError("Meijer parameters must be greater than -1")
-        if self.kind == "m0_0m" and self.a:
-            raise DomainError("class m0_0m has no upper parameters")
-        if self.kind not in ("m0_0m", "general_convolution"):
-            raise DomainError(f"unknown Meijer class {self.kind!r}")
-
-
-def meijer_g_slater(
-    a: Sequence[float], b: Sequence[float], y: float
-) -> tuple[float, float]:
-    """Slater expansion of G^{m,0}_{alpha,m}(y|a;b).
-
-    Returns (value, condition) where condition is the all-positive
-    majorant divided by |value|; it measures how many digits the
-    alternating branches cancel.  Raises CancellationLoss when lower
-    parameters coincide modulo integers (the expansion degenerates).
-    """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    m = len(b)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs((b[i] - b[j]) - round(b[i] - b[j])) < 1e-9:
-                raise CancellationLoss("lower parameters coincide modulo integers")
-    sign = -1.0 if (len(a) - m) % 2 else 1.0
-    total = 0.0
-    major = 0.0
-    for j in range(m):
-        lg = 0.0
-        sg = 1
-        for k in range(m):
-            if k == j:
-                continue
-            l, s = lgamma_signed(b[k] - b[j])
-            lg += l
-            sg *= s
-        for ai in a:
-            l, s = lgamma_signed(ai - b[j])
-            lg -= l
-            sg *= s
-        upper = [1.0 + b[j] - ai for ai in a]
-        lower = [1.0 + b[j] - b[k] for k in range(m) if k != j]
-        val, maj = _pfq_with_majorant(upper, lower, sign * y)
-        pref = sg * math.exp(lg + b[j] * math.log(y))
-        total += pref * val
-        major += abs(pref) * maj
-    cond = major / max(abs(total), 1e-300)
-    return total, cond
-
-
 def _digamma(x: float) -> float:
     """psi(x) for x > 0 via upward recurrence plus the asymptotic tail."""
     acc = 0.0
@@ -780,73 +571,6 @@ def _digamma(x: float) -> float:
     inv = 1.0 / x
     inv2 = inv * inv
     return acc + math.log(x) - 0.5 * inv - inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252))
-
-
-def meijer_g_contour(
-    a: Sequence[float], b: Sequence[float], y: float, tol: float = 1e-11
-) -> tuple[float, float]:
-    """G^{m,0}_{alpha,m}(y|a;b) by a truncated Bromwich contour.
-
-    The vertical line is placed at the saddle of the integrand (Newton on
-    sum psi(c+b) - sum psi(c+a) = ln y) but never left of
-    1.5 + max(-b_nu), so every gamma argument keeps a positive real part
-    and the integrand scale matches the result scale.
-    """
-    a = np.asarray([float(v) for v in a])
-    b = np.asarray([float(v) for v in b])
-    m = len(b)
-    r_eff = m - len(a)
-    if r_eff <= 0:
-        raise DomainError("contour evaluation needs more lower than upper parameters")
-    floor = 1.5 + max(0.0, float(-b.min()) if m else 0.0)
-    c = max(floor, y ** (1.0 / r_eff) if y > 1.0 else floor)
-    for _ in range(40):
-        g = sum(_digamma(c + bv) for bv in b) - sum(_digamma(c + av) for av in a)
-        g -= math.log(y)
-        # psi'(x) ~ 1/x; crude but monotone Newton step
-        slope = sum(1.0 / (c + bv) for bv in b) - sum(1.0 / (c + av) for av in a)
-        if slope <= 0:
-            break
-        step = g / slope
-        c_new = max(floor, c - step)
-        if abs(c_new - c) < 1e-10 * max(1.0, c):
-            c = c_new
-            break
-        c = c_new
-    # Decay along the line is Gaussian (variance ~ c/m) before the
-    # asymptotic e^{-r pi t/2} regime takes over; truncate past both.
-    ln_budget = math.log(1.0 / tol) + 12.0
-    t_asym = 2.0 * ln_budget / (r_eff * math.pi)
-    t_gauss = math.sqrt(2.0 * c * ln_budget / max(len(b), 1))
-    t_max = max(t_asym, min(t_gauss, 3.0 * t_asym + 2.0 * c))
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        s = c + 1j * t
-        ln = np.zeros_like(s)
-        for bv in b:
-            ln = ln + lgamma_complex(s + bv)
-        for av in a:
-            ln = ln - lgamma_complex(s + av)
-        ln = ln - s * math.log(y)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out = np.exp(ln)
-        return np.where(np.isfinite(out), out, 0.0)
-
-    scale = abs(integrand(np.array([0.0]))[0])
-    prev = None
-    n = 513
-    while n <= (1 << 14) + 1:
-        t = np.linspace(0.0, t_max, n)
-        f = integrand(t).real
-        h = t[1] - t[0]
-        # composite Simpson
-        total = (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()) * h / 3.0
-        total /= math.pi
-        if prev is not None and abs(total - prev) <= tol * max(abs(total), scale * 1e-9):
-            return total, abs(total - prev) + scale * 5e-16
-        prev = total
-        n = 2 * n - 1
-    return prev, abs(prev - total) + scale * 1e-14
 
 
 _SLATER_COND_LIMIT = 1e6
@@ -935,17 +659,25 @@ def _contour_batch(
     return out
 
 
-def _contour_shared_line(a, b, ysel, y_center, tol):
-    a_arr = [float(v) for v in a]
-    b_arr = [float(v) for v in b]
-    m = len(b_arr)
-    r_eff = m - len(a_arr)
-    floor = 1.5 + max(0.0, -min(b_arr))
-    c = max(floor, y_center ** (1.0 / r_eff) if y_center > 1.0 else floor)
+def _saddle_line(a: list[float], b: list[float], y: float, tol: float) -> tuple[float, float]:
+    """(c, t_max) of the truncated Bromwich line Re s = c for G at y.
+
+    The line is placed at the saddle of the integrand (Newton on
+    sum psi(c+b) - sum psi(c+a) = ln y) but never left of
+    1.5 + max(-b_nu), so every gamma argument keeps a positive real part
+    and the integrand scale matches the result scale.  Decay along the
+    line is Gaussian (variance ~ c/m) before the asymptotic e^{-r pi t/2}
+    regime takes over; t_max truncates past both.
+    """
+    m = len(b)
+    r_eff = m - len(a)
+    floor = 1.5 + max(0.0, -min(b))
+    c = max(floor, y ** (1.0 / r_eff) if y > 1.0 else floor)
     for _ in range(40):
-        g = sum(_digamma(c + bv) for bv in b_arr) - sum(_digamma(c + av) for av in a_arr)
-        g -= math.log(y_center)
-        slope = sum(1.0 / (c + bv) for bv in b_arr) - sum(1.0 / (c + av) for av in a_arr)
+        g = sum(_digamma(c + bv) for bv in b) - sum(_digamma(c + av) for av in a)
+        g -= math.log(y)
+        # psi'(x) ~ 1/x; crude but monotone Newton step
+        slope = sum(1.0 / (c + bv) for bv in b) - sum(1.0 / (c + av) for av in a)
         if slope <= 0:
             break
         c_new = max(floor, c - g / slope)
@@ -956,28 +688,59 @@ def _contour_shared_line(a, b, ysel, y_center, tol):
     ln_budget = math.log(1.0 / tol) + 12.0
     t_asym = 2.0 * ln_budget / (r_eff * math.pi)
     t_gauss = math.sqrt(2.0 * c * ln_budget / m)
-    t_max = max(t_asym, min(t_gauss, 3.0 * t_asym + 2.0 * c))
-    n = 4097
+    return c, max(t_asym, min(t_gauss, 3.0 * t_asym + 2.0 * c))
+
+
+def _line_values(a, b, c: float, t_max: float, lny: np.ndarray, n: int):
+    """(t, f): n equispaced nodes on [0, t_max] and the real part of the
+    Bromwich integrand there, one row per entry of the (rows, 1) array lny."""
     t = np.linspace(0.0, t_max, n)
     s = c + 1j * t
     phi = np.zeros_like(s)
-    for bv in b_arr:
+    for bv in b:
         phi = phi + lgamma_complex(s + bv)
-    for av in a_arr:
+    for av in a:
         phi = phi - lgamma_complex(s + av)
-    lny = np.log(ysel)[:, None]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         f = np.exp(phi[None, :] - lny * s[None, :]).real
-    f = np.where(np.isfinite(f), f, 0.0)
+    return t, np.where(np.isfinite(f), f, 0.0)
+
+
+def _simpson(f: np.ndarray, h: float) -> np.ndarray:
+    """Composite Simpson rule along each row, divided by pi."""
+    return (
+        f[:, 0] + f[:, -1] + 4.0 * f[:, 1:-1:2].sum(axis=1) + 2.0 * f[:, 2:-1:2].sum(axis=1)
+    ) * h / (3.0 * math.pi)
+
+
+def _contour_shared_line(a, b, ysel, y_center, tol):
+    """G at the points ysel from one Bromwich line, the saddle line of y_center.
+
+    Rows whose Simpson pair (4097 and 2049 nodes) disagrees are
+    recomputed on their own saddle line, doubling the node count from
+    513 up to 2^14 + 1 until two successive counts agree.
+    """
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    c, t_max = _saddle_line(a, b, y_center, tol)
+    t, f = _line_values(a, b, c, t_max, np.log(ysel)[:, None], 4097)
     h = t[1] - t[0]
-    full = (f[:, 0] + f[:, -1] + 4.0 * f[:, 1:-1:2].sum(axis=1) + 2.0 * f[:, 2:-1:2].sum(axis=1)) * h / (3.0 * math.pi)
-    fh = f[:, ::2]
-    hh = 2.0 * h
-    half = (fh[:, 0] + fh[:, -1] + 4.0 * fh[:, 1:-1:2].sum(axis=1) + 2.0 * fh[:, 2:-1:2].sum(axis=1)) * hh / (3.0 * math.pi)
+    full = _simpson(f, h)
+    half = _simpson(f[:, ::2], 2.0 * h)
     bad = np.abs(full - half) > 1e3 * tol * np.maximum(np.abs(full), 1e-280)
-    if bad.any():
-        for i in np.nonzero(bad)[0]:
-            full[i] = meijer_g_contour(a_arr, b_arr, float(ysel[i]), tol=tol)[0]
+    for i in np.nonzero(bad)[0]:
+        y = float(ysel[i])
+        c, t_max = _saddle_line(a, b, y, tol)
+        prev = None
+        n = 513
+        while n <= (1 << 14) + 1:
+            t, f = _line_values(a, b, c, t_max, np.array([[math.log(y)]]), n)
+            total = float(_simpson(f, t[1] - t[0])[0])
+            if prev is not None and abs(total - prev) <= tol * max(abs(total), abs(f[0, 0]) * 1e-9):
+                break
+            prev = total
+            n = 2 * n - 1
+        full[i] = total
     return full
 
 
@@ -1376,25 +1139,3 @@ def _default_pairing(a: Sequence[float], b: Sequence[float]) -> list[int]:
         pairing[i] = j
         used.add(j)
     return pairing
-
-
-def meijer_g(spec: MeijerSpec, y: float, tol: float = 1e-9) -> SeriesValue:
-    """Evaluate the restricted Meijer G classes used by the weight functions."""
-    if y <= 0:
-        raise DomainError("meijer_g requires y > 0")
-    if spec.kind == "m0_0m" or not spec.a:
-        val = float(m0_eval_vec(list(spec.b), np.array([y]), tol)[0])
-        return SeriesValue(val, abs(val) * max(tol, 1e-11), 0, True)
-    kernel = _kernel_cache(spec, tol)
-    val = float(kernel(np.array([y]))[0])
-    return SeriesValue(val, abs(val) * max(tol, 1e-9), 0, True)
-
-
-_KERNELS: dict[tuple, _Kernel] = {}
-
-
-def _kernel_cache(spec: MeijerSpec, tol: float) -> _Kernel:
-    key = (spec.a, spec.b, spec.pairing)
-    if key not in _KERNELS:
-        _KERNELS[key] = build_convolution_kernel(spec.a, spec.b, spec.pairing, tol=min(tol, 1e-10))
-    return _KERNELS[key]

@@ -11,9 +11,13 @@ Two families:
   the whole Fock space and reducing to paraboson coherent states at
   lambda = 2.
 
-Coefficients are built by multiplicative recursion (no independent Gamma
-evaluations); analytic norms come from the hypergeometric closed forms
-and are cross-checkable against sum(|c_n|^2).
+Coefficient magnitudes come in log form from L(n) = log prod_{j<=n} F(j)
+(algebra.log_fock_norms), the same array behind the Bargmann weights and
+the resolution diagonals.  Analytic norms N come from the hypergeometric
+closed forms, so the mass a truncation drops is known exactly:
+tail_bound = 1 - sum(|c_n|^2) / N.  Builders double dim (up to 1024)
+until that bound is at most 1e-10 and raise TruncationTooSmall when it
+never is.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraParams, structure_function
+from .algebra import AlgebraParams, log_fock_norms
 from .errors import DomainError, SectorError, TruncationTooSmall
 from .specfun import pfq
 
@@ -67,7 +71,8 @@ class StateVector:
     For normalized=True, coeffs are the physical amplitudes and
     norm_sq_analytic holds the closed-form normalization series N (so the
     unnormalized "round bracket" state is sqrt(N) times this one).
-    tail_bound estimates the probability mass lost to truncation.
+    tail_bound = max(0, 1 - sum|c_n|^2 / N) is the probability mass lost
+    to truncation.
     """
 
     dim: int
@@ -115,54 +120,64 @@ def norm_series_cs_alpha(params: AlgebraParams, mu: int, alpha: int, y: float):
     return pfq(num, den, y)
 
 
+def sector_log_weights(params: AlgebraParams, mu: int, alpha: int, k_max: int) -> np.ndarray:
+    """log |c_k / z^k|^2 for k = 0..k_max of the unnormalized |z; mu; alpha>.
+
+    The defining equation fixes |c_{k+1} / c_k|^2 = |z|^2 exp(2 L(n + alpha)
+    - L(n) - L(n + lambda)) at level n = k lambda + mu.
+    """
+    lam = params.lam
+    log_f = log_fock_norms(params, k_max * lam + mu)
+    n = np.arange(k_max) * lam + mu
+    steps = 2.0 * log_f[n + alpha] - log_f[n] - log_f[n + lam]
+    return np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _amplitudes(z: complex, k: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """z^k exp(log_w / 2), with the power taken in log-magnitude form."""
+    if z == 0:
+        return (k == 0).astype(complex)
+    with np.errstate(under="ignore"):
+        return np.exp(0.5 * log_w + k * math.log(abs(z)) + 1j * k * cmath.phase(z))
+
+
+def _truncated(build, dim: int, norm: float):
+    """(dim, coeffs, tail) from build(dim), doubling dim up to MAX_AUTO_DIM
+    until the exact tail bound 1 - sum|c|^2 / N is at most TAIL_THRESHOLD."""
+    while True:
+        coeffs = build(dim)
+        tail = max(0.0, 1.0 - float(np.vdot(coeffs, coeffs).real) / norm)
+        if tail <= TAIL_THRESHOLD:
+            return dim, coeffs, tail
+        if dim >= MAX_AUTO_DIM:
+            raise TruncationTooSmall(
+                f"tail bound {tail:.3e} above {TAIL_THRESHOLD} at dim = {dim}"
+            )
+        dim = min(2 * dim, MAX_AUTO_DIM)
+
+
 def cs_alpha_state(
     spec: CsAlphaSpec, dim: int = 64, normalized: bool = True
 ) -> StateVector:
     """Coefficient vector of |z; mu; alpha| on |0>..|dim-1>.
 
     dim doubles automatically (up to 1024) while the truncated norm mass
-    exceeds the tail threshold.
+    exceeds the tail threshold; TruncationTooSmall if it never drops below.
     """
     params = spec.params
     lam = params.lam
     if dim < lam:
         raise TruncationTooSmall(f"need dim >= lambda = {lam}")
-    x = spec.z / lam ** ((lam - 2 * spec.alpha) / 2.0)
-    y = spec.y
-    norm = norm_series_cs_alpha(params, spec.mu, spec.alpha, y).value.real
+    norm = norm_series_cs_alpha(params, spec.mu, spec.alpha, spec.y).value.real
 
-    while True:
-        k_max = (dim - 1 - spec.mu) // lam
+    def build(dim: int) -> np.ndarray:
+        k = np.arange((dim - 1 - spec.mu) // lam + 1)
         coeffs = np.zeros(dim, dtype=complex)
-        w = 1.0
-        xk = 1.0 + 0.0j
-        for k in range(k_max + 1):
-            coeffs[k * lam + spec.mu] = math.sqrt(w) * xk
-            ratio = 1.0
-            for nu in range(spec.mu + 1, spec.mu + spec.alpha + 1):
-                ratio *= params.beta_bar_at(nu) + k
-            den = k + 1.0
-            for nu in range(1, spec.mu + 1):
-                den *= params.beta_bar_at(nu) + 1.0 + k
-            for nu in range(spec.mu + spec.alpha + 1, lam):
-                den *= params.beta_bar_at(nu) + k
-            w *= ratio / den
-            xk *= x
-        # first omitted norm-series term over the total norm, with a
-        # geometric cushion; on the unit disc the term ratio tends to y
-        # itself instead of y/k
-        if 2 * spec.alpha == lam:
-            ratio = min(0.95, y)
-        else:
-            ratio = min(0.9, y / (k_max + 2.0))
-        tail = w * y ** (k_max + 1) / norm / (1.0 - ratio)
-        if tail <= TAIL_THRESHOLD or dim >= MAX_AUTO_DIM:
-            break
-        dim = min(2 * dim, MAX_AUTO_DIM)
-    if tail > TAIL_THRESHOLD:
-        raise TruncationTooSmall(
-            f"tail bound {tail:.3e} above {TAIL_THRESHOLD} at dim = {dim}"
-        )
+        log_w = sector_log_weights(params, spec.mu, spec.alpha, len(k) - 1)
+        coeffs[k * lam + spec.mu] = _amplitudes(spec.z, k, log_w)
+        return coeffs
+
+    dim, coeffs, tail = _truncated(build, dim, norm)
     if normalized:
         coeffs /= math.sqrt(norm)
     return StateVector(dim, coeffs, norm, tail, normalized)
@@ -196,24 +211,10 @@ def eigenstate(params: AlgebraParams, z: complex, dim: int = 64) -> StateVector:
     lam = params.lam
     if dim < lam:
         raise TruncationTooSmall(f"need dim >= lambda = {lam}")
-    t = abs(z) ** 2 / lam
-    norm = eigenstate_norm(params, t)
-    while True:
-        coeffs = np.zeros(dim, dtype=complex)
-        c = 1.0 + 0.0j
-        coeffs[0] = c
-        for n in range(1, dim):
-            c = c * z / math.sqrt(structure_function(params, n))
-            coeffs[n] = c
-        r = abs(z) ** 2 / structure_function(params, dim)
-        tail = abs(c) ** 2 * min(10.0, 1.0 / max(1e-3, 1.0 - r)) / norm
-        if tail <= TAIL_THRESHOLD or dim >= MAX_AUTO_DIM:
-            break
-        dim = min(2 * dim, MAX_AUTO_DIM)
-    if tail > TAIL_THRESHOLD:
-        raise TruncationTooSmall(
-            f"tail bound {tail:.3e} above {TAIL_THRESHOLD} at dim = {dim}"
-        )
+    norm = eigenstate_norm(params, abs(z) ** 2 / lam)
+    dim, coeffs, tail = _truncated(
+        lambda d: _amplitudes(z, np.arange(d), -log_fock_norms(params, d - 1)), dim, norm
+    )
     coeffs /= math.sqrt(norm)
     return StateVector(dim, coeffs, norm, tail, True)
 
@@ -229,9 +230,7 @@ def component_zmu(params: AlgebraParams, z: complex, mu: int, dim: int = 64) -> 
         raise SectorError(f"mu must lie in [0, {lam})")
     full = eigenstate(params, z, dim)
     coeffs = np.array(full.coeffs)
-    for n in range(full.dim):
-        if n % lam != mu:
-            coeffs[n] = 0.0
+    coeffs[np.arange(full.dim) % lam != mu] = 0.0
     t = abs(z) ** 2 / lam
     comp = eigenstate_norm_components(params, t)[mu]
     pref = t**mu
@@ -275,8 +274,3 @@ def overlap_eigenstate(params: AlgebraParams, z1: complex, z2: complex) -> compl
     n1 = eigenstate_norm(params, abs(z1) ** 2 / lam)
     n2 = eigenstate_norm(params, abs(z2) ** 2 / lam)
     return total / math.sqrt(n1 * n2)
-
-
-def omega_power(z: complex, lam: int) -> complex:
-    """z^lambda from (|z|, arg z) as a single complex power."""
-    return cmath.rect(abs(z) ** lam, lam * cmath.phase(z))

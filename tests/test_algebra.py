@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,9 @@ from clext import (
     structure_function,
     validate_params,
 )
-from clext.algebra import fock_normalization_sq
+from clext.algebra import log_fock_norms
 from clext.errors import (
+    NonFiniteParameter,
     PositivityViolation,
     ShapeError,
     TruncationTooSmall,
@@ -37,6 +40,13 @@ class TestValidate:
     def test_zero_sum(self):
         with pytest.raises(ZeroSumViolation):
             validate_params(2, (0.1, 0.0))
+
+    @pytest.mark.parametrize(
+        "alpha", [(math.nan, 0.0), (math.inf, -math.inf), (1.0, -1.0, math.nan)]
+    )
+    def test_non_finite_rejected(self, alpha):
+        with pytest.raises(NonFiniteParameter):
+            validate_params(len(alpha), alpha)
 
     def test_shape(self):
         with pytest.raises(ShapeError):
@@ -192,12 +202,22 @@ class TestMatrixIdentities:
                 assert f == pytest.approx(-prod / lam**2, rel=1e-11)
 
     def test_fock_normalization_identity(self, rng):
+        # L(n) = log prod F(1..n) against the product itself and against the
+        # Pochhammer form lam^n k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
         for p in _sample_params(rng, 6):
+            log_f = log_fock_norms(p, 11)
+            assert log_f[0] == 0.0
             for n in range(1, 12):
                 prod = 1.0
                 for j in range(1, n + 1):
                     prod *= structure_function(p, j)
-                assert fock_normalization_sq(p, n) == pytest.approx(prod, rel=1e-12)
+                assert math.exp(log_f[n]) == pytest.approx(prod, rel=1e-12)
+                k, mu = divmod(n, p.lam)
+                poch = n * math.log(p.lam) + math.lgamma(k + 1)
+                for nu in range(1, p.lam):
+                    reps = k + 1 if nu <= mu else k
+                    poch += math.lgamma(p.beta_bar[nu] + reps) - math.lgamma(p.beta_bar[nu])
+                assert log_f[n] == pytest.approx(poch, abs=1e-12)
 
     def test_sga_poly_index_guard(self):
         p = validate_params(3, (3, -3, 0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from clext.algebra import structure_function
 from clext.bargmann import (
     PolyFunction,
     apply_realization,
@@ -184,15 +185,13 @@ class TestEigenstateBasis:
         z0 = 0.9 + 0.4j
         st = eigenstate(p, 0.7, 48)
         f = bargmann_transform(p, st, "eigenstate")
-        # reconstruct <(z0*)|| psi> by direct summation of c_n z^n / sqrt(lam^n D_n)
-        from clext.measures import _log_d
-
+        # reconstruct <(z0*)|| psi> by direct summation of c_n z^n / sqrt(prod F(1..n))
+        fock_sq = [1.0]
+        for n in range(1, 48):
+            fock_sq.append(fock_sq[-1] * structure_function(p, n))
         for mu in range(3):
             direct = sum(
-                st.coeffs[n]
-                * z0**n
-                * math.exp(-0.5 * (_log_d(p, n) + n * math.log(3)))
-                for n in range(mu, 48, 3)
+                st.coeffs[n] * z0**n / math.sqrt(fock_sq[n]) for n in range(mu, 48, 3)
             )
             poly = np.polyval(f.component(mu)[::-1], z0)
             assert poly == pytest.approx(direct, rel=1e-12)

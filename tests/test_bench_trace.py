@@ -1,0 +1,36 @@
+"""The benchmark's per-layer trace still sees every layer it reports.
+
+bench/tracing.py wraps clext's public functions by name; a deletion or a
+rename in clext would silently zero the matching per-layer metric.
+"""
+
+import sys
+from pathlib import Path
+
+import clext.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_per_layer_metrics_are_non_zero(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        # the tracer patches module attributes, so call through clext.cli
+        tracer.install()
+        codes = [
+            clext.cli.main(["moments", "--lambda", "3", "--alpha", "1,1,-2", "--mu", "0",
+                            "--cs-alpha", "0", "--out", str(tmp_path / "moments.csv")]),
+            clext.cli.main(["state", "--lambda", "2", "--alpha", "1,-1", "--cs-alpha", "-1",
+                            "--out", str(tmp_path / "state.csv")]),
+        ]
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("tracing", None)
+    assert codes == [0, 0]
+    metrics = tracer.pass_metrics()
+    for name in ("specfun.meijer.points", "measures.moment.calls", "states.build.calls",
+                 "cli.calls"):
+        assert metrics[name] > 0, name

@@ -34,6 +34,14 @@ class TestValidate:
         code, _, err = run_cli(["validate"])
         assert code == 2
 
+    def test_non_finite_alpha_exit2(self):
+        # rejected where it enters, before any series runs
+        code, out, err = run_cli(
+            ["mandel", "--family", "eigen", "--lambda", "2", "--alpha", "nan,0", "--grid", "1:2:2"]
+        )
+        assert code == 2
+        assert "finite" in err and out == ""
+
 
 class TestVerify:
     def test_algebra_pass(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -13,7 +14,6 @@ from clext.measures import (
     carleman_test,
     conjecture_weight_value,
     eigenstate_measures,
-    h20_value_swapped,
     h30_appell_value,
     halpha0_series,
     hankel_hadamard,
@@ -24,7 +24,6 @@ from clext.measures import (
     verify_moments,
     weight_function,
 )
-from clext.specfun import kummer_u
 from conftest import random_valid_params
 
 
@@ -92,7 +91,7 @@ class TestWeights:
                 math.gamma(bb1)
                 / (3 * math.pi * math.gamma(bb2))
                 * math.exp(-y)
-                * kummer_u(bb1 - bb2, 2.0 - bb2, y).value
+                * float(mp.hyperu(bb1 - bb2, 2.0 - bb2, y))
             )
             assert float(w.evaluate(y)[0]) == pytest.approx(ref, rel=1e-8)
 
@@ -105,12 +104,24 @@ class TestWeights:
         assert float(w.evaluate(1e-26)[0]) == pytest.approx(limit, rel=1e-5)
 
     def test_h2_positivity_branches_agree(self):
+        # the other positivity branch exchanges the roles of the lower
+        # Mellin parameters 0 and bb3 - 1:
+        # A y^(bb3-1) (1-y)^(s-1) / Gamma(s) 2F1(bb1-1, bb2-1; s; 1-y),
+        # s = bb1 + bb2 - bb3 - 1
         p = params_from_beta_bar(4, [1.5, 1.5, 1.25])
         w = weight_function(p, 0, 2)
+        bb1, bb2, bb3 = 1.5, 1.5, 1.25
+        s = bb1 + bb2 - bb3 - 1.0
+        amp = math.exp(MomentProblem(p, 0, 2).log_A)
         for y in (0.15, 0.5, 0.85):
-            assert float(w.evaluate(y)[0]) == pytest.approx(
-                h20_value_swapped(p, 0, y), rel=1e-10
+            swapped = (
+                amp
+                * y ** (bb3 - 1.0)
+                * (1.0 - y) ** (s - 1.0)
+                / math.gamma(s)
+                * float(mp.hyp2f1(bb1 - 1.0, bb2 - 1.0, s, 1.0 - y))
             )
+            assert float(w.evaluate(y)[0]) == pytest.approx(swapped, rel=1e-10)
 
     def test_refusal_raises(self):
         p = validate_params(3, (0.0, 0.0, 0.0))
@@ -337,7 +348,7 @@ def test_mellin_lists_reproduce_targets(fig1_params):
 def test_m0_slater_vs_contour_on_algebra_parameters(rng):
     # the m0 class and the contour fallback agree on y in {0.1,...,5}
     # for lower-parameter lists drawn from valid algebras (lambda <= 4)
-    from clext.specfun import meijer_g_contour, meijer_g_slater
+    from clext.specfun import _contour_batch, _slater_vec
 
     for lam in (2, 3, 4):
         p = random_valid_params(rng, lam)
@@ -350,10 +361,11 @@ def test_m0_slater_vs_contour_on_algebra_parameters(rng):
             )
             if degenerate:
                 continue
-            for y in (0.1, 0.5, 1.0, 2.0, 5.0):
-                slater, _ = meijer_g_slater([], b, y)
-                contour, _ = meijer_g_contour([], b, y)
-                assert slater == pytest.approx(contour, rel=1e-7, abs=1e-12)
+            y = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
+            slater, ok = _slater_vec(b, y, 1e-13)
+            contour = _contour_batch([], b, y)
+            assert ok.all()
+            assert slater == pytest.approx(contour, rel=1e-7, abs=1e-12)
 
 
 def test_alpha4_conjecture_reported_not_asserted():

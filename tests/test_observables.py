@@ -240,3 +240,39 @@ class TestPublishedQShapes:
         for z in (6.0, 9.0):
             q = mandel_q_eigenstate(paraboson_params, z, "closed").mandel_Q
             assert q * 2.0 * z * z == pytest.approx(3.0, rel=5e-3)
+
+
+class TestOracleAtModerateZ:
+    """The oracle builds the whole state before it contracts it: the points
+    where truncation at dim 64 used to cut the coefficients before their peak."""
+
+    def test_eigenstate_lambda2(self):
+        p = params_from_beta_bar(2, [2.0])  # alpha = (3, -3)
+        for zabs, q in ((13.0, 0.0088750335), (14.0, 0.0076526092)):
+            closed = mandel_q_eigenstate(p, zabs, "closed").mandel_Q
+            oracle = mandel_q_eigenstate(p, zabs, "oracle").mandel_Q
+            assert closed == pytest.approx(q, rel=1e-8)
+            assert oracle == pytest.approx(closed, rel=1e-8)
+
+    def test_sector_lambda3(self, fig1_params):
+        spec = CsAlphaSpec(fig1_params, 0, 1, 15.0)
+        closed = mandel_q_cs_alpha(spec, "closed").mandel_Q
+        oracle = mandel_q_cs_alpha(spec, "oracle").mandel_Q
+        assert closed == pytest.approx(1.97380, rel=1e-5)
+        assert oracle == pytest.approx(closed, rel=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["dressed", "real"])
+def test_squeezing_eigenstate_sums_norm_components_once(monkeypatch, fig1_params, kind):
+    import clext.observables as obs
+
+    calls = []
+    original = obs.eigenstate_norm_components
+
+    def counted(params, t):
+        calls.append(t)
+        return original(params, t)
+
+    monkeypatch.setattr(obs, "eigenstate_norm_components", counted)
+    squeezing_eigenstate(fig1_params, 0.9 + 0.4j, kind, "closed")
+    assert len(calls) == 1

@@ -6,7 +6,6 @@ import pytest
 from clext.quadrature import (
     fixed_grid_unit,
     fixed_grid_zero_inf,
-    integral_zero_inf,
     tanh_sinh,
 )
 
@@ -37,9 +36,21 @@ def test_steep_beta_exponent():
 
 
 def test_zero_inf_gamma():
+    # the frozen (0, inf) grid the weight moments use, at an endpoint singularity too
+    g = fixed_grid_zero_inf(level=8, v_max=10.0)
     for s in (0.5, 2.0, 5.5):
-        r = integral_zero_inf(lambda y, _s=s: y ** (_s - 1.0) * np.exp(-y), tol=1e-11)
-        assert r.value == pytest.approx(math.gamma(s), rel=1e-10)
+        vals = g.y ** (s - 1.0) * np.exp(-g.y)
+        assert float(g.w @ vals) == pytest.approx(math.gamma(s), rel=1e-10)
+
+
+def test_non_convergence_reports_last_level_difference():
+    # interior singularity at 0.3: tanh-sinh gives up at its node cap; the
+    # error estimate is the difference of the last two levels, not 0
+    exact = 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))
+    r = tanh_sinh(lambda x: 1.0 / np.sqrt(np.abs(x - 0.3)), 0.0, 1.0)
+    assert r.value == pytest.approx(2.75698, abs=1e-5)
+    assert r.abs_error == pytest.approx(8.70e-3, rel=1e-3)
+    assert abs(r.value - exact) <= 2.0 * r.abs_error
 
 
 def test_fixed_grids_integrate_gamma():

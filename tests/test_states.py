@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from clext import build_operator
-from clext.errors import DomainError, SectorError
+from clext import structure_function, validate_params
+from clext.errors import DomainError, SectorError, TruncationTooSmall
 from clext.specfun import bessel_i
 from clext.states import (
+    TAIL_THRESHOLD,
     CsAlphaSpec,
     component_zmu,
     cs_alpha_state,
@@ -76,8 +78,72 @@ class TestCsAlphaState:
                 mu = 0
                 z = 0.8 if 2 * alpha == lam else 1.7
                 st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), 64, normalized=False)
-                if st.tail_bound < 1e-12:
-                    assert st.norm_sq() == pytest.approx(st.norm_sq_analytic, rel=1e-10)
+                assert abs(st.norm_sq() / st.norm_sq_analytic - 1.0) <= st.tail_bound + 1e-12
+
+
+class TestTruncation:
+    """tail_bound = 1 - sum|c|^2 / N is exact, and dims grow until it is small."""
+
+    def test_eigenstate_grows_past_the_peak(self):
+        # lambda = 2, alpha = (3, -3): the coefficients still grow at
+        # dim 64 for |z| = 13, 14; the state needs dim 512
+        p = validate_params(2, (3, -3))
+        for zabs in (13.0, 14.0):
+            st = eigenstate(p, zabs)
+            assert st.dim == 512
+            assert st.tail_bound <= TAIL_THRESHOLD
+            assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
+    def test_sector_state_grows_past_the_peak(self, fig1_params):
+        st = cs_alpha_state(CsAlphaSpec(fig1_params, 0, 1, 15.0))
+        assert st.dim == 512
+        assert st.tail_bound <= TAIL_THRESHOLD
+        assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
+    def test_unit_disc_edge_raises(self):
+        p = validate_params(2, (3, -3))
+        with pytest.raises(TruncationTooSmall):
+            cs_alpha_state(CsAlphaSpec(p, 0, 1, 0.99))
+
+    def test_bound_is_the_missing_mass(self, fig1_params):
+        # an explicit dim above the auto-doubling cap is kept as given
+        spec = CsAlphaSpec(fig1_params, 0, 0, 2.0)
+        st = cs_alpha_state(spec, 2048, normalized=False)
+        assert st.dim == 2048
+        assert st.tail_bound == max(0.0, 1.0 - st.norm_sq() / st.norm_sq_analytic)
+
+
+def _max_rel_diff(got, ref):
+    big = np.abs(ref) > 1e-250
+    return float((np.abs(got - ref)[big] / np.abs(ref)[big]).max())
+
+
+@pytest.mark.parametrize("zabs", [1.7, 9.0])
+def test_log_form_matches_product_recursion(rng, zabs):
+    # Reference: the per-level product recursion of each defining equation.
+    # The log form rounds L(n) = log prod F, whose size grows with dim, so
+    # allow 1e-12 relative at dim 64 and 1e-11 at the dims |z| = 9 needs.
+    # alpha = lambda/2 lives on the unit disc and is left out.
+    z = zabs * cmath.exp(0.4j)
+    for lam in (2, 3, 4):
+        p = random_valid_params(rng, lam)
+        for alpha in range(lam // 2):
+            for mu in range(lam - alpha):
+                st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), normalized=False)
+                ref = np.zeros(st.dim, dtype=complex)
+                val = 1.0 + 0.0j
+                for n in range(mu, st.dim, lam):
+                    ref[n] = val
+                    num = math.prod(structure_function(p, j) for j in range(n + 1, n + alpha + 1))
+                    den = math.prod(structure_function(p, j) for j in range(n + alpha + 1, n + lam + 1))
+                    val *= z * math.sqrt(num / den)
+                assert _max_rel_diff(st.coeffs, ref) <= (1e-12 if st.dim == 64 else 1e-11)
+        st = eigenstate(p, z)
+        ref = np.ones(st.dim, dtype=complex)
+        for n in range(1, st.dim):
+            ref[n] = ref[n - 1] * z / math.sqrt(structure_function(p, n))
+        got = st.coeffs * math.sqrt(st.norm_sq_analytic)
+        assert _max_rel_diff(got, ref) <= (1e-12 if st.dim == 64 else 1e-11)
 
 
 class TestEigenstate:
@@ -115,6 +181,7 @@ class TestEigenstate:
             p = random_valid_params(rng, lam)
             st = eigenstate(p, 1.4 + 0.3j, 64)
             assert st.norm_sq() == pytest.approx(1.0, rel=1e-10)
+            assert abs(st.norm_sq() - 1.0) <= st.tail_bound + 1e-12
 
 
 class TestOverlaps:
