@@ -110,8 +110,11 @@ def params_from_beta_bar(lam: int, beta_bar_tail) -> AlgebraParams:
     return validate_params(lam, alpha)
 
 
-def structure_function(params: AlgebraParams, n: int) -> float:
-    """F(n) = n + beta_{n mod lambda}; F(0) = 0 and F(mu) = lam*beta_bar_mu."""
+def structure_function(params: AlgebraParams, n):
+    """F(n) = n + beta_{n mod lambda}; F(0) = 0, F(mu) = lam*beta_bar_mu and
+    F(n < 0) = 0.  n is one level or an integer array of levels."""
+    if isinstance(n, np.ndarray):
+        return np.where(n < 0, 0.0, n + np.asarray(params.beta)[n % params.lam])
     if n < 0:
         return 0.0
     return n + params.beta_at(n)
@@ -244,6 +247,5 @@ def log_fock_norms(params: AlgebraParams, n_max: int) -> np.ndarray:
     |n> = (adag)^n |0> / exp(L(n)/2); the coherent-state coefficients,
     Bargmann basis weights and resolution diagonals all derive from L.
     """
-    j = np.arange(1, n_max + 1)
-    f = j + np.asarray(params.beta)[j % params.lam]
-    return np.concatenate(([0.0], np.cumsum(np.log(f))))
+    log_f = np.log(structure_function(params, np.arange(1, n_max + 1)))
+    return np.concatenate(([0.0], np.cumsum(log_f)))

@@ -184,16 +184,15 @@ def cmd_state(args) -> int:
 def cmd_mandel(args) -> int:
     p = _params(args)
     grid = _grid(args)
+    if args.family == "sector":
+        def q(r, method):
+            return mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, r), method).mandel_Q
+    else:
+        def q(r, method):
+            return mandel_q_eigenstate(p, r, method).mandel_Q
     lines = [f"# mandel Q, family = {args.family}", "r,Q_closed,Q_oracle"]
-    for r in grid:
-        if args.family == "sector":
-            spec = CsAlphaSpec(p, args.mu, args.cs_alpha, complex(r))
-            qc = mandel_q_cs_alpha(spec, "closed").mandel_Q
-            qo = mandel_q_cs_alpha(spec, "oracle").mandel_Q
-        else:
-            qc = mandel_q_eigenstate(p, float(r), "closed").mandel_Q
-            qo = mandel_q_eigenstate(p, float(r), "oracle").mandel_Q
-        lines.append(f"{_fmt(r)},{_fmt(qc)},{_fmt(qo)}")
+    for r, qc in zip(grid, q(grid, "closed")):
+        lines.append(f"{_fmt(r)},{_fmt(qc)},{_fmt(q(float(r), 'oracle'))}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -201,20 +200,21 @@ def cmd_mandel(args) -> int:
 def cmd_squeeze(args) -> int:
     p = _params(args)
     grid = _grid(args)
+    if args.family == "sector":
+        def report(z, method):
+            return squeezing_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, z), args.kind, method)
+    else:
+        def report(z, method):
+            return squeezing_eigenstate(p, z, args.kind, method)
     lines = [
         f"# squeezing, family = {args.family}, kind = {args.kind}, direction = {args.direction}",
         "g,X_closed,P_closed,X_oracle,P_oracle",
     ]
-    for g in grid:
-        z = complex(0.0, g) if args.direction == "im" else complex(g)
-        if args.family == "sector":
-            spec = CsAlphaSpec(p, args.mu, args.cs_alpha, z)
-            rc = squeezing_cs_alpha(spec, args.kind, "closed")
-            ro = squeezing_cs_alpha(spec, args.kind, "oracle")
-        else:
-            rc = squeezing_eigenstate(p, z, args.kind, "closed")
-            ro = squeezing_eigenstate(p, z, args.kind, "oracle")
-        lines.append(",".join(_fmt(v) for v in (g, rc.X, rc.P, ro.X, ro.P)))
+    zs = 1j * grid if args.direction == "im" else grid.astype(complex)
+    closed = report(zs, "closed")
+    for g, z, xc, pc in zip(grid, zs, closed.X, closed.P):
+        ro = report(complex(z), "oracle")
+        lines.append(",".join(_fmt(v) for v in (g, xc, pc, ro.X, ro.P)))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -344,12 +344,19 @@ def cmd_verify(args) -> int:
         for r in check_commutators(p, "sector", k_max=5):
             rows.append((f"{r.basis} {r.pair} k={r.k}", r.residual, r.residual < 1e-10))
     elif args.suite == "observables":
+        # closed Q on the whole |z| list in one call, each point against the oracle
+        checks = (
+            ("eigenstate", (0.4, 1.0, 1.7, 8.0, 14.0),
+             lambda z, method: mandel_q_eigenstate(p, z, method)),
+            ("sector (0,0)", (1.0, 8.0),
+             lambda z, method: mandel_q_cs_alpha(CsAlphaSpec(p, 0, 0, z), method)),
+        )
         rows = []
-        for zz in (0.4, 1.0, 1.7):
-            qc = mandel_q_eigenstate(p, zz, "closed").mandel_Q
-            qo = mandel_q_eigenstate(p, zz, "oracle").mandel_Q
-            err = abs(qc - qo) / (1.0 + abs(qo))
-            rows.append((f"eigenstate Q at |z|={zz}", err, err < 1e-8))
+        for family, zs, q in checks:
+            for zz, qc in zip(zs, q(np.array(zs), "closed").mandel_Q):
+                qo = q(zz, "oracle").mandel_Q
+                err = abs(qc - qo) / (1.0 + abs(qo))
+                rows.append((f"{family} Q at |z|={zz}", err, err < 1e-8))
     else:
         raise ClextError(f"unknown suite {args.suite!r}")
     lines = ["check,residual,passed"]

@@ -197,26 +197,22 @@ def _curve_values(job: FigureJob, curve: Curve, grid: np.ndarray) -> np.ndarray:
     params = curve.params(job.lam)
     kind = job.kind
     opts = job.options
-    out = np.empty(len(grid))
     if kind in ("weight_h1", "weight_h2"):
         w = weight_function(params, opts["mu"], opts["alpha"])
         return np.asarray(w.evaluate(grid), dtype=float)
-    for i, g in enumerate(grid):
-        if kind == "q_sector":
-            spec = CsAlphaSpec(params, opts["mu"], opts["alpha"], complex(g))
-            out[i] = mandel_q_cs_alpha(spec, "closed").mandel_Q
-        elif kind == "q_eigen":
-            out[i] = mandel_q_eigenstate(params, float(g), "closed").mandel_Q
-        elif kind == "x_sector":
-            z = complex(-g) if job.grid_var == "-Re z" else complex(g)
-            spec = CsAlphaSpec(params, opts["mu"], opts["alpha"], z)
-            out[i] = squeezing_cs_alpha(spec, opts.get("squeeze_kind", "dressed"), "closed").X
-        elif kind == "x_eigen":
-            z = complex(0.0, g) if opts.get("direction") == "im" else complex(g)
-            out[i] = squeezing_eigenstate(params, z, opts.get("squeeze_kind", "dressed"), "closed").X
-        else:
-            raise ValueError(f"unknown figure kind {kind!r}")
-    return out
+    if kind == "q_sector":
+        spec = CsAlphaSpec(params, opts["mu"], opts["alpha"], grid.astype(complex))
+        return mandel_q_cs_alpha(spec, "closed").mandel_Q
+    if kind == "q_eigen":
+        return mandel_q_eigenstate(params, grid, "closed").mandel_Q
+    if kind == "x_sector":
+        z = (-grid if job.grid_var == "-Re z" else grid).astype(complex)
+        spec = CsAlphaSpec(params, opts["mu"], opts["alpha"], z)
+        return squeezing_cs_alpha(spec, opts.get("squeeze_kind", "dressed"), "closed").X
+    if kind == "x_eigen":
+        z = 1j * grid if opts.get("direction") == "im" else grid.astype(complex)
+        return squeezing_eigenstate(params, z, opts.get("squeeze_kind", "dressed"), "closed").X
+    raise ValueError(f"unknown figure kind {kind!r}")
 
 
 def run_figure(job: FigureJob) -> str:

@@ -1,10 +1,15 @@
 """Photon statistics (Mandel Q) and quadrature squeezing for both
 coherent-state families.
 
-Closed forms evaluate the hypergeometric moment expressions (exact
-term-wise derivatives of the normalization series); the oracle path
-contracts the truncated coefficient vectors against the ladder matrices.
-Both are exposed so every figure can be cross-checked.
+Every closed form is an expectation <g(N)> = p @ g(n) over the Fock weights
+p_n = |c_n|^2 / N of the state, all from one core (_fock_weights): log p is
+built from the per-level log ratios log|z|^2 + log|c_{n+w} / (z c_n)|^2
+(states._log_ratios) and summed outward from each row's peak level, so no
+partial sum overflows at large |z|.  The closed functions take one grid value
+or an array of them, so a figure curve or a CLI grid is one call.  Kept as
+cross-checks: the coefficient-vector oracle (method="oracle", contracting
+the truncated state against the ladder matrices), the Phi-ratio branch
+forms of the sector Q and the lambda = 2 Bessel form of the eigenstate Q.
 """
 
 from __future__ import annotations
@@ -15,16 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraParams, structure_function
-from .errors import DomainError
-from .specfun import _asym_coeffs, bessel_i, pfq
+from .errors import DomainError, NoConvergence
+from .specfun import bessel_i, pfq
 from .states import (
     CsAlphaSpec,
     StateVector,
     _cs_alpha_lists,
+    _log_ratios,
     cs_alpha_state,
     eigenstate,
-    eigenstate_norm_components,
 )
+
+FIRST_LEVELS = 64
+MAX_LEVELS = 2**16
+LAST_WEIGHT = 1e-17
 
 
 @dataclass(frozen=True)
@@ -60,41 +69,55 @@ class SqueezeReport:
 
 
 # --------------------------------------------------------------------------
-# normalization-series moments
+# Fock weights
 # --------------------------------------------------------------------------
 
-def _norm_derivatives(params: AlgebraParams, mu: int, alpha: int, y: float):
-    """(N, N', N'') of the sector normalization series at argument y."""
-    num, den = _cs_alpha_lists(params, mu, alpha)
-    n0 = pfq(num, den, y).value.real
-    f1 = 1.0
-    for v in num:
-        f1 *= v
-    for v in den:
-        f1 /= v
-    n1 = f1 * pfq([v + 1 for v in num], [v + 1 for v in den], y).value.real
-    f2 = f1
-    for v in num:
-        f2 *= v + 1.0
-    for v in den:
-        f2 /= v + 1.0
-    n2 = f2 * pfq([v + 2 for v in num], [v + 2 for v in den], y).value.real
-    return n0, n1, n2
+def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None = None):
+    """Fock levels n (K,) and normalized weights p_n = |c_n|^2 / N (rows, K),
+    one row per entry of z_abs.
+
+    sector = (mu, alpha) selects |z; mu; alpha> on the levels n = k lambda + mu,
+    None the eigenstate |z> on every level.  Each row's log p is accumulated
+    outward from its peak level, so the levels that carry the sums pick up only
+    a few roundings.  The level count doubles from FIRST_LEVELS until every
+    row's last weight is below LAST_WEIGHT; NoConvergence past MAX_LEVELS.
+    """
+    mu, alpha, width = (0, 0, 1) if sector is None else (*sector, params.lam)
+    with np.errstate(divide="ignore"):
+        log_z2 = 2.0 * np.log(np.atleast_1d(z_abs).astype(float))[:, None]
+    count = FIRST_LEVELS
+    while True:
+        n = mu + width * np.arange(count)
+        steps = log_z2 + _log_ratios(params, n[:-1], alpha, width)  # log p_{k+1} / p_k
+        peak = np.argmax(np.pad(np.cumsum(steps, axis=1), ((0, 0), (1, 0))), axis=1)
+        after = np.arange(count - 1) >= peak[:, None]
+        log_p = np.zeros((len(steps), count))
+        log_p[:, 1:] = np.cumsum(np.where(after, steps, 0.0), axis=1)
+        log_p[:, :-1] -= np.cumsum(np.where(after, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
+        with np.errstate(under="ignore"):
+            p = np.exp(log_p, out=log_p)
+        p /= p.sum(axis=1, keepdims=True)
+        if np.all(p[:, -1] < LAST_WEIGHT):
+            return n, p
+        if count >= MAX_LEVELS:
+            raise NoConvergence(f"Fock weights still {p[:, -1].max():.3e} at level {n[-1]}")
+        count *= 2
 
 
-def _moments_cs_alpha(spec: CsAlphaSpec):
-    """<N>, <N^2> from term-wise derivatives of the normalization series."""
-    p, mu, alpha = spec.params, spec.mu, spec.alpha
-    lam = p.lam
-    y = spec.y
-    n0, n1, n2 = _norm_derivatives(p, mu, alpha, y)
-    mean = mu + lam * y * n1 / n0
-    mean2 = (
-        lam**2 * (y * n1 + y * y * n2) / n0
-        + 2.0 * mu * lam * y * n1 / n0
-        + mu * mu
-    )
-    return mean, mean2
+def _as_given(z, *rows):
+    """Per-row results as floats for a scalar grid value, else as arrays."""
+    return tuple(float(r[0]) for r in rows) if np.ndim(z) == 0 else rows
+
+
+def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
+    """<N>, <N^2> and Q from the weights; Q = limit_q where <N> vanishes."""
+    mean = p @ n
+    var = ((n - mean[:, None]) ** 2 * p).sum(axis=1)
+    limit = mean <= 1e-13
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(limit, limit_q, (var - mean) / mean)
+    source = "closed_limit" if limit.all() else "closed_form"
+    return PhotonStats(*_as_given(z, mean, var + mean**2, q), source)
 
 
 def phi_ratio(
@@ -158,10 +181,9 @@ def mandel_q_branch_form(spec: CsAlphaSpec) -> float:
 def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
     """Mandel Q of |z; mu; alpha>.
 
-    closed: series-derivative moments (plus the (1+y)/(1-y) displacement
-    form at lambda = 2, alpha = 1, mu = 0, exact); oracle: truncated
-    coefficient vector.  At z = 0 with mu = 0 the 0/0 ratio is replaced
-    by the analytic limit lambda - 1 (a number state has Q = -1).
+    closed: moments of the Fock weights (spec.z may be an array); oracle:
+    truncated coefficient vector.  At z = 0 with mu = 0 the 0/0 ratio is
+    replaced by the analytic limit lambda - 1 (a number state has Q = -1).
     """
     p, mu = spec.params, spec.mu
     lam = p.lam
@@ -175,45 +197,13 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
         return PhotonStats(mean, mean2, q, "vector_oracle")
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
-    mean, mean2 = _moments_cs_alpha(spec)
-    if mean <= 1e-13:
-        return PhotonStats(mean, mean2, lam - 1.0 if mu == 0 else -1.0, "closed_limit")
-    if lam == 2 and spec.alpha == 1 and mu == 0:
-        q = (1.0 + spec.y) / (1.0 - spec.y)
-        return PhotonStats(mean, mean2, q, "closed_form")
-    q = ((mean2 - mean**2) - mean) / mean
-    return PhotonStats(mean, mean2, q, "closed_form")
+    n, weights = _fock_weights(p, np.abs(spec.z), (mu, spec.alpha))
+    return _photon_stats(spec.z, n, weights, lam - 1.0)
 
 
-def _eigenstate_s_series(params: AlgebraParams, t: float):
-    """(norm, S1, S2) entering the eigenstate photon moments, plus the
-    sector norm components they are summed from."""
+def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") -> PhotonStats:
+    """Mandel Q of the annihilation-operator eigenstate |z| (closed: z_abs may be an array)."""
     lam = params.lam
-    bb = params.beta_bar_at
-    comps = eigenstate_norm_components(params, t)
-    norm = 0.0
-    s1 = 0.0
-    s2 = 0.0
-    pref = 1.0
-    for mu in range(lam):
-        if mu > 0:
-            pref *= t / bb(mu)
-        norm += comps[mu] * pref
-        s1 += comps[mu] * (t + mu / lam - bb(mu)) * pref
-        s2 += comps[mu] * (
-            mu * (mu - 1) / lam
-            - (2 * mu - 1) * bb(mu)
-            + lam * bb(mu) ** 2
-            + (2 * mu + 1 - lam * bb(mu) - lam * bb(mu + 1)) * t
-            + lam * t * t
-        ) * pref
-    return norm, s1, s2, comps
-
-
-def mandel_q_eigenstate(params: AlgebraParams, z_abs: float, method: str = "closed") -> PhotonStats:
-    """Mandel Q of the annihilation-operator eigenstate |z|."""
-    lam = params.lam
-    t = z_abs**2 / lam
     if method == "oracle":
         st = eigenstate(params, z_abs)
         n = np.arange(st.dim)
@@ -222,34 +212,30 @@ def mandel_q_eigenstate(params: AlgebraParams, z_abs: float, method: str = "clos
         mean2 = float((n.astype(float) ** 2) @ pr)
         q = ((mean2 - mean**2) - mean) / mean if mean > 0 else 0.0
         return PhotonStats(mean, mean2, q, "vector_oracle")
-    if method == "bessel":
-        if lam != 2:
-            raise DomainError("the Bessel closed form only exists at lambda = 2")
-        bb1 = params.beta_bar_at(1)
-        if t <= 1e-14:
-            return PhotonStats(0.0, 0.0, 0.0, "closed_limit")
-        i_m = bessel_i(bb1 - 1.0, 2.0 * t).value
-        i_p = bessel_i(bb1, 2.0 * t).value
-        r = i_p / (i_m + i_p)
-        # denominator is <N> = 2t + (1 - 2 bb1) R, which follows from the
-        # Bessel recurrences; a minus sign here fails the series oracle
-        q = (
-            (1.0 - 2.0 * bb1)
-            * (2.0 * t - 2.0 * (2.0 * t + bb1) * r - (1.0 - 2.0 * bb1) * r * r)
-            / (2.0 * t + (1.0 - 2.0 * bb1) * r)
-        )
-        norm, s1, _, _ = _eigenstate_s_series(params, t)
-        mean = lam * s1 / norm
-        return PhotonStats(mean, (q + mean + 1.0) * mean + 1e-300, q, "bessel_form")
-    if method != "closed":
+    if method == "closed":
+        n, p = _fock_weights(params, np.abs(z_abs))
+        return _photon_stats(z_abs, n, p, 0.0)
+    if method != "bessel":
         raise DomainError(f"unknown method {method!r}")
+    if lam != 2:
+        raise DomainError("the Bessel closed form only exists at lambda = 2")
+    t = z_abs**2 / lam
+    bb1 = params.beta_bar_at(1)
     if t <= 1e-14:
         return PhotonStats(0.0, 0.0, 0.0, "closed_limit")
-    norm, s1, s2, _ = _eigenstate_s_series(params, t)
-    mean = lam * s1 / norm
-    q = s2 / s1 - lam * s1 / norm
-    mean2 = (q + mean) * mean + mean
-    return PhotonStats(mean, mean2, q, "closed_form")
+    i_m = bessel_i(bb1 - 1.0, 2.0 * t).value
+    i_p = bessel_i(bb1, 2.0 * t).value
+    r = i_p / (i_m + i_p)
+    # denominator is <N> = 2t + (1 - 2 bb1) R, which follows from the
+    # Bessel recurrences; a minus sign here fails the series oracle
+    q = (
+        (1.0 - 2.0 * bb1)
+        * (2.0 * t - 2.0 * (2.0 * t + bb1) * r - (1.0 - 2.0 * bb1) * r * r)
+        / (2.0 * t + (1.0 - 2.0 * bb1) * r)
+    )
+    n, p = _fock_weights(params, abs(z_abs))
+    mean = float((p @ n)[0])
+    return PhotonStats(mean, (q + mean + 1.0) * mean + 1e-300, q, "bessel_form")
 
 
 # --------------------------------------------------------------------------
@@ -258,11 +244,10 @@ def mandel_q_eigenstate(params: AlgebraParams, z_abs: float, method: str = "clos
 
 def _contractions(params: AlgebraParams, st: StateVector):
     """Expectation values needed by the quadrature variances."""
-    lam = params.lam
     c = st.coeffs
     n_arr = np.arange(st.dim, dtype=float)
     pr = np.abs(c) ** 2
-    f = np.array([structure_function(params, n) for n in range(st.dim + 2)])
+    f = structure_function(params, np.arange(st.dim + 2))
     sqrt_f = np.sqrt(f)
     out = {
         "N": float(n_arr @ pr),
@@ -321,64 +306,38 @@ def squeezing_cs_alpha(
         )
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
-    mean_n, _ = _moments_cs_alpha(spec)
-    gamma_term = p.gamma(mu) + 0.5
-    if kind == "dressed":
-        h0 = mean_n + gamma_term
-        off = 0.0
-        if lam == 2:
-            if alpha == 0:
-                off = spec.z.real  # <J+ + J-> = Re z for the a^2 eigenstates
-            elif alpha == 1 and mu == 0:
-                off = spec.z.real * (mean_n + 2.0 * bb(1))
-            else:
-                return squeezing_cs_alpha(spec, kind, "oracle")
-        var_x = h0 + off
-        var_p = h0 - off
-        rhs = 0.25 * (lam * (bb(mu + 1) - bb(mu))) ** 2
-        return SqueezeReport(var_x, var_p, vac_x, vac_p, var_x * var_p, rhs, kind, "closed_form")
-    # real photons: <b> = 0 in a sector state; at lambda = 2 the b^2
-    # off-diagonal term survives, with <b^2> = z <sqrt-ratio> through the
-    # defining-equation coefficient recursion (a^2 - z for alpha = 0,
-    # a - z adag for alpha = 1)
+    z = np.atleast_1d(spec.z)
+    n, weights = _fock_weights(p, np.abs(z), (mu, alpha))
+    mean_n = weights @ n
     off = 0.0
-    if lam == 2:
-        num, den = _cs_alpha_lists(p, mu, alpha)
-        y = spec.y
-        n0 = pfq(num, den, y).value.real
-        w = 1.0
-        acc = 0.0
-        for k in range(400):
-            n = k * lam + mu
+    if kind == "dressed":
+        if lam == 2:
+            # <J+ + J-> = Re z for the a^2 eigenstates; a - z adag (alpha = 1)
+            # gives Re z (<N> + 2 bb1)
+            off = z.real if alpha == 0 else z.real * (mean_n + 2.0 * bb(1))
+        h0 = mean_n + p.gamma(mu) + 0.5
+        rhs = 0.25 * (lam * (bb(mu + 1) - bb(mu))) ** 2
+    else:
+        # real photons: <b> = 0 in a sector state; at lambda = 2 the b^2
+        # off-diagonal term survives, with <b^2> = z <sqrt-ratio> through the
+        # defining-equation coefficient recursion (a^2 - z for alpha = 0,
+        # a - z adag for alpha = 1)
+        if lam == 2:
             f1 = structure_function(p, n + 1)
             f2 = structure_function(p, n + 2)
-            if alpha == 0:
-                acc += w * math.sqrt((n + 1.0) * (n + 2.0) / (f1 * f2))
-            else:
-                acc += w * math.sqrt((n + 1.0) * (n + 2.0) * f1 / f2)
-            term_ratio = 1.0
-            for v in num:
-                term_ratio *= v + k
-            dd = k + 1.0
-            for v in den:
-                dd *= v + k
-            w *= term_ratio / dd * y
-            if w < 1e-18:
-                break
-        off = (spec.z * acc / n0).real
-    var_x = mean_n + 0.5 + off
-    var_p = mean_n + 0.5 - off
-    return SqueezeReport(var_x, var_p, vac_x, vac_p, var_x * var_p, 0.25, kind, "closed_form")
+            num = (n + 1.0) * (n + 2.0)
+            off = (z * (weights @ np.sqrt(num * f1 / f2 if alpha else num / (f1 * f2)))).real
+        h0 = mean_n + 0.5
+        rhs = 0.25
+    var_x, var_p = _as_given(spec.z, h0 + off, h0 - off)
+    return SqueezeReport(var_x, var_p, vac_x, vac_p, var_x * var_p, rhs, kind, "closed_form")
 
 
 def squeezing_eigenstate(
     params: AlgebraParams, z: complex, kind: str = "dressed", method: str = "closed"
 ) -> SqueezeReport:
     """Quadrature variances of |z> (minimum-uncertainty for dressed photons)."""
-    lam = params.lam
-    bb = params.beta_bar_at
-    t = abs(z) ** 2 / lam
-    vac_x = vac_p = 0.5 * lam * bb(1) if kind == "dressed" else 0.5
+    vac_x = vac_p = 0.5 * params.lam * params.beta_bar_at(1) if kind == "dressed" else 0.5
     if method == "oracle":
         st = eigenstate(params, z)
         return _report_from_contractions(
@@ -386,60 +345,21 @@ def squeezing_eigenstate(
         )
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
-    if kind == "dressed" and lam == 2 and t > 200.0:
-        # the normalization series overflows around t ~ 350; use the
-        # exponentially scaled Bessel ratio R = I_b/(I_{b-1} + I_b)
-        bb1 = bb(1)
-        s_m, _ = _asym_coeffs(bb1 - 1.0, 2.0 * t, 1.0, 1e-14)
-        s_p, _ = _asym_coeffs(bb1, 2.0 * t, 1.0, 1e-14)
-        r = s_p / (s_m + s_p)
-        var = (1.0 + (1.0 - 2.0 * bb1) * r / bb1) * vac_x
-        return SqueezeReport(
-            var, var, vac_x, vac_p, var * var, var * var, kind, "closed_form"
-        )
-    norm, s1, _, comps = _eigenstate_s_series(params, t)
+    z_rows = np.atleast_1d(z).astype(complex)
+    n, p = _fock_weights(params, np.abs(z_rows))
+    f1 = structure_function(params, n + 1)
     if kind == "dressed":
-        total = 0.0
-        pref = 1.0
-        for mu in range(lam):
-            if mu > 0:
-                pref *= t / bb(mu)
-            total += (bb(mu + 1) - bb(mu)) * comps[mu] * pref
-        var = 0.5 * lam * total / norm
-        return SqueezeReport(
-            var, var, vac_x, vac_p, var * var, var * var, kind, "closed_form"
-        )
+        # <[a, adag]> / 2 = <F(N+1) - F(N)> / 2 in both quadratures
+        (var,) = _as_given(z, 0.5 * (p @ (f1 - structure_function(params, n))))
+        return SqueezeReport(var, var, vac_x, vac_p, var * var, var * var, kind, "closed_form")
     # real photons: E1 = <sqrt((N+1)/F(N+1))>, E2 = <sqrt((N+1)(N+2)/(F F))>
-    mean_n = lam * s1 / norm
-    e1 = 0.0
-    e2 = 0.0
-    pref = 1.0
-    for mu in range(lam):
-        if mu > 0:
-            pref *= t / bb(mu)
-        w = 1.0
-        acc1 = 0.0
-        acc2 = 0.0
-        for k in range(400):
-            n = k * lam + mu
-            f1 = structure_function(params, n + 1)
-            f2 = structure_function(params, n + 2)
-            acc1 += w * math.sqrt((n + 1.0) / f1)
-            acc2 += w * math.sqrt((n + 1.0) * (n + 2.0) / (f1 * f2))
-            dd = k + 1.0
-            for nu in range(1, mu + 1):
-                dd *= bb(nu) + 1.0 + k
-            for nu in range(mu + 1, lam):
-                dd *= bb(nu) + k
-            w *= t**lam / dd
-            if w < 1e-18:
-                break
-        e1 += pref * acc1
-        e2 += pref * acc2
-    e1 /= norm
-    e2 /= norm
-    var_x = mean_n + 0.5 - abs(z) ** 2 * e2 + 2.0 * z.real**2 * (e2 - e1 * e1)
-    var_p = mean_n + 0.5 - abs(z) ** 2 * e2 + 2.0 * z.imag**2 * (e2 - e1 * e1)
-    return SqueezeReport(
-        var_x, var_p, vac_x, vac_p, var_x * var_p, 0.25, kind, "closed_form"
+    f2 = structure_function(params, n + 2)
+    e1 = p @ np.sqrt((n + 1.0) / f1)
+    e2 = p @ np.sqrt((n + 1.0) * (n + 2.0) / (f1 * f2))
+    common = p @ n + 0.5 - np.abs(z_rows) ** 2 * e2
+    var_x, var_p = _as_given(
+        z,
+        common + 2.0 * z_rows.real**2 * (e2 - e1 * e1),
+        common + 2.0 * z_rows.imag**2 * (e2 - e1 * e1),
     )
+    return SqueezeReport(var_x, var_p, vac_x, vac_p, var_x * var_p, 0.25, kind, "closed_form")

@@ -11,13 +11,15 @@ Two families:
   the whole Fock space and reducing to paraboson coherent states at
   lambda = 2.
 
-Coefficient magnitudes come in log form from L(n) = log prod_{j<=n} F(j)
-(algebra.log_fock_norms), the same array behind the Bargmann weights and
-the resolution diagonals.  Analytic norms N come from the hypergeometric
-closed forms, so the mass a truncation drops is known exactly:
-tail_bound = 1 - sum(|c_n|^2) / N.  Builders double dim (up to 1024)
-until that bound is at most 1e-10 and raise TruncationTooSmall when it
-never is.
+Coefficient magnitudes come in log form: the eigenstate's from
+L(n) = log prod_{j<=n} F(j) (algebra.log_fock_norms), the same array behind
+the Bargmann weights and the resolution diagonals; the sector states' from
+the cumulative sum of the per-level log ratios (_log_ratios), which the
+closed-form observables sum outward from the peak level instead.  Analytic
+norms N come from the hypergeometric closed forms, so the mass a truncation
+drops is known exactly: tail_bound = 1 - sum(|c_n|^2) / N.  Builders double
+dim (up to 1024) until that bound is at most 1e-10 and raise
+TruncationTooSmall when it never is.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraParams, log_fock_norms
+from .algebra import AlgebraParams, log_fock_norms, structure_function
 from .errors import DomainError, SectorError, TruncationTooSmall
 from .specfun import pfq
 
@@ -38,7 +40,10 @@ MAX_AUTO_DIM = 1024
 
 @dataclass(frozen=True)
 class CsAlphaSpec:
-    """Label (z, mu, alpha) of one member of the sector family."""
+    """Label (z, mu, alpha) of one member of the sector family.
+
+    The closed-form observables also take an array z (one state per entry).
+    """
 
     params: AlgebraParams
     mu: int
@@ -53,9 +58,9 @@ class CsAlphaSpec:
             raise SectorError(
                 f"only the trivial solution exists for mu = {self.mu}, alpha = {self.alpha}"
             )
-        if 2 * self.alpha == lam and self.y >= 1.0:
+        if 2 * self.alpha == lam and np.max(self.y) >= 1.0:
             raise DomainError(
-                f"alpha = lambda/2 states live on the unit disc; y = {self.y:.6g} >= 1"
+                f"alpha = lambda/2 states live on the unit disc; y = {np.max(self.y):.6g} >= 1"
             )
 
     @property
@@ -120,16 +125,21 @@ def norm_series_cs_alpha(params: AlgebraParams, mu: int, alpha: int, y: float):
     return pfq(num, den, y)
 
 
-def sector_log_weights(params: AlgebraParams, mu: int, alpha: int, k_max: int) -> np.ndarray:
-    """log |c_k / z^k|^2 for k = 0..k_max of the unnormalized |z; mu; alpha>.
+def _log_ratios(params: AlgebraParams, n: np.ndarray, alpha: int, width: int) -> np.ndarray:
+    """log |c_{n+width} / (z c_n)|^2 = sum_{j<=alpha} log F(n+j) - sum_{alpha<j<=width}
+    log F(n+j) for the levels n of a coherent state that steps by width.
 
-    The defining equation fixes |c_{k+1} / c_k|^2 = |z|^2 exp(2 L(n + alpha)
-    - L(n) - L(n + lambda)) at level n = k lambda + mu.
+    width = lambda at n = k lambda + mu is |z; mu; alpha> (from its defining
+    equation); width = 1 with alpha = 0 is the eigenstate |z>.
     """
+    log_f = np.log(structure_function(params, np.add.outer(n, np.arange(1, width + 1))))
+    return log_f[:, :alpha].sum(axis=1) - log_f[:, alpha:].sum(axis=1)
+
+
+def sector_log_weights(params: AlgebraParams, mu: int, alpha: int, k_max: int) -> np.ndarray:
+    """log |c_k / z^k|^2 for k = 0..k_max of the unnormalized |z; mu; alpha>."""
     lam = params.lam
-    log_f = log_fock_norms(params, k_max * lam + mu)
-    n = np.arange(k_max) * lam + mu
-    steps = 2.0 * log_f[n + alpha] - log_f[n] - log_f[n + lam]
+    steps = _log_ratios(params, np.arange(k_max) * lam + mu, alpha, lam)
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 

@@ -53,6 +53,16 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "states", "--lambda", "2", "--alpha", "3,-3", "--k", "48"])
         assert code == 0
 
+    def test_observables_rows(self):
+        code, out, _ = run_cli(["verify", "observables", "--lambda", "2", "--alpha", "3,-3"])
+        assert code == 0
+        rows = [line.rsplit(",", 2) for line in out.splitlines()[1:]]
+        names = [r[0] for r in rows]
+        for name in ("eigenstate Q at |z|=8.0", "eigenstate Q at |z|=14.0",
+                     "sector (0,0) Q at |z|=1.0", "sector (0,0) Q at |z|=8.0"):
+            assert name in names
+        assert all(float(res) < 1e-8 and passed == "True" for _, res, passed in rows)
+
     def test_moments_pass(self):
         code, out, _ = run_cli(
             ["verify", "moments", "--lambda", "2", "--alpha", "3,-3", "--cs-alpha", "1", "--mu", "0"]

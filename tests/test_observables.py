@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clext import params_from_beta_bar
 from clext.observables import (
@@ -13,6 +14,7 @@ from clext.observables import (
 )
 from clext.states import CsAlphaSpec
 from conftest import random_valid_params
+from fock_sums import FockSums
 
 
 class TestMandelSector:
@@ -262,17 +264,89 @@ class TestOracleAtModerateZ:
         assert oracle == pytest.approx(closed, rel=1e-8)
 
 
-@pytest.mark.parametrize("kind", ["dressed", "real"])
-def test_squeezing_eigenstate_sums_norm_components_once(monkeypatch, fig1_params, kind):
+def assert_matches_reference(got, ref):
+    ref = float(ref)
+    assert abs(got - ref) <= 1e-10 * abs(ref) + 1e-13, (got, ref)
+
+
+# beta_bar per lambda for the large-|z| checks, and the sector families:
+# (0, 0) plus one alpha >= 1 family (lambda = 2 has none off the unit disc)
+LARGE_Z_BETA_BAR = {2: (2.0,), 3: (4 / 3, 2 / 3), 4: (1.5, 1.0, 0.75)}
+LARGE_Z_FAMILIES = {2: ((0, 0),), 3: ((0, 0), (1, 1)), 4: ((0, 0), (0, 1))}
+
+
+class TestLargeZ:
+    """Closed forms against 40-digit brute-force Fock sums, out where the
+    normalization pFq overflows (from |z| ~ 26 at lambda = 2)."""
+
+    def test_dressed_x_approaches_the_limit_from_above(self, paraboson_params):
+        zabs = np.array([30.0, 60.0])
+        x = squeezing_eigenstate(paraboson_params, zabs.astype(complex), "dressed", "closed").X
+        for xi, za in zip(x, zabs):
+            assert xi == pytest.approx(float(FockSums((2.0,), za).dressed_x()), rel=1e-10)
+        assert x[0] == pytest.approx(0.250625347173, rel=1e-11)
+        assert 0.25 < x[1] < x[0]
+
+    @pytest.mark.parametrize("lam", [2, 3, 4])
+    def test_closed_forms(self, lam):
+        bb = LARGE_Z_BETA_BAR[lam]
+        p = params_from_beta_bar(lam, bb)
+        zabs = np.array([30.0, 60.0, 100.0])
+        z = zabs * np.exp(0.4j)
+        q = mandel_q_eigenstate(p, zabs, "closed").mandel_Q
+        x_dressed = squeezing_eigenstate(p, z, "dressed", "closed").X
+        real = squeezing_eigenstate(p, z, "real", "closed")
+        families = LARGE_Z_FAMILIES[lam]
+        q_sector = {f: mandel_q_cs_alpha(CsAlphaSpec(p, *f, zabs), "closed").mandel_Q for f in families}
+        for i, za in enumerate(zabs):
+            ref = FockSums(bb, za)
+            assert_matches_reference(q[i], ref.q)
+            assert_matches_reference(x_dressed[i], ref.dressed_x())
+            ref_x, ref_p = ref.real_xp(complex(z[i]))
+            assert_matches_reference(real.X[i], ref_x)
+            assert_matches_reference(real.P[i], ref_p)
+            for f in families:
+                assert_matches_reference(q_sector[f][i], FockSums(bb, za, f).q)
+
+
+@st.composite
+def closed_q_cases(draw):
+    """(lambda, beta_bar, |z|, family): family None is the eigenstate,
+    (mu, alpha) a sector state with alpha < lambda/2 (off the unit disc)."""
+    lam = draw(st.sampled_from([2, 3, 4]))
+    bb = tuple(
+        draw(st.floats(0.08, 2.5, exclude_min=True, exclude_max=True)) for _ in range(lam - 1)
+    )
+    families = [None] + [(mu, a) for a in range((lam - 1) // 2 + 1) for mu in range(lam - a)]
+    return lam, bb, draw(st.floats(0.05, 30.0)), draw(st.sampled_from(families))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(closed_q_cases())
+def test_closed_q_sweep(case):
+    lam, bb, zabs, family = case
+    p = params_from_beta_bar(lam, bb)
+    if family is None:
+        q = mandel_q_eigenstate(p, zabs, "closed").mandel_Q
+    else:
+        q = mandel_q_cs_alpha(CsAlphaSpec(p, *family, zabs), "closed").mandel_Q
+    assert_matches_reference(q, FockSums(bb, zabs, family).q)
+
+
+@pytest.mark.parametrize("figure", ["4a", "6a", "7a"])
+def test_figure_curve_is_one_core_call(monkeypatch, figure):
+    # q_eigen (4a), dressed (6a) and real (7a) x_eigen: a curve's whole grid is one call
     import clext.observables as obs
+    from clext.figures import FIGURE_PRESETS, run_figure
 
     calls = []
-    original = obs.eigenstate_norm_components
+    original = obs._fock_weights
 
-    def counted(params, t):
-        calls.append(t)
-        return original(params, t)
+    def counted(params, z_abs, sector=None):
+        calls.append(np.size(z_abs))
+        return original(params, z_abs, sector)
 
-    monkeypatch.setattr(obs, "eigenstate_norm_components", counted)
-    squeezing_eigenstate(fig1_params, 0.9 + 0.4j, kind, "closed")
-    assert len(calls) == 1
+    monkeypatch.setattr(obs, "_fock_weights", counted)
+    job = FIGURE_PRESETS[figure]
+    run_figure(job)
+    assert calls == [job.grid[2]] * len(job.curves)
