@@ -232,7 +232,10 @@ def cmd_moments(args) -> int:
         lines.append(
             f"{row.k},{_fmt(row.target)},{_fmt(row.integral)},{row.rel_error:.3e}"
         )
-    lines.append(f"# max_rel_error = {report.max_rel_error:.3e}, passed = {report.passed}")
+    lines.append(
+        f"# max_rel_error = {report.max_rel_error:.3e}, passed = {report.passed}, "
+        f"max_quad_err = {report.max_quad_err:.3e}"
+    )
     _emit(args, "\n".join(lines) + "\n")
     return 0 if report.passed else 1
 

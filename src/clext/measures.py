@@ -26,11 +26,10 @@ from .algebra import AlgebraParams, log_fock_norms
 from .errors import PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
 from .specfun import (
-    appell_f3,
+    _ConvolvedKernel,
+    _NorlundKernel,
     build_convolution_kernel,
     g_general_vec,
-    gauss_2f1,
-    lgamma_signed,
     m0_eval_vec,
 )
 
@@ -210,6 +209,10 @@ def _decay_cutoff(r: int, k_max: float) -> float:
     return y
 
 
+# the paper's closed form of the r = 0 weight, by alpha
+_HAUSDORFF_FORMS = {1: "beta_power", 2: "gauss2f1", 3: "appell_f3"}
+
+
 def weight_function(
     params: AlgebraParams,
     mu: int,
@@ -219,10 +222,13 @@ def weight_function(
 ) -> WeightFunction:
     """Weight solving the (mu, alpha) moment problem.
 
-    Dispatch: r > 0 goes through the Meijer machinery (direct
-    Slater/contour for alpha = 0, Mellin-convolution quadrature
-    otherwise); r = 0 uses the closed Hausdorff forms (Beta power,
-    Gauss 2F1, Appell-equivalent series).
+    Dispatch: alpha = 0 evaluates G^{m,0}_{0,m} directly (Slater /
+    contour); every other certified weight comes from
+    specfun.build_convolution_kernel along the certificate's pairing:
+    Mellin-convolution quadrature for r > 0 and, for r = 0, the Hausdorff
+    weight G^{alpha,0}_{alpha,alpha} on (0, 1) as one Norlund (1 - y)
+    series, whatever alpha.  The form label names the paper's closed form
+    (Beta power, Gauss 2F1, Appell F3, multiple series by alpha).
 
     Without a positivity certificate the default is to refuse; passing
     require_positive=False still returns the inverse Mellin transform
@@ -253,206 +259,35 @@ def weight_function(
 
         return WeightFunction(problem, "meijer_m0", cert, evaluator)
 
-    if r > 0:
-        kernel = build_convolution_kernel(a, b, cert.pairing, tol=tol)
+    kernel = build_convolution_kernel(a, b, cert.pairing, tol=tol)
 
-        def evaluator(y, one_minus_y=None, _k=kernel, _amp=amp):
-            return _amp * _k(y)
+    def evaluator(y, one_minus_y=None, _k=kernel, _amp=amp):
+        return _amp * _k(y, one_minus_y)
 
-        return WeightFunction(problem, "kummer", cert, evaluator)
-
-    # r = 0: Hausdorff problem on (0, 1)
-    if alpha == 1:
-        bb1 = params.beta_bar_at(mu + 1)
-
-        def evaluator(y, one_minus_y=None, _bb1=bb1, _amp=amp):
-            y = np.asarray(y, dtype=float)
-            om = 1.0 - y if one_minus_y is None else np.asarray(one_minus_y, dtype=float)
-            out = np.zeros_like(y)
-            ins = (y > 0) & (om > 0)
-            with np.errstate(over="ignore", under="ignore"):
-                out[ins] = _amp / math.gamma(_bb1 - 1.0) * om[ins] ** (_bb1 - 2.0)
-            return out
-
-        return WeightFunction(problem, "beta_power", cert, evaluator)
-
-    if alpha == 2:
-        def evaluator(y, one_minus_y=None, _p=params, _mu=mu, _amp=amp):
-            y = np.asarray(y, dtype=float)
-            om = 1.0 - y if one_minus_y is None else np.asarray(one_minus_y, dtype=float)
-            out = np.zeros_like(y)
-            for i in np.nonzero(((y > 0) & (om > 0)).ravel())[0]:
-                out.ravel()[i] = _amp * _h20_value(
-                    _p, _mu, float(y.ravel()[i]), float(om.ravel()[i])
-                )
-            return out
-
-        return WeightFunction(problem, "gauss2f1", cert, evaluator)
-
-    if alpha == 3:
-        def evaluator(y, one_minus_y=None, _p=params, _mu=mu, _amp=amp, _a=tuple(a), _b=tuple(b)):
-            y = np.asarray(y, dtype=float)
-            om = 1.0 - y if one_minus_y is None else np.asarray(one_minus_y, dtype=float)
-            out = np.zeros_like(y)
-            # small y: the p = q Slater expansion converges inside the unit
-            # interval with separated power scales (the Appell outer series
-            # stalls as its first argument approaches 1)
-            small = (y > 0) & (y <= 0.45)
-            if small.any():
-                out[small] = _amp * g_general_vec(_a, _b, y[small])
-            for i in np.nonzero(((y > 0.45) & (om > 0)).ravel())[0]:
-                out.ravel()[i] = _amp * h30_appell_value(
-                    _p, _mu, float(y.ravel()[i]), float(om.ravel()[i])
-                )
-            return out
-
-        return WeightFunction(problem, "appell_f3", cert, evaluator)
-
-    def evaluator(y, one_minus_y=None, _p=params, _mu=mu, _alpha=alpha, _amp=amp):
-        y = np.asarray(y, dtype=float)
-        om = 1.0 - y if one_minus_y is None else np.asarray(one_minus_y, dtype=float)
-        out = np.zeros_like(y)
-        for i in np.nonzero(((y > 0) & (om > 0)).ravel())[0]:
-            out.ravel()[i] = _amp * halpha0_series(
-                _p, _mu, _alpha, float(y.ravel()[i]), one_minus_y=float(om.ravel()[i])
-            )
-        return out
-
-    return WeightFunction(problem, "multiple_series", cert, evaluator)
-
-
-def _h20_value(params: AlgebraParams, mu: int, y: float, one_minus_y: float | None = None) -> float:
-    """Closed 2F1 form of the alpha = 2 Hausdorff weight (without A).
-
-    Written with the index-shifted parameters bb(j) = beta_bar(mu + j):
-    (1-y)^(bb1+bb2-bb3-2)/Gamma(bb1+bb2-bb3-1)
-        * 2F1(bb1-bb3, bb2-bb3; bb1+bb2-bb3-1; 1-y).
-    """
-    om = 1.0 - y if one_minus_y is None else one_minus_y
-    bb = lambda j: params.beta_bar_at(mu + j)
-    s = bb(1) + bb(2) - bb(3) - 1.0
-    lg, sg = lgamma_signed(s)
-    f = gauss_2f1(bb(1) - bb(3), bb(2) - bb(3), s, om, one_minus_x=y).value
-    return sg * math.exp((s - 1.0) * math.log(om) - lg) * f
-
-
-def h30_appell_value(
-    params: AlgebraParams, mu: int, y: float, one_minus_y: float | None = None
-) -> float:
-    """Closed Appell form of the alpha = 3 Hausdorff weight (without A):
-
-    y^(bb5-bb3) (1-y)^(Z-1)/Gamma(Z)
-      * F3(bb1-bb4, bb3-bb5; bb2-bb4, bb3-1; Z; 1-y, 1-1/y),
-    Z = bb1+bb2+bb3-bb4-bb5-1, with bb(j) = beta_bar(mu + j).
-    """
-    om = 1.0 - y if one_minus_y is None else one_minus_y
-    bb = lambda j: params.beta_bar_at(mu + j)
-    z_par = bb(1) + bb(2) + bb(3) - bb(4) - bb(5) - 1.0
-    lg, sg = lgamma_signed(z_par)
-    f3 = appell_f3(
-        bb(1) - bb(4), bb(3) - bb(5), bb(2) - bb(4), bb(3) - 1.0,
-        z_par, om, -om / y,
-    ).value
-    return sg * math.exp(
-        (bb(5) - bb(3)) * math.log(y) + (z_par - 1.0) * math.log(om) - lg
-    ) * f3
-
-
-def halpha0_series(
-    params: AlgebraParams,
-    mu: int,
-    alpha: int,
-    y: float,
-    n_cap: int = 160,
-    tol: float = 1e-12,
-    one_minus_y: float | None = None,
-) -> float:
-    """Hausdorff weight (without A) as the nested hypergeometric series.
-
-    alpha = 2 collapses to the closed 2F1 form; alpha >= 3 sums alpha-2
-    nested indices with geometric (1-y)^n decay.
-    """
-    om = 1.0 - y if one_minus_y is None else one_minus_y
-    if y <= 0.0 or om <= 0.0:
-        return 0.0
-    if alpha == 2:
-        return _h20_value(params, mu, y, om)
-    bb = lambda j: params.beta_bar_at(mu + j)
-    d = [bb(q) - bb(alpha + q) for q in range(1, alpha)]  # a_q - b_q gaps, q = 1..alpha-1
-    zeta0 = sum(bb(p) for p in range(1, alpha + 1)) - sum(
-        bb(alpha + p) for p in range(1, alpha)
-    ) - 1.0
-    lg_pref = 0.0
-    sg_pref = 1
-    l, s = lgamma_signed(d[0])
-    lg_pref += l
-    sg_pref *= s
-    for p in range(1, alpha - 1):
-        l, s = lgamma_signed(bb(p + 1) - bb(alpha + p))
-        lg_pref += l
-        sg_pref *= s
-    f_a = bb(alpha) - bb(2 * alpha - 1)
-
-    total = 0.0
-
-    def recurse(p: int, ns: list[int], log_mag: float, sign: int, weight_scale: float):
-        nonlocal total
-        # p-th summation index (1-based over 1..alpha-2)
-        if p > alpha - 2:
-            nsum = sum(ns)
-            zeta = zeta0 + nsum
-            eta_last = sum(d) + sum(ns[: alpha - 2])
-            lg_z, sg_z = lgamma_signed(zeta)
-            f = gauss_2f1(f_a, eta_last, zeta, om, one_minus_x=y).value
-            mag = log_mag - lg_z + (zeta - 1.0) * math.log(om)
-            total += sign * sg_z * math.exp(mag) * f
-            return abs(math.exp(mag) * f)
-        best = 0.0
-        small = 0
-        for n in range(n_cap):
-            lg_n = 0.0
-            sg_n = 1
-            l, s = lgamma_signed(bb(p + 1) - bb(alpha + p) + n)
-            lg_n += l
-            sg_n *= s
-            xi = sum(d[:p]) + sum(ns) + n
-            l, s = lgamma_signed(xi)
-            lg_n += l
-            sg_n *= s
-            if p <= alpha - 3:
-                eta = sum(d[: p + 1]) + sum(ns) + n
-                l, s = lgamma_signed(eta)
-                lg_n -= l
-                sg_n *= s
-            lg_n -= math.lgamma(n + 1.0)
-            contrib = recurse(p + 1, ns + [n], log_mag + lg_n, sign * sg_n, weight_scale)
-            best = max(best, contrib)
-            if contrib < tol * max(weight_scale, best):
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
-        return best
-
-    recurse(1, [], -lg_pref, sg_pref, 1.0)
-    return total
+    form = "kummer" if r > 0 else _HAUSDORFF_FORMS.get(alpha, "multiple_series")
+    return WeightFunction(problem, form, cert, evaluator)
 
 
 def conjecture_weight_value(
     params: AlgebraParams, mu: int, alpha: int, y, tol: float = 1e-9
 ) -> np.ndarray:
-    """Candidate closed form: A * G^{alpha,0}_{alpha,alpha} via convolution.
+    """Candidate closed form A * G^{alpha,0}_{alpha,alpha} (r = 0, alpha >= 2)
+    by one live Mellin-convolution level.
 
-    Independent of the series forms above (live quadrature); used as a
+    The last certified pair is convolved by adaptive quadrature over the
+    Norlund series of the first alpha - 1 pairs, so the result does not
+    rest on the series of all alpha pairs that weight_function uses; a
     cross-check, never asserted correct for alpha >= 4.
     """
     problem = MomentProblem(params, mu, alpha)
+    if problem.r != 0 or alpha < 2:
+        raise ValueError("the convolution candidate needs r = 0 and alpha >= 2")
     cert = positivity_condition(params, mu, alpha)
     if isinstance(cert, PositivityRefusal):
         raise PositivityUnavailable(cert.reason)
     a, b = mellin_lists(params, mu, alpha)
-    kernel = build_convolution_kernel(a, b, cert.pairing, tol=min(tol, 1e-10), force_convolution=True)
+    pairs = [(a[i], b[j]) for i, j in enumerate(cert.pairing)]
+    kernel = _ConvolvedKernel(_NorlundKernel(pairs[:-1]), *pairs[-1], tol=min(tol, 1e-10))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     return math.exp(problem.log_A) * kernel(yv)
 
@@ -467,6 +302,7 @@ class MomentRow:
     target: float
     integral: float
     rel_error: float
+    quad_err: float
 
 
 @dataclass(frozen=True)
@@ -478,6 +314,12 @@ class MomentReport:
     @property
     def passed(self) -> bool:
         return self.max_rel_error < self.tol
+
+    @property
+    def max_quad_err(self) -> float:
+        """Largest quadrature error estimate relative to its B(k) target,
+        in the units of max_rel_error."""
+        return max(row.quad_err / row.target for row in self.rows)
 
 
 def verify_moments(
@@ -491,7 +333,7 @@ def verify_moments(
         integral, quad_err = weight.moment(float(k))
         rel = abs(integral - target) / abs(target)
         worst = max(worst, rel)
-        rows.append(MomentRow(k, target, integral, rel))
+        rows.append(MomentRow(k, target, integral, rel, quad_err))
     return MomentReport(tuple(rows), worst, tol)
 
 

@@ -2,11 +2,11 @@
 
 Everything the rest of the package needs is evaluated here in double
 precision with explicit error estimates: generalized hypergeometric pFq
-series, modified Bessel I/K of real order, Gauss 2F1, the Appell F3
-double series, and the restricted Meijer G classes
-G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution weight
-functions are built from (Slater expansions, saddle-point Bromwich
-contours, and nested Mellin-convolution quadrature).
+series, modified Bessel I/K of real order, and the restricted Meijer G
+classes G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution
+weight functions are built from (Slater expansions, saddle-point Bromwich
+contours, Norlund's (1 - y) series on the unit interval, and nested
+Mellin-convolution quadrature).
 
 Scalar evaluations return a SeriesValue carrying the value, an absolute
 error estimate, the number of terms (or nodes) consumed and a
@@ -35,8 +35,6 @@ __all__ = [
     "pfq",
     "bessel_i",
     "bessel_k_vec",
-    "gauss_2f1",
-    "appell_f3",
     "m0_eval_vec",
     "g_general_vec",
     "build_convolution_kernel",
@@ -369,196 +367,6 @@ def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Gauss 2F1
-# --------------------------------------------------------------------------
-
-def _gauss_2f1_transformed(a, b, c, x, tol, one_minus_x=None):
-    # x in (1/2, 1): expand around 1-x; valid for non-integer c-a-b.
-    # Near-integer c-a-b makes the two branches cancel through ~1/eps
-    # values, so the inner series run at full precision and every
-    # eps-sized parameter is derived from the single float s (mixing
-    # a+b-c+1 with -(c-a-b) shifts the pole residues against each other).
-    tol = min(tol, 1e-15)
-    w = 1.0 - x if one_minus_x is None else one_minus_x
-    s = c - a - b
-    lgc, sgc = lgamma_signed(c)
-
-    def piece(num, dens, extra_log, upper, lower):
-        # gamma ratios combined in log space so huge numerators and
-        # denominators cancel instead of over/underflowing separately
-        log = lgc
-        sign = sgc
-        for d in dens:
-            if is_nonpositive_integer(d):
-                return 0.0
-            l, sg = lgamma_signed(d)
-            log -= l
-            sign *= sg
-        l, sg = lgamma_signed(num)
-        log += l
-        sign *= sg
-        return sign * math.exp(log + extra_log) * pfq(upper, lower, w, tol=tol).value
-
-    g1 = piece(s, (c - a, c - b), 0.0, [a, b], [1.0 - s])
-    g2 = piece(-s, (a, b), s * math.log(w), [c - a, c - b], [1.0 + s])
-    return g1 + g2
-
-
-def _hyp2f1_large_c_direct(a: float, b: float, c: float, x: float) -> SeriesValue:
-    """Direct 2F1 sum truncated at the smallest term (|x| > 1, large c)."""
-    total = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(100_000):
-        term = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-        if abs(term) >= prev:
-            return SeriesValue(total, abs(term) + prev, k + 1, True)
-        total += term
-        prev = abs(term)
-        if prev < 1e-16 * abs(total):
-            return SeriesValue(total, prev, k + 2, True)
-    raise NoConvergence("large-c 2F1 sum did not settle")
-
-
-def gauss_2f1(
-    a: float, b: float, c: float, x: float, tol: float = 1e-12, one_minus_x: float | None = None
-) -> SeriesValue:
-    """Gauss 2F1(a, b; c; x) for x < 1.
-
-    Direct series on [-1/2, 1/2]; the 1-x linear transformation keeps
-    convergence fast on (1/2, 1); the Pfaff transformation extends the
-    evaluation to x <= -1/2 (including x <= -1, which the Appell
-    evaluation below relies on).  Integer c-a-b is handled by two-point
-    eps extrapolation.  Callers holding an exact 1-x (quadrature nodes
-    next to the endpoint) pass it via one_minus_x.
-    """
-    if is_nonpositive_integer(c) and not any(
-        is_nonpositive_integer(v) and v > c for v in (a, b)
-    ):
-        raise PoleInDenominator("2F1 lower parameter is a non-positive integer")
-    if x >= 1.0:
-        # x may round to 1.0 when the caller holds a tiny exact 1-x
-        if one_minus_x is None or one_minus_x <= 0.0:
-            raise DomainError("gauss_2f1 requires x < 1")
-        x = 1.0 - 2e-16
-    if x < -0.5:
-        if c > 12.0 * (1.0 + abs(x)):
-            # c dominates the argument: the direct series is asymptotic
-            # with optimally-truncated error ~ exp(-c/|x|); both
-            # transformation routes cancel catastrophically here
-            return _hyp2f1_large_c_direct(a, b, c, x)
-        # Pfaff continuation; 1 - u = 1/(1 - x) stays exact even when u
-        # itself rounds to 1 for very large |x|
-        u = x / (x - 1.0)
-        inner = gauss_2f1(a, c - b, c, u, tol=tol, one_minus_x=1.0 / (1.0 - x))
-        val = (1.0 - x) ** (-a) * inner.value
-        return SeriesValue(val, abs(val) * max(tol, 1e-13), inner.terms, inner.converged)
-    if x <= 0.5:
-        r = pfq([a, b], [c], x, tol=tol)
-        return SeriesValue(r.value, r.abs_error, r.terms, r.converged)
-    s = c - a - b
-    if abs(s - round(s)) < 3e-5:
-        # Integer c-a-b: the transformed expression has a simple pole in
-        # sigma = c-a-b-n.  Evaluate at a +- eps and interpolate with
-        # weights built from the *realized* sigma values, which cancels
-        # the pole exactly even though float rounding makes the two
-        # offsets slightly unequal.  eps balances that rounding against
-        # the O(eps^2) interpolation bias.
-        eps = 1e-4
-        n = round(s)
-        ap, am = a + eps, a - eps
-        sig_p = (c - ap - b) - n
-        sig_m = (c - am - b) - n
-        gp = _gauss_2f1_transformed(ap, b, c, x, tol, one_minus_x)
-        gm = _gauss_2f1_transformed(am, b, c, x, tol, one_minus_x)
-        val = (sig_p * gp - sig_m * gm) / (sig_p - sig_m)
-        return SeriesValue(val, abs(val) * 1e-7 + 1e-300, 0, True)
-    val = _gauss_2f1_transformed(a, b, c, x, tol, one_minus_x)
-    return SeriesValue(val, abs(val) * max(tol, 1e-13) + 1e-300, 0, True)
-
-
-# --------------------------------------------------------------------------
-# Appell F3
-# --------------------------------------------------------------------------
-
-def appell_f3(
-    a: float,
-    ap: float,
-    b: float,
-    bp: float,
-    c: float,
-    x: float,
-    y: float,
-    tol: float = 1e-12,
-    max_terms: int = 300,
-) -> SeriesValue:
-    """Appell F3(a, a'; b, b'; c; x, y).
-
-    Direct double series inside the unit bidisc.  The weight-function
-    usage feeds arguments (1-y, 1-1/y) whose second entry leaves the
-    unit disc for y < 1/2, so for |y| >= 1 (or |x| >= 1 after using the
-    (a,b,x) <-> (a',b',y) symmetry) the inner series over the second
-    variable is resummed as a Pfaff-continued 2F1.
-    """
-    if abs(x) >= 1.0 and abs(y) < 1.0:
-        a, ap, b, bp, x, y = ap, a, bp, b, y, x
-    if abs(y) >= 1.0 - 1e-9:
-        if y >= 1.0 or abs(x) >= 1.0:
-            raise DomainError("appell_f3: no convergent evaluation for these arguments")
-        # F3 = sum_m (a)_m (b)_m / ((c)_m m!) x^m 2F1(a', b'; c+m; y)
-        total = 0.0
-        coef = 1.0
-        small_run = 0
-        for m in range(2 * max_terms):
-            inner = gauss_2f1(ap, bp, c + m, y, tol=tol).value
-            term = coef * inner
-            total += term
-            if abs(term) < tol * max(abs(total), 1e-300):
-                small_run += 1
-                if small_run >= 3:
-                    return SeriesValue(
-                        total, abs(term) * 10.0 + 4 * _EPS * abs(total), m + 1, True
-                    )
-            else:
-                small_run = 0
-            coef *= (a + m) * (b + m) / ((c + m) * (m + 1.0)) * x
-        raise NoConvergence("Appell F3 outer series did not converge")
-
-    total = 0.0
-    row_small = 0
-    for m in range(max_terms):
-        # row m: coefficient of x^m, summed over n
-        lead = 1.0
-        for j in range(m):
-            lead *= (a + j) * (b + j) / ((c + j) * (j + 1.0))
-        lead *= x**m
-        row = 0.0
-        term = lead
-        small_run = 0
-        for n in range(max_terms):
-            row += term
-            term *= (ap + n) * (bp + n) / ((c + m + n) * (n + 1.0)) * y
-            if abs(term) < tol * max(abs(row), 1e-300):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-        else:
-            raise NoConvergence("Appell F3 inner series hit the term cap")
-        total += row
-        if abs(row) < tol * max(abs(total), 1e-300):
-            row_small += 1
-            if row_small >= 3:
-                return SeriesValue(
-                    total, abs(row) * 10.0 + 4 * _EPS * abs(total), m + 1, True
-                )
-        else:
-            row_small = 0
-    raise NoConvergence("Appell F3 outer series hit the term cap")
-
-
-# --------------------------------------------------------------------------
 # Meijer G
 # --------------------------------------------------------------------------
 
@@ -691,9 +499,14 @@ def _saddle_line(a: list[float], b: list[float], y: float, tol: float) -> tuple[
     return c, max(t_asym, min(t_gauss, 3.0 * t_asym + 2.0 * c))
 
 
-def _line_values(a, b, c: float, t_max: float, lny: np.ndarray, n: int):
-    """(t, f): n equispaced nodes on [0, t_max] and the real part of the
-    Bromwich integrand there, one row per entry of the (rows, 1) array lny."""
+# Rows of one bucket evaluated together on its shared line; bounds the
+# (rows x 4097) complex integrand instead of sizing it by the bucket.
+_CONTOUR_ROWS = 64
+
+
+def _line(a, b, c: float, t_max: float, n: int):
+    """(t, s, phi): n equispaced nodes t on [0, t_max], s = c + i t, and
+    phi = sum log Gamma(s + b) - sum log Gamma(s + a) there."""
     t = np.linspace(0.0, t_max, n)
     s = c + 1j * t
     phi = np.zeros_like(s)
@@ -701,9 +514,15 @@ def _line_values(a, b, c: float, t_max: float, lny: np.ndarray, n: int):
         phi = phi + lgamma_complex(s + bv)
     for av in a:
         phi = phi - lgamma_complex(s + av)
+    return t, s, phi
+
+
+def _line_values(s: np.ndarray, phi: np.ndarray, lny: np.ndarray) -> np.ndarray:
+    """Real part of the Bromwich integrand on the line, one row per entry
+    of the (rows, 1) array lny."""
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         f = np.exp(phi[None, :] - lny * s[None, :]).real
-    return t, np.where(np.isfinite(f), f, 0.0)
+    return np.where(np.isfinite(f), f, 0.0)
 
 
 def _simpson(f: np.ndarray, h: float) -> np.ndarray:
@@ -723,10 +542,15 @@ def _contour_shared_line(a, b, ysel, y_center, tol):
     a = [float(v) for v in a]
     b = [float(v) for v in b]
     c, t_max = _saddle_line(a, b, y_center, tol)
-    t, f = _line_values(a, b, c, t_max, np.log(ysel)[:, None], 4097)
+    t, s, phi = _line(a, b, c, t_max, 4097)
     h = t[1] - t[0]
-    full = _simpson(f, h)
-    half = _simpson(f[:, ::2], 2.0 * h)
+    lny = np.log(ysel)[:, None]
+    full = np.empty(len(ysel))
+    half = np.empty(len(ysel))
+    for lo in range(0, len(ysel), _CONTOUR_ROWS):
+        f = _line_values(s, phi, lny[lo:lo + _CONTOUR_ROWS])
+        full[lo:lo + _CONTOUR_ROWS] = _simpson(f, h)
+        half[lo:lo + _CONTOUR_ROWS] = _simpson(f[:, ::2], 2.0 * h)
     bad = np.abs(full - half) > 1e3 * tol * np.maximum(np.abs(full), 1e-280)
     for i in np.nonzero(bad)[0]:
         y = float(ysel[i])
@@ -734,7 +558,8 @@ def _contour_shared_line(a, b, ysel, y_center, tol):
         prev = None
         n = 513
         while n <= (1 << 14) + 1:
-            t, f = _line_values(a, b, c, t_max, np.array([[math.log(y)]]), n)
+            t, s, phi = _line(a, b, c, t_max, n)
+            f = _line_values(s, phi, np.array([[math.log(y)]]))
             total = float(_simpson(f, t[1] - t[0])[0])
             if prev is not None and abs(total - prev) <= tol * max(abs(total), abs(f[0, 0]) * 1e-9):
                 break
@@ -842,6 +667,11 @@ def g_general_vec(
             vals[tiny] = _m0_leading_small_y(b, y[tiny], a)
         rest = ~ok & ~tiny
         if rest.any():
+            if len(a) >= len(b):
+                raise DomainError(
+                    f"Slater refused {int(rest.sum())} of {y.size} points of "
+                    f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the contour needs m > p"
+                )
             vals[rest] = _contour_batch(a, b, y[rest], tol)
     return vals
 
@@ -938,55 +768,64 @@ def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
     return out
 
 
-class _BetaKernel(_Kernel):
-    # G^{1,0}_{1,1}(x | a; b) = x^b (1-x)^{a-b-1} / Gamma(a-b) on (0, 1)
+# Below this x the (1 - x) series converges too slowly and Slater takes over;
+# the term count makes (1 - split)^n fall below 1e-17, plus a margin for
+# the polynomial growth of D_n.
+_NORLUND_SPLIT = 0.1
+_NORLUND_TERMS = math.ceil(math.log(1e-17) / math.log(1.0 - _NORLUND_SPLIT)) + 48
+
+
+class _NorlundKernel(_Kernel):
+    """G^{q,0}_{q,q}(x | a; b) on (0, 1) as Norlund's (1 - x) series.
+
+    G = x^{b_q} (1-x)^{s-1} sum_n D_n (1-x)^n with s = sum(a) - sum(b).
+    D starts as [1/Gamma(a_1-b_1)] with exponents (beta, sigma) =
+    (b_1, a_1-b_1); each further pair (a_q, b_q) convolves D with
+    (a_q-beta)_m/m!, multiplies term n by Gamma(sigma+n)/Gamma(sigma+a_q-b_q+n)
+    and moves to (b_q, sigma+a_q-b_q).  The pairs follow the positivity
+    certificate (a_i > b_i), so every Gamma argument stays positive.  One
+    pair is the exact Beta density; for more, g_general_vec evaluates
+    x < _NORLUND_SPLIT.
+    """
+
     support_end = 1.0
 
-    def __init__(self, a0: float, b0: float):
-        self.a0 = a0
-        self.b0 = b0
-        self.norm = rgamma(a0 - b0)
+    def __init__(self, pairs: Sequence[tuple[float, float]]):
+        self.a = [float(ap) for ap, _ in pairs]
+        self.b = [float(bp) for _, bp in pairs]
+        if any(ap <= bp for ap, bp in zip(self.a, self.b)):
+            raise DomainError("Norlund series requires a_i > b_i for every pair")
+        beta, sigma = self.b[0], self.a[0] - self.b[0]
+        d = np.array([math.exp(-math.lgamma(sigma))])
+        n = np.arange(_NORLUND_TERMS - 1, dtype=float)
+        for aq, bq in zip(self.a[1:], self.b[1:]):
+            rising = np.cumprod(np.concatenate(([1.0], (aq - beta + n) / (n + 1.0))))
+            d = np.convolve(d, rising)[:_NORLUND_TERMS]
+            nxt = sigma + aq - bq
+            ratio = np.cumprod(np.concatenate(([1.0], (sigma + n) / (nxt + n))))
+            d = d * (math.exp(math.lgamma(sigma) - math.lgamma(nxt)) * ratio)
+            beta, sigma = bq, nxt
+        self.d = d
+        self.beta = beta
+        self.s = sigma
 
     def __call__(self, x, one_minus_x=None):
         x = np.asarray(x, dtype=float)
         om = 1.0 - x if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
         out = np.zeros_like(x)
         ins = (x > 0) & (om > 0)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out[ins] = (
-                self.norm
-                * np.exp(self.b0 * np.log(x[ins]) + (self.a0 - self.b0 - 1.0) * np.log(om[ins]))
-            )
-        return np.where(np.isfinite(out), out, 0.0)
-
-
-class _Hyp2F1Kernel(_Kernel):
-    # two pairs left at r = 0:
-    # x^{b2} (1-x)^{a1+a2-b1-b2-1} / Gamma(a1+a2-b1-b2)
-    #   * 2F1(a1-b1, a2-b1; a1+a2-b1-b2; 1-x)
-    support_end = 1.0
-
-    def __init__(self, a1, a2, b1, b2):
-        self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
-        self.s = a1 + a2 - b1 - b2
-        self.norm = rgamma(self.s)
-
-    def __call__(self, x, one_minus_x=None):
-        x = np.asarray(x, dtype=float)
-        om = 1.0 - x if one_minus_x is None else np.asarray(one_minus_x, dtype=float)
-        out = np.zeros_like(x)
-        ins = (x > 0) & (om > 0)
-        for i in np.nonzero(ins.ravel())[0]:
-            xi = float(x.ravel()[i])
-            omi = float(om.ravel()[i])
-            f = gauss_2f1(
-                self.a1 - self.b1, self.a2 - self.b1, self.s, omi, one_minus_x=xi
-            ).value
-            with np.errstate(over="ignore", under="ignore"):
-                out.ravel()[i] = (
-                    self.norm
-                    * math.exp(self.b2 * math.log(xi) + (self.s - 1.0) * math.log(omi))
-                    * f
+        series = ins & (x >= _NORLUND_SPLIT) if len(self.d) > 1 else ins
+        low = ins & ~series
+        if low.any():
+            out[low] = g_general_vec(self.a, self.b, x[low])
+        if series.any():
+            t = om[series]
+            acc = np.zeros_like(t)
+            for dn in self.d[::-1]:
+                acc = acc * t + dn
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                out[series] = acc * np.exp(
+                    self.beta * np.log(x[series]) + (self.s - 1.0) * np.log(t)
                 )
         return np.where(np.isfinite(out), out, 0.0)
 
@@ -1078,15 +917,14 @@ def build_convolution_kernel(
     b: Sequence[float],
     pairing: Sequence[int] | None = None,
     tol: float = 1e-10,
-    force_convolution: bool = False,
 ) -> _Kernel:
-    """Assemble the convolution chain for G^{m,0}_{alpha,m}.
+    """Assemble the kernel for G^{m,0}_{alpha,m}.
 
     The pairing (one b index per a, with a[i] > b[pairing[i]]) follows the
-    positivity certificate; unpaired b's form the innermost kernel.  For
-    r = len(b) - len(a) = 0 the innermost one or two pairs collapse to
-    Beta / 2F1 closed-form kernels; force_convolution keeps at least one
-    live integral so the result stays independent of those closed forms.
+    positivity certificate.  For r = len(b) - len(a) = 0 every b is paired
+    and the result is the Norlund series of the pairs on (0, 1); for r > 0
+    the unpaired b's form the innermost kernel and each pair adds one
+    Mellin-convolution level.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -1095,32 +933,21 @@ def build_convolution_kernel(
     if pairing is None:
         pairing = _default_pairing(a, b)
     pairing = list(pairing)
-    rest = [b[j] for j in range(len(b)) if j not in pairing]
     pairs = [(a[i], b[pairing[i]]) for i in range(alpha)]
     if r == 0:
-        if alpha == 1:
-            return _BetaKernel(pairs[0][0], pairs[0][1])
-        if alpha == 2 and force_convolution:
-            kernel: _Kernel = _BetaKernel(pairs[0][0], pairs[0][1])
-            todo = pairs[1:]
-        else:
-            kernel = _Hyp2F1Kernel(pairs[0][0], pairs[1][0], pairs[0][1], pairs[1][1])
-            todo = pairs[2:]
-    else:
-        kernel = _build_m0_kernel(rest)
-        if r >= 2 and alpha >= 1:
-            # amortize the Bessel/Slater evaluations across the many
-            # convolution quadratures that will sample this kernel; the
-            # range covers y^k tails up to k ~ 40
-            x_max = 100.0
-            for _ in range(4):
-                x_max = ((70.0 + 40.0 * max(math.log(x_max), 1.0)) / r) ** r
-            kernel = _TabulatedKernel(kernel, x_max=x_max)
-        todo = pairs
-    for depth, (ai, bi) in enumerate(todo):
+        return _NorlundKernel(pairs)
+    kernel = _build_m0_kernel([b[j] for j in range(len(b)) if j not in pairing])
+    if r >= 2 and alpha >= 1:
+        # amortize the Bessel/Slater evaluations across the many
+        # convolution quadratures that will sample this kernel; the
+        # range covers y^k tails up to k ~ 40
+        x_max = 100.0
+        for _ in range(4):
+            x_max = ((70.0 + 40.0 * max(math.log(x_max), 1.0)) / r) ** r
+        kernel = _TabulatedKernel(kernel, x_max=x_max)
+    for depth, (ai, bi) in enumerate(pairs):
         kernel = _ConvolvedKernel(kernel, ai, bi, tol=tol)
-        is_last = depth == len(todo) - 1
-        if not is_last and kernel.support_end == math.inf:
+        if depth < alpha - 1:
             m_eff = len(b)
             kernel = _TabulatedKernel(kernel, x_max=(80.0 / m_eff) ** m_eff)
     return kernel

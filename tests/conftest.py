@@ -1,7 +1,9 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from clext import params_from_beta_bar, validate_params
+from clext.measures import MomentProblem
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +34,30 @@ def rng():
     # function-scoped: every test sees the same deterministic stream
     # regardless of execution order
     return np.random.default_rng(20260810)
+
+
+def hausdorff_closed_form(params, mu, alpha, y):
+    """The paper's closed r = 0 weight A * h(y) for alpha = 2 or 3, by mpmath.
+
+    With bb(j) = beta_bar(mu + j):
+    alpha = 2: (1-y)^(s-1)/Gamma(s) 2F1(bb1-bb3, bb2-bb3; s; 1-y),
+        s = bb1+bb2-bb3-1;
+    alpha = 3: y^(bb5-bb3) (1-y)^(Z-1)/Gamma(Z)
+        F3(bb1-bb4, bb3-bb5; bb2-bb4, bb3-1; Z; 1-y, 1-1/y),
+        Z = bb1+bb2+bb3-bb4-bb5-1.
+    """
+    bb = lambda j: params.beta_bar_at(mu + j)
+    with mp.workdps(30):
+        y = mp.mpf(y)
+        amp = mp.exp(MomentProblem(params, mu, alpha).log_A)
+        if alpha == 2:
+            s = bb(1) + bb(2) - bb(3) - 1
+            h = (1 - y) ** (s - 1) / mp.gamma(s) * mp.hyp2f1(bb(1) - bb(3), bb(2) - bb(3), s, 1 - y)
+        elif alpha == 3:
+            z = bb(1) + bb(2) + bb(3) - bb(4) - bb(5) - 1
+            h = y ** (bb(5) - bb(3)) * (1 - y) ** (z - 1) / mp.gamma(z) * mp.appellf3(
+                bb(1) - bb(4), bb(3) - bb(5), bb(2) - bb(4), bb(3) - 1, z, 1 - y, 1 - 1 / y
+            )
+        else:
+            raise ValueError(f"no closed form for alpha = {alpha}")
+        return float(amp * h)

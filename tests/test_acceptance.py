@@ -32,8 +32,6 @@ from clext.measures import (
     carleman_test,
     conjecture_weight_value,
     eigenstate_measures,
-    h30_appell_value,
-    halpha0_series,
     verify_identity_resolution,
     verify_moments,
     weight_function,
@@ -52,7 +50,7 @@ from clext.states import (
     eigenstate_norm,
     norm_series_cs_alpha,
 )
-from conftest import random_valid_params
+from conftest import hausdorff_closed_form, random_valid_params
 
 
 def _report(n, text):
@@ -311,19 +309,18 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
         rows = check_hermiticity_vector(p, weights, degree=2)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 2e-6 * scale
-    # Meijer-form candidate vs the nested series at alpha = 2, 3 on (0,1)
+    # Meijer-form candidate vs the paper's 2F1 and Appell forms at alpha = 2, 3 on (0,1)
     p4 = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-    amp4 = math.exp(MomentProblem(p4, 0, 2).log_A)
     for y in np.linspace(0.1, 0.9, 5):
         conv = float(conjecture_weight_value(p4, 0, 2, float(y))[0])
-        ser = amp4 * halpha0_series(p4, 0, 2, float(y))
+        ser = hausdorff_closed_form(p4, 0, 2, float(y))
         assert conv == pytest.approx(ser, rel=1e-7)
     p6 = params_from_beta_bar(6, [1.9, 1.7, 1.5, 0.9, 0.8])
-    amp6 = math.exp(MomentProblem(p6, 0, 3).log_A)
+    w6 = weight_function(p6, 0, 3)
     for y in (0.25, 0.5, 0.75):
         conv = float(conjecture_weight_value(p6, 0, 3, float(y))[0])
-        ser = amp6 * halpha0_series(p6, 0, 3, float(y))
-        app = amp6 * h30_appell_value(p6, 0, float(y))
+        ser = float(w6.evaluate(float(y))[0])
+        app = hausdorff_closed_form(p6, 0, 3, float(y))
         assert conv == pytest.approx(ser, rel=1e-7)
         assert app == pytest.approx(ser, rel=1e-7)
     _report(9, "intertwining exact, Hermiticity and Meijer conjecture verified")

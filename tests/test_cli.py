@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from clext.cli import main
 
 
@@ -104,6 +106,7 @@ class TestDataCommands:
         )
         assert code == 0
         assert "k,target,integral,rel_error" in out
+        assert ", passed = True, max_quad_err = " in out.splitlines()[-1]
 
     def test_resolution(self):
         code, out, _ = run_cli(
@@ -176,3 +179,40 @@ def test_figure_3b_solid_q_limit():
     first = [l for l in out.splitlines() if l and not l.startswith("#")][1]
     vals = [float(v) for v in first.split(",")[1:]]
     assert all(abs(v + 1.0) < 0.05 for v in vals)
+
+
+class TestHausdorffMoments:
+    @pytest.mark.parametrize(
+        "lam,alpha,cs_alpha",
+        [
+            # lambda = 6 Appell case next to the inner series' term cap
+            ("6", "10.28,-2.08,-2.2,-4.6,-1.6,0.2", "3"),
+            # lambda = 8 multiple-series case
+            ("8", "11,-1,-1,-3,-1,-1,-1,-3", "4"),
+        ],
+    )
+    def test_weights_pass(self, lam, alpha, cs_alpha):
+        code, out, _ = run_cli(
+            ["moments", "--lambda", lam, "--alpha", alpha, "--mu", "0", "--cs-alpha", cs_alpha]
+        )
+        assert code == 0, out
+
+    def test_coincident_lower_parameters_never_raise(self):
+        # b = (0, 0, -0.2): the contour route used to raise ZeroDivisionError
+        code, out, err = run_cli(
+            ["moments", "--lambda", "6", "--alpha", "10.4,-2.2,-2.2,-4,-2.2,0.2",
+             "--mu", "0", "--cs-alpha", "3"]
+        )
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code in (0, 1) and "# max_rel_error = " in out
+
+    def test_slater_refusal_is_a_one_line_error(self):
+        # b = (0, 1e-8, -0.2): Slater refuses points and p = q has no contour
+        code, _, err = run_cli(
+            ["moments", "--lambda", "6", "--alpha", "10.4,-2.2,-2.2,-3.99999994,-2.20000006,0.2",
+             "--mu", "0", "--cs-alpha", "3"]
+        )
+        assert code == 2
+        assert err.startswith("error: Slater refused ") and err.count("\n") == 1

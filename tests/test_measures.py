@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
 from clext.errors import PositivityUnavailable
@@ -14,8 +15,6 @@ from clext.measures import (
     carleman_test,
     conjecture_weight_value,
     eigenstate_measures,
-    h30_appell_value,
-    halpha0_series,
     hankel_hadamard,
     mellin_lists,
     moment_target,
@@ -24,7 +23,7 @@ from clext.measures import (
     verify_moments,
     weight_function,
 )
-from conftest import random_valid_params
+from conftest import hausdorff_closed_form, random_valid_params
 
 
 class TestMomentTargets:
@@ -258,18 +257,17 @@ class TestResolutions:
 class TestConjecture:
     def test_alpha2_matches_series(self):
         p = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-        amp = math.exp(MomentProblem(p, 0, 2).log_A)
         for y in (0.1, 0.35, 0.6, 0.85):
             conv = float(conjecture_weight_value(p, 0, 2, y)[0])
-            series = amp * halpha0_series(p, 0, 2, y)
-            assert conv == pytest.approx(series, rel=1e-7)
+            closed = hausdorff_closed_form(p, 0, 2, y)
+            assert conv == pytest.approx(closed, rel=1e-7)
 
     def test_alpha3_three_routes(self):
         p = params_from_beta_bar(6, [1.9, 1.7, 1.5, 0.9, 0.8])
-        amp = math.exp(MomentProblem(p, 0, 3).log_A)
+        w = weight_function(p, 0, 3)
         for y in (0.3, 0.55, 0.8):
-            appell = amp * h30_appell_value(p, 0, y)
-            series = amp * halpha0_series(p, 0, 3, y)
+            appell = hausdorff_closed_form(p, 0, 3, y)
+            series = float(w.evaluate(y)[0])
             conv = float(conjecture_weight_value(p, 0, 3, y)[0])
             assert series == pytest.approx(appell, rel=1e-8)
             assert conv == pytest.approx(appell, rel=1e-7)
@@ -290,6 +288,61 @@ class TestLambda6Weight:
             assert float(w.evaluate(y)[0]) == pytest.approx(ref, rel=1e-9)
         rep = verify_moments(w, MomentProblem(p6, 0, 3), 6, 1e-6)
         assert rep.passed, rep.max_rel_error
+
+
+# (form, beta_bar): the benchmark's three r = 0 cases and the lambda = 8 test point
+HAUSDORFF_CASES = [
+    ("beta_power", (2.6,)),
+    ("gauss2f1", (1.5, 1.5, 1.25)),
+    ("appell_f3", (1.9, 1.7, 1.5, 0.9, 0.8)),
+    ("multiple_series", (2.4, 2.2, 2.0, 1.8, 0.9, 0.85, 0.8)),
+]
+
+
+@pytest.mark.parametrize("form,bb", HAUSDORFF_CASES, ids=[c[0] for c in HAUSDORFF_CASES])
+def test_hausdorff_moments(form, bb):
+    lam = len(bb) + 1
+    p = params_from_beta_bar(lam, bb)
+    w = weight_function(p, 0, lam // 2)
+    assert w.form == form
+    rep = verify_moments(w, MomentProblem(p, 0, lam // 2), 8, 1e-10)
+    assert rep.passed, rep.max_rel_error
+
+
+@st.composite
+def hausdorff_cases(draw):
+    """(lambda, beta_bar, mu, y) of a certified r = 0 weight, y in [0.1, 1).
+
+    The alpha largest beta_bar values go to the upper Mellin parameters
+    beta_bar_{mu+1..mu+alpha} - 1, which makes most draws certified."""
+    lam = draw(st.sampled_from([2, 4, 6, 8]))
+    alpha = lam // 2
+    mu = draw(st.integers(0, alpha - 1))
+    vals = sorted(
+        (draw(st.floats(0.08, 2.5, exclude_min=True, exclude_max=True)) for _ in range(lam - 1)),
+        reverse=True,
+    )
+    upper = draw(st.permutations(vals[:alpha]))
+    lower = draw(st.permutations(vals[alpha:]))
+    bb = lower[:mu] + upper + lower[mu:]
+    return lam, tuple(bb), mu, draw(st.floats(0.1, 1.0, exclude_max=True))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(hausdorff_cases())
+def test_hausdorff_weight_sweep(case):
+    lam, bb, mu, y = case
+    p = params_from_beta_bar(lam, bb)
+    alpha = lam // 2
+    assume(not isinstance(positivity_condition(p, mu, alpha), PositivityRefusal))
+    problem = MomentProblem(p, mu, alpha)
+    a, b = mellin_lists(p, mu, alpha)
+    with mp.workdps(30):
+        # scale G so that its zeroth moment is B(0)
+        mass = mp.fprod(mp.gamma(1 + v) for v in b) / mp.fprod(mp.gamma(1 + v) for v in a)
+        ref = float(moment_target(problem, 0) / mass * mp.meijerg([[], a], [b, []], y))
+    got = float(weight_function(p, mu, alpha).evaluate(y)[0])
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 class TestBoundaryBehavior:
