@@ -222,12 +222,13 @@ def weight_function(
 ) -> WeightFunction:
     """Weight solving the (mu, alpha) moment problem.
 
-    Dispatch: alpha = 0 evaluates G^{m,0}_{0,m} directly (Slater /
-    contour); every other certified weight comes from
-    specfun.build_convolution_kernel along the certificate's pairing:
-    Mellin-convolution quadrature for r > 0 and, for r = 0, the Hausdorff
-    weight G^{alpha,0}_{alpha,alpha} on (0, 1) as one Norlund (1 - y)
-    series, whatever alpha.  The form label names the paper's closed form
+    Dispatch: alpha = 0 evaluates G^{m,0}_{0,m} directly (closed forms
+    for m <= 2, Slater / contour above); every other certified weight comes
+    from specfun.build_convolution_kernel along the certificate's pairing:
+    the Norlund (1 - y) series of all alpha pairs, which for r = 0 is the
+    Hausdorff weight G^{alpha,0}_{alpha,alpha} on (0, 1) and for r > 0 is
+    convolved once with G^{r,0}_{0,r} of the unpaired lower parameters,
+    whatever alpha.  The form label names the paper's closed form
     (Beta power, Gauss 2F1, Appell F3, multiple series by alpha).
 
     Without a positivity certificate the default is to refuse; passing
@@ -274,10 +275,11 @@ def conjecture_weight_value(
     """Candidate closed form A * G^{alpha,0}_{alpha,alpha} (r = 0, alpha >= 2)
     by one live Mellin-convolution level.
 
-    The last certified pair is convolved by adaptive quadrature over the
-    Norlund series of the first alpha - 1 pairs, so the result does not
-    rest on the series of all alpha pairs that weight_function uses; a
-    cross-check, never asserted correct for alpha >= 4.
+    The Beta density of the last certified pair is convolved by batched
+    tanh-sinh with the Norlund series of the first alpha - 1 pairs, so the
+    result does not rest on the series of all alpha pairs that
+    weight_function uses; a cross-check, never asserted correct for
+    alpha >= 4.
     """
     problem = MomentProblem(params, mu, alpha)
     if problem.r != 0 or alpha < 2:
@@ -287,7 +289,9 @@ def conjecture_weight_value(
         raise PositivityUnavailable(cert.reason)
     a, b = mellin_lists(params, mu, alpha)
     pairs = [(a[i], b[j]) for i, j in enumerate(cert.pairing)]
-    kernel = _ConvolvedKernel(_NorlundKernel(pairs[:-1]), *pairs[-1], tol=min(tol, 1e-10))
+    kernel = _ConvolvedKernel(
+        _NorlundKernel(pairs[-1:]), _NorlundKernel(pairs[:-1]), tol=min(tol, 1e-10)
+    )
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     return math.exp(problem.log_A) * kernel(yv)
 

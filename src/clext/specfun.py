@@ -5,8 +5,8 @@ precision with explicit error estimates: generalized hypergeometric pFq
 series, modified Bessel I/K of real order, and the restricted Meijer G
 classes G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution
 weight functions are built from (Slater expansions, saddle-point Bromwich
-contours, Norlund's (1 - y) series on the unit interval, and nested
-Mellin-convolution quadrature).
+contours, Norlund's (1 - y) series on the unit interval, and one batched
+Mellin-convolution quadrature over it for r > 0).
 
 Scalar evaluations return a SeriesValue carrying the value, an absolute
 error estimate, the number of terms (or nodes) consumed and a
@@ -28,7 +28,7 @@ from .errors import (
     NoConvergence,
     PoleInDenominator,
 )
-from .quadrature import tanh_sinh
+from .quadrature import LOG_MIN_OFFSET, tanh_sinh
 
 __all__ = [
     "SeriesValue",
@@ -243,15 +243,15 @@ def _bessel_i_series(nu: float, x: float, tol: float) -> tuple[float, int]:
     raise NoConvergence("Bessel I series did not converge")
 
 
-def _asym_coeffs(nu: float, x: float, sign: float, tol: float) -> tuple[float, int]:
-    # sum_k a_k(nu) (sign/x)^k with a_k = prod (4nu^2-(2j-1)^2)/(k! 8^k);
-    # truncated at the smallest term.
+def _asym_coeffs(nu: float, x: float, tol: float) -> tuple[float, int]:
+    # sum_k a_k(nu) (-1/x)^k with a_k = prod (4nu^2-(2j-1)^2)/(k! 8^k), the
+    # large-x series of I_nu; truncated at the smallest term.
     mu4 = 4.0 * nu * nu
     term = 1.0
     total = 1.0
     prev = 1.0
     for k in range(1, 60):
-        term *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k) * (sign / x)
+        term *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k) * (-1.0 / x)
         if abs(term) > abs(prev):
             break
         total += term
@@ -272,98 +272,110 @@ def bessel_i(nu: float, x: float, tol: float = 1e-14) -> SeriesValue:
             return SeriesValue(0.0, 0.0, 1, True)
         raise DomainError("I_nu(0) is singular for nu < 0")
     if x > 30.0 and 4.0 * nu * nu + 3.0 < 2.0 * x:
-        s, k = _asym_coeffs(nu, x, -1.0, tol)
+        s, k = _asym_coeffs(nu, x, tol)
         val = math.exp(x) / math.sqrt(2.0 * math.pi * x) * s
         return SeriesValue(val, abs(val) * max(tol, 1e-15), k, True)
     val, k = _bessel_i_series(nu, x, tol)
     return SeriesValue(val, abs(val) * max(tol, (k + 4) * _EPS), k, True)
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Taylor coefficients of 1/Gamma(1 + z); 22 terms reach 1e-18 at |z| = 1/2.
+_RGAMMA1P = (
+    1.0, 0.5772156649015328606, -0.6558780715202538811, -0.0420026350340952355,
+    0.1665386113822914895, -0.0421977345555443367, -0.0096219715278769736,
+    0.0072189432466630995, -0.0011651675918590651, -0.0002152416741149510,
+    0.0001280502823881162, -0.0000201348547807882, -1.2504934821426707e-6,
+    1.1330272319816959e-6, -2.0563384169776071e-7, 6.1160951044814158e-9,
+    5.0020076444692229e-9, -1.1812745704870201e-9, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+)
+
+# Iterations of Temme's series (x < 2) and of Steed's CF2 (x >= 2) that
+# reach 1e-17 at x = 2, the worst point of both.  Calls carry at most a
+# few thousand points, where numpy's cost per operation outweighs the work
+# per element, so one count per method beats bands of x.
+_TEMME_TERMS = 15
+_STEED_STEPS = 92
 
 
-def _gl(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+def _temme_k(mu: float, x: np.ndarray):
+    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and x < 2 by Temme's series."""
+    # (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) and the mean of the two
+    gam1 = -sum(c * mu ** (k - 1) for k, c in enumerate(_RGAMMA1P) if k % 2)
+    gam2 = sum(c * mu**k for k, c in enumerate(_RGAMMA1P) if k % 2 == 0)
+    gampl, gammi = gam2 - mu * gam1, gam2 + mu * gam1  # 1/Gamma(1 +- mu)
+    fact = 1.0 if mu == 0.0 else math.pi * mu / math.sin(math.pi * mu)
+    d = -np.log(0.5 * x)
+    e = mu * d
+    with np.errstate(invalid="ignore"):
+        fact2 = np.where(e == 0.0, 1.0, np.sinh(e) / e)
+    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
+    k_mu = ff
+    p = 0.5 * np.exp(e) / gampl
+    q = 0.5 * np.exp(-e) / gammi
+    k_1 = p
+    c = np.ones_like(x)
+    x2 = 0.25 * x * x
+    for i in range(1, _TEMME_TERMS + 1):
+        ff = (i * ff + p + q) / (i * i - mu * mu)
+        c = c * x2 / i
+        p = p / (i - mu)
+        q = q / (i + mu)
+        k_mu = k_mu + c * ff
+        k_1 = k_1 + c * (p - i * ff)
+    return k_mu, k_1 * (2.0 / x)
 
 
-def _bessel_k_quad(nu: float, x: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt by Gauss-Legendre.
-
-    Accurate for moderate x where both the reflection formula and the
-    asymptotic series lose digits.  Vectorized over x.
-    """
-    x = np.asarray(x, dtype=float)
-    t_max = np.arccosh(np.maximum(750.0 / np.maximum(x, 1e-10), 2.0))
-    prev = None
-    for n in (96, 160, 256):
-        u, w = _gl(n)
-        # map (0, t_max) per point
-        tm = t_max[..., None]
-        t = 0.5 * tm * (u + 1.0)
-        vals = np.exp(-x[..., None] * np.cosh(t)) * np.cosh(nu * t)
-        out = 0.5 * t_max * np.sum(w * vals, axis=-1)
-        if prev is not None and np.all(
-            np.abs(out - prev) <= tol * np.maximum(np.abs(out), 1e-300)
-        ):
-            return out
-        prev = out
-    return out
-
-
-def _bessel_i_series_vec(nu: float, x: np.ndarray, terms: int = 60) -> np.ndarray:
-    """Ascending I series over an array of small x (all terms positive)."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        lead = np.exp(nu * np.log(0.5 * x) - math.lgamma(nu + 1.0))
-        lead = lead * gamma_sign(nu + 1.0)
-        q = 0.25 * x * x
-        term = np.ones_like(x)
-        total = np.ones_like(x)
-        for k in range(1, terms):
-            term = term * q / (k * (nu + k))
-            total += term
-            if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-                break
-        out = lead * total
-    return np.where(np.isfinite(out), out, 0.0)
-
-
-def _bessel_k_reflection_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    if abs(nu - round(nu)) < 1e-3:
-        n = round(nu)
-        eps = 1e-4
-
-        def sym(e):
-            num = _bessel_i_series_vec(-(n + e), x) - _bessel_i_series_vec(n + e, x)
-            return math.pi * num / (2.0 * sinpi(n + e))
-
-        return (4.0 * 0.5 * (sym(eps) + sym(-eps)) - 0.5 * (sym(2 * eps) + sym(-2 * eps))) / 3.0
-    num = _bessel_i_series_vec(-nu, x) - _bessel_i_series_vec(nu, x)
-    return math.pi * num / (2.0 * sinpi(nu))
+def _steed_k(mu: float, x: np.ndarray):
+    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and x >= 2 by Steed's CF2."""
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = np.zeros_like(x), np.ones_like(x)
+    a1 = 0.25 - mu * mu
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, _STEED_STEPS + 2):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q = q + c * q2
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h = h + delh
+        s = s + q * delh
+    k_mu = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) / s
+    return k_mu, k_mu * (mu + x + 0.5 - a1 * h) / x
 
 
 def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
     """Modified Bessel K_nu over an array of positive x, real order.
 
-    Three branches: the I reflection formula below x = 1 (where its
-    e^{2x} cancellation is harmless), the cosh-integral quadrature up to
-    x = 30, and the asymptotic expansion beyond.
+    K_mu and K_{mu+1} at mu = |nu| - round(|nu|) come from Temme's series
+    for x < 2 and Steed's continued fraction CF2 above (Numerical Recipes
+    section 6.7, bessik), each with a fixed iteration count; the upward
+    recurrence then reaches nu.  Each distinct x is evaluated once.  Zero
+    where e^-x underflows, inf where K overflows.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 1.0
-    large = (x > 30.0) & (4.0 * nu * nu + 3.0 < 2.0 * x)
-    mid = ~(small | large)
-    if np.any(small):
-        out[small] = _bessel_k_reflection_vec(abs(nu), x[small])
-    if np.any(mid):
-        out[mid] = _bessel_k_quad(abs(nu), x[mid])
-    for i in np.nonzero(large.ravel())[0]:
-        xi = float(x.ravel()[i])
-        s, _ = _asym_coeffs(abs(nu), xi, 1.0, 1e-14)
-        out.ravel()[i] = math.sqrt(math.pi / (2.0 * xi)) * math.exp(-xi) * s
-    return out
+    nu = abs(float(nu))
+    n_up = int(nu + 0.5)
+    mu = nu - n_up
+    xs, where = np.unique(x, return_inverse=True)
+    live = xs[np.exp(-xs) > 0.0]  # a prefix, as xs is sorted
+    cut = np.searchsorted(live, 2.0)
+    k0, k1 = np.empty_like(live), np.empty_like(live)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for part, step in ((slice(None, cut), _temme_k), (slice(cut, None), _steed_k)):
+            if live[part].size:
+                k0[part], k1[part] = step(mu, live[part])
+        for i in range(1, n_up + 1):
+            k0, k1 = k1, (mu + i) * (2.0 / live) * k1 + k0
+    out = np.zeros_like(xs)
+    out[:live.size] = k0
+    return out[where].reshape(x.shape)
 
 
 # --------------------------------------------------------------------------
@@ -572,23 +584,17 @@ def _contour_shared_line(a, b, ysel, y_center, tol):
 def _m0_leading_small_y(
     b: Sequence[float], y: np.ndarray, a: Sequence[float] = ()
 ) -> np.ndarray:
-    """Leading y -> 0 behavior of G^{m,0}_{alpha,m}; used only at extreme
-    y where the relative weight of the dropped corrections is negligible."""
+    """Leading y -> 0 behavior of G^{m,0}_{alpha,m} for distinct smallest b;
+    used only at extreme y where the dropped corrections are negligible."""
     bs = sorted(b)
     bmin = bs[0]
     coeff = 1.0
-    log_factor = False
     for v in bs[1:]:
-        if abs(v - bmin) < 1e-9:
-            log_factor = True
-        else:
-            coeff *= math.gamma(v - bmin)
+        coeff *= math.gamma(v - bmin)
     for av in a:
         coeff *= rgamma(av - bmin)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         out = coeff * np.exp(bmin * np.log(y))
-        if log_factor:
-            out = out * (-np.log(y))
     return np.where(np.isfinite(out), out, 0.0)
 
 
@@ -601,7 +607,12 @@ def _integer_spaced_pairs(b: Sequence[float]) -> bool:
 
 
 def m0_eval_vec(b: Sequence[float], y: np.ndarray, tol: float = 1e-11) -> np.ndarray:
-    """G^{m,0}_{0,m}(y|b) for an array of y > 0 (zeros where y <= 0)."""
+    """G^{m,0}_{0,m}(y|b) for an array of y > 0 (zeros where y <= 0).
+
+    Closed forms for m <= 2: y^b e^-y, and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y)
+    at any order (the leading small-y power only where K overflows);
+    g_general_vec for m >= 3.
+    """
     y = np.asarray(y, dtype=float)
     b = [float(v) for v in b]
     out = np.zeros_like(y)
@@ -609,28 +620,19 @@ def m0_eval_vec(b: Sequence[float], y: np.ndarray, tol: float = 1e-11) -> np.nda
     if not pos.any():
         return out
     ys = y[pos]
-    if len(b) == 1:
-        with np.errstate(over="ignore", under="ignore"):
+    if len(b) > 2:
+        out[pos] = g_general_vec((), b, ys, tol)
+        return out
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if len(b) == 1:
             v = np.exp(b[0] * np.log(ys) - ys)
-        out[pos] = np.where(np.isfinite(v), v, 0.0)
-        return out
-    if len(b) == 2 and _integer_spaced_pairs(b):
-        # the Slater pair degenerates into the Bessel-K resummation,
-        # which our K kernel evaluates at integer order directly; below
-        # y = 1e-12 the power prefactor is folded into K's small-x
-        # asymptote analytically (K alone overflows the double range)
-        v = np.empty_like(ys)
-        small = ys < 1e-12
-        if small.any():
-            v[small] = _m0_leading_small_y(b, ys[small])
-        if (~small).any():
-            kv = bessel_k_vec(b[0] - b[1], 2.0 * np.sqrt(ys[~small]))
-            with np.errstate(over="ignore", under="ignore"):
-                vv = 2.0 * ys[~small] ** (0.5 * (b[0] + b[1])) * kv
-            v[~small] = np.where(np.isfinite(vv), vv, 0.0)
-        out[pos] = v
-        return out
-    out[pos] = g_general_vec((), b, ys, tol)
+        else:
+            kv = bessel_k_vec(b[0] - b[1], 2.0 * np.sqrt(ys))
+            v = 2.0 * ys ** (0.5 * (b[0] + b[1])) * kv
+            over = np.isinf(kv)
+            if over.any():
+                v[over] = _m0_leading_small_y(b, ys[over])
+    out[pos] = np.where(np.isfinite(v), v, 0.0)
     return out
 
 
@@ -692,43 +694,21 @@ class _Kernel:
         raise NotImplementedError
 
 
-class _ExpKernel(_Kernel):
-    def __init__(self, b0: float):
-        self.b0 = b0
+class _M0Kernel(_Kernel):
+    """G^{r,0}_{0,r}(x | b) on (0, inf), evaluated by m0_eval_vec."""
+
+    def __init__(self, b: Sequence[float]):
+        self.b = [float(v) for v in b]
 
     def __call__(self, x, one_minus_x=None):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            out = np.exp(self.b0 * np.log(x) - x)
-        return np.where(np.isfinite(out), out, 0.0)
+        return m0_eval_vec(self.b, x)
 
 
-class _BesselKernel(_Kernel):
-    # G^{2,0}_{0,2}(x | b1, b2) = 2 x^{(b1+b2)/2} K_{b1-b2}(2 sqrt(x))
-    def __init__(self, b1: float, b2: float):
-        self.b1 = b1
-        self.b2 = b2
-
-    def __call__(self, x, one_minus_x=None):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        tiny = (x > 0) & (x < 1e-12)
-        if np.any(tiny):
-            out[tiny] = _m0_leading_small_y([self.b1, self.b2], x[tiny])
-        pos = x >= 1e-12
-        if np.any(pos):
-            xs = x[pos]
-            kv = bessel_k_vec(self.b1 - self.b2, 2.0 * np.sqrt(xs))
-            with np.errstate(over="ignore", under="ignore"):
-                out[pos] = 2.0 * xs ** (0.5 * (self.b1 + self.b2)) * kv
-        return np.where(np.isfinite(out), out, 0.0)
-
-
-class _TabulatedM0Kernel(_Kernel):
+class _TabulatedM0Kernel(_M0Kernel):
     """m >= 3 lower parameters: log-log cubic table over Slater/contour."""
 
     def __init__(self, b: Sequence[float], n: int = 1400):
-        self.b = [float(v) for v in b]
+        super().__init__(b)
         m = len(self.b)
         x_max = (80.0 / m) ** m
         lx = np.linspace(math.log(1e-12), math.log(x_max), n)
@@ -830,139 +810,93 @@ class _NorlundKernel(_Kernel):
         return np.where(np.isfinite(out), out, 0.0)
 
 
-class _ConvolvedKernel(_Kernel):
-    """One Mellin-convolution level: pair (a0, b0) over an inner kernel.
+# Below this y a convolution over an infinite-support inner kernel splits u
+# at y: the integrand's mass sits at u ~ y, which tanh-sinh on (0, 1)
+# resolves only at its node cap.
+_CONV_SPLIT = 1e-3
 
-    g(y) = 1/Gamma(a0-b0) * int_1^{U} u^{-a0} (u-1)^{a0-b0-1} inner(y u) du
-    with U = inf (infinite-support inner) or 1/y (unit-support inner).
-    Positivity requires a0 > b0, which the certificate pairing supplies.
+
+class _ConvolvedKernel(_Kernel):
+    """One Mellin convolution g(y) = int_0^1 outer(u) inner(y/u) du/u.
+
+    outer is a Norlund kernel on (0, 1).  Over an infinite-support inner
+    kernel u runs over (0, 1); below y = _CONV_SPLIT it is split into
+    u = y^tau on (y, 1), with the exact 1 - u = -expm1(tau ln y), and
+    u = y t on (0, y), summed into one integrand.  Over a unit-support
+    inner kernel u runs over (y, 1).  Every abscissa of one call is a row
+    of one batched tanh_sinh.
+
+    A Norlund factor with gap sum s makes the integrand behave like
+    (1 - u)^(s-1) at its endpoint; a share e^(LOG_MIN_OFFSET s) of that
+    mass lies beyond every tanh-sinh node, so s whose share exceeds tol
+    raises DomainError rather than returning a weight that low.
     """
 
-    def __init__(self, inner: _Kernel, a0: float, b0: float, tol: float = 1e-10):
-        if a0 <= b0:
-            raise DomainError("convolution level requires a0 > b0")
+    def __init__(self, outer: _NorlundKernel, inner: _Kernel, tol: float = 1e-10):
+        floor = math.log(1.0 / tol) / -LOG_MIN_OFFSET
+        for kernel in (outer, inner):
+            if isinstance(kernel, _NorlundKernel) and kernel.s < floor:
+                raise DomainError(
+                    f"pair gap sum s = {kernel.s:.3g} is below {floor:.3g}: tanh-sinh "
+                    f"cannot integrate (1 - u)^(s - 1) to tol = {tol:.3g}"
+                )
+        self.outer = outer
         self.inner = inner
-        self.a0 = a0
-        self.b0 = b0
         self.tol = tol
-        self.norm = rgamma(a0 - b0)
         self.support_end = inner.support_end
 
-    def _eval_one(self, y: float) -> float:
-        gap = self.a0 - self.b0
-        finite_inner = self.inner.support_end != math.inf
-        lo = y if finite_inner else 0.0
-        if finite_inner and lo >= 1.0:
-            return 0.0
-
-        def f(w, dl, dr):
-            # dl = w - lo, dr = 1 - w, both exact tanh-sinh offsets
-            w = np.asarray(w, dtype=float)
-            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                pref = np.exp((self.b0 - 1.0) * np.log(w) + (gap - 1.0) * np.log(dr))
-                if finite_inner:
-                    # inner argument y/w has exact distance-to-one dl/w
-                    vals = self.inner(y / w, one_minus_x=dl / w)
-                else:
-                    vals = self.inner(y / w)
-                out = pref * vals
-            return np.where(np.isfinite(out), out, 0.0)
-
-        r = tanh_sinh(f, lo, 1.0, tol=self.tol, with_offsets=True)
-        return self.norm * r.value
+    def _integrand(self, t, dl, dr, y):
+        # dl = t - lo and dr = 1 - t are exact tanh-sinh offsets
+        outer, inner = self.outer, self.inner
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            if self.support_end == 1.0:
+                # u = t on (y, 1); the inner argument y/u has 1 - y/u = dl/u
+                return outer(t, dr) * inner(y / t, dl / t) / t
+            # every row runs on (0, 1): what depends on t alone is evaluated
+            # on the first row and broadcast
+            t1 = t[:1]
+            out = np.empty_like(t)
+            high = y[:, 0] >= _CONV_SPLIT
+            out[high] = outer(t1, dr[:1]) / t1 * inner(y[high] / t[high])
+            tau, dtau, ys = t[~high], dr[~high], y[~high]
+            ln_y = np.log(ys)
+            upper = -ln_y * outer(np.exp(tau * ln_y), -np.expm1(tau * ln_y))
+            upper *= inner(np.exp(dtau * ln_y))
+            lower = outer(ys * tau, 1.0 - ys * tau) * (inner(1.0 / t1) / t1)
+            out[~high] = upper + lower
+        return out
 
     def __call__(self, x, one_minus_x=None):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        for i in np.nonzero((x > 0).ravel())[0]:
-            out.ravel()[i] = self._eval_one(float(x.ravel()[i]))
+        pos = (x > 0) & (x < self.support_end)
+        if pos.any():
+            y = x[pos]
+            lo = y if self.support_end == 1.0 else 0.0
+            r = tanh_sinh(self._integrand, lo, 1.0, tol=self.tol, with_offsets=True, params=(y,))
+            out[pos] = r.value
         return out
-
-
-class _TabulatedKernel(_Kernel):
-    """Log-log table over an expensive infinite-support kernel."""
-
-    def __init__(self, base: _Kernel, x_max: float, n: int = 1200):
-        lx = np.linspace(math.log(1e-12), math.log(x_max), n)
-        vals = base(np.exp(lx))
-        good = vals > 0.0
-        self.lx = lx[good]
-        self.lg = np.log(vals[good])
-        self.base = base
-        self.x_lo = math.exp(self.lx[0]) if len(self.lx) else math.inf
-        self.x_hi = math.exp(self.lx[-1]) if len(self.lx) else 0.0
-
-    def __call__(self, x, one_minus_x=None):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        ins = (x >= self.x_lo) & (x <= self.x_hi)
-        if np.any(ins):
-            out[ins] = np.exp(_lagrange4(self.lx, self.lg, np.log(x[ins])))
-        small = (x > 0) & (x < self.x_lo)
-        if np.any(small):
-            out[small] = self.base(x[small])
-        return out
-
-
-def _build_m0_kernel(b: Sequence[float]) -> _Kernel:
-    if len(b) == 1:
-        return _ExpKernel(b[0])
-    if len(b) == 2:
-        return _BesselKernel(b[0], b[1])
-    return _TabulatedM0Kernel(b)
 
 
 def build_convolution_kernel(
     a: Sequence[float],
     b: Sequence[float],
-    pairing: Sequence[int] | None = None,
+    pairing: Sequence[int],
     tol: float = 1e-10,
 ) -> _Kernel:
     """Assemble the kernel for G^{m,0}_{alpha,m}.
 
     The pairing (one b index per a, with a[i] > b[pairing[i]]) follows the
-    positivity certificate.  For r = len(b) - len(a) = 0 every b is paired
-    and the result is the Norlund series of the pairs on (0, 1); for r > 0
-    the unpaired b's form the innermost kernel and each pair adds one
-    Mellin-convolution level.
+    positivity certificate.  The Norlund series H of all alpha pairs is
+    G^{alpha,0}_{alpha,alpha} on (0, 1), with Mellin transform
+    prod Gamma(b+s)/Gamma(a+s) over the pairs.  For r = len(b) - len(a) = 0
+    it is the weight; for r > 0 the weight is one Mellin convolution of H
+    with G^{r,0}_{0,r} of the unpaired b's (closed forms for r <= 2, a
+    table above), exact for any alpha.
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    alpha = len(a)
-    r = len(b) - alpha
-    if pairing is None:
-        pairing = _default_pairing(a, b)
-    pairing = list(pairing)
-    pairs = [(a[i], b[pairing[i]]) for i in range(alpha)]
-    if r == 0:
-        return _NorlundKernel(pairs)
-    kernel = _build_m0_kernel([b[j] for j in range(len(b)) if j not in pairing])
-    if r >= 2 and alpha >= 1:
-        # amortize the Bessel/Slater evaluations across the many
-        # convolution quadratures that will sample this kernel; the
-        # range covers y^k tails up to k ~ 40
-        x_max = 100.0
-        for _ in range(4):
-            x_max = ((70.0 + 40.0 * max(math.log(x_max), 1.0)) / r) ** r
-        kernel = _TabulatedKernel(kernel, x_max=x_max)
-    for depth, (ai, bi) in enumerate(pairs):
-        kernel = _ConvolvedKernel(kernel, ai, bi, tol=tol)
-        if depth < alpha - 1:
-            m_eff = len(b)
-            kernel = _TabulatedKernel(kernel, x_max=(80.0 / m_eff) ** m_eff)
-    return kernel
-
-
-def _default_pairing(a: Sequence[float], b: Sequence[float]) -> list[int]:
-    """Greedy pairing a[i] > b[j], largest a first, tightest b that fits."""
-    order = sorted(range(len(a)), key=lambda i: -a[i])
-    used: set[int] = set()
-    pairing = [0] * len(a)
-    for i in order:
-        candidates = [j for j in range(len(b)) if j not in used and a[i] > b[j]]
-        if not candidates:
-            raise DomainError("no positive convolution pairing exists")
-        j = max(candidates, key=lambda jj: b[jj])
-        pairing[i] = j
-        used.add(j)
-    return pairing
+    outer = _NorlundKernel([(float(a[i]), float(b[j])) for i, j in enumerate(pairing)])
+    rest = [float(v) for j, v in enumerate(b) if j not in pairing]
+    if not rest:
+        return outer
+    inner = _M0Kernel(rest) if len(rest) <= 2 else _TabulatedM0Kernel(rest)
+    return _ConvolvedKernel(outer, inner, tol)

@@ -25,12 +25,15 @@ def test_per_layer_metrics_are_non_zero(tmp_path, monkeypatch):
                             "--cs-alpha", "0", "--out", str(tmp_path / "moments.csv")]),
             clext.cli.main(["state", "--lambda", "2", "--alpha", "1,-1", "--cs-alpha", "-1",
                             "--out", str(tmp_path / "state.csv")]),
+            # a kummer weight: one batched tanh-sinh call per evaluated grid
+            clext.cli.main(["moments", "--lambda", "3", "--alpha", "3,-3,0", "--mu", "0",
+                            "--cs-alpha", "1", "--out", str(tmp_path / "kummer.csv")]),
         ]
     finally:
         tracer.uninstall()
         sys.modules.pop("tracing", None)
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     metrics = tracer.pass_metrics()
     for name in ("specfun.meijer.points", "measures.moment.calls", "states.build.calls",
-                 "cli.calls"):
+                 "quadrature.tanh_sinh.calls", "quadrature.tanh_sinh.nodes", "cli.calls"):
         assert metrics[name] > 0, name

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,3 +217,35 @@ class TestHausdorffMoments:
         )
         assert code == 2
         assert err.startswith("error: Slater refused ") and err.count("\n") == 1
+
+
+class TestStieltjesMoments:
+    @pytest.mark.parametrize(
+        "lam,alpha",
+        [
+            # lambda = 5, (mu, alpha) = (0, 2): r = 1 over two certified pairs
+            ("5", "6.5,-2.0,-1.5,-2.5,-0.5"),
+            # lambda = 6, beta_bar = (1.9, 1.7, 1.5, 0.9, 0.8): r = 2
+            ("6", "10.4,-2.2,-2.2,-4.6,-1.6,0.2"),
+        ],
+    )
+    def test_two_pair_weights_reach_rounding(self, lam, alpha):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            ["moments", "--lambda", lam, "--alpha", alpha, "--mu", "0", "--cs-alpha", "2"]
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0, out
+        line = next(l for l in out.splitlines() if l.startswith("# max_rel_error = "))
+        assert float(line.split("=")[1].split(",")[0]) <= 1e-12
+
+    def test_small_pair_gap_is_a_one_line_error(self):
+        # beta_bar = (0.84, 0.838, 1.476): one pair with gap 0.002, whose
+        # (1 - u)^(s - 1) mass tanh-sinh cannot reach; it used to run 25 s
+        # and return weights 24 % low
+        code, _, err = run_cli(
+            ["moments", "--lambda", "4", "--alpha", "2.36,-1.008,1.552,-2.904",
+             "--mu", "0", "--cs-alpha", "1"]
+        )
+        assert code == 2
+        assert err.startswith("error: pair gap sum s = 0.002 ") and err.count("\n") == 1

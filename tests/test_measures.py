@@ -7,7 +7,7 @@ import scipy.special as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
-from clext.errors import PositivityUnavailable
+from clext.errors import DomainError, PositivityUnavailable
 from clext.measures import (
     MomentProblem,
     PositivityCertificate,
@@ -23,6 +23,7 @@ from clext.measures import (
     verify_moments,
     weight_function,
 )
+from clext.quadrature import LOG_MIN_OFFSET
 from conftest import hausdorff_closed_form, random_valid_params
 
 
@@ -343,6 +344,67 @@ def test_hausdorff_weight_sweep(case):
         ref = float(moment_target(problem, 0) / mass * mp.meijerg([[], a], [b, []], y))
     got = float(weight_function(p, mu, alpha).evaluate(y)[0])
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+@st.composite
+def stieltjes_cases(draw):
+    """(lambda, beta_bar, mu, alpha, y) of a Stieltjes weight with r in {1, 2},
+    y log-uniform on [1e-30, 50]; upper parameters take the largest values,
+    as in hausdorff_cases."""
+    lam = draw(st.sampled_from([3, 4, 5, 6]))
+    alpha = (lam - 1) // 2
+    mu = draw(st.integers(0, lam - alpha - 1))
+    vals = sorted(
+        (draw(st.floats(0.08, 2.5, exclude_min=True, exclude_max=True)) for _ in range(lam - 1)),
+        reverse=True,
+    )
+    upper = draw(st.permutations(vals[:alpha]))
+    lower = draw(st.permutations(vals[alpha:]))
+    bb = lower[:mu] + upper + lower[mu:]
+    return lam, tuple(bb), mu, alpha, 10.0 ** draw(st.floats(-30.0, math.log10(50.0)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(stieltjes_cases())
+def test_stieltjes_weight_sweep(case):
+    # one convolution level is exact to rounding, except for the share
+    # e^(LOG_MIN_OFFSET s) of the (1 - u)^(s-1) mass beyond every node,
+    # which the kernel refuses once it exceeds its tol (1e-10)
+    lam, bb, mu, alpha, y = case
+    p = params_from_beta_bar(lam, bb)
+    cert = positivity_condition(p, mu, alpha)
+    assume(isinstance(cert, PositivityCertificate))
+    a, b = mellin_lists(p, mu, alpha)
+    share = math.exp(LOG_MIN_OFFSET * sum(a[i] - b[j] for i, j in enumerate(cert.pairing)))
+    if share > 1e-10:
+        with pytest.raises(DomainError, match="pair gap sum"):
+            weight_function(p, mu, alpha)
+        return
+    with mp.workdps(30):
+        mass = mp.fprod(mp.gamma(1 + v) for v in b) / mp.fprod(mp.gamma(1 + v) for v in a)
+        ref = float(moment_target(MomentProblem(p, mu, alpha), 0) / mass
+                    * mp.meijerg([[], a], [b, []], y))
+    got = float(weight_function(p, mu, alpha).evaluate(y)[0])
+    assert got == pytest.approx(ref, rel=max(1e-12, 2.0 * share))
+
+
+class TestStieltjesRegressions:
+    def test_bessel_inner_kernel_at_small_y(self):
+        # the Bessel inner kernel's small-x form was 3.8e-4 off at nu = 0.25
+        p = params_from_beta_bar(4, [1.5, 1.0, 0.75])
+        a, b = mellin_lists(p, 0, 1)
+        amp = math.exp(MomentProblem(p, 0, 1).log_A)
+        with mp.workdps(30):
+            ref = amp * float(mp.meijerg([[], a], [b, []], 1e-15))
+        assert float(weight_function(p, 0, 1).evaluate(1e-15)[0]) == pytest.approx(ref, rel=1e-13)
+
+    def test_tabulated_inner_kernel_moments(self):
+        # r = 3: the inner G^{3,0}_{0,3} comes from _TabulatedM0Kernel
+        p = params_from_beta_bar(5, [1.5, 1.3, 1.2, 0.9])
+        w = weight_function(p, 0, 1)
+        assert w.form == "kummer"
+        rep = verify_moments(w, MomentProblem(p, 0, 1), 8, 1e-7)
+        assert rep.passed, rep.max_rel_error
 
 
 class TestBoundaryBehavior:

@@ -68,3 +68,33 @@ def test_offsets_are_exact_near_endpoints():
     # one_minus_y must reach far below double-rounding of 1 - y
     assert g.one_minus_y.min() < 1e-200
     assert np.all(g.one_minus_y > 0)
+
+
+def test_batched_rows_stop_at_their_own_level():
+    # one call over three intervals: the flat row converges levels before
+    # the sharply peaked ones, and every row equals its one-row call
+    def f(x, c):
+        return c / (1.0 + (c * x) ** 2)
+
+    a, b, c = np.array([0.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0]), np.array([1.0, 10.0, 50.0])
+    batch = tanh_sinh(f, a, b, tol=1e-12, params=(c,))
+    single = [tanh_sinh(f, a[i], b[i], tol=1e-12, params=(c[i],)) for i in range(3)]
+    assert batch.nodes == sum(r.nodes for r in single)
+    assert len({r.nodes for r in single}) == 3
+    for i, r in enumerate(single):
+        assert batch.value[i] == r.value[0]
+        assert batch.abs_error[i] == r.abs_error[0]
+        exact = math.atan(c[i] * b[i]) - math.atan(c[i] * a[i])
+        assert r.value[0] == pytest.approx(exact, rel=1e-12)
+
+
+def test_unconverged_row_leaves_the_others_unchanged():
+    def f(x, c):
+        return np.where(c > 0.0, 1.0 / np.sqrt(np.abs(x - c)), x**3)
+
+    batch = tanh_sinh(f, 0.0, 1.0, params=(np.array([-1.0, 0.3]),))
+    alone = tanh_sinh(lambda x: x**3, 0.0, 1.0)
+    assert batch.value[0] == alone.value[0]
+    assert batch.abs_error[0] == alone.abs_error[0]
+    assert batch.value[1] == pytest.approx(2.75698, abs=1e-5)
+    assert batch.abs_error[1] == pytest.approx(8.70e-3, rel=1e-3)

@@ -114,6 +114,17 @@ class TestBessel:
         w += bessel_i(nu + 1, x).value * bessel_k(nu, x)
         assert abs(w - 1.0 / x) < 1e-10
 
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0, 2.336, 3.7])
+    def test_k_against_mpmath(self, nu):
+        # Temme's series, Steed's CF2 and the upward recurrence over 100
+        # decades, wherever K_nu stays inside the double range
+        x = np.logspace(-100.0, math.log10(700.0), 241)
+        got = bessel_k_vec(nu, x)
+        ref = np.array([float(mp.besselk(nu, v)) for v in x])
+        fin = np.isfinite(ref)
+        assert np.isinf(got[~fin]).all()
+        assert np.max(np.abs(got[fin] / ref[fin] - 1.0)) <= 2e-14
+
     @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.0, 3.5])
     @pytest.mark.parametrize("x", [0.05, 0.9, 3.0, 18.0, 40.0])
     def test_against_scipy(self, nu, x):
@@ -219,11 +230,17 @@ class TestMeijerG:
         ref = float(mp.meijerg([[], []], [[0.0, 1.0], []], y))
         assert got == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("b", [(0.0, 0.0), (0.0, 0.25), (0.1, 2.2)])
+    def test_m0_vec_two_parameters_at_small_y(self, b):
+        # K_nu at any order; b = (0, 0) at 1e-13 went through a leading
+        # small-y form 4e-2 off
+        y = np.array([1e-300, 1e-100, 1e-13, 1e-6])
+        got = m0_eval_vec(list(b), y)
+        for g, v in zip(got, y):
+            assert g == pytest.approx(float(mp.meijerg([[], []], [list(b), []], v)), rel=1e-13)
+
     def test_spec_validation(self):
-        # no upper parameter lies above a lower one: no positive pairing
-        with pytest.raises(DomainError):
-            build_convolution_kernel([0.2], [0.5])
-        # an explicit pairing with a <= b has no convolution level
+        # a pairing with a <= b has no convolution level
         with pytest.raises(DomainError):
             build_convolution_kernel([0.2], [0.0, 0.5], pairing=[1])
         # nor a Norlund series term (r = 0)
