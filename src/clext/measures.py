@@ -133,15 +133,35 @@ def positivity_condition(params: AlgebraParams, mu: int, alpha: int):
     a, b = mellin_lists(params, mu, alpha)
     if alpha == 0:
         return PositivityCertificate((), tuple(a), tuple(b), "unconditional")
-    for combo in itertools.permutations(range(len(b)), alpha):
-        if all(a[i] > b[j] for i, j in zip(range(alpha), combo)):
-            cond = ", ".join(
-                f"a_{i + 1}={a[i]:.6g} > b_{j + 1}={b[j]:.6g}" for i, j in zip(range(alpha), combo)
-            )
-            return PositivityCertificate(tuple(combo), tuple(a), tuple(b), cond)
-    return PositivityRefusal(
-        "no injective assignment a_i > b_j exists", tuple(a), tuple(b)
-    )
+    combo = _pairing(a, b)
+    if combo is None:
+        return PositivityRefusal(
+            "no injective assignment a_i > b_j exists", tuple(a), tuple(b)
+        )
+    cond = ", ".join(f"a_{i + 1}={a[i]:.6g} > b_{j + 1}={b[j]:.6g}" for i, j in enumerate(combo))
+    return PositivityCertificate(combo, tuple(a), tuple(b), cond)
+
+
+def _pairing(a, b) -> tuple[int, ...] | None:
+    """First injective assignment with a[i] > b[pairing[i]], or None."""
+    for combo in itertools.permutations(range(len(b)), len(a)):
+        if all(a[i] > b[j] for i, j in enumerate(combo)):
+            return combo
+    return None
+
+
+def _cancel_equal(a, b) -> tuple[list[float], list[float]]:
+    """(a, b) without each upper parameter that equals a lower one to 1e-13,
+    and without that lower one: their Gamma factors cancel in the Mellin
+    transform."""
+    a_left, b_left = [], list(b)
+    for av in a:
+        k = next((k for k, bv in enumerate(b_left) if abs(av - bv) <= 1e-13), None)
+        if k is None:
+            a_left.append(av)
+        else:
+            del b_left[k]
+    return a_left, b_left
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +184,6 @@ class WeightFunction:
     k_budget: float = 10.0
     _grid: FixedGrid | None = field(default=None, repr=False)
     _vals: np.ndarray | None = field(default=None, repr=False)
-    _vals_coarse: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def y_max(self) -> float:
@@ -188,14 +207,14 @@ class WeightFunction:
         else:
             self._grid = fixed_grid_unit(level=6)
         self._vals = self.evaluate(self._grid.y, self._grid.one_minus_y)
-        self._vals_coarse = self.evaluate(self._grid.y_coarse, self._grid.one_minus_y_coarse)
 
     def moment(self, k: float) -> tuple[float, float]:
         """(integral of y^k h, error estimate)."""
         self._ensure_grid(k)
         g = self._grid
-        fine = float(np.dot(g.w, g.y**k * self._vals))
-        coarse = float(np.dot(g.w_coarse, g.y_coarse**k * self._vals_coarse))
+        terms = g.y**k * self._vals
+        fine = float(np.dot(g.w, terms))
+        coarse = float(np.dot(g.w_coarse, terms[g.coarse]))
         if not math.isfinite(fine):
             raise QuadratureFailure(f"moment k={k} integral is not finite", None)
         return fine, abs(fine - coarse)
@@ -228,8 +247,11 @@ def weight_function(
     the Norlund (1 - y) series of all alpha pairs, which for r = 0 is the
     Hausdorff weight G^{alpha,0}_{alpha,alpha} on (0, 1) and for r > 0 is
     convolved once with G^{r,0}_{0,r} of the unpaired lower parameters,
-    whatever alpha.  The form label names the paper's closed form
-    (Beta power, Gauss 2F1, Appell F3, multiple series by alpha).
+    whatever alpha.  An upper parameter equal to a lower one cancels with
+    it first, when the reduced lists still certify; with no upper one
+    left, the weight is G^{m,0}_{0,m} of the rest.  The form label names
+    the paper's closed form of the uncancelled weight (Beta power, Gauss
+    2F1, Appell F3, multiple series by alpha).
 
     Without a positivity certificate the default is to refuse; passing
     require_positive=False still returns the inverse Mellin transform
@@ -255,17 +277,25 @@ def weight_function(
         return WeightFunction(problem, "meijer_unsigned", cert, evaluator)
 
     if alpha == 0:
+        form = "meijer_m0"
+    else:
+        form = "kummer" if r > 0 else _HAUSDORFF_FORMS.get(alpha, "multiple_series")
+    pairing = cert.pairing
+    a_left, b_left = _cancel_equal(a, b)
+    reduced = _pairing(a_left, b_left) if len(a_left) < alpha else None
+    if reduced is not None:
+        a, b, pairing = a_left, b_left, reduced
+    if not a:
         def evaluator(y, one_minus_y=None, _b=tuple(b), _amp=amp):
             return _amp * m0_eval_vec(_b, y)
 
-        return WeightFunction(problem, "meijer_m0", cert, evaluator)
+        return WeightFunction(problem, form, cert, evaluator)
 
-    kernel = build_convolution_kernel(a, b, cert.pairing, tol=tol)
+    kernel = build_convolution_kernel(a, b, pairing, tol=tol)
 
     def evaluator(y, one_minus_y=None, _k=kernel, _amp=amp):
         return _amp * _k(y, one_minus_y)
 
-    form = "kummer" if r > 0 else _HAUSDORFF_FORMS.get(alpha, "multiple_series")
     return WeightFunction(problem, form, cert, evaluator)
 
 

@@ -172,41 +172,39 @@ class FixedGrid:
 
     y are the abscissas, w the weights (interval Jacobians included), and
     one_minus_y the exact distance to the right endpoint (inf for nodes
-    on the unbounded tail).  A coarser shadow grid supplies error
-    estimates.
+    on the unbounded tail).  A one-level-coarser shadow supplies error
+    estimates; its nodes are y[coarse], with weights w_coarse.
     """
 
     y: np.ndarray
     w: np.ndarray
     one_minus_y: np.ndarray
-    y_coarse: np.ndarray
+    coarse: np.ndarray
     w_coarse: np.ndarray
-    one_minus_y_coarse: np.ndarray
 
 
-def _grid_unit(level: int):
-    x, dl, dr, w = _level_nodes(0.0, 1.0, level)
-    return x, w, dr
+def _coarse_index(level: int) -> np.ndarray:
+    """Positions of the level - 1 nodes (the even j of t = j h) among
+    _level_nodes(.., level), which lists j >= 0 and then j >= 1 again."""
+    n = len(_cached_rule(level)[0])
+    even = np.arange(0, n, 2)
+    return np.concatenate([even, n - 1 + even[1:]])
 
 
 def fixed_grid_unit(level: int = 8) -> FixedGrid:
     """Tanh-sinh grid on (0, 1) plus a one-level-coarser shadow."""
-    y, w, dr = _grid_unit(level)
-    yc, wc, drc = _grid_unit(level - 1)
-    return FixedGrid(y, w, dr, yc, wc, drc)
+    y, _, dr, w = _level_nodes(0.0, 1.0, level)
+    coarse = _coarse_index(level)
+    return FixedGrid(y, w, dr, coarse, 2.0 * w[coarse])
 
 
 def fixed_grid_zero_inf(level: int = 8, v_max: float = 48.0) -> FixedGrid:
     """Frozen node set for (0, inf): unit interval plus exp-substituted tail."""
-
-    def build(lv):
-        y1, w1, dr1 = _grid_unit(lv)
-        v, _, _, wv = _level_nodes(0.0, v_max, lv)
-        y = np.concatenate([y1, np.exp(v)])
-        w = np.concatenate([w1, wv * np.exp(v)])
-        dr = np.concatenate([dr1, np.full(v.shape, np.inf)])
-        return y, w, dr
-
-    y, w, dr = build(level)
-    yc, wc, drc = build(level - 1)
-    return FixedGrid(y, w, dr, yc, wc, drc)
+    y1, _, dr1, w1 = _level_nodes(0.0, 1.0, level)
+    v, _, _, wv = _level_nodes(0.0, v_max, level)
+    y = np.concatenate([y1, np.exp(v)])
+    w = np.concatenate([w1, wv * np.exp(v)])
+    dr = np.concatenate([dr1, np.full(v.shape, np.inf)])
+    half = _coarse_index(level)
+    coarse = np.concatenate([half, y1.size + half])
+    return FixedGrid(y, w, dr, coarse, 2.0 * w[coarse])

@@ -487,10 +487,10 @@ def _saddle_line(a: list[float], b: list[float], y: float, tol: float) -> tuple[
     1.5 + max(-b_nu), so every gamma argument keeps a positive real part
     and the integrand scale matches the result scale.  Decay along the
     line is Gaussian (variance ~ c/m) before the asymptotic e^{-r pi t/2}
-    regime takes over; t_max truncates past both.
+    regime takes over; t_max is the first point of a geometric ladder
+    where |exp(phi)| has fallen by e^-(ln(1/tol) + 12) from t = 0.
     """
-    m = len(b)
-    r_eff = m - len(a)
+    r_eff = len(b) - len(a)
     floor = 1.5 + max(0.0, -min(b))
     c = max(floor, y ** (1.0 / r_eff) if y > 1.0 else floor)
     for _ in range(40):
@@ -505,80 +505,89 @@ def _saddle_line(a: list[float], b: list[float], y: float, tol: float) -> tuple[
             c = c_new
             break
         c = c_new
-    ln_budget = math.log(1.0 / tol) + 12.0
-    t_asym = 2.0 * ln_budget / (r_eff * math.pi)
-    t_gauss = math.sqrt(2.0 * c * ln_budget / m)
-    return c, max(t_asym, min(t_gauss, 3.0 * t_asym + 2.0 * c))
+    ladder = np.concatenate(([0.0], 1.1 ** np.arange(-20, 200)))
+    decay = _line_phi(a, b, c + 1j * ladder).real
+    past = decay - decay[0] < -(math.log(1.0 / tol) + 12.0)
+    return c, float(ladder[np.argmax(past) if past.any() else -1])
 
 
 # Rows of one bucket evaluated together on its shared line; bounds the
-# (rows x 4097) complex integrand instead of sizing it by the bucket.
+# (rows x nodes) complex integrand instead of sizing it by the bucket.
 _CONTOUR_ROWS = 64
 
+# Trapezoid nodes on [0, t_max] of a line's first pass, and the cap at
+# which a row that still disagrees gives up.
+_LINE_START = 65
+_LINE_CAP = (1 << 14) + 1
 
-def _line(a, b, c: float, t_max: float, n: int):
-    """(t, s, phi): n equispaced nodes t on [0, t_max], s = c + i t, and
-    phi = sum log Gamma(s + b) - sum log Gamma(s + a) there."""
-    t = np.linspace(0.0, t_max, n)
-    s = c + 1j * t
+
+def _line_phi(a, b, s: np.ndarray) -> np.ndarray:
+    """sum log Gamma(s + b) - sum log Gamma(s + a) at the points s."""
     phi = np.zeros_like(s)
     for bv in b:
         phi = phi + lgamma_complex(s + bv)
     for av in a:
         phi = phi - lgamma_complex(s + av)
-    return t, s, phi
+    return phi
 
 
-def _line_values(s: np.ndarray, phi: np.ndarray, lny: np.ndarray) -> np.ndarray:
-    """Real part of the Bromwich integrand on the line, one row per entry
-    of the (rows, 1) array lny."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        f = np.exp(phi[None, :] - lny * s[None, :]).real
-    return np.where(np.isfinite(f), f, 0.0)
+def _line_integral(a, b, c: float, t_max: float, lny: np.ndarray, tol: float):
+    """G at y = e^lny (a 1-d array) by the trapezoid rule on Re s = c.
 
-
-def _simpson(f: np.ndarray, h: float) -> np.ndarray:
-    """Composite Simpson rule along each row, divided by pi."""
-    return (
-        f[:, 0] + f[:, -1] + 4.0 * f[:, 1:-1:2].sum(axis=1) + 2.0 * f[:, 2:-1:2].sum(axis=1)
-    ) * h / (3.0 * math.pi)
+    G = (1/pi) Re int_0^t_max exp(phi(s) - s ln y) dt, s = c + i t.  The
+    t = 0 node takes half weight, so the sum is half the full-line
+    trapezoid sum, exponentially convergent on this analytic, even,
+    Gaussian-decaying integrand.  From 65 nodes the count doubles, with phi
+    and the integrand evaluated at the new odd nodes only; each row stops
+    once two successive counts agree to tol, or at _LINE_CAP nodes.
+    Returns (values, converged, last difference).
+    """
+    n, h = _LINE_START - 1, t_max / (_LINE_START - 1)
+    t = h * np.arange(n + 1)
+    total = np.zeros(lny.size)
+    diff = np.full(lny.size, math.inf)
+    active = np.arange(lny.size)
+    while True:
+        s = c + 1j * t
+        phi = _line_phi(a, b, s)
+        w = np.where(t == 0.0, 0.5 * h, h) / math.pi
+        prev = total[active]
+        for lo in range(0, active.size, _CONTOUR_ROWS):
+            idx = active[lo:lo + _CONTOUR_ROWS]
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                f = np.exp(phi[None, :] - lny[idx, None] * s[None, :]).real
+            total[idx] = 0.5 * total[idx] + np.where(np.isfinite(f), f, 0.0) @ w
+        if n > _LINE_START - 1:
+            diff[active] = np.abs(total[active] - prev)
+            done = diff[active] <= tol * np.maximum(np.abs(total[active]), 1e-280)
+            active = active[~done]
+        if active.size == 0 or n + 1 >= _LINE_CAP:
+            break
+        n, h = 2 * n, 0.5 * h
+        t = h * np.arange(1, n, 2)
+    return total, ~np.isin(np.arange(lny.size), active), diff
 
 
 def _contour_shared_line(a, b, ysel, y_center, tol):
     """G at the points ysel from one Bromwich line, the saddle line of y_center.
 
-    Rows whose Simpson pair (4097 and 2049 nodes) disagrees are
-    recomputed on their own saddle line, doubling the node count from
-    513 up to 2^14 + 1 until two successive counts agree.
+    Rows whose trapezoid sums do not settle there are recomputed on their
+    own saddle line; a row that still disagrees at _LINE_CAP nodes raises
+    NoConvergence.
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
+    lny = np.log(ysel)
     c, t_max = _saddle_line(a, b, y_center, tol)
-    t, s, phi = _line(a, b, c, t_max, 4097)
-    h = t[1] - t[0]
-    lny = np.log(ysel)[:, None]
-    full = np.empty(len(ysel))
-    half = np.empty(len(ysel))
-    for lo in range(0, len(ysel), _CONTOUR_ROWS):
-        f = _line_values(s, phi, lny[lo:lo + _CONTOUR_ROWS])
-        full[lo:lo + _CONTOUR_ROWS] = _simpson(f, h)
-        half[lo:lo + _CONTOUR_ROWS] = _simpson(f[:, ::2], 2.0 * h)
-    bad = np.abs(full - half) > 1e3 * tol * np.maximum(np.abs(full), 1e-280)
-    for i in np.nonzero(bad)[0]:
-        y = float(ysel[i])
-        c, t_max = _saddle_line(a, b, y, tol)
-        prev = None
-        n = 513
-        while n <= (1 << 14) + 1:
-            t, s, phi = _line(a, b, c, t_max, n)
-            f = _line_values(s, phi, np.array([[math.log(y)]]))
-            total = float(_simpson(f, t[1] - t[0])[0])
-            if prev is not None and abs(total - prev) <= tol * max(abs(total), abs(f[0, 0]) * 1e-9):
-                break
-            prev = total
-            n = 2 * n - 1
-        full[i] = total
-    return full
+    vals, ok, _ = _line_integral(a, b, c, t_max, lny, tol)
+    for i in np.nonzero(~ok)[0]:
+        c, t_max = _saddle_line(a, b, float(ysel[i]), tol)
+        v, ok_i, diff = _line_integral(a, b, c, t_max, lny[i:i + 1], tol)
+        if not ok_i[0]:
+            raise NoConvergence(
+                f"Bromwich contour at y = {ysel[i]:.6g} did not settle in {_LINE_CAP} "
+                f"nodes: last difference {diff[0]:.3e} on {v[0]:.6g}"
+            )
+        vals[i] = v[0]
+    return vals
 
 
 def _m0_leading_small_y(
@@ -642,8 +651,9 @@ def g_general_vec(
     """G^{m,0}_{alpha,m}(y|a;b) over an array of y > 0.
 
     Slater expansion while it conditions well, eps-split Slater for
-    integer-coincident lower parameters, bucketed contours elsewhere,
-    and the leading power at extreme small y where contours overflow.
+    integer-coincident lower parameters, converged trapezoid Bromwich
+    lines (one per log-y bucket, see _contour_shared_line) elsewhere, and
+    the leading power at extreme small y where contours overflow.
     """
     y = np.asarray(y, dtype=float)
     a = [float(v) for v in a]

@@ -12,6 +12,8 @@ from clext.measures import (
     MomentProblem,
     PositivityCertificate,
     PositivityRefusal,
+    _cancel_equal,
+    _pairing,
     carleman_test,
     conjecture_weight_value,
     eigenstate_measures,
@@ -159,6 +161,22 @@ class TestVerifyMoments:
                     w = weight_function(p, mu, alpha)
                     rep = verify_moments(w, MomentProblem(p, mu, alpha), 8, 1e-6)
                     assert rep.passed, (lam, mu, alpha, rep.max_rel_error)
+
+    @pytest.mark.parametrize("lam, mu, alpha", [(3, 0, 0), (3, 0, 1), (4, 0, 2)])
+    def test_one_weight_evaluation_per_grid(self, lam, mu, alpha):
+        # the shadow grid's values are a slice of the fine grid's
+        p = params_from_beta_bar(lam, [4 / 3, 2 / 3] if lam == 3 else [1.5, 1.5, 1.25])
+        w = weight_function(p, mu, alpha)
+        calls = []
+        inner = w._eval
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        w._eval = counted
+        rep = verify_moments(w, MomentProblem(p, mu, alpha), 8, 1e-6)
+        assert rep.passed and len(calls) == 1
 
 
 class TestHankelHadamard:
@@ -375,7 +393,12 @@ def test_stieltjes_weight_sweep(case):
     cert = positivity_condition(p, mu, alpha)
     assume(isinstance(cert, PositivityCertificate))
     a, b = mellin_lists(p, mu, alpha)
-    share = math.exp(LOG_MIN_OFFSET * sum(a[i] - b[j] for i, j in enumerate(cert.pairing)))
+    # equal upper and lower parameters cancel first when the rest certifies
+    a_left, b_left = _cancel_equal(a, b)
+    pairing = _pairing(a_left, b_left) if len(a_left) < alpha else None
+    if pairing is None:
+        a_left, b_left, pairing = a, b, cert.pairing
+    share = math.exp(LOG_MIN_OFFSET * sum(a_left[i] - b_left[j] for i, j in enumerate(pairing)))
     if share > 1e-10:
         with pytest.raises(DomainError, match="pair gap sum"):
             weight_function(p, mu, alpha)
@@ -397,6 +420,25 @@ class TestStieltjesRegressions:
         with mp.workdps(30):
             ref = amp * float(mp.meijerg([[], a], [b, []], 1e-15))
         assert float(weight_function(p, 0, 1).evaluate(1e-15)[0]) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("bb", [(1.5, 1.5, 1.5), (1.25, 1.25, 1.25)])
+    def test_equal_parameters_cancel(self, bb):
+        # a = (bb - 1) cancels one of b = (0, bb - 1, bb - 1): the weight is
+        # 2A y^(b/2) K_b(2 sqrt y) with b = bb - 1, not a convolution
+        p = params_from_beta_bar(4, bb)
+        problem = MomentProblem(p, 0, 1)
+        w = weight_function(p, 0, 1)
+        assert w.form == "kummer"
+        rep = verify_moments(w, problem, 8, 1e-13)
+        assert rep.passed, rep.max_rel_error
+        a, b = mellin_lists(p, 0, 1)
+        y = np.array([1e-12, 1e-3, 0.5, 4.0, 60.0])
+        got = w.evaluate(y)
+        with mp.workdps(30):
+            mass = mp.fprod(mp.gamma(1 + v) for v in b) / mp.fprod(mp.gamma(1 + v) for v in a)
+            for g, v in zip(got, y):
+                ref = moment_target(problem, 0) / mass * mp.meijerg([[], a], [b, []], v)
+                assert g == pytest.approx(float(ref), rel=1e-13)
 
     def test_tabulated_inner_kernel_moments(self):
         # r = 3: the inner G^{3,0}_{0,3} comes from _TabulatedM0Kernel

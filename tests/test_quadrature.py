@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clext.quadrature import (
+    _level_nodes,
     fixed_grid_unit,
     fixed_grid_zero_inf,
     tanh_sinh,
@@ -61,6 +62,29 @@ def test_fixed_grids_integrate_gamma():
     vals = gu.y**0.5 * gu.one_minus_y ** (-0.5)
     got = float(gu.w @ vals)
     assert got == pytest.approx(math.gamma(1.5) * math.gamma(0.5) / math.gamma(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [5, 6, 7, 8])
+@pytest.mark.parametrize("v_max", [None, 12.0, 48.0])
+def test_shadow_is_the_coarser_level(level, v_max):
+    # the shadow index picks the nodes, offsets and halved weights of a
+    # level - 1 build; weights below 1e-280 come from subnormal rule
+    # weights, where doubling and the coarser rule round differently
+    y, _, dr, w = _level_nodes(0.0, 1.0, level - 1)
+    if v_max is None:
+        g = fixed_grid_unit(level)
+    else:
+        g = fixed_grid_zero_inf(level, v_max)
+        v, _, _, wv = _level_nodes(0.0, v_max, level - 1)
+        y = np.concatenate([y, np.exp(v)])
+        w = np.concatenate([w, wv * np.exp(v)])
+        dr = np.concatenate([dr, np.full(v.shape, np.inf)])
+    assert np.array_equal(g.y[g.coarse], y)
+    assert np.array_equal(g.one_minus_y[g.coarse], dr)
+    normal = w > 1e-280
+    assert np.array_equal(g.w[g.coarse][normal], 0.5 * w[normal])
+    assert np.array_equal(g.w_coarse[normal], w[normal])
+    assert np.all(np.abs(g.w_coarse - w)[~normal] <= 1e-280)
 
 
 def test_offsets_are_exact_near_endpoints():

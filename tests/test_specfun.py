@@ -12,14 +12,20 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
+from clext import params_from_beta_bar
 from clext.errors import (
     DivergentSeries,
     DomainError,
+    NoConvergence,
     PoleInDenominator,
 )
+from clext import specfun
+from clext.measures import mellin_lists
 from clext.specfun import (
     _contour_batch,
+    _contour_shared_line,
     _slater_vec,
     bessel_i,
     bessel_k_vec,
@@ -256,7 +262,7 @@ class TestMeijerG:
 
     def test_contour_memory_bounded_by_row_blocks(self):
         # one log-y bucket of 401 points: the integrand is built in blocks
-        # of rows (peak 12 MB), not as (401 x 4097) complex arrays (54 MB)
+        # of rows, not as one (401 x nodes) complex array
         b = [0.0, 1 / 3, 0.9]
         y = np.linspace(1.0, 1.5, 401)
         tracemalloc.start()
@@ -270,7 +276,37 @@ class TestMeijerG:
             ref = float(mp.meijerg([[], []], [b, []], y[i]))
             assert vals[i] == pytest.approx(ref, rel=1e-11)
 
+    def test_contour_row_that_never_settles_raises(self, monkeypatch):
+        # with the node cap at 129 the trapezoid sums cannot agree to 1e-16:
+        # the row fails on the bucket line and on its own saddle line
+        monkeypatch.setattr(specfun, "_LINE_CAP", 129)
+        with pytest.raises(NoConvergence, match=r"y = 40 .* 129 nodes: last difference"):
+            _contour_shared_line([], [0.0, 1 / 3, 0.9], np.array([40.0]), 50.0, 1e-16)
+
     def test_convolution_kernel_positive(self):
         kern = build_convolution_kernel([0.5], [0.0, 0.2, -0.4], pairing=[1])
         vals = kern(np.array([0.1, 1.0, 4.0]))
         assert np.all(vals > 0)
+
+
+@st.composite
+def contour_cases(draw):
+    """(b, y): the alpha = 0 lower parameters of a certified lambda = 3..6
+    algebra (m = lambda) and y log-uniform on [5, 1e7], where Slater
+    refuses and the contour takes over."""
+    lam = draw(st.sampled_from([3, 4, 5, 6]))
+    bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
+    mu = draw(st.integers(0, lam - 1))
+    _, b = mellin_lists(params_from_beta_bar(lam, bb), mu, 0)
+    return b, 10.0 ** draw(st.floats(math.log10(5.0), 7.0))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(contour_cases())
+def test_contour_sweep(case):
+    # every row settles (no NoConvergence) and meets 1e-10 against meijerg
+    b, y = case
+    got = float(_contour_batch([], b, np.array([y]))[0])
+    with mp.workdps(30):
+        ref = float(mp.meijerg([[], []], [b, []], y))
+    assert got == pytest.approx(ref, rel=1e-10)
