@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parameter error.
 from __future__ import annotations
 
 import argparse
-import math
+import cmath
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import __version__
 from .algebra import build_operator, energy_eigenvalue, sga_structure_poly, validate_params
 from .bargmann import check_commutators, check_hermiticity
 from .errors import ClextError
-from .figures import FIGURE_PRESETS, FigureJob, run_figure
+from .figures import FIGURE_PRESETS, run_figure
 from .measures import (
     MomentProblem,
     positivity_condition,
@@ -36,60 +37,6 @@ from .observables import (
 from .states import CsAlphaSpec, cs_alpha_state, eigenstate
 
 
-def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--lambda", dest="lam", type=int, default=None, help="cyclic order (>= 2)")
-    p.add_argument("--alpha", dest="alpha_csv", type=str, default=None,
-                   help="comma-separated algebra parameters alpha_0,..,alpha_{lambda-1}")
-    p.add_argument("--mu", type=int, default=None, help="Fock sector index")
-    p.add_argument("--cs-alpha", dest="cs_alpha", type=int, default=None,
-                   help="coherent-state family index")
-    p.add_argument("--z-re", type=float, default=None)
-    p.add_argument("--z-im", type=float, default=None)
-    p.add_argument("--grid", type=str, default=None, help="min:max:n")
-    p.add_argument("--k", dest="trunc", type=int, default=None, help="matrix/state truncation")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    p.add_argument("--config", type=str, default=None, help="key = value configuration file")
-
-
-_DEFAULTS = {
-    "mu": 0, "cs_alpha": 0, "z_re": 1.0, "z_im": 0.0,
-    "trunc": 64, "tol": 1e-6,
-}
-
-
-def _resolve(args: argparse.Namespace):
-    """Fill None-valued options from the config file, then from defaults."""
-    cfg = _read_config(args.config) if args.config else {}
-    for key, raw in cfg.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            cur_default = _DEFAULTS.get(key)
-            cast = type(cur_default) if cur_default is not None else str
-            if key == "alpha_csv":
-                cast = str
-            if key == "lam":
-                cast = int
-            setattr(args, key, cast(raw))
-    for key, val in _DEFAULTS.items():
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, val)
-    return args
-
-
 def _params(args) -> "AlgebraParams":
     if args.lam is None or args.alpha_csv is None:
         raise ClextError("--lambda and --alpha are required")
@@ -97,17 +44,12 @@ def _params(args) -> "AlgebraParams":
     return validate_params(args.lam, alpha)
 
 
-def _grid(args, default=(0.02, 3.0, 60)):
-    if args.grid is None:
-        lo, hi, n = default
-    else:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise ClextError("--grid expects min:max:n")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 2:
-            raise ClextError("--grid needs n >= 2")
-    return np.linspace(lo, hi, int(n))
+def min_max_n(text: str) -> np.ndarray:
+    """The --grid type: n >= 2 evenly spaced points from min to max."""
+    lo, hi, n = text.split(":")
+    if int(n) < 2:
+        raise ValueError(text)
+    return np.linspace(float(lo), float(hi), int(n))
 
 
 def _emit(args, text: str):
@@ -128,15 +70,10 @@ def _fmt(x) -> str:
 
 def cmd_validate(args) -> int:
     p = _params(args)
-    lines = [f"# lambda = {p.lam}"]
-    lines.append("mu,alpha_mu,beta_mu,beta_bar_mu,E_mu")
+    lines = [f"# lambda = {p.lam}", "mu,alpha_mu,beta_mu,beta_bar_mu,E_mu"]
     for mu in range(p.lam):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (mu, p.alpha[mu], p.beta[mu], p.beta_bar[mu], energy_eigenvalue(p, mu))
-            )
-        )
+        row = (mu, p.alpha[mu], p.beta[mu], p.beta_bar[mu], energy_eigenvalue(p, mu))
+        lines.append(",".join(_fmt(v) for v in row))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -153,11 +90,7 @@ def cmd_figure(args) -> int:
     docs = []
     for job in jobs:
         if args.grid is not None:
-            g = _grid(args)
-            job = FigureJob(
-                job.figure, job.kind, job.lam, job.curves, job.grid_var,
-                (float(g[0]), float(g[-1]), len(g)), job.options,
-            )
+            job = replace(job, grid=(float(args.grid[0]), float(args.grid[-1]), len(args.grid)))
         docs.append(run_figure(job))
     _emit(args, "".join(docs))
     return 0
@@ -166,15 +99,14 @@ def cmd_figure(args) -> int:
 def cmd_state(args) -> int:
     p = _params(args)
     z = complex(args.z_re, args.z_im)
-    if args.cs_alpha is not None and args.mu is not None and args.cs_alpha >= 0:
-        spec = CsAlphaSpec(p, args.mu, args.cs_alpha, z)
-        st = cs_alpha_state(spec, args.trunc)
+    if args.cs_alpha >= 0:
+        st = cs_alpha_state(CsAlphaSpec(p, args.mu, args.cs_alpha, z), args.trunc)
         head = f"# |z; mu; alpha> with z = {z}, mu = {args.mu}, alpha = {args.cs_alpha}"
     else:
         st = eigenstate(p, z, args.trunc)
         head = f"# eigenstate |z> with z = {z}"
-    lines = [head, f"# norm_series = {_fmt(st.norm_sq_analytic)}, tail_bound = {st.tail_bound:.3e}"]
-    lines.append("n,re_c,im_c")
+    lines = [head, f"# norm_series = {_fmt(st.norm_sq_analytic)}, tail_bound = {st.tail_bound:.3e}",
+             "n,re_c,im_c"]
     for n, c in enumerate(st.coeffs):
         lines.append(f"{n},{_fmt(c.real)},{_fmt(c.imag)}")
     _emit(args, "\n".join(lines) + "\n")
@@ -183,13 +115,12 @@ def cmd_state(args) -> int:
 
 def cmd_mandel(args) -> int:
     p = _params(args)
-    grid = _grid(args)
-    if args.family == "sector":
-        def q(r, method):
+    grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
+
+    def q(r, method):
+        if args.family == "sector":
             return mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, r), method).mandel_Q
-    else:
-        def q(r, method):
-            return mandel_q_eigenstate(p, r, method).mandel_Q
+        return mandel_q_eigenstate(p, r, method).mandel_Q
     lines = [f"# mandel Q, family = {args.family}", "r,Q_closed,Q_oracle"]
     for r, qc in zip(grid, q(grid, "closed")):
         lines.append(f"{_fmt(r)},{_fmt(qc)},{_fmt(q(float(r), 'oracle'))}")
@@ -199,13 +130,12 @@ def cmd_mandel(args) -> int:
 
 def cmd_squeeze(args) -> int:
     p = _params(args)
-    grid = _grid(args)
-    if args.family == "sector":
-        def report(z, method):
+    grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
+
+    def report(z, method):
+        if args.family == "sector":
             return squeezing_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, z), args.kind, method)
-    else:
-        def report(z, method):
-            return squeezing_eigenstate(p, z, args.kind, method)
+        return squeezing_eigenstate(p, z, args.kind, method)
     lines = [
         f"# squeezing, family = {args.family}, kind = {args.kind}, direction = {args.direction}",
         "g,X_closed,P_closed,X_oracle,P_oracle",
@@ -224,18 +154,12 @@ def cmd_moments(args) -> int:
     problem = MomentProblem(p, args.mu, args.cs_alpha)
     weight = weight_function(p, args.mu, args.cs_alpha, require_positive=not args.allow_unsigned)
     report = verify_moments(weight, problem, k_max=args.k_max, tol=args.tol)
-    lines = [
-        f"# moments for mu = {args.mu}, alpha = {args.cs_alpha}, form = {weight.form}",
-        "k,target,integral,rel_error",
-    ]
+    lines = [f"# moments for mu = {args.mu}, alpha = {args.cs_alpha}, form = {weight.form}",
+             "k,target,integral,rel_error"]
     for row in report.rows:
-        lines.append(
-            f"{row.k},{_fmt(row.target)},{_fmt(row.integral)},{row.rel_error:.3e}"
-        )
-    lines.append(
-        f"# max_rel_error = {report.max_rel_error:.3e}, passed = {report.passed}, "
-        f"max_quad_err = {report.max_quad_err:.3e}"
-    )
+        lines.append(f"{row.k},{_fmt(row.target)},{_fmt(row.integral)},{row.rel_error:.3e}")
+    lines.append(f"# max_rel_error = {report.max_rel_error:.3e}, passed = {report.passed}, "
+                 f"max_quad_err = {report.max_quad_err:.3e}")
     _emit(args, "\n".join(lines) + "\n")
     return 0 if report.passed else 1
 
@@ -255,18 +179,14 @@ def cmd_bargmann_check(args) -> int:
     p = _params(args)
     lines = ["basis,op_pair,max_residual"]
     ok = True
-    rows = check_commutators(p, "sector", k_max=6)
-    rows += check_commutators(p, "vector_alpha0", k_max=6)
-    rows += check_commutators(p, "eigenstate", k_max=6)
     table: dict[tuple[str, str], float] = {}
-    for r in rows:
-        key = (r.basis, r.pair)
-        table[key] = max(table.get(key, 0.0), r.residual)
+    for basis in ("sector", "vector_alpha0", "eigenstate"):
+        for r in check_commutators(p, basis, k_max=6):
+            table[r.basis, r.pair] = max(table.get((r.basis, r.pair), 0.0), r.residual)
     for (basis, pair), res in sorted(table.items()):
         ok &= res < 1e-10
         lines.append(f"{basis},{pair},{res:.3e}")
-    cert = positivity_condition(p, args.mu, args.cs_alpha)
-    if not isinstance(cert, PositivityRefusal):
+    if not isinstance(positivity_condition(p, args.mu, args.cs_alpha), PositivityRefusal):
         w = weight_function(p, args.mu, args.cs_alpha)
         herm = check_hermiticity(p, args.mu, args.cs_alpha, w)
         worst = max(r.residual for r in herm)
@@ -304,8 +224,6 @@ def _verify_algebra(p, trunc, tol) -> list[tuple[str, float, bool]]:
 
 
 def _verify_states(p, trunc, tol):
-    import cmath
-
     rows = []
     lam = p.lam
     worst = 0.0
@@ -343,9 +261,8 @@ def cmd_verify(args) -> int:
         rep = verify_identity_resolution(p, "diagonal_alpha0", n_max=6, tol=tol)
         rows = [(f"<{n}|I|{n}>", abs(v - 1.0), abs(v - 1.0) < tol) for n, v in enumerate(rep.diagonal)]
     elif args.suite == "bargmann":
-        rows = []
-        for r in check_commutators(p, "sector", k_max=5):
-            rows.append((f"{r.basis} {r.pair} k={r.k}", r.residual, r.residual < 1e-10))
+        rows = [(f"{r.basis} {r.pair} k={r.k}", r.residual, r.residual < 1e-10)
+                for r in check_commutators(p, "sector", k_max=5)]
     elif args.suite == "observables":
         # closed Q on the whole |z| list in one call, each point against the oracle
         checks = (
@@ -360,8 +277,6 @@ def cmd_verify(args) -> int:
                 qo = q(zz, "oracle").mandel_Q
                 err = abs(qc - qo) / (1.0 + abs(qo))
                 rows.append((f"{family} Q at |z|={zz}", err, err < 1e-8))
-    else:
-        raise ClextError(f"unknown suite {args.suite!r}")
     lines = ["check,residual,passed"]
     ok = True
     for name, res, passed in rows:
@@ -371,6 +286,55 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# every option once: dest (also its config key) -> (flag, type, default, help).  A
+# tuple type lists the choices, bool is a switch; the positionals have no flag.
+OPTIONS = {
+    "figure": (None, str, None, "figure id: 1..8 or a panel like 4a"),
+    "suite": (None, ("algebra", "states", "moments", "resolution", "bargmann", "observables"),
+              None, "verification suite"),
+    "lam": ("--lambda", int, None, "cyclic order (>= 2)"),
+    "alpha_csv": ("--alpha", str, None, "algebra parameters alpha_0,..,alpha_{lambda-1} as CSV"),
+    "mu": ("--mu", int, 0, "Fock sector index"),
+    "cs_alpha": ("--cs-alpha", int, 0, "coherent-state family index (state: < 0 is |z>)"),
+    "z_re": ("--z-re", float, 1.0, "real part of z"),
+    "z_im": ("--z-im", float, 0.0, "imaginary part of z"),
+    "grid": ("--grid", min_max_n, None, "min:max:n (mandel, squeeze: 0.02:3:60)"),
+    "trunc": ("--k", int, 64, "matrix/state truncation"),
+    "tol": ("--tol", float, 1e-6, "pass tolerance"),
+    "family": ("--family", ("sector", "eigen"), "eigen", "sector states or eigenstates |z>"),
+    "kind": ("--kind", ("dressed", "real"), "dressed", "dressed or real photons"),
+    "direction": ("--direction", ("re", "im"), "re", "grid along the real or imaginary z axis"),
+    "k_max": ("--k-max", int, 8, "highest moment order"),
+    "allow_unsigned": ("--allow-unsigned", bool, False,
+                       "evaluate the weight even without a positivity certificate"),
+    "mode": ("--mode", ("diagonal_alpha0", "eigenstate_diag", "eigenstate_offdiag"),
+             "diagonal_alpha0", "resolution to verify"),
+    "n_max": ("--n-max", int, 6, "highest Fock level"),
+    "out": ("--out", str, None, "output path (default stdout)"),
+    "config": ("--config", str, None, "file of key = value lines, keyed by dest; flags win"),
+}
+
+_P = ("lam", "alpha_csv")
+# command -> (handler, help, the options it reads; every command also takes out and config)
+COMMANDS = {
+    "validate": (cmd_validate, "check algebra parameters", _P),
+    "figure": (cmd_figure, "emit CSV data for figures 1-8", ("figure", "grid")),
+    "verify": (cmd_verify, "run a verification suite",
+               ("suite", *_P, "mu", "cs_alpha", "trunc", "tol")),
+    "mandel": (cmd_mandel, "Mandel Q over a |z| grid", ("family", *_P, "mu", "cs_alpha", "grid")),
+    "squeeze": (cmd_squeeze, "squeezing ratios over a grid",
+                ("family", "kind", "direction", *_P, "mu", "cs_alpha", "grid")),
+    "moments": (cmd_moments, "verify weight-function moments",
+                ("k_max", "allow_unsigned", *_P, "mu", "cs_alpha", "tol")),
+    "resolution": (cmd_resolution, "verify a resolution of the identity",
+                   ("mode", "n_max", *_P, "tol")),
+    "bargmann-check": (cmd_bargmann_check, "commutator/Hermiticity residual table",
+                       (*_P, "mu", "cs_alpha", "tol")),
+    "state": (cmd_state, "dump coherent-state coefficients",
+              (*_P, "z_re", "z_im", "mu", "cs_alpha", "trunc")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="clext",
@@ -378,61 +342,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"clext {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check algebra parameters")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("figure", help="emit CSV data for figures 1-8")
-    p.add_argument("figure", help="figure id: 1..8 or a panel like 4a")
-    _add_common(p)
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["algebra", "states", "moments", "resolution", "bargmann", "observables"])
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("mandel", help="Mandel Q over a |z| grid")
-    p.add_argument("--family", choices=["sector", "eigen"], default="eigen")
-    _add_common(p)
-    p.set_defaults(func=cmd_mandel)
-
-    p = sub.add_parser("squeeze", help="squeezing ratios over a grid")
-    p.add_argument("--family", choices=["sector", "eigen"], default="eigen")
-    p.add_argument("--kind", choices=["dressed", "real"], default="dressed")
-    p.add_argument("--direction", choices=["re", "im"], default="re")
-    _add_common(p)
-    p.set_defaults(func=cmd_squeeze)
-
-    p = sub.add_parser("moments", help="verify weight-function moments")
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--allow-unsigned", action="store_true",
-                   help="evaluate the inverse Mellin transform even without a positivity certificate")
-    _add_common(p)
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("resolution", help="verify a resolution of the identity")
-    p.add_argument("--mode", choices=["diagonal_alpha0", "eigenstate_diag", "eigenstate_offdiag"],
-                   default="diagonal_alpha0")
-    p.add_argument("--n-max", type=int, default=6)
-    _add_common(p)
-    p.set_defaults(func=cmd_resolution)
-
-    p = sub.add_parser("bargmann-check", help="commutator/Hermiticity residual table")
-    _add_common(p)
-    p.set_defaults(func=cmd_bargmann_check)
-
-    p = sub.add_parser("state", help="dump coherent-state coefficients")
-    _add_common(p)
-    p.set_defaults(func=cmd_state)
+    for command, (func, help_, dests) in COMMANDS.items():
+        # no prefix matching: moments' --k-max must not take a stray --k
+        p = sub.add_parser(command, help=help_, allow_abbrev=False)
+        for dest in (*dests, "out", "config"):
+            flag, kind, default, text = OPTIONS[dest]
+            if kind is bool:
+                kw = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                kw = {"choices": kind, "default": default}
+            else:
+                kw = {"type": kind, "default": default}
+            if flag is not None:
+                kw["dest"] = dest
+            p.add_argument(flag or dest, help=text, **kw)
+        p.set_defaults(func=func)
     return ap
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+def _config_argv(args) -> list[str]:
+    """The --config file's key = value lines as --flag=value tokens of args.command."""
+    keys = [k for k in vars(args) if OPTIONS.get(k, (None,))[0] is not None]
+    argv = []
+    with open(args.config, encoding="utf-8") as fh:
+        for line in map(str.strip, fh):
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"config line without '=': {line!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in keys:
+                raise ClextError(f"config key {key!r} is not an option of clext {args.command}; "
+                                 f"its keys are {', '.join(keys)}")
+            flag, kind = OPTIONS[key][:2]
+            argv.append(flag if kind is bool and val == "true" else f"{flag}={val}")
+    return argv
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """The namespace a handler reads; argparse exits 2 on a bad flag or value.
+
+    The --config file's values are parsed as flags placed before the
+    command line's own, so the command line wins.
+    """
     argv = list(argv)
     # let --alpha take a leading-minus CSV without the '=' form
     for i, tok in enumerate(argv[:-1]):
@@ -440,14 +393,18 @@ def main(argv=None) -> int:
             argv[i] = f"--alpha={argv[i + 1]}"
             del argv[i + 1]
             break
+    ap = build_parser()
     args = ap.parse_args(argv)
+    if args.config:
+        args = ap.parse_args([args.command, *_config_argv(args), *argv[1:]])
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = _resolve(args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
-    except ClextError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ClextError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

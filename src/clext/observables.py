@@ -23,6 +23,7 @@ from .algebra import AlgebraParams, structure_function
 from .errors import DomainError, NoConvergence
 from .specfun import bessel_i, pfq
 from .states import (
+    LAST_WEIGHT,
     CsAlphaSpec,
     StateVector,
     _cs_alpha_lists,
@@ -33,7 +34,7 @@ from .states import (
 
 FIRST_LEVELS = 64
 MAX_LEVELS = 2**16
-LAST_WEIGHT = 1e-17
+WORK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,37 @@ class SqueezeReport:
 # Fock weights
 # --------------------------------------------------------------------------
 
+def _row_blocks(rows: int, levels: int) -> list[slice]:
+    """Row slices of at most WORK_ELEMENTS values; |z| <= 3 (every figure) is one block."""
+    step = max(1, WORK_ELEMENTS // levels)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _peak_normalized(steps: np.ndarray) -> np.ndarray:
+    """Weights p (rows, K), normalized to sum 1, from the steps log p_{k+1} / p_k
+    (rows, K - 1).  Each row's log p is accumulated outward from its peak level,
+    so the levels that carry the sums pick up only a few roundings."""
+    count = steps.shape[1] + 1
+    peak = np.argmax(np.pad(np.cumsum(steps, axis=1), ((0, 0), (1, 0))), axis=1)
+    after = np.arange(count - 1) >= peak[:, None]
+    log_p = np.zeros((len(steps), count))
+    log_p[:, 1:] = np.cumsum(np.where(after, steps, 0.0), axis=1)
+    log_p[:, :-1] -= np.cumsum(np.where(after, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(under="ignore"):
+        p = np.exp(log_p, out=log_p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None = None):
     """Fock levels n (K,) and normalized weights p_n = |c_n|^2 / N (rows, K),
     one row per entry of z_abs.
 
     sector = (mu, alpha) selects |z; mu; alpha> on the levels n = k lambda + mu,
-    None the eigenstate |z> on every level.  Each row's log p is accumulated
-    outward from its peak level, so the levels that carry the sums pick up only
-    a few roundings.  The level count doubles from FIRST_LEVELS until every
-    row's last weight is below LAST_WEIGHT; NoConvergence past MAX_LEVELS.
+    None the eigenstate |z> on every level.  The level count doubles from
+    FIRST_LEVELS until the last weight of the largest |z| (the largest last
+    weight) is below LAST_WEIGHT, NoConvergence past MAX_LEVELS; then every
+    row is built, in _row_blocks.
     """
     mu, alpha, width = (0, 0, 1) if sector is None else (*sector, params.lam)
     with np.errstate(divide="ignore"):
@@ -88,19 +111,15 @@ def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None =
     count = FIRST_LEVELS
     while True:
         n = mu + width * np.arange(count)
-        steps = log_z2 + _log_ratios(params, n[:-1], alpha, width)  # log p_{k+1} / p_k
-        peak = np.argmax(np.pad(np.cumsum(steps, axis=1), ((0, 0), (1, 0))), axis=1)
-        after = np.arange(count - 1) >= peak[:, None]
-        log_p = np.zeros((len(steps), count))
-        log_p[:, 1:] = np.cumsum(np.where(after, steps, 0.0), axis=1)
-        log_p[:, :-1] -= np.cumsum(np.where(after, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
-        with np.errstate(under="ignore"):
-            p = np.exp(log_p, out=log_p)
-        p /= p.sum(axis=1, keepdims=True)
-        if np.all(p[:, -1] < LAST_WEIGHT):
+        ratios = _log_ratios(params, n[:-1], alpha, width)  # log p_{k+1} / (|z|^2 p_k)
+        last = _peak_normalized(log_z2.max(keepdims=True) + ratios)[0, -1]
+        if last < LAST_WEIGHT:
+            p = np.empty((len(log_z2), count))
+            for rows in _row_blocks(len(log_z2), count):
+                p[rows] = _peak_normalized(log_z2[rows] + ratios)
             return n, p
         if count >= MAX_LEVELS:
-            raise NoConvergence(f"Fock weights still {p[:, -1].max():.3e} at level {n[-1]}")
+            raise NoConvergence(f"Fock weights still {last:.3e} at level {n[-1]}")
         count *= 2
 
 
@@ -112,7 +131,9 @@ def _as_given(z, *rows):
 def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
     """<N>, <N^2> and Q from the weights; Q = limit_q where <N> vanishes."""
     mean = p @ n
-    var = ((n - mean[:, None]) ** 2 * p).sum(axis=1)
+    var = np.concatenate(
+        [((n - mean[rows, None]) ** 2 * p[rows]).sum(axis=1) for rows in _row_blocks(*p.shape)]
+    )
     limit = mean <= 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(limit, limit_q, (var - mean) / mean)
@@ -209,9 +230,10 @@ def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") ->
         n = np.arange(st.dim)
         pr = np.abs(st.coeffs) ** 2
         mean = float(n @ pr)
-        mean2 = float((n.astype(float) ** 2) @ pr)
-        q = ((mean2 - mean**2) - mean) / mean if mean > 0 else 0.0
-        return PhotonStats(mean, mean2, q, "vector_oracle")
+        # two-pass variance: <N^2> - <N>^2 loses Q's digits where <N>^2 >> <N>
+        var = float((n - mean) ** 2 @ pr)
+        q = (var - mean) / mean if mean > 0 else 0.0
+        return PhotonStats(mean, var + mean**2, q, "vector_oracle")
     if method == "closed":
         n, p = _fock_weights(params, np.abs(z_abs))
         return _photon_stats(z_abs, n, p, 0.0)

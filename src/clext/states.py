@@ -15,11 +15,11 @@ Coefficient magnitudes come in log form: the eigenstate's from
 L(n) = log prod_{j<=n} F(j) (algebra.log_fock_norms), the same array behind
 the Bargmann weights and the resolution diagonals; the sector states' from
 the cumulative sum of the per-level log ratios (_log_ratios), which the
-closed-form observables sum outward from the peak level instead.  Analytic
-norms N come from the hypergeometric closed forms, so the mass a truncation
-drops is known exactly: tail_bound = 1 - sum(|c_n|^2) / N.  Builders double
-dim (up to 1024) until that bound is at most 1e-10 and raise
-TruncationTooSmall when it never is.
+closed-form observables sum outward from the peak level instead.  Norms N
+(the sector states' pfq closed forms, the eigenstate's log-space weight sum)
+make the mass a truncation drops exact: tail_bound = 1 - sum(|c_n|^2) / N.
+Builders double dim (up to 1024) until that bound is at most 1e-10 and
+raise TruncationTooSmall when it never is.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .specfun import pfq
 
 TAIL_THRESHOLD = 1e-10
 MAX_AUTO_DIM = 1024
+LAST_WEIGHT = 1e-17
 
 
 @dataclass(frozen=True)
@@ -217,15 +218,33 @@ def eigenstate_norm(params: AlgebraParams, t: float) -> float:
 
 
 def eigenstate(params: AlgebraParams, z: complex, dim: int = 64) -> StateVector:
-    """Eigenstate a|z> = z|z> as a normalized coefficient vector."""
+    """Eigenstate a|z> = z|z> as a normalized coefficient vector.
+
+    log N, N = sum_n w_n with log w_n = n log|z|^2 - L(n), is summed relative to
+    the largest weight until the last is below LAST_WEIGHT of it, and the
+    coefficients are exp((log w_n - log N) / 2): finite where N overflows
+    (norm_sq_analytic = exp(log N) is inf only there).
+    """
     lam = params.lam
     if dim < lam:
         raise TruncationTooSmall(f"need dim >= lambda = {lam}")
-    norm = eigenstate_norm(params, abs(z) ** 2 / lam)
+    log_norm = 0.0
+    if z != 0:
+        count = 64
+        while True:
+            log_w = np.arange(count) * (2.0 * math.log(abs(z))) - log_fock_norms(params, count - 1)
+            top = log_w.max()
+            if log_w[-1] - top < math.log(LAST_WEIGHT):
+                break
+            if count >= 4 * max(dim, MAX_AUTO_DIM):
+                raise TruncationTooSmall(f"eigenstate weights not small by level {count - 1}")
+            count *= 2
+        log_norm = top + math.log(np.exp(log_w - top).sum())
     dim, coeffs, tail = _truncated(
-        lambda d: _amplitudes(z, np.arange(d), -log_fock_norms(params, d - 1)), dim, norm
+        lambda d: _amplitudes(z, np.arange(d), -log_fock_norms(params, d - 1) - log_norm), dim, 1.0
     )
-    coeffs /= math.sqrt(norm)
+    with np.errstate(over="ignore"):
+        norm = float(np.exp(log_norm))
     return StateVector(dim, coeffs, norm, tail, True)
 
 

@@ -1,10 +1,13 @@
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from clext.cli import main
+from clext.cli import main, parse_args
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(args):
@@ -146,6 +149,39 @@ class TestConfigFile:
         assert code2 == 0
         assert "alpha = 0" in out2
 
+    def test_k_max_is_read(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("lam = 2\nalpha_csv = 3,-3\nmu = 0\ncs_alpha = 1\nk_max = 3\n")
+        code, out, _ = run_cli(["moments", "--config", str(cfg)])
+        assert code == 0
+        rows = [l.split(",")[0] for l in out.splitlines()[2:] if not l.startswith("#")]
+        assert rows == ["0", "1", "2", "3"]
+
+    def test_mode_is_read(self, tmp_path):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("lam = 2\nalpha_csv = 3,-3\nmode = eigenstate_diag\n")
+        code, out, _ = run_cli(["resolution", "--config", str(cfg)])
+        assert code == 0
+        assert out.startswith("# resolution mode = eigenstate_diag\n")
+
+    @pytest.mark.parametrize("line", ["cs_alpah = 1", "lambda = 2"])
+    def test_unknown_key_is_a_one_line_error(self, tmp_path, line):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"lam = 2\nalpha_csv = 3,-3\n{line}\n")
+        code, out, err = run_cli(["moments", "--config", str(cfg)])
+        key = line.split(" =")[0]
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: config key {key!r} ") and err.count("\n") == 1
+
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("lam = 2\nalpha_csv = 3,-3\nmu = x\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--config", str(cfg)])
+        assert exc.value.code == 2
+        errors = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+        assert errors == ["clext moments: error: argument --mu: invalid int value: 'x'"]
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "fig.csv"
         code, out, _ = run_cli(["figure", "4a", "--grid", "0.2:1:3", "--out", str(dest)])
@@ -249,3 +285,44 @@ class TestStieltjesMoments:
         )
         assert code == 2
         assert err.startswith("error: pair gap sum s = 0.002 ") and err.count("\n") == 1
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("workload", ["figures", "moments", "oracle"])
+    def test_benchmark_traffic_parses(self, workload, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        try:
+            from workloads import make_ops
+
+            ops = make_ops(workload, 1)
+        finally:
+            sys.modules.pop("workloads", None)
+        for op in ops:
+            args = parse_args([*op.argv, "--out", "op.csv"])
+            assert args.command == op.argv[0] and args.out == "op.csv"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "4a", "--lambda", "3"],
+            ["moments", "--lambda", "2", "--alpha", "3,-3", "--cs-alpha", "1", "--k", "128"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["mandel", "squeeze"])
+def test_oracle_column_where_the_norm_overflows(command):
+    # lambda = 2, alpha = (3, -3): the eigenstate norm exceeds double range at |z| = 27
+    code, out, _ = run_cli(
+        [command, "--family", "eigen", "--lambda", "2", "--alpha", "3,-3", "--grid", "27:28:2"]
+    )
+    assert code == 0
+    rows = [[float(v) for v in l.split(",")] for l in out.splitlines()[2:]]
+    assert len(rows) == 2
+    for row in rows:
+        closed, oracle = (row[1:2], row[2:3]) if command == "mandel" else (row[1:3], row[3:5])
+        assert oracle == pytest.approx(closed, rel=1e-8)

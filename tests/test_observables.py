@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,38 @@ class TestOracleAtModerateZ:
         oracle = mandel_q_cs_alpha(spec, "oracle").mandel_Q
         assert closed == pytest.approx(1.97380, rel=1e-5)
         assert oracle == pytest.approx(closed, rel=1e-8)
+
+
+class TestRowBlocks:
+    """_fock_weights builds its rows in blocks of at most WORK_ELEMENTS values."""
+
+    def test_large_grid_memory_is_bounded(self):
+        # 200 rows of 16384 levels: the (rows, levels) work arrays used to
+        # take 121 MB; the 26 MB weight array is now most of the peak
+        p = params_from_beta_bar(2, [2.0])
+        tracemalloc.start()
+        try:
+            mandel_q_eigenstate(p, np.linspace(0.05, 100, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+    def test_blocks_leave_values_unchanged(self, monkeypatch):
+        import clext.observables as obs
+
+        p = params_from_beta_bar(3, [4 / 3, 2 / 3])
+        zabs = np.linspace(0.05, 12.0, 50)
+
+        def run():
+            return (mandel_q_eigenstate(p, zabs).mandel_Q,
+                    squeezing_eigenstate(p, zabs * np.exp(0.4j), "real").X,
+                    mandel_q_cs_alpha(CsAlphaSpec(p, 1, 1, zabs)).mandel_Q)
+
+        whole = run()
+        monkeypatch.setattr(obs, "WORK_ELEMENTS", 1000)  # blocks of a few rows
+        for got, ref in zip(run(), whole):
+            assert np.array_equal(got, ref)
 
 
 def assert_matches_reference(got, ref):

@@ -176,6 +176,22 @@ class TestEigenstate:
         )
         assert series == pytest.approx(closed, rel=1e-10)
 
+    def test_log_norm_matches_the_pfq_norm(self, rng):
+        # the log-space sum against the closed hypergeometric form
+        for lam in (2, 3, 4):
+            p = random_valid_params(rng, lam)
+            for zabs in (0.7, 3.0, 9.0):
+                st = eigenstate(p, zabs * cmath.exp(0.3j))
+                series = eigenstate_norm(p, zabs**2 / lam)
+                assert st.norm_sq_analytic == pytest.approx(series, rel=1e-12)
+
+    def test_normalized_where_the_norm_overflows(self):
+        # lambda = 2, alpha = (3, -3): log N = 719.6 at |z| = 27
+        st = eigenstate(validate_params(2, (3, -3)), 27.0)
+        assert st.norm_sq_analytic == math.inf
+        assert st.tail_bound <= TAIL_THRESHOLD
+        assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
     def test_norm_matches_coefficients(self, rng):
         for lam in (2, 3):
             p = random_valid_params(rng, lam)
