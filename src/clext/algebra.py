@@ -56,9 +56,6 @@ class AlgebraParams:
         """gamma_mu = (beta_mu + beta_{mu+1}) / 2 (cyclic)."""
         return 0.5 * (self.beta_at(mu) + self.beta_at(mu + 1))
 
-    def sector_of(self, n: int) -> int:
-        return n % self.lam
-
 
 @dataclass(frozen=True)
 class FockIndex:
@@ -135,15 +132,9 @@ class TruncatedOperator:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
-    def matmul(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return TruncatedOperator(self.dim, self.entries @ other.entries)
-
     def commutator(self, other: "TruncatedOperator") -> "TruncatedOperator":
         e = self.entries @ other.entries - other.entries @ self.entries
         return TruncatedOperator(self.dim, e)
-
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.dim, self.entries.conj().T.copy())
 
     def interior(self, margin: int) -> np.ndarray:
         """Leading (dim-margin) x (dim-margin) block, where band formulas are exact."""

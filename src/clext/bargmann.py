@@ -21,9 +21,6 @@ from .errors import NonPolynomialResult, SectorError, UnsupportedOp
 from .measures import EigenstateMeasures, WeightFunction
 from .states import StateVector, sector_log_weights
 
-SECTOR_OPS = ("N", "Jplus", "Jminus", "J0")
-VECTOR_OPS = ("N", "Jplus", "Jminus", "J0", "a", "adag", "P")
-
 
 @dataclass(frozen=True)
 class PolyFunction:

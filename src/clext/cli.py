@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from dataclasses import replace
 
@@ -335,6 +336,8 @@ COMMANDS = {
 }
 
 
+# parsing leaves the parser unchanged, so one per process serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="clext",

@@ -212,7 +212,9 @@ class WeightFunction:
         """(integral of y^k h, error estimate)."""
         self._ensure_grid(k)
         g = self._grid
-        terms = g.y**k * self._vals
+        # y^k h in log space: y^k alone overflows before h decays
+        with np.errstate(divide="ignore"):
+            terms = np.sign(self._vals) * np.exp(k * np.log(g.y) + np.log(np.abs(self._vals)))
         fine = float(np.dot(g.w, terms))
         coarse = float(np.dot(g.w_coarse, terms[g.coarse]))
         if not math.isfinite(fine):

@@ -382,18 +382,22 @@ def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
 # Meijer G
 # --------------------------------------------------------------------------
 
-def _digamma(x: float) -> float:
-    """psi(x) for x > 0 via upward recurrence plus the asymptotic tail."""
-    acc = 0.0
-    while x < 8.0:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    return acc + math.log(x) - 0.5 * inv - inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252))
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """psi(x) for an array of x > 0: eight recurrence steps, then the series at x + 8."""
+    acc = sum(1.0 / (x + k) for k in range(8))
+    x = x + 8.0
+    inv2 = 1.0 / (x * x)
+    return np.log(x) - 0.5 / x - inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 / 252)) - acc
 
 
 _SLATER_COND_LIMIT = 1e6
+
+
+def _slater_reaches(r: int, y: np.ndarray) -> np.ndarray:
+    """Where Slater can condition G^{m,0}_{p,m}, r = m - p > 0: its terms cancel by
+    about 2^{1-r} e^{2 r y^{1/r}} (asymptotic (2 pi)^{1-r}, reflection pi^{r-1}), and
+    past that plus a margin of e^3 for the pre-asymptotic range it refuses every point."""
+    return 2.0 * r * y ** (1.0 / r) <= math.log(_SLATER_COND_LIMIT) + (r - 1) * math.log(2.0) + 3.0
 
 
 def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = ()):
@@ -405,10 +409,8 @@ def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float
     m = len(b)
     alpha = len(a)
     sign = 1.0 if (alpha - m) % 2 == 0 else -1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs((b[i] - b[j]) - round(b[i] - b[j])) < 1e-9:
-                return np.zeros_like(y), np.zeros(y.shape, dtype=bool)
+    if _integer_spaced_pairs(b):
+        return np.zeros_like(y), np.zeros(y.shape, dtype=bool)
     total = np.zeros_like(y)
     major = np.zeros_like(y)
     settled = np.ones(y.shape, dtype=bool)
@@ -463,56 +465,7 @@ def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float
     return total, ok
 
 
-def _contour_batch(
-    a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float = 1e-11
-) -> np.ndarray:
-    """Contour evaluation for many y, sharing one line per log-y bucket."""
-    out = np.empty_like(y)
-    ln = np.log(y)
-    keys = np.floor(ln / 0.7).astype(int)
-    for key in np.unique(keys):
-        sel = keys == key
-        ysel = y[sel]
-        yc = math.exp(float(np.median(ln[sel])))
-        vals = _contour_shared_line(a, b, ysel, yc, tol)
-        out[sel] = vals
-    return out
-
-
-def _saddle_line(a: list[float], b: list[float], y: float, tol: float) -> tuple[float, float]:
-    """(c, t_max) of the truncated Bromwich line Re s = c for G at y.
-
-    The line is placed at the saddle of the integrand (Newton on
-    sum psi(c+b) - sum psi(c+a) = ln y) but never left of
-    1.5 + max(-b_nu), so every gamma argument keeps a positive real part
-    and the integrand scale matches the result scale.  Decay along the
-    line is Gaussian (variance ~ c/m) before the asymptotic e^{-r pi t/2}
-    regime takes over; t_max is the first point of a geometric ladder
-    where |exp(phi)| has fallen by e^-(ln(1/tol) + 12) from t = 0.
-    """
-    r_eff = len(b) - len(a)
-    floor = 1.5 + max(0.0, -min(b))
-    c = max(floor, y ** (1.0 / r_eff) if y > 1.0 else floor)
-    for _ in range(40):
-        g = sum(_digamma(c + bv) for bv in b) - sum(_digamma(c + av) for av in a)
-        g -= math.log(y)
-        # psi'(x) ~ 1/x; crude but monotone Newton step
-        slope = sum(1.0 / (c + bv) for bv in b) - sum(1.0 / (c + av) for av in a)
-        if slope <= 0:
-            break
-        c_new = max(floor, c - g / slope)
-        if abs(c_new - c) < 1e-9 * max(1.0, c):
-            c = c_new
-            break
-        c = c_new
-    ladder = np.concatenate(([0.0], 1.1 ** np.arange(-20, 200)))
-    decay = _line_phi(a, b, c + 1j * ladder).real
-    past = decay - decay[0] < -(math.log(1.0 / tol) + 12.0)
-    return c, float(ladder[np.argmax(past) if past.any() else -1])
-
-
-# Rows of one bucket evaluated together on its shared line; bounds the
-# (rows x nodes) complex integrand instead of sizing it by the bucket.
+# Rows per block of the (rows x nodes) complex integrand, whatever the row count
 _CONTOUR_ROWS = 64
 
 # Trapezoid nodes on [0, t_max] of a line's first pass, and the cap at
@@ -531,63 +484,108 @@ def _line_phi(a, b, s: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _line_integral(a, b, c: float, t_max: float, lny: np.ndarray, tol: float):
-    """G at y = e^lny (a 1-d array) by the trapezoid rule on Re s = c.
+def _saddle_lines(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(c, t_max) of the truncated Bromwich lines Re s = c for G at each y.
 
-    G = (1/pi) Re int_0^t_max exp(phi(s) - s ln y) dt, s = c + i t.  The
-    t = 0 node takes half weight, so the sum is half the full-line
-    trapezoid sum, exponentially convergent on this analytic, even,
-    Gaussian-decaying integrand.  From 65 nodes the count doubles, with phi
-    and the integrand evaluated at the new odd nodes only; each row stops
-    once two successive counts agree to tol, or at _LINE_CAP nodes.
-    Returns (values, converged, last difference).
+    c is the saddle (Newton on sum psi(c+b) - sum psi(c+a) = ln y, all y at
+    once), never left of 1.5 + max(-b_nu), so every gamma argument keeps a
+    positive real part; t_max is the first point of a geometric ladder on
+    the line where |exp(phi)| has fallen by e^-(ln(1/tol) + 12) from t = 0.
     """
-    n, h = _LINE_START - 1, t_max / (_LINE_START - 1)
-    t = h * np.arange(n + 1)
-    total = np.zeros(lny.size)
-    diff = np.full(lny.size, math.inf)
-    active = np.arange(lny.size)
-    while True:
-        s = c + 1j * t
-        phi = _line_phi(a, b, s)
-        w = np.where(t == 0.0, 0.5 * h, h) / math.pi
-        prev = total[active]
-        for lo in range(0, active.size, _CONTOUR_ROWS):
-            idx = active[lo:lo + _CONTOUR_ROWS]
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                f = np.exp(phi[None, :] - lny[idx, None] * s[None, :]).real
-            total[idx] = 0.5 * total[idx] + np.where(np.isfinite(f), f, 0.0) @ w
-        if n > _LINE_START - 1:
-            diff[active] = np.abs(total[active] - prev)
-            done = diff[active] <= tol * np.maximum(np.abs(total[active]), 1e-280)
-            active = active[~done]
-        if active.size == 0 or n + 1 >= _LINE_CAP:
+    floor, lny = 1.5 + max(0.0, -min(b)), np.log(y)
+    c = np.maximum(floor, y ** (1.0 / (len(b) - len(a))))
+    live = np.ones(c.shape, dtype=bool)
+    for _ in range(40):
+        xb, xa = c[:, None] + np.array(b), c[:, None] + np.array(a)
+        g = _digamma(xb).sum(axis=1) - _digamma(xa).sum(axis=1) - lny
+        # psi'(x) ~ 1/x; crude but monotone Newton step
+        slope = (1.0 / xb).sum(axis=1) - (1.0 / xa).sum(axis=1)
+        live &= slope > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_new = np.where(live, np.maximum(floor, c - g / slope), c)
+        live &= np.abs(c_new - c) >= 1e-9 * np.maximum(1.0, c)
+        c = c_new
+        if not live.any():
             break
-        n, h = 2 * n, 0.5 * h
-        t = h * np.arange(1, n, 2)
-    return total, ~np.isin(np.arange(lny.size), active), diff
+    ladder = np.concatenate(([0.0], 1.1 ** np.arange(-20, 200)))
+    t_max, todo = np.full(c.shape, ladder[-1]), np.arange(c.size)
+    # in pieces of 64 points, the first of which ends every line of a moment grid
+    for lo in range(0, ladder.size, 64):
+        part = ladder[lo:lo + 64]
+        decay = _line_phi(a, b, c[todo, None] + 1j * part).real
+        top = decay[:, 0] if lo == 0 else top
+        past = decay - top[todo, None] < -(math.log(1.0 / tol) + 12.0)
+        hit = past.any(axis=1)
+        t_max[todo[hit]] = part[past[hit].argmax(axis=1)]
+        todo = todo[~hit]
+        if not todo.size:
+            break
+    return c, t_max
 
 
-def _contour_shared_line(a, b, ysel, y_center, tol):
-    """G at the points ysel from one Bromwich line, the saddle line of y_center.
+def _contour_batch(
+    a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float = 1e-11
+) -> np.ndarray:
+    """G^{m,0}_{p,m}(y | a; b), m > p, by converged trapezoid Bromwich lines.
 
-    Rows whose trapezoid sums do not settle there are recomputed on their
-    own saddle line; a row that still disagrees at _LINE_CAP nodes raises
-    NoConvergence.
+    Row i is (1/pi) Re int_0^t_max exp(phi(s) - s ln y_i) dt on the line
+    s = c + i t of its log-y bucket (width 0.7, at its median), a trapezoid
+    sum with half weight at t = 0.  Each line starts at 65 nodes and
+    doubles, phi evaluated once per (line x new node); rows add their
+    integrand in blocks of _CONTOUR_ROWS until two counts agree to tol.  All
+    lines take their first two counts together, then the lowest unsettled
+    line doubles alone, so a failing call runs one line to the cap.  A row
+    unsettled at _LINE_CAP nodes moves to its own saddle line, ranked right
+    after its bucket, and raises NoConvergence if it fails there too.
     """
-    lny = np.log(ysel)
-    c, t_max = _saddle_line(a, b, y_center, tol)
-    vals, ok, _ = _line_integral(a, b, c, t_max, lny, tol)
-    for i in np.nonzero(~ok)[0]:
-        c, t_max = _saddle_line(a, b, float(ysel[i]), tol)
-        v, ok_i, diff = _line_integral(a, b, c, t_max, lny[i:i + 1], tol)
-        if not ok_i[0]:
+    lny = np.log(y)
+    _, line, count = np.unique(np.floor(lny / 0.7), return_inverse=True, return_counts=True)
+    srt, first = np.sort(lny), np.cumsum(count) - count  # buckets are runs of srt
+    median = 0.5 * (srt[first + (count - 1) // 2] + srt[first + count // 2])
+    c, t_max = _saddle_lines(a, b, np.exp(median), tol)
+    rank = np.arange(count.size) * (y.size + 1)
+    level = np.full(count.size, -1)
+    total, diff, active = np.zeros(y.size), np.full(y.size, math.inf), np.ones(y.size, dtype=bool)
+    while active.any():
+        busy = np.unique(line[active])
+        low = level[busy].min()
+        step = busy[level[busy] == low] if low < 1 else busy[[np.argmin(rank[busy])]]
+        level[step] += 1
+        n = (_LINE_START - 1) << level[step[0]]
+        j = np.arange(1.0, n, 2.0) if low >= 0 else np.arange(n + 1.0)
+        h = t_max[step] / n
+        s = c[step, None] + 1j * (h[:, None] * j)
+        phi = _line_phi(a, b, s)
+        w = np.where(j == 0.0, 0.5, 1.0) / math.pi
+        rows = np.nonzero(active & np.isin(line, step))[0]
+        prev = total[rows]
+        for lo in range(0, rows.size, _CONTOUR_ROWS):
+            idx = rows[lo:lo + _CONTOUR_ROWS]
+            k = np.searchsorted(step, line[idx])
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                f = np.exp(phi[k] - lny[idx, None] * s[k]).real
+            part = (np.where(np.isfinite(f), f, 0.0) @ w) * h[k]
+            total[idx] = 0.5 * total[idx] + part if low >= 0 else part
+        if low < 0:
+            continue
+        diff[rows] = np.abs(total[rows] - prev)
+        active[rows] = diff[rows] > tol * np.maximum(np.abs(total[rows]), 1e-280)
+        stuck = rows[active[rows]]
+        if n + 1 < _LINE_CAP or not stuck.size:
+            continue
+        failed = stuck[line[stuck] >= count.size]
+        if failed.size:
+            i = failed[np.argmin(rank[line[failed]])]
             raise NoConvergence(
-                f"Bromwich contour at y = {ysel[i]:.6g} did not settle in {_LINE_CAP} "
-                f"nodes: last difference {diff[0]:.3e} on {v[0]:.6g}"
+                f"Bromwich contour at y = {y[i]:.6g} did not settle in {_LINE_CAP} "
+                f"nodes: last difference {diff[i]:.3e} on {total[i]:.6g}"
             )
-        vals[i] = v[0]
-    return vals
+        c_own, t_own = _saddle_lines(a, b, y[stuck], tol)
+        rank = np.concatenate((rank, rank[line[stuck]] + 1 + stuck))
+        line[stuck] = c.size + np.arange(stuck.size)
+        c, t_max = np.concatenate((c, c_own)), np.concatenate((t_max, t_own))
+        level = np.concatenate((level, np.full(stuck.size, -1)))
+    return total
 
 
 def _m0_leading_small_y(
@@ -652,12 +650,17 @@ def g_general_vec(
 
     Slater expansion while it conditions well, eps-split Slater for
     integer-coincident lower parameters, converged trapezoid Bromwich
-    lines (one per log-y bucket, see _contour_shared_line) elsewhere, and
-    the leading power at extreme small y where contours overflow.
+    lines elsewhere (_contour_batch: one line per log-y bucket, all lines
+    in a few whole-array passes), and the leading power at extreme small y
+    where contours overflow.  For r = m - alpha > 0 Slater is not run
+    where it would refuse every point (_slater_reaches).
     """
     y = np.asarray(y, dtype=float)
     a = [float(v) for v in a]
     b = [float(v) for v in b]
+    r = len(b) - len(a)
+    reach = _slater_reaches(r, y) if r > 0 else np.ones(y.shape, dtype=bool)
+    vals, ok = np.zeros_like(y), np.zeros(y.shape, dtype=bool)
     if _integer_spaced_pairs(b):
         delta = 1e-6
         bp, bm = list(b), list(b)
@@ -666,28 +669,24 @@ def g_general_vec(
                 if abs((b[i] - b[j]) - round(b[i] - b[j])) < 1e-9:
                     bp[i] = b[i] + delta * (1 + i)
                     bm[i] = b[i] - delta * (1 + i)
-        vp, okp = _slater_vec(bp, y, min(tol, 1e-13), a)
-        vm, okm = _slater_vec(bm, y, min(tol, 1e-13), a)
-        vals = 0.5 * (vp + vm)
-        ok = okp & okm
+        vp, okp = _slater_vec(bp, y[reach], min(tol, 1e-13), a)
+        vm, okm = _slater_vec(bm, y[reach], min(tol, 1e-13), a)
+        vals[reach] = 0.5 * (vp + vm)
+        ok[reach] = okp & okm
     else:
-        vals, ok = _slater_vec(b, y, min(tol, 1e-13), a)
-    if not ok.all():
-        vals = np.array(vals)
-        tiny = ~ok & (y < 1e-60)
-        if tiny.any():
-            vals[tiny] = _m0_leading_small_y(b, y[tiny], a)
-        rest = ~ok & ~tiny
-        if rest.any():
-            if len(a) >= len(b):
-                raise DomainError(
-                    f"Slater refused {int(rest.sum())} of {y.size} points of "
-                    f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the contour needs m > p"
-                )
-            vals[rest] = _contour_batch(a, b, y[rest], tol)
+        vals[reach], ok[reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a)
+    tiny = ~ok & (y < 1e-60)
+    if tiny.any():
+        vals[tiny] = _m0_leading_small_y(b, y[tiny], a)
+    rest = ~ok & ~tiny
+    if rest.any():
+        if r <= 0:
+            raise DomainError(
+                f"Slater refused {int(rest.sum())} of {y.size} points of "
+                f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the contour needs m > p"
+            )
+        vals[rest] = _contour_batch(a, b, y[rest], tol)
     return vals
-
-
 
 
 class _Kernel:
@@ -854,6 +853,8 @@ class _ConvolvedKernel(_Kernel):
         self.inner = inner
         self.tol = tol
         self.support_end = inner.support_end
+        # the lists of the whole G, whose Mellin transform is the product
+        self.a, self.b = outer.a + getattr(inner, "a", []), outer.b + inner.b
 
     def _integrand(self, t, dl, dr, y):
         # dl = t - lo and dr = 1 - t are exact tanh-sinh offsets
@@ -880,6 +881,12 @@ class _ConvolvedKernel(_Kernel):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = (x > 0) & (x < self.support_end)
+        # at subnormal y, u = y t keeps a few bits and the rows cannot
+        # settle; g_general_vec evaluates the whole G there
+        sub = pos & (x < np.finfo(float).tiny)
+        if sub.any():
+            out[sub] = g_general_vec(self.a, self.b, x[sub])
+        pos &= ~sub
         if pos.any():
             y = x[pos]
             lo = y if self.support_end == 1.0 else 0.0

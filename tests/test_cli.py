@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,16 @@ class TestDataCommands:
         assert code == 0
         assert "k,target,integral,rel_error" in out
         assert ", passed = True, max_quad_err = " in out.splitlines()[-1]
+
+    def test_moments_where_y_to_the_k_overflows(self):
+        # y^60 overflows on the (0, inf) grid before the alpha = 0 weight
+        # decays; B(60) ~ 3e164 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(["moments", "--lambda", "2", "--alpha", "3,-3", "--k-max", "60"])
+        assert code == 0
+        assert out.splitlines()[-1].startswith("# max_rel_error = ")
+        assert ", passed = True, " in out.splitlines()[-1]
 
     def test_resolution(self):
         code, out, _ = run_cli(

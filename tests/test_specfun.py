@@ -22,10 +22,9 @@ from clext.errors import (
     PoleInDenominator,
 )
 from clext import specfun
-from clext.measures import mellin_lists
+from clext.measures import mellin_lists, positivity_condition, weight_function
 from clext.specfun import (
     _contour_batch,
-    _contour_shared_line,
     _slater_vec,
     bessel_i,
     bessel_k_vec,
@@ -34,6 +33,7 @@ from clext.specfun import (
     m0_eval_vec,
     pfq,
 )
+from conftest import random_valid_params
 
 mp.mp.dps = 30
 
@@ -278,10 +278,79 @@ class TestMeijerG:
 
     def test_contour_row_that_never_settles_raises(self, monkeypatch):
         # with the node cap at 129 the trapezoid sums cannot agree to 1e-16:
-        # the row fails on the bucket line and on its own saddle line
+        # the row fails on its bucket's line and on its own saddle line
         monkeypatch.setattr(specfun, "_LINE_CAP", 129)
         with pytest.raises(NoConvergence, match=r"y = 40 .* 129 nodes: last difference"):
-            _contour_shared_line([], [0.0, 1 / 3, 0.9], np.array([40.0]), 50.0, 1e-16)
+            _contour_batch([], [0.0, 1 / 3, 0.9], np.array([40.0, 50.0]), 1e-16)
+
+    def test_failing_evaluation_takes_one_line_to_the_cap(self, monkeypatch):
+        # the lambda = 5 alpha = 0 list whose line floor sits far right of the
+        # saddle below y ~ 1e-5: no bucket settles, yet only the lowest
+        # bucket's line and its first row's own line run to the cap
+        shapes = []
+        line_phi = specfun._line_phi
+        monkeypatch.setattr(
+            specfun, "_line_phi", lambda a, b, s: shapes.append(s.shape) or line_phi(a, b, s)
+        )
+        y = np.geomspace(1e-21, 1e-6, 60)
+        with pytest.raises(NoConvergence, match=r"y = 1e-21 did not settle in 16385 nodes"):
+            _contour_batch([], [0.0, 0.5, 0.5, 0.5, 0.5], y)
+        assert sum(n for n, width in shapes if width == (specfun._LINE_CAP - 1) // 2) == 2
+
+    def test_lgamma_calls_do_not_grow_with_buckets(self, monkeypatch):
+        # one saddle solve, one ladder piece and one pass per trapezoid level
+        # for all lines: 1 bucket and 17 buckets make the same calls
+        calls = []
+        lgamma = specfun.lgamma_complex
+        monkeypatch.setattr(specfun, "lgamma_complex", lambda z: calls.append(z.size) or lgamma(z))
+        counts = []
+        for hi in (15.0, 1e6):
+            calls.clear()
+            y = np.geomspace(12.0, hi, 200)
+            _contour_batch([], [0.0, 1 / 3, 0.9], y)
+            counts.append(len(calls))
+        assert len(np.unique(np.floor(np.log(y) / 0.7))) == 17
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("lam, beta_bar", [(3, [4 / 3, 2 / 3]), (4, [1.25, 1.75, 1.5])])
+    def test_contour_rows_of_a_moment_grid(self, lam, beta_bar):
+        # every row of the alpha = 0 moment grid that Slater refuses, in one
+        # call (one line per log-y bucket); both ends of each bucket
+        # against meijerg
+        p = params_from_beta_bar(lam, beta_bar)
+        w = weight_function(p, 0, 0)
+        w._ensure_grid(8.0)
+        _, b = mellin_lists(p, 0, 0)
+        y = np.unique(w._grid.y)
+        _, ok = _slater_vec(b, y, 1e-13)
+        y = y[~ok & (y >= 1e-60)]
+        vals = _contour_batch([], b, y)
+        keys = np.floor(np.log(y) / 0.7)
+        assert len(np.unique(keys)) >= 10
+        for key in np.unique(keys):
+            for i in np.nonzero(keys == key)[0][[0, -1]]:
+                ref = float(mp.meijerg([[], []], [b, []], y[i]))
+                assert vals[i] == pytest.approx(ref, rel=1e-11)
+
+    def test_subnormal_rows_skip_the_quadrature(self, monkeypatch):
+        # lambda = 3 (mu, alpha) = (0, 1): at y = 1.7e-322 u = y t keeps a few
+        # bits, and the row ran to the tanh-sinh node cap
+        p = params_from_beta_bar(3, [4 / 3, 2 / 3])
+        a, b = mellin_lists(p, 0, 1)
+        kernel = build_convolution_kernel(a, b, positivity_condition(p, 0, 1).pairing)
+        rows = []
+        tanh_sinh = specfun.tanh_sinh
+
+        def recorded(*args, **kw):
+            rows.append(kw["params"][0])
+            return tanh_sinh(*args, **kw)
+
+        monkeypatch.setattr(specfun, "tanh_sinh", recorded)
+        y = np.array([1.72922976e-322, 5e-324, 1e-300])
+        vals = kernel(y)
+        assert np.concatenate(rows).tolist() == [1e-300]
+        for v, t in zip(vals, y):
+            assert v == pytest.approx(float(mp.meijerg([[], a], [b, []], mp.mpf(t))), rel=1e-12)
 
     def test_convolution_kernel_positive(self):
         kern = build_convolution_kernel([0.5], [0.0, 0.2, -0.4], pairing=[1])
@@ -310,3 +379,19 @@ def test_contour_sweep(case):
     with mp.workdps(30):
         ref = float(mp.meijerg([[], []], [b, []], y))
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_slater_prescreen_skips_only_refused_points():
+    # every point g_general_vec keeps from Slater is one Slater refuses, for
+    # the alpha = 0 lists of lambda = 3..6 with beta_bar in (0.08, 2.5)
+    rng = np.random.default_rng(20261018)
+    y = np.geomspace(0.5, 1e4, 300)
+    for lam in (3, 4, 5, 6):
+        for _ in range(25):
+            p = random_valid_params(rng, lam)
+            for mu in range(lam):
+                a, b = mellin_lists(p, mu, 0)
+                skip = ~specfun._slater_reaches(len(b) - len(a), y)
+                assert skip.any()
+                _, ok = _slater_vec(b, y[skip], 1e-13, a)
+                assert not ok.any(), (lam, mu, b, y[skip][ok])
