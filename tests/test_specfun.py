@@ -6,13 +6,14 @@ simple identities were computed from the stated closed forms.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clext import params_from_beta_bar
 from clext.errors import (
@@ -22,9 +23,16 @@ from clext.errors import (
     PoleInDenominator,
 )
 from clext import specfun
-from clext.measures import mellin_lists, positivity_condition, weight_function
+from clext.measures import (
+    PositivityCertificate,
+    mellin_lists,
+    positivity_condition,
+    weight_function,
+)
 from clext.specfun import (
     _contour_batch,
+    _expansion_vec,
+    _polygamma,
     _slater_vec,
     bessel_i,
     bessel_k_vec,
@@ -278,10 +286,12 @@ class TestMeijerG:
 
     def test_contour_row_that_never_settles_raises(self, monkeypatch):
         # with the node cap at 129 the trapezoid sums cannot agree to 1e-16:
-        # the row fails on its bucket's line and on its own saddle line
+        # below the saddle's reach the line floor leaves a truncation
+        # difference near 1e-9, so both rows fail on their bucket's line and
+        # on their own saddle lines, and the first is named
         monkeypatch.setattr(specfun, "_LINE_CAP", 129)
-        with pytest.raises(NoConvergence, match=r"y = 40 .* 129 nodes: last difference"):
-            _contour_batch([], [0.0, 1 / 3, 0.9], np.array([40.0, 50.0]), 1e-16)
+        with pytest.raises(NoConvergence, match=r"y = 1e-05 .* 129 nodes: last difference"):
+            _contour_batch([], [0.0, 1 / 3, 0.9], np.array([1e-5, 1.2e-5]), 1e-16)
 
     def test_failing_evaluation_takes_one_line_to_the_cap(self, monkeypatch):
         # the lambda = 5 alpha = 0 list whose line floor sits far right of the
@@ -352,6 +362,81 @@ class TestMeijerG:
         for v, t in zip(vals, y):
             assert v == pytest.approx(float(mp.meijerg([[], a], [b, []], mp.mpf(t))), rel=1e-12)
 
+    def test_polygamma_against_scipy(self):
+        x = np.geomspace(1e-3, 1e4, 500)
+        for n in (0, 1):
+            ref = sp.polygamma(n, x)
+            assert np.abs(_polygamma(n, x) - ref).max() <= 4e-15 * np.abs(ref).max()
+            assert np.abs(_polygamma(n, x) / ref - 1.0).max() < (3e-13 if n == 0 else 2e-15)
+
+    @pytest.mark.parametrize("a, b", [((), (0.0, 0.3, 0.2)), ((0.5,), (0.0, 0.3, 0.2, -0.1))])
+    def test_infinite_y_is_an_exact_zero(self, monkeypatch, a, b):
+        # G ~ e^{-s y^{1/s}}: y = inf returns 0 before any route runs, with
+        # no floating-point warning
+        calls = []
+        monkeypatch.setattr(specfun, "_contour_batch", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = g_general_vec(a, b, np.array([np.inf, np.inf]))
+            kernel = m0_eval_vec(b, np.array([np.inf])) if not a else np.zeros(1)
+        assert vals.tolist() == [0.0, 0.0] and kernel.tolist() == [0.0]
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "lam, beta_bar, exact",
+        [
+            (3, [4 / 3, 2 / 3], True),
+            (4, [1.25, 1.75, 1.5], True),
+            (3, [4 / 3 + 0.015, 2 / 3 - 0.01], False),
+            (4, [1.257, 1.746, 1.509], False),
+        ],
+    )
+    def test_contour_serves_only_the_band_below_the_expansion(
+        self, monkeypatch, lam, beta_bar, exact
+    ):
+        # the alpha = 0 moment grids of test_contour_rows_of_a_moment_grid and
+        # jittered ones: every point Slater refuses above the expansion's
+        # reach goes to the expansion.  The exact lists are equally spaced
+        # (Gauss multiplication makes G a pure e^{-m y^{1/m}} y^c), so every
+        # M_k, k >= 1, vanishes and the contour gets nothing.
+        p = params_from_beta_bar(lam, beta_bar)
+        w = weight_function(p, 0, 0)
+        w._ensure_grid(8.0)
+        _, b = mellin_lists(p, 0, 0)
+        y = np.unique(w._grid.y)
+        rows = []
+        contour = specfun._contour_batch
+        monkeypatch.setattr(
+            specfun, "_contour_batch", lambda a, b, y, tol: rows.append(y) or contour(a, b, y, tol)
+        )
+        vals = g_general_vec([], b, y)
+        _, slater_ok = _slater_vec(b, y, 1e-13)
+        _, ok = _expansion_vec([], b, y, 1e-11)
+        reach = y[ok].min()
+        assert not (~ok & (y > reach)).any()
+        got = np.concatenate(rows) if rows else np.zeros(0)
+        assert (~slater_ok & (y >= 1e-60)).sum() > 200
+        if exact:
+            assert got.size == 0
+        else:
+            assert 100.0 < reach < 500.0
+            assert 10 <= got.size <= 40 and got.max() < reach
+        for i in np.nonzero(ok & ~slater_ok)[0][[0, -1]]:
+            ref = float(mp.meijerg([[], []], [b, []], y[i]))
+            assert vals[i] == pytest.approx(ref, rel=1e-11)
+
+    def test_table_evaluates_past_its_end(self):
+        # above x_hi = (80/m)^m the r >= 3 inner table hands x to m0_eval_vec
+        # (the large-y expansion there) instead of returning 0
+        b = [0.0, 0.3, -0.2]
+        kernel = specfun._TabulatedM0Kernel(b)
+        x = np.array([1.5, 10.0, np.inf]) * kernel.x_hi
+        vals = kernel(x)
+        assert vals.tolist() == m0_eval_vec(b, x).tolist()
+        assert vals[0] > 0.0 and vals[2] == 0.0
+        for v, t in zip(vals[:2], x[:2]):
+            assert v == pytest.approx(float(mp.meijerg([[], []], [b, []], t)), rel=1e-11)
+
     def test_convolution_kernel_positive(self):
         kern = build_convolution_kernel([0.5], [0.0, 0.2, -0.4], pairing=[1])
         vals = kern(np.array([0.1, 1.0, 4.0]))
@@ -379,6 +464,42 @@ def test_contour_sweep(case):
     with mp.workdps(30):
         ref = float(mp.meijerg([[], []], [b, []], y))
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+@st.composite
+def expansion_cases(draw):
+    """(a, b, y): a certified Mellin list of lambda <= 8 with s = m - p >= 1,
+    a third of them with every beta_bar equal, so that the lower
+    parameters coincide (b = (0, 1/2, 1/2, 1/2) at lambda = 4, beta_bar =
+    1.5), and y log-uniform from the expansion's reach to s y^{1/s} = 350,
+    where G ~ 1e-152.  Above that meijerg at dps 30 takes seconds a point
+    and fails to converge on lists with a five-fold lower parameter."""
+    lam = draw(st.integers(2, 8))
+    alpha = draw(st.integers(0, (lam - 1) // 2))
+    bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
+    if draw(st.integers(0, 2)) == 0:
+        bb = [draw(st.sampled_from([0.5, 1.25, 1.5, 1.75]))] * (lam - 1)
+    p = params_from_beta_bar(lam, bb)
+    mu = draw(st.integers(0, lam - 1))
+    assume(isinstance(positivity_condition(p, mu, alpha), PositivityCertificate))
+    a, b = mellin_lists(p, mu, alpha)
+    s = lam - 2 * alpha
+    grid = np.geomspace(1e-2, (350.0 / s) ** s, 400)
+    _, ok = _expansion_vec(a, b, grid, 1e-11)
+    lo, hi = math.log(grid[ok].min()), math.log(grid[-1])
+    return a, b, math.exp(lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(expansion_cases())
+def test_expansion_sweep(case):
+    # every point the large-y expansion accepts is within 1e-11 of meijerg
+    a, b, y = case
+    val, ok = _expansion_vec(a, b, np.array([y]), 1e-11)
+    assume(ok[0])
+    with mp.workdps(30):
+        ref = float(mp.meijerg([[], a], [b, []], y))
+    assert float(val[0]) == pytest.approx(ref, rel=1e-11)
 
 
 def test_slater_prescreen_skips_only_refused_points():
