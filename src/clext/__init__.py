@@ -1,6 +1,6 @@
 """Numerical toolkit for the C_lambda-extended oscillator.
 
-Subpackages cover the truncated-matrix algebra, both coherent-state
+Subpackages cover the banded truncated algebra, both coherent-state
 families, the moment-problem weight functions with their unity
 resolutions, Bargmann-space operator realizations, and photon-statistics
 and squeezing observables, plus a CSV-emitting command line front end.

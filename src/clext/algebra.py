@@ -1,11 +1,13 @@
-"""Parameter validation and truncated-matrix realization of the algebra.
+"""Parameter validation and banded truncated realization of the algebra.
 
 The C_lambda-extended oscillator is fixed by lambda >= 2 and real
 parameters alpha_0..alpha_{lambda-1} with sum zero and partial sums
-beta_mu = sum_{nu<mu} alpha_nu > -mu.  All operators act on the number
-basis |0>..|K-1> as dense complex matrices; band formulas use exact
-structure-function values so only the last lambda rows/columns of any
-identity are corrupted by truncation.
+beta_mu = sum_{nu<mu} alpha_nu > -mu.  Every generator shifts the Fock
+level by a fixed amount (a, adag by one, J+- by lambda, the rest not at
+all), so on the number basis |0>..|K-1> each is one real band, and
+products and matvecs cost O(K).  Bands use exact structure-function
+values, so only the last lambda levels of any identity are corrupted by
+truncation.
 """
 
 from __future__ import annotations
@@ -117,83 +119,104 @@ def structure_function(params: AlgebraParams, n):
     return n + params.beta_at(n)
 
 
-def energy_eigenvalue(params: AlgebraParams, n: int) -> float:
-    """E_n = n + gamma_{n mod lambda} + 1/2."""
-    return n + params.gamma(n % params.lam) + 0.5
+def energy_eigenvalue(params: AlgebraParams, n):
+    """E_n = n + gamma_{n mod lambda} + 1/2; n is one level or an integer array of levels."""
+    gamma = np.array([params.gamma(mu) for mu in range(params.lam)])
+    return n + gamma[n % params.lam] + 0.5
+
+
+def _shifted(v: np.ndarray, s: int) -> np.ndarray:
+    """w[n] = v[n + s], zero where n + s falls outside v."""
+    w = np.zeros_like(v)
+    k = len(v) - abs(s)
+    if k > 0:
+        w[max(0, -s):max(0, -s) + k] = v[max(0, s):max(0, s) + k]
+    return w
 
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense complex matrix on |0>..|K-1| with frozen entries."""
+    """One band on |0>..|K-1>: op[n, n + offset] = band[n].
+
+    band is real, of length dim, and zero where n + offset falls outside
+    the truncation.  A @ B is the band product (offsets add), A @ c the
+    O(K) matvec, and A - B needs equal offsets.
+    """
 
     dim: int
-    entries: np.ndarray = field(repr=False)
+    offset: int
+    band: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        self.band.setflags(write=False)
 
-    def commutator(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        e = self.entries @ other.entries - other.entries @ self.entries
-        return TruncatedOperator(self.dim, e)
+    def __matmul__(self, other):
+        if isinstance(other, TruncatedOperator):
+            if other.dim != self.dim:
+                raise ShapeError(f"dims differ: {self.dim} and {other.dim}")
+            return TruncatedOperator(
+                self.dim, self.offset + other.offset, self.band * _shifted(other.band, self.offset)
+            )
+        c = np.asarray(other)
+        if c.shape != (self.dim,):
+            raise ShapeError(f"need a vector of length {self.dim}, got shape {c.shape}")
+        return self.band * _shifted(c, self.offset)
 
-    def interior(self, margin: int) -> np.ndarray:
-        """Leading (dim-margin) x (dim-margin) block, where band formulas are exact."""
-        k = self.dim - margin
-        return self.entries[:k, :k]
+    def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":
+        if (other.dim, other.offset) != (self.dim, self.offset):
+            raise ShapeError(
+                f"cannot subtract offset {other.offset} (dim {other.dim}) "
+                f"from offset {self.offset} (dim {self.dim})"
+            )
+        return TruncatedOperator(self.dim, self.offset, self.band - other.band)
 
 
 def build_operator(
     params: AlgebraParams, kind: str, dim: int, mu: int | None = None
 ) -> TruncatedOperator:
-    """Realize one generator as a K x K matrix on the number basis.
+    """Realize one generator as its band on the number basis |0>..|dim-1>.
 
-    a and adag carry sqrt(F) on the off-diagonal bands; H0, J0 use the
-    exact eigenvalues; Jplus/Jminus use the exact lambda-band products
-    of F values instead of powers of the truncated ladder matrices.
+    a and adag carry sqrt(F) one level off the diagonal; H0, J0 use the
+    exact eigenvalues; Jplus/Jminus use the exact products of lambda
+    consecutive F values instead of powers of the truncated ladders.
     """
     lam = params.lam
     if dim < lam:
         raise TruncationTooSmall(f"need dim >= lambda = {lam}, got {dim}")
     if kind not in OPERATOR_KINDS:
         raise ShapeError(f"unknown operator kind {kind!r}")
-    m = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(dim)
     if kind == "a":
-        for n in range(1, dim):
-            m[n - 1, n] = math.sqrt(structure_function(params, n))
-    elif kind == "adag":
-        for n in range(dim - 1):
-            m[n + 1, n] = math.sqrt(structure_function(params, n + 1))
-    elif kind == "N":
-        np.fill_diagonal(m, np.arange(dim))
+        return TruncatedOperator(dim, 1, _shifted(np.sqrt(structure_function(params, n)), 1))
+    if kind == "adag":
+        # F(0) = 0 leaves band[0] zero
+        return TruncatedOperator(dim, -1, np.sqrt(structure_function(params, n)))
+    if kind in ("Jplus", "Jminus"):
+        # v[n] = sqrt(F(n+1) .. F(n+lam)) / lam links n and n + lam
+        v = np.sqrt(np.prod(structure_function(params, n[:, None] + np.arange(1, lam + 1)),
+                            axis=1)) / lam
+        v[dim - lam:] = 0.0
+        if kind == "Jminus":
+            return TruncatedOperator(dim, lam, v)
+        return TruncatedOperator(dim, -lam, _shifted(v, -lam))
+    if kind == "N":
+        diag = n.astype(float)
     elif kind == "P":
         if mu is None:
             raise ShapeError("P requires a sector index mu")
-        for n in range(dim):
-            if n % lam == mu % lam:
-                m[n, n] = 1.0
+        diag = (n % lam == mu % lam).astype(float)
     elif kind == "H0":
-        for n in range(dim):
-            m[n, n] = energy_eigenvalue(params, n)
-    elif kind == "J0":
-        for n in range(dim):
-            m[n, n] = energy_eigenvalue(params, n) / lam
-    elif kind in ("Jplus", "Jminus"):
-        for n in range(dim - lam):
-            prod = 1.0
-            for j in range(1, lam + 1):
-                prod *= structure_function(params, n + j)
-            v = math.sqrt(prod) / lam
-            if kind == "Jplus":
-                m[n + lam, n] = v
-            else:
-                m[n, n + lam] = v
-    return TruncatedOperator(dim, m)
+        diag = energy_eigenvalue(params, n)
+    else:
+        diag = energy_eigenvalue(params, n) / lam
+    return TruncatedOperator(dim, 0, diag)
 
 
-def sga_structure_poly(params: AlgebraParams, j0: float, mu: int) -> float:
+def sga_structure_poly(params: AlgebraParams, j0, mu: int):
     """[J+, J-] eigenvalue polynomial f(J0, P_mu) on sector mu at J0 = j0.
 
-    Degree lambda-1 in j0; alpha indices wrap cyclically.
+    Degree lambda-1 in j0; alpha indices wrap cyclically.  j0 is one
+    value or an array of them.
     """
     lam = params.lam
     if not 0 <= mu < lam:
@@ -218,7 +241,7 @@ def sga_structure_poly(params: AlgebraParams, j0: float, mu: int) -> float:
     def t(count: int) -> float:
         prod = 1.0
         for l in range(count):
-            prod *= x + w(l)
+            prod = prod * (x + w(l))
         return prod
 
     total = t(lam - 1)
@@ -226,9 +249,9 @@ def sga_structure_poly(params: AlgebraParams, j0: float, mu: int) -> float:
     for i in range(1, lam):
         prod = head
         for j in range(1, i):
-            prod *= x + v(j)
-        prod *= t(lam - i - 1)
-        total += prod
+            prod = prod * (x + v(j))
+        prod = prod * t(lam - i - 1)
+        total = total + prod
     return -total / lam
 
 

@@ -433,20 +433,21 @@ def check_commutators(params: AlgebraParams, basis: str, k_max: int = 10) -> lis
                         return apply_realization(params, "sector", op, f, alpha=alpha)
 
                     for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
-                        lhs = ap("J0", ap(qop, zk)).coeffs
+                        q_zk = ap(qop, zk)
+                        lhs = ap("J0", q_zk).coeffs
                         rhs = ap(qop, ap("J0", zk)).coeffs
-                        n = max(len(lhs), len(rhs))
-                        lhs = np.pad(lhs, (0, n - len(lhs)))
-                        rhs = np.pad(rhs, (0, n - len(rhs)))
-                        expect = sgn * ap(qop, zk).coeffs
-                        expect = np.pad(expect, (0, n - len(expect)))
+                        # lhs - rhs - sgn q_zk, the shorter ones zero-extended
+                        diff = np.zeros(max(len(lhs), len(rhs)), dtype=complex)
+                        diff[: len(lhs)] += lhs
+                        diff[: len(rhs)] -= rhs
+                        diff[: len(q_zk.coeffs)] -= sgn * q_zk.coeffs
                         scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
                         rows.append(
                             CommutatorRow(
                                 f"sector(mu={mu},alpha={alpha})",
                                 f"[J0,{qop}]",
                                 k,
-                                float(np.abs(lhs - rhs - expect).max()) / scale,
+                                float(np.abs(diff).max()) / scale,
                             )
                         )
                     comm = ap("Jplus", ap("Jminus", zk)).coeffs[k] - ap(
@@ -500,12 +501,12 @@ def intertwining_residual(
     alpha: int = 0,
     mu_op: int | None = None,
 ) -> float:
-    """max |transform(op_matrix psi) - op_B transform(psi)| on coefficients."""
+    """max |transform(op psi) - op_B transform(psi)| on coefficients, op as its band."""
     lam = params.lam
     kind = {"Jplus": "Jplus", "Jminus": "Jminus", "J0": "J0", "N": "N", "a": "a", "adag": "adag", "P": "P"}[op]
     mat = build_operator(params, kind, psi.dim, mu=mu_op)
     mapped = StateVector(
-        psi.dim, mat.entries @ psi.coeffs, psi.norm_sq_analytic, psi.tail_bound, False
+        psi.dim, mat @ psi.coeffs, psi.norm_sq_analytic, psi.tail_bound, False
     )
     lhs = bargmann_transform(params, mapped, basis, mu=mu, alpha=alpha)
     rhs = apply_realization(params, basis, op, bargmann_transform(params, psi, basis, mu=mu, alpha=alpha), alpha=alpha, mu_op=mu_op)

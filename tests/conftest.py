@@ -23,6 +23,15 @@ def undeformed2():
     return validate_params(2, (0.0, 0.0))
 
 
+def dense(op):
+    """The dim x dim matrix of a band operator: op[n, n + offset] = band[n]."""
+    m = np.zeros((op.dim, op.dim))
+    n = np.arange(op.dim)
+    inside = (n + op.offset >= 0) & (n + op.offset < op.dim)
+    m[n[inside], n[inside] + op.offset] = op.band[inside]
+    return m
+
+
 def random_valid_params(rng, lam):
     """Random admissible parameter set: beta_bar_mu drawn in (0.08, 2.5)."""
     tail = rng.uniform(0.08, 2.5, size=lam - 1)

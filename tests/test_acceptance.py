@@ -50,7 +50,7 @@ from clext.states import (
     eigenstate_norm,
     norm_series_cs_alpha,
 )
-from conftest import hausdorff_closed_form, random_valid_params
+from conftest import dense, hausdorff_closed_form, random_valid_params
 
 
 def _report(n, text):
@@ -64,17 +64,17 @@ def test_criterion_1_algebra_suite(rng):
         lam = (2, 3, 4)[i % 3]
         p = random_valid_params(rng, lam)
         interior = dim - lam
-        a = build_operator(p, "a", dim).entries
-        ad = build_operator(p, "adag", dim).entries
+        a = dense(build_operator(p, "a", dim))
+        ad = dense(build_operator(p, "adag", dim))
         comm = (a @ ad - ad @ a)[:interior, :interior]
         expect = np.diag([1.0 + p.alpha_at(n) for n in range(interior)])
         assert np.abs(comm - expect).max() < 1e-10
         for mu in range(lam):
-            pm = build_operator(p, "P", dim, mu=mu).entries
-            pm1 = build_operator(p, "P", dim, mu=mu + 1).entries
+            pm = dense(build_operator(p, "P", dim, mu=mu))
+            pm1 = dense(build_operator(p, "P", dim, mu=mu + 1))
             assert np.array_equal(ad @ pm, pm1 @ ad)
-        jp = build_operator(p, "Jplus", dim).entries
-        jm = build_operator(p, "Jminus", dim).entries
+        jp = dense(build_operator(p, "Jplus", dim))
+        jm = dense(build_operator(p, "Jminus", dim))
         commj = (jp @ jm - jm @ jp)[:interior, :interior]
         for n in range(interior):
             f = sga_structure_poly(p, energy_eigenvalue(p, n) / lam, n % lam)
@@ -95,14 +95,14 @@ def test_criterion_2_state_residuals(rng):
                 zmag = 0.9 if 2 * alpha == lam else 2.0
                 z = zmag * cmath.exp(1.1j)
                 st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), 64)
-                a = build_operator(p, "a", st.dim).entries
-                ad = build_operator(p, "adag", st.dim).entries
+                a = dense(build_operator(p, "a", st.dim))
+                ad = dense(build_operator(p, "adag", st.dim))
                 op = np.linalg.matrix_power(a, lam - alpha) - z * np.linalg.matrix_power(ad, alpha)
                 res = np.linalg.norm((op @ st.coeffs)[: st.dim - lam])
                 assert res < 1e-9 * math.sqrt(st.norm_sq())
         for z in (2.0 * cmath.exp(0.3j), 1.0 - 1.2j):
             st = eigenstate(p, z, 64)
-            a = build_operator(p, "a", st.dim).entries
+            a = dense(build_operator(p, "a", st.dim))
             res = np.linalg.norm((a @ st.coeffs - z * st.coeffs)[: st.dim - 1])
             assert res < 1e-9
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ from clext import (
     structure_function,
     validate_params,
 )
-from clext.algebra import log_fock_norms
+from clext.algebra import OPERATOR_KINDS, log_fock_norms
 from clext.errors import (
     NonFiniteParameter,
     PositivityViolation,
@@ -20,7 +20,7 @@ from clext.errors import (
     TruncationTooSmall,
     ZeroSumViolation,
 )
-from conftest import random_valid_params
+from conftest import dense, random_valid_params
 
 
 class TestValidate:
@@ -109,27 +109,67 @@ class TestOperators:
     def test_harmonic_a_matrix(self):
         p = validate_params(2, (0.0, 0.0))
         a = build_operator(p, "a", 4)
-        band = np.array([a.entries[n - 1, n] for n in range(1, 4)])
+        band = np.array([dense(a)[n - 1, n] for n in range(1, 4)])
         assert band == pytest.approx(np.sqrt([1.0, 2.0, 3.0]))
 
     def test_h0_diagonal_example(self):
         p = validate_params(2, (3, -3))
         h0 = build_operator(p, "H0", 4)
         expect = [energy_eigenvalue(p, n) for n in range(4)]
-        assert np.diag(h0.entries).real == pytest.approx(expect)
+        assert np.diag(dense(h0)).real == pytest.approx(expect)
         # E_{2k+mu} = 2k + mu + gamma_mu + 1/2
         assert expect[0] == pytest.approx(p.gamma(0) + 0.5)
 
     def test_jplus_band_structure(self, rng):
         p = random_valid_params(rng, 3)
         jp = build_operator(p, "Jplus", 9)
-        nz = np.argwhere(np.abs(jp.entries) > 0)
+        nz = np.argwhere(np.abs(dense(jp)) > 0)
         assert all(r - c == 3 for r, c in nz)
 
     def test_truncation_guard(self):
         p = validate_params(3, (3, -3, 0))
         with pytest.raises(TruncationTooSmall):
             build_operator(p, "a", 2)
+
+
+class TestBands:
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
+    def test_band_algebra_matches_dense(self, rng, lam):
+        p = random_valid_params(rng, lam)
+        for dim in (lam, lam + 1, 64):
+            ops = [build_operator(p, kind, dim) for kind in OPERATOR_KINDS if kind != "P"]
+            ops += [build_operator(p, "P", dim, mu=mu) for mu in range(lam)]
+            c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            for x in ops:
+                assert np.array_equal(x @ c, dense(x) @ c)
+                for y in ops:
+                    assert np.array_equal(dense(x @ y), dense(x) @ dense(y))
+
+    def test_shape_mismatches_raise(self, fig1_params):
+        a = build_operator(fig1_params, "a", 8)
+        for other in ("adag", "N", "Jplus"):
+            with pytest.raises(ShapeError):
+                a - build_operator(fig1_params, other, 8)
+        with pytest.raises(ShapeError):
+            a - build_operator(fig1_params, "a", 9)
+        with pytest.raises(ShapeError):
+            a @ build_operator(fig1_params, "a", 9)
+        with pytest.raises(ShapeError):
+            a @ np.ones(9)
+
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5])
+    def test_sga_poly_array_equals_scalar_calls(self, rng, lam):
+        p = random_valid_params(rng, lam)
+        for mu in range(lam):
+            j0 = np.array([energy_eigenvalue(p, n) / lam for n in range(mu, 40 * lam, lam)])
+            scalar = [sga_structure_poly(p, float(x), mu) for x in j0]
+            assert np.array_equal(sga_structure_poly(p, j0, mu), scalar)
+
+    def test_energy_array_equals_level_formula(self, rng):
+        p = random_valid_params(rng, 4)
+        levels = np.arange(50)
+        assert np.array_equal(energy_eigenvalue(p, levels),
+                              [n + p.gamma(n % 4) + 0.5 for n in range(50)])
 
 
 def _sample_params(rng, n_sets=20):
@@ -147,22 +187,22 @@ class TestMatrixIdentities:
         for p in _sample_params(rng):
             lam = p.lam
             dim = self.DIM
-            a = build_operator(p, "a", dim).entries
-            ad = build_operator(p, "adag", dim).entries
+            a = dense(build_operator(p, "a", dim))
+            ad = dense(build_operator(p, "adag", dim))
             interior = dim - lam
             comm = (a @ ad - ad @ a)[:interior, :interior]
             expect = np.diag([1.0 + p.alpha_at(n) for n in range(interior)])
             assert np.abs(comm - expect).max() < 1e-10
             for mu in range(lam):
-                pm = build_operator(p, "P", dim, mu=mu).entries
-                pm1 = build_operator(p, "P", dim, mu=mu + 1).entries
+                pm = dense(build_operator(p, "P", dim, mu=mu))
+                pm1 = dense(build_operator(p, "P", dim, mu=mu + 1))
                 assert np.array_equal(ad @ pm, pm1 @ ad)
 
     def test_number_products(self, rng):
         for p in _sample_params(rng, 6):
             dim = 32
-            a = build_operator(p, "a", dim).entries
-            ad = build_operator(p, "adag", dim).entries
+            a = dense(build_operator(p, "a", dim))
+            ad = dense(build_operator(p, "adag", dim))
             interior = dim - p.lam
             fn = np.diag([structure_function(p, n) for n in range(dim)])
             fn1 = np.diag([structure_function(p, n + 1) for n in range(dim)])
@@ -173,9 +213,9 @@ class TestMatrixIdentities:
         for p in _sample_params(rng, 8):
             lam = p.lam
             dim = self.DIM
-            jp = build_operator(p, "Jplus", dim).entries
-            jm = build_operator(p, "Jminus", dim).entries
-            j0 = build_operator(p, "J0", dim).entries
+            jp = dense(build_operator(p, "Jplus", dim))
+            jm = dense(build_operator(p, "Jminus", dim))
+            j0 = dense(build_operator(p, "J0", dim))
             interior = dim - lam
             assert np.abs((j0 @ jp - jp @ j0 - jp)[:interior, :interior]).max() < 1e-10
             assert np.abs((j0 @ jm - jm @ j0 + jm)[:interior, :interior]).max() < 1e-10

@@ -56,6 +56,19 @@ class TestVerify:
         assert code == 0
         assert "True" in out and "False" not in out
 
+    def test_algebra_sga_rows(self):
+        code, out, _ = run_cli(["verify", "algebra", "--lambda", "4", "--alpha", "5,-3,-2,0"])
+        assert code == 0
+        names = [line.rsplit(",", 2)[0] for line in out.splitlines()[1:]]
+        assert names == ["[a,adag] = 1 + sum alpha P", "adag P_mu = P_{mu+1} adag",
+                         "[J+,J-] = f(J0, P_mu)", "[J0,J+] = J+", "[J0,J-] = -J-"]
+
+    @pytest.mark.parametrize("k", ["3", "2"])
+    def test_algebra_truncation_too_small_exit2(self, k):
+        code, out, err = run_cli(["verify", "algebra", "--lambda", "3", "--alpha", "3,-3,0", "--k", k])
+        assert code == 2 and out == ""
+        assert err == f"error: verify algebra needs --k > lambda = 3, got {k}\n"
+
     def test_states_pass(self):
         code, out, _ = run_cli(["verify", "states", "--lambda", "2", "--alpha", "3,-3", "--k", "48"])
         assert code == 0

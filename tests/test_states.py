@@ -19,7 +19,7 @@ from clext.states import (
     overlap_cs_alpha,
     overlap_eigenstate,
 )
-from conftest import random_valid_params
+from conftest import dense, random_valid_params
 
 
 class TestSpecValidation:
@@ -52,8 +52,8 @@ class TestCsAlphaState:
     def test_defining_equation_residual_fig1(self, fig1_params):
         z = 1.0
         st = cs_alpha_state(CsAlphaSpec(fig1_params, 0, 1, z), 64)
-        a = build_operator(fig1_params, "a", 64).entries
-        ad = build_operator(fig1_params, "adag", 64).entries
+        a = dense(build_operator(fig1_params, "a", 64))
+        ad = dense(build_operator(fig1_params, "adag", 64))
         res = np.linalg.norm((a @ a @ st.coeffs - z * ad @ st.coeffs)[:60])
         assert res < 1e-9
 
@@ -65,8 +65,8 @@ class TestCsAlphaState:
                     zmag = 0.9 if 2 * alpha == lam else 2.0
                     z = zmag * cmath.exp(0.7j)
                     st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), 64)
-                    a = build_operator(p, "a", st.dim).entries
-                    ad = build_operator(p, "adag", st.dim).entries
+                    a = dense(build_operator(p, "a", st.dim))
+                    ad = dense(build_operator(p, "adag", st.dim))
                     op = np.linalg.matrix_power(a, lam - alpha) - z * np.linalg.matrix_power(ad, alpha)
                     res = np.linalg.norm((op @ st.coeffs)[: st.dim - lam])
                     assert res < 1e-9
@@ -162,7 +162,7 @@ class TestEigenstate:
     def test_eigen_residual(self, fig1_params):
         z = 1.3 - 0.4j
         st = eigenstate(fig1_params, z, 64)
-        a = build_operator(fig1_params, "a", 64).entries
+        a = dense(build_operator(fig1_params, "a", 64))
         res = np.linalg.norm((a @ st.coeffs - z * st.coeffs)[:63])
         assert res < 1e-9 * math.sqrt(st.norm_sq())
 
