@@ -7,7 +7,8 @@ r = 0) power-moment problem
 
     int y^k h(y) dy = B(k) = A * Gamma-ratio(k),
 
-solved by restricted Meijer G densities built through Mellin convolution.
+solved by restricted Meijer G densities: G^{m,0}_{alpha,m} evaluated
+directly for r > 0, and Norlund's (1 - y) series for r = 0.
 Positivity holds when the upper parameter list can be matched injectively
 below the lower list, which this module searches exhaustively.
 """
@@ -25,13 +26,7 @@ import numpy as np
 from .algebra import AlgebraParams, log_fock_norms
 from .errors import PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
-from .specfun import (
-    _ConvolvedKernel,
-    _NorlundKernel,
-    build_convolution_kernel,
-    g_general_vec,
-    m0_eval_vec,
-)
+from .specfun import _NorlundKernel, g_general_vec, m0_eval_vec
 
 
 # --------------------------------------------------------------------------
@@ -238,27 +233,26 @@ def weight_function(
     params: AlgebraParams,
     mu: int,
     alpha: int,
-    tol: float = 1e-10,
+    tol: float = 1e-11,
     require_positive: bool = True,
 ) -> WeightFunction:
     """Weight solving the (mu, alpha) moment problem.
 
-    Dispatch: alpha = 0 evaluates G^{m,0}_{0,m} directly (closed forms
-    for m <= 2, Slater / contour above); every other certified weight comes
-    from specfun.build_convolution_kernel along the certificate's pairing:
-    the Norlund (1 - y) series of all alpha pairs, which for r = 0 is the
-    Hausdorff weight G^{alpha,0}_{alpha,alpha} on (0, 1) and for r > 0 is
-    convolved once with G^{r,0}_{0,r} of the unpaired lower parameters,
-    whatever alpha.  An upper parameter equal to a lower one cancels with
-    it first, when the reduced lists still certify; with no upper one
-    left, the weight is G^{m,0}_{0,m} of the rest.  The form label names
-    the paper's closed form of the uncancelled weight (Beta power, Gauss
-    2F1, Appell F3, multiple series by alpha).
+    Dispatch: alpha = 0 evaluates G^{m,0}_{0,m} by m0_eval_vec (closed
+    forms for m <= 2); r = 0 is the Hausdorff weight G^{alpha,0}_{alpha,alpha}
+    on (0, 1), Norlund's (1 - y) series of the certificate's pairs
+    (specfun._NorlundKernel); r > 0 is G^{m,0}_{alpha,m} on (0, inf) by
+    g_general_vec (residue sum, contour, large-y expansion), whatever
+    alpha.  An upper parameter equal to a lower one cancels with it first,
+    when the reduced lists still certify; with no upper one left, the
+    weight is G^{m,0}_{0,m} of the rest.  The form label names the paper's
+    closed form of the uncancelled weight (Beta power, Gauss 2F1, Appell
+    F3, multiple series by alpha).  tol is the Meijer-G routes' tolerance.
 
     Without a positivity certificate the default is to refuse; passing
-    require_positive=False still returns the inverse Mellin transform
-    (then possibly sign-indefinite, evaluated by Slater/contour), whose
-    moments still reproduce B(k).
+    require_positive=False still returns the r > 0 inverse Mellin
+    transform (then possibly sign-indefinite), whose moments still
+    reproduce B(k).
     """
     problem = MomentProblem(params, mu, alpha)
     cert = positivity_condition(params, mu, alpha)
@@ -272,60 +266,29 @@ def weight_function(
             raise PositivityUnavailable(
                 f"{cert.reason}; no unsigned evaluation on (0, 1) is implemented"
             )
-
-        def evaluator(y, one_minus_y=None, _a=tuple(a), _b=tuple(b), _amp=amp):
-            return _amp * g_general_vec(_a, _b, y)
-
-        return WeightFunction(problem, "meijer_unsigned", cert, evaluator)
-
-    if alpha == 0:
+        form = "meijer_unsigned"
+    elif alpha == 0:
         form = "meijer_m0"
     else:
         form = "kummer" if r > 0 else _HAUSDORFF_FORMS.get(alpha, "multiple_series")
-    pairing = cert.pairing
-    a_left, b_left = _cancel_equal(a, b)
-    reduced = _pairing(a_left, b_left) if len(a_left) < alpha else None
-    if reduced is not None:
-        a, b, pairing = a_left, b_left, reduced
+        pairing = cert.pairing
+        a_left, b_left = _cancel_equal(a, b)
+        reduced = _pairing(a_left, b_left) if len(a_left) < alpha else None
+        if reduced is not None:
+            a, b, pairing = a_left, b_left, reduced
     if not a:
         def evaluator(y, one_minus_y=None, _b=tuple(b), _amp=amp):
-            return _amp * m0_eval_vec(_b, y)
+            return _amp * m0_eval_vec(_b, y, tol)
+    elif r == 0:
+        kernel = _NorlundKernel([(a[i], b[j]) for i, j in enumerate(pairing)])
 
-        return WeightFunction(problem, form, cert, evaluator)
-
-    kernel = build_convolution_kernel(a, b, pairing, tol=tol)
-
-    def evaluator(y, one_minus_y=None, _k=kernel, _amp=amp):
-        return _amp * _k(y, one_minus_y)
+        def evaluator(y, one_minus_y=None, _k=kernel, _amp=amp):
+            return _amp * _k(y, one_minus_y)
+    else:
+        def evaluator(y, one_minus_y=None, _a=tuple(a), _b=tuple(b), _amp=amp):
+            return _amp * g_general_vec(_a, _b, y, tol)
 
     return WeightFunction(problem, form, cert, evaluator)
-
-
-def conjecture_weight_value(
-    params: AlgebraParams, mu: int, alpha: int, y, tol: float = 1e-9
-) -> np.ndarray:
-    """Candidate closed form A * G^{alpha,0}_{alpha,alpha} (r = 0, alpha >= 2)
-    by one live Mellin-convolution level.
-
-    The Beta density of the last certified pair is convolved by batched
-    tanh-sinh with the Norlund series of the first alpha - 1 pairs, so the
-    result does not rest on the series of all alpha pairs that
-    weight_function uses; a cross-check, never asserted correct for
-    alpha >= 4.
-    """
-    problem = MomentProblem(params, mu, alpha)
-    if problem.r != 0 or alpha < 2:
-        raise ValueError("the convolution candidate needs r = 0 and alpha >= 2")
-    cert = positivity_condition(params, mu, alpha)
-    if isinstance(cert, PositivityRefusal):
-        raise PositivityUnavailable(cert.reason)
-    a, b = mellin_lists(params, mu, alpha)
-    pairs = [(a[i], b[j]) for i, j in enumerate(cert.pairing)]
-    kernel = _ConvolvedKernel(
-        _NorlundKernel(pairs[-1:]), _NorlundKernel(pairs[:-1]), tol=min(tol, 1e-10)
-    )
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    return math.exp(problem.log_A) * kernel(yv)
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +432,7 @@ class EigenstateMeasures:
         return out / lam
 
 
-def eigenstate_measures(params: AlgebraParams, tol: float = 1e-10) -> EigenstateMeasures:
+def eigenstate_measures(params: AlgebraParams, tol: float = 1e-11) -> EigenstateMeasures:
     """Build h_mu / g_mu from the alpha = 0 sector weights (always certified)."""
     weights = [weight_function(params, mu, 0, tol=tol) for mu in range(params.lam)]
     return EigenstateMeasures(params, weights)

@@ -1,32 +1,26 @@
-"""Tanh-sinh (double-exponential) quadrature.
+"""Frozen tanh-sinh (double-exponential) grids.
 
-One integrator serves the whole package: weight-function moments,
-resolution-of-unity checks and Bargmann inner products all go through
-here.  Endpoint power singularities y**p (p > -1) are generic in the
+A weight's moments integrate y^k h(y) on one cached node set: the unit
+interval for r = 0 weights and the unit interval plus an exp-substituted
+tail for r > 0, each with a one-level-coarser shadow for the error
+estimate.  Endpoint power singularities y**p (p > -1) are generic in the
 weight functions, which is what tanh-sinh is built for.
 
 Nodes are generated as exact offsets from the nearest endpoint.
 Integrands with endpoint singularities must be evaluated in terms of
-those offsets (computing b - x and then 1 - x inside the integrand
-destroys the digits tanh-sinh is supposed to win), so every entry point
-can pass the offset arrays to the integrand alongside the abscissas.
+those offsets (computing 1 - y inside the integrand destroys the digits
+tanh-sinh is supposed to win), so every grid carries the exact distance
+to its right endpoint alongside the abscissas.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailure
-
 _HALF_PI = math.pi / 2.0
-
-# Hard cap from the design budget: 2**15 nodes per integral.
-MAX_NODES = 1 << 15
 
 
 def _rule(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -59,111 +53,22 @@ def _cached_rule(level: int):
     return _RULES[level]
 
 
-# Integrand points per call of f: a level's rows (and, past this size,
-# its nodes) are evaluated in blocks, so memory does not grow with the batch.
-_BATCH_POINTS = 1 << 13
-
-# ln of the smallest positive double.  Offsets are exact down to underflow,
-# so no node of any rule lies closer to an endpoint than e^LOG_MIN_OFFSET;
-# an integrand (1 - x)^(s-1) keeps a share e^(LOG_MIN_OFFSET s) of its
-# mass beyond every node.
-LOG_MIN_OFFSET = math.log(np.nextafter(0.0, 1.0))
-
-
-@dataclass
-class QuadResult:
-    value: np.ndarray  # one entry per row
-    abs_error: np.ndarray
-    nodes: int  # integrand points evaluated, all rows and levels
-
-
-def _level_nodes(a, b, level: int, new_only: bool = False):
+def _level_nodes(a: float, b: float, level: int):
     """(x, dl, dr, w) for one tanh-sinh level on (a, b).
 
-    a and b are scalars or (rows, 1) columns.  dl = x - a and dr = b - x
-    are exact: near each endpoint they are half * delta by construction,
-    never a subtraction of close floats.  new_only keeps the nodes that
-    the level before lacks (odd multiples of the step).
+    dl = x - a and dr = b - x are exact: near each endpoint they are
+    half * delta by construction, never a subtraction of close floats.
     """
     half = 0.5 * (b - a)
     delta, w = _cached_rule(level)
-    # the right half skips the shared midpoint t = 0, which new_only drops
-    right = slice(None) if new_only else slice(1, None)
-    if new_only:
-        delta, w = delta[1::2], w[1::2]
     d = half * delta
     span = b - a
-    # left half: x = a + d; right half: x = b - d
-    dl = np.concatenate([d, span - d[..., right]], axis=-1)
-    dr = np.concatenate([span - d, d[..., right]], axis=-1)
-    x = np.concatenate([a + d, b - d[..., right]], axis=-1)
-    ww = np.concatenate([w, w[right]]) * half
+    # left half: x = a + d; right half: x = b - d, skipping the shared midpoint
+    dl = np.concatenate([d, span - d[1:]])
+    dr = np.concatenate([span - d, d[1:]])
+    x = np.concatenate([a + d, b - d[1:]])
+    ww = np.concatenate([w, w[1:]]) * half
     return x, dl, dr, ww
-
-
-def tanh_sinh(
-    f: Callable,
-    a,
-    b,
-    tol: float = 1e-9,
-    with_offsets: bool = False,
-    params: tuple = (),
-) -> QuadResult:
-    """Integrate a vectorized callable over a batch of finite intervals.
-
-    a, b and each per-row array in params broadcast to one row per
-    integral.  f receives the (rows, nodes) abscissas of the rows still
-    running (plus the exact endpoint offsets when with_offsets is set),
-    then each params array sliced to those rows as a (rows, 1) column,
-    and returns an array of the abscissas' shape; non-finite values are
-    treated as zero (they only occur in underflow tails).  Each row stops
-    at the first level that agrees with the one before to tol; a row that
-    reaches the node cap unconverged reports the last two levels'
-    difference as its abs_error.
-    """
-    a, b, *params = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, *params))
-    )
-    value = np.zeros(a.shape)
-    err = np.full(a.shape, math.inf)
-    active = np.arange(a.size)
-    prev = None
-    nodes_used = 0
-    for level in itertools.count(3):
-        # levels past the first add their odd nodes to half the last sum
-        refine = prev is not None
-        delta = _cached_rule(level)[0]
-        n = 2 * len(delta) - 1
-        n_eval = 2 * len(delta[1::2]) if refine else n
-        rows_per = max(1, _BATCH_POINTS // n_eval)
-        cols_per = _BATCH_POINTS // rows_per
-        cur = 0.5 * prev if refine else np.zeros(active.size)
-        for r0 in range(0, active.size, rows_per):
-            idx = active[r0:r0 + rows_per]
-            col = [p[idx, None] for p in params]
-            x, dl, dr, w = _level_nodes(a[idx, None], b[idx, None], level, refine)
-            for c in range(0, n_eval, cols_per):
-                cs = np.s_[:, c:c + cols_per]
-                args = (x[cs], dl[cs], dr[cs]) if with_offsets else (x[cs],)
-                vals = np.asarray(f(*args, *col), dtype=float)
-                vals = np.where(np.isfinite(vals), vals, 0.0)
-                cur[r0:r0 + rows_per] += (w[cs] * vals).sum(axis=1)
-        nodes_used += n_eval * active.size
-        value[active] = cur
-        done = np.zeros(active.size, dtype=bool)
-        if refine:
-            # the last two levels' difference, also when the row gives up
-            diff = np.abs(cur - prev)
-            err[active] = diff
-            done = (diff <= tol * np.maximum(1e-300, np.abs(cur))) | (diff <= tol * tol)
-        active, prev = active[~done], cur[~done]
-        if active.size == 0 or n > MAX_NODES:
-            break
-    bad = ~np.isfinite(value)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise QuadratureFailure("tanh-sinh produced a non-finite value", (a[i], b[i]))
-    return QuadResult(value, err, nodes_used)
 
 
 @dataclass

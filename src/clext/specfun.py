@@ -4,10 +4,10 @@ Everything the rest of the package needs is evaluated here in double
 precision with explicit error estimates: generalized hypergeometric pFq
 series, modified Bessel I/K of real order, and the restricted Meijer G
 classes G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution
-weight functions are built from (Slater expansions at small y, the
-exponential expansion at large y, saddle-point Bromwich contours between,
-Norlund's (1 - y) series on the unit interval, and one batched
-Mellin-convolution quadrature over it for r > 0).
+weight functions are built from (Slater's residue sum at small y, with
+exact confluent residues for coincident or integer-spaced lower
+parameters, the exponential expansion at large y, saddle-point Bromwich
+contours between, and Norlund's (1 - y) series on the unit interval).
 
 Scalar evaluations return a SeriesValue carrying the value, an absolute
 error estimate, the number of terms (or nodes) consumed and a
@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import (
     NoConvergence,
     PoleInDenominator,
 )
-from .quadrature import LOG_MIN_OFFSET, tanh_sinh
 
 __all__ = [
     "SeriesValue",
@@ -39,7 +39,6 @@ __all__ = [
     "bessel_k_vec",
     "m0_eval_vec",
     "g_general_vec",
-    "build_convolution_kernel",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -89,30 +88,6 @@ def gamma_sign(x: float) -> int:
     if x > 0:
         return 1
     return 1 if sinpi(x) > 0 else -1
-
-
-def lgamma_signed(x: float) -> tuple[float, int]:
-    """(log|Gamma(x)|, sign).
-
-    Negative arguments go through the reflection formula with the
-    range-reduced sinpi, which keeps full relative accuracy next to the
-    poles (math.lgamma alone does not).
-    """
-    if x >= 0.5:
-        return math.lgamma(x), 1
-    s = sinpi(x)
-    lg = math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
-    return lg, (1 if s > 0 else -1)
-
-
-def rgamma(x: float) -> float:
-    """1/Gamma(x), zero at the poles."""
-    if is_nonpositive_integer(x):
-        return 0.0
-    lg, sg = lgamma_signed(x)
-    if lg > 700.0:
-        return 0.0
-    return sg * math.exp(-lg)
 
 
 _LANCZOS = np.array(
@@ -281,16 +256,24 @@ def bessel_i(nu: float, x: float, tol: float = 1e-14) -> SeriesValue:
     return SeriesValue(val, abs(val) * max(tol, (k + 4) * _EPS), k, True)
 
 
-# Taylor coefficients of 1/Gamma(1 + z); 22 terms reach 1e-18 at |z| = 1/2.
-_RGAMMA1P = (
-    1.0, 0.5772156649015328606, -0.6558780715202538811, -0.0420026350340952355,
-    0.1665386113822914895, -0.0421977345555443367, -0.0096219715278769736,
-    0.0072189432466630995, -0.0011651675918590651, -0.0002152416741149510,
-    0.0001280502823881162, -0.0000201348547807882, -1.2504934821426707e-6,
-    1.1330272319816959e-6, -2.0563384169776071e-7, 6.1160951044814158e-9,
-    5.0020076444692229e-9, -1.1812745704870201e-9, 1.0434267116911005e-10,
-    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+# Taylor coefficients of 1/Gamma(1 + z) to 36 digits: the first 22 reach
+# 1e-18 at |z| = 1/2 (Temme's series), all 26 reach 2e-26 (_gamma_decimal).
+_RGAMMA1P_DIGITS = (
+    "1.0", "5.77215664901532860606512090082402431e-1", "-6.55878071520253881077019515145390481e-1",
+    "-4.20026350340952355290039348754298187e-2", "1.66538611382291489501700795102105236e-1",
+    "-4.21977345555443367482083012891873913e-2", "-9.62197152787697356211492167234819898e-3",
+    "7.21894324666309954239501034044657271e-3", "-1.16516759185906511211397108401838867e-3",
+    "-2.15241674114950972815729963053647806e-4", "1.28050282388116186153198626328164323e-4",
+    "-2.01348547807882386556893914210218184e-5", "-1.25049348214267065734535947383309224e-6",
+    "1.13302723198169588237412962033074494e-6", "-2.05633841697760710345015413002057284e-7",
+    "6.11609510448141581786249868285534287e-9", "5.0020076444692229300556650480599913e-9",
+    "-1.18127457048702014458812656543650558e-9", "1.04342671169110051049154033231225019e-10",
+    "7.78226343990507125404993731136077723e-12", "-3.69680561864220570818781587808576624e-12",
+    "5.1003702874544759790154813228632318e-13", "-2.05832605356650678322242954485523742e-14",
+    "-5.34812253942301798237001731872793995e-15", "1.22677862823826079015889384662242243e-15",
+    "-1.18125930169745876951376458684229783e-16",
 )
+_RGAMMA1P = tuple(float(c) for c in _RGAMMA1P_DIGITS[:22])
 
 # Iterations of Temme's series (x < 2) and of Steed's CF2 (x >= 2) that
 # reach 1e-17 at x = 2, the worst point of both.  Calls carry at most a
@@ -385,27 +368,38 @@ def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 # Bernoulli numbers B_2 .. B_14 of the large-x polygamma series; after
-# _PSI_SHIFT recurrence steps the first dropped term is below 1e-16 of psi'.
+# _PSI_SHIFT recurrence steps the first dropped term is below 1e-16 of psi^(n)
+# for n = 0, 1, and for larger n the shifted tail itself is that small.
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6)
 _PSI_SHIFT = 10
 
 
 def _polygamma(n: int, x: np.ndarray) -> np.ndarray:
-    """psi^(n)(x), n = 0 (digamma) or 1 (trigamma), for an array of x > 0:
-    _PSI_SHIFT upward recurrence steps, then the asymptotic series at x + _PSI_SHIFT."""
+    """psi^(n)(x) for an array of x > 0: _PSI_SHIFT upward recurrence steps, then
+    the asymptotic series at x + _PSI_SHIFT, whose B_2j term carries
+    (2j + n - 1)!/(2j)! (1/(2j) for the digamma)."""
     inv = 1.0 / (x[..., None] + np.arange(_PSI_SHIFT))
-    steps = (inv if n == 0 else inv * inv).sum(axis=-1)
     z = x + _PSI_SHIFT
     inv2 = 1.0 / (z * z)
     tail = 0.0
     for j in range(len(_BERNOULLI), 0, -1):
-        tail = (tail + _BERNOULLI[j - 1] / (2 * j if n == 0 else 1)) * inv2
+        bern = _BERNOULLI[j - 1]
+        tail = (tail + (bern / (2 * j) if n == 0 else bern * math.perm(2 * j + n - 1, n - 1))) * inv2
     if n == 0:
-        return np.log(z) - 0.5 / z - tail - steps
-    return (1.0 + 0.5 / z + tail) / z + steps
+        return np.log(z) - 0.5 / z - tail - inv.sum(axis=-1)
+    fact = math.factorial(n)
+    asym = (math.factorial(n - 1) + 0.5 * fact / z + tail) / z**n
+    return (-1.0) ** (n + 1) * (asym + fact * (inv ** (n + 1)).sum(axis=-1))
 
 
 _SLATER_COND_LIMIT = 1e6
+_SLATER_TERMS = 700
+
+# Lower parameters whose difference lies within this of an integer form one
+# cluster, whose poles are summed together: as separate Slater series two
+# parameters a distance d apart cancel by about 1/(d |ln y|), and their
+# Gamma prefactors by 1/d, digits an expansion about the cluster keeps.
+_CLUSTER_GAP = 1e-2
 
 
 def _slater_reaches(r: int, y: np.ndarray) -> np.ndarray:
@@ -415,69 +409,234 @@ def _slater_reaches(r: int, y: np.ndarray) -> np.ndarray:
     return 2.0 * r * y ** (1.0 / r) <= math.log(_SLATER_COND_LIMIT) + (r - 1) * math.log(2.0) + 3.0
 
 
-def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = ()):
-    """Vectorized Slater expansion of G^{m,0}_{alpha,m} over an array of y.
+def _spacing(u: float) -> float:
+    """Distance from u to the nearest integer."""
+    return abs(u - round(u))
 
-    Returns (values, ok) where ok marks points whose cancellation stayed
-    below the conditioning limit and whose series settled.
+
+def _clusters(b: Sequence[float]) -> list[list[int]]:
+    """Indices of b joined by single linkage on integer spacing below _CLUSTER_GAP."""
+    label = list(range(len(b)))
+    for i in range(len(b)):
+        for j in range(i):
+            if _spacing(b[i] - b[j]) < _CLUSTER_GAP and label[i] != label[j]:
+                old = label[i]
+                label = [label[j] if v == old else v for v in label]
+    return [[i for i, v in enumerate(label) if v == k] for k in sorted(set(label))]
+
+
+def _lgamma_series(x: Sequence[float], n: int) -> np.ndarray:
+    """Taylor coefficients 1..n-1 in eps of ln Gamma(x_j + eps), one row per
+    x_j >= 1 (coefficient 0 left at 0): coefficient k is psi^(k-1)(x)/k!."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((x.size, n))
+    for k in range(1, n):
+        out[:, k] = _polygamma(k - 1, x) / math.factorial(k)
+    return out
+
+
+def _exp_series(g: np.ndarray) -> np.ndarray:
+    """Taylor coefficients of exp(g(eps)), g_0 = 0: n f_n = sum_k k g_k f_{n-k}."""
+    f = np.zeros_like(g)
+    f[0] = 1.0
+    for n in range(1, g.size):
+        f[n] = np.dot(np.arange(1, n + 1) * g[1:n + 1], f[n - 1::-1]) / n
+    return f
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    """sum_i coeffs[i] x^i; the bare scalar for one coefficient."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
+
+
+# Decimal digits of the residue sum's scalar work, the Gamma products and the
+# steps from pole to pole: a term then carries only its conversion to a
+# double and y^(c + K).  Done in doubles, they left terms up to 1e-15 off,
+# which a cancellation by 1e5 turns into 1e-10.
+_RESIDUE_DIGITS = 34
+_RGAMMA1P_DECIMAL = tuple(Decimal(c) for c in _RGAMMA1P_DIGITS)
+
+
+def _gamma_decimal(x: Decimal) -> Decimal:
+    """Gamma(x), x >= 1/2, in the current Decimal context: Gamma(x0) prod (x0 + i)
+    with x0 in [1/2, 3/2) and 1/Gamma(x0) from the Taylor series at 1."""
+    n = int(x - Decimal("0.5"))
+    x0 = x - n
+    acc, z = Decimal(0), x0 - 1
+    for coeff in reversed(_RGAMMA1P_DECIMAL):
+        acc = acc * z + coeff
+    out = 1 / acc
+    for i in range(n):
+        out *= x0 + i
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _cluster_series(a: tuple, b: tuple, members: tuple, y_top: float, ln_top: float, tol: float):
+    """The residues of one cluster's poles as coefficients, for y up to y_top
+    and |ln y| up to ln_top; see _slater_vec.  Cached per list and y range,
+    like the large-y expansion's coefficients.
+
+    Returns (c, first, value, major, last, log_size): pole K = first + i
+    contributes y^(c + K) sum_d value[i, d] (ln 1/y)^d; major bounds it
+    with |ln y| (R's majorant, so that the conditioning test also sees
+    the cancellation inside R's own coefficients), last is the share of
+    the last kept Taylor terms (spread nodes only, else None), and
+    log_size[i] the log of major at ln_top.
     """
-    m = len(b)
-    alpha = len(a)
-    sign = 1.0 if (alpha - m) % 2 == 0 else -1.0
-    if _integer_spaced_pairs(b) or not y.size:
-        return np.zeros_like(y), np.zeros(y.shape, dtype=bool)
-    total = np.zeros_like(y)
-    major = np.zeros_like(y)
-    settled = np.ones(y.shape, dtype=bool)
-    for j in range(m):
-        lg = 0.0
-        sg = 1
-        lower = []
-        upper = []
-        for k in range(m):
-            if k == j:
-                continue
-            l, s = lgamma_signed(b[k] - b[j])
-            lg += l
-            sg *= s
-            lower.append(1.0 + b[j] - b[k])
-        for av in a:
-            if is_nonpositive_integer(av - b[j]):
-                sg = 0
-                break
-            l, s = lgamma_signed(av - b[j])
-            lg -= l
-            sg *= s
-            upper.append(1.0 + b[j] - av)
-        if sg == 0:
-            continue
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            pref = sg * np.exp(lg + b[j] * np.log(y))
-            term = np.ones_like(y)
-            val = np.ones_like(y)
-            maj = np.ones_like(y)
-            z = sign * y
-            done = np.zeros(y.shape, dtype=bool)
-            for k in range(700):
-                num = 1.0
-                for uv in upper:
-                    num *= uv + k
-                den = k + 1.0
-                for lv in lower:
-                    den *= lv + k
-                term = term * (num / den) * z
-                val += term
-                maj += np.abs(term)
-                done = np.abs(term) <= tol * (np.abs(val) + 1e-300)
-                if done.all():
+    with localcontext() as ctx:
+        ctx.prec = _RESIDUE_DIGITS
+        # the member with the largest fractional offset sets c, so every node x_j >= 0
+        offset = {j: Decimal(b[j]) - Decimal(b[members[0]]) for j in members}
+        c = b[max(members, key=lambda j: offset[j] - round(offset[j]))]
+        diff = [Decimal(v) - Decimal(c) for v in b + a]  # exact to 1e-34
+        joins = {j: int(round(diff[j])) for j in members}
+        node = {j: float(joins[j] - diff[j]) for j in members}
+        spread = max(node.values())
+        # Taylor terms of R y^-eps over spread nodes: R's fade like (spread / rho)^k, rho
+        # the distance to the nearest pole outside the cluster, and y^-eps's like
+        # (spread |ln y|)^k / k!, whose tail past k = e x + 20 is below 1e-12 e^-x
+        n = len(members)
+        if spread > 0.0:
+            rho = min([_spacing(float(diff[j])) for j in range(len(b)) if j not in joins] + [1.0])
+            reach = 17.0 / max(1e-2, -math.log10(min(spread / rho, 0.99)))
+            n += min(200, math.ceil(max(reach, math.e * spread * ln_top + 20.0)))
+        lift = max(1, math.ceil(max(1.0 - float(d) for d in diff)))
+        lead = Decimal(1)
+        for i, d in enumerate(diff):
+            lead = lead * _gamma_decimal(d + lift) if i < len(b) else lead / _gamma_decimal(d + lift)
+        series, bound = [lead], None
+        if n > 1:
+            rows = np.concatenate((_lgamma_series([float(d) + lift for d in diff[:len(b)]], n),
+                                   -_lgamma_series([float(d) + lift for d in diff[len(b):]], n)))
+            series = [lead * Decimal(t) for t in _exp_series(rows.sum(axis=0))]
+            bound = [abs(lead) * Decimal(t) for t in _exp_series(np.abs(rows).sum(axis=0))]
+        k = np.arange(n)
+        inv_fact = np.array([1.0 / math.factorial(i) for i in range(n)])
+        degree = k[:, None] + k  # [d, i]: power d of ln(1/y) times Taylor coefficient i of R
+        value, major, last, log_size = [], [], [], []
+        joined, coef, first, quiet = [], None, None, False
+        log_peak, cut, log_top = -math.inf, math.log(tol / _SLATER_COND_LIMIT), math.log(y_top)
+        steps_a, steps_b = diff[len(b):], [(j, joins.get(j), d) for j, d in enumerate(diff[:len(b)])]
+        for K in range(-lift, _SLATER_TERMS):
+            if joined:
+                first = K if first is None else first
+                if n == 1:  # one term, its own majorant
+                    value.append((float(series[0]),))
+                    major.append((abs(value[-1][0]),))
+                    size = major[-1][0]
+                else:
+                    if coef is None:
+                        h = np.zeros(n)
+                        h[0] = 1.0
+                        for x in joined:
+                            for i in range(1, n):
+                                h[i] += x * h[i - 1]
+                        hk = degree - len(joined) + 1
+                        coef = np.where((hk >= 0) & (degree < n), h[np.clip(hk, 0, n - 1)], 0.0)
+                        coef *= inv_fact[:, None]
+                    bounds = np.array([float(t) for t in bound])
+                    value.append(coef @ np.array([float(t) for t in series]))
+                    major.append(np.abs(coef) @ bounds)
+                    last.append(np.where(degree == n - 1, np.abs(coef), 0.0) @ bounds)
+                    size = float(_horner(major[-1], ln_top))
+                if size > 0.0 and not 1e-280 < size < 1e280 and log_size:
+                    break  # past the double range: the points that need more stay unsettled
+                log_size.append(math.log(size) if size > 0.0 else -math.inf)
+                # the sum ends two poles after the majorant, where it is largest,
+                # falls below tol / _SLATER_COND_LIMIT of its peak, since ok
+                # bounds the majorant by that multiple of G
+                at_top = log_size[-1] + (K - first) * log_top
+                log_peak = max(log_peak, at_top)
+                now = at_top <= cut + log_peak
+                if now and quiet and K > max(joins.values()):
                     break
-            settled &= done
-            total += pref * val
-            major += np.abs(pref) * maj
-        with np.errstate(over="ignore", invalid="ignore"):
-            cond = major / np.maximum(np.abs(total), 1e-300)
-    ok = settled & (cond <= _SLATER_COND_LIMIT) & np.isfinite(total)
-    return total, ok
+                quiet = now
+            # to the next pole: Gamma(x - 1 + eps) = Gamma(x + eps) / (x - 1 + eps),
+            # and |1/(d + eps)| <= sum |d|^(-1-i) |eps|^i for the majorant
+            for d in steps_a:
+                d -= K + 1
+                if n == 1:
+                    series[0] *= d
+                else:
+                    series = [d * t + u for t, u in zip(series, [0] + series[:-1])]
+                    bound = [abs(d) * t + u for t, u in zip(bound, [0] + bound[:-1])]
+            for j, join, d in steps_b:
+                if join == K + 1:
+                    joined.append(node[j])
+                    coef = None
+                    continue
+                d -= K + 1
+                if n == 1:
+                    series[0] /= d
+                else:
+                    s_prev = b_prev = 0
+                    for i in range(n):
+                        s_prev = series[i] = (series[i] - s_prev) / d
+                        b_prev = bound[i] = (bound[i] + b_prev) / abs(d)
+    arrays = [np.array(rows) for rows in (value, major, last)]
+    for rows in arrays:
+        rows.flags.writeable = False  # one cached array for every caller
+    return c, first, arrays[0], arrays[1], arrays[2] if spread > 0.0 else None, tuple(log_size)
+
+
+def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = ()):
+    """Slater's residue sum for G^{m,0}_{p,m}(y | a; b) over an array of y > 0.
+
+    The poles of prod Gamma(b + s) are summed cluster by cluster
+    (_clusters).  A cluster's members are b_j = c + n_j - x_j, integers n_j
+    and small nodes x_j >= 0, with poles near s = -c - K.  With
+    s = -c - K + eps,
+
+        prod Gamma(b + s) / prod Gamma(a + s) = R_K(eps) / prod_{n_j <= K} (eps - x_j),
+
+    R_K analytic at 0, so those poles' residues of it times y^-s add up to
+    the divided difference of R_K(eps) y^-eps over the nodes: in Taylor
+    coefficients, sum_k [R_K y^-eps]_k h_{k-M+1}(x), h the complete
+    homogeneous symmetric polynomials of the M joined nodes (McCurdy, Ng
+    & Parlett, Math. Comp. 43 (1984) 501).  Coincident and integer-spaced
+    members (all x_j = 0) leave Luke's logarithmic residues, a polynomial
+    of degree M - 1 in ln y; a lone parameter is one Slater series.  R_K
+    starts from Gamma and its log-derivative Taylor series at arguments
+    >= 1 (_gamma_decimal, _polygamma) and steps to the next pole by
+    prod (a - c - K - 1 + eps) / prod (b - c - K - 1 + eps), a member's own
+    factor joining the nodes; this scalar work (_cluster_series) runs in
+    _RESIDUE_DIGITS decimal digits, and every cluster's poles are then
+    summed over the points in one product with the powers of y.
+
+    Returns (values, ok).  ok marks points whose sum settled (the last two
+    poles' terms below tol of it), whose majorant sum |term| stays within
+    _SLATER_COND_LIMIT of |value|, and, for spread nodes, whose last kept
+    Taylor terms stay below tol of it.
+    """
+    b = [float(v) for v in b]
+    a = [float(v) for v in a]
+    if not y.size:
+        return np.zeros_like(y), np.zeros(y.shape, dtype=bool)
+    lny = np.log(y)
+    parts = [_cluster_series(tuple(a), tuple(b), tuple(members), float(y.max()),
+                             float(np.abs(lny).max()), tol) for members in _clusters(b)]
+    total, major, trunc = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
+    tail = np.full(y.shape, -np.inf)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        longest = max(len(part[2]) for part in parts)
+        powers = np.cumprod(np.vstack([np.ones_like(y)] + [y] * (longest - 1)), axis=0)
+        abs_ln = np.abs(lny)
+        for c, first, value, major_k, last, log_size in parts:
+            pref, power = np.power(y, c + first), powers[:len(value)]
+            total += pref * _horner(value.T @ power, -lny)
+            major += pref * _horner(major_k.T @ power, abs_ln)
+            if last is not None:
+                trunc += pref * _horner(last.T @ power, abs_ln)
+            end = first + len(log_size)
+            for K in range(max(first, end - 2), end):
+                tail = np.maximum(tail, log_size[K - first] + (c + K) * lny)
+        ok = (major <= _SLATER_COND_LIMIT * np.abs(total)) & (trunc <= tol * np.abs(total))
+        ok &= tail <= np.log(tol * np.abs(total))
+    return total, ok & np.isfinite(total)
 
 
 # Rows per block of the (rows x nodes) complex integrand, whatever the row count
@@ -579,7 +738,7 @@ def _contour_batch(
             k = np.searchsorted(step, line[idx])
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 f = np.exp(phi[k] - lny[idx, None] * s[k]).real
-            part = (np.where(np.isfinite(f), f, 0.0) @ w) * h[k]
+                part = (np.where(np.isfinite(f), f, 0.0) @ w) * h[k]
             total[idx] = 0.5 * total[idx] + part if low >= 0 else part
         if low < 0:
             continue
@@ -688,36 +847,11 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     return vals, ok
 
 
-def _m0_leading_small_y(
-    b: Sequence[float], y: np.ndarray, a: Sequence[float] = ()
-) -> np.ndarray:
-    """Leading y -> 0 behavior of G^{m,0}_{alpha,m} for distinct smallest b;
-    used only at extreme y where the dropped corrections are negligible."""
-    bs = sorted(b)
-    bmin = bs[0]
-    coeff = 1.0
-    for v in bs[1:]:
-        coeff *= math.gamma(v - bmin)
-    for av in a:
-        coeff *= rgamma(av - bmin)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        out = coeff * np.exp(bmin * np.log(y))
-    return np.where(np.isfinite(out), out, 0.0)
-
-
-def _integer_spaced_pairs(b: Sequence[float]) -> bool:
-    return any(
-        abs((b[i] - b[j]) - round(b[i] - b[j])) < 1e-9
-        for i in range(len(b))
-        for j in range(i + 1, len(b))
-    )
-
-
 def m0_eval_vec(b: Sequence[float], y: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     """G^{m,0}_{0,m}(y|b) for an array of y > 0 (zeros where y <= 0).
 
     Closed forms for m <= 2: y^b e^-y, and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y)
-    at any order (the leading small-y power only where K overflows);
+    at any order (g_general_vec's residue sum where K overflows);
     g_general_vec for m >= 3.
     """
     y = np.asarray(y, dtype=float)
@@ -738,7 +872,7 @@ def m0_eval_vec(b: Sequence[float], y: np.ndarray, tol: float = 1e-11) -> np.nda
             v = 2.0 * ys ** (0.5 * (b[0] + b[1])) * kv
             over = np.isinf(kv)
             if over.any():
-                v[over] = _m0_leading_small_y(b, ys[over])
+                v[over] = g_general_vec((), b, ys[over], tol)
     out[pos] = np.where(np.isfinite(v), v, 0.0)
     return out
 
@@ -748,45 +882,30 @@ def g_general_vec(
 ) -> np.ndarray:
     """G^{m,0}_{alpha,m}(y|a;b) over an array of y > 0.
 
-    Three routes by y, for s = m - alpha >= 1: the Slater expansion while
-    it conditions well (eps-split Slater for integer-coincident lower
-    parameters), not run where it would refuse every point
+    Three routes by y, for s = m - alpha >= 1: the residue sum
+    (_slater_vec: Slater's expansion, with exact confluent residues for
+    coincident, integer-spaced or nearly integer-spaced lower parameters)
+    while it conditions well, not run where it would refuse every point
     (2 s y^{1/s} above ln 1e6 + (s - 1) ln 2 + 3, _slater_reaches); the
     large-y expansion (_expansion_vec) from the y where its first two
     omitted terms fall below tol / 100 of its sum (s y^{1/s} ~ 16..40 on
-    the certified lists of lambda <= 8); and converged trapezoid Bromwich lines
-    (_contour_batch: one line per log-y bucket, all lines in a few
-    whole-array passes) for the band between.  The leading power serves
-    extreme small y (below 1e-60) where Slater refuses, and y = +inf is an
-    exact 0.  At s <= 0 only Slater runs, and a point it refuses raises
-    DomainError.
+    the certified lists of lambda <= 8); and converged trapezoid Bromwich
+    lines (_contour_batch: one line per log-y bucket, all lines in a few
+    whole-array passes) for the band between.  y = +inf and y <= 0 are an
+    exact 0.  At s <= 0 only the residue sum runs, and a point it refuses
+    raises DomainError.
     """
     y = np.asarray(y, dtype=float)
     a = [float(v) for v in a]
     b = [float(v) for v in b]
     r = len(b) - len(a)
     vals = np.zeros_like(y)
-    # G decays like e^{-r y^{1/r}}: y = inf is an exact 0 that no route runs
-    ok = np.isposinf(y) if r > 0 else np.zeros(y.shape, dtype=bool)
-    reach = _slater_reaches(r, y) if r > 0 else np.ones(y.shape, dtype=bool)
-    if _integer_spaced_pairs(b):
-        delta = 1e-6
-        bp, bm = list(b), list(b)
-        for i in range(len(b)):
-            for j in range(i):
-                if abs((b[i] - b[j]) - round(b[i] - b[j])) < 1e-9:
-                    bp[i] = b[i] + delta * (1 + i)
-                    bm[i] = b[i] - delta * (1 + i)
-        vp, okp = _slater_vec(bp, y[reach], min(tol, 1e-13), a)
-        vm, okm = _slater_vec(bm, y[reach], min(tol, 1e-13), a)
-        vals[reach] = 0.5 * (vp + vm)
-        ok[reach] = okp & okm
-    else:
-        vals[reach], ok[reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a)
-    tiny = ~ok & (y < 1e-60)
-    if tiny.any():
-        vals[tiny] = _m0_leading_small_y(b, y[tiny], a)
-    rest = ~ok & ~tiny
+    # G decays like e^{-r y^{1/r}}: y = inf is an exact 0 that no route runs,
+    # and so is y <= 0, outside the support
+    ok = (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
+    reach = ~ok & (_slater_reaches(r, np.where(ok, 1.0, y)) if r > 0 else True)
+    vals[reach], ok[reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a)
+    rest = ~ok
     if rest.any() and r > 0:
         vals[rest], ok[rest] = _expansion_vec(a, b, y[rest], tol)
         rest &= ~ok
@@ -800,75 +919,6 @@ def g_general_vec(
     return vals
 
 
-class _Kernel:
-    """Density on (0, support_end); vectorized over x.
-
-    one_minus_x, when supplied, is the exact distance 1 - x for nodes
-    adjacent to a unit-interval endpoint; infinite-support kernels ignore
-    it.
-    """
-
-    support_end = math.inf
-
-    def __call__(self, x, one_minus_x=None) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _M0Kernel(_Kernel):
-    """G^{r,0}_{0,r}(x | b) on (0, inf), evaluated by m0_eval_vec."""
-
-    def __init__(self, b: Sequence[float]):
-        self.b = [float(v) for v in b]
-
-    def __call__(self, x, one_minus_x=None):
-        return m0_eval_vec(self.b, x)
-
-
-class _TabulatedM0Kernel(_M0Kernel):
-    """m >= 3 lower parameters: log-log cubic table over Slater/contour on
-    [1e-12, (80/m)^m]; m0_eval_vec below and above it."""
-
-    def __init__(self, b: Sequence[float], n: int = 1400):
-        super().__init__(b)
-        m = len(self.b)
-        x_max = (80.0 / m) ** m
-        lx = np.linspace(math.log(1e-12), math.log(x_max), n)
-        vals = m0_eval_vec(self.b, np.exp(lx), 1e-11)
-        good = vals > 0.0
-        self.lx = lx[good]
-        self.lg = np.log(vals[good])
-        self.x_lo = math.exp(self.lx[0])
-        self.x_hi = math.exp(self.lx[-1])
-
-    def __call__(self, x, one_minus_x=None):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x >= self.x_lo) & (x <= self.x_hi)
-        if np.any(inside):
-            out[inside] = np.exp(_lagrange4(self.lx, self.lg, np.log(x[inside])))
-        outside = (x > 0) & ~inside
-        if np.any(outside):
-            out[outside] = m0_eval_vec(self.b, x[outside], 1e-11)
-        return out
-
-
-def _lagrange4(xs: np.ndarray, ys: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """4-point Lagrange interpolation on a sorted table."""
-    idx = np.searchsorted(xs, xq)
-    i0 = np.clip(idx - 2, 0, len(xs) - 4)
-    out = np.zeros_like(xq)
-    for j in range(4):
-        lj = np.ones_like(xq)
-        xj = xs[i0 + j]
-        for k in range(4):
-            if k == j:
-                continue
-            xk = xs[i0 + k]
-            lj *= (xq - xk) / (xj - xk)
-        out += ys[i0 + j] * lj
-    return out
-
-
 # Below this x the (1 - x) series converges too slowly and Slater takes over;
 # the term count makes (1 - split)^n fall below 1e-17, plus a margin for
 # the polynomial growth of D_n.
@@ -876,7 +926,7 @@ _NORLUND_SPLIT = 0.1
 _NORLUND_TERMS = math.ceil(math.log(1e-17) / math.log(1.0 - _NORLUND_SPLIT)) + 48
 
 
-class _NorlundKernel(_Kernel):
+class _NorlundKernel:
     """G^{q,0}_{q,q}(x | a; b) on (0, 1) as Norlund's (1 - x) series.
 
     G = x^{b_q} (1-x)^{s-1} sum_n D_n (1-x)^n with s = sum(a) - sum(b).
@@ -886,10 +936,9 @@ class _NorlundKernel(_Kernel):
     and moves to (b_q, sigma+a_q-b_q).  The pairs follow the positivity
     certificate (a_i > b_i), so every Gamma argument stays positive.  One
     pair is the exact Beta density; for more, g_general_vec evaluates
-    x < _NORLUND_SPLIT.
+    x < _NORLUND_SPLIT.  This is the r = 0 (Hausdorff) weight; r > 0
+    weights go through g_general_vec alone.
     """
-
-    support_end = 1.0
 
     def __init__(self, pairs: Sequence[tuple[float, float]]):
         self.a = [float(ap) for ap, _ in pairs]
@@ -929,103 +978,3 @@ class _NorlundKernel(_Kernel):
                     self.beta * np.log(x[series]) + (self.s - 1.0) * np.log(t)
                 )
         return np.where(np.isfinite(out), out, 0.0)
-
-
-# Below this y a convolution over an infinite-support inner kernel splits u
-# at y: the integrand's mass sits at u ~ y, which tanh-sinh on (0, 1)
-# resolves only at its node cap.
-_CONV_SPLIT = 1e-3
-
-
-class _ConvolvedKernel(_Kernel):
-    """One Mellin convolution g(y) = int_0^1 outer(u) inner(y/u) du/u.
-
-    outer is a Norlund kernel on (0, 1).  Over an infinite-support inner
-    kernel u runs over (0, 1); below y = _CONV_SPLIT it is split into
-    u = y^tau on (y, 1), with the exact 1 - u = -expm1(tau ln y), and
-    u = y t on (0, y), summed into one integrand.  Over a unit-support
-    inner kernel u runs over (y, 1).  Every abscissa of one call is a row
-    of one batched tanh_sinh.
-
-    A Norlund factor with gap sum s makes the integrand behave like
-    (1 - u)^(s-1) at its endpoint; a share e^(LOG_MIN_OFFSET s) of that
-    mass lies beyond every tanh-sinh node, so s whose share exceeds tol
-    raises DomainError rather than returning a weight that low.
-    """
-
-    def __init__(self, outer: _NorlundKernel, inner: _Kernel, tol: float = 1e-10):
-        floor = math.log(1.0 / tol) / -LOG_MIN_OFFSET
-        for kernel in (outer, inner):
-            if isinstance(kernel, _NorlundKernel) and kernel.s < floor:
-                raise DomainError(
-                    f"pair gap sum s = {kernel.s:.3g} is below {floor:.3g}: tanh-sinh "
-                    f"cannot integrate (1 - u)^(s - 1) to tol = {tol:.3g}"
-                )
-        self.outer = outer
-        self.inner = inner
-        self.tol = tol
-        self.support_end = inner.support_end
-        # the lists of the whole G, whose Mellin transform is the product
-        self.a, self.b = outer.a + getattr(inner, "a", []), outer.b + inner.b
-
-    def _integrand(self, t, dl, dr, y):
-        # dl = t - lo and dr = 1 - t are exact tanh-sinh offsets
-        outer, inner = self.outer, self.inner
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            if self.support_end == 1.0:
-                # u = t on (y, 1); the inner argument y/u has 1 - y/u = dl/u
-                return outer(t, dr) * inner(y / t, dl / t) / t
-            # every row runs on (0, 1): what depends on t alone is evaluated
-            # on the first row and broadcast
-            t1 = t[:1]
-            out = np.empty_like(t)
-            high = y[:, 0] >= _CONV_SPLIT
-            out[high] = outer(t1, dr[:1]) / t1 * inner(y[high] / t[high])
-            tau, dtau, ys = t[~high], dr[~high], y[~high]
-            ln_y = np.log(ys)
-            upper = -ln_y * outer(np.exp(tau * ln_y), -np.expm1(tau * ln_y))
-            upper *= inner(np.exp(dtau * ln_y))
-            lower = outer(ys * tau, 1.0 - ys * tau) * (inner(1.0 / t1) / t1)
-            out[~high] = upper + lower
-        return out
-
-    def __call__(self, x, one_minus_x=None):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = (x > 0) & (x < self.support_end)
-        # at subnormal y, u = y t keeps a few bits and the rows cannot
-        # settle; g_general_vec evaluates the whole G there
-        sub = pos & (x < np.finfo(float).tiny)
-        if sub.any():
-            out[sub] = g_general_vec(self.a, self.b, x[sub])
-        pos &= ~sub
-        if pos.any():
-            y = x[pos]
-            lo = y if self.support_end == 1.0 else 0.0
-            r = tanh_sinh(self._integrand, lo, 1.0, tol=self.tol, with_offsets=True, params=(y,))
-            out[pos] = r.value
-        return out
-
-
-def build_convolution_kernel(
-    a: Sequence[float],
-    b: Sequence[float],
-    pairing: Sequence[int],
-    tol: float = 1e-10,
-) -> _Kernel:
-    """Assemble the kernel for G^{m,0}_{alpha,m}.
-
-    The pairing (one b index per a, with a[i] > b[pairing[i]]) follows the
-    positivity certificate.  The Norlund series H of all alpha pairs is
-    G^{alpha,0}_{alpha,alpha} on (0, 1), with Mellin transform
-    prod Gamma(b+s)/Gamma(a+s) over the pairs.  For r = len(b) - len(a) = 0
-    it is the weight; for r > 0 the weight is one Mellin convolution of H
-    with G^{r,0}_{0,r} of the unpaired b's (closed forms for r <= 2, a
-    table above), exact for any alpha.
-    """
-    outer = _NorlundKernel([(float(a[i]), float(b[j])) for i, j in enumerate(pairing)])
-    rest = [float(v) for j, v in enumerate(b) if j not in pairing]
-    if not rest:
-        return outer
-    inner = _M0Kernel(rest) if len(rest) <= 2 else _TabulatedM0Kernel(rest)
-    return _ConvolvedKernel(outer, inner, tol)

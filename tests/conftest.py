@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from clext import params_from_beta_bar, validate_params
-from clext.measures import MomentProblem
+from clext.measures import MomentProblem, mellin_lists
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +43,15 @@ def rng():
     # function-scoped: every test sees the same deterministic stream
     # regardless of execution order
     return np.random.default_rng(20260810)
+
+
+def meijer_weight(params, mu, alpha, y):
+    """A * G^{m,0}_{alpha,m}(y | a; b) of the (mu, alpha) Mellin lists, by mpmath
+    at 30 digits: the reference for every weight, r = 0 or r > 0."""
+    a, b = mellin_lists(params, mu, alpha)
+    with mp.workdps(30):
+        amp = mp.exp(MomentProblem(params, mu, alpha).log_A)
+        return float(amp * mp.meijerg([[], a], [b, []], mp.mpf(y)))
 
 
 def hausdorff_closed_form(params, mu, alpha, y):

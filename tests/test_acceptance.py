@@ -30,7 +30,6 @@ from clext.figures import FIGURE_PRESETS, run_figure
 from clext.measures import (
     MomentProblem,
     carleman_test,
-    conjecture_weight_value,
     eigenstate_measures,
     verify_identity_resolution,
     verify_moments,
@@ -50,7 +49,7 @@ from clext.states import (
     eigenstate_norm,
     norm_series_cs_alpha,
 )
-from conftest import dense, hausdorff_closed_form, random_valid_params
+from conftest import dense, hausdorff_closed_form, meijer_weight, random_valid_params
 
 
 def _report(n, text):
@@ -312,13 +311,13 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
     # Meijer-form candidate vs the paper's 2F1 and Appell forms at alpha = 2, 3 on (0,1)
     p4 = params_from_beta_bar(4, [1.5, 1.5, 1.25])
     for y in np.linspace(0.1, 0.9, 5):
-        conv = float(conjecture_weight_value(p4, 0, 2, float(y))[0])
+        conv = meijer_weight(p4, 0, 2, float(y))
         ser = hausdorff_closed_form(p4, 0, 2, float(y))
         assert conv == pytest.approx(ser, rel=1e-7)
     p6 = params_from_beta_bar(6, [1.9, 1.7, 1.5, 0.9, 0.8])
     w6 = weight_function(p6, 0, 3)
     for y in (0.25, 0.5, 0.75):
-        conv = float(conjecture_weight_value(p6, 0, 3, float(y))[0])
+        conv = meijer_weight(p6, 0, 3, float(y))
         ser = float(w6.evaluate(float(y))[0])
         app = hausdorff_closed_form(p6, 0, 3, float(y))
         assert conv == pytest.approx(ser, rel=1e-7)

@@ -4,8 +4,10 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from clext import specfun
 from clext.cli import main, parse_args
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -269,14 +271,14 @@ class TestHausdorffMoments:
         else:
             assert code in (0, 1) and "# max_rel_error = " in out
 
-    def test_slater_refusal_is_a_one_line_error(self):
-        # b = (0, 1e-8, -0.2): Slater refuses points and p = q has no contour
-        code, _, err = run_cli(
+    def test_near_coincident_lower_parameters_pass(self):
+        # b = (0, 1e-8, -0.2): Slater refused points here and p = q has no
+        # contour; the residue sum takes (0, 1e-8) as one cluster
+        code, out, err = run_cli(
             ["moments", "--lambda", "6", "--alpha", "10.4,-2.2,-2.2,-3.99999994,-2.20000006,0.2",
-             "--mu", "0", "--cs-alpha", "3"]
+             "--mu", "0", "--cs-alpha", "3", "--tol", "1e-9"]
         )
-        assert code == 2
-        assert err.startswith("error: Slater refused ") and err.count("\n") == 1
+        assert code == 0 and not err, out
 
 
 class TestStieltjesMoments:
@@ -299,16 +301,58 @@ class TestStieltjesMoments:
         line = next(l for l in out.splitlines() if l.startswith("# max_rel_error = "))
         assert float(line.split("=")[1].split(",")[0]) <= 1e-12
 
-    def test_small_pair_gap_is_a_one_line_error(self):
+    def test_small_pair_gap_passes(self):
         # beta_bar = (0.84, 0.838, 1.476): one pair with gap 0.002, whose
-        # (1 - u)^(s - 1) mass tanh-sinh cannot reach; it used to run 25 s
-        # and return weights 24 % low
-        code, _, err = run_cli(
+        # (1 - u)^(s - 1) mass the Mellin convolution's tanh-sinh could not
+        # reach (it exited 2); the direct evaluation has no such limit
+        code, out, _ = run_cli(
             ["moments", "--lambda", "4", "--alpha", "2.36,-1.008,1.552,-2.904",
-             "--mu", "0", "--cs-alpha", "1"]
+             "--mu", "0", "--cs-alpha", "1", "--tol", "1e-10"]
         )
-        assert code == 2
-        assert err.startswith("error: pair gap sum s = 0.002 ") and err.count("\n") == 1
+        assert code == 0, out
+
+
+class TestConfluentWeights:
+    @pytest.mark.parametrize(
+        "lam,alpha,cs_alpha",
+        [
+            # b = (0, 1/2, 1/2, 1/2, 1/2): the contour could not settle at y = 6e-23
+            ("5", "6.5,-1,-1,-1,-3.5", "0"),
+            # b = (0, 1/4, 1/4, 1/4): the contour could not settle at y = 5e-20
+            ("4", "4,-1,-1,-2", "0"),
+            # r = 0, b = (0, 0, -0.2): the eps-split was 2.3e-6 off
+            ("6", "10.4,-2.2,-2.2,-4,-2.2,0.2", "3"),
+            # r = 0, b = (0, 1/4, 1/4, 1/4): the eps-split reached 6.3e-9
+            ("8", "11,-1,-1,-3,-1,-1,-1,-3", "4"),
+        ],
+    )
+    def test_coincident_lower_parameters_pass(self, lam, alpha, cs_alpha):
+        code, out, err = run_cli(
+            ["moments", "--lambda", lam, "--alpha", alpha, "--mu", "0", "--cs-alpha", cs_alpha,
+             "--tol", "1e-9"]
+        )
+        assert code == 0 and not err, out
+
+    def test_coincident_resolution_passes(self):
+        # b = (0, 1/2, 1/2, 1/2) in the mu = 0 weight: exited 2 at y = 1.1e-11
+        code, out, err = run_cli(
+            ["resolution", "--lambda", "4", "--alpha", "5,-1,-1,-3", "--mode", "eigenstate_offdiag"]
+        )
+        assert code == 0 and not err, out
+
+    def test_unmet_tolerance_is_a_one_line_error(self, monkeypatch):
+        # with the residue sum refusing every point, the contour's line floor
+        # sits far right of the saddle at small y: the kummer weight raises
+        # NoConvergence, which the CLI reports on one line
+        monkeypatch.setattr(
+            specfun, "_slater_vec", lambda b, y, tol, a=(): (np.zeros_like(y), np.zeros(y.shape, bool))
+        )
+        code, out, err = run_cli(
+            ["moments", "--lambda", "3", "--alpha", "3,-3,0", "--mu", "0", "--cs-alpha", "1"]
+        )
+        assert code == 2 and not out
+        assert err.startswith("error: Bromwich contour at y = ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestOptionTable:

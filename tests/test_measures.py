@@ -7,15 +7,12 @@ import scipy.special as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
-from clext.errors import DomainError, PositivityUnavailable
+from clext.errors import ClextError, PositivityUnavailable
 from clext.measures import (
     MomentProblem,
     PositivityCertificate,
     PositivityRefusal,
-    _cancel_equal,
-    _pairing,
     carleman_test,
-    conjecture_weight_value,
     eigenstate_measures,
     hankel_hadamard,
     mellin_lists,
@@ -25,8 +22,7 @@ from clext.measures import (
     verify_moments,
     weight_function,
 )
-from clext.quadrature import LOG_MIN_OFFSET
-from conftest import hausdorff_closed_form, random_valid_params
+from conftest import hausdorff_closed_form, meijer_weight, random_valid_params
 
 
 class TestMomentTargets:
@@ -274,12 +270,17 @@ class TestResolutions:
 
 
 class TestConjecture:
+    # the conjecture: the r = 0 weight is A G^{alpha,0}_{alpha,alpha}, checked
+    # by mpmath's meijerg against the paper's 2F1 and Appell forms and the
+    # library's Norlund series
     def test_alpha2_matches_series(self):
         p = params_from_beta_bar(4, [1.5, 1.5, 1.25])
+        w = weight_function(p, 0, 2)
         for y in (0.1, 0.35, 0.6, 0.85):
-            conv = float(conjecture_weight_value(p, 0, 2, y)[0])
+            meijer = meijer_weight(p, 0, 2, y)
             closed = hausdorff_closed_form(p, 0, 2, y)
-            assert conv == pytest.approx(closed, rel=1e-7)
+            assert meijer == pytest.approx(closed, rel=1e-7)
+            assert float(w.evaluate(y)[0]) == pytest.approx(closed, rel=1e-7)
 
     def test_alpha3_three_routes(self):
         p = params_from_beta_bar(6, [1.9, 1.7, 1.5, 0.9, 0.8])
@@ -287,9 +288,9 @@ class TestConjecture:
         for y in (0.3, 0.55, 0.8):
             appell = hausdorff_closed_form(p, 0, 3, y)
             series = float(w.evaluate(y)[0])
-            conv = float(conjecture_weight_value(p, 0, 3, y)[0])
+            meijer = meijer_weight(p, 0, 3, y)
             assert series == pytest.approx(appell, rel=1e-8)
-            assert conv == pytest.approx(appell, rel=1e-7)
+            assert meijer == pytest.approx(appell, rel=1e-7)
 
 
 class TestLambda6Weight:
@@ -385,30 +386,58 @@ def stieltjes_cases(draw):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(stieltjes_cases())
 def test_stieltjes_weight_sweep(case):
-    # one convolution level is exact to rounding, except for the share
-    # e^(LOG_MIN_OFFSET s) of the (1 - u)^(s-1) mass beyond every node,
-    # which the kernel refuses once it exceeds its tol (1e-10)
+    # the direct G^{m,0}_{alpha,m} evaluation matches meijerg at every draw,
+    # small pair gaps included (the convolution refused gap sums whose
+    # (1 - u)^(s-1) mass lay beyond its tanh-sinh nodes)
     lam, bb, mu, alpha, y = case
     p = params_from_beta_bar(lam, bb)
     cert = positivity_condition(p, mu, alpha)
     assume(isinstance(cert, PositivityCertificate))
     a, b = mellin_lists(p, mu, alpha)
-    # equal upper and lower parameters cancel first when the rest certifies
-    a_left, b_left = _cancel_equal(a, b)
-    pairing = _pairing(a_left, b_left) if len(a_left) < alpha else None
-    if pairing is None:
-        a_left, b_left, pairing = a, b, cert.pairing
-    share = math.exp(LOG_MIN_OFFSET * sum(a_left[i] - b_left[j] for i, j in enumerate(pairing)))
-    if share > 1e-10:
-        with pytest.raises(DomainError, match="pair gap sum"):
-            weight_function(p, mu, alpha)
-        return
     with mp.workdps(30):
         mass = mp.fprod(mp.gamma(1 + v) for v in b) / mp.fprod(mp.gamma(1 + v) for v in a)
         ref = float(moment_target(MomentProblem(p, mu, alpha), 0) / mass
                     * mp.meijerg([[], a], [b, []], y))
     got = float(weight_function(p, mu, alpha).evaluate(y)[0])
-    assert got == pytest.approx(ref, rel=max(1e-12, 2.0 * share))
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+# the four r >= 3 weights whose inner G^{r,0}_{0,r} came from a log-log
+# table (moments 1.4e-9 to 2.6e-9 there): lambda, beta_bar, mu, alpha
+TABLE_CASES = (
+    (5, (1.5, 1.3, 1.2, 0.9), 0, 1),
+    (6, (1.9, 1.7, 1.5, 1.0, 0.8), 0, 1),
+    (7, (1.3, 1.2, 1.1, 1.0, 0.9, 0.8), 0, 2),
+    (6, (1.3, 1.2, 1.1, 1.0, 0.9), 1, 1),
+)
+
+
+def test_certified_stieltjes_moments_sweep():
+    # seeded certified r > 0, alpha >= 1 weights of lambda <= 8, a third of
+    # them with one shared beta_bar (coincident lower parameters), plus the
+    # table cases: moments k <= 8 within 1e-10, or a named ClextError
+    rng = np.random.default_rng(20261019)
+    cases = list(TABLE_CASES)
+    while len(cases) < 20:
+        lam = int(rng.integers(3, 9))
+        alpha = int(rng.integers(1, (lam - 1) // 2 + 1))
+        mu = int(rng.integers(0, lam - alpha))
+        bb = rng.uniform(0.08, 2.5, lam - 1)
+        if rng.random() < 1 / 3:
+            bb[rng.random(lam - 1) < 0.5] = bb[0]
+        p = params_from_beta_bar(lam, bb)
+        if isinstance(positivity_condition(p, mu, alpha), PositivityCertificate):
+            cases.append((lam, tuple(bb), mu, alpha))
+    refused = []
+    for lam, bb, mu, alpha in cases:
+        p = params_from_beta_bar(lam, bb)
+        try:
+            rep = verify_moments(weight_function(p, mu, alpha), MomentProblem(p, mu, alpha), 8, 1e-10)
+        except ClextError as exc:
+            refused.append((lam, bb, mu, alpha, exc))
+            continue
+        assert rep.passed, (lam, bb, mu, alpha, rep.max_rel_error)
+    assert not [case for case in refused if case[:4] in TABLE_CASES]
 
 
 class TestStieltjesRegressions:
@@ -441,7 +470,8 @@ class TestStieltjesRegressions:
                 assert g == pytest.approx(float(ref), rel=1e-13)
 
     def test_tabulated_inner_kernel_moments(self):
-        # r = 3: the inner G^{3,0}_{0,3} comes from _TabulatedM0Kernel
+        # r = 3: the weight whose inner G^{3,0}_{0,3} once came from a
+        # log-log table, now evaluated directly
         p = params_from_beta_bar(5, [1.5, 1.3, 1.2, 0.9])
         w = weight_function(p, 0, 1)
         assert w.form == "kummer"
@@ -534,7 +564,7 @@ def test_alpha4_conjecture_reported_not_asserted():
     assert w.form == "multiple_series"
     for y in (0.3, 0.6):
         series = float(w.evaluate(y)[0])
-        candidate = float(conjecture_weight_value(p8, 0, 4, y)[0])
+        candidate = meijer_weight(p8, 0, 4, y)
         assert math.isfinite(series) and series > 0
         rel = abs(series - candidate) / abs(series)
         print(f"\nalpha=4 candidate vs series at y={y}: rel diff {rel:.2e}")

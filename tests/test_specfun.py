@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special as sp
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, note, settings, strategies as st
 
 from clext import params_from_beta_bar
 from clext.errors import (
+    ClextError,
     DivergentSeries,
     DomainError,
     NoConvergence,
@@ -30,13 +31,13 @@ from clext.measures import (
     weight_function,
 )
 from clext.specfun import (
+    _NorlundKernel,
     _contour_batch,
     _expansion_vec,
     _polygamma,
     _slater_vec,
     bessel_i,
     bessel_k_vec,
-    build_convolution_kernel,
     g_general_vec,
     m0_eval_vec,
     pfq,
@@ -185,6 +186,16 @@ class TestKummerU:
         ref = float(mp.hyperu(a, b, y))
         assert kummer_u_via_g(a, b, y) == pytest.approx(ref, rel=3e-9)
 
+    @pytest.mark.parametrize(
+        "a,b,y",
+        # lower parameters (0, 4/3); (0, -1), integer-spaced; and (0, -1)
+        # under the upper -1/3, which the eps-split missed by 2.0e-6
+        [(-5 / 3, -1 / 3, 14.0), (1.2, 2.0, 12.0), (2 / 3, 2.0, 0.5)],
+    )
+    def test_integer_spaced_lower_parameters(self, a, b, y):
+        ref = float(mp.hyperu(a, b, y))
+        assert kummer_u_via_g(a, b, y) == pytest.approx(ref, rel=1e-10)
+
 
 # ---------------------------------------------------------------------------
 # Meijer G
@@ -203,11 +214,14 @@ class TestMeijerG:
         assert float(slater[0]) == pytest.approx(ref, rel=1e-9)
         assert ok.all()  # cancellation stayed below the conditioning limit
 
-    def test_slater_degenerate_refused(self):
-        # integer-spaced lower parameters: the plain expansion refuses
-        # every point, which sends g_general_vec to the eps-split route
-        _, ok = _slater_vec([0.0, 1.0], np.array([0.5]), 1e-13)
-        assert not ok.any()
+    def test_slater_integer_spacing_is_summed(self):
+        # integer-spaced lower parameters: the residue sum takes the double
+        # poles as one cluster (logarithmic residues) instead of refusing
+        y = np.array([1e-30, 0.5, 3.0])
+        vals, ok = _slater_vec([0.0, 1.0], y, 1e-13)
+        assert ok.all()
+        for v, t in zip(vals, y):
+            assert v == pytest.approx(float(mp.meijerg([[], []], [[0.0, 1.0], []], t)), rel=1e-12)
 
     @pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize(
@@ -223,9 +237,8 @@ class TestMeijerG:
     def test_kummer_consistency(self):
         # G^{2,0}_{1,2}(y | bb1-1; 0, bb2-1) = e^-y U(bb1-bb2, 2-bb2, y)
         bb1, bb2 = 4 / 3, 2 / 3
-        kernel = build_convolution_kernel([bb1 - 1.0], [0.0, bb2 - 1.0], pairing=[0])
         for y in (0.2, 1.0, 6.0):
-            got = float(kernel(np.array([y]))[0])
+            got = float(g_general_vec([bb1 - 1.0], [0.0, bb2 - 1.0], np.array([y]))[0])
             ref = math.exp(-y) * float(mp.hyperu(bb1 - bb2, 2.0 - bb2, y))
             assert got == pytest.approx(ref, rel=1e-8)
 
@@ -253,20 +266,39 @@ class TestMeijerG:
         for g, v in zip(got, y):
             assert g == pytest.approx(float(mp.meijerg([[], []], [list(b), []], v)), rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "a, b", [((), (0.0, 0.0)), ((), (0.0, 0.0, 0.5)), ((), (0.0, 0.5, 0.5)), ((0.7,), (0.0, 0.0, 0.3))]
+    )
+    def test_repeated_lower_parameters_at_extreme_small_y(self, a, b):
+        # the leading small-y power assumed a distinct smallest lower
+        # parameter (1.1e-7 off at 1e-70, a math domain error for (0, 0, 1/2));
+        # the residue sum's own first poles serve these points
+        y = np.array([1e-70, 1e-300, 5e-324])
+        got = g_general_vec(a, b, y)
+        if not a:
+            assert m0_eval_vec(b, y).tolist() == got.tolist()
+        for g, v in zip(got, y):
+            ref = float(mp.meijerg([[], list(a)], [list(b), []], mp.mpf(v)))
+            assert g == pytest.approx(ref, rel=1e-10)
+
     def test_spec_validation(self):
-        # a pairing with a <= b has no convolution level
+        # a pairing with a <= b has no Norlund series term
         with pytest.raises(DomainError):
-            build_convolution_kernel([0.2], [0.0, 0.5], pairing=[1])
-        # nor a Norlund series term (r = 0)
+            _NorlundKernel([(0.2, 0.5)])
         with pytest.raises(DomainError):
-            build_convolution_kernel([0.2, 0.9], [0.0, 0.5], pairing=[1, 0])
+            _NorlundKernel([(0.2, 0.5), (0.9, 0.0)])
 
     def test_pq_points_slater_refuses_raise(self):
-        # nearly coincident lower parameters at p = q: Slater refuses the
-        # point and no contour exists without m > p
+        # p = q: near y = 1 the residue sum (terms ~ y^K) does not settle in
+        # its term cap, and no contour exists without m > p.  The nearly
+        # coincident pair (0, 1e-8) is one cluster, so y = 0.05 and 1e-70
+        # are summed (Slater refused them before clusters)
         a, b = [0.9, 0.7, 0.5], [0.0, 1e-8, -0.2]
-        with pytest.raises(DomainError, match="refused 1 of 2 points"):
-            g_general_vec(a, b, np.array([0.05, 1e-70]))
+        with pytest.raises(DomainError, match="refused 1 of 3 points"):
+            g_general_vec(a, b, np.array([0.05, 1e-70, 0.999]))
+        vals = g_general_vec(a, b, np.array([0.05, 1e-70]))
+        for v, t in zip(vals, (0.05, 1e-70)):
+            assert v == pytest.approx(float(mp.meijerg([[], a], [b, []], t)), rel=1e-12)
 
     def test_contour_memory_bounded_by_row_blocks(self):
         # one log-y bucket of 401 points: the integrand is built in blocks
@@ -342,23 +374,15 @@ class TestMeijerG:
                 ref = float(mp.meijerg([[], []], [b, []], y[i]))
                 assert vals[i] == pytest.approx(ref, rel=1e-11)
 
-    def test_subnormal_rows_skip_the_quadrature(self, monkeypatch):
-        # lambda = 3 (mu, alpha) = (0, 1): at y = 1.7e-322 u = y t keeps a few
-        # bits, and the row ran to the tanh-sinh node cap
+    def test_subnormal_rows_skip_the_quadrature(self):
+        # lambda = 3 (mu, alpha) = (0, 1): the convolution's u = y t kept a few
+        # bits at y = 1.7e-322 and the row ran to the tanh-sinh node cap; the
+        # residue sum takes these rows directly
         p = params_from_beta_bar(3, [4 / 3, 2 / 3])
         a, b = mellin_lists(p, 0, 1)
-        kernel = build_convolution_kernel(a, b, positivity_condition(p, 0, 1).pairing)
-        rows = []
-        tanh_sinh = specfun.tanh_sinh
-
-        def recorded(*args, **kw):
-            rows.append(kw["params"][0])
-            return tanh_sinh(*args, **kw)
-
-        monkeypatch.setattr(specfun, "tanh_sinh", recorded)
         y = np.array([1.72922976e-322, 5e-324, 1e-300])
-        vals = kernel(y)
-        assert np.concatenate(rows).tolist() == [1e-300]
+        vals, ok = _slater_vec(b, y, 1e-13, a)
+        assert ok.all() and g_general_vec(a, b, y).tolist() == vals.tolist()
         for v, t in zip(vals, y):
             assert v == pytest.approx(float(mp.meijerg([[], a], [b, []], mp.mpf(t))), rel=1e-12)
 
@@ -368,6 +392,11 @@ class TestMeijerG:
             ref = sp.polygamma(n, x)
             assert np.abs(_polygamma(n, x) - ref).max() <= 4e-15 * np.abs(ref).max()
             assert np.abs(_polygamma(n, x) / ref - 1.0).max() < (3e-13 if n == 0 else 2e-15)
+        # the residue sum's log-gamma Taylor series use n >= 2 at x >= 1
+        x = np.geomspace(1.0, 1e3, 200)
+        for n in (2, 3, 5, 10, 25, 60):
+            ref = sp.polygamma(n, x)
+            assert np.abs(_polygamma(n, x) / ref - 1.0).max() < 1e-13, n
 
     @pytest.mark.parametrize("a, b", [((), (0.0, 0.3, 0.2)), ((0.5,), (0.0, 0.3, 0.2, -0.1))])
     def test_infinite_y_is_an_exact_zero(self, monkeypatch, a, b):
@@ -425,21 +454,10 @@ class TestMeijerG:
             ref = float(mp.meijerg([[], []], [b, []], y[i]))
             assert vals[i] == pytest.approx(ref, rel=1e-11)
 
-    def test_table_evaluates_past_its_end(self):
-        # above x_hi = (80/m)^m the r >= 3 inner table hands x to m0_eval_vec
-        # (the large-y expansion there) instead of returning 0
-        b = [0.0, 0.3, -0.2]
-        kernel = specfun._TabulatedM0Kernel(b)
-        x = np.array([1.5, 10.0, np.inf]) * kernel.x_hi
-        vals = kernel(x)
-        assert vals.tolist() == m0_eval_vec(b, x).tolist()
-        assert vals[0] > 0.0 and vals[2] == 0.0
-        for v, t in zip(vals[:2], x[:2]):
-            assert v == pytest.approx(float(mp.meijerg([[], []], [b, []], t)), rel=1e-11)
-
     def test_convolution_kernel_positive(self):
-        kern = build_convolution_kernel([0.5], [0.0, 0.2, -0.4], pairing=[1])
-        vals = kern(np.array([0.1, 1.0, 4.0]))
+        # a certified r = 2 list (a = 0.5 > b = 0.2): the weight, once a
+        # convolution, is positive
+        vals = g_general_vec([0.5], [0.0, 0.2, -0.4], np.array([0.1, 1.0, 4.0]))
         assert np.all(vals > 0)
 
 
@@ -516,3 +534,46 @@ def test_slater_prescreen_skips_only_refused_points():
                 assert skip.any()
                 _, ok = _slater_vec(b, y[skip], 1e-13, a)
                 assert not ok.any(), (lam, mu, b, y[skip][ok])
+
+
+@st.composite
+def confluent_cases(draw):
+    """(a, b, y): a certified Mellin list of lambda <= 8, r = m - p >= 0, whose
+    beta_bar are pushed, with probability 3/4, onto one shared value, onto
+    integer shifts of it, or onto near-integer shifts (offsets 1e-12..3e-2),
+    so that lower parameters coincide, are integer-spaced or nearly so; y
+    log-uniform on [1e-30, Slater's reach] (r = 0: [1e-30, 0.95])."""
+    lam = draw(st.integers(2, 8))
+    alpha = draw(st.integers(0, lam // 2))
+    bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
+    mode = draw(st.sampled_from(["drawn", "coincident", "integer", "near"]))
+    for i in range(1, lam - 1):
+        if mode != "drawn" and draw(st.booleans()):
+            shift = draw(st.integers(-1, 1)) if mode != "coincident" else 0
+            if mode == "near":
+                shift += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -1.5))
+            bb[i] = min(2.5, max(0.08, bb[0] + shift))
+    p = params_from_beta_bar(lam, bb)
+    mu = draw(st.integers(0, lam - alpha - 1))
+    assume(isinstance(positivity_condition(p, mu, alpha), PositivityCertificate))
+    a, b = mellin_lists(p, mu, alpha)
+    r = lam - 2 * alpha
+    hi = 0.95 if r == 0 else ((math.log(specfun._SLATER_COND_LIMIT) + (r - 1) * math.log(2.0) + 3.0) / (2 * r)) ** r
+    return tuple(a), tuple(b), 10.0 ** draw(st.floats(-30.0, math.log10(hi)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(confluent_cases())
+@example(((), (0.0, 0.2309, 0.3906, 0.1501, -0.8592, -0.5427), 0.547))
+def test_confluent_sweep(case):
+    # every point g_general_vec returns is within 1e-10 of meijerg; any
+    # other point raises a named ClextError (DomainError, NoConvergence)
+    a, b, y = case
+    try:
+        got = float(g_general_vec(a, b, np.array([y]))[0])
+    except ClextError as exc:
+        note(f"refused: {exc}")
+        return
+    with mp.workdps(30):
+        ref = float(mp.meijerg([[], list(a)], [list(b), []], mp.mpf(y)))
+    assert got == pytest.approx(ref, rel=1e-10)
