@@ -18,6 +18,7 @@ their argument array.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -401,6 +402,10 @@ _SLATER_TERMS = 700
 # Gamma prefactors by 1/d, digits an expansion about the cluster keeps.
 _CLUSTER_GAP = 1e-2
 
+# Taylor terms of a cluster's series at most: its polygamma coefficients
+# (from order about 163) and 1/k! (from 171) leave the double range.
+_CLUSTER_TERMS = 150
+
 
 def _slater_reaches(r: int, y: np.ndarray) -> np.ndarray:
     """Where Slater can condition G^{m,0}_{p,m}, r = m - p > 0: its terms cancel by
@@ -415,14 +420,26 @@ def _spacing(u: float) -> float:
 
 
 def _clusters(b: Sequence[float]) -> list[list[int]]:
-    """Indices of b joined by single linkage on integer spacing below _CLUSTER_GAP."""
-    label = list(range(len(b)))
-    for i in range(len(b)):
-        for j in range(i):
-            if _spacing(b[i] - b[j]) < _CLUSTER_GAP and label[i] != label[j]:
-                old = label[i]
-                label = [label[j] if v == old else v for v in label]
-    return [[i for i, v in enumerate(label) if v == k] for k in sorted(set(label))]
+    """Indices of b joined while two groups' integer spacing is below _CLUSTER_GAP
+    or twice either group's spread, so that no other parameter's pole lies
+    within twice a cluster's spread and its Taylor terms fade like 2^-k."""
+    groups = [[i] for i in range(len(b))]
+
+    def spread(g):
+        off = [b[j] - b[g[0]] - round(b[j] - b[g[0]]) for j in g]
+        return max(off) - min(off)
+
+    joined = True
+    while joined:
+        joined = False
+        for g, h in itertools.combinations(groups, 2):
+            gap = min(_spacing(b[i] - b[j]) for i in g for j in h)
+            if gap < max(_CLUSTER_GAP, 2.0 * spread(g), 2.0 * spread(h)):
+                groups.remove(h)
+                g.extend(h)
+                joined = True
+                break
+    return sorted(sorted(g) for g in groups)
 
 
 def _lgamma_series(x: Sequence[float], n: int) -> np.ndarray:
@@ -474,11 +491,9 @@ def _gamma_decimal(x: Decimal) -> Decimal:
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _cluster_series(a: tuple, b: tuple, members: tuple, y_top: float, ln_top: float, tol: float):
+def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float, tol: float):
     """The residues of one cluster's poles as coefficients, for y up to y_top
-    and |ln y| up to ln_top; see _slater_vec.  Cached per list and y range,
-    like the large-y expansion's coefficients.
+    and |ln y| up to ln_top; see _slater_vec.
 
     Returns (c, first, value, major, last, log_size): pole K = first + i
     contributes y^(c + K) sum_d value[i, d] (ln 1/y)^d; major bounds it
@@ -490,20 +505,23 @@ def _cluster_series(a: tuple, b: tuple, members: tuple, y_top: float, ln_top: fl
     with localcontext() as ctx:
         ctx.prec = _RESIDUE_DIGITS
         # the member with the largest fractional offset sets c, so every node x_j >= 0
+        # in a cluster whose spread is below 1/2
         offset = {j: Decimal(b[j]) - Decimal(b[members[0]]) for j in members}
         c = b[max(members, key=lambda j: offset[j] - round(offset[j]))]
         diff = [Decimal(v) - Decimal(c) for v in b + a]  # exact to 1e-34
         joins = {j: int(round(diff[j])) for j in members}
         node = {j: float(joins[j] - diff[j]) for j in members}
-        spread = max(node.values())
+        spread = max(abs(x) for x in node.values())
         # Taylor terms of R y^-eps over spread nodes: R's fade like (spread / rho)^k, rho
-        # the distance to the nearest pole outside the cluster, and y^-eps's like
-        # (spread |ln y|)^k / k!, whose tail past k = e x + 20 is below 1e-12 e^-x
+        # the distance to the nearest pole not joined at eps = 0 (the members' own
+        # next poles lie 1 - spread away), and y^-eps's like (spread |ln y|)^k / k!,
+        # whose tail past k = e x + 20 is below 1e-12 e^-x.  Past _CLUSTER_TERMS the
+        # kept terms' share (last) leaves the points that need more unsettled.
         n = len(members)
         if spread > 0.0:
-            rho = min([_spacing(float(diff[j])) for j in range(len(b)) if j not in joins] + [1.0])
+            rho = min([_spacing(float(diff[j])) for j in range(len(b)) if j not in joins] + [1.0 - spread])
             reach = 17.0 / max(1e-2, -math.log10(min(spread / rho, 0.99)))
-            n += min(200, math.ceil(max(reach, math.e * spread * ln_top + 20.0)))
+            n = min(_CLUSTER_TERMS, n + math.ceil(max(reach, math.e * spread * ln_top + 20.0)))
         lift = max(1, math.ceil(max(1.0 - float(d) for d in diff)))
         lead = Decimal(1)
         for i, d in enumerate(diff):
@@ -577,10 +595,7 @@ def _cluster_series(a: tuple, b: tuple, members: tuple, y_top: float, ln_top: fl
                     for i in range(n):
                         s_prev = series[i] = (series[i] - s_prev) / d
                         b_prev = bound[i] = (bound[i] + b_prev) / abs(d)
-    arrays = [np.array(rows) for rows in (value, major, last)]
-    for rows in arrays:
-        rows.flags.writeable = False  # one cached array for every caller
-    return c, first, arrays[0], arrays[1], arrays[2] if spread > 0.0 else None, tuple(log_size)
+    return c, first, np.array(value), np.array(major), np.array(last) if spread > 0.0 else None, log_size
 
 
 def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = ()):
@@ -617,8 +632,8 @@ def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float
     if not y.size:
         return np.zeros_like(y), np.zeros(y.shape, dtype=bool)
     lny = np.log(y)
-    parts = [_cluster_series(tuple(a), tuple(b), tuple(members), float(y.max()),
-                             float(np.abs(lny).max()), tol) for members in _clusters(b)]
+    parts = [_cluster_series(a, b, members, float(y.max()), float(np.abs(lny).max()), tol)
+             for members in _clusters(b)]
     total, major, trunc = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
     tail = np.full(y.shape, -np.inf)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):

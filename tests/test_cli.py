@@ -324,6 +324,11 @@ class TestConfluentWeights:
             ("6", "10.4,-2.2,-2.2,-4,-2.2,0.2", "3"),
             # r = 0, b = (0, 1/4, 1/4, 1/4): the eps-split reached 6.3e-9
             ("8", "11,-1,-1,-3,-1,-1,-1,-3", "4"),
+            # b = (0, 0.009, 0.0195): 0.0195 lies 0.0105 from the pair, within
+            # twice its spread, so it joins their cluster; kept apart, it left
+            # the pair needing 202 Taylor terms, whose polygamma coefficients
+            # overflowed (a traceback)
+            ("3", "2.027,-0.9685,-1.0585", "0"),
         ],
     )
     def test_coincident_lower_parameters_pass(self, lam, alpha, cs_alpha):

@@ -7,7 +7,7 @@ import scipy.special as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
-from clext.errors import ClextError, PositivityUnavailable
+from clext.errors import PositivityUnavailable
 from clext.measures import (
     MomentProblem,
     PositivityCertificate,
@@ -415,7 +415,7 @@ TABLE_CASES = (
 def test_certified_stieltjes_moments_sweep():
     # seeded certified r > 0, alpha >= 1 weights of lambda <= 8, a third of
     # them with one shared beta_bar (coincident lower parameters), plus the
-    # table cases: moments k <= 8 within 1e-10, or a named ClextError
+    # table cases: moments k <= 8 within 1e-10, and none refused
     rng = np.random.default_rng(20261019)
     cases = list(TABLE_CASES)
     while len(cases) < 20:
@@ -428,16 +428,10 @@ def test_certified_stieltjes_moments_sweep():
         p = params_from_beta_bar(lam, bb)
         if isinstance(positivity_condition(p, mu, alpha), PositivityCertificate):
             cases.append((lam, tuple(bb), mu, alpha))
-    refused = []
     for lam, bb, mu, alpha in cases:
         p = params_from_beta_bar(lam, bb)
-        try:
-            rep = verify_moments(weight_function(p, mu, alpha), MomentProblem(p, mu, alpha), 8, 1e-10)
-        except ClextError as exc:
-            refused.append((lam, bb, mu, alpha, exc))
-            continue
+        rep = verify_moments(weight_function(p, mu, alpha), MomentProblem(p, mu, alpha), 8, 1e-10)
         assert rep.passed, (lam, bb, mu, alpha, rep.max_rel_error)
-    assert not [case for case in refused if case[:4] in TABLE_CASES]
 
 
 class TestStieltjesRegressions:

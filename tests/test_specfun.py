@@ -223,6 +223,20 @@ class TestMeijerG:
         for v, t in zip(vals, y):
             assert v == pytest.approx(float(mp.meijerg([[], []], [[0.0, 1.0], []], t)), rel=1e-12)
 
+    def test_cluster_past_its_taylor_cap_is_left_unsettled(self):
+        # each parameter lies within twice the spread of those before it, so
+        # all six form one cluster of spread 0.72, whose Taylor series cannot
+        # settle in _CLUSTER_TERMS terms: the residue sum leaves the points
+        # (no overflow), the contour takes them, and at p = q they raise
+        b = [0.0, 0.009, 0.0269, 0.0806, 0.2418, 0.72]
+        assert specfun._clusters(b) == [list(range(6))]
+        y = np.array([1e-3, 0.1, 0.5])
+        assert not _slater_vec(b, y, 1e-13)[1].any()
+        for g, t in zip(g_general_vec([], b, y), y):
+            assert g == pytest.approx(float(mp.meijerg([[], []], [b, []], t)), rel=1e-10)
+        with pytest.raises(DomainError):
+            g_general_vec([v + 1.5 for v in b], b, y)
+
     @pytest.mark.parametrize("y", [0.1, 0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize(
         "b",
@@ -539,16 +553,19 @@ def test_slater_prescreen_skips_only_refused_points():
 @st.composite
 def confluent_cases(draw):
     """(a, b, y): a certified Mellin list of lambda <= 8, r = m - p >= 0, whose
-    beta_bar are pushed, with probability 3/4, onto one shared value, onto
-    integer shifts of it, or onto near-integer shifts (offsets 1e-12..3e-2),
+    beta_bar are pushed, with probability 4/5, onto one shared value, onto
+    integer shifts of it, onto near-integer shifts (offsets 1e-12..3e-2), or
+    each near the one before (offsets 1e-3..3e-2, chains of near offsets),
     so that lower parameters coincide, are integer-spaced or nearly so; y
     log-uniform on [1e-30, Slater's reach] (r = 0: [1e-30, 0.95])."""
     lam = draw(st.integers(2, 8))
     alpha = draw(st.integers(0, lam // 2))
     bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
-    mode = draw(st.sampled_from(["drawn", "coincident", "integer", "near"]))
+    mode = draw(st.sampled_from(["drawn", "coincident", "integer", "near", "chain"]))
     for i in range(1, lam - 1):
-        if mode != "drawn" and draw(st.booleans()):
+        if mode == "chain":
+            bb[i] = min(2.5, max(0.08, bb[i - 1] + 10.0 ** draw(st.floats(-3.0, -1.5))))
+        elif mode != "drawn" and draw(st.booleans()):
             shift = draw(st.integers(-1, 1)) if mode != "coincident" else 0
             if mode == "near":
                 shift += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -1.5))
@@ -565,6 +582,10 @@ def confluent_cases(draw):
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(confluent_cases())
 @example(((), (0.0, 0.2309, 0.3906, 0.1501, -0.8592, -0.5427), 0.547))
+@example(((), (0.0, 0.009, 0.0195), 0.3))
+@example(((), (0.0, 0.009, 0.0195), 1e-20))
+@example(((), (0.0, 0.0099, 0.0198, 0.0299), 0.3))
+@example(((), (0.0, 0.0099, 0.0198, 0.0299), 1e-25))
 def test_confluent_sweep(case):
     # every point g_general_vec returns is within 1e-10 of meijerg; any
     # other point raises a named ClextError (DomainError, NoConvergence)
