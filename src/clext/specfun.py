@@ -940,6 +940,10 @@ def g_general_vec(
 _NORLUND_SPLIT = 0.1
 _NORLUND_TERMS = math.ceil(math.log(1e-17) / math.log(1.0 - _NORLUND_SPLIT)) + 48
 
+# Terms of D summed per block in one matrix product; Horner then runs over
+# the blocks in (1 - x)^block, not over every term.
+_NORLUND_BLOCK = 20
+
 
 class _NorlundKernel:
     """G^{q,0}_{q,q}(x | a; b) on (0, 1) as Norlund's (1 - x) series.
@@ -971,6 +975,7 @@ class _NorlundKernel:
             d = d * (math.exp(math.lgamma(sigma) - math.lgamma(nxt)) * ratio)
             beta, sigma = bq, nxt
         self.d = d
+        self.blocks = np.pad(d, (0, -d.size % _NORLUND_BLOCK)).reshape(-1, _NORLUND_BLOCK)
         self.beta = beta
         self.s = sigma
 
@@ -985,9 +990,10 @@ class _NorlundKernel:
             out[low] = g_general_vec(self.a, self.b, x[low])
         if series.any():
             t = om[series]
-            acc = np.zeros_like(t)
-            for dn in self.d[::-1]:
-                acc = acc * t + dn
+            parts = (t[:, None] ** np.arange(_NORLUND_BLOCK)) @ self.blocks.T
+            step, acc = t**_NORLUND_BLOCK, np.zeros_like(t)
+            for part in parts.T[::-1]:
+                acc = acc * step + part
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 out[series] = acc * np.exp(
                     self.beta * np.log(x[series]) + (self.s - 1.0) * np.log(t)
