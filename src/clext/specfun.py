@@ -395,6 +395,7 @@ def _polygamma(n: int, x: np.ndarray) -> np.ndarray:
 
 _SLATER_COND_LIMIT = 1e6
 _SLATER_TERMS = 700
+_TINY = np.finfo(float).tiny
 
 # Lower parameters whose difference lies within this of an integer form one
 # cluster, whose poles are summed together: as separate Slater series two
@@ -625,7 +626,9 @@ def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float
     Returns (values, ok).  ok marks points whose sum settled (the last two
     poles' terms below tol of it), whose majorant sum |term| stays within
     _SLATER_COND_LIMIT of |value|, and, for spread nodes, whose last kept
-    Taylor terms stay below tol of it.
+    Taylor terms stay below tol of it; and points where the majorant, those
+    Taylor terms and the last two poles all lie below the smallest normal
+    double, whose G underflows.
     """
     b = [float(v) for v in b]
     a = [float(v) for v in a]
@@ -651,6 +654,7 @@ def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float
                 tail = np.maximum(tail, log_size[K - first] + (c + K) * lny)
         ok = (major <= _SLATER_COND_LIMIT * np.abs(total)) & (trunc <= tol * np.abs(total))
         ok &= tail <= np.log(tol * np.abs(total))
+        ok |= (np.maximum(major, trunc) < _TINY) & (tail < math.log(_TINY))
     return total, ok & np.isfinite(total)
 
 

@@ -295,6 +295,16 @@ class TestMeijerG:
             ref = float(mp.meijerg([[], list(a)], [list(b), []], mp.mpf(v)))
             assert g == pytest.approx(ref, rel=1e-10)
 
+    def test_underflowed_values_are_zero(self):
+        # where G lies below the double range the residue sum keeps its
+        # underflowed value; handed on, the contour gave inf for the first
+        # list and raised NoConvergence for (3, 4.2)
+        a, b = [6.53, 8.6, 6.78], [4.86, 3.88, 4.13, 5.79, 1.87, 3.69]
+        assert g_general_vec(a, b, np.array([1.8e-217])).tolist() == [0.0]
+        got = g_general_vec([], [3.0, 4.2], np.array([1e-300, 1e-150, 1e-100]))
+        assert got[:2].tolist() == [0.0, 0.0]
+        assert got[2] == pytest.approx(float(mp.meijerg([[], []], [[3.0, 4.2], []], 1e-100)), rel=1e-10)
+
     def test_spec_validation(self):
         # a pairing with a <= b has no Norlund series term
         with pytest.raises(DomainError):
