@@ -689,10 +689,10 @@ def _saddle_lines(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     floor, lny = 1.5 + max(0.0, -min(b)), np.log(y)
     c = np.maximum(floor, y ** (1.0 / (len(b) - len(a))))
     live = np.ones(c.shape, dtype=bool)
+    params, sign = np.r_[b, a], np.r_[np.ones(len(b)), -np.ones(len(a))]
     for _ in range(40):
-        xb, xa = c[:, None] + np.array(b), c[:, None] + np.array(a)
-        g = _polygamma(0, xb).sum(axis=1) - _polygamma(0, xa).sum(axis=1) - lny
-        slope = _polygamma(1, xb).sum(axis=1) - _polygamma(1, xa).sum(axis=1)
+        x = c[:, None] + params
+        g, slope = _polygamma(0, x) @ sign - lny, _polygamma(1, x) @ sign
         live &= slope > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             c_new = np.where(live, np.maximum(floor, c - g / slope), c)
