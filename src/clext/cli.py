@@ -45,12 +45,20 @@ def _params(args) -> "AlgebraParams":
     return validate_params(args.lam, alpha)
 
 
+def finite_float(text: str) -> float:
+    """The type of real-valued flags that reach the states: nan and inf are refused."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 def min_max_n(text: str) -> np.ndarray:
     """The --grid type: n >= 2 evenly spaced points from min to max."""
     lo, hi, n = text.split(":")
     if int(n) < 2:
         raise ValueError(text)
-    return np.linspace(float(lo), float(hi), int(n))
+    return np.linspace(finite_float(lo), finite_float(hi), int(n))
 
 
 def _emit(args, text: str):
@@ -118,13 +126,13 @@ def cmd_mandel(args) -> int:
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
 
-    def q(r, method):
+    def q(method):
         if args.family == "sector":
-            return mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, r), method).mandel_Q
-        return mandel_q_eigenstate(p, r, method).mandel_Q
+            return mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, grid), method).mandel_Q
+        return mandel_q_eigenstate(p, grid, method).mandel_Q
     lines = [f"# mandel Q, family = {args.family}", "r,Q_closed,Q_oracle"]
-    for r, qc in zip(grid, q(grid, "closed")):
-        lines.append(f"{_fmt(r)},{_fmt(qc)},{_fmt(q(float(r), 'oracle'))}")
+    for r, qc, qo in zip(grid, q("closed"), q("oracle")):
+        lines.append(f"{_fmt(r)},{_fmt(qc)},{_fmt(qo)}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -133,19 +141,19 @@ def cmd_squeeze(args) -> int:
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
 
-    def report(z, method):
+    zs = 1j * grid if args.direction == "im" else grid.astype(complex)
+
+    def report(method):
         if args.family == "sector":
-            return squeezing_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, z), args.kind, method)
-        return squeezing_eigenstate(p, z, args.kind, method)
+            return squeezing_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, zs), args.kind, method)
+        return squeezing_eigenstate(p, zs, args.kind, method)
     lines = [
         f"# squeezing, family = {args.family}, kind = {args.kind}, direction = {args.direction}",
         "g,X_closed,P_closed,X_oracle,P_oracle",
     ]
-    zs = 1j * grid if args.direction == "im" else grid.astype(complex)
-    closed = report(zs, "closed")
-    for g, z, xc, pc in zip(grid, zs, closed.X, closed.P):
-        ro = report(complex(z), "oracle")
-        lines.append(",".join(_fmt(v) for v in (g, xc, pc, ro.X, ro.P)))
+    closed, oracle = report("closed"), report("oracle")
+    for row in zip(grid, closed.X, closed.P, oracle.X, oracle.P):
+        lines.append(",".join(_fmt(v) for v in row))
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -273,7 +281,7 @@ def cmd_verify(args) -> int:
         rows = [(f"{r.basis} {r.pair} k={r.k}", r.residual, r.residual < 1e-10)
                 for r in check_commutators(p, "sector", k_max=5)]
     elif args.suite == "observables":
-        # closed Q on the whole |z| list in one call, each point against the oracle
+        # closed and oracle Q each on the whole |z| list in one call
         checks = (
             ("eigenstate", (0.4, 1.0, 1.7, 8.0, 14.0),
              lambda z, method: mandel_q_eigenstate(p, z, method)),
@@ -282,8 +290,8 @@ def cmd_verify(args) -> int:
         )
         rows = []
         for family, zs, q in checks:
-            for zz, qc in zip(zs, q(np.array(zs), "closed").mandel_Q):
-                qo = q(zz, "oracle").mandel_Q
+            closed, oracle = (q(np.array(zs), method).mandel_Q for method in ("closed", "oracle"))
+            for zz, qc, qo in zip(zs, closed, oracle):
                 err = abs(qc - qo) / (1.0 + abs(qo))
                 rows.append((f"{family} Q at |z|={zz}", err, err < 1e-8))
     lines = ["check,residual,passed"]
@@ -305,8 +313,8 @@ OPTIONS = {
     "alpha_csv": ("--alpha", str, None, "algebra parameters alpha_0,..,alpha_{lambda-1} as CSV"),
     "mu": ("--mu", int, 0, "Fock sector index"),
     "cs_alpha": ("--cs-alpha", int, 0, "coherent-state family index (state: < 0 is |z>)"),
-    "z_re": ("--z-re", float, 1.0, "real part of z"),
-    "z_im": ("--z-im", float, 0.0, "imaginary part of z"),
+    "z_re": ("--z-re", finite_float, 1.0, "real part of z"),
+    "z_im": ("--z-im", finite_float, 0.0, "imaginary part of z"),
     "grid": ("--grid", min_max_n, None, "min:max:n (mandel, squeeze: 0.02:3:60)"),
     "trunc": ("--k", int, 64, "operator/state truncation"),
     "tol": ("--tol", float, 1e-6, "pass tolerance"),

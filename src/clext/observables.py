@@ -5,17 +5,19 @@ Every closed form is an expectation <g(N)> = p @ g(n) over the Fock weights
 p_n = |c_n|^2 / N of the state, all from one core (_fock_weights): log p is
 built from the per-level log ratios log|z|^2 + log|c_{n+w} / (z c_n)|^2
 (states._log_ratios) and summed outward from each row's peak level, so no
-partial sum overflows at large |z|.  The closed functions take one grid value
+partial sum overflows at large |z|.  Every function takes one grid value
 or an array of them, so a figure curve or a CLI grid is one call.  Kept as
-cross-checks: the coefficient-vector oracle (method="oracle", contracting
-the truncated state against the ladder matrices), the Phi-ratio branch
-forms of the sector Q and the lambda = 2 Bessel form of the eigenstate Q.
+cross-checks: the coefficient-vector oracle (method="oracle"), which builds
+the truncated states of a grid with one states builder call per _row_blocks
+slice (the rows of a call share one dim) and contracts each row against the
+ladder matrices; the Phi-ratio branch forms of the sector Q and the
+lambda = 2 Bessel form of the eigenstate Q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import DomainError, NoConvergence
 from .specfun import bessel_i, pfq
 from .states import (
     LAST_WEIGHT,
+    MAX_AUTO_DIM,
     CsAlphaSpec,
     StateVector,
     _cs_alpha_lists,
@@ -43,10 +46,6 @@ class PhotonStats:
     mean_N2: float
     mandel_Q: float
     source: str  # closed_form | vector_oracle | closed_limit | bessel_form
-
-    @property
-    def variance(self) -> float:
-        return self.mean_N2 - self.mean_N**2
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,10 @@ def _as_given(z, *rows):
     return tuple(float(r[0]) for r in rows) if np.ndim(z) == 0 else rows
 
 
-def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
-    """<N>, <N^2> and Q from the weights; Q = limit_q where <N> vanishes."""
+def _photon_moments(n, p, limit_q: float):
+    """<N>, <N^2>, Q and the rows where <N> vanishes (Q = limit_q there), from
+    weights p (rows, K) on levels n.  The variance is two-pass: <N^2> - <N>^2
+    loses Q's digits where <N>^2 >> <N>."""
     mean = p @ n
     var = np.concatenate(
         [((n - mean[rows, None]) ** 2 * p[rows]).sum(axis=1) for rows in _row_blocks(*p.shape)]
@@ -137,8 +138,27 @@ def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
     limit = mean <= 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(limit, limit_q, (var - mean) / mean)
+    return mean, var + mean**2, q, limit
+
+
+def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
+    mean, mean2, q, limit = _photon_moments(n, p, limit_q)
     source = "closed_limit" if limit.all() else "closed_form"
-    return PhotonStats(*_as_given(z, mean, var + mean**2, q), source)
+    return PhotonStats(*_as_given(z, mean, mean2, q), source)
+
+
+def _oracle_states(z, build) -> list[StateVector]:
+    """build(z[rows]) for each _row_blocks slice of the grid z: a block holds at
+    most WORK_ELEMENTS coefficients even at MAX_AUTO_DIM."""
+    z = np.atleast_1d(z)
+    return [build(z[rows]) for rows in _row_blocks(len(z), MAX_AUTO_DIM)]
+
+
+def _oracle_photon_stats(z, build, limit_q: float) -> PhotonStats:
+    """Mandel Q from the weights |c_n|^2 of the truncated states of the grid z."""
+    blocks = [_photon_moments(np.arange(st.dim), np.abs(st.coeffs) ** 2, limit_q)[:3]
+              for st in _oracle_states(z, build)]
+    return PhotonStats(*_as_given(z, *map(np.concatenate, zip(*blocks))), "vector_oracle")
 
 
 def phi_ratio(
@@ -202,20 +222,14 @@ def mandel_q_branch_form(spec: CsAlphaSpec) -> float:
 def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
     """Mandel Q of |z; mu; alpha>.
 
-    closed: moments of the Fock weights (spec.z may be an array); oracle:
-    truncated coefficient vector.  At z = 0 with mu = 0 the 0/0 ratio is
-    replaced by the analytic limit lambda - 1 (a number state has Q = -1).
+    closed: moments of the Fock weights; oracle: truncated coefficient
+    vectors; spec.z may be an array.  Where <N> vanishes (z = 0 with mu = 0)
+    the 0/0 ratio is replaced by the analytic limit lambda - 1.
     """
     p, mu = spec.params, spec.mu
     lam = p.lam
     if method == "oracle":
-        st = cs_alpha_state(spec)
-        n = np.arange(st.dim)
-        pr = np.abs(st.coeffs) ** 2
-        mean = float(n @ pr)
-        mean2 = float((n.astype(float) ** 2) @ pr)
-        q = ((mean2 - mean**2) - mean) / mean if mean > 0 else (lam - 1.0 if mu == 0 else -1.0)
-        return PhotonStats(mean, mean2, q, "vector_oracle")
+        return _oracle_photon_stats(spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), lam - 1.0)
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     n, weights = _fock_weights(p, np.abs(spec.z), (mu, spec.alpha))
@@ -223,17 +237,11 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
 
 
 def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") -> PhotonStats:
-    """Mandel Q of the annihilation-operator eigenstate |z| (closed: z_abs may be an array)."""
+    """Mandel Q of the annihilation-operator eigenstate |z> (closed and oracle:
+    z_abs may be an array)."""
     lam = params.lam
     if method == "oracle":
-        st = eigenstate(params, z_abs)
-        n = np.arange(st.dim)
-        pr = np.abs(st.coeffs) ** 2
-        mean = float(n @ pr)
-        # two-pass variance: <N^2> - <N>^2 loses Q's digits where <N>^2 >> <N>
-        var = float((n - mean) ** 2 @ pr)
-        q = (var - mean) / mean if mean > 0 else 0.0
-        return PhotonStats(mean, var + mean**2, q, "vector_oracle")
+        return _oracle_photon_stats(z_abs, lambda z: eigenstate(params, z), 0.0)
     if method == "closed":
         n, p = _fock_weights(params, np.abs(z_abs))
         return _photon_stats(z_abs, n, p, 0.0)
@@ -265,45 +273,46 @@ def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") ->
 # --------------------------------------------------------------------------
 
 def _contractions(params: AlgebraParams, st: StateVector):
-    """Expectation values needed by the quadrature variances."""
+    """Expectation values needed by the quadrature variances, one per row of
+    the (rows, dim) coefficients."""
     c = st.coeffs
     n_arr = np.arange(st.dim, dtype=float)
     pr = np.abs(c) ** 2
     f = structure_function(params, np.arange(st.dim + 2))
     sqrt_f = np.sqrt(f)
-    out = {
-        "N": float(n_arr @ pr),
-        "N2": float((n_arr**2) @ pr),
-        "FN1": float(f[1 : st.dim + 1] @ pr),  # <F(N+1)> = <a adag>
-        "FN": float(f[: st.dim] @ pr),  # <F(N)> = <adag a>
-    }
-    out["a"] = complex(np.sum(np.conj(c[:-1]) * c[1:] * sqrt_f[1 : st.dim]))
-    out["a2"] = complex(
-        np.sum(np.conj(c[:-2]) * c[2:] * sqrt_f[2 : st.dim] * sqrt_f[1 : st.dim - 1])
-    )
     sqrt_n = np.sqrt(n_arr)
-    out["b"] = complex(np.sum(np.conj(c[:-1]) * c[1:] * sqrt_n[1:]))
-    out["b2"] = complex(np.sum(np.conj(c[:-2]) * c[2:] * sqrt_n[2:] * sqrt_n[1:-1]))
-    return out
+    step1 = np.conj(c[:, :-1]) * c[:, 1:]
+    step2 = np.conj(c[:, :-2]) * c[:, 2:]
+    return {
+        "N": pr @ n_arr,
+        "FN1": pr @ f[1 : st.dim + 1],  # <F(N+1)> = <a adag>
+        "FN": pr @ f[: st.dim],  # <F(N)> = <adag a>
+        "a": step1 @ sqrt_f[1 : st.dim],
+        "a2": step2 @ (sqrt_f[2 : st.dim] * sqrt_f[1 : st.dim - 1]),
+        "b": step1 @ sqrt_n[1:],
+        "b2": step2 @ (sqrt_n[2:] * sqrt_n[1:-1]),
+    }
 
 
-def _report_from_contractions(ex, vac_x, vac_p, kind, source) -> SqueezeReport:
+def _oracle_squeezing(params: AlgebraParams, z, build, vac: float, kind: str) -> SqueezeReport:
+    """Quadrature variances from the truncated states of the grid z."""
+    blocks = [_contractions(params, st) for st in _oracle_states(z, build)]
+    ex = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     if kind == "dressed":
         h0 = 0.5 * (ex["FN"] + ex["FN1"])
         mean_x = math.sqrt(2.0) * ex["a"].real
         mean_p = math.sqrt(2.0) * ex["a"].imag
         var_x = ex["a2"].real + h0 - mean_x**2
         var_p = -ex["a2"].real + h0 - mean_p**2
-        rhs = 0.25 * abs(ex["FN1"] - ex["FN"]) ** 2
+        rhs = 0.25 * np.abs(ex["FN1"] - ex["FN"]) ** 2
     else:
         mean_x = math.sqrt(2.0) * ex["b"].real
         mean_p = math.sqrt(2.0) * ex["b"].imag
         var_x = ex["b2"].real + ex["N"] + 0.5 - mean_x**2
         var_p = -ex["b2"].real + ex["N"] + 0.5 - mean_p**2
-        rhs = 0.25
-    return SqueezeReport(
-        var_x, var_p, vac_x, vac_p, var_x * var_p, rhs, kind, source
-    )
+        rhs = np.full(len(var_x), 0.25)
+    var_x, var_p, rhs = _as_given(z, var_x, var_p, rhs)
+    return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, rhs, kind, "vector_oracle")
 
 
 def squeezing_cs_alpha(
@@ -322,9 +331,8 @@ def squeezing_cs_alpha(
         0.5 * lam * (bb(mu) + bb(mu + 1)) if kind == "dressed" else 0.5
     )
     if method == "oracle":
-        st = cs_alpha_state(spec)
-        return _report_from_contractions(
-            _contractions(p, st), vac_x, vac_p, kind, "vector_oracle"
+        return _oracle_squeezing(
+            p, spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), vac_x, kind
         )
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
@@ -358,13 +366,10 @@ def squeezing_cs_alpha(
 def squeezing_eigenstate(
     params: AlgebraParams, z: complex, kind: str = "dressed", method: str = "closed"
 ) -> SqueezeReport:
-    """Quadrature variances of |z> (minimum-uncertainty for dressed photons)."""
+    """Quadrature variances of |z> (minimum-uncertainty for dressed photons); z may be an array."""
     vac_x = vac_p = 0.5 * params.lam * params.beta_bar_at(1) if kind == "dressed" else 0.5
     if method == "oracle":
-        st = eigenstate(params, z)
-        return _report_from_contractions(
-            _contractions(params, st), vac_x, vac_p, kind, "vector_oracle"
-        )
+        return _oracle_squeezing(params, z, lambda zs: eigenstate(params, zs), vac_x, kind)
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     z_rows = np.atleast_1d(z).astype(complex)

@@ -20,6 +20,11 @@ closed-form observables sum outward from the peak level instead.  Norms N
 make the mass a truncation drops exact: tail_bound = 1 - sum(|c_n|^2) / N.
 Builders double dim (up to 1024) until that bound is at most 1e-10 and
 raise TruncationTooSmall when it never is.
+
+Both builders take one z or an array of them.  An array is built in one pass:
+the level weights are shared, each row has its own norm, and all rows share
+one dim, the first at which every row's tail bound is small enough.  A scalar
+z is the length-1 case, returned with 1-D coefficients and float metadata.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ LAST_WEIGHT = 1e-17
 class CsAlphaSpec:
     """Label (z, mu, alpha) of one member of the sector family.
 
-    The closed-form observables also take an array z (one state per entry).
+    z may also be an array, one state per entry, for cs_alpha_state and the
+    closed-form observables.
     """
 
     params: AlgebraParams
@@ -52,6 +58,7 @@ class CsAlphaSpec:
     z: complex
 
     def __post_init__(self):
+        _check_finite(self.z)
         lam = self.params.lam
         if not 0 <= self.alpha <= lam // 2:
             raise SectorError(f"alpha must lie in [0, {lam // 2}], got {self.alpha}")
@@ -70,6 +77,11 @@ class CsAlphaSpec:
         return abs(self.z) ** 2 / lam ** (lam - 2 * self.alpha)
 
 
+def _check_finite(z):
+    if not np.all(np.isfinite(z)):
+        raise DomainError(f"z must be finite, got {z}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Complex coefficients over |0>..|dim-1> plus norm metadata.
@@ -78,7 +90,9 @@ class StateVector:
     norm_sq_analytic holds the closed-form normalization series N (so the
     unnormalized "round bracket" state is sqrt(N) times this one).
     tail_bound = max(0, 1 - sum|c_n|^2 / N) is the probability mass lost
-    to truncation.
+    to truncation.  A state built from an array z has coeffs of shape
+    (rows, dim) and one norm_sq_analytic and tail_bound per row; braket and
+    norm_sq take 1-D states.
     """
 
     dim: int
@@ -144,54 +158,71 @@ def sector_log_weights(params: AlgebraParams, mu: int, alpha: int, k_max: int) -
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def _amplitudes(z: complex, k: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-    """z^k exp(log_w / 2), with the power taken in log-magnitude form."""
-    if z == 0:
-        return (k == 0).astype(complex)
+def _amplitudes(z: np.ndarray, k: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """z^k exp(log_w / 2), one row per entry of z, with the power taken in
+    log-magnitude form.  log_w is shared by all rows or holds one per row."""
+    # math.log and cmath.phase per entry give a row the digits of its scalar build
+    log_r = np.array([math.log(abs(v)) if v != 0 else 0.0 for v in z])
+    phase = np.array([cmath.phase(v) for v in z])
     with np.errstate(under="ignore"):
-        return np.exp(0.5 * log_w + k * math.log(abs(z)) + 1j * k * cmath.phase(z))
+        amp = np.exp(0.5 * log_w + k * log_r[:, None] + 1j * k * phase[:, None])
+    amp[z == 0] = k == 0
+    return amp
 
 
-def _truncated(build, dim: int, norm: float):
-    """(dim, coeffs, tail) from build(dim), doubling dim up to MAX_AUTO_DIM
-    until the exact tail bound 1 - sum|c|^2 / N is at most TAIL_THRESHOLD."""
+def _truncated(build, dim: int, norm: np.ndarray):
+    """(dim, coeffs, tail) from build(dim), a (rows, dim) array with one norm N
+    per row, doubling dim up to MAX_AUTO_DIM until every row's exact tail bound
+    1 - sum|c|^2 / N is at most TAIL_THRESHOLD."""
     while True:
         coeffs = build(dim)
-        tail = max(0.0, 1.0 - float(np.vdot(coeffs, coeffs).real) / norm)
-        if tail <= TAIL_THRESHOLD:
+        # np.vdot row by row: each sum has the digits of the row's scalar build
+        mass = np.array([np.vdot(c, c).real for c in coeffs])
+        tail = np.maximum(0.0, 1.0 - mass / norm)
+        if tail.max() <= TAIL_THRESHOLD:
             return dim, coeffs, tail
         if dim >= MAX_AUTO_DIM:
             raise TruncationTooSmall(
-                f"tail bound {tail:.3e} above {TAIL_THRESHOLD} at dim = {dim}"
+                f"tail bound {tail.max():.3e} above {TAIL_THRESHOLD} at dim = {dim}"
             )
         dim = min(2 * dim, MAX_AUTO_DIM)
+
+
+def _as_state(z, dim: int, coeffs, norm, tail, normalized: bool = True) -> StateVector:
+    """The rows as one StateVector: 1-D coeffs and float metadata for a scalar z."""
+    if np.ndim(z) == 0:
+        return StateVector(dim, coeffs[0], float(norm[0]), float(tail[0]), normalized)
+    return StateVector(dim, coeffs, norm, tail, normalized)
 
 
 def cs_alpha_state(
     spec: CsAlphaSpec, dim: int = 64, normalized: bool = True
 ) -> StateVector:
-    """Coefficient vector of |z; mu; alpha| on |0>..|dim-1>.
+    """Coefficient vector of |z; mu; alpha> on |0>..|dim-1>, one row per entry
+    of an array spec.z.
 
-    dim doubles automatically (up to 1024) while the truncated norm mass
+    dim doubles automatically (up to 1024) while any row's truncated norm mass
     exceeds the tail threshold; TruncationTooSmall if it never drops below.
     """
     params = spec.params
     lam = params.lam
     if dim < lam:
         raise TruncationTooSmall(f"need dim >= lambda = {lam}")
-    norm = norm_series_cs_alpha(params, spec.mu, spec.alpha, spec.y).value.real
+    z = np.atleast_1d(spec.z)
+    norm = np.array([norm_series_cs_alpha(params, spec.mu, spec.alpha, y).value.real
+                     for y in np.atleast_1d(spec.y).tolist()])
 
     def build(dim: int) -> np.ndarray:
         k = np.arange((dim - 1 - spec.mu) // lam + 1)
-        coeffs = np.zeros(dim, dtype=complex)
+        coeffs = np.zeros((len(z), dim), dtype=complex)
         log_w = sector_log_weights(params, spec.mu, spec.alpha, len(k) - 1)
-        coeffs[k * lam + spec.mu] = _amplitudes(spec.z, k, log_w)
+        coeffs[:, k * lam + spec.mu] = _amplitudes(z, k, log_w)
         return coeffs
 
     dim, coeffs, tail = _truncated(build, dim, norm)
     if normalized:
-        coeffs /= math.sqrt(norm)
-    return StateVector(dim, coeffs, norm, tail, normalized)
+        coeffs /= np.sqrt(norm)[:, None]
+    return _as_state(spec.z, dim, coeffs, norm, tail, normalized)
 
 
 def eigenstate_norm_components(params: AlgebraParams, t: float) -> list[float]:
@@ -217,35 +248,44 @@ def eigenstate_norm(params: AlgebraParams, t: float) -> float:
     return total
 
 
-def eigenstate(params: AlgebraParams, z: complex, dim: int = 64) -> StateVector:
-    """Eigenstate a|z> = z|z> as a normalized coefficient vector.
+def eigenstate(params: AlgebraParams, z, dim: int = 64) -> StateVector:
+    """Eigenstate a|z> = z|z> as a normalized coefficient vector, one row per
+    entry of an array z.
 
-    log N, N = sum_n w_n with log w_n = n log|z|^2 - L(n), is summed relative to
-    the largest weight until the last is below LAST_WEIGHT of it, and the
-    coefficients are exp((log w_n - log N) / 2): finite where N overflows
-    (norm_sq_analytic = exp(log N) is inf only there).
+    Each row's log N, N = sum_n w_n with log w_n = n log|z|^2 - L(n), is summed
+    relative to its largest weight over levels that reach below LAST_WEIGHT of
+    it in every row, and the coefficients are exp((log w_n - log N) / 2): finite
+    where N overflows (norm_sq_analytic = exp(log N) is inf only there).
     """
+    _check_finite(z)
     lam = params.lam
     if dim < lam:
         raise TruncationTooSmall(f"need dim >= lambda = {lam}")
-    log_norm = 0.0
-    if z != 0:
+    z_rows = np.atleast_1d(z)
+    live = z_rows != 0
+    log_norm = np.zeros(len(z_rows))
+    if live.any():
+        log_z2 = np.array([2.0 * math.log(abs(v)) for v in z_rows[live]])
         count = 64
         while True:
-            log_w = np.arange(count) * (2.0 * math.log(abs(z))) - log_fock_norms(params, count - 1)
-            top = log_w.max()
-            if log_w[-1] - top < math.log(LAST_WEIGHT):
+            log_w = np.arange(count) * log_z2[:, None] - log_fock_norms(params, count - 1)
+            top = log_w.max(axis=1)
+            if (log_w[:, -1] - top < math.log(LAST_WEIGHT)).all():
                 break
             if count >= 4 * max(dim, MAX_AUTO_DIM):
                 raise TruncationTooSmall(f"eigenstate weights not small by level {count - 1}")
             count *= 2
-        log_norm = top + math.log(np.exp(log_w - top).sum())
-    dim, coeffs, tail = _truncated(
-        lambda d: _amplitudes(z, np.arange(d), -log_fock_norms(params, d - 1) - log_norm), dim, 1.0
-    )
+        sums = np.exp(log_w - top[:, None]).sum(axis=1)
+        log_norm[live] = top + np.array([math.log(v) for v in sums])
+
+    def build(dim: int) -> np.ndarray:
+        log_w = -log_fock_norms(params, dim - 1) - log_norm[:, None]
+        return _amplitudes(z_rows, np.arange(dim), log_w)
+
+    dim, coeffs, tail = _truncated(build, dim, np.ones(len(z_rows)))
     with np.errstate(over="ignore"):
-        norm = float(np.exp(log_norm))
-    return StateVector(dim, coeffs, norm, tail, True)
+        norm = np.exp(log_norm)
+    return _as_state(z, dim, coeffs, norm, tail)
 
 
 def component_zmu(params: AlgebraParams, z: complex, mu: int, dim: int = 64) -> StateVector:

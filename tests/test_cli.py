@@ -52,6 +52,26 @@ class TestValidate:
         assert "finite" in err and out == ""
 
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mandel", "--family", "eigen", "--grid", "0:nan:3"], "--grid"),
+            (["squeeze", "--family", "eigen", "--grid", "0:inf:3"], "--grid"),
+            (["state", "--cs-alpha", "0", "--z-re", "nan"], "--z-re"),
+            (["state", "--cs-alpha", "-1", "--z-im=-inf"], "--z-im"),
+        ],
+    )
+    def test_non_finite_z_is_a_usage_error(self, argv, flag, capsys):
+        # refused by the parser, before any state or series is built
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--lambda", "2", "--alpha", "1,-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [l for l in captured.err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and f"argument {flag}: " in errors[0] and "not finite" in errors[0]
+        assert captured.out == ""
+
+
 class TestVerify:
     def test_algebra_pass(self):
         code, out, _ = run_cli(["verify", "algebra", "--lambda", "3", "--alpha", "3,-3,0", "--k", "32"])
@@ -399,3 +419,41 @@ def test_oracle_column_where_the_norm_overflows(command):
     for row in rows:
         closed, oracle = (row[1:2], row[2:3]) if command == "mandel" else (row[1:3], row[3:5])
         assert oracle == pytest.approx(closed, rel=1e-8)
+
+
+def test_untruncatable_grid_row_is_a_one_line_error():
+    # lambda = 3, (mu, alpha) = (0, 1): the |z| = 40 row peaks past level 1024
+    code, out, err = run_cli(["mandel", "--family", "sector", "--lambda", "3", "--alpha", "3,-3,0",
+                              "--cs-alpha", "1", "--grid", "0.5:40:3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: tail bound ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["mandel", "--family", "eigen", "--grid", "0.05:3:40"], {"eigenstate": 1}),
+        (["mandel", "--family", "sector", "--cs-alpha", "1", "--grid", "0.05:3:40"],
+         {"cs_alpha_state": 1}),
+        (["squeeze", "--family", "eigen", "--kind", "real", "--direction", "im", "--grid",
+          "0.05:3:40"], {"eigenstate": 1}),
+        (["squeeze", "--family", "sector", "--grid", "0.05:3:40"], {"cs_alpha_state": 1}),
+        (["verify", "observables"], {"eigenstate": 1, "cs_alpha_state": 1}),
+    ],
+)
+def test_oracle_builds_each_grid_once(monkeypatch, argv, builds):
+    # the oracle column is one state build per grid (per family in verify), not one per point
+    import clext.observables as obs
+
+    calls = {"eigenstate": 0, "cs_alpha_state": 0}
+    for name in calls:
+        original = getattr(obs, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(obs, name, counted)
+    code, out, _ = run_cli([*argv, "--lambda", "3", "--alpha", "3,-3,0"])
+    assert code == 0
+    assert calls == {"eigenstate": 0, "cs_alpha_state": 0, **builds}

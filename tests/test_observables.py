@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clext import params_from_beta_bar
+from clext import params_from_beta_bar, validate_params
 from clext.observables import (
     mandel_q_branch_form,
     mandel_q_cs_alpha,
@@ -263,6 +263,53 @@ class TestOracleAtModerateZ:
         oracle = mandel_q_cs_alpha(spec, "oracle").mandel_Q
         assert closed == pytest.approx(1.97380, rel=1e-5)
         assert oracle == pytest.approx(closed, rel=1e-8)
+
+
+    def test_sector_q_variance_keeps_its_digits(self):
+        # <N>^2 >> <N> at |z| = 100: a one-pass <N^2> - <N>^2 lost 7.6e-10 of Q here
+        p = validate_params(2, (1.0, -1.0))
+        oracle = mandel_q_cs_alpha(CsAlphaSpec(p, 0, 0, 100.0), "oracle").mandel_Q
+        ref = float(FockSums(p.beta_bar[1:], 100.0, (0, 0)).q)
+        assert oracle == pytest.approx(ref, rel=1e-12)
+
+
+class TestOracleGrid:
+    """An oracle grid is one state build per _row_blocks slice."""
+
+    def test_grid_matches_points(self, fig1_params):
+        zs = np.array([0.05, 0.7, 1.9, 3.0]) * np.exp(0.3j)
+        spec = CsAlphaSpec(fig1_params, 0, 1, zs)
+        q_sector = mandel_q_cs_alpha(spec, "oracle").mandel_Q
+        q_eigen = mandel_q_eigenstate(fig1_params, np.abs(zs), "oracle").mandel_Q
+        sq_sector = squeezing_cs_alpha(spec, "dressed", "oracle")
+        sq_eigen = squeezing_eigenstate(fig1_params, zs, "real", "oracle")
+        for i, z in enumerate(zs):
+            one = CsAlphaSpec(fig1_params, 0, 1, complex(z))
+            q_one = mandel_q_cs_alpha(one, "oracle").mandel_Q
+            assert q_sector[i] == pytest.approx(q_one, rel=1e-12)
+            assert q_eigen[i] == pytest.approx(
+                mandel_q_eigenstate(fig1_params, abs(z), "oracle").mandel_Q, rel=1e-12
+            )
+            rep = squeezing_cs_alpha(one, "dressed", "oracle")
+            assert (sq_sector.X[i], sq_sector.P[i]) == pytest.approx((rep.X, rep.P), rel=1e-12)
+            rep = squeezing_eigenstate(fig1_params, complex(z), "real", "oracle")
+            assert (sq_eigen.X[i], sq_eigen.P[i]) == pytest.approx((rep.X, rep.P), rel=1e-12)
+            assert sq_eigen.uncertainty_rhs[i] == 0.25
+
+    def test_long_grid_is_built_in_row_blocks(self, monkeypatch, paraboson_params):
+        # at most 64 rows of up to 1024 levels per build
+        import clext.observables as obs
+
+        rows = []
+        original = obs.eigenstate
+
+        def counted(params, z, dim=64):
+            rows.append(len(z))
+            return original(params, z, dim)
+
+        monkeypatch.setattr(obs, "eigenstate", counted)
+        q = mandel_q_eigenstate(paraboson_params, np.linspace(0.1, 3.0, 130), "oracle").mandel_Q
+        assert rows == [64, 64, 2] and q.shape == (130,)
 
 
 class TestRowBlocks:

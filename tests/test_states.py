@@ -289,3 +289,68 @@ def test_norm_series_matches_squared_sum(fig1_params):
     st = cs_alpha_state(spec, 96, normalized=False)
     n = norm_series_cs_alpha(fig1_params, 0, 1, spec.y).value.real
     assert st.norm_sq() == pytest.approx(n, rel=1e-10)
+
+
+# one sector family per lambda (alpha < lambda / 2, so |z| = 14 is in its domain)
+ARRAY_FAMILIES = {2: (0, 0), 3: (1, 1), 4: (2, 1)}
+
+
+def _build(params, family, z):
+    if family == "eigen":
+        return eigenstate(params, z)
+    mu, alpha = ARRAY_FAMILIES[params.lam]
+    return cs_alpha_state(CsAlphaSpec(params, mu, alpha, z))
+
+
+class TestArrayBuilders:
+    """An array z is one build: rows share one dim, each row is its scalar build."""
+
+    @pytest.mark.parametrize("family", ["eigen", "sector"])
+    @pytest.mark.parametrize("lam", [2, 3, 4])
+    def test_rows_match_length_one_builds(self, rng, family, lam):
+        p = random_valid_params(rng, lam)
+        zs = np.array([0.0, 0.3 - 0.2j, 1.1j, -2.2 + 0.9j, 3.0])
+        batch = _build(p, family, zs)
+        assert batch.coeffs.shape == (len(zs), batch.dim)
+        for row, z, tail in zip(batch.coeffs, zs, batch.tail_bound):
+            single = _build(p, family, complex(z))
+            # the shared levels agree; past them the row holds only the mass
+            # the length-1 build truncated
+            assert single.dim <= batch.dim
+            assert np.abs(row[: single.dim] - single.coeffs).max() <= 1e-15
+            assert np.vdot(row[single.dim :], row[single.dim :]).real <= single.tail_bound + 1e-15
+            assert tail <= single.tail_bound + 1e-15
+            if family == "sector":
+                mu = ARRAY_FAMILIES[lam][0]
+                assert not row[np.arange(batch.dim) % lam != mu].any()
+
+    @pytest.mark.parametrize("family", ["eigen", "sector"])
+    def test_mixed_grid_shares_one_dim(self, fig1_params, family):
+        zs = np.array([0.0, 0.05, 3.0, 14.0])
+        batch = _build(fig1_params, family, zs)
+        assert batch.coeffs.shape == (4, batch.dim)
+        assert np.all(batch.tail_bound <= TAIL_THRESHOLD)
+        assert batch.norm_sq_analytic.shape == (4,)
+        # the vacuum row is |0> (eigenstate) or |mu> (sector)
+        level = 0 if family == "eigen" else ARRAY_FAMILIES[3][0]
+        assert batch.coeffs[0, level] == 1.0 and np.abs(batch.coeffs[0]).sum() == 1.0
+        assert batch.dim == max(_build(fig1_params, family, z).dim for z in zs)
+
+    @pytest.mark.parametrize("family", ["eigen", "sector"])
+    def test_scalar_z_keeps_vector_and_floats(self, fig1_params, family):
+        st = _build(fig1_params, family, 1.2 - 0.4j)
+        assert st.coeffs.shape == (st.dim,)
+        assert type(st.norm_sq_analytic) is float and type(st.tail_bound) is float
+
+    @pytest.mark.parametrize("family", ["eigen", "sector"])
+    def test_one_untruncatable_row_raises(self, fig1_params, family):
+        # |z| = 40 peaks past level 1024 in both families
+        with pytest.raises(TruncationTooSmall):
+            _build(fig1_params, family, np.array([0.5, 1.0, 40.0]))
+
+    @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.inf), np.array([1.0, -math.inf])])
+    def test_non_finite_z_is_a_domain_error(self, fig1_params, z):
+        with pytest.raises(DomainError, match="finite"):
+            eigenstate(fig1_params, z)
+        with pytest.raises(DomainError, match="finite"):
+            CsAlphaSpec(fig1_params, 0, 1, z)
