@@ -7,6 +7,10 @@ columns), and every generator becomes a product of first-order atoms
 Atom application is exact on coefficients, so commutation and
 intertwining identities hold to rounding; Hermiticity with respect to
 the weighted inner products is checked by quadrature moments.
+
+Atoms act on the last axis of a coefficient array and any leading axes
+hold a stack of polynomials, so one realization call maps a whole stack:
+the commutator checks apply each generator once to all monomials z^0..z^k_max.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .states import StateVector, sector_log_weights
 
 @dataclass(frozen=True)
 class PolyFunction:
-    """Polynomial coefficients; mu labels a sector function, mu=None a
-    lambda-component column (coeffs shape (lambda, deg + 1))."""
+    """Polynomial coefficients on the last axis, any leading axes a stack of
+    polynomials; mu labels a sector function, mu=None a lambda-component
+    column (coeffs shape (..., lambda, deg + 1))."""
 
     coeffs: np.ndarray = field(repr=False)
     mu: int | None = None
@@ -40,7 +45,7 @@ class PolyFunction:
     def component(self, mu: int) -> np.ndarray:
         if self.mu is not None:
             raise SectorError("sector polynomial has no components")
-        return self.coeffs[mu]
+        return self.coeffs[..., mu, :]
 
 
 def sector_poly(coeffs, mu: int) -> PolyFunction:
@@ -54,34 +59,47 @@ def vector_poly(coeffs) -> PolyFunction:
     return PolyFunction(c, None)
 
 
-# ---- atoms -----------------------------------------------------------------
-
-def _atom_mul_z(c: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(c) + 1, dtype=complex)
-    out[1:] = c
+def _widen(c: np.ndarray, width: int, shift: int = 0) -> np.ndarray:
+    """c moved up by shift coefficients into width zeros on its last axis."""
+    out = np.zeros(c.shape[:-1] + (width,), dtype=complex)
+    out[..., shift : shift + c.shape[-1]] = c
     return out
 
 
+def _components(rows: list[np.ndarray]) -> np.ndarray:
+    """Component polynomials mu = 0, 1, ... zero-extended into one (..., lambda, width) array."""
+    width = max(r.shape[-1] for r in rows)
+    return np.stack([_widen(r, width) for r in rows], axis=-2)
+
+
+# ---- atoms: each maps the last axis, every row of a stack alike -------------
+
+def _atom_mul_z(c: np.ndarray) -> np.ndarray:
+    return _widen(c, c.shape[-1] + 1, shift=1)
+
+
 def _atom_ddz(c: np.ndarray) -> np.ndarray:
-    if len(c) == 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * np.arange(1, len(c))
+    return _atom_ddz_plus_over_z(c, 0.0)
 
 
-def _atom_theta_plus(c: np.ndarray, const: float) -> np.ndarray:
-    return c * (np.arange(len(c)) + const)
+def _atom_theta_plus(c: np.ndarray, const) -> np.ndarray:
+    return c * (np.arange(c.shape[-1]) + const)
 
 
 def _atom_ddz_plus_over_z(c: np.ndarray, const: float) -> np.ndarray:
     # (d/dz + const/z) z^k = (k + const) z^{k-1}; the z^{-1} term must
-    # cancel, i.e. const * c_0 = 0
-    if abs(const) > 0 and abs(c[0]) > 1e-13 * (np.abs(c).max() + 1e-300):
-        raise NonPolynomialResult(
-            f"pole residue {const * c[0]:.3e} does not cancel; wrong sector routing"
-        )
-    if len(c) == 1:
-        return np.zeros(1, dtype=complex)
-    return c[1:] * (np.arange(1, len(c)) + const)
+    # cancel, i.e. const * c_0 = 0, in every row against its own scale
+    if abs(const) > 0:
+        bad = np.flatnonzero(np.abs(c[..., 0]) > 1e-13 * (np.abs(c).max(axis=-1) + 1e-300))
+        if len(bad):
+            raise NonPolynomialResult(
+                f"pole residue {const * c[..., 0].flat[bad[0]]:.3e} of row {bad[0]} does not "
+                "cancel; wrong sector routing"
+            )
+    n = c.shape[-1]
+    if n == 1:
+        return np.zeros(c.shape, dtype=complex)
+    return c[..., 1:] * (np.arange(1, n) + const)
 
 
 # ---- sector realization ----------------------------------------------------
@@ -108,103 +126,66 @@ def _apply_sector(params: AlgebraParams, mu: int, alpha: int, op: str, c: np.nda
     raise UnsupportedOp(f"op {op!r} is not defined on a single sector")
 
 
-# ---- vector (alpha = 0) realization ---------------------------------------
+# ---- vector realizations: component mu of c is c[..., mu, :] -----------------
+
+def _project(c: np.ndarray, mu: int) -> np.ndarray:
+    out = np.zeros_like(c)
+    out[..., mu, :] = c[..., mu, :]
+    return out
+
 
 def _apply_vector_alpha0(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
     lam = params.lam
     bb = params.beta_bar_at
-    deg = c.shape[1]
     if op in ("N", "Jplus", "Jminus", "J0"):
-        rows = []
-        for mu in range(lam):
-            rows.append(_apply_sector(params, mu, 0, op, c[mu]))
-        width = max(len(r) for r in rows)
-        out = np.zeros((lam, width), dtype=complex)
-        for mu, r in enumerate(rows):
-            out[mu, : len(r)] = r
-        return out
+        return _components([_apply_sector(params, mu, 0, op, c[..., mu, :]) for mu in range(lam)])
     if op == "P":
-        out = np.zeros_like(c)
-        out[mu_op % lam] = c[mu_op % lam]
-        return out
+        return _project(c, mu_op % lam)
+    prod = 1.0
+    for nu in range(1, lam):
+        prod *= bb(nu)
     if op == "adag":
-        prod = 1.0
-        for nu in range(1, lam):
-            prod *= bb(nu)
-        out = np.zeros((lam, deg + 1), dtype=complex)
-        top = _atom_mul_z(c[lam - 1]) / math.sqrt(lam ** (lam - 1) * prod)
-        out[0, : len(top)] = top
-        for mu in range(1, lam):
-            out[mu, :deg] = math.sqrt(lam * bb(mu)) * c[mu - 1]
-        return out
+        top = _atom_mul_z(c[..., lam - 1, :]) / math.sqrt(lam ** (lam - 1) * prod)
+        return _components(
+            [top] + [math.sqrt(lam * bb(mu)) * c[..., mu - 1, :] for mu in range(1, lam)]
+        )
     if op == "a":
-        prod = 1.0
-        for nu in range(1, lam):
-            prod *= bb(nu)
-        out = np.zeros((lam, deg), dtype=complex) if deg > 1 else np.zeros((lam, 1), complex)
-        width = out.shape[1]
-        for mu in range(lam - 1):
-            row = math.sqrt(lam / bb(mu + 1)) * _atom_theta_plus(c[mu + 1], bb(mu + 1))
-            out[mu, : min(len(row), width)] = row[:width]
-        bot = math.sqrt(lam ** (lam + 1) * prod) * _atom_ddz(c[0])
-        out[lam - 1, : len(bot)] = bot
-        return out
+        rows = [
+            math.sqrt(lam / bb(mu + 1)) * _atom_theta_plus(c[..., mu + 1, :], bb(mu + 1))
+            for mu in range(lam - 1)
+        ]
+        return _components(rows + [math.sqrt(lam ** (lam + 1) * prod) * _atom_ddz(c[..., 0, :])])
     raise UnsupportedOp(f"op {op!r} unsupported in the vector basis")
 
-
-# ---- eigenstate-basis realization ------------------------------------------
 
 def _apply_eigenstate(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
     lam = params.lam
     beta = params.beta_at
-    deg = c.shape[1]
     if op == "N":
-        return np.vstack([_atom_theta_plus(c[mu], 0.0) for mu in range(lam)])
+        return _atom_theta_plus(c, 0.0)
     if op == "J0":
-        return np.vstack(
-            [
-                (_atom_theta_plus(c[mu], 0.5 * (beta(mu) + beta(mu + 1) + 1.0))) / lam
-                for mu in range(lam)
-            ]
-        )
+        const = np.array([0.5 * (beta(mu) + beta(mu + 1) + 1.0) for mu in range(lam)])
+        return _atom_theta_plus(c, const[:, None]) / lam
     if op == "P":
-        out = np.zeros_like(c)
-        out[mu_op % lam] = c[mu_op % lam]
-        return out
+        return _project(c, mu_op % lam)
     if op == "Jplus":
-        out = np.zeros((lam, deg + lam), dtype=complex)
-        out[:, lam:] = c / lam
-        return out
+        return _widen(c / lam, c.shape[-1] + lam, shift=lam)
     if op == "Jminus":
         rows = []
         for mu in range(lam):
-            row = c[mu]
+            row = c[..., mu, :]
             for nu in range(mu, 0, -1):
                 row = _atom_ddz_plus_over_z(row, beta(nu))
             row = _atom_ddz(row)
             for nu in range(lam - 1, mu, -1):
                 row = _atom_ddz_plus_over_z(row, beta(nu))
             rows.append(row / lam)
-        width = max(len(r) for r in rows)
-        out = np.zeros((lam, width), dtype=complex)
-        for mu, r in enumerate(rows):
-            out[mu, : len(r)] = r
-        return out
+        return _components(rows)
     if op == "adag":
-        out = np.zeros((lam, deg + 1), dtype=complex)
-        out[0, 1:] = c[lam - 1]
-        for mu in range(1, lam):
-            out[mu, 1:] = c[mu - 1]
-        return out
+        return _atom_mul_z(np.roll(c, 1, axis=-2))
     if op == "a":
-        width = max(deg - 1, 1)
-        out = np.zeros((lam, width), dtype=complex)
-        for mu in range(lam - 1):
-            row = _atom_ddz_plus_over_z(c[mu + 1], beta(mu + 1))
-            out[mu, : len(row)] = row
-        bot = _atom_ddz(c[0])
-        out[lam - 1, : len(bot)] = bot
-        return out
+        rows = [_atom_ddz_plus_over_z(c[..., mu + 1, :], beta(mu + 1)) for mu in range(lam - 1)]
+        return _components(rows + [_atom_ddz(c[..., 0, :])])
     raise UnsupportedOp(f"op {op!r} unsupported in the eigenstate basis")
 
 
@@ -216,7 +197,8 @@ def apply_realization(
     alpha: int = 0,
     mu_op: int | None = None,
 ) -> PolyFunction:
-    """Apply one generator in the chosen basis to a polynomial.
+    """Apply one generator in the chosen basis to a polynomial, or to every
+    polynomial of a stack (the leading axes of f.coeffs) in one call.
 
     basis: "sector" (f carries its mu; N, J+, J-, J0), "vector_alpha0" or
     "eigenstate" (f is a lambda-component column; additionally a, adag
@@ -418,75 +400,64 @@ class CommutatorRow:
 
 
 def check_commutators(params: AlgebraParams, basis: str, k_max: int = 10) -> list[CommutatorRow]:
-    """Commutation relations as exact coefficient identities on monomials."""
+    """Commutation relations as exact coefficient identities on monomials.
+
+    Each generator acts once on the stack of every monomial z^k, k <= k_max
+    (sector basis: per (mu, alpha); vector bases: the lambda (k_max + 1) unit
+    columns, component mu major), zero-extended to one degree.  Rows run over
+    (alpha, mu) or mu, then k.
+    """
     from .algebra import sga_structure_poly
 
     lam = params.lam
     rows = []
     if basis == "sector":
+        k = np.arange(k_max + 1)
+        zk = np.eye(k_max + 1, dtype=complex)
         for alpha in range(lam // 2 + 1):
             for mu in range(lam - alpha):
-                for k in range(k_max + 1):
-                    zk = PolyFunction(np.eye(1, k + 1, k, dtype=complex)[0], mu)
 
-                    def ap(op, f):
-                        return apply_realization(params, "sector", op, f, alpha=alpha)
+                def ap(op, c):
+                    return _apply_sector(params, mu, alpha, op, c)
 
-                    for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
-                        q_zk = ap(qop, zk)
-                        lhs = ap("J0", q_zk).coeffs
-                        rhs = ap(qop, ap("J0", zk)).coeffs
-                        # lhs - rhs - sgn q_zk, the shorter ones zero-extended
-                        diff = np.zeros(max(len(lhs), len(rhs)), dtype=complex)
-                        diff[: len(lhs)] += lhs
-                        diff[: len(rhs)] -= rhs
-                        diff[: len(q_zk.coeffs)] -= sgn * q_zk.coeffs
-                        scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-                        rows.append(
-                            CommutatorRow(
-                                f"sector(mu={mu},alpha={alpha})",
-                                f"[J0,{qop}]",
-                                k,
-                                float(np.abs(diff).max()) / scale,
-                            )
-                        )
-                    comm = ap("Jplus", ap("Jminus", zk)).coeffs[k] - ap(
-                        "Jminus", ap("Jplus", zk)
-                    ).coeffs[k]
-                    j0_eig = k + 0.5 * (params.beta_bar_at(mu) + params.beta_bar_at(mu + 1))
-                    f_val = sga_structure_poly(params, j0_eig, mu)
-                    rows.append(
-                        CommutatorRow(
-                            f"sector(mu={mu},alpha={alpha})",
-                            "[J+,J-]",
-                            k,
-                            float(abs(comm - f_val) / max(1.0, abs(f_val))),
-                        )
-                    )
+                j0_zk = ap("J0", zk)
+                q_zk, res = {}, {}
+                for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
+                    q_zk[qop] = ap(qop, zk)
+                    lhs = ap("J0", q_zk[qop])
+                    rhs = ap(qop, j0_zk)
+                    # lhs, rhs and q_zk share one width
+                    diff = np.abs(lhs - rhs - sgn * q_zk[qop]).max(axis=-1)
+                    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1),
+                                                       np.abs(rhs).max(axis=-1)))
+                    res[f"[J0,{qop}]"] = diff / scale
+                comm = (np.diagonal(ap("Jplus", q_zk["Jminus"]))
+                        - np.diagonal(ap("Jminus", q_zk["Jplus"])))
+                j0_eig = k + 0.5 * (params.beta_bar_at(mu) + params.beta_bar_at(mu + 1))
+                f_val = sga_structure_poly(params, j0_eig, mu)
+                res["[J+,J-]"] = np.abs(comm - f_val) / np.maximum(1.0, np.abs(f_val))
+                rows += [
+                    CommutatorRow(f"sector(mu={mu},alpha={alpha})", pair, i, float(r[i]))
+                    for i in range(k_max + 1)
+                    for pair, r in res.items()
+                ]
     elif basis in ("vector_alpha0", "eigenstate"):
-        for m in range(lam):
-            for k in range(k_max + 1):
-                n = k * lam + m if basis == "eigenstate" else k
-                c = np.zeros((lam, n + 1), dtype=complex)
-                c[m, n] = 1.0
-                f = PolyFunction(c, None)
+        apply = _apply_vector_alpha0 if basis == "vector_alpha0" else _apply_eigenstate
 
-                def ap(op, g):
-                    return apply_realization(params, basis, op, g)
+        def ap(op, c):
+            return apply(params, op, c, None)
 
-                lhs = ap("a", ap("adag", f)).coeffs
-                rhs_p = ap("adag", ap("a", f)).coeffs
-                w = max(lhs.shape[1], rhs_p.shape[1], f.coeffs.shape[1])
-                comm = np.zeros((lam, w), dtype=complex)
-                comm[:, : lhs.shape[1]] += lhs
-                comm[:, : rhs_p.shape[1]] -= rhs_p
-                expect = np.zeros((lam, w), dtype=complex)
-                expect[:, : f.coeffs.shape[1]] = f.coeffs * (1.0 + params.alpha_at(m))
-                rows.append(
-                    CommutatorRow(
-                        basis, "[a,adag]", k, float(np.abs(comm - expect).max())
-                    )
-                )
+        m, k = np.divmod(np.arange(lam * (k_max + 1)), k_max + 1)
+        n = k * lam + m if basis == "eigenstate" else k
+        f = np.zeros((len(m), lam, n.max() + 1), dtype=complex)
+        f[np.arange(len(m)), m, n] = 1.0
+        lhs = ap("a", ap("adag", f))
+        rhs = ap("adag", ap("a", f))
+        w = max(lhs.shape[-1], rhs.shape[-1], f.shape[-1])
+        comm = _widen(lhs, w) - _widen(rhs, w)
+        expect = _widen(f * (1.0 + np.asarray(params.alpha))[m, None, None], w)
+        res = np.abs(comm - expect).max(axis=(-2, -1))
+        rows = [CommutatorRow(basis, "[a,adag]", ki, r) for ki, r in zip(k.tolist(), res.tolist())]
     else:
         raise UnsupportedOp(f"unknown basis {basis!r}")
     return rows

@@ -280,6 +280,10 @@ def cmd_verify(args) -> int:
     elif args.suite == "bargmann":
         rows = [(f"{r.basis} {r.pair} k={r.k}", r.residual, r.residual < 1e-10)
                 for r in check_commutators(p, "sector", k_max=5)]
+        # the ladder rows run over the components mu, then k = 0..5
+        for basis in ("vector_alpha0", "eigenstate"):
+            rows += [(f"{basis}(mu={i // 6}) {r.pair} k={r.k}", r.residual, r.residual < 1e-10)
+                     for i, r in enumerate(check_commutators(p, basis, k_max=5))]
     elif args.suite == "observables":
         # closed and oracle Q each on the whole |z| list in one call
         checks = (

@@ -170,10 +170,10 @@ def _amplitudes(z: np.ndarray, k: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     return amp
 
 
-def _truncated(build, dim: int, norm: np.ndarray):
+def _truncated(build, dim: int, norm: np.ndarray, z: np.ndarray):
     """(dim, coeffs, tail) from build(dim), a (rows, dim) array with one norm N
-    per row, doubling dim up to MAX_AUTO_DIM until every row's exact tail bound
-    1 - sum|c|^2 / N is at most TAIL_THRESHOLD."""
+    per row (row i at z[i]), doubling dim up to MAX_AUTO_DIM until every row's
+    exact tail bound 1 - sum|c|^2 / N is at most TAIL_THRESHOLD."""
     while True:
         coeffs = build(dim)
         # np.vdot row by row: each sum has the digits of the row's scalar build
@@ -182,8 +182,10 @@ def _truncated(build, dim: int, norm: np.ndarray):
         if tail.max() <= TAIL_THRESHOLD:
             return dim, coeffs, tail
         if dim >= MAX_AUTO_DIM:
+            i = int(np.argmax(tail > TAIL_THRESHOLD))
             raise TruncationTooSmall(
-                f"tail bound {tail.max():.3e} above {TAIL_THRESHOLD} at dim = {dim}"
+                f"tail bound {tail[i]:.3e} above {TAIL_THRESHOLD} at |z| = {abs(z[i]):g}, "
+                f"dim = {dim}"
             )
         dim = min(2 * dim, MAX_AUTO_DIM)
 
@@ -219,7 +221,7 @@ def cs_alpha_state(
         coeffs[:, k * lam + spec.mu] = _amplitudes(z, k, log_w)
         return coeffs
 
-    dim, coeffs, tail = _truncated(build, dim, norm)
+    dim, coeffs, tail = _truncated(build, dim, norm, z)
     if normalized:
         coeffs /= np.sqrt(norm)[:, None]
     return _as_state(spec.z, dim, coeffs, norm, tail, normalized)
@@ -270,10 +272,13 @@ def eigenstate(params: AlgebraParams, z, dim: int = 64) -> StateVector:
         while True:
             log_w = np.arange(count) * log_z2[:, None] - log_fock_norms(params, count - 1)
             top = log_w.max(axis=1)
-            if (log_w[:, -1] - top < math.log(LAST_WEIGHT)).all():
+            small = log_w[:, -1] - top < math.log(LAST_WEIGHT)
+            if small.all():
                 break
             if count >= 4 * max(dim, MAX_AUTO_DIM):
-                raise TruncationTooSmall(f"eigenstate weights not small by level {count - 1}")
+                z_big = abs(z_rows[live][np.argmin(small)])
+                raise TruncationTooSmall(
+                    f"eigenstate weights not small by level {count - 1} at |z| = {z_big:g}")
             count *= 2
         sums = np.exp(log_w - top[:, None]).sum(axis=1)
         log_norm[live] = top + np.array([math.log(v) for v in sums])
@@ -282,7 +287,7 @@ def eigenstate(params: AlgebraParams, z, dim: int = 64) -> StateVector:
         log_w = -log_fock_norms(params, dim - 1) - log_norm[:, None]
         return _amplitudes(z_rows, np.arange(dim), log_w)
 
-    dim, coeffs, tail = _truncated(build, dim, np.ones(len(z_rows)))
+    dim, coeffs, tail = _truncated(build, dim, np.ones(len(z_rows)), z_rows)
     with np.errstate(over="ignore"):
         norm = np.exp(log_norm)
     return _as_state(z, dim, coeffs, norm, tail)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from clext.algebra import structure_function
+import clext.bargmann as bargmann
+from clext.algebra import sga_structure_poly
 from clext.bargmann import (
+    CommutatorRow,
     PolyFunction,
     apply_realization,
     bargmann_inner_product,
@@ -28,6 +31,61 @@ def _monomial(k, mu):
     c = np.zeros(k + 1, dtype=complex)
     c[k] = 1.0
     return PolyFunction(c, mu)
+
+
+def _per_monomial_commutators(params, basis, k_max):
+    """check_commutators as one realization call per generator, monomial and
+    (mu, alpha): the reference the stacked check must match bit for bit."""
+    lam = params.lam
+    rows = []
+    if basis == "sector":
+        for alpha in range(lam // 2 + 1):
+            for mu in range(lam - alpha):
+                label = f"sector(mu={mu},alpha={alpha})"
+
+                def ap(op, f):
+                    return apply_realization(params, "sector", op, f, alpha=alpha)
+
+                for k in range(k_max + 1):
+                    zk = _monomial(k, mu)
+                    for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
+                        q_zk = ap(qop, zk)
+                        lhs = ap("J0", q_zk).coeffs
+                        rhs = ap(qop, ap("J0", zk)).coeffs
+                        diff = np.zeros(max(len(lhs), len(rhs)), dtype=complex)
+                        diff[: len(lhs)] += lhs
+                        diff[: len(rhs)] -= rhs
+                        diff[: len(q_zk.coeffs)] -= sgn * q_zk.coeffs
+                        scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+                        rows.append(CommutatorRow(label, f"[J0,{qop}]", k,
+                                                  float(np.abs(diff).max()) / scale))
+                    comm = (ap("Jplus", ap("Jminus", zk)).coeffs[k]
+                            - ap("Jminus", ap("Jplus", zk)).coeffs[k])
+                    f_val = sga_structure_poly(
+                        params, k + 0.5 * (params.beta_bar_at(mu) + params.beta_bar_at(mu + 1)), mu)
+                    rows.append(CommutatorRow(label, "[J+,J-]", k,
+                                              float(abs(comm - f_val) / max(1.0, abs(f_val)))))
+        return rows
+    for m in range(lam):
+        for k in range(k_max + 1):
+            n = k * lam + m if basis == "eigenstate" else k
+            c = np.zeros((lam, n + 1), dtype=complex)
+            c[m, n] = 1.0
+            f = vector_poly(c)
+
+            def ap(op, g):
+                return apply_realization(params, basis, op, g)
+
+            lhs = ap("a", ap("adag", f)).coeffs
+            rhs = ap("adag", ap("a", f)).coeffs
+            w = max(lhs.shape[1], rhs.shape[1], c.shape[1])
+            comm = np.zeros((lam, w), dtype=complex)
+            comm[:, : lhs.shape[1]] += lhs
+            comm[:, : rhs.shape[1]] -= rhs
+            expect = np.zeros((lam, w), dtype=complex)
+            expect[:, : c.shape[1]] = c * (1.0 + params.alpha_at(m))
+            rows.append(CommutatorRow(basis, "[a,adag]", k, float(np.abs(comm - expect).max())))
+    return rows
 
 
 def _fock(params, amps, dim=48):
@@ -71,6 +129,32 @@ class TestRealizations:
         with pytest.raises(NonPolynomialResult):
             apply_realization(fig1_params, "eigenstate", "a", bad)
 
+    def test_pole_guard_is_per_row(self, fig1_params):
+        # each row of a stack is held to its own scale; the message names the bad row
+        good = np.zeros((3, 1), dtype=complex)
+        good[2, 0] = 1.0
+        stack = np.stack([good, [[0.0], [1.0], [0.0]], 1e20 * good])
+        with pytest.raises(NonPolynomialResult, match="of row 1 "):
+            apply_realization(fig1_params, "eigenstate", "a", PolyFunction(stack))
+        out = apply_realization(fig1_params, "eigenstate", "a", PolyFunction(stack[[0, 2]]))
+        assert out.coeffs.shape == (2, 3, 1)
+
+    @pytest.mark.parametrize("basis, op", [("sector", "Jminus"), ("sector", "Jplus"),
+                                           ("vector_alpha0", "a"), ("vector_alpha0", "J0"),
+                                           ("eigenstate", "a"), ("eigenstate", "J0")])
+    def test_stack_rows_equal_single_calls(self, rng, basis, op):
+        # a stack of polynomials maps row by row to exactly its single-call results
+        p = random_valid_params(rng, 4)
+        shape = (5, 7) if basis == "sector" else (5, 4, 7)
+        c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if basis == "eigenstate":
+            c[:, 1:, 0] = 0.0  # components mu >= 1 vanish at z = 0
+        mu = 1 if basis == "sector" else None
+        stacked = apply_realization(p, basis, op, PolyFunction(c, mu), alpha=1 if mu else 0)
+        for row, cr in zip(stacked.coeffs, c):
+            single = apply_realization(p, basis, op, PolyFunction(cr, mu), alpha=1 if mu else 0)
+            assert np.array_equal(row, single.coeffs)
+
 
 class TestBasisFunctions:
     def test_k0_is_one(self, fig1_params):
@@ -99,20 +183,47 @@ class TestBasisFunctions:
 
 
 class TestCommutators:
-    @pytest.mark.parametrize("lam", [2, 3, 4])
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
     def test_sector_identities(self, rng, lam):
         p = random_valid_params(rng, lam)
-        rows = check_commutators(p, "sector", k_max=8)
+        rows = check_commutators(p, "sector", k_max=12)
         worst = max(r.residual for r in rows)
         assert worst < 1e-10
 
     @pytest.mark.parametrize("basis", ["vector_alpha0", "eigenstate"])
     def test_ladder_commutator(self, rng, basis):
-        for lam in (2, 3):
+        for lam in (2, 3, 4, 5, 6):
             p = random_valid_params(rng, lam)
-            rows = check_commutators(p, basis, k_max=6)
+            rows = check_commutators(p, basis, k_max=12)
             worst = max(r.residual for r in rows)
             assert worst < 1e-12
+
+    @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
+    def test_stacked_rows_equal_per_monomial_rows(self, rng, basis, lam):
+        # same rows in the same order, residuals equal to the last bit
+        for _ in range(2):
+            p = random_valid_params(rng, lam)
+            assert check_commutators(p, basis, k_max=7) == _per_monomial_commutators(p, basis, 7)
+
+    @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
+    def test_realization_calls_do_not_grow_with_k_max(self, monkeypatch, fig1_params, basis):
+        counts = {}
+        names = ("apply_realization", "_apply_sector", "_apply_vector_alpha0", "_apply_eigenstate")
+        for name in names:
+            fn = getattr(bargmann, name)
+
+            def counted(*args, _fn=fn, **kwargs):
+                counts["calls"] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(bargmann, name, counted)
+        per_k_max = []
+        for k_max in (5, 12):
+            counts["calls"] = 0
+            check_commutators(fig1_params, basis, k_max=k_max)
+            per_k_max.append(counts["calls"])
+        assert per_k_max[0] == per_k_max[1] > 0
 
 
 class TestIntertwining:

@@ -105,6 +105,18 @@ class TestVerify:
             assert name in names
         assert all(float(res) < 1e-8 and passed == "True" for _, res, passed in rows)
 
+    @pytest.mark.parametrize("lam, alpha", [("2", "1,-1"), ("3", "3,-3,0"), ("4", "5,-3,-2,0")])
+    def test_bargmann_ladder_rows(self, lam, alpha):
+        code, out, _ = run_cli(["verify", "bargmann", "--lambda", lam, "--alpha", alpha])
+        assert code == 0
+        rows = [line.rsplit(",", 2) for line in out.splitlines()[1:]]
+        for basis in ("vector_alpha0", "eigenstate"):
+            ladder = [r for r in rows if r[0].startswith(basis + "(")]
+            # every component mu, each at k = 0..5
+            assert len(ladder) == 6 * int(lam)
+            assert f"{basis}(mu={int(lam) - 1}) [a,adag] k=5" in [r[0] for r in ladder]
+            assert all(float(res) <= 1e-10 and passed == "True" for _, res, passed in ladder)
+
     def test_moments_pass(self):
         code, out, _ = run_cli(
             ["verify", "moments", "--lambda", "2", "--alpha", "3,-3", "--cs-alpha", "1", "--mu", "0"]
@@ -422,11 +434,18 @@ def test_oracle_column_where_the_norm_overflows(command):
 
 
 def test_untruncatable_grid_row_is_a_one_line_error():
-    # lambda = 3, (mu, alpha) = (0, 1): the |z| = 40 row peaks past level 1024
-    code, out, err = run_cli(["mandel", "--family", "sector", "--lambda", "3", "--alpha", "3,-3,0",
-                              "--cs-alpha", "1", "--grid", "0.5:40:3"])
-    assert code == 2 and out == ""
-    assert err.startswith("error: tail bound ") and err.count("\n") == 1
+    # the message names the grid point, so the user knows which --grid end to pull in
+    for argv, message in (
+        # lambda = 3, (mu, alpha) = (0, 1): the |z| = 40 row peaks past level 1024
+        (["--family", "sector", "--lambda", "3", "--alpha", "3,-3,0", "--cs-alpha", "1",
+          "--grid", "0.5:40:3"], "tail bound 1.000e+00 above 1e-10 at |z| = 40, dim = 1024"),
+        # lambda = 2: the |z| = 60 eigenstate's weights still grow at level 4095; 30.25 is fine
+        (["--family", "eigen", "--lambda", "2", "--alpha", "1,-1", "--grid", "0.5:60:3"],
+         "eigenstate weights not small by level 4095 at |z| = 60"),
+    ):
+        code, out, err = run_cli(["mandel", *argv])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

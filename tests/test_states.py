@@ -344,8 +344,8 @@ class TestArrayBuilders:
 
     @pytest.mark.parametrize("family", ["eigen", "sector"])
     def test_one_untruncatable_row_raises(self, fig1_params, family):
-        # |z| = 40 peaks past level 1024 in both families
-        with pytest.raises(TruncationTooSmall):
+        # |z| = 40 peaks past level 1024 in both families; the message names it
+        with pytest.raises(TruncationTooSmall, match=r"at \|z\| = 40\b"):
             _build(fig1_params, family, np.array([0.5, 1.0, 40.0]))
 
     @pytest.mark.parametrize("z", [math.nan, complex(1.0, math.inf), np.array([1.0, -math.inf])])
