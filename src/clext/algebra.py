@@ -12,6 +12,7 @@ truncation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -221,37 +222,22 @@ def sga_structure_poly(params: AlgebraParams, j0, mu: int):
     lam = params.lam
     if not 0 <= mu < lam:
         raise IndexError(f"mu must lie in [0, {lam}), got {mu}")
-
-    def w(l: int) -> float:
-        # 1/2 (2l + 1 + alpha_mu + 2 sum_{m=1..l} alpha_{mu+m})
-        s = 2 * l + 1 + params.alpha_at(mu)
-        for mm in range(1, l + 1):
-            s += 2.0 * params.alpha_at(mu + mm)
-        return 0.5 * s
-
-    def v(j: int) -> float:
-        # 1/2 (-2j - 1 + alpha_mu + 2 sum_{k=1..lam-j-1} alpha_{mu+k})
-        s = -2 * j - 1 + params.alpha_at(mu)
-        for kk in range(1, lam - j):
-            s += 2.0 * params.alpha_at(mu + kk)
-        return 0.5 * s
-
+    alpha = [params.alpha_at(mu + i) for i in range(lam)]
+    # sums[l] = sum_{m=1..l} alpha_{mu+m}, so that
+    # w(l) = 1/2 (2l + 1 + alpha_mu + 2 sums[l]) and
+    # v(j) = 1/2 (-2j - 1 + alpha_mu + 2 sums[lam-j-1])
+    sums = list(itertools.accumulate(alpha[1:], initial=0.0))
     x = lam * j0
-
-    def t(count: int) -> float:
-        prod = 1.0
-        for l in range(count):
-            prod = prod * (x + w(l))
-        return prod
-
-    total = t(lam - 1)
-    head = x - 0.5 * (1.0 + params.alpha_at(mu))
+    # t[c] = prod_{l<c} (x + w(l))
+    t = [1.0]
+    for l in range(lam - 1):
+        t.append(t[-1] * (x + 0.5 * (2 * l + 1 + alpha[0] + 2.0 * sums[l])))
+    total = t[lam - 1]
+    # term i: (x - (1 + alpha_mu)/2) prod_{j=1..i-1} (x + v(j)) t[lam-i-1]
+    prod = x - 0.5 * (1.0 + alpha[0])
     for i in range(1, lam):
-        prod = head
-        for j in range(1, i):
-            prod = prod * (x + v(j))
-        prod = prod * t(lam - i - 1)
-        total = total + prod
+        total = total + prod * t[lam - i - 1]
+        prod = prod * (x + 0.5 * (-2 * i - 1 + alpha[0] + 2.0 * sums[lam - i - 1]))
     return -total / lam
 
 

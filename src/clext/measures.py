@@ -242,7 +242,7 @@ def weight_function(
     forms for m <= 2); r = 0 is the Hausdorff weight G^{alpha,0}_{alpha,alpha}
     on (0, 1), Norlund's (1 - y) series of the certificate's pairs
     (specfun._NorlundKernel); r > 0 is G^{m,0}_{alpha,m} on (0, inf) by
-    g_general_vec (residue sum, contour, large-y expansion), whatever
+    g_general_vec (residue sum, large-y expansion, ODE continuation), whatever
     alpha.  An upper parameter equal to a lower one cancels with it first,
     when the reduced lists still certify; with no upper one left, the
     weight is G^{m,0}_{0,m} of the rest.  The form label names the paper's

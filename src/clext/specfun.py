@@ -6,8 +6,9 @@ series, modified Bessel I/K of real order, and the restricted Meijer G
 classes G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution
 weight functions are built from (Slater's residue sum at small y, with
 exact confluent residues for coincident or integer-spaced lower
-parameters, the exponential expansion at large y, saddle-point Bromwich
-contours between, and Norlund's (1 - y) series on the unit interval).
+parameters, the exponential expansion at large y, a Taylor continuation
+of the Meijer differential equation down from it for the band between,
+and Norlund's (1 - y) series on the unit interval).
 
 Scalar evaluations return a SeriesValue carrying the value, an absolute
 error estimate, the number of terms (or nodes) consumed and a
@@ -89,45 +90,6 @@ def gamma_sign(x: float) -> int:
     if x > 0:
         return 1
     return 1 if sinpi(x) > 0 else -1
-
-
-_LANCZOS = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-_LOG_SQRT_2PI = 0.9189385332046727
-
-
-def lgamma_complex(z: np.ndarray) -> np.ndarray:
-    """Principal-branch log-gamma for complex arrays (Lanczos, g = 7).
-
-    Arguments with Re z < 0.5 go through the reflection formula; the
-    Bromwich contours used below always keep Re z >= 0.5, so reflection
-    is only a safety net.
-    """
-    z = np.asarray(z, dtype=complex)
-    refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z)
-    w = zz - 1.0
-    x = np.full(zz.shape, _LANCZOS[0], dtype=complex)
-    for i in range(1, len(_LANCZOS)):
-        x = x + _LANCZOS[i] / (w + i)
-    t = w + 7.5
-    out = _LOG_SQRT_2PI + (w + 0.5) * np.log(t) - t + np.log(x)
-    if np.any(refl):
-        out = np.where(
-            refl, np.log(np.pi / np.sin(np.pi * z + 0j)) - out, out
-        )
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -408,11 +370,12 @@ _CLUSTER_GAP = 1e-2
 _CLUSTER_TERMS = 150
 
 
-def _slater_reaches(r: int, y: np.ndarray) -> np.ndarray:
+def _slater_reaches(r: int, y: np.ndarray, limit: float = _SLATER_COND_LIMIT) -> np.ndarray:
     """Where Slater can condition G^{m,0}_{p,m}, r = m - p > 0: its terms cancel by
     about 2^{1-r} e^{2 r y^{1/r}} (asymptotic (2 pi)^{1-r}, reflection pi^{r-1}), and
-    past that plus a margin of e^3 for the pre-asymptotic range it refuses every point."""
-    return 2.0 * r * y ** (1.0 / r) <= math.log(_SLATER_COND_LIMIT) + (r - 1) * math.log(2.0) + 3.0
+    past limit times that plus a margin of e^3 for the pre-asymptotic range it
+    refuses every point."""
+    return 2.0 * r * y ** (1.0 / r) <= math.log(limit) + (r - 1) * math.log(2.0) + 3.0
 
 
 def _spacing(u: float) -> float:
@@ -599,7 +562,10 @@ def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float
     return c, first, np.array(value), np.array(major), np.array(last) if spread > 0.0 else None, log_size
 
 
-def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = ()):
+def _slater_vec(
+    b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = (),
+    limit: float = _SLATER_COND_LIMIT,
+):
     """Slater's residue sum for G^{m,0}_{p,m}(y | a; b) over an array of y > 0.
 
     The poles of prod Gamma(b + s) are summed cluster by cluster
@@ -625,7 +591,7 @@ def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float
 
     Returns (values, ok).  ok marks points whose sum settled (the last two
     poles' terms below tol of it), whose majorant sum |term| stays within
-    _SLATER_COND_LIMIT of |value|, and, for spread nodes, whose last kept
+    limit times |value|, and, for spread nodes, whose last kept
     Taylor terms stay below tol of it; and points where the majorant, those
     Taylor terms and the last two poles all lie below the smallest normal
     double, whose G underflows.
@@ -652,133 +618,10 @@ def _slater_vec(b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float
             end = first + len(log_size)
             for K in range(max(first, end - 2), end):
                 tail = np.maximum(tail, log_size[K - first] + (c + K) * lny)
-        ok = (major <= _SLATER_COND_LIMIT * np.abs(total)) & (trunc <= tol * np.abs(total))
+        ok = (major <= limit * np.abs(total)) & (trunc <= tol * np.abs(total))
         ok &= tail <= np.log(tol * np.abs(total))
         ok |= (np.maximum(major, trunc) < _TINY) & (tail < math.log(_TINY))
     return total, ok & np.isfinite(total)
-
-
-# Rows per block of the (rows x nodes) complex integrand, whatever the row count
-_CONTOUR_ROWS = 64
-
-# Trapezoid nodes on [0, t_max] of a line's first pass, and the cap at
-# which a row that still disagrees gives up.
-_LINE_START = 65
-_LINE_CAP = (1 << 14) + 1
-
-
-def _line_phi(a, b, s: np.ndarray) -> np.ndarray:
-    """sum log Gamma(s + b) - sum log Gamma(s + a) at the points s."""
-    phi = np.zeros_like(s)
-    for bv in b:
-        phi = phi + lgamma_complex(s + bv)
-    for av in a:
-        phi = phi - lgamma_complex(s + av)
-    return phi
-
-
-def _saddle_lines(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(c, t_max) of the truncated Bromwich lines Re s = c for G at each y.
-
-    c is the saddle (Newton on sum psi(c+b) - sum psi(c+a) = ln y with the
-    exact trigamma slope, all y at once), never left of 1.5 + max(-b_nu), so
-    every gamma argument keeps a positive real part; t_max is the first point
-    of a geometric ladder on the line where |exp(phi)| has fallen by
-    e^-(ln(1/tol) + 12) from t = 0.
-    """
-    floor, lny = 1.5 + max(0.0, -min(b)), np.log(y)
-    c = np.maximum(floor, y ** (1.0 / (len(b) - len(a))))
-    live = np.ones(c.shape, dtype=bool)
-    params, sign = np.r_[b, a], np.r_[np.ones(len(b)), -np.ones(len(a))]
-    for _ in range(40):
-        x = c[:, None] + params
-        g, slope = _polygamma(0, x) @ sign - lny, _polygamma(1, x) @ sign
-        live &= slope > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_new = np.where(live, np.maximum(floor, c - g / slope), c)
-        live &= np.abs(c_new - c) >= 1e-9 * np.maximum(1.0, c)
-        c = c_new
-        if not live.any():
-            break
-    ladder = np.concatenate(([0.0], 1.1 ** np.arange(-20, 200)))
-    t_max, todo = np.full(c.shape, ladder[-1]), np.arange(c.size)
-    # in pieces of 64 points, the first of which ends every line of a moment grid
-    for lo in range(0, ladder.size, 64):
-        part = ladder[lo:lo + 64]
-        decay = _line_phi(a, b, c[todo, None] + 1j * part).real
-        top = decay[:, 0] if lo == 0 else top
-        past = decay - top[todo, None] < -(math.log(1.0 / tol) + 12.0)
-        hit = past.any(axis=1)
-        t_max[todo[hit]] = part[past[hit].argmax(axis=1)]
-        todo = todo[~hit]
-        if not todo.size:
-            break
-    return c, t_max
-
-
-def _contour_batch(
-    a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float = 1e-11
-) -> np.ndarray:
-    """G^{m,0}_{p,m}(y | a; b), m > p, by converged trapezoid Bromwich lines.
-
-    Row i is (1/pi) Re int_0^t_max exp(phi(s) - s ln y_i) dt on the line
-    s = c + i t of its log-y bucket (width 0.7, at its median), a trapezoid
-    sum with half weight at t = 0.  Each line starts at 65 nodes and
-    doubles, phi evaluated once per (line x new node); rows add their
-    integrand in blocks of _CONTOUR_ROWS until two counts agree to tol.  All
-    lines take their first two counts together, then the lowest unsettled
-    line doubles alone, so a failing call runs one line to the cap.  A row
-    unsettled at _LINE_CAP nodes moves to its own saddle line, ranked right
-    after its bucket, and raises NoConvergence if it fails there too.
-    """
-    lny = np.log(y)
-    _, line, count = np.unique(np.floor(lny / 0.7), return_inverse=True, return_counts=True)
-    srt, first = np.sort(lny), np.cumsum(count) - count  # buckets are runs of srt
-    median = 0.5 * (srt[first + (count - 1) // 2] + srt[first + count // 2])
-    c, t_max = _saddle_lines(a, b, np.exp(median), tol)
-    rank = np.arange(count.size) * (y.size + 1)
-    level = np.full(count.size, -1)
-    total, diff, active = np.zeros(y.size), np.full(y.size, math.inf), np.ones(y.size, dtype=bool)
-    while active.any():
-        busy = np.unique(line[active])
-        low = level[busy].min()
-        step = busy[level[busy] == low] if low < 1 else busy[[np.argmin(rank[busy])]]
-        level[step] += 1
-        n = (_LINE_START - 1) << level[step[0]]
-        j = np.arange(1.0, n, 2.0) if low >= 0 else np.arange(n + 1.0)
-        h = t_max[step] / n
-        s = c[step, None] + 1j * (h[:, None] * j)
-        phi = _line_phi(a, b, s)
-        w = np.where(j == 0.0, 0.5, 1.0) / math.pi
-        rows = np.nonzero(active & np.isin(line, step))[0]
-        prev = total[rows]
-        for lo in range(0, rows.size, _CONTOUR_ROWS):
-            idx = rows[lo:lo + _CONTOUR_ROWS]
-            k = np.searchsorted(step, line[idx])
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                f = np.exp(phi[k] - lny[idx, None] * s[k]).real
-                part = (np.where(np.isfinite(f), f, 0.0) @ w) * h[k]
-            total[idx] = 0.5 * total[idx] + part if low >= 0 else part
-        if low < 0:
-            continue
-        diff[rows] = np.abs(total[rows] - prev)
-        active[rows] = diff[rows] > tol * np.maximum(np.abs(total[rows]), 1e-280)
-        stuck = rows[active[rows]]
-        if n + 1 < _LINE_CAP or not stuck.size:
-            continue
-        failed = stuck[line[stuck] >= count.size]
-        if failed.size:
-            i = failed[np.argmin(rank[line[failed]])]
-            raise NoConvergence(
-                f"Bromwich contour at y = {y[i]:.6g} did not settle in {_LINE_CAP} "
-                f"nodes: last difference {diff[i]:.3e} on {total[i]:.6g}"
-            )
-        c_own, t_own = _saddle_lines(a, b, y[stuck], tol)
-        rank = np.concatenate((rank, rank[line[stuck]] + 1 + stuck))
-        line[stuck] = c.size + np.arange(stuck.size)
-        c, t_max = np.concatenate((c, c_own)), np.concatenate((t_max, t_own))
-        level = np.concatenate((level, np.full(stuck.size, -1)))
-    return total
 
 
 # Terms of the large-y expansion kept per list, and the share of tol below
@@ -827,6 +670,32 @@ def _expansion_coeffs(a: tuple, b: tuple) -> tuple[float, np.ndarray]:
     return rho, M
 
 
+def _expansion_terms(a, b, lw: np.ndarray, tol: float):
+    """(rho, M, n, err, floor) of the large-y expansion at each ln w: n terms
+    are summed, those before the first k whose term and the next are both
+    below _EXPANSION_MARGIN * tol; err is the larger of those two; and no k
+    settles (n >= M.size - 1) below ln w = floor."""
+    rho, M = _expansion_coeffs(tuple(a), tuple(b))
+    with np.errstate(divide="ignore"):
+        log_m = np.log(np.abs(M))
+    # ln w above which term k (k >= 1) is below the threshold, then above
+    # which terms k and k + 1 are, then its running minimum over k
+    lw_k = (log_m[1:] - math.log(_EXPANSION_MARGIN * tol)) / np.arange(1, M.size)
+    reach = np.minimum.accumulate(np.maximum(lw_k[:-1], lw_k[1:]))
+    n = 1 + np.searchsorted(-reach, -lw, side="right")
+    k = np.minimum(n, M.size - 2)
+    with np.errstate(under="ignore", over="ignore"):
+        err = np.maximum(np.exp(log_m[k] - k * lw), np.exp(log_m[k + 1] - (k + 1) * lw))
+    return rho, M, n, err, reach[-1]
+
+
+def _expansion_lead(a, b, lw):
+    """ln of the expansion's leading factor (2 pi)^{(s-1)/2} s^{-1/2} e^{-s w} w^rho."""
+    s = len(b) - len(a)
+    rho = _expansion_coeffs(tuple(a), tuple(b))[0]
+    return 0.5 * (s - 1) * math.log(2.0 * math.pi) - 0.5 * math.log(s) - s * np.exp(lw) + rho * lw
+
+
 def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Large-y expansion of G^{m,0}_{p,m}, s = m - p >= 1, over an array of y.
 
@@ -837,19 +706,10 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     the sum.  Points where the leading factor is below e^-750 are an
     exact 0.
     """
-    s = len(b) - len(a)
-    rho, M = _expansion_coeffs(tuple(a), tuple(b))
-    log_thr = math.log(_EXPANSION_MARGIN * tol)
-    with np.errstate(divide="ignore"):
-        log_m = np.log(np.abs(M))
-    # ln w above which term k (k >= 1) is below the threshold, then above
-    # which terms k and k + 1 are, then its running minimum over k
-    lw_k = (log_m[1:] - log_thr) / np.arange(1, M.size)
-    reach = np.minimum.accumulate(np.maximum(lw_k[:-1], lw_k[1:]))
-    lw = np.log(y) / s
-    n = 1 + np.searchsorted(-reach, -lw, side="right")
+    lw = np.log(y) / (len(b) - len(a))
+    _, M, n, err, _ = _expansion_terms(a, b, lw, tol)
     vals, ok = np.zeros_like(y), n < M.size - 1
-    log_g = 0.5 * (s - 1) * math.log(2.0 * math.pi) - 0.5 * math.log(s) - s * np.exp(lw) + rho * lw
+    log_g = _expansion_lead(a, b, lw)
     # below e^-750 G is a double 0 and needs no sum
     live = ok & (log_g > -750.0)
     if not live.any():
@@ -860,10 +720,140 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     for k in range(n.max() - 1, -1, -1):
         acc = acc * u + M[k] * (k < n)
     with np.errstate(under="ignore"):
-        err = np.maximum(np.exp(log_m[n] - n * lw), np.exp(log_m[n + 1] - (n + 1) * lw))
         vals[live] = acc * np.exp(log_g[live])
-    ok[live] = err <= math.exp(log_thr) * np.abs(acc)
+    ok[live] = err[live] <= _EXPANSION_MARGIN * tol * np.abs(acc)
     return vals, ok
+
+
+def _expansion_state(a, b, lw: float, tol: float) -> tuple[np.ndarray, bool]:
+    """(G, DG, ..., D^{m-1} G / (m-1)!), D = d/d ln y, at w = e^lw, each the exact
+    derivative of the terms _expansion_vec sums there, and whether it
+    accepts G there.  D e^{-s w} w^v = e^{-s w} ((v/s) w^v - w^{v+1}), so
+    coefficient i of D^j G stands at w^{rho - i + j}."""
+    s, m = len(b) - len(a), len(b)
+    rho, M, n, err, _ = _expansion_terms(a, b, lw, tol)
+    if n >= M.size - 1:
+        return np.zeros(m), False
+    coef, i, w = np.zeros(n + m), np.arange(n + m - 1), math.exp(lw)
+    coef[:n] = M[:n]
+    powers = w ** -np.arange(n + m, dtype=float)
+    state = np.empty(m)
+    for j in range(m):
+        state[j] = coef @ powers * w**j / math.factorial(j)
+        coef = np.concatenate(([0.0], coef[:-1] * (rho + j - i) / s)) - coef
+    ok = err <= _EXPANSION_MARGIN * tol * abs(state[0])
+    state *= math.exp(_expansion_lead(a, b, lw))
+    return state, bool(ok and state[0] != 0.0)
+
+
+# Taylor terms of each continuation step, and each step's length in x = ln y
+# times a bound on the ODE's local exponents there.  Every solution moves
+# like e^{lambda t} over a step, whose Taylor terms fall as (|lambda| h)^k / k!:
+# at |lambda| h = 1.5 the first omitted one is 3e-25, and 4e-19 in the
+# state's 7th derivative, C(28, 7) times more.
+_TAYLOR_TERMS = 28
+_TAYLOR_REACH = 1.5
+
+# ln w spacing and length of the ladder on which the continuation starts
+_START_RUNG = 0.05
+_START_RUNGS = 64
+
+
+def _taylor_coeffs(a, b, x0: np.ndarray) -> np.ndarray:
+    """Taylor coefficients in t, shape (_TAYLOR_TERMS, steps, m), of the m solutions
+    of the Meijer ODE about each x0 that start as the unit vectors: one
+    recurrence for every step.  With x = x0 + t, z = (-1)^{p-m} e^{x0} and
+    P_i, Q_i the coefficients of the two polynomials in D, order t^k reads
+    sum_i P_i (k+1)_i g_{k+i} = sum_l r_{k-l} / l!,  r_j = z sum_i Q_i (j+1)_i g_{j+i}.
+    The rows r and g share one (2n x steps m) array, and each order is two
+    products of a fixed row with it.
+    """
+    m, p, n = len(b), len(a), _TAYLOR_TERMS
+    k = np.arange(n)
+    rising = np.cumprod(np.hstack((np.ones((n, 1)), k[:, None] + 1.0 + np.arange(m))), axis=1)
+    fact = np.cumprod(np.maximum(k, 1.0))
+    # row k of next_g gives g_{k+m} from r_0..r_k and g_k..g_{k+m-1}, row k of next_r r_k / z
+    lag = k[:, None] - k
+    next_g = np.hstack((np.where(lag >= 0, 1.0 / fact[np.maximum(lag, 0)], 0.0), np.zeros((n, n))))
+    next_r = np.zeros((n, 2 * n))
+    band = k[:n - m, None]
+    next_g[band, n + band + np.arange(m)] = -np.poly(b)[:0:-1] * rising[:n - m, :m]
+    upper = np.poly(np.subtract(a, 1.0))[::-1] if p else np.ones(1)
+    next_r[band, n + band + np.arange(p + 1)] = upper * rising[:n - m, :p + 1]
+    next_g /= rising[:, m:]
+    z = (-1.0) ** (p - m) * np.repeat(np.exp(x0), m)
+    rows = np.zeros((2 * n, x0.size * m))
+    rows[n:n + m] = np.tile(np.eye(m), x0.size)
+    for kk in range(n - m):
+        rows[kk] = z * (next_r[kk] @ rows)
+        rows[n + kk + m] = next_g[kk] @ rows
+    return rows[n:].reshape(n, x0.size, m)
+
+
+def _continuation_vec(a, b, y: np.ndarray, tol: float) -> np.ndarray:
+    """G^{m,0}_{p,m}(y | a; b), s = m - p >= 1, over an array of y, continued down
+    its ODE prod (D - b_j) G = (-1)^{p-m} e^x prod (D + 1 - a_j) G, x = ln y
+    (DLMF 16.21), from the large-y expansion.
+
+    G is the recessive solution at large y, so stepping down is the stable
+    direction, as in Miller's algorithm (Gautschi, SIAM Rev. 9 (1967) 24).
+    The state (G, DG, ..., D^{m-1} G / (m-1)!) starts at the first rung
+    where _expansion_vec accepts, on a ladder above the largest y and the
+    least y where the expansion's terms can settle.  Each step is
+    _TAYLOR_REACH / (1 + w + max|b_j| + max|1 - a_j|) long, w = e^{x/s} at
+    its top.  One recurrence (_taylor_coeffs) gives every step's
+    fundamental matrix; the state moves by one m x m product per step, and
+    each point is one polynomial in its step.  The remainder is the last
+    two Taylor terms: per step that of the state relative to its largest
+    entry, summed onto the start's _EXPANSION_MARGIN * tol; at a point
+    that sum times |G| plus the point's own.  A point whose remainder
+    exceeds tol |G| raises NoConvergence.
+    """
+    s, m, n = len(b) - len(a), len(b), _TAYLOR_TERMS
+    x = np.log(y)
+    lo = float(x.min())
+    base = max(float(x.max()) / s, _expansion_terms(a, b, 0.0, tol)[4])
+    for rung in base + _START_RUNG * np.arange(1, _START_RUNGS + 1):
+        start, ok = _expansion_state(a, b, rung, tol)
+        if ok:
+            break
+    else:
+        raise NoConvergence(
+            f"Meijer-G continuation at y = {y.max():.6g} has no start: the large-y "
+            f"expansion refuses every y up to {math.exp(s * rung):.6g}"
+        )
+    top = [s * rung]
+    scale = 1.0 + max(abs(v) for v in b) + max([abs(1.0 - v) for v in a], default=0.0)
+    while top[-1] > lo:
+        top.append(max(lo, top[-1] - _TAYLOR_REACH / (scale + math.exp(top[-1] / s))))
+    top = np.array(top)
+    h = np.diff(top)
+    coeffs = _taylor_coeffs(a, b, top[:-1]).transpose(1, 0, 2)
+    k = np.arange(n)
+    binom = np.array([[math.comb(kk, i) for kk in k] for i in range(m)], dtype=float)
+    powers = np.vander(h, n, increasing=True)
+    # row i of step j's move: sum_k C(k, i) g_k h^(k - i), D^i G / i! at its end
+    moves = (binom * powers[:, np.maximum(k - np.arange(m)[:, None], 0)]) @ coeffs
+    state = np.empty((h.size + 1, m))
+    state[0] = start
+    for j, move in enumerate(moves):
+        state[j + 1] = move @ state[j]
+    series = (coeffs @ state[:-1, :, None])[..., 0]  # G about each step's top
+    last = np.abs(series[:, -2:] * powers[:, -2:]) @ binom[:, -2:].T
+    unit = np.abs(state[1:] * powers[:, :m])
+    drift = np.cumsum(np.append(_EXPANSION_MARGIN * tol, last.max(axis=1) / unit.max(axis=1)))
+    step = np.minimum(np.searchsorted(-top, -x, side="right") - 1, h.size - 1)
+    terms = series[step] * np.vander(x - top[step], n, increasing=True)
+    vals = terms.sum(axis=1)
+    err = drift[step] * np.abs(vals) + np.abs(terms[:, -2:]).sum(axis=1)
+    bad = ~(err <= tol * np.abs(vals))
+    if bad.any():
+        i = np.nonzero(bad)[0][np.argmax(x[bad])]
+        raise NoConvergence(
+            f"Meijer-G continuation at y = {y[i]:.6g} missed its remainder bound: "
+            f"{err[i]:.3e} on {vals[i]:.6g}"
+        )
+    return vals
 
 
 def m0_eval_vec(b: Sequence[float], y: np.ndarray, tol: float = 1e-11) -> np.ndarray:
@@ -904,15 +894,18 @@ def g_general_vec(
     Three routes by y, for s = m - alpha >= 1: the residue sum
     (_slater_vec: Slater's expansion, with exact confluent residues for
     coincident, integer-spaced or nearly integer-spaced lower parameters)
-    while it conditions well, not run where it would refuse every point
-    (2 s y^{1/s} above ln 1e6 + (s - 1) ln 2 + 3, _slater_reaches); the
-    large-y expansion (_expansion_vec) from the y where its first two
-    omitted terms fall below tol / 100 of its sum (s y^{1/s} ~ 16..40 on
-    the certified lists of lambda <= 8); and converged trapezoid Bromwich
-    lines (_contour_batch: one line per log-y bucket, all lines in a few
-    whole-array passes) for the band between.  y = +inf and y <= 0 are an
-    exact 0.  At s <= 0 only the residue sum runs, and a point it refuses
-    raises DomainError.
+    while it conditions well, its cancellation within min(1e6, tol / eps)
+    (rounding leaves about that times eps / 3), and not run where it
+    would refuse every point (2 s y^{1/s} above the log of that limit +
+    (s - 1) ln 2 + 3, _slater_reaches); the large-y expansion
+    (_expansion_vec) from the y where its first two omitted terms fall
+    below tol / 100 of its sum (s y^{1/s} ~ 16..40 on the certified lists
+    of lambda <= 8); and the continuation of the Meijer ODE down from the
+    expansion (_continuation_vec: one Taylor recurrence for every step of
+    the call) for the band between and for any point the residue sum
+    leaves at small y.  y = +inf and y <= 0 are an exact 0.  At s <= 0
+    only the residue sum runs, and a point it refuses raises
+    DomainError.
     """
     y = np.asarray(y, dtype=float)
     a = [float(v) for v in a]
@@ -922,8 +915,10 @@ def g_general_vec(
     # G decays like e^{-r y^{1/r}}: y = inf is an exact 0 that no route runs,
     # and so is y <= 0, outside the support
     ok = (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
-    reach = ~ok & (_slater_reaches(r, np.where(ok, 1.0, y)) if r > 0 else True)
-    vals[reach], ok[reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a)
+    # rounding in a residue sum that cancels by a factor c leaves about c eps / 3
+    limit = min(_SLATER_COND_LIMIT, tol / _EPS)
+    reach = ~ok & (_slater_reaches(r, np.where(ok, 1.0, y), limit) if r > 0 else True)
+    vals[reach], ok[reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a, limit)
     rest = ~ok
     if rest.any() and r > 0:
         vals[rest], ok[rest] = _expansion_vec(a, b, y[rest], tol)
@@ -932,9 +927,9 @@ def g_general_vec(
         if r <= 0:
             raise DomainError(
                 f"Slater refused {int(rest.sum())} of {y.size} points of "
-                f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the contour needs m > p"
+                f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the continuation needs m > p"
             )
-        vals[rest] = _contour_batch(a, b, y[rest], tol)
+        vals[rest] = _continuation_vec(a, b, y[rest], tol)
     return vals
 
 

@@ -165,11 +165,56 @@ class TestBands:
             scalar = [sga_structure_poly(p, float(x), mu) for x in j0]
             assert np.array_equal(sga_structure_poly(p, j0, mu), scalar)
 
+    @pytest.mark.parametrize("lam", range(2, 9))
+    def test_sga_poly_prefix_sums_match_the_loops(self, rng, lam):
+        # the alpha prefix sums, taken once per call, against w(l) and v(j)
+        # rebuilt inside the product loops
+        p = random_valid_params(rng, lam)
+        for mu in range(lam):
+            j0 = np.array([energy_eigenvalue(p, n) / lam for n in range(mu, 40 * lam, lam)])
+            np.testing.assert_allclose(
+                sga_structure_poly(p, j0, mu), _sga_poly_loops(p, j0, mu), rtol=1e-15, atol=0
+            )
+
     def test_energy_array_equals_level_formula(self, rng):
         p = random_valid_params(rng, 4)
         levels = np.arange(50)
         assert np.array_equal(energy_eigenvalue(p, levels),
                               [n + p.gamma(n % 4) + 0.5 for n in range(50)])
+
+
+def _sga_poly_loops(params, j0, mu):
+    """sga_structure_poly with w(l) and v(j) rebuilt inside its product loops."""
+    lam = params.lam
+
+    def w(l):
+        s = 2 * l + 1 + params.alpha_at(mu)
+        for mm in range(1, l + 1):
+            s += 2.0 * params.alpha_at(mu + mm)
+        return 0.5 * s
+
+    def v(j):
+        s = -2 * j - 1 + params.alpha_at(mu)
+        for kk in range(1, lam - j):
+            s += 2.0 * params.alpha_at(mu + kk)
+        return 0.5 * s
+
+    x = lam * j0
+
+    def t(count):
+        prod = 1.0
+        for l in range(count):
+            prod = prod * (x + w(l))
+        return prod
+
+    total = t(lam - 1)
+    head = x - 0.5 * (1.0 + params.alpha_at(mu))
+    for i in range(1, lam):
+        prod = head
+        for j in range(1, i):
+            prod = prod * (x + v(j))
+        total = total + prod * t(lam - i - 1)
+    return -total / lam
 
 
 def _sample_params(rng, n_sets=20):

@@ -378,18 +378,20 @@ class TestConfluentWeights:
         assert code == 0 and not err, out
 
     def test_unmet_tolerance_is_a_one_line_error(self, monkeypatch):
-        # with the residue sum refusing every point, the contour's line floor
-        # sits far right of the saddle at small y: the kummer weight raises
-        # NoConvergence, which the CLI reports on one line
+        # with the residue sum refusing every point and four Taylor terms a
+        # step, the continuation misses its remainder bound: the kummer
+        # weight raises NoConvergence, which the CLI reports on one line
         monkeypatch.setattr(
-            specfun, "_slater_vec", lambda b, y, tol, a=(): (np.zeros_like(y), np.zeros(y.shape, bool))
+            specfun, "_slater_vec",
+            lambda b, y, tol, a=(), limit=None: (np.zeros_like(y), np.zeros(y.shape, bool)),
         )
+        monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 4)
         code, out, err = run_cli(
             ["moments", "--lambda", "3", "--alpha", "3,-3,0", "--mu", "0", "--cs-alpha", "1"]
         )
         assert code == 2 and not out
-        assert err.startswith("error: Bromwich contour at y = ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err.startswith("error: Meijer-G continuation at y = ") and err.count("\n") == 1
+        assert "missed its remainder bound" in err and "Traceback" not in err
 
 
 class TestOptionTable:

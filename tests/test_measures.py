@@ -527,9 +527,10 @@ def test_mellin_lists_reproduce_targets(fig1_params):
 
 
 def test_m0_slater_vs_contour_on_algebra_parameters(rng):
-    # the m0 class and the contour fallback agree on y in {0.1,...,5}
-    # for lower-parameter lists drawn from valid algebras (lambda <= 4)
-    from clext.specfun import _contour_batch, _slater_vec
+    # the m0 class's residue sum and the ODE continuation agree on y in
+    # {0.1,...,5} for lower-parameter lists drawn from valid algebras
+    # (lambda <= 4)
+    from clext.specfun import _continuation_vec, _slater_vec
 
     for lam in (2, 3, 4):
         p = random_valid_params(rng, lam)
@@ -544,9 +545,9 @@ def test_m0_slater_vs_contour_on_algebra_parameters(rng):
                 continue
             y = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
             slater, ok = _slater_vec(b, y, 1e-13)
-            contour = _contour_batch([], b, y)
+            continued = _continuation_vec([], b, y, 1e-11)
             assert ok.all()
-            assert slater == pytest.approx(contour, rel=1e-7, abs=1e-12)
+            assert slater == pytest.approx(continued, rel=1e-7, abs=1e-12)
 
 
 def test_alpha4_conjecture_reported_not_asserted():

@@ -32,7 +32,7 @@ from clext.measures import (
 )
 from clext.specfun import (
     _NorlundKernel,
-    _contour_batch,
+    _continuation_vec,
     _expansion_vec,
     _polygamma,
     _slater_vec,
@@ -203,9 +203,10 @@ class TestKummerU:
 
 class TestMeijerG:
     def test_exponential_case_vs_contour(self):
+        # G^{1,0}_{0,1} = e^-y, continued down its ODE D G = -e^x G
         y = np.array([1.0])
         assert float(m0_eval_vec([0.0], y)[0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert float(_contour_batch([], [0.0], y)[0]) == pytest.approx(math.exp(-1.0), rel=1e-11)
+        assert float(_continuation_vec([], [0.0], y, 1e-11)[0]) == pytest.approx(math.exp(-1.0), rel=1e-11)
 
     def test_two_parameter_bessel_identity(self):
         b, y = 1 / 3, 0.7
@@ -227,7 +228,7 @@ class TestMeijerG:
         # each parameter lies within twice the spread of those before it, so
         # all six form one cluster of spread 0.72, whose Taylor series cannot
         # settle in _CLUSTER_TERMS terms: the residue sum leaves the points
-        # (no overflow), the contour takes them, and at p = q they raise
+        # (no overflow), the ODE continuation takes them, and at p = q they raise
         b = [0.0, 0.009, 0.0269, 0.0806, 0.2418, 0.72]
         assert specfun._clusters(b) == [list(range(6))]
         y = np.array([1e-3, 0.1, 0.5])
@@ -243,10 +244,11 @@ class TestMeijerG:
         [(0.0, 0.4), (0.0, 1 / 3, 0.9), (0.0, 0.55, 1.2, 1.9)],  # lambda <= 4 style
     )
     def test_slater_vs_contour_grid(self, y, b):
+        # the residue sum against the ODE continuation
         slater, ok = _slater_vec(list(b), np.array([y]), 1e-13)
-        contour = _contour_batch([], list(b), np.array([y]))
+        continued = _continuation_vec([], list(b), np.array([y]), 1e-11)
         assert ok.all()
-        assert float(slater[0]) == pytest.approx(float(contour[0]), rel=1e-7, abs=1e-12)
+        assert float(slater[0]) == pytest.approx(float(continued[0]), rel=1e-7, abs=1e-12)
 
     def test_kummer_consistency(self):
         # G^{2,0}_{1,2}(y | bb1-1; 0, bb2-1) = e^-y U(bb1-bb2, 2-bb2, y)
@@ -336,13 +338,13 @@ class TestMeijerG:
             assert v == pytest.approx(float(mp.meijerg([[], a], [b, []], t)), rel=1e-12)
 
     def test_contour_memory_bounded_by_row_blocks(self):
-        # one log-y bucket of 401 points: the integrand is built in blocks
-        # of rows, not as one (401 x nodes) complex array
+        # 401 points in one band: the continuation keeps one Taylor series
+        # per step and one row of terms per point
         b = [0.0, 1 / 3, 0.9]
         y = np.linspace(1.0, 1.5, 401)
         tracemalloc.start()
         try:
-            vals = _contour_batch([], b, y)
+            vals = _continuation_vec([], b, y, 1e-11)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,48 +354,47 @@ class TestMeijerG:
             assert vals[i] == pytest.approx(ref, rel=1e-11)
 
     def test_contour_row_that_never_settles_raises(self, monkeypatch):
-        # with the node cap at 129 the trapezoid sums cannot agree to 1e-16:
-        # below the saddle's reach the line floor leaves a truncation
-        # difference near 1e-9, so both rows fail on their bucket's line and
-        # on their own saddle lines, and the first is named
-        monkeypatch.setattr(specfun, "_LINE_CAP", 129)
-        with pytest.raises(NoConvergence, match=r"y = 1e-05 .* 129 nodes: last difference"):
-            _contour_batch([], [0.0, 1 / 3, 0.9], np.array([1e-5, 1.2e-5]), 1e-16)
+        # with six Taylor terms a step the last two terms stay far above
+        # tol: the point nearest the start is named
+        monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 6)
+        with pytest.raises(NoConvergence, match=r"y = 1.2e-05 missed its remainder bound: "):
+            _continuation_vec([], [0.0, 1 / 3, 0.9], np.array([1e-5, 1.2e-5]), 1e-11)
 
     def test_failing_evaluation_takes_one_line_to_the_cap(self, monkeypatch):
-        # the lambda = 5 alpha = 0 list whose line floor sits far right of the
-        # saddle below y ~ 1e-5: no bucket settles, yet only the lowest
-        # bucket's line and its first row's own line run to the cap
-        shapes = []
-        line_phi = specfun._line_phi
+        # the lambda = 5 alpha = 0 list, continued down to y = 1e-21 with too
+        # few terms: the call still runs one recurrence before it raises
+        monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 8)
+        steps = []
+        taylor = specfun._taylor_coeffs
         monkeypatch.setattr(
-            specfun, "_line_phi", lambda a, b, s: shapes.append(s.shape) or line_phi(a, b, s)
+            specfun, "_taylor_coeffs", lambda a, b, x0: steps.append(x0.size) or taylor(a, b, x0)
         )
         y = np.geomspace(1e-21, 1e-6, 60)
-        with pytest.raises(NoConvergence, match=r"y = 1e-21 did not settle in 16385 nodes"):
-            _contour_batch([], [0.0, 0.5, 0.5, 0.5, 0.5], y)
-        assert sum(n for n, width in shapes if width == (specfun._LINE_CAP - 1) // 2) == 2
+        with pytest.raises(NoConvergence, match=r"y = 1e-06 missed its remainder bound"):
+            _continuation_vec([], [0.0, 0.5, 0.5, 0.5, 0.5], y, 1e-11)
+        assert len(steps) == 1 and steps[0] > 50
 
     def test_lgamma_calls_do_not_grow_with_buckets(self, monkeypatch):
-        # one saddle solve, one ladder piece and one pass per trapezoid level
-        # for all lines: 1 bucket and 17 buckets make the same calls
+        # one Taylor recurrence for all steps: a band of 1 log-y bucket
+        # and one of 17 make the same single call
         calls = []
-        lgamma = specfun.lgamma_complex
-        monkeypatch.setattr(specfun, "lgamma_complex", lambda z: calls.append(z.size) or lgamma(z))
+        taylor = specfun._taylor_coeffs
+        monkeypatch.setattr(
+            specfun, "_taylor_coeffs", lambda a, b, x0: calls.append(x0.size) or taylor(a, b, x0)
+        )
         counts = []
         for hi in (15.0, 1e6):
             calls.clear()
             y = np.geomspace(12.0, hi, 200)
-            _contour_batch([], [0.0, 1 / 3, 0.9], y)
+            _continuation_vec([], [0.0, 1 / 3, 0.9], y, 1e-11)
             counts.append(len(calls))
         assert len(np.unique(np.floor(np.log(y) / 0.7))) == 17
-        assert counts[0] == counts[1]
+        assert counts == [1, 1]
 
     @pytest.mark.parametrize("lam, beta_bar", [(3, [4 / 3, 2 / 3]), (4, [1.25, 1.75, 1.5])])
     def test_contour_rows_of_a_moment_grid(self, lam, beta_bar):
         # every row of the alpha = 0 moment grid that Slater refuses, in one
-        # call (one line per log-y bucket); both ends of each bucket
-        # against meijerg
+        # continuation call; both ends of each log-y bucket against meijerg
         p = params_from_beta_bar(lam, beta_bar)
         w = weight_function(p, 0, 0)
         w._ensure_grid(8.0)
@@ -401,7 +402,7 @@ class TestMeijerG:
         y = np.unique(w._grid.y)
         _, ok = _slater_vec(b, y, 1e-13)
         y = y[~ok & (y >= 1e-60)]
-        vals = _contour_batch([], b, y)
+        vals = _continuation_vec([], b, y, 1e-11)
         keys = np.floor(np.log(y) / 0.7)
         assert len(np.unique(keys)) >= 10
         for key in np.unique(keys):
@@ -438,7 +439,7 @@ class TestMeijerG:
         # G ~ e^{-s y^{1/s}}: y = inf returns 0 before any route runs, with
         # no floating-point warning
         calls = []
-        monkeypatch.setattr(specfun, "_contour_batch", lambda *args: calls.append(args))
+        monkeypatch.setattr(specfun, "_continuation_vec", lambda *args: calls.append(args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals = g_general_vec(a, b, np.array([np.inf, np.inf]))
@@ -462,16 +463,16 @@ class TestMeijerG:
         # jittered ones: every point Slater refuses above the expansion's
         # reach goes to the expansion.  The exact lists are equally spaced
         # (Gauss multiplication makes G a pure e^{-m y^{1/m}} y^c), so every
-        # M_k, k >= 1, vanishes and the contour gets nothing.
+        # M_k, k >= 1, vanishes and the continuation gets nothing.
         p = params_from_beta_bar(lam, beta_bar)
         w = weight_function(p, 0, 0)
         w._ensure_grid(8.0)
         _, b = mellin_lists(p, 0, 0)
         y = np.unique(w._grid.y)
         rows = []
-        contour = specfun._contour_batch
+        continuation = specfun._continuation_vec
         monkeypatch.setattr(
-            specfun, "_contour_batch", lambda a, b, y, tol: rows.append(y) or contour(a, b, y, tol)
+            specfun, "_continuation_vec", lambda a, b, y, tol: rows.append(y) or continuation(a, b, y, tol)
         )
         vals = g_general_vec([], b, y)
         _, slater_ok = _slater_vec(b, y, 1e-13)
@@ -489,6 +490,55 @@ class TestMeijerG:
             ref = float(mp.meijerg([[], []], [b, []], y[i]))
             assert vals[i] == pytest.approx(ref, rel=1e-11)
 
+    def test_one_recurrence_per_call(self, monkeypatch):
+        # one Taylor recurrence covers every step, whatever the number of
+        # steps (a short band or one continued down to y = 1e-30) or of
+        # points (1 or 2,000)
+        calls = []
+        taylor = specfun._taylor_coeffs
+        monkeypatch.setattr(
+            specfun, "_taylor_coeffs", lambda a, b, x0: calls.append(x0.size) or taylor(a, b, x0)
+        )
+        a, b = [0.9], [0.0, 0.2, 0.55]
+        for y in (np.array([30.0]), np.geomspace(1e-30, 40.0, 2000)):
+            calls.clear()
+            vals = _continuation_vec(a, b, y, 1e-11)
+            assert len(calls) == 1 and vals.shape == y.shape
+            steps = calls[0]
+        assert steps > 100
+
+    @pytest.mark.parametrize("y", [0.05, 0.2, 0.4, 0.547, 0.7])
+    def test_slater_refuses_what_its_rounding_would_spoil(self, y):
+        # a lambda = 6 alpha = 0 list with two lower parameters 1 + 0.0093
+        # apart: its residue sum cancels by 1.8e5..5.1e5 here, and rounding
+        # left about that times eps / 3 (up to 3.4e-11) with every point
+        # accepted; the limit now comes from tol, and the continuation
+        # takes the points the residue sum refuses
+        b = [0.0, 0.2309, 0.3906, 0.1501, -0.8592, -0.5427]
+        got = float(g_general_vec([], b, np.array([y]))[0])
+        with mp.workdps(30):
+            ref = float(mp.meijerg([[], []], [b, []], y))
+        assert got == pytest.approx(ref, rel=1e-11)
+
+    def test_continuation_over_a_long_band(self):
+        # the lambda = 6 r = 2 list a = (0.9, 0.7), b = (0, 0.5, -0.1, -0.2):
+        # the expansion also refuses isolated points up to s y^{1/s} = 147,
+        # so one call continues from there down to 6.2
+        a, b = [0.9, 0.7], [0.0, 0.5, -0.1, -0.2]
+        y = (np.array([6.2, 48.87969925, 113.21804511, 147.13283208]) / 2.0) ** 2
+        _, ok = _expansion_vec(a, b, y, 1e-11)
+        assert not ok.any()
+        for g, t in zip(g_general_vec(a, b, y), y):
+            with mp.workdps(30):
+                assert g == pytest.approx(float(mp.meijerg([[], a], [b, []], t)), rel=1e-11)
+
+    def test_continuation_without_a_start_raises(self, monkeypatch):
+        # where the expansion accepts no rung of the ladder there is no
+        # start, and the call names the largest y
+        monkeypatch.setattr(specfun, "_expansion_state", lambda a, b, lw, tol: (None, False))
+        with pytest.raises(NoConvergence, match=r"y = 50 has no start"):
+            _continuation_vec([], [0.0, 1 / 3, 0.9], np.array([20.0, 50.0]), 1e-11)
+
     def test_convolution_kernel_positive(self):
         # a certified r = 2 list (a = 0.5 > b = 0.2): the weight, once a
         # convolution, is positive
@@ -500,7 +550,7 @@ class TestMeijerG:
 def contour_cases(draw):
     """(b, y): the alpha = 0 lower parameters of a certified lambda = 3..6
     algebra (m = lambda) and y log-uniform on [5, 1e7], where Slater
-    refuses and the contour takes over."""
+    refuses and the continuation or the expansion takes over."""
     lam = draw(st.sampled_from([3, 4, 5, 6]))
     bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
     mu = draw(st.integers(0, lam - 1))
@@ -511,9 +561,10 @@ def contour_cases(draw):
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(contour_cases())
 def test_contour_sweep(case):
-    # every row settles (no NoConvergence) and meets 1e-10 against meijerg
+    # the continuation meets its remainder bound (no NoConvergence) and
+    # 1e-10 against meijerg, from wherever the expansion lets it start
     b, y = case
-    got = float(_contour_batch([], b, np.array([y]))[0])
+    got = float(_continuation_vec([], b, np.array([y]), 1e-11)[0])
     with mp.workdps(30):
         ref = float(mp.meijerg([[], []], [b, []], y))
     assert got == pytest.approx(ref, rel=1e-10)
@@ -553,6 +604,43 @@ def test_expansion_sweep(case):
     with mp.workdps(30):
         ref = float(mp.meijerg([[], a], [b, []], y))
     assert float(val[0]) == pytest.approx(ref, rel=1e-11)
+
+
+@st.composite
+def band_cases(draw):
+    """(a, b, y): a certified Mellin list of lambda <= 8 with s = m - p >= 1
+    and p >= 0, a third of them with every beta_bar equal, and y
+    log-uniform over the band that neither the residue sum (at
+    g_general_vec's conditioning limit) nor the large-y expansion accepts."""
+    lam = draw(st.integers(2, 8))
+    alpha = draw(st.integers(0, (lam - 1) // 2))
+    bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
+    if draw(st.integers(0, 2)) == 0:
+        bb = [draw(st.sampled_from([0.5, 1.25, 1.5, 1.75]))] * (lam - 1)
+    p = params_from_beta_bar(lam, bb)
+    mu = draw(st.integers(0, lam - 1))
+    assume(isinstance(positivity_condition(p, mu, alpha), PositivityCertificate))
+    a, b = mellin_lists(p, mu, alpha)
+    s = lam - 2 * alpha
+    grid = np.geomspace((1.0 / s) ** s, (350.0 / s) ** s, 300)
+    _, slater = _slater_vec(b, grid, 1e-13, a, 1e-11 / specfun._EPS)
+    _, expansion = _expansion_vec(a, b, grid, 1e-11)
+    band = grid[~slater & ~expansion]
+    assume(band.size)
+    lo, hi = math.log(band.min()), math.log(band.max())
+    return a, b, math.exp(lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(band_cases())
+def test_continuation_sweep(case):
+    # every point of the band that the continuation returns is within
+    # 1e-10 of meijerg, and none misses its remainder bound
+    a, b, y = case
+    got = float(_continuation_vec(a, b, np.array([y]), 1e-11)[0])
+    with mp.workdps(30):
+        ref = float(mp.meijerg([[], a], [b, []], y))
+    assert got == pytest.approx(ref, rel=1e-10)
 
 
 def test_slater_prescreen_skips_only_refused_points():
