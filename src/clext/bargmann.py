@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import AlgebraParams, build_operator, log_fock_norms
 from .errors import NonPolynomialResult, SectorError, UnsupportedOp
 from .measures import EigenstateMeasures, WeightFunction
-from .states import StateVector, sector_log_weights
+from .states import StateVector, sector_lists, sector_log_weights
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,16 @@ def _apply_sector(params: AlgebraParams, mu: int, alpha: int, op: str, c: np.nda
         return _atom_theta_plus(c, mu / lam) * lam
     if op == "J0":
         return _atom_theta_plus(c, 0.5 * (bb(mu) + bb(mu + 1)))
+    num, den = sector_lists(params, mu, alpha)
     if op == "Jplus":
         out = c
-        for nu in range(mu + 1, mu + alpha + 1):
-            out = _atom_theta_plus(out, bb(nu))
+        for v in num:
+            out = _atom_theta_plus(out, v)
         return lam ** (alpha - 1) * _atom_mul_z(out)
     if op == "Jminus":
         out = _atom_ddz(c)
-        for nu in range(mu + alpha + 1, lam):
-            out = _atom_theta_plus(out, bb(nu))
-        for nu in range(1, mu + 1):
-            out = _atom_theta_plus(out, bb(nu) + 1.0)
+        for v in den:
+            out = _atom_theta_plus(out, v)
         return lam ** (lam - alpha - 1) * out
     raise UnsupportedOp(f"op {op!r} is not defined on a single sector")
 

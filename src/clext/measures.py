@@ -27,6 +27,7 @@ from .algebra import AlgebraParams, log_fock_norms
 from .errors import PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
 from .specfun import _NorlundKernel, g_general_vec, m0_eval_vec
+from .states import sector_lists
 
 
 # --------------------------------------------------------------------------
@@ -58,27 +59,21 @@ class MomentProblem:
 
     @property
     def log_A(self) -> float:
-        p, mu, alpha = self.params, self.mu, self.alpha
-        lam = p.lam
-        out = -math.log(math.pi) - (lam - 2 * alpha) * math.log(lam)
-        for nu in range(mu + 1, mu + alpha + 1):
-            out += math.lgamma(p.beta_bar_at(nu))
-        for nu in range(1, mu + 1):
-            out -= math.lgamma(p.beta_bar_at(nu) + 1.0)
-        for nu in range(mu + alpha + 1, lam):
-            out -= math.lgamma(p.beta_bar_at(nu))
+        num, den = sector_lists(self.params, self.mu, self.alpha)
+        out = -math.log(math.pi) - self.r * math.log(self.params.lam)
+        for v in num:
+            out += math.lgamma(v)
+        for v in den:
+            out -= math.lgamma(v)
         return out
 
     def log_B(self, k: float) -> float:
-        p, mu, alpha = self.params, self.mu, self.alpha
-        lam = p.lam
+        num, den = sector_lists(self.params, self.mu, self.alpha)
         out = self.log_A + math.lgamma(k + 1.0)
-        for nu in range(1, mu + 1):
-            out += math.lgamma(p.beta_bar_at(nu) + k + 1.0)
-        for nu in range(mu + alpha + 1, lam):
-            out += math.lgamma(p.beta_bar_at(nu) + k)
-        for nu in range(mu + 1, mu + alpha + 1):
-            out -= math.lgamma(p.beta_bar_at(nu) + k)
+        for v in den:
+            out += math.lgamma(v + k)
+        for v in num:
+            out -= math.lgamma(v + k)
         return out
 
 
@@ -88,14 +83,10 @@ def moment_target(problem: MomentProblem, k: float) -> float:
 
 
 def mellin_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[list[float], list[float]]:
-    """Upper/lower parameter lists (a, b) of the inverse Mellin transform."""
-    lam = params.lam
-    r = lam - 2 * alpha
-    a = [params.beta_bar_at(mu + nu) - 1.0 for nu in range(1, alpha + 1)]
-    b = [0.0]
-    b += [params.beta_bar_at(nu - 1) for nu in range(2, mu + 2)]
-    b += [params.beta_bar_at(nu + alpha - 1) - 1.0 for nu in range(mu + 2, r + alpha + 1)]
-    return a, b
+    """Upper/lower parameter lists (a, b) of the inverse Mellin transform:
+    a = num - 1 and b = (0, den - 1) for the family's sector_lists."""
+    num, den = sector_lists(params, mu, alpha)
+    return [v - 1.0 for v in num], [0.0] + [v - 1.0 for v in den]
 
 
 # --------------------------------------------------------------------------
@@ -467,10 +458,10 @@ def verify_identity_resolution(
     if n_max > 8:
         raise ValueError("n_max above 8 exceeds the supported range")
     lam = params.lam
-    # log D_n = L(n) - n log(lam), D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
-    log_d = log_fock_norms(params, n_max) - np.arange(n_max + 1) * math.log(lam)
     diag = []
     if mode == "diagonal_alpha0":
+        # the alpha = 0 weight of sector mu resolves |k lam + mu> iff its k-th
+        # moment is the target B(k)
         weights = (
             measures.weights
             if measures is not None
@@ -478,14 +469,11 @@ def verify_identity_resolution(
         )
         for n in range(n_max + 1):
             k, mu = divmod(n, lam)
-            m_k, _ = weights[mu].moment(float(k))
-            # squared unnormalized coefficient w_k of |k lam + mu>
-            log_w = -log_d[n]
-            for nu in range(1, mu + 1):
-                log_w += math.log(params.beta_bar_at(nu))
-            val = math.pi * lam**lam * math.exp(log_w) * m_k
-            diag.append(val)
+            weight = weights[mu]
+            diag.append(weight.moment(float(k))[0] / moment_target(weight.problem, k))
     elif mode in ("eigenstate_diag", "eigenstate_offdiag"):
+        # log D_n = L(n) - n log(lam), D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
+        log_d = log_fock_norms(params, n_max) - np.arange(n_max + 1) * math.log(lam)
         meas = measures if measures is not None else eigenstate_measures(params)
         for n in range(n_max + 1):
             if mode == "eigenstate_diag":

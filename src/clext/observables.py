@@ -7,11 +7,12 @@ built from the per-level log ratios log|z|^2 + log|c_{n+w} / (z c_n)|^2
 (states._log_ratios) and summed outward from each row's peak level, so no
 partial sum overflows at large |z|.  Every function takes one grid value
 or an array of them, so a figure curve or a CLI grid is one call.  Kept as
-cross-checks: the coefficient-vector oracle (method="oracle"), which builds
+a cross-check: the coefficient-vector oracle (method="oracle"), which builds
 the truncated states of a grid with one states builder call per _row_blocks
 slice (the rows of a call share one dim) and contracts each row against the
-ladder matrices; the Phi-ratio branch forms of the sector Q and the
-lambda = 2 Bessel form of the eigenstate Q.
+ladder matrices.  The Phi-ratio branch forms of the sector Q and the
+lambda = 2 Bessel form of the eigenstate Q are test references
+(tests/closed_forms.py).
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ import numpy as np
 
 from .algebra import AlgebraParams, structure_function
 from .errors import DomainError, NoConvergence
-from .specfun import bessel_i, pfq
 from .states import (
     LAST_WEIGHT,
     MAX_AUTO_DIM,
     CsAlphaSpec,
     StateVector,
-    _cs_alpha_lists,
     _log_ratios,
     cs_alpha_state,
     eigenstate,
@@ -45,7 +44,7 @@ class PhotonStats:
     mean_N: float
     mean_N2: float
     mandel_Q: float
-    source: str  # closed_form | vector_oracle | closed_limit | bessel_form
+    source: str  # closed_form | vector_oracle | closed_limit
 
 
 @dataclass(frozen=True)
@@ -161,64 +160,6 @@ def _oracle_photon_stats(z, build, limit_q: float) -> PhotonStats:
     return PhotonStats(*_as_given(z, *map(np.concatenate, zip(*blocks))), "vector_oracle")
 
 
-def phi_ratio(
-    params: AlgebraParams, mu: int, alpha: int, y: float, shift_num: int, shift_den: int
-) -> float:
-    """Ratio of parameter-shifted normalization series (the Phi functions)."""
-    num_u, den_u = _cs_alpha_lists(params, mu, alpha, shift=shift_num)
-    num_l, den_l = _cs_alpha_lists(params, mu, alpha, shift=shift_den)
-    return pfq(num_u, den_u, y).value.real / pfq(num_l, den_l, y).value.real
-
-
-def mandel_q_branch_form(spec: CsAlphaSpec) -> float:
-    """The explicit Q branches (mu = 0, mu = 1, mu >= 2) with Phi ratios."""
-    p, mu, alpha = spec.params, spec.mu, spec.alpha
-    lam = p.lam
-    bb = p.beta_bar_at
-    y = spec.y
-    if mu == 0:
-        pref = 1.0
-        for nu in range(1, alpha + 1):
-            pref *= bb(nu)
-        for nu in range(alpha + 1, lam):
-            pref /= bb(nu)
-        return (
-            lam
-            * (
-                1.0
-                - bb(lam - 1)
-                - pref * y * phi_ratio(p, 0, alpha, y, lam - 1, 0)
-                + bb(lam - 1) * phi_ratio(p, 0, alpha, y, lam - 2, lam - 1)
-            )
-            - 1.0
-        )
-    if mu == 1:
-        phi01 = phi_ratio(p, 1, alpha, y, 0, 1)
-        pref = 1.0
-        for nu in range(2, alpha + 2):
-            pref *= bb(nu)
-        for nu in range(alpha + 2, lam):
-            pref /= bb(nu)
-        den = 1.0 / lam - bb(1) + bb(1) * phi01
-        num = (
-            (bb(1) - 1.0 / lam) * (1.0 + lam * bb(1) * phi01)
-            - lam * bb(1) ** 2 * phi01**2
-            + lam * pref * y * phi_ratio(p, 1, alpha, y, lam - 1, 1)
-        )
-        return num / den
-    phi_m1 = phi_ratio(p, mu, alpha, y, mu - 1, mu)
-    phi_m2 = phi_ratio(p, mu, alpha, y, mu - 2, mu)
-    den = mu / lam - bb(mu) + bb(mu) * phi_m1
-    num = (
-        bb(mu)
-        - mu / lam
-        + lam * bb(mu) * (bb(mu) - bb(mu - 1) - 1.0 / lam) * phi_m1
-        - lam * bb(mu) ** 2 * phi_m1**2
-        + lam * bb(mu - 1) * bb(mu) * phi_m2
-    )
-    return num / den
-
-
 def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
     """Mandel Q of |z; mu; alpha>.
 
@@ -237,35 +178,13 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
 
 
 def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") -> PhotonStats:
-    """Mandel Q of the annihilation-operator eigenstate |z> (closed and oracle:
-    z_abs may be an array)."""
-    lam = params.lam
+    """Mandel Q of the annihilation-operator eigenstate |z>; z_abs may be an array."""
     if method == "oracle":
         return _oracle_photon_stats(z_abs, lambda z: eigenstate(params, z), 0.0)
-    if method == "closed":
-        n, p = _fock_weights(params, np.abs(z_abs))
-        return _photon_stats(z_abs, n, p, 0.0)
-    if method != "bessel":
+    if method != "closed":
         raise DomainError(f"unknown method {method!r}")
-    if lam != 2:
-        raise DomainError("the Bessel closed form only exists at lambda = 2")
-    t = z_abs**2 / lam
-    bb1 = params.beta_bar_at(1)
-    if t <= 1e-14:
-        return PhotonStats(0.0, 0.0, 0.0, "closed_limit")
-    i_m = bessel_i(bb1 - 1.0, 2.0 * t).value
-    i_p = bessel_i(bb1, 2.0 * t).value
-    r = i_p / (i_m + i_p)
-    # denominator is <N> = 2t + (1 - 2 bb1) R, which follows from the
-    # Bessel recurrences; a minus sign here fails the series oracle
-    q = (
-        (1.0 - 2.0 * bb1)
-        * (2.0 * t - 2.0 * (2.0 * t + bb1) * r - (1.0 - 2.0 * bb1) * r * r)
-        / (2.0 * t + (1.0 - 2.0 * bb1) * r)
-    )
-    n, p = _fock_weights(params, abs(z_abs))
-    mean = float((p @ n)[0])
-    return PhotonStats(mean, (q + mean + 1.0) * mean + 1e-300, q, "bessel_form")
+    n, p = _fock_weights(params, np.abs(z_abs))
+    return _photon_stats(z_abs, n, p, 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Everything the rest of the package needs is evaluated here in double
 precision with explicit error estimates: generalized hypergeometric pFq
-series, modified Bessel I/K of real order, and the restricted Meijer G
+series, the modified Bessel K of real order, and the restricted Meijer G
 classes G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution
 weight functions are built from (Slater's residue sum at small y, with
 exact confluent residues for coincident or integer-spaced lower
@@ -37,7 +37,6 @@ from .errors import (
 __all__ = [
     "SeriesValue",
     "pfq",
-    "bessel_i",
     "bessel_k_vec",
     "m0_eval_vec",
     "g_general_vec",
@@ -69,27 +68,6 @@ class SeriesValue:
 
 def is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
     return x <= tol and abs(x - round(x)) < tol
-
-
-def sinpi(x: float) -> float:
-    """sin(pi x) with exact argument reduction (accurate near integers)."""
-    r = math.fmod(x, 2.0)
-    if r < 0.0:
-        r += 2.0
-    sign = 1.0
-    if r > 1.0:
-        sign = -1.0
-        r -= 1.0
-    if r > 0.5:
-        r = 1.0 - r
-    return sign * math.sin(math.pi * r)
-
-
-def gamma_sign(x: float) -> int:
-    """Sign of Gamma(x) for non-pole x."""
-    if x > 0:
-        return 1
-    return 1 if sinpi(x) > 0 else -1
 
 
 # --------------------------------------------------------------------------
@@ -161,62 +139,6 @@ def pfq(
         tail = abs(term) * 10.0
     err = tail + 4.0 * _EPS * abs(total)
     return SeriesValue(total, err, k + 2, True)
-
-
-# --------------------------------------------------------------------------
-# modified Bessel functions
-# --------------------------------------------------------------------------
-
-def _bessel_i_series(nu: float, x: float, tol: float) -> tuple[float, int]:
-    # (x/2)^nu / Gamma(nu+1) * 0F1(nu+1; x^2/4); all terms positive, so the
-    # sum is cancellation-free at any x (only cost grows with x).
-    q = 0.25 * x * x
-    lead = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
-    sg = gamma_sign(nu + 1.0)
-    term = 1.0
-    total = 1.0
-    for k in range(1, 3000):
-        term *= q / (k * (nu + k))
-        total += term
-        if abs(term) < tol * abs(total):
-            return sg * math.exp(lead) * total, k
-    raise NoConvergence("Bessel I series did not converge")
-
-
-def _asym_coeffs(nu: float, x: float, tol: float) -> tuple[float, int]:
-    # sum_k a_k(nu) (-1/x)^k with a_k = prod (4nu^2-(2j-1)^2)/(k! 8^k), the
-    # large-x series of I_nu; truncated at the smallest term.
-    mu4 = 4.0 * nu * nu
-    term = 1.0
-    total = 1.0
-    prev = 1.0
-    for k in range(1, 60):
-        term *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k) * (-1.0 / x)
-        if abs(term) > abs(prev):
-            break
-        total += term
-        prev = term
-        if abs(term) < tol * abs(total):
-            break
-    return total, k
-
-
-def bessel_i(nu: float, x: float, tol: float = 1e-14) -> SeriesValue:
-    """Modified Bessel I_nu(x) for real order, x >= 0."""
-    if x < 0:
-        raise DomainError("bessel_i requires x >= 0")
-    if x == 0.0:
-        if nu == 0.0:
-            return SeriesValue(1.0, 0.0, 1, True)
-        if nu > 0.0:
-            return SeriesValue(0.0, 0.0, 1, True)
-        raise DomainError("I_nu(0) is singular for nu < 0")
-    if x > 30.0 and 4.0 * nu * nu + 3.0 < 2.0 * x:
-        s, k = _asym_coeffs(nu, x, tol)
-        val = math.exp(x) / math.sqrt(2.0 * math.pi * x) * s
-        return SeriesValue(val, abs(val) * max(tol, 1e-15), k, True)
-    val, k = _bessel_i_series(nu, x, tol)
-    return SeriesValue(val, abs(val) * max(tol, (k + 4) * _EPS), k, True)
 
 
 # Taylor coefficients of 1/Gamma(1 + z) to 36 digits: the first 22 reach
@@ -689,6 +611,15 @@ def _expansion_terms(a, b, lw: np.ndarray, tol: float):
     return rho, M, n, err, reach[-1]
 
 
+def _expansion_sum(M, n: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """sum_{k<n} M_k w^-k at each ln w, by Horner over the points."""
+    u = np.exp(-lw)
+    acc = np.zeros_like(u)
+    for k in range(n.max() - 1, -1, -1):
+        acc = acc * u + M[k] * (k < n)
+    return acc
+
+
 def _expansion_lead(a, b, lw):
     """ln of the expansion's leading factor (2 pi)^{(s-1)/2} s^{-1/2} e^{-s w} w^rho."""
     s = len(b) - len(a)
@@ -701,10 +632,10 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
 
     Each point sums the terms before the first k whose term and the next
     are both below _EXPANSION_MARGIN * tol (by Horner over the points, one
-    array operation per term); ok marks the points where such a k exists
-    among _EXPANSION_TERMS and those two terms are below that share of
-    the sum.  Points where the leading factor is below e^-750 are an
-    exact 0.
+    array operation per term), or below that share of the sum where the
+    sum is smaller than 1; ok marks the points where such a k exists among
+    _EXPANSION_TERMS and those two terms are below that share of the sum.
+    Points where the leading factor is below e^-750 are an exact 0.
     """
     lw = np.log(y) / (len(b) - len(a))
     _, M, n, err, _ = _expansion_terms(a, b, lw, tol)
@@ -714,24 +645,33 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     live = ok & (log_g > -750.0)
     if not live.any():
         return vals, ok
-    lw, n = lw[live], n[live]
-    u = np.exp(-lw)
-    acc = np.zeros_like(u)
-    for k in range(n.max() - 1, -1, -1):
-        acc = acc * u + M[k] * (k < n)
+    lw, n, err = lw[live], n[live], err[live]
+    acc = _expansion_sum(M, n, lw)
+    # n is chosen against tol alone; where the sum is below 1 its omitted
+    # terms can miss the share of it that ok asks for, so those points
+    # choose n again against tol times their sum
+    redo = np.flatnonzero(err > _EXPANSION_MARGIN * tol * np.abs(acc))
+    for i in redo:
+        _, _, n[i], err[i], _ = _expansion_terms(a, b, lw[i], tol * abs(acc[i]))
+    if redo.size:
+        acc[redo] = _expansion_sum(M, n[redo], lw[redo])
     with np.errstate(under="ignore"):
         vals[live] = acc * np.exp(log_g[live])
-    ok[live] = err[live] <= _EXPANSION_MARGIN * tol * np.abs(acc)
+    ok[live] = (n < M.size - 1) & (err <= _EXPANSION_MARGIN * tol * np.abs(acc))
     return vals, ok
 
 
 def _expansion_state(a, b, lw: float, tol: float) -> tuple[np.ndarray, bool]:
     """(G, DG, ..., D^{m-1} G / (m-1)!), D = d/d ln y, at w = e^lw, each the exact
-    derivative of the terms _expansion_vec sums there, and whether it
-    accepts G there.  D e^{-s w} w^v = e^{-s w} ((v/s) w^v - w^{v+1}), so
-    coefficient i of D^j G stands at w^{rho - i + j}."""
+    derivative of the terms _expansion_vec sums there (n chosen the same
+    way), and whether it accepts G there.  D e^{-s w} w^v =
+    e^{-s w} ((v/s) w^v - w^{v+1}), so coefficient i of D^j G stands at
+    w^{rho - i + j}."""
     s, m = len(b) - len(a), len(b)
     rho, M, n, err, _ = _expansion_terms(a, b, lw, tol)
+    total = M[:n] @ np.exp(-lw * np.arange(n))
+    if err > _EXPANSION_MARGIN * tol * abs(total):
+        _, _, n, err, _ = _expansion_terms(a, b, lw, tol * abs(total))
     if n >= M.size - 1:
         return np.zeros(m), False
     coef, i, w = np.zeros(n + m), np.arange(n + m - 1), math.exp(lw)

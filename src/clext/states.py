@@ -15,11 +15,17 @@ Coefficient magnitudes come in log form: the eigenstate's from
 L(n) = log prod_{j<=n} F(j) (algebra.log_fock_norms), the same array behind
 the Bargmann weights and the resolution diagonals; the sector states' from
 the cumulative sum of the per-level log ratios (_log_ratios), which the
-closed-form observables sum outward from the peak level instead.  Norms N
-(the sector states' pfq closed forms, the eigenstate's log-space weight sum)
-make the mass a truncation drops exact: tail_bound = 1 - sum(|c_n|^2) / N.
-Builders double dim (up to 1024) until that bound is at most 1e-10 and
-raise TruncationTooSmall when it never is.
+closed-form observables sum outward from the peak level instead.  Both
+families are built by one routine (_build) from the levels mu + step k and
+their log weights: each row's norm N is summed in log space relative to its
+largest term, which makes the mass a truncation drops exact: tail_bound =
+1 - sum(|c_n|^2) over the normalized coefficients.  Builders double dim (up
+to 1024) until that bound is at most 1e-10 and raise TruncationTooSmall when
+it never is.
+
+The sector family's parameter lists (sector_lists) give its norm as a pFq,
+N^(alpha)_mu(y) = pFq(num; den; y), and the moment problem of its weight
+(measures.MomentProblem, measures.mellin_lists).
 
 Both builders take one z or an array of them.  An array is built in one pass:
 the level weights are shared, each row has its own norm, and all rows share
@@ -87,12 +93,12 @@ class StateVector:
     """Complex coefficients over |0>..|dim-1> plus norm metadata.
 
     For normalized=True, coeffs are the physical amplitudes and
-    norm_sq_analytic holds the closed-form normalization series N (so the
-    unnormalized "round bracket" state is sqrt(N) times this one).
-    tail_bound = max(0, 1 - sum|c_n|^2 / N) is the probability mass lost
-    to truncation.  A state built from an array z has coeffs of shape
-    (rows, dim) and one norm_sq_analytic and tail_bound per row; braket and
-    norm_sq take 1-D states.
+    norm_sq_analytic holds the norm N of the unnormalized "round bracket"
+    state, which is sqrt(N) times this one.  tail_bound =
+    max(0, 1 - sum|c_n|^2) is the probability mass lost to truncation.  A
+    state built from an array z has coeffs of shape (rows, dim) and one
+    norm_sq_analytic and tail_bound per row; braket and norm_sq take 1-D
+    states.
     """
 
     dim: int
@@ -112,31 +118,24 @@ class StateVector:
         return float(np.vdot(self.coeffs, self.coeffs).real)
 
 
-def _cs_alpha_lists(params: AlgebraParams, mu: int, alpha: int, shift: int | None = None):
-    """Numerator/denominator parameter lists of the normalization pFq.
+def sector_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[list[float], list[float]]:
+    """Numerator/denominator lists (num, den) of the family (mu, alpha).
 
-    Every beta_bar with index <= shift gains +1.  shift = mu (the
-    default) reproduces the plain normalization series, whose denominator
-    carries +1 exactly on indices 1..mu; other shifts build the
-    parameter-shifted series entering the photon-moment ratios.
+    num = (bb_{mu+1}, .., bb_{mu+alpha}) and den = (bb_1 + 1, .., bb_mu + 1,
+    bb_{mu+alpha+1}, .., bb_{lambda-1}): the norm is N^(alpha)_mu(y) =
+    pFq(num; den; y), and the moment targets are B(k) = k! prod Gamma(den + k)
+    / prod Gamma(num + k) times A = prod Gamma(num) / (pi lambda^r prod Gamma(den)).
     """
-    lam = params.lam
-    if shift is None:
-        shift = mu
-
-    def bb(j: int) -> float:
-        v = params.beta_bar_at(j)
-        return v + 1.0 if j <= shift else v
-
+    bb = params.beta_bar_at
     num = [bb(j) for j in range(mu + 1, mu + alpha + 1)]
-    den = [bb(j) for j in range(1, mu + 1)]
-    den += [bb(j) for j in range(mu + alpha + 1, lam)]
+    den = [bb(j) + 1.0 for j in range(1, mu + 1)]
+    den += [bb(j) for j in range(mu + alpha + 1, params.lam)]
     return num, den
 
 
 def norm_series_cs_alpha(params: AlgebraParams, mu: int, alpha: int, y: float):
     """N^(alpha)_mu as a pFq value at argument y."""
-    num, den = _cs_alpha_lists(params, mu, alpha)
+    num, den = sector_lists(params, mu, alpha)
     return pfq(num, den, y)
 
 
@@ -160,7 +159,7 @@ def sector_log_weights(params: AlgebraParams, mu: int, alpha: int, k_max: int) -
 
 def _amplitudes(z: np.ndarray, k: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     """z^k exp(log_w / 2), one row per entry of z, with the power taken in
-    log-magnitude form.  log_w is shared by all rows or holds one per row."""
+    log-magnitude form, log_w holding one row per entry of z."""
     # math.log and cmath.phase per entry give a row the digits of its scalar build
     log_r = np.array([math.log(abs(v)) if v != 0 else 0.0 for v in z])
     phase = np.array([cmath.phase(v) for v in z])
@@ -170,61 +169,75 @@ def _amplitudes(z: np.ndarray, k: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     return amp
 
 
-def _truncated(build, dim: int, norm: np.ndarray, z: np.ndarray):
-    """(dim, coeffs, tail) from build(dim), a (rows, dim) array with one norm N
-    per row (row i at z[i]), doubling dim up to MAX_AUTO_DIM until every row's
-    exact tail bound 1 - sum|c|^2 / N is at most TAIL_THRESHOLD."""
+def _build(params: AlgebraParams, z, dim: int, mu: int, step: int, log_weights,
+           what: str) -> StateVector:
+    """Normalized state with |c_k|^2 = |z|^(2k) w_k / N on the levels mu + step k,
+    where log_weights(k_max) gives log w_k for k = 0..k_max; one row per entry
+    of an array z.
+
+    Each row's log N, N = sum_k |z|^(2k) w_k, is summed relative to its largest
+    term over the k that reach below LAST_WEIGHT of it in every row, and the
+    coefficients are exp((log w_k - log N) / 2) z^k: finite where N overflows
+    (norm_sq_analytic = exp(log N) is inf only there).
+    """
+    if dim < params.lam:
+        raise TruncationTooSmall(f"need dim >= lambda = {params.lam}")
+    z_rows = np.atleast_1d(z)
+    live = z_rows != 0
+    log_norm = np.zeros(len(z_rows))
+    if live.any():
+        log_z2 = np.array([2.0 * math.log(abs(v)) for v in z_rows[live]])
+        count = 64
+        while True:
+            log_w = np.arange(count) * log_z2[:, None] + log_weights(count - 1)
+            top = log_w.max(axis=1)
+            small = log_w[:, -1] - top < math.log(LAST_WEIGHT)
+            if small.all():
+                break
+            if count >= 4 * max(dim, MAX_AUTO_DIM):
+                z_big = abs(z_rows[live][np.argmin(small)])
+                raise TruncationTooSmall(
+                    f"{what} weights not small by level {mu + step * (count - 1)} "
+                    f"at |z| = {z_big:g}")
+            count *= 2
+        sums = np.exp(log_w - top[:, None]).sum(axis=1)
+        log_norm[live] = top + np.array([math.log(v) for v in sums])
+
+    # dim doubles up to MAX_AUTO_DIM until every row's exact tail bound
+    # 1 - sum|c|^2 is at most TAIL_THRESHOLD
     while True:
-        coeffs = build(dim)
+        k = np.arange((dim - 1 - mu) // step + 1)
+        coeffs = np.zeros((len(z_rows), dim), dtype=complex)
+        log_w = log_weights(len(k) - 1) - log_norm[:, None]
+        coeffs[:, mu + step * k] = _amplitudes(z_rows, k, log_w)
         # np.vdot row by row: each sum has the digits of the row's scalar build
-        mass = np.array([np.vdot(c, c).real for c in coeffs])
-        tail = np.maximum(0.0, 1.0 - mass / norm)
+        tail = np.maximum(0.0, 1.0 - np.array([np.vdot(c, c).real for c in coeffs]))
         if tail.max() <= TAIL_THRESHOLD:
-            return dim, coeffs, tail
+            break
         if dim >= MAX_AUTO_DIM:
             i = int(np.argmax(tail > TAIL_THRESHOLD))
             raise TruncationTooSmall(
-                f"tail bound {tail[i]:.3e} above {TAIL_THRESHOLD} at |z| = {abs(z[i]):g}, "
+                f"tail bound {tail[i]:.3e} above {TAIL_THRESHOLD} at |z| = {abs(z_rows[i]):g}, "
                 f"dim = {dim}"
             )
         dim = min(2 * dim, MAX_AUTO_DIM)
-
-
-def _as_state(z, dim: int, coeffs, norm, tail, normalized: bool = True) -> StateVector:
-    """The rows as one StateVector: 1-D coeffs and float metadata for a scalar z."""
+    with np.errstate(over="ignore"):
+        norm = np.exp(log_norm)
     if np.ndim(z) == 0:
-        return StateVector(dim, coeffs[0], float(norm[0]), float(tail[0]), normalized)
-    return StateVector(dim, coeffs, norm, tail, normalized)
+        return StateVector(dim, coeffs[0], float(norm[0]), float(tail[0]))
+    return StateVector(dim, coeffs, norm, tail)
 
 
-def cs_alpha_state(
-    spec: CsAlphaSpec, dim: int = 64, normalized: bool = True
-) -> StateVector:
+def cs_alpha_state(spec: CsAlphaSpec, dim: int = 64) -> StateVector:
     """Coefficient vector of |z; mu; alpha> on |0>..|dim-1>, one row per entry
     of an array spec.z.
 
     dim doubles automatically (up to 1024) while any row's truncated norm mass
     exceeds the tail threshold; TruncationTooSmall if it never drops below.
     """
-    params = spec.params
-    lam = params.lam
-    if dim < lam:
-        raise TruncationTooSmall(f"need dim >= lambda = {lam}")
-    z = np.atleast_1d(spec.z)
-    norm = np.array([norm_series_cs_alpha(params, spec.mu, spec.alpha, y).value.real
-                     for y in np.atleast_1d(spec.y).tolist()])
-
-    def build(dim: int) -> np.ndarray:
-        k = np.arange((dim - 1 - spec.mu) // lam + 1)
-        coeffs = np.zeros((len(z), dim), dtype=complex)
-        log_w = sector_log_weights(params, spec.mu, spec.alpha, len(k) - 1)
-        coeffs[:, k * lam + spec.mu] = _amplitudes(z, k, log_w)
-        return coeffs
-
-    dim, coeffs, tail = _truncated(build, dim, norm, z)
-    if normalized:
-        coeffs /= np.sqrt(norm)[:, None]
-    return _as_state(spec.z, dim, coeffs, norm, tail, normalized)
+    p, mu, alpha = spec.params, spec.mu, spec.alpha
+    return _build(p, spec.z, dim, mu, p.lam,
+                  lambda k_max: sector_log_weights(p, mu, alpha, k_max), "sector state")
 
 
 def eigenstate_norm_components(params: AlgebraParams, t: float) -> list[float]:
@@ -232,7 +245,7 @@ def eigenstate_norm_components(params: AlgebraParams, t: float) -> list[float]:
     lam = params.lam
     out = []
     for mu in range(lam):
-        num, den = _cs_alpha_lists(params, mu, 0)
+        num, den = sector_lists(params, mu, 0)
         out.append(pfq(num, den, t**lam).value.real)
     return out
 
@@ -252,45 +265,10 @@ def eigenstate_norm(params: AlgebraParams, t: float) -> float:
 
 def eigenstate(params: AlgebraParams, z, dim: int = 64) -> StateVector:
     """Eigenstate a|z> = z|z> as a normalized coefficient vector, one row per
-    entry of an array z.
-
-    Each row's log N, N = sum_n w_n with log w_n = n log|z|^2 - L(n), is summed
-    relative to its largest weight over levels that reach below LAST_WEIGHT of
-    it in every row, and the coefficients are exp((log w_n - log N) / 2): finite
-    where N overflows (norm_sq_analytic = exp(log N) is inf only there).
-    """
+    entry of an array z: w_n = exp(-L(n)) on every level n."""
     _check_finite(z)
-    lam = params.lam
-    if dim < lam:
-        raise TruncationTooSmall(f"need dim >= lambda = {lam}")
-    z_rows = np.atleast_1d(z)
-    live = z_rows != 0
-    log_norm = np.zeros(len(z_rows))
-    if live.any():
-        log_z2 = np.array([2.0 * math.log(abs(v)) for v in z_rows[live]])
-        count = 64
-        while True:
-            log_w = np.arange(count) * log_z2[:, None] - log_fock_norms(params, count - 1)
-            top = log_w.max(axis=1)
-            small = log_w[:, -1] - top < math.log(LAST_WEIGHT)
-            if small.all():
-                break
-            if count >= 4 * max(dim, MAX_AUTO_DIM):
-                z_big = abs(z_rows[live][np.argmin(small)])
-                raise TruncationTooSmall(
-                    f"eigenstate weights not small by level {count - 1} at |z| = {z_big:g}")
-            count *= 2
-        sums = np.exp(log_w - top[:, None]).sum(axis=1)
-        log_norm[live] = top + np.array([math.log(v) for v in sums])
-
-    def build(dim: int) -> np.ndarray:
-        log_w = -log_fock_norms(params, dim - 1) - log_norm[:, None]
-        return _amplitudes(z_rows, np.arange(dim), log_w)
-
-    dim, coeffs, tail = _truncated(build, dim, np.ones(len(z_rows)), z_rows)
-    with np.errstate(over="ignore"):
-        norm = np.exp(log_norm)
-    return _as_state(z, dim, coeffs, norm, tail)
+    return _build(params, z, dim, 0, 1, lambda n_max: -log_fock_norms(params, n_max),
+                  "eigenstate")
 
 
 def component_zmu(params: AlgebraParams, z: complex, mu: int, dim: int = 64) -> StateVector:
@@ -323,11 +301,8 @@ def overlap_cs_alpha(s1: CsAlphaSpec, s2: CsAlphaSpec) -> complex:
     params = s1.params
     lam = params.lam
     mu = s1.mu
-    a_min = min(s1.alpha, s2.alpha)
-    a_max = max(s1.alpha, s2.alpha)
-    num = [params.beta_bar_at(j) for j in range(mu + 1, mu + a_min + 1)]
-    den = [params.beta_bar_at(j) + 1.0 for j in range(1, mu + 1)]
-    den += [params.beta_bar_at(j) for j in range(mu + a_max + 1, lam)]
+    num = sector_lists(params, mu, min(s1.alpha, s2.alpha))[0]
+    den = sector_lists(params, mu, max(s1.alpha, s2.alpha))[1]
     w = s1.z.conjugate() * s2.z / lam ** (lam - s1.alpha - s2.alpha)
     n1 = norm_series_cs_alpha(params, mu, s1.alpha, s1.y).value.real
     n2 = norm_series_cs_alpha(params, mu, s2.alpha, s2.y).value.real
@@ -343,7 +318,7 @@ def overlap_eigenstate(params: AlgebraParams, z1: complex, z2: complex) -> compl
     for mu in range(lam):
         if mu > 0:
             pref *= w / params.beta_bar_at(mu)
-        num, den = _cs_alpha_lists(params, mu, 0)
+        num, den = sector_lists(params, mu, 0)
         total += complex(pfq(num, den, w**lam).value) * pref
     n1 = eigenstate_norm(params, abs(z1) ** 2 / lam)
     n2 = eigenstate_norm(params, abs(z2) ** 2 / lam)

@@ -7,6 +7,7 @@ import scipy.special as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
+from clext.algebra import log_fock_norms
 from clext.errors import PositivityUnavailable
 from clext.measures import (
     MomentProblem,
@@ -255,6 +256,21 @@ class TestResolutions:
         for p in (paraboson_params, fig1_params):
             rep = verify_identity_resolution(p, "diagonal_alpha0", 6, 1e-6)
             assert rep.passed, rep.diagonal
+
+    def test_diagonal_alpha0_is_the_coefficient_form(self, paraboson_params, fig1_params, rng):
+        # M_k / B(k) against pi lam^lam w_k M_k, w_k the squared unnormalized
+        # coefficient of |k lam + mu>: exp(-log D_n) prod_(nu<=mu) bb_nu with
+        # log D_n = L(n) - n log(lam)
+        for p in (paraboson_params, fig1_params, random_valid_params(rng, 4)):
+            lam = p.lam
+            meas = eigenstate_measures(p)
+            rep = verify_identity_resolution(p, "diagonal_alpha0", 8, 1e-6, measures=meas)
+            log_d = log_fock_norms(p, 8) - np.arange(9) * math.log(lam)
+            for n, got in enumerate(rep.diagonal):
+                k, mu = divmod(n, lam)
+                log_w = -log_d[n] + sum(math.log(p.beta_bar_at(nu)) for nu in range(1, mu + 1))
+                ref = math.pi * lam**lam * math.exp(log_w) * meas.weights[mu].moment(float(k))[0]
+                assert abs(got - ref) <= 1e-13
 
     def test_eigenstate_modes_agree(self, paraboson_params):
         meas = eigenstate_measures(paraboson_params)
@@ -524,6 +540,62 @@ def test_mellin_lists_reproduce_targets(fig1_params):
             log = sum(math.lgamma(k + 1 + bv) for bv in b)
             log -= sum(math.lgamma(k + 1 + av) for av in a)
             assert prob.log_B(k) - prob.log_A == pytest.approx(log, abs=1e-12)
+
+
+def _mellin_lists_by_index(params, mu, alpha):
+    """(a, b) of the inverse Mellin transform, one beta_bar index at a time."""
+    lam = params.lam
+    a = [params.beta_bar_at(mu + nu) - 1.0 for nu in range(1, alpha + 1)]
+    b = [0.0]
+    b += [params.beta_bar_at(nu - 1) for nu in range(2, mu + 2)]
+    b += [params.beta_bar_at(nu + alpha - 1) - 1.0 for nu in range(mu + 2, lam - alpha + 1)]
+    return a, b
+
+
+def _log_a_loops(params, mu, alpha):
+    lam = params.lam
+    out = -math.log(math.pi) - (lam - 2 * alpha) * math.log(lam)
+    for nu in range(mu + 1, mu + alpha + 1):
+        out += math.lgamma(params.beta_bar_at(nu))
+    for nu in range(1, mu + 1):
+        out -= math.lgamma(params.beta_bar_at(nu) + 1.0)
+    for nu in range(mu + alpha + 1, lam):
+        out -= math.lgamma(params.beta_bar_at(nu))
+    return out
+
+
+def _log_b_loops(params, mu, alpha, k):
+    lam = params.lam
+    out = _log_a_loops(params, mu, alpha) + math.lgamma(k + 1.0)
+    for nu in range(1, mu + 1):
+        out += math.lgamma(params.beta_bar_at(nu) + k + 1.0)
+    for nu in range(mu + alpha + 1, lam):
+        out += math.lgamma(params.beta_bar_at(nu) + k)
+    for nu in range(mu + 1, mu + alpha + 1):
+        out -= math.lgamma(params.beta_bar_at(nu) + k)
+    return out
+
+
+def test_sector_lists_match_the_index_loops(rng):
+    # mellin_lists and the moment targets derive from states.sector_lists;
+    # the per-index loops are the reference.  The one change in arithmetic
+    # is that bb_nu (nu <= mu) enters as (bb_nu + 1) - 1 and (bb_nu + 1) + k:
+    # b within one rounding of bb + 1 < 4 (2^-51), and each log B term within
+    # psi(54) ~ 4 times one rounding of 54 (7e-15), seven terms at lambda = 8,
+    # plus the partial sums' roundings that then differ (8 eps |log B|)
+    for lam in range(2, 9):
+        p = random_valid_params(rng, lam)
+        for alpha in range(lam // 2 + 1):
+            for mu in range(lam - alpha):
+                a, b = mellin_lists(p, mu, alpha)
+                ref_a, ref_b = _mellin_lists_by_index(p, mu, alpha)
+                assert a == ref_a
+                np.testing.assert_allclose(b, ref_b, rtol=0, atol=2.0**-51)
+                prob = MomentProblem(p, mu, alpha)
+                assert prob.log_A == _log_a_loops(p, mu, alpha)
+                for k in range(51):
+                    ref = _log_b_loops(p, mu, alpha, k)
+                    assert abs(prob.log_B(k) - ref) <= 2e-13 + 8 * np.finfo(float).eps * abs(ref)
 
 
 def test_m0_slater_vs_contour_on_algebra_parameters(rng):

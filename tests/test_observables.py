@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
 from clext.observables import (
-    mandel_q_branch_form,
     mandel_q_cs_alpha,
     mandel_q_eigenstate,
     squeezing_cs_alpha,
     squeezing_eigenstate,
 )
 from clext.states import CsAlphaSpec
+from closed_forms import mandel_q_bessel, mandel_q_branch_form
 from conftest import random_valid_params
 from fock_sums import FockSums
 
@@ -80,7 +80,7 @@ class TestMandelEigenstate:
     def test_bessel_form_lambda2(self, paraboson_params):
         for z in (0.5, 1.2, 2.4):
             qc = mandel_q_eigenstate(paraboson_params, z, "closed").mandel_Q
-            qb = mandel_q_eigenstate(paraboson_params, z, "bessel").mandel_Q
+            qb = mandel_q_bessel(paraboson_params, z)
             qo = mandel_q_eigenstate(paraboson_params, z, "oracle").mandel_Q
             assert qb == pytest.approx(qc, rel=1e-9)
             assert qc == pytest.approx(qo, abs=1e-8 * (1 + abs(qo)))

@@ -36,12 +36,12 @@ from clext.specfun import (
     _expansion_vec,
     _polygamma,
     _slater_vec,
-    bessel_i,
     bessel_k_vec,
     g_general_vec,
     m0_eval_vec,
     pfq,
 )
+from closed_forms import bessel_i
 from conftest import random_valid_params
 
 mp.mp.dps = 30
@@ -522,15 +522,34 @@ class TestMeijerG:
 
     def test_continuation_over_a_long_band(self):
         # the lambda = 6 r = 2 list a = (0.9, 0.7), b = (0, 0.5, -0.1, -0.2):
-        # the expansion also refuses isolated points up to s y^{1/s} = 147,
-        # so one call continues from there down to 6.2
+        # one continuation from above s y^{1/s} = 147 down to 6.2
         a, b = [0.9, 0.7], [0.0, 0.5, -0.1, -0.2]
         y = (np.array([6.2, 48.87969925, 113.21804511, 147.13283208]) / 2.0) ** 2
-        _, ok = _expansion_vec(a, b, y, 1e-11)
-        assert not ok.any()
-        for g, t in zip(g_general_vec(a, b, y), y):
+        continued = _continuation_vec(a, b, y, 1e-11)
+        for routed, cont, t in zip(g_general_vec(a, b, y), continued, y):
             with mp.workdps(30):
-                assert g == pytest.approx(float(mp.meijerg([[], a], [b, []], t)), rel=1e-11)
+                ref = float(mp.meijerg([[], a], [b, []], t))
+            assert routed == pytest.approx(ref, rel=1e-11)
+            assert cont == pytest.approx(ref, rel=1e-11)
+
+    def test_expansion_accepts_every_point_above_its_reach(self):
+        # same list: the expansion accepts from s y^{1/s} = 36 up.  With its
+        # term count chosen against tol alone, and its acceptance against tol
+        # times its sum (0.96..0.99 here), it refused 37.0, 38.5, 52.0, 68.5
+        # and 147.0 of this grid, and the continuation had to start above them
+        a, b = [0.9, 0.7], [0.0, 0.5, -0.1, -0.2]
+        sw = np.linspace(0.5, 200.0, 400)
+        y = (sw / 2.0) ** 2
+        vals, ok = _expansion_vec(a, b, y, 1e-11)
+        first = int(np.argmax(ok))
+        assert sw[first] <= 36.0 and ok[first:].all()
+        # meijerg costs 30 ms a point: every 8th point and the five above
+        refused = np.searchsorted(sw, [37.0, 38.5, 52.0, 68.5, 147.0])
+        check = sorted(set(range(first, sw.size, 8)) | set(refused))
+        for i in check:
+            with mp.workdps(30):
+                ref = float(mp.meijerg([[], a], [b, []], y[i]))
+            assert vals[i] == pytest.approx(ref, rel=1e-11)
 
     def test_continuation_without_a_start_raises(self, monkeypatch):
         # where the expansion accepts no rung of the ladder there is no

@@ -7,7 +7,6 @@ import pytest
 from clext import build_operator
 from clext import structure_function, validate_params
 from clext.errors import DomainError, SectorError, TruncationTooSmall
-from clext.specfun import bessel_i
 from clext.states import (
     TAIL_THRESHOLD,
     CsAlphaSpec,
@@ -19,6 +18,7 @@ from clext.states import (
     overlap_cs_alpha,
     overlap_eigenstate,
 )
+from closed_forms import bessel_i
 from conftest import dense, random_valid_params
 
 
@@ -77,8 +77,29 @@ class TestCsAlphaState:
             for alpha in range(lam // 2 + 1):
                 mu = 0
                 z = 0.8 if 2 * alpha == lam else 1.7
-                st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), 64, normalized=False)
-                assert abs(st.norm_sq() / st.norm_sq_analytic - 1.0) <= st.tail_bound + 1e-12
+                st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), 64)
+                unnormalized = st.coeffs * math.sqrt(st.norm_sq_analytic)
+                mass = np.vdot(unnormalized, unnormalized).real
+                assert abs(mass / st.norm_sq_analytic - 1.0) <= st.tail_bound + 1e-12
+
+    def test_log_norm_matches_the_pfq_norm(self, rng):
+        # the shared log-space sum against the closed hypergeometric form, to
+        # 1e-12 beyond the pFq's own error estimate (7e-12 at y = 0.9, where
+        # its terms fall slowly): |z| up to 9 off the unit disc, y up to 0.9
+        # on it (0.8 at lambda = 6, whose states need more than 1024 levels
+        # at 0.9)
+        for lam in range(2, 7):
+            p = random_valid_params(rng, lam)
+            for alpha in range(lam // 2 + 1):
+                if 2 * alpha == lam:
+                    zabs = np.sqrt((0.3, 0.6, 0.9 if lam < 6 else 0.8))
+                else:
+                    zabs = (0.7, 3.0, 9.0)
+                for mu in range(lam - alpha):
+                    for spec in (CsAlphaSpec(p, mu, alpha, v * cmath.exp(0.3j)) for v in zabs):
+                        norm = cs_alpha_state(spec).norm_sq_analytic
+                        series = norm_series_cs_alpha(p, mu, alpha, spec.y)
+                        assert abs(norm - series.value) <= 1e-12 * series.value + series.abs_error
 
 
 class TestTruncation:
@@ -100,6 +121,14 @@ class TestTruncation:
         assert st.tail_bound <= TAIL_THRESHOLD
         assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
 
+    def test_sector_state_normalized_where_the_norm_overflows(self):
+        # lambda = 2, (mu, alpha) = (0, 0): log N = 2 sqrt(y) = |z| is past the
+        # double range at |z| = 720, while the weights peak near level 720
+        st = cs_alpha_state(CsAlphaSpec(validate_params(2, (1.0, -1.0)), 0, 0, 720.0))
+        assert st.norm_sq_analytic == math.inf
+        assert st.dim == 1024 and st.tail_bound <= TAIL_THRESHOLD
+        assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+
     def test_unit_disc_edge_raises(self):
         p = validate_params(2, (3, -3))
         with pytest.raises(TruncationTooSmall):
@@ -108,9 +137,12 @@ class TestTruncation:
     def test_bound_is_the_missing_mass(self, fig1_params):
         # an explicit dim above the auto-doubling cap is kept as given
         spec = CsAlphaSpec(fig1_params, 0, 0, 2.0)
-        st = cs_alpha_state(spec, 2048, normalized=False)
+        st = cs_alpha_state(spec, 2048)
         assert st.dim == 2048
-        assert st.tail_bound == max(0.0, 1.0 - st.norm_sq() / st.norm_sq_analytic)
+        assert st.tail_bound == max(0.0, 1.0 - st.norm_sq())
+        unnormalized = st.coeffs * math.sqrt(st.norm_sq_analytic)
+        mass = np.vdot(unnormalized, unnormalized).real
+        assert st.tail_bound == pytest.approx(max(0.0, 1.0 - mass / st.norm_sq_analytic), abs=1e-15)
 
 
 def _max_rel_diff(got, ref):
@@ -129,7 +161,7 @@ def test_log_form_matches_product_recursion(rng, zabs):
         p = random_valid_params(rng, lam)
         for alpha in range(lam // 2):
             for mu in range(lam - alpha):
-                st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), normalized=False)
+                st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z))
                 ref = np.zeros(st.dim, dtype=complex)
                 val = 1.0 + 0.0j
                 for n in range(mu, st.dim, lam):
@@ -137,7 +169,8 @@ def test_log_form_matches_product_recursion(rng, zabs):
                     num = math.prod(structure_function(p, j) for j in range(n + 1, n + alpha + 1))
                     den = math.prod(structure_function(p, j) for j in range(n + alpha + 1, n + lam + 1))
                     val *= z * math.sqrt(num / den)
-                assert _max_rel_diff(st.coeffs, ref) <= (1e-12 if st.dim == 64 else 1e-11)
+                got = st.coeffs * math.sqrt(st.norm_sq_analytic)
+                assert _max_rel_diff(got, ref) <= (1e-12 if st.dim == 64 else 1e-11)
         st = eigenstate(p, z)
         ref = np.ones(st.dim, dtype=complex)
         for n in range(1, st.dim):
@@ -286,9 +319,10 @@ class TestComponents:
 
 def test_norm_series_matches_squared_sum(fig1_params):
     spec = CsAlphaSpec(fig1_params, 0, 1, 1.4)
-    st = cs_alpha_state(spec, 96, normalized=False)
+    st = cs_alpha_state(spec, 96)
+    unnormalized = st.coeffs * math.sqrt(st.norm_sq_analytic)
     n = norm_series_cs_alpha(fig1_params, 0, 1, spec.y).value.real
-    assert st.norm_sq() == pytest.approx(n, rel=1e-10)
+    assert np.vdot(unnormalized, unnormalized).real == pytest.approx(n, rel=1e-10)
 
 
 # one sector family per lambda (alpha < lambda / 2, so |z| = 14 is in its domain)
