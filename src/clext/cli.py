@@ -116,7 +116,7 @@ def cmd_state(args) -> int:
         head = f"# eigenstate |z> with z = {z}"
     lines = [head, f"# norm_series = {_fmt(st.norm_sq_analytic)}, tail_bound = {st.tail_bound:.3e}",
              "n,re_c,im_c"]
-    for n, c in enumerate(st.coeffs):
+    for n, c in enumerate(st.coeffs.tolist()):
         lines.append(f"{n},{_fmt(c.real)},{_fmt(c.imag)}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -131,7 +131,7 @@ def cmd_mandel(args) -> int:
             return mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, grid), method).mandel_Q
         return mandel_q_eigenstate(p, grid, method).mandel_Q
     lines = [f"# mandel Q, family = {args.family}", "r,Q_closed,Q_oracle"]
-    for r, qc, qo in zip(grid, q("closed"), q("oracle")):
+    for r, qc, qo in zip(grid.tolist(), q("closed").tolist(), q("oracle").tolist()):
         lines.append(f"{_fmt(r)},{_fmt(qc)},{_fmt(qo)}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
@@ -152,7 +152,7 @@ def cmd_squeeze(args) -> int:
         "g,X_closed,P_closed,X_oracle,P_oracle",
     ]
     closed, oracle = report("closed"), report("oracle")
-    for row in zip(grid, closed.X, closed.P, oracle.X, oracle.P):
+    for row in zip(*(v.tolist() for v in (grid, closed.X, closed.P, oracle.X, oracle.P))):
         lines.append(",".join(_fmt(v) for v in row))
     _emit(args, "\n".join(lines) + "\n")
     return 0

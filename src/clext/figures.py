@@ -218,7 +218,8 @@ def _curve_values(job: FigureJob, curve: Curve, grid: np.ndarray) -> np.ndarray:
 def run_figure(job: FigureJob) -> str:
     """Compute all curves of a figure job; returns the CSV document."""
     grid = job.grid_values()
-    cols = [_curve_values(job, c, grid) for c in job.curves]
+    # Python floats format faster than numpy scalars, to the same text
+    cols = [_curve_values(job, c, grid).tolist() for c in job.curves]
     buf = io.StringIO()
     buf.write(f"# figure: {job.figure}\n")
     buf.write(f"# kind: {job.kind}, lambda = {job.lam}\n")
@@ -227,7 +228,6 @@ def run_figure(job: FigureJob) -> str:
         buf.write(f"# curve {i} ({c.style}): beta_bar = ({bb})\n")
     header = [job.grid_var] + [f"curve{i}" for i in range(1, len(cols) + 1)]
     buf.write(",".join(header) + "\n")
-    for i, g in enumerate(grid):
-        row = [f"{g:.12g}"] + [f"{col[i]:.12g}" for col in cols]
-        buf.write(",".join(row) + "\n")
+    for row in zip(grid.tolist(), *cols):
+        buf.write(",".join(f"{v:.12g}" for v in row) + "\n")
     return buf.getvalue()

@@ -83,10 +83,12 @@ def pfq(
 ) -> SeriesValue:
     """pFq(a; b; z) by direct summation with multiplicative term recursion.
 
-    Stops once three consecutive terms fall below tol * |partial sum|.
-    The discarded tail is bounded by a geometric estimate from the last
-    term ratio.  Raises for denominator poles, for p > q+1 with z != 0,
-    and for p = q+1 with |z| >= 1.
+    Stops once the geometric bound on the discarded tail, |term| r / (1 - r)
+    with r a bound on the later term ratios, plus the rounding of the sum is
+    at most tol * |partial sum|; that sum is the abs_error it reports.  With
+    p = q+1 the ratios tend to |z|, so r = max(ratio, |z|); with p <= q they
+    tend to 0, and only a falling ratio is taken as r.  Raises for
+    denominator poles, for p > q+1 with z != 0, and for p = q+1 with |z| >= 1.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -109,7 +111,6 @@ def pfq(
 
     total = 1.0 + 0j if isinstance(z, complex) else 1.0
     term = total
-    small_run = 0
     ratio = 0.0
     for k in range(max_terms):
         if terminates_at is not None and k >= terminates_at:
@@ -124,21 +125,13 @@ def pfq(
         total += term
         if abs(total) > 1e290:
             raise NoConvergence("pFq partial sums overflow")
-        if abs(term) < tol * max(abs(total), 1e-300):
-            small_run += 1
-            if small_run >= 3:
-                ratio = abs(num / den * z)
-                break
-        else:
-            small_run = 0
-    else:
-        raise NoConvergence(f"pFq did not converge within {max_terms} terms")
-    if ratio < 0.9:
-        tail = abs(term) * ratio / (1.0 - ratio)
-    else:
-        tail = abs(term) * 10.0
-    err = tail + 4.0 * _EPS * abs(total)
-    return SeriesValue(total, err, k + 2, True)
+        last, ratio = ratio, abs(num / den * z)
+        r = max(ratio, abs(z)) if p == q + 1 else (ratio if ratio <= last else 1.0)
+        if r < 1.0:
+            err = abs(term) * r / (1.0 - r) + 4.0 * _EPS * abs(total)
+            if err <= tol * max(abs(total), 1e-300):
+                return SeriesValue(total, err, k + 2, True)
+    raise NoConvergence(f"pFq did not converge within {max_terms} terms")
 
 
 # Taylor coefficients of 1/Gamma(1 + z) to 36 digits: the first 22 reach

@@ -14,8 +14,9 @@ Two families:
 Coefficient magnitudes come in log form: the eigenstate's from
 L(n) = log prod_{j<=n} F(j) (algebra.log_fock_norms), the same array behind
 the Bargmann weights and the resolution diagonals; the sector states' from
-the cumulative sum of the per-level log ratios (_log_ratios), which the
-closed-form observables sum outward from the peak level instead.  Both
+the cumulative sum of the per-level log ratios (_log_ratios); the closed-form
+observables take a compensated prefix sum of the same ratios and center each
+row on its peak level (observables._peak_normalized).  Both
 families are built by one routine (_build) from the levels mu + step k and
 their log weights: each row's norm N is summed in log space relative to its
 largest term, which makes the mass a truncation drops exact: tail_bound =

@@ -344,6 +344,67 @@ class TestRowBlocks:
             assert np.array_equal(got, ref)
 
 
+class TestFockWeightsKernel:
+    """_fock_weights: one shared prefix sum per level count, peak-relative rows."""
+
+    @pytest.mark.parametrize("lam, zabs", [(2, 100.0), (3, 60.0), (4, 30.0)])
+    @pytest.mark.parametrize("family", [None, (0, 0)])
+    def test_weights_match_product_recursion(self, lam, zabs, family):
+        # every level above 1e-3 of the peak, against the 40-digit recursion
+        import clext.observables as obs
+
+        bb = LARGE_Z_BETA_BAR[lam]
+        n, p = obs._fock_weights(params_from_beta_bar(lam, bb), zabs, family)
+        ref = FockSums(bb, zabs, family).p
+        top = max(w for _, w in ref)
+        column = {level: i for i, level in enumerate(n.tolist())}
+        checked = 0
+        for level, w in ref:
+            if w > 1e-3 * top:
+                assert abs(p[0, column[level]] / w - 1) <= 1e-12, (level, p[0, column[level]], w)
+                checked += 1
+        assert checked >= 4
+
+    @pytest.mark.parametrize("family", [None, (0, 0), (1, 1)])
+    def test_zero_rows_are_the_vacuum(self, family):
+        import clext.observables as obs
+
+        params = params_from_beta_bar(3, (4 / 3, 2 / 3))
+        zabs = np.array([0.0, 0.3, 1.7, 0.0, 2.9, 0.0])
+        n, p = obs._fock_weights(params, zabs, family)
+        vacuum = (np.arange(len(n)) == 0).astype(float)
+        for i, za in enumerate(zabs):
+            if za == 0:
+                assert np.array_equal(p[i], vacuum)
+            else:
+                n_one, p_one = obs._fock_weights(params, za, family)
+                assert np.array_equal(n_one, n)  # the same level count, so the same sum
+                assert np.array_equal(p_one[0], p[i])
+        assert np.array_equal(obs._fock_weights(params, 0.0, family)[1][0], vacuum)
+
+    def test_one_prefix_sum_per_level_count(self, monkeypatch):
+        import clext.observables as obs
+
+        builds, cumsums = [], []
+        prefix_sum, cumsum = obs._prefix_sum, np.cumsum
+
+        def counted_prefix(ratios):
+            builds.append(len(ratios) + 1)
+            return prefix_sum(ratios)
+
+        def counted_cumsum(a, *args, **kwargs):
+            cumsums.append(np.ndim(a))
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(obs, "_prefix_sum", counted_prefix)
+        monkeypatch.setattr(np, "cumsum", counted_cumsum)
+        params = params_from_beta_bar(2, (2.0,))
+        n, p = obs._fock_weights(params, np.linspace(0.0, 12.0, 300))
+        assert len(n) == 256
+        assert builds == [64, 128, 256]
+        assert cumsums and set(cumsums) == {1}
+
+
 def assert_matches_reference(got, ref):
     ref = float(ref)
     assert abs(got - ref) <= 1e-10 * abs(ref) + 1e-13, (got, ref)

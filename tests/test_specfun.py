@@ -93,6 +93,20 @@ class TestPfq:
             tight = pfq(a, b, z, tol=5e-11)
             assert abs(loose.value - tight.value) <= loose.abs_error + 1e-15
 
+    @pytest.mark.parametrize("a, b, z", [
+        ([0.838], [], 0.9),  # ratios rise toward |z| = 0.9
+        ([1.5, 0.5], [0.25], -0.95),
+        ([0.01], [5.0], 30.0),  # p <= q: the ratios rise before they fall
+        ([], [1.3], 4.0),
+    ])
+    def test_reported_error_bounds_the_value(self, a, b, z):
+        r = pfq(a, b, z)
+        ref = complex(mp.hyper(a, b, z))
+        assert r.converged
+        assert r.abs_error <= 1e-12 * abs(r.value)
+        assert abs(r.value - ref) <= r.abs_error
+        assert abs(r.value - ref) <= 1e-12 * abs(ref)
+
     def test_last_term_below_tolerance(self):
         r = pfq([0.7], [1.9], 2.5, tol=1e-12)
         assert r.converged
