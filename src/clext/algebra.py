@@ -240,12 +240,3 @@ def sga_structure_poly(params: AlgebraParams, j0, mu: int):
         prod = prod * (x + 0.5 * (-2 * i - 1 + alpha[0] + 2.0 * sums[lam - i - 1]))
     return -total / lam
 
-
-def log_fock_norms(params: AlgebraParams, n_max: int) -> np.ndarray:
-    """L(n) = log prod_{j=1..n} F(j) for n = 0..n_max, as a cumulative sum of log F(j).
-
-    |n> = (adag)^n |0> / exp(L(n)/2); the coherent-state coefficients,
-    Bargmann basis weights and resolution diagonals all derive from L.
-    """
-    log_f = np.log(structure_function(params, np.arange(1, n_max + 1)))
-    return np.concatenate(([0.0], np.cumsum(log_f)))

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraParams, build_operator, log_fock_norms
+from .algebra import AlgebraParams, build_operator
 from .errors import NonPolynomialResult, SectorError, UnsupportedOp
 from .measures import EigenstateMeasures, WeightFunction
-from .states import StateVector, sector_lists, sector_log_weights
+from .states import StateVector, log_weights, sector_lists
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def apply_realization(
 def basis_function(params: AlgebraParams, mu: int, alpha: int, k: int) -> PolyFunction:
     """Orthonormal basis monomial phi_{mu,k}(z) = |c_k / z^k| z^k of |z; mu; alpha>."""
     coeffs = np.zeros(k + 1, dtype=complex)
-    coeffs[k] = math.exp(0.5 * sector_log_weights(params, mu, alpha, k)[k])
+    coeffs[k] = math.exp(0.5 * sum(log_weights(params, k, (mu, alpha)))[k])
     return PolyFunction(coeffs, mu)
 
 
@@ -240,7 +240,7 @@ def bargmann_transform(
             raise SectorError("sector transform needs mu")
         k = np.arange((psi.dim - 1 - mu) // lam + 1)
         with np.errstate(under="ignore"):
-            weights = np.exp(0.5 * sector_log_weights(params, mu, alpha, len(k) - 1))
+            weights = np.exp(0.5 * sum(log_weights(params, len(k) - 1, (mu, alpha))))
         return PolyFunction(psi.coeffs[k * lam + mu] * weights, mu)
     if basis == "vector_alpha0":
         k_max = (psi.dim - 1) // lam
@@ -253,7 +253,7 @@ def bargmann_transform(
         n = np.arange(psi.dim)
         out = np.zeros((lam, psi.dim), dtype=complex)
         with np.errstate(under="ignore"):
-            out[n % lam, n] = psi.coeffs * np.exp(-0.5 * log_fock_norms(params, psi.dim - 1))
+            out[n % lam, n] = psi.coeffs * np.exp(0.5 * sum(log_weights(params, psi.dim - 1)))
         return PolyFunction(out, None)
     raise UnsupportedOp(f"unknown basis {basis!r}")
 

@@ -23,11 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AlgebraParams, log_fock_norms
+from .algebra import AlgebraParams
 from .errors import PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
 from .specfun import _NorlundKernel, g_general_vec, m0_eval_vec
-from .states import sector_lists
+from .states import log_weights, sector_lists
 
 
 # --------------------------------------------------------------------------
@@ -473,7 +473,7 @@ def verify_identity_resolution(
             diag.append(weight.moment(float(k))[0] / moment_target(weight.problem, k))
     elif mode in ("eigenstate_diag", "eigenstate_offdiag"):
         # log D_n = L(n) - n log(lam), D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
-        log_d = log_fock_norms(params, n_max) - np.arange(n_max + 1) * math.log(lam)
+        log_d = -sum(log_weights(params, n_max)) - np.arange(n_max + 1) * math.log(lam)
         meas = measures if measures is not None else eigenstate_measures(params)
         for n in range(n_max + 1):
             if mode == "eigenstate_diag":

@@ -2,19 +2,17 @@
 coherent-state families.
 
 Every closed form is an expectation <g(N)> = p @ g(n) over the Fock weights
-p_n = |c_n|^2 / N of the state, all from one core (_fock_weights): the
-per-level log ratios log|c_{n+w} / (z c_n)|^2 (states._log_ratios) are summed
-once per level count, with compensation (_prefix_sum), and each row's log p
-is taken from that shared sum about its peak level with an exact product
-k log|z|^2 (_peak_normalized).  A weight keeps one rounding of log F per
-level between it and the peak, and nothing overflows at large |z|.  Every
-function takes one grid value or an array of them, so a figure curve or a
-CLI grid is one call.  Kept as a cross-check: the coefficient-vector oracle
-(method="oracle"), which builds the truncated states of a grid with one
-states builder call per _row_blocks slice (the rows of a call share one dim)
-and contracts each row against the ladder matrices.  The Phi-ratio branch
-forms of the sector Q and the lambda = 2 Bessel form of the eigenstate Q are
-test references (tests/closed_forms.py).
+p_n = |c_n|^2 / N of the state, from the Fock-weight core of the states
+module (states._fock_weights), the weights the state builders take their
+coefficients from.  Every function takes one grid value or an array of
+them, so a figure curve or a CLI grid is one call.  Kept as a cross-check:
+the coefficient-vector oracle (method="oracle"), which builds the truncated
+states of a grid with one states builder call per _row_blocks slice (the
+rows of a call share one dim).  As both columns read one weight array, what
+the oracle still checks on its own is the truncation at dim and, for
+squeezing, the contractions of each row against the ladder bands.  The
+Phi-ratio branch forms of the sector Q and the lambda = 2 Bessel form of the
+eigenstate Q are test references (tests/closed_forms.py).
 """
 
 from __future__ import annotations
@@ -25,21 +23,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import AlgebraParams, structure_function
-from .errors import DomainError, NoConvergence
+from .errors import DomainError
 from .states import (
-    LAST_WEIGHT,
     MAX_AUTO_DIM,
     CsAlphaSpec,
     StateVector,
-    _log_ratios,
+    _fock_weights,
+    _row_blocks,
     cs_alpha_state,
     eigenstate,
 )
-
-FIRST_LEVELS = 64
-MAX_LEVELS = 2**16
-WORK_ELEMENTS = 2**16
-_SPLIT = 2.0**27 + 1.0  # Veltkamp splitter for doubles
 
 
 @dataclass(frozen=True)
@@ -68,98 +61,6 @@ class SqueezeReport:
     @property
     def P(self) -> float:
         return self.variance_p / self.vacuum_p
-
-
-# --------------------------------------------------------------------------
-# Fock weights
-# --------------------------------------------------------------------------
-
-def _row_blocks(rows: int, levels: int) -> list[slice]:
-    """Row slices of at most WORK_ELEMENTS values; |z| <= 3 (every figure) is one block."""
-    step = max(1, WORK_ELEMENTS // levels)
-    return [slice(i, i + step) for i in range(0, rows, step)]
-
-
-def _prefix_sum(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R_k = sum_{j<k} ratios_j for k = 0..len(ratios), as hi + lo.
-
-    The running float sum is compensated by the running sum of each step's
-    exact rounding error (TwoSum; Ogita, Rump & Oishi 2005), and hi is that
-    sum rounded to a multiple of 2 ulp(max |R|), so hi_k - hi_j is exact for
-    every pair of levels.
-    """
-    run = np.concatenate(([0.0], np.cumsum(ratios)))
-    before, after = run[:-1], run[1:]
-    back = after - before
-    err = (before - (after - back)) + (ratios - back)
-    step = 2.0 * np.spacing(np.abs(run).max())
-    hi = np.round(run / step) * step
-    return hi, (run - hi) + np.concatenate(([0.0], np.cumsum(err)))
-
-
-def _peak_normalized(log_z2: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Weights p (rows, K), normalized to sum 1, with log p_k = k L + R_k plus a
-    constant per row, from L = log|z|^2 (rows, 1) and R = hi + lo (K,).
-
-    Each row is taken relative to its peak level P, the k that maximizes
-    k L + R_k:
-
-        log p_k - log p_P = (hi_k - hi_P) + (k - P) L_hi + (lo_k - lo_P) + (k - P) L_lo
-
-    with L = L_hi + L_lo the Veltkamp split (Dekker 1971).  L_hi has 26 bits
-    and k at most 17, so k L_hi and (k - P) L_hi are exact, hi_k - hi_P is
-    exact (_prefix_sum), and near the peak the two cancel exactly: what is
-    left is the small lo and L_lo terms and the rounding of log p itself.  A
-    z = 0 row (L = -inf) is the exact vacuum: L is clamped to -1e300, so
-    0 L = 0 and every other level underflows.
-    """
-    L = np.maximum(log_z2[:, 0], -1e300)
-    big = _SPLIT * L
-    L_hi = big - (big - L)
-    k = np.arange(len(hi), dtype=float)
-    exact = np.multiply.outer(L_hi, k)
-    peak = np.argmax(exact + hi, axis=1)
-    exact -= (peak * L_hi)[:, None]
-    log_p = hi - hi[peak, None]
-    log_p += exact
-    L_lo = L - L_hi
-    rest = lo - (lo[peak] + peak * L_lo)[:, None]
-    rest += np.multiply.outer(L_lo, k)
-    log_p += rest
-    with np.errstate(under="ignore"):
-        p = np.exp(log_p, out=log_p)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
-
-
-def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None = None):
-    """Fock levels n (K,) and normalized weights p_n = |c_n|^2 / N (rows, K),
-    one row per entry of z_abs.
-
-    sector = (mu, alpha) selects |z; mu; alpha> on the levels n = k lambda + mu,
-    None the eigenstate |z> on every level.  The level count doubles from
-    FIRST_LEVELS until the last weight of the largest |z| (the largest last
-    weight) is below LAST_WEIGHT, NoConvergence past MAX_LEVELS; then every
-    row is built, in _row_blocks.  Each level count takes one prefix sum of
-    the log ratios, which every row shares.
-    """
-    mu, alpha, width = (0, 0, 1) if sector is None else (*sector, params.lam)
-    with np.errstate(divide="ignore"):
-        log_z2 = 2.0 * np.log(np.atleast_1d(z_abs).astype(float))[:, None]
-    count = FIRST_LEVELS
-    while True:
-        n = mu + width * np.arange(count)
-        # log p_{k+1} / (|z|^2 p_k), summed over k once for every row
-        hi, lo = _prefix_sum(_log_ratios(params, n[:-1], alpha, width))
-        last = _peak_normalized(log_z2.max(keepdims=True), hi, lo)[0, -1]
-        if last < LAST_WEIGHT:
-            p = np.empty((len(log_z2), count))
-            for rows in _row_blocks(len(log_z2), count):
-                p[rows] = _peak_normalized(log_z2[rows], hi, lo)
-            return n, p
-        if count >= MAX_LEVELS:
-            raise NoConvergence(f"Fock weights still {last:.3e} at level {n[-1]}")
-        count *= 2
 
 
 def _as_given(z, *rows):
@@ -214,7 +115,7 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
         return _oracle_photon_stats(spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), lam - 1.0)
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
-    n, weights = _fock_weights(p, np.abs(spec.z), (mu, spec.alpha))
+    n, weights, _ = _fock_weights(p, np.abs(spec.z), (mu, spec.alpha))
     return _photon_stats(spec.z, n, weights, lam - 1.0)
 
 
@@ -224,7 +125,7 @@ def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") ->
         return _oracle_photon_stats(z_abs, lambda z: eigenstate(params, z), 0.0)
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
-    n, p = _fock_weights(params, np.abs(z_abs))
+    n, p, _ = _fock_weights(params, np.abs(z_abs))
     return _photon_stats(z_abs, n, p, 0.0)
 
 
@@ -297,7 +198,7 @@ def squeezing_cs_alpha(
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     z = np.atleast_1d(spec.z)
-    n, weights = _fock_weights(p, np.abs(z), (mu, alpha))
+    n, weights, _ = _fock_weights(p, np.abs(z), (mu, alpha))
     mean_n = weights @ n
     off = 0.0
     if kind == "dressed":
@@ -333,7 +234,7 @@ def squeezing_eigenstate(
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     z_rows = np.atleast_1d(z).astype(complex)
-    n, p = _fock_weights(params, np.abs(z_rows))
+    n, p, _ = _fock_weights(params, np.abs(z_rows))
     f1 = structure_function(params, n + 1)
     if kind == "dressed":
         # <[a, adag]> / 2 = <F(N+1) - F(N)> / 2 in both quadratures

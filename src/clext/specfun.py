@@ -740,7 +740,7 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float) -> np.ndarray:
     two Taylor terms: per step that of the state relative to its largest
     entry, summed onto the start's _EXPANSION_MARGIN * tol; at a point
     that sum times |G| plus the point's own.  A point whose remainder
-    exceeds tol |G| raises NoConvergence.
+    exceeds tol |G|, or a state that overflows, raises NoConvergence.
     """
     s, m, n = len(b) - len(a), len(b), _TAYLOR_TERMS
     x = np.log(y)
@@ -769,8 +769,13 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float) -> np.ndarray:
     moves = (binom * powers[:, np.maximum(k - np.arange(m)[:, None], 0)]) @ coeffs
     state = np.empty((h.size + 1, m))
     state[0] = start
-    for j, move in enumerate(moves):
-        state[j + 1] = move @ state[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, move in enumerate(moves):
+            state[j + 1] = move @ state[j]
+    blown = ~np.isfinite(state).all(axis=1)
+    if blown.any():
+        raise NoConvergence(f"Meijer-G continuation overflowed its state at "
+                            f"y = {math.exp(top[np.argmax(blown)]):.6g}")
     series = (coeffs @ state[:-1, :, None])[..., 0]  # G about each step's top
     last = np.abs(series[:, -2:] * powers[:, -2:]) @ binom[:, -2:].T
     unit = np.abs(state[1:] * powers[:, :m])

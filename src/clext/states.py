@@ -11,18 +11,20 @@ Two families:
   the whole Fock space and reducing to paraboson coherent states at
   lambda = 2.
 
-Coefficient magnitudes come in log form: the eigenstate's from
-L(n) = log prod_{j<=n} F(j) (algebra.log_fock_norms), the same array behind
-the Bargmann weights and the resolution diagonals; the sector states' from
-the cumulative sum of the per-level log ratios (_log_ratios); the closed-form
-observables take a compensated prefix sum of the same ratios and center each
-row on its peak level (observables._peak_normalized).  Both
-families are built by one routine (_build) from the levels mu + step k and
-their log weights: each row's norm N is summed in log space relative to its
-largest term, which makes the mass a truncation drops exact: tail_bound =
-1 - sum(|c_n|^2) over the normalized coefficients.  Builders double dim (up
-to 1024) until that bound is at most 1e-10 and raise TruncationTooSmall when
-it never is.
+Both families have Fock weights |c_k|^2 = |z|^(2k) w_k / N on the levels
+mu + step k, and one Fock-weight core serves them.  log_weights is the one
+log-weight primitive: log w_k as the compensated prefix sum (hi, lo) of the
+per-level log ratios (_log_ratios, _prefix_sum); for the eigenstate it is
+-L(k), L(n) = log prod_{j<=n} F(j), which the Bargmann basis weights and
+the resolution diagonals read too.  The core (_fock_weights) doubles its
+level count until the largest |z|'s last weight is below LAST_WEIGHT, takes
+one prefix sum per count for every row, and centers each row on its peak
+level (_peak_normalized), so nothing overflows at large |z|.  The
+closed-form observables read its weights p_k; the builders (_build) take
+c = sqrt(p_k) e^(i k arg z) on the levels below dim, which makes the mass a
+truncation drops exact: tail_bound = 1 - sum(|c_n|^2).  Builders double dim
+(up to 1024) until that bound is at most 1e-10 and raise TruncationTooSmall
+when it never is.
 
 The sector family's parameter lists (sector_lists) give its norm as a pFq,
 N^(alpha)_mu(y) = pFq(num; den; y), and the moment problem of its weight
@@ -36,19 +38,22 @@ z is the length-1 case, returned with 1-D coefficients and float metadata.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraParams, log_fock_norms, structure_function
-from .errors import DomainError, SectorError, TruncationTooSmall
+from .algebra import AlgebraParams, structure_function
+from .errors import DomainError, NoConvergence, SectorError, TruncationTooSmall
 from .specfun import pfq
 
 TAIL_THRESHOLD = 1e-10
 MAX_AUTO_DIM = 1024
 LAST_WEIGHT = 1e-17
+FIRST_LEVELS = 64
+MAX_LEVELS = 2**16
+WORK_ELEMENTS = 2**16
+_SPLIT = 2.0**27 + 1.0  # Veltkamp splitter for doubles
 
 
 @dataclass(frozen=True)
@@ -151,66 +156,133 @@ def _log_ratios(params: AlgebraParams, n: np.ndarray, alpha: int, width: int) ->
     return log_f[:, :alpha].sum(axis=1) - log_f[:, alpha:].sum(axis=1)
 
 
-def sector_log_weights(params: AlgebraParams, mu: int, alpha: int, k_max: int) -> np.ndarray:
-    """log |c_k / z^k|^2 for k = 0..k_max of the unnormalized |z; mu; alpha>."""
-    lam = params.lam
-    steps = _log_ratios(params, np.arange(k_max) * lam + mu, alpha, lam)
-    return np.concatenate(([0.0], np.cumsum(steps)))
+def _prefix_sum(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R_k = sum_{j<k} ratios_j for k = 0..len(ratios), as hi + lo.
+
+    The running float sum is compensated by the running sum of each step's
+    exact rounding error (TwoSum; Ogita, Rump & Oishi 2005), and hi is that
+    sum rounded to a multiple of 2 ulp(max |R|), so hi_k - hi_j is exact for
+    every pair of levels.
+    """
+    run = np.concatenate(([0.0], np.cumsum(ratios)))
+    before, after = run[:-1], run[1:]
+    back = after - before
+    err = (before - (after - back)) + (ratios - back)
+    step = 2.0 * np.spacing(np.abs(run).max())
+    hi = np.round(run / step) * step
+    return hi, (run - hi) + np.concatenate(([0.0], np.cumsum(err)))
 
 
-def _amplitudes(z: np.ndarray, k: np.ndarray, log_w: np.ndarray) -> np.ndarray:
-    """z^k exp(log_w / 2), one row per entry of z, with the power taken in
-    log-magnitude form, log_w holding one row per entry of z."""
-    # math.log and cmath.phase per entry give a row the digits of its scalar build
-    log_r = np.array([math.log(abs(v)) if v != 0 else 0.0 for v in z])
-    phase = np.array([cmath.phase(v) for v in z])
+def log_weights(params: AlgebraParams, k_max: int, sector: tuple[int, int] | None = None):
+    """log |c_k / z^k|^2 for k = 0..k_max of the unnormalized state, as the
+    compensated prefix sum (hi, lo) of its log ratios: sum(log_weights(..))
+    is the value.  sector = (mu, alpha) selects |z; mu; alpha> on the levels
+    k lambda + mu; None the eigenstate |z>, whose log weights are -L(k),
+    L(n) = log prod_{j<=n} F(j)."""
+    mu, alpha, width = (0, 0, 1) if sector is None else (*sector, params.lam)
+    return _prefix_sum(_log_ratios(params, mu + width * np.arange(k_max), alpha, width))
+
+
+def _row_blocks(rows: int, levels: int) -> list[slice]:
+    """Row slices of at most WORK_ELEMENTS values; |z| <= 3 (every figure) is one block."""
+    step = max(1, WORK_ELEMENTS // levels)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _peak_normalized(log_z2: np.ndarray, hi: np.ndarray, lo: np.ndarray):
+    """Weights p (rows, K), normalized to sum 1, with log p_k = k L + R_k plus a
+    constant per row, from L = log|z|^2 (rows, 1) and R = hi + lo (K,), and
+    each row's log N, N = sum_k exp(k L + R_k).
+
+    Each row is taken relative to its peak level P, the k that maximizes
+    k L + R_k:
+
+        log p_k - log p_P = (hi_k - hi_P) + (k - P) L_hi + (lo_k - lo_P) + (k - P) L_lo
+
+    with L = L_hi + L_lo the Veltkamp split (Dekker 1971).  L_hi has 26 bits
+    and k at most 17, so k L_hi and (k - P) L_hi are exact, hi_k - hi_P is
+    exact (_prefix_sum), and near the peak the two cancel exactly: what is
+    left is the small lo and L_lo terms and the rounding of log p itself.
+    log N is the peak term P L + R_P plus the log of the peak-relative sum.
+    A z = 0 row (L = -inf) is the exact vacuum: L is clamped to -1e300, so
+    0 L = 0 and every other level underflows.
+    """
+    L = np.maximum(log_z2[:, 0], -1e300)
+    big = _SPLIT * L
+    L_hi = big - (big - L)
+    k = np.arange(len(hi), dtype=float)
+    exact = np.multiply.outer(L_hi, k)
+    peak = np.argmax(exact + hi, axis=1)
+    exact -= (peak * L_hi)[:, None]
+    log_p = hi - hi[peak, None]
+    log_p += exact
+    L_lo = L - L_hi
+    rest = lo - (lo[peak] + peak * L_lo)[:, None]
+    rest += np.multiply.outer(L_lo, k)
+    log_p += rest
     with np.errstate(under="ignore"):
-        amp = np.exp(0.5 * log_w + k * log_r[:, None] + 1j * k * phase[:, None])
-    amp[z == 0] = k == 0
-    return amp
+        p = np.exp(log_p, out=log_p)
+    total = p.sum(axis=1)
+    p /= total[:, None]
+    return p, peak * L_hi + hi[peak] + (lo[peak] + peak * L_lo) + np.log(total)
 
 
-def _build(params: AlgebraParams, z, dim: int, mu: int, step: int, log_weights,
-           what: str) -> StateVector:
-    """Normalized state with |c_k|^2 = |z|^(2k) w_k / N on the levels mu + step k,
-    where log_weights(k_max) gives log w_k for k = 0..k_max; one row per entry
-    of an array z.
+def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None = None,
+                  levels: int = FIRST_LEVELS):
+    """Fock levels n (K,), normalized weights p_n = |c_n|^2 / N (rows, K) and
+    log N (rows,), one row per entry of z_abs.
 
-    Each row's log N, N = sum_k |z|^(2k) w_k, is summed relative to its largest
-    term over the k that reach below LAST_WEIGHT of it in every row, and the
-    coefficients are exp((log w_k - log N) / 2) z^k: finite where N overflows
-    (norm_sq_analytic = exp(log N) is inf only there).
+    sector = (mu, alpha) selects |z; mu; alpha> on the levels n = k lambda + mu,
+    None the eigenstate |z> on every level.  The level count doubles from
+    levels until the last weight of the largest |z| (the largest last
+    weight) is below LAST_WEIGHT, NoConvergence past MAX_LEVELS; then every
+    row is built, in _row_blocks.  Each level count takes one prefix sum of
+    the log ratios (log_weights), which every row shares, and judges the
+    last weight from its hi part alone: k L + hi about its peak, less the
+    log of its sum.
+    """
+    mu, width = (0, 1) if sector is None else (sector[0], params.lam)
+    with np.errstate(divide="ignore"):
+        log_z2 = 2.0 * np.log(np.atleast_1d(z_abs).astype(float))[:, None]
+    top = max(float(log_z2.max()), -1e300)
+    count = levels
+    while True:
+        hi, lo = log_weights(params, count - 1, sector)
+        t = top * np.arange(count) + hi
+        t -= t.max()
+        with np.errstate(under="ignore"):
+            last = t[-1] - math.log(np.exp(t).sum())
+        if last < math.log(LAST_WEIGHT):
+            p = np.empty((len(log_z2), count))
+            log_norm = np.empty(len(log_z2))
+            for rows in _row_blocks(len(log_z2), count):
+                p[rows], log_norm[rows] = _peak_normalized(log_z2[rows], hi, lo)
+            return mu + width * np.arange(count), p, log_norm
+        if count >= MAX_LEVELS:
+            raise NoConvergence(
+                f"Fock weights still {math.exp(last):.3e} at level {mu + width * (count - 1)}")
+        count = min(2 * count, MAX_LEVELS)
+
+
+def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = None
+           ) -> StateVector:
+    """Normalized state with c = sqrt(p_k) e^{i k arg z} on the levels n_k < dim
+    of _fock_weights, whose level count starts at the state's own; one row
+    per entry of an array z.  The coefficients stay finite where N
+    overflows (norm_sq_analytic = exp(log N) is inf only there).
     """
     if dim < params.lam:
         raise TruncationTooSmall(f"need dim >= lambda = {params.lam}")
     z_rows = np.atleast_1d(z)
-    live = z_rows != 0
-    log_norm = np.zeros(len(z_rows))
-    if live.any():
-        log_z2 = np.array([2.0 * math.log(abs(v)) for v in z_rows[live]])
-        count = 64
-        while True:
-            log_w = np.arange(count) * log_z2[:, None] + log_weights(count - 1)
-            top = log_w.max(axis=1)
-            small = log_w[:, -1] - top < math.log(LAST_WEIGHT)
-            if small.all():
-                break
-            if count >= 4 * max(dim, MAX_AUTO_DIM):
-                z_big = abs(z_rows[live][np.argmin(small)])
-                raise TruncationTooSmall(
-                    f"{what} weights not small by level {mu + step * (count - 1)} "
-                    f"at |z| = {z_big:g}")
-            count *= 2
-        sums = np.exp(log_w - top[:, None]).sum(axis=1)
-        log_norm[live] = top + np.array([math.log(v) for v in sums])
-
+    mu, width = (0, 1) if sector is None else (sector[0], params.lam)
+    n, p, log_norm = _fock_weights(params, np.abs(z_rows), sector, (dim - 1 - mu) // width + 1)
+    phase = np.angle(z_rows)[:, None]
     # dim doubles up to MAX_AUTO_DIM until every row's exact tail bound
     # 1 - sum|c|^2 is at most TAIL_THRESHOLD
     while True:
-        k = np.arange((dim - 1 - mu) // step + 1)
+        k = np.arange(np.searchsorted(n, dim))
         coeffs = np.zeros((len(z_rows), dim), dtype=complex)
-        log_w = log_weights(len(k) - 1) - log_norm[:, None]
-        coeffs[:, mu + step * k] = _amplitudes(z_rows, k, log_w)
+        coeffs[:, n[k]] = np.sqrt(p[:, k]) * np.exp(1j * k * phase)
         # np.vdot row by row: each sum has the digits of the row's scalar build
         tail = np.maximum(0.0, 1.0 - np.array([np.vdot(c, c).real for c in coeffs]))
         if tail.max() <= TAIL_THRESHOLD:
@@ -236,9 +308,7 @@ def cs_alpha_state(spec: CsAlphaSpec, dim: int = 64) -> StateVector:
     dim doubles automatically (up to 1024) while any row's truncated norm mass
     exceeds the tail threshold; TruncationTooSmall if it never drops below.
     """
-    p, mu, alpha = spec.params, spec.mu, spec.alpha
-    return _build(p, spec.z, dim, mu, p.lam,
-                  lambda k_max: sector_log_weights(p, mu, alpha, k_max), "sector state")
+    return _build(spec.params, spec.z, dim, (spec.mu, spec.alpha))
 
 
 def eigenstate_norm_components(params: AlgebraParams, t: float) -> list[float]:
@@ -268,8 +338,7 @@ def eigenstate(params: AlgebraParams, z, dim: int = 64) -> StateVector:
     """Eigenstate a|z> = z|z> as a normalized coefficient vector, one row per
     entry of an array z: w_n = exp(-L(n)) on every level n."""
     _check_finite(z)
-    return _build(params, z, dim, 0, 1, lambda n_max: -log_fock_norms(params, n_max),
-                  "eigenstate")
+    return _build(params, z, dim)
 
 
 def component_zmu(params: AlgebraParams, z: complex, mu: int, dim: int = 64) -> StateVector:

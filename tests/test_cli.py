@@ -393,6 +393,17 @@ class TestConfluentWeights:
         assert err.startswith("error: Meijer-G continuation at y = ") and err.count("\n") == 1
         assert "missed its remainder bound" in err and "Traceback" not in err
 
+    def test_overflowing_continuation_is_a_one_line_error(self):
+        # b = -0.9995 in the k = 0 weight: continued down towards y = 1e-312,
+        # the state overflows; no numpy warning reaches the user
+        code, out, err = run_cli(
+            ["moments", "--lambda", "3", "--alpha", "3.5,-5.4985,1.9985", "--mu", "0",
+             "--cs-alpha", "0"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: Meijer-G continuation overflowed its state at y = ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestOptionTable:
     @pytest.mark.parametrize("workload", ["figures", "moments", "oracle"])
@@ -441,9 +452,9 @@ def test_untruncatable_grid_row_is_a_one_line_error():
         # lambda = 3, (mu, alpha) = (0, 1): the |z| = 40 row peaks past level 1024
         (["--family", "sector", "--lambda", "3", "--alpha", "3,-3,0", "--cs-alpha", "1",
           "--grid", "0.5:40:3"], "tail bound 1.000e+00 above 1e-10 at |z| = 40, dim = 1024"),
-        # lambda = 2: the |z| = 60 eigenstate's weights still grow at level 4095; 30.25 is fine
+        # lambda = 2: the |z| = 30.25 eigenstate, the first row that misses, peaks at level 914
         (["--family", "eigen", "--lambda", "2", "--alpha", "1,-1", "--grid", "0.5:60:3"],
-         "eigenstate weights not small by level 4095 at |z| = 60"),
+         "tail bound 2.012e-04 above 1e-10 at |z| = 30.25, dim = 1024"),
     ):
         code, out, err = run_cli(["mandel", *argv])
         assert code == 2 and out == ""

@@ -328,7 +328,7 @@ class TestRowBlocks:
         assert peak < 40e6
 
     def test_blocks_leave_values_unchanged(self, monkeypatch):
-        import clext.observables as obs
+        import clext.states as states
 
         p = params_from_beta_bar(3, [4 / 3, 2 / 3])
         zabs = np.linspace(0.05, 12.0, 50)
@@ -339,7 +339,7 @@ class TestRowBlocks:
                     mandel_q_cs_alpha(CsAlphaSpec(p, 1, 1, zabs)).mandel_Q)
 
         whole = run()
-        monkeypatch.setattr(obs, "WORK_ELEMENTS", 1000)  # blocks of a few rows
+        monkeypatch.setattr(states, "WORK_ELEMENTS", 1000)  # blocks of a few rows
         for got, ref in zip(run(), whole):
             assert np.array_equal(got, ref)
 
@@ -351,10 +351,10 @@ class TestFockWeightsKernel:
     @pytest.mark.parametrize("family", [None, (0, 0)])
     def test_weights_match_product_recursion(self, lam, zabs, family):
         # every level above 1e-3 of the peak, against the 40-digit recursion
-        import clext.observables as obs
+        import clext.states as states
 
         bb = LARGE_Z_BETA_BAR[lam]
-        n, p = obs._fock_weights(params_from_beta_bar(lam, bb), zabs, family)
+        n, p, _ = states._fock_weights(params_from_beta_bar(lam, bb), zabs, family)
         ref = FockSums(bb, zabs, family).p
         top = max(w for _, w in ref)
         column = {level: i for i, level in enumerate(n.tolist())}
@@ -367,26 +367,26 @@ class TestFockWeightsKernel:
 
     @pytest.mark.parametrize("family", [None, (0, 0), (1, 1)])
     def test_zero_rows_are_the_vacuum(self, family):
-        import clext.observables as obs
+        import clext.states as states
 
         params = params_from_beta_bar(3, (4 / 3, 2 / 3))
         zabs = np.array([0.0, 0.3, 1.7, 0.0, 2.9, 0.0])
-        n, p = obs._fock_weights(params, zabs, family)
+        n, p, _ = states._fock_weights(params, zabs, family)
         vacuum = (np.arange(len(n)) == 0).astype(float)
         for i, za in enumerate(zabs):
             if za == 0:
                 assert np.array_equal(p[i], vacuum)
             else:
-                n_one, p_one = obs._fock_weights(params, za, family)
+                n_one, p_one, _ = states._fock_weights(params, za, family)
                 assert np.array_equal(n_one, n)  # the same level count, so the same sum
                 assert np.array_equal(p_one[0], p[i])
-        assert np.array_equal(obs._fock_weights(params, 0.0, family)[1][0], vacuum)
+        assert np.array_equal(states._fock_weights(params, 0.0, family)[1][0], vacuum)
 
     def test_one_prefix_sum_per_level_count(self, monkeypatch):
-        import clext.observables as obs
+        import clext.states as states
 
         builds, cumsums = [], []
-        prefix_sum, cumsum = obs._prefix_sum, np.cumsum
+        prefix_sum, cumsum = states._prefix_sum, np.cumsum
 
         def counted_prefix(ratios):
             builds.append(len(ratios) + 1)
@@ -396,10 +396,10 @@ class TestFockWeightsKernel:
             cumsums.append(np.ndim(a))
             return cumsum(a, *args, **kwargs)
 
-        monkeypatch.setattr(obs, "_prefix_sum", counted_prefix)
+        monkeypatch.setattr(states, "_prefix_sum", counted_prefix)
         monkeypatch.setattr(np, "cumsum", counted_cumsum)
         params = params_from_beta_bar(2, (2.0,))
-        n, p = obs._fock_weights(params, np.linspace(0.0, 12.0, 300))
+        n, p, _ = states._fock_weights(params, np.linspace(0.0, 12.0, 300))
         assert len(n) == 256
         assert builds == [64, 128, 256]
         assert cumsums and set(cumsums) == {1}

@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from clext import build_operator
-from clext import structure_function, validate_params
+from clext import params_from_beta_bar, structure_function, validate_params
 from clext.errors import DomainError, SectorError, TruncationTooSmall
 from clext.states import (
     TAIL_THRESHOLD,
@@ -13,13 +14,16 @@ from clext.states import (
     component_zmu,
     cs_alpha_state,
     eigenstate,
+    _fock_weights,
     eigenstate_norm,
+    log_weights,
     norm_series_cs_alpha,
     overlap_cs_alpha,
     overlap_eigenstate,
 )
 from closed_forms import bessel_i
 from conftest import dense, random_valid_params
+from fock_sums import FockSums
 
 
 class TestSpecValidation:
@@ -315,6 +319,50 @@ class TestComponents:
             assert comp.norm_sq() == pytest.approx(comp.norm_sq_analytic, rel=1e-10)
             total += comp.norm_sq_analytic
         assert total == pytest.approx(1.0, rel=1e-10)
+
+
+class TestFockWeightCore:
+    """log_weights is the one log-weight primitive, and the builders read the
+    core's weights."""
+
+    # beta_bar per lambda, and one sector family off the unit disc
+    BETA_BAR = {2: (2.0,), 3: (4 / 3, 2 / 3), 4: (1.5, 1.0, 0.75)}
+    SECTOR = {2: (0, 0), 3: (1, 1), 4: (0, 1)}
+
+    @pytest.mark.parametrize("lam, zabs", [(2, 100.0), (3, 60.0), (4, 30.0)])
+    @pytest.mark.parametrize("family", ["eigen", "sector"])
+    def test_log_weights_match_product_recursion(self, lam, zabs, family):
+        # log w_k - log w_P about the peak P, on every level above 1e-3 of
+        # the peak, against the 40-digit recursion
+        bb = self.BETA_BAR[lam]
+        sector = None if family == "eigen" else self.SECTOR[lam]
+        mu, width = (0, 1) if sector is None else (sector[0], lam)
+        ref = FockSums(bb, zabs, sector).p
+        top = max(w for _, w in ref)
+        kept = [((n - mu) // width, w) for n, w in ref if w > 1e-3 * top]
+        peak, w_peak = max(kept, key=lambda kw: kw[1])
+        hi, lo = log_weights(params_from_beta_bar(lam, bb), kept[-1][0], sector)
+        with mp.workdps(40):
+            log_z2 = 2 * mp.log(zabs)
+            for k, w in kept:
+                want = mp.log(w / w_peak) - (k - peak) * log_z2
+                got = (hi[k] - hi[peak]) + (lo[k] - lo[peak])
+                assert abs(got - want) <= 1e-12, (k, got, want)
+        assert len(kept) >= 4
+
+    @pytest.mark.parametrize("family", ["eigen", "sector"])
+    def test_coefficients_are_the_core_weights(self, fig1_params, family):
+        # |c_n|^2 of a built grid is the core's p_n on its levels: the oracle
+        # and closed columns read one weight array
+        zs = np.array([0.0, 0.7 - 0.3j, 2.2j, -3.0, 14.0 * np.exp(1j)])
+        st = _build(fig1_params, family, zs)
+        sector = None if family == "eigen" else ARRAY_FAMILIES[3]
+        mu, width = (0, 1) if sector is None else (sector[0], 3)
+        n, p, log_norm = _fock_weights(fig1_params, np.abs(zs), sector, (63 - mu) // width + 1)
+        on = n < st.dim
+        assert np.abs(st.coeffs[:, n[on]]) ** 2 == pytest.approx(p[:, on], rel=1e-15, abs=0)
+        assert not np.delete(st.coeffs, n[on], axis=1).any()
+        assert st.norm_sq_analytic == pytest.approx(np.exp(log_norm), rel=1e-15)
 
 
 def test_norm_series_matches_squared_sum(fig1_params):
