@@ -20,7 +20,7 @@ from . import __version__
 from .algebra import build_operator, energy_eigenvalue, sga_structure_poly, validate_params
 from .bargmann import check_commutators, check_hermiticity
 from .errors import ClextError, TruncationTooSmall
-from .figures import FIGURE_PRESETS, run_figure
+from .figures import FIGURE_PRESETS, csv_rows, run_figure
 from .measures import (
     MomentProblem,
     positivity_condition,
@@ -69,21 +69,16 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _fmt(x) -> str:
-    return f"{x:.12g}"
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
     p = _params(args)
-    lines = [f"# lambda = {p.lam}", "mu,alpha_mu,beta_mu,beta_bar_mu,E_mu"]
-    for mu in range(p.lam):
-        row = (mu, p.alpha[mu], p.beta[mu], p.beta_bar[mu], energy_eigenvalue(p, mu))
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit(args, "\n".join(lines) + "\n")
+    mus = range(p.lam)
+    rows = csv_rows("%.12g,%.12g,%.12g,%.12g,%.12g", mus, p.alpha, p.beta, p.beta_bar,
+                    [energy_eigenvalue(p, mu) for mu in mus])
+    _emit(args, f"# lambda = {p.lam}\nmu,alpha_mu,beta_mu,beta_bar_mu,E_mu\n" + rows)
     return 0
 
 
@@ -114,11 +109,10 @@ def cmd_state(args) -> int:
     else:
         st = eigenstate(p, z, args.trunc)
         head = f"# eigenstate |z> with z = {z}"
-    lines = [head, f"# norm_series = {_fmt(st.norm_sq_analytic)}, tail_bound = {st.tail_bound:.3e}",
-             "n,re_c,im_c"]
-    for n, c in enumerate(st.coeffs.tolist()):
-        lines.append(f"{n},{_fmt(c.real)},{_fmt(c.imag)}")
-    _emit(args, "\n".join(lines) + "\n")
+    lines = [head, f"# norm_series = {st.norm_sq_analytic:.12g}, tail_bound = {st.tail_bound:.3e}",
+             "n,re_c,im_c\n"]
+    rows = csv_rows("%d,%.12g,%.12g", range(st.dim), st.coeffs.real.tolist(), st.coeffs.imag.tolist())
+    _emit(args, "\n".join(lines) + rows)
     return 0
 
 
@@ -130,10 +124,8 @@ def cmd_mandel(args) -> int:
         if args.family == "sector":
             return mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, grid), method).mandel_Q
         return mandel_q_eigenstate(p, grid, method).mandel_Q
-    lines = [f"# mandel Q, family = {args.family}", "r,Q_closed,Q_oracle"]
-    for r, qc, qo in zip(grid.tolist(), q("closed").tolist(), q("oracle").tolist()):
-        lines.append(f"{_fmt(r)},{_fmt(qc)},{_fmt(qo)}")
-    _emit(args, "\n".join(lines) + "\n")
+    rows = csv_rows("%.12g,%.12g,%.12g", grid.tolist(), q("closed").tolist(), q("oracle").tolist())
+    _emit(args, f"# mandel Q, family = {args.family}\nr,Q_closed,Q_oracle\n" + rows)
     return 0
 
 
@@ -147,14 +139,11 @@ def cmd_squeeze(args) -> int:
         if args.family == "sector":
             return squeezing_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, zs), args.kind, method)
         return squeezing_eigenstate(p, zs, args.kind, method)
-    lines = [
-        f"# squeezing, family = {args.family}, kind = {args.kind}, direction = {args.direction}",
-        "g,X_closed,P_closed,X_oracle,P_oracle",
-    ]
+    head = (f"# squeezing, family = {args.family}, kind = {args.kind}, direction = {args.direction}\n"
+            "g,X_closed,P_closed,X_oracle,P_oracle\n")
     closed, oracle = report("closed"), report("oracle")
-    for row in zip(*(v.tolist() for v in (grid, closed.X, closed.P, oracle.X, oracle.P))):
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit(args, "\n".join(lines) + "\n")
+    cols = (v.tolist() for v in (grid, closed.X, closed.P, oracle.X, oracle.P))
+    _emit(args, head + csv_rows("%.12g,%.12g,%.12g,%.12g,%.12g", *cols))
     return 0
 
 
@@ -163,24 +152,23 @@ def cmd_moments(args) -> int:
     problem = MomentProblem(p, args.mu, args.cs_alpha)
     weight = weight_function(p, args.mu, args.cs_alpha, require_positive=not args.allow_unsigned)
     report = verify_moments(weight, problem, k_max=args.k_max, tol=args.tol)
-    lines = [f"# moments for mu = {args.mu}, alpha = {args.cs_alpha}, form = {weight.form}",
-             "k,target,integral,rel_error"]
-    for row in report.rows:
-        lines.append(f"{row.k},{_fmt(row.target)},{_fmt(row.integral)},{row.rel_error:.3e}")
-    lines.append(f"# max_rel_error = {report.max_rel_error:.3e}, passed = {report.passed}, "
-                 f"max_quad_err = {report.max_quad_err:.3e}")
-    _emit(args, "\n".join(lines) + "\n")
+    head = (f"# moments for mu = {args.mu}, alpha = {args.cs_alpha}, form = {weight.form}\n"
+            "k,target,integral,rel_error\n")
+    rows = csv_rows("%d,%.12g,%.12g,%.3e", *zip(*((r.k, r.target, r.integral, r.rel_error)
+                                                    for r in report.rows)))
+    foot = (f"# max_rel_error = {report.max_rel_error:.3e}, passed = {report.passed}, "
+            f"max_quad_err = {report.max_quad_err:.3e}\n")
+    _emit(args, head + rows + foot)
     return 0 if report.passed else 1
 
 
 def cmd_resolution(args) -> int:
     p = _params(args)
     rep = verify_identity_resolution(p, args.mode, n_max=args.n_max, tol=args.tol)
-    lines = [f"# resolution mode = {args.mode}", "n,n_prime,value"]
-    for n, v in enumerate(rep.diagonal):
-        lines.append(f"{n},{n},{_fmt(v)}")
-    lines.append(f"# max |value - 1| = {rep.max_error:.3e}, passed = {rep.passed}")
-    _emit(args, "\n".join(lines) + "\n")
+    n = range(len(rep.diagonal))
+    _emit(args, f"# resolution mode = {args.mode}\nn,n_prime,value\n"
+          + csv_rows("%d,%d,%.12g", n, n, rep.diagonal)
+          + f"# max |value - 1| = {rep.max_error:.3e}, passed = {rep.passed}\n")
     return 0 if rep.passed else 1
 
 

@@ -4,12 +4,14 @@ parameter grids, emitted as deterministic CSV documents.
 Each preset names one curve family (figure id 1-8 with a/b panels);
 run_figure computes every curve over the grid and returns
 the CSV text with '#'-prefixed metadata lines and 12-significant-digit
-numbers.
+numbers.  csv_rows formats the numeric rows of every CSV document the
+package prints.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,6 +230,13 @@ def run_figure(job: FigureJob) -> str:
         buf.write(f"# curve {i} ({c.style}): beta_bar = ({bb})\n")
     header = [job.grid_var] + [f"curve{i}" for i in range(1, len(cols) + 1)]
     buf.write(",".join(header) + "\n")
-    for row in zip(grid.tolist(), *cols):
-        buf.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    buf.write(csv_rows(",".join(["%.12g"] * (len(cols) + 1)), grid.tolist(), *cols))
     return buf.getvalue()
+
+
+def csv_rows(line: str, *columns) -> str:
+    """One CSV line per row of the equal-length columns, each the % pattern
+    line ("%d,%.12g", say) plus a newline, in one % operation over all the
+    values: "%.12g" % v prints what f"{v:.12g}" does."""
+    rows = len(columns[0])
+    return ((line + "\n") * rows) % tuple(itertools.chain.from_iterable(zip(*columns)))

@@ -11,6 +11,12 @@ solved by restricted Meijer G densities: G^{m,0}_{alpha,m} evaluated
 directly for r > 0, and Norlund's (1 - y) series for r = 0.
 Positivity holds when the upper parameter list can be matched injectively
 below the lower list, which this module searches exhaustively.
+
+The lambda alpha = 0 weights of one algebra, which the eigenstate measures
+and the diagonal_alpha0 resolution integrate, have the lower lists
+b_0 + e_1 + .. + e_mu; their values on the shared moment grid come from one
+g_general_vec family call.  A weight's moments of every order come from
+one product per quadrature rule.
 """
 
 from __future__ import annotations
@@ -160,7 +166,7 @@ class WeightFunction:
 
     evaluate() is vectorized; moment(k) integrates y^k h(y) dy on a
     cached tanh-sinh grid (k may be fractional, as the eigenstate
-    measures require).
+    measures require, and an array of k takes one product per rule).
     """
 
     problem: MomentProblem
@@ -169,7 +175,9 @@ class WeightFunction:
     _eval: Callable[..., np.ndarray]
     k_budget: float = 10.0
     _grid: FixedGrid | None = field(default=None, repr=False)
-    _vals: np.ndarray | None = field(default=None, repr=False)
+    _log_y: np.ndarray | None = field(default=None, repr=False)
+    _sign: np.ndarray | None = field(default=None, repr=False)
+    _log_abs: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def y_max(self) -> float:
@@ -183,29 +191,44 @@ class WeightFunction:
             one_minus_y = np.atleast_1d(np.asarray(one_minus_y, dtype=float))
         return self._eval(y, one_minus_y)
 
+    def _moment_grid(self) -> FixedGrid:
+        """The tanh-sinh grid that integrates y^k h for k up to k_budget."""
+        if math.isinf(self.y_max):
+            y_cut = _decay_cutoff(max(self.problem.r, 1), self.k_budget)
+            return fixed_grid_zero_inf(level=6, v_max=math.log(y_cut))
+        return fixed_grid_unit(level=6)
+
+    def _keep(self, grid: FixedGrid, vals: np.ndarray):
+        """Hold h on grid as ln y, sign h and ln|h|, the factors of every moment."""
+        self._grid = grid
+        with np.errstate(divide="ignore"):
+            self._log_y = np.log(grid.y)
+            self._sign = np.sign(vals)
+            self._log_abs = np.log(np.abs(vals))
+
     def _ensure_grid(self, k: float):
         if self._grid is not None and k <= self.k_budget:
             return
         self.k_budget = max(self.k_budget, k + 2.0)
-        if math.isinf(self.y_max):
-            y_cut = _decay_cutoff(max(self.problem.r, 1), self.k_budget)
-            self._grid = fixed_grid_zero_inf(level=6, v_max=math.log(y_cut))
-        else:
-            self._grid = fixed_grid_unit(level=6)
-        self._vals = self.evaluate(self._grid.y, self._grid.one_minus_y)
+        grid = self._moment_grid()
+        self._keep(grid, self.evaluate(grid.y, grid.one_minus_y))
 
-    def moment(self, k: float) -> tuple[float, float]:
-        """(integral of y^k h, error estimate)."""
-        self._ensure_grid(k)
+    def moment(self, k):
+        """(integral of y^k h, error estimate): floats for a scalar k, arrays
+        for an array of k."""
+        ks = np.atleast_1d(np.asarray(k, dtype=float))
+        self._ensure_grid(float(ks.max()))
         g = self._grid
         # y^k h in log space: y^k alone overflows before h decays
-        with np.errstate(divide="ignore"):
-            terms = np.sign(self._vals) * np.exp(k * np.log(g.y) + np.log(np.abs(self._vals)))
-        fine = float(np.dot(g.w, terms))
-        coarse = float(np.dot(g.w_coarse, terms[g.coarse]))
-        if not math.isfinite(fine):
-            raise QuadratureFailure(f"moment k={k} integral is not finite", None)
-        return fine, abs(fine - coarse)
+        terms = self._sign * np.exp(np.multiply.outer(ks, self._log_y) + self._log_abs)
+        fine = terms @ g.w
+        err = np.abs(fine - terms[:, g.coarse] @ g.w_coarse)
+        bad = ~np.isfinite(fine)
+        if bad.any():
+            raise QuadratureFailure(f"moment k={ks[bad][0]} integral is not finite", None)
+        if np.ndim(k) == 0:
+            return float(fine[0]), float(err[0])
+        return fine, err
 
 
 def _decay_cutoff(r: int, k_max: float) -> float:
@@ -318,9 +341,9 @@ def verify_moments(
     """Compare quadrature moments of the weight against the B(k) targets."""
     rows = []
     worst = 0.0
-    for k in range(k_max + 1):
+    integrals, quad_errs = weight.moment(np.arange(k_max + 1, dtype=float))
+    for k, integral, quad_err in zip(range(k_max + 1), integrals.tolist(), quad_errs.tolist()):
         target = moment_target(problem, k)
-        integral, quad_err = weight.moment(float(k))
         rel = abs(integral - target) / abs(target)
         worst = max(worst, rel)
         rows.append(MomentRow(k, target, integral, rel, quad_err))
@@ -405,28 +428,49 @@ class EigenstateMeasures:
             out += cmath.exp(2j * math.pi * mu * nu / lam) * self.h(nu, t)
         return out / lam
 
-    def h_moment(self, mu: int, n: float) -> float:
-        """int t^n h_mu(t) dt = lam^(lam-1) prod(beta_bar) * M_mu((n - mu)/lam)."""
+    def h_moment(self, mu: int, n) -> float | np.ndarray:
+        """int t^n h_mu(t) dt = lam^(lam-1) prod(beta_bar) * M_mu((n - mu)/lam),
+        for one n or an array of them (one moment call)."""
         p = self.params
         lam = p.lam
         pref = float(lam) ** (lam - 1)
         for nu in range(1, mu + 1):
             pref *= p.beta_bar_at(nu)
-        val, _ = self.weights[mu].moment((n - mu) / lam)
+        val, _ = self.weights[mu].moment((np.asarray(n, dtype=float) - mu) / lam)
         return pref * val
 
-    def g_moment(self, mu: int, n: float) -> complex:
+    def g_moment(self, mu, n) -> complex | np.ndarray:
+        """int t^n g_mu(t) dt, of shape mu.shape + n.shape for arrays: each h_nu
+        moment is taken once for all mu and n."""
         lam = self.params.lam
-        out = 0.0 + 0.0j
-        for nu in range(lam):
-            out += cmath.exp(2j * math.pi * mu * nu / lam) * self.h_moment(nu, n)
-        return out / lam
+        h = np.array([self.h_moment(nu, n) for nu in range(lam)])
+        phase = np.exp(2j * math.pi * np.multiply.outer(mu, np.arange(lam)) / lam)
+        out = np.tensordot(phase, h, axes=1) / lam
+        return complex(out) if out.ndim == 0 else out
+
+
+def _alpha0_weights(params: AlgebraParams, tol: float = 1e-11) -> list[WeightFunction]:
+    """The lambda alpha = 0 sector weights (always certified).
+
+    Their lower lists are b_0 + e_1 + .. + e_mu (mellin_lists), so for
+    lambda >= 3 one g_general_vec family call (shifts 1..lambda-1) gives all
+    of them on their shared moment grid, each row scaled by its A_mu; the
+    weights hold those values, and evaluate() elsewhere still runs each
+    weight's own list.  lambda = 2 keeps the Bessel closed forms.
+    """
+    lam = params.lam
+    weights = [weight_function(params, mu, 0, tol=tol) for mu in range(lam)]
+    if lam > 2:
+        grid = weights[0]._moment_grid()
+        rows = g_general_vec((), mellin_lists(params, 0, 0)[1], grid.y, tol, shifts=range(1, lam))
+        for w, row in zip(weights, rows):
+            w._keep(grid, math.exp(w.problem.log_A) * row)
+    return weights
 
 
 def eigenstate_measures(params: AlgebraParams, tol: float = 1e-11) -> EigenstateMeasures:
     """Build h_mu / g_mu from the alpha = 0 sector weights (always certified)."""
-    weights = [weight_function(params, mu, 0, tol=tol) for mu in range(params.lam)]
-    return EigenstateMeasures(params, weights)
+    return EigenstateMeasures(params, _alpha0_weights(params, tol))
 
 
 @dataclass(frozen=True)
@@ -458,38 +502,37 @@ def verify_identity_resolution(
     if n_max > 8:
         raise ValueError("n_max above 8 exceeds the supported range")
     lam = params.lam
-    diag = []
+    n = np.arange(n_max + 1)
+    diag = np.empty(n_max + 1)
     if mode == "diagonal_alpha0":
         # the alpha = 0 weight of sector mu resolves |k lam + mu> iff its k-th
         # moment is the target B(k)
-        weights = (
-            measures.weights
-            if measures is not None
-            else [weight_function(params, mu, 0) for mu in range(lam)]
-        )
-        for n in range(n_max + 1):
-            k, mu = divmod(n, lam)
-            weight = weights[mu]
-            diag.append(weight.moment(float(k))[0] / moment_target(weight.problem, k))
+        weights = measures.weights if measures is not None else _alpha0_weights(params)
+        for mu, weight in enumerate(weights[:n_max + 1]):
+            ks = n[mu::lam] // lam
+            targets = [moment_target(weight.problem, k) for k in ks.tolist()]
+            diag[mu::lam] = weight.moment(ks.astype(float))[0] / targets
     elif mode in ("eigenstate_diag", "eigenstate_offdiag"):
         # log D_n = L(n) - n log(lam), D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
-        log_d = -sum(log_weights(params, n_max)) - np.arange(n_max + 1) * math.log(lam)
+        log_d = -sum(log_weights(params, n_max)) - n * math.log(lam)
         meas = measures if measures is not None else eigenstate_measures(params)
-        for n in range(n_max + 1):
-            if mode == "eigenstate_diag":
-                mn = meas.h_moment(n % lam, float(n))
-            else:
-                acc = 0.0 + 0.0j
-                for mu in range(lam):
-                    acc += cmath.exp(-2j * math.pi * mu * n / lam) * meas.g_moment(mu, float(n))
-                if abs(acc.imag) > 1e-8 * max(1.0, abs(acc.real)):
-                    raise QuadratureFailure(
-                        f"off-diagonal resolution produced imaginary part {acc.imag:.3e}", None
-                    )
-                mn = acc.real
-            val = math.pi * lam * math.exp(-log_d[n]) * mn
-            diag.append(val)
+        if mode == "eigenstate_diag":
+            mn = np.empty(n_max + 1)
+            for mu in range(min(lam, n_max + 1)):
+                mn[mu::lam] = meas.h_moment(mu, n[mu::lam].astype(float))
+        else:
+            mus = np.arange(lam)
+            g = meas.g_moment(mus, n.astype(float))
+            acc = (np.exp(-2j * math.pi * np.multiply.outer(mus, n) / lam) * g).sum(axis=0)
+            leak = np.abs(acc.imag) > 1e-8 * np.maximum(1.0, np.abs(acc.real))
+            if leak.any():
+                raise QuadratureFailure(
+                    f"off-diagonal resolution produced imaginary part {acc.imag[leak][0]:.3e}", None
+                )
+            mn = acc.real
+        diag = math.pi * lam * np.exp(-log_d) * mn
     else:
         raise ValueError(f"unknown resolution mode {mode!r}")
+    diag = diag.tolist()
     errs = [abs(v - 1.0) for v in diag]
     return ResolutionReport(mode, tuple(diag), max(errs), tol)

@@ -13,7 +13,10 @@ and Norlund's (1 - y) series on the unit interval).
 Scalar evaluations return a SeriesValue carrying the value, an absolute
 error estimate, the number of terms (or nodes) consumed and a
 convergence flag; the Meijer-G and Bessel-K routes are vectorized over
-their argument array.
+their argument array.  g_general_vec also returns a contiguous family
+G(y | a; b + e_j1 + .. + e_jr), r = 0..q, from one pass of its routes:
+G(y | b + e_j) = (b_j - y d/dy) G(y | b) (DLMF 16.17 for the Mellin-Barnes
+integral).
 """
 
 from __future__ import annotations
@@ -285,6 +288,20 @@ _CLUSTER_GAP = 1e-2
 _CLUSTER_TERMS = 150
 
 
+def _family(b: Sequence[float], shifts: Sequence[int]) -> tuple[list[float], list[list[float]]]:
+    """(betas, lists) of a shift order j_1..j_q: row r of the family is
+    G(y | a; lists[r]), lists[r] = lists[r - 1] + e_{j_r}, and is
+    (betas[r - 1] - theta) row r - 1, theta = y d/dy, betas[r - 1] the
+    entry j_r of lists[r - 1]: in the Mellin-Barnes integral theta acts
+    on y^-s as -s, and (b_j + s) Gamma(b_j + s) = Gamma(b_j + 1 + s)."""
+    lists, betas = [[float(v) for v in b]], []
+    for j in shifts:
+        betas.append(lists[-1][j])
+        lists.append(list(lists[-1]))
+        lists[-1][j] += 1.0
+    return betas, lists
+
+
 def _slater_reaches(r: int, y: np.ndarray, limit: float = _SLATER_COND_LIMIT) -> np.ndarray:
     """Where Slater can condition G^{m,0}_{p,m}, r = m - p > 0: its terms cancel by
     about 2^{1-r} e^{2 r y^{1/r}} (asymptotic (2 pi)^{1-r}, reflection pi^{r-1}), and
@@ -370,16 +387,22 @@ def _gamma_decimal(x: Decimal) -> Decimal:
     return out
 
 
-def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float, tol: float):
+def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float, tol: float,
+                    betas: Sequence[float] = ()):
     """The residues of one cluster's poles as coefficients, for y up to y_top
     and |ln y| up to ln_top; see _slater_vec.
 
-    Returns (c, first, value, major, last, log_size): pole K = first + i
+    Returns (c, first, value, major, last, log_size), each a list with one
+    entry per row of the family (_theta_rows, betas): pole K = first + i
     contributes y^(c + K) sum_d value[i, d] (ln 1/y)^d; major bounds it
     with |ln y| (R's majorant, so that the conditioning test also sees
     the cancellation inside R's own coefficients), last is the share of
     the last kept Taylor terms (spread nodes only, else None), and
-    log_size[i] the log of major at ln_top.
+    log_size[i] the log of major at ln_top.  The poles end where every
+    row's majorant has fallen off its peak; a row's factor
+    |beta - c - K| + (n - 1) / max(ln_top, 1) bounds its growth over the
+    row before it, as P'(L) <= (n - 1) P(L) / L for a polynomial P of
+    degree n - 1 with nonnegative coefficients.
     """
     with localcontext() as ctx:
         ctx.prec = _RESIDUE_DIGITS
@@ -416,7 +439,8 @@ def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float
         degree = k[:, None] + k  # [d, i]: power d of ln(1/y) times Taylor coefficient i of R
         value, major, last, log_size = [], [], [], []
         joined, coef, first, quiet = [], None, None, False
-        log_peak, cut, log_top = -math.inf, math.log(tol / _SLATER_COND_LIMIT), math.log(y_top)
+        log_peak, cut, log_top = [-math.inf] * (len(betas) + 1), math.log(tol / _SLATER_COND_LIMIT), math.log(y_top)
+        slope = (n - 1) / max(ln_top, 1.0)
         steps_a, steps_b = diff[len(b):], [(j, joins.get(j), d) for j, d in enumerate(diff[:len(b)])]
         for K in range(-lift, _SLATER_TERMS):
             if joined:
@@ -447,8 +471,13 @@ def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float
                 # falls below tol / _SLATER_COND_LIMIT of its peak, since ok
                 # bounds the majorant by that multiple of G
                 at_top = log_size[-1] + (K - first) * log_top
-                log_peak = max(log_peak, at_top)
-                now = at_top <= cut + log_peak
+                now = True
+                for r, peak in enumerate(log_peak):
+                    if r:
+                        grow = abs(betas[r - 1] - c - K) + slope
+                        at_top += math.log(grow) if grow > 0.0 else -math.inf
+                    log_peak[r] = max(peak, at_top)
+                    now &= at_top <= cut + log_peak[r]
                 if now and quiet and K > max(joins.values()):
                     break
                 quiet = now
@@ -474,12 +503,44 @@ def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float
                     for i in range(n):
                         s_prev = series[i] = (series[i] - s_prev) / d
                         b_prev = bound[i] = (bound[i] + b_prev) / abs(d)
-    return c, first, np.array(value), np.array(major), np.array(last) if spread > 0.0 else None, log_size
+    value, major = np.array(value), np.array(major)
+    last = np.array(last) if spread > 0.0 else None
+    return c, first, *_theta_rows(betas, c + first, value, major, last, log_size, ln_top)
+
+
+def _theta_rows(betas: Sequence[float], e0: float, value, major, last, log_size, ln_top: float):
+    """The family's rows of one cluster's coefficients (_cluster_series): row r
+    is (beta_r - theta) applied to row r - 1, theta = y d/dy.  Since
+    theta y^e (ln 1/y)^d = e y^e (ln 1/y)^d - d y^e (ln 1/y)^(d-1), the
+    coefficients of pole K (e = e0 + i) map by v_d -> (beta - e) v_d +
+    (d + 1) v_{d+1}, the majorants and the last Taylor terms by the same
+    map in absolute values, and log_size follows from the mapped
+    majorants.  Row 0 is the input unchanged."""
+    rows = [[value], [major], [last], [log_size]]
+    d = np.arange(1.0, value.shape[1])
+    e = e0 + np.arange(len(value))[:, None]
+
+    def step(factor, v):
+        out = factor * v
+        out[:, :-1] += d * v[:, 1:]
+        return out
+
+    for beta in betas:
+        factor = beta - e
+        v, m, l = rows[0][-1], rows[1][-1], rows[2][-1]
+        v, m = step(factor, v), step(np.abs(factor), m)
+        if l is not None:
+            l = step(np.abs(factor), l)
+        with np.errstate(divide="ignore"):
+            size = np.log(_horner(m[:len(log_size)].T, ln_top))
+        for row, new in zip(rows, (v, m, l, size)):
+            row.append(new)
+    return rows
 
 
 def _slater_vec(
     b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = (),
-    limit: float = _SLATER_COND_LIMIT,
+    limit: float = _SLATER_COND_LIMIT, shifts: Sequence[int] = (),
 ):
     """Slater's residue sum for G^{m,0}_{p,m}(y | a; b) over an array of y > 0.
 
@@ -502,41 +563,49 @@ def _slater_vec(
     prod (a - c - K - 1 + eps) / prod (b - c - K - 1 + eps), a member's own
     factor joining the nodes; this scalar work (_cluster_series) runs in
     _RESIDUE_DIGITS decimal digits, and every cluster's poles are then
-    summed over the points in one product with the powers of y.
+    summed over the points in one product with the powers of y.  With
+    shifts, each row of the family (g_general_vec) maps those coefficients
+    (_theta_rows) and is summed the same way.
 
-    Returns (values, ok).  ok marks points whose sum settled (the last two
-    poles' terms below tol of it), whose majorant sum |term| stays within
-    limit times |value|, and, for spread nodes, whose last kept
-    Taylor terms stay below tol of it; and points where the majorant, those
-    Taylor terms and the last two poles all lie below the smallest normal
-    double, whose G underflows.
+    Returns (values, ok), of shape (rows, points) with shifts.  ok marks
+    the points whose sum settled (the last two poles' terms below tol of
+    it), whose majorant sum |term| stays within limit times |value|, and,
+    for spread nodes, whose last kept Taylor terms stay below tol of it;
+    and points where the majorant, those Taylor terms and the last two
+    poles all lie below the smallest normal double, whose G underflows.
     """
     b = [float(v) for v in b]
     a = [float(v) for v in a]
+    betas = _family(b, shifts)[0]
+    rows = len(betas) + 1
     if not y.size:
-        return np.zeros_like(y), np.zeros(y.shape, dtype=bool)
+        vals, ok = np.zeros((rows,) + y.shape), np.zeros((rows,) + y.shape, dtype=bool)
+        return (vals, ok) if shifts else (vals[0], ok[0])
     lny = np.log(y)
-    parts = [_cluster_series(a, b, members, float(y.max()), float(np.abs(lny).max()), tol)
+    parts = [_cluster_series(a, b, members, float(y.max()), float(np.abs(lny).max()), tol, betas)
              for members in _clusters(b)]
-    total, major, trunc = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
-    tail = np.full(y.shape, -np.inf)
+    total, major, trunc = (np.zeros((rows,) + y.shape) for _ in range(3))
+    tail = np.full((rows,) + y.shape, -np.inf)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        longest = max(len(part[2]) for part in parts)
+        longest = max(len(part[2][0]) for part in parts)
         powers = np.cumprod(np.vstack([np.ones_like(y)] + [y] * (longest - 1)), axis=0)
         abs_ln = np.abs(lny)
-        for c, first, value, major_k, last, log_size in parts:
-            pref, power = np.power(y, c + first), powers[:len(value)]
-            total += pref * _horner(value.T @ power, -lny)
-            major += pref * _horner(major_k.T @ power, abs_ln)
-            if last is not None:
-                trunc += pref * _horner(last.T @ power, abs_ln)
-            end = first + len(log_size)
+        for c, first, values, majors, lasts, log_sizes in parts:
+            pref, power = np.power(y, c + first), powers[:len(values[0])]
+            for r, (value, major_k, last) in enumerate(zip(values, majors, lasts)):
+                total[r] += pref * _horner(value.T @ power, -lny)
+                major[r] += pref * _horner(major_k.T @ power, abs_ln)
+                if last is not None:
+                    trunc[r] += pref * _horner(last.T @ power, abs_ln)
+            log_sizes = np.array(log_sizes)
+            end = first + log_sizes.shape[1]
             for K in range(max(first, end - 2), end):
-                tail = np.maximum(tail, log_size[K - first] + (c + K) * lny)
+                tail = np.maximum(tail, log_sizes[:, K - first, None] + (c + K) * lny)
         ok = (major <= limit * np.abs(total)) & (trunc <= tol * np.abs(total))
         ok &= tail <= np.log(tol * np.abs(total))
         ok |= (np.maximum(major, trunc) < _TINY) & (tail < math.log(_TINY))
-    return total, ok & np.isfinite(total)
+    ok &= np.isfinite(total)
+    return (total, ok) if shifts else (total[0], ok[0])
 
 
 # Terms of the large-y expansion kept per list, and the share of tol below
@@ -605,11 +674,12 @@ def _expansion_terms(a, b, lw: np.ndarray, tol: float):
 
 
 def _expansion_sum(M, n: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """sum_{k<n} M_k w^-k at each ln w, by Horner over the points."""
+    """sum_{k<n} M_k w^-k at each ln w, by Horner over the points; M of shape
+    (rows, terms) with n of shape (rows, points) sums every row in one loop."""
     u = np.exp(-lw)
-    acc = np.zeros_like(u)
+    acc = np.zeros(n.shape)
     for k in range(n.max() - 1, -1, -1):
-        acc = acc * u + M[k] * (k < n)
+        acc = acc * u + M[..., k, None] * (k < n)
     return acc
 
 
@@ -620,7 +690,7 @@ def _expansion_lead(a, b, lw):
     return 0.5 * (s - 1) * math.log(2.0 * math.pi) - 0.5 * math.log(s) - s * np.exp(lw) + rho * lw
 
 
-def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _expansion_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = ()):
     """Large-y expansion of G^{m,0}_{p,m}, s = m - p >= 1, over an array of y.
 
     Each point sums the terms before the first k whose term and the next
@@ -628,30 +698,37 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     array operation per term), or below that share of the sum where the
     sum is smaller than 1; ok marks the points where such a k exists among
     _EXPANSION_TERMS and those two terms are below that share of the sum.
-    Points where the leading factor is below e^-750 are an exact 0.
+    Points where the leading factor is below e^-750 are an exact 0.  With
+    shifts, row r is the expansion of the shifted list (_family), the
+    derivative (beta - theta) of row r - 1's series term by term, as its
+    coefficients are unique; the rows share one Horner loop, and ok has
+    one row each.
     """
+    lists = _family(b, shifts)[1]
     lw = np.log(y) / (len(b) - len(a))
-    _, M, n, err, _ = _expansion_terms(a, b, lw, tol)
-    vals, ok = np.zeros_like(y), n < M.size - 1
-    log_g = _expansion_lead(a, b, lw)
+    terms = [_expansion_terms(a, bb, lw, tol) for bb in lists]
+    M = np.array([t[1] for t in terms])
+    n, err = np.array([t[2] for t in terms]), np.array([t[3] for t in terms])
+    vals, ok = np.zeros((len(lists),) + y.shape), n < M.shape[1] - 1
+    log_g = np.array([_expansion_lead(a, bb, lw) for bb in lists])
     # below e^-750 G is a double 0 and needs no sum
-    live = ok & (log_g > -750.0)
-    if not live.any():
-        return vals, ok
-    lw, n, err = lw[live], n[live], err[live]
-    acc = _expansion_sum(M, n, lw)
-    # n is chosen against tol alone; where the sum is below 1 its omitted
-    # terms can miss the share of it that ok asks for, so those points
-    # choose n again against tol times their sum
-    redo = np.flatnonzero(err > _EXPANSION_MARGIN * tol * np.abs(acc))
-    for i in redo:
-        _, _, n[i], err[i], _ = _expansion_terms(a, b, lw[i], tol * abs(acc[i]))
-    if redo.size:
-        acc[redo] = _expansion_sum(M, n[redo], lw[redo])
-    with np.errstate(under="ignore"):
-        vals[live] = acc * np.exp(log_g[live])
-    ok[live] = (n < M.size - 1) & (err <= _EXPANSION_MARGIN * tol * np.abs(acc))
-    return vals, ok
+    live = (ok & (log_g > -750.0)).any(axis=0)
+    if live.any():
+        lw, n, err = lw[live], n[:, live], err[:, live]
+        acc = _expansion_sum(M, n, lw)
+        # n is chosen against tol alone; where the sum is below 1 its omitted
+        # terms can miss the share of it that ok asks for, so those points
+        # choose n again against tol times their sum
+        for r, bb in enumerate(lists):
+            redo = np.flatnonzero(err[r] > _EXPANSION_MARGIN * tol * np.abs(acc[r]))
+            for i in redo:
+                _, _, n[r, i], err[r, i], _ = _expansion_terms(a, bb, lw[i], tol * abs(acc[r, i]))
+            if redo.size:
+                acc[r, redo] = _expansion_sum(M[r], n[r, redo], lw[redo])
+        with np.errstate(under="ignore"):
+            vals[:, live] = acc * np.exp(log_g[:, live])
+        ok[:, live] = (n < M.shape[1] - 1) & (err <= _EXPANSION_MARGIN * tol * np.abs(acc))
+    return (vals, ok) if shifts else (vals[0], ok[0])
 
 
 def _expansion_state(a, b, lw: float, tol: float) -> tuple[np.ndarray, bool]:
@@ -723,7 +800,7 @@ def _taylor_coeffs(a, b, x0: np.ndarray) -> np.ndarray:
     return rows[n:].reshape(n, x0.size, m)
 
 
-def _continuation_vec(a, b, y: np.ndarray, tol: float) -> np.ndarray:
+def _continuation_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = ()):
     """G^{m,0}_{p,m}(y | a; b), s = m - p >= 1, over an array of y, continued down
     its ODE prod (D - b_j) G = (-1)^{p-m} e^x prod (D + 1 - a_j) G, x = ln y
     (DLMF 16.21), from the large-y expansion.
@@ -741,6 +818,13 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float) -> np.ndarray:
     entry, summed onto the start's _EXPANSION_MARGIN * tol; at a point
     that sum times |G| plus the point's own.  A point whose remainder
     exceeds tol |G|, or a state that overflows, raises NoConvergence.
+
+    With shifts, row r of the family (_family) is prod_{i<=r} (beta_i - D) G:
+    D^j G comes from the derivative of the point's polynomial, with the
+    drift times |D^j G| plus that polynomial's own last two terms as its
+    remainder, and a row meets tol with the sum of its terms' remainders.
+    The family returns (values, ok), of shape (rows, points), and leaves the
+    rows that miss to its caller instead of raising.
     """
     s, m, n = len(b) - len(a), len(b), _TAYLOR_TERMS
     x = np.log(y)
@@ -781,9 +865,24 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float) -> np.ndarray:
     unit = np.abs(state[1:] * powers[:, :m])
     drift = np.cumsum(np.append(_EXPANSION_MARGIN * tol, last.max(axis=1) / unit.max(axis=1)))
     step = np.minimum(np.searchsorted(-top, -x, side="right") - 1, h.size - 1)
-    terms = series[step] * np.vander(x - top[step], n, increasing=True)
+    at = np.vander(x - top[step], n, increasing=True)
+    terms = series[step] * at
     vals = terms.sum(axis=1)
     err = drift[step] * np.abs(vals) + np.abs(terms[:, -2:]).sum(axis=1)
+    if shifts:
+        # D^j G at each point with its remainder; row r is poly(D) G
+        coef, deriv, rem = series[step], [vals], [err]
+        poly, rows, errs = np.ones(1), [vals], [err]
+        for j, beta in enumerate(_family(b, shifts)[0], 1):
+            coef = coef[:, 1:] * np.arange(1.0, n - j + 1)
+            d_terms = coef * at[:, :n - j]
+            deriv.append(d_terms.sum(axis=1))
+            rem.append(drift[step] * np.abs(deriv[-1]) + np.abs(d_terms[:, -2:]).sum(axis=1))
+            poly = np.append(beta * poly, 0.0) - np.append(0.0, poly)
+            rows.append(poly @ np.array(deriv))
+            errs.append(np.abs(poly) @ np.array(rem))
+        vals = np.array(rows)
+        return vals, np.array(errs) <= tol * np.abs(vals)
     bad = ~(err <= tol * np.abs(vals))
     if bad.any():
         i = np.nonzero(bad)[0][np.argmax(x[bad])]
@@ -825,7 +924,8 @@ def m0_eval_vec(b: Sequence[float], y: np.ndarray, tol: float = 1e-11) -> np.nda
 
 
 def g_general_vec(
-    a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float = 1e-11
+    a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float = 1e-11,
+    shifts: Sequence[int] = (),
 ) -> np.ndarray:
     """G^{m,0}_{alpha,m}(y|a;b) over an array of y > 0.
 
@@ -844,30 +944,50 @@ def g_general_vec(
     leaves at small y.  y = +inf and y <= 0 are an exact 0.  At s <= 0
     only the residue sum runs, and a point it refuses raises
     DomainError.
+
+    shifts = (j_1, .., j_q) returns q + 1 rows, row r the G of the lower
+    list b + e_{j_1} + .. + e_{j_r}: by the contiguous relation
+    G(y | b + e_j) = (b_j - theta) G(y | b), theta = y d/dy (_family), each
+    route runs once for all rows.  Row 0 routes every point as a call
+    without shifts would; a row that a route leaves unsettled at a point
+    row 0 settles there (a shift that removes the dominant pole leaves the
+    rest to cancel) takes its own list at that point.
     """
     y = np.asarray(y, dtype=float)
     a = [float(v) for v in a]
     b = [float(v) for v in b]
     r = len(b) - len(a)
-    vals = np.zeros_like(y)
+    # the routes take shifts only for a family, so a call without them is the one-list call
+    family = {"shifts": tuple(shifts)} if len(shifts) else {}
+    vals = np.zeros((len(shifts) + 1,) + y.shape)
     # G decays like e^{-r y^{1/r}}: y = inf is an exact 0 that no route runs,
     # and so is y <= 0, outside the support
-    ok = (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
+    ok = np.zeros(vals.shape, dtype=bool)
+    ok[:] = (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
     # rounding in a residue sum that cancels by a factor c leaves about c eps / 3
     limit = min(_SLATER_COND_LIMIT, tol / _EPS)
-    reach = ~ok & (_slater_reaches(r, np.where(ok, 1.0, y), limit) if r > 0 else True)
-    vals[reach], ok[reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a, limit)
-    rest = ~ok
+    reach = ~ok[0] & (_slater_reaches(r, np.where(ok[0], 1.0, y), limit) if r > 0 else True)
+    vals[:, reach], ok[:, reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a, limit, **family)
+    rest = ~ok[0]
     if rest.any() and r > 0:
-        vals[rest], ok[rest] = _expansion_vec(a, b, y[rest], tol)
-        rest &= ~ok
+        vals[:, rest], ok[:, rest] = _expansion_vec(a, b, y[rest], tol, **family)
+        rest = ~ok[0]
     if rest.any():
         if r <= 0:
             raise DomainError(
                 f"Slater refused {int(rest.sum())} of {y.size} points of "
                 f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the continuation needs m > p"
             )
-        vals[rest] = _continuation_vec(a, b, y[rest], tol)
+        if family:
+            vals[:, rest], ok[:, rest] = _continuation_vec(a, b, y[rest], tol, **family)
+        else:
+            vals[:, rest] = _continuation_vec(a, b, y[rest], tol)
+    if not family:
+        return vals[0, ...]
+    for i, lower in enumerate(_family(b, shifts)[1]):
+        miss = ~ok[i]
+        if miss.any():
+            vals[i, miss] = g_general_vec(a, lower, y[miss], tol)
     return vals
 
 

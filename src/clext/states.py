@@ -267,7 +267,8 @@ def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None =
 def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = None
            ) -> StateVector:
     """Normalized state with c = sqrt(p_k) e^{i k arg z} on the levels n_k < dim
-    of _fock_weights, whose level count starts at the state's own; one row
+    of _fock_weights, whose level count starts at the state's own or at
+    FIRST_LEVELS, whichever is more; one row
     per entry of an array z.  The coefficients stay finite where N
     overflows (norm_sq_analytic = exp(log N) is inf only there).
     """
@@ -275,7 +276,10 @@ def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = 
         raise TruncationTooSmall(f"need dim >= lambda = {params.lam}")
     z_rows = np.atleast_1d(z)
     mu, width = (0, 1) if sector is None else (sector[0], params.lam)
-    n, p, log_norm = _fock_weights(params, np.abs(z_rows), sector, (dim - 1 - mu) // width + 1)
+    # the state's own level count, but no fewer than the core's first: at |z| = 2
+    # a lambda = 3 sector's 22 levels are too few, and the core would run twice
+    levels = max((dim - 1 - mu) // width + 1, FIRST_LEVELS)
+    n, p, log_norm = _fock_weights(params, np.abs(z_rows), sector, levels)
     phase = np.angle(z_rows)[:, None]
     # dim doubles up to MAX_AUTO_DIM until every row's exact tail bound
     # 1 - sum|c|^2 is at most TAIL_THRESHOLD

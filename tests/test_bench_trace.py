@@ -28,11 +28,15 @@ def test_per_layer_metrics_are_non_zero(tmp_path, monkeypatch):
             # a kummer weight: G^{2,0}_{1,2} evaluated directly on its moment grid
             clext.cli.main(["moments", "--lambda", "3", "--alpha", "3,-3,0", "--mu", "0",
                             "--cs-alpha", "1", "--out", str(tmp_path / "kummer.csv")]),
+            # the alpha = 0 weights of one family call, integrated through the
+            # EigenstateMeasures methods
+            clext.cli.main(["resolution", "--lambda", "3", "--alpha", "3,-3,0", "--mode",
+                            "eigenstate_offdiag", "--out", str(tmp_path / "offdiag.csv")]),
         ]
     finally:
         tracer.uninstall()
         sys.modules.pop("tracing", None)
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     metrics = tracer.pass_metrics()
     for name in ("specfun.meijer.points", "measures.moment.calls", "states.build.calls",
                  "cli.calls"):

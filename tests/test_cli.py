@@ -489,3 +489,18 @@ def test_oracle_builds_each_grid_once(monkeypatch, argv, builds):
     code, out, _ = run_cli([*argv, "--lambda", "3", "--alpha", "3,-3,0"])
     assert code == 0
     assert calls == {"eigenstate": 0, "cs_alpha_state": 0, **builds}
+
+
+def test_csv_rows_print_what_the_format_spec_prints():
+    # one % operation per document: "%.12g" % v and "%.3e" % v are the
+    # f-string's text for every double, random bit patterns, specials and
+    # subnormals included, and "%d" is str() for the row indices
+    from clext.figures import csv_rows
+
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64).tolist()
+    values = bits + [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -2.2e-308, 1e300]
+    ints = list(range(len(values)))
+    got = csv_rows("%d,%.12g,%.3e", ints, values, values)
+    want = "".join(f"{i},{v:.12g},{v:.3e}\n" for i, v in zip(ints, values))
+    assert got == want

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -9,7 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from clext import params_from_beta_bar, validate_params
 from clext.errors import PositivityUnavailable
 from clext.measures import (
+    EigenstateMeasures,
     MomentProblem,
+    WeightFunction,
     PositivityCertificate,
     PositivityRefusal,
     carleman_test,
@@ -635,3 +638,81 @@ def test_alpha4_conjecture_reported_not_asserted():
         assert math.isfinite(series) and series > 0
         rel = abs(series - candidate) / abs(series)
         print(f"\nalpha=4 candidate vs series at y={y}: rel diff {rel:.2e}")
+
+
+def _offdiag_per_pair(params, meas, n_max):
+    """The eigenstate_offdiag diagonal with one scalar g_moment call per (mu, n),
+    each integrating every h_nu moment again."""
+    lam = params.lam
+    log_d = -sum(log_weights(params, n_max)) - np.arange(n_max + 1) * math.log(lam)
+    out = []
+    for n in range(n_max + 1):
+        acc = 0.0 + 0.0j
+        for mu in range(lam):
+            acc += cmath.exp(-2j * math.pi * mu * n / lam) * meas.g_moment(mu, float(n))
+        out.append(math.pi * lam * math.exp(-log_d[n]) * acc.real)
+    return out
+
+
+class TestMomentArrays:
+    @pytest.mark.parametrize("lam, mu, alpha", [(3, 0, 0), (3, 0, 1), (4, 0, 2), (2, 1, 0)])
+    def test_moment_array_is_the_scalar_moments(self, lam, mu, alpha):
+        p = params_from_beta_bar(lam, {2: [1.5], 3: [4 / 3, 2 / 3], 4: [1.5, 1.5, 1.25]}[lam])
+        w = weight_function(p, mu, alpha)
+        ks = np.array([0.0, 0.5, 1.0, 7 / 3, 4.0, 8.0])
+        fine, err = w.moment(ks)
+        assert fine.shape == err.shape == ks.shape
+        for k, f, e in zip(ks, fine, err):
+            one, one_err = w.moment(float(k))
+            assert isinstance(one, float) and isinstance(one_err, float)
+            assert f == pytest.approx(one, rel=1e-15, abs=0)
+            assert e == pytest.approx(one_err, rel=1e-6, abs=1e-15 * abs(one))
+
+    def test_offdiag_integrates_each_pair_once(self, fig1_params, monkeypatch):
+        # lambda = 3, n_max = 6: 21 integrals (nu, n) in 3 moment calls, and the
+        # table of the per-(mu, n) loop, which takes 63
+        meas = eigenstate_measures(fig1_params)
+        ref = _offdiag_per_pair(fig1_params, meas, 6)
+        sizes = []
+        moment = WeightFunction.moment
+
+        def counted(self, k):
+            sizes.append(np.size(k))
+            return moment(self, k)
+
+        monkeypatch.setattr(WeightFunction, "moment", counted)
+        rep = verify_identity_resolution(fig1_params, "eigenstate_offdiag", 6, 1e-6, measures=meas)
+        assert sizes == [7, 7, 7]
+        assert rep.passed
+        assert rep.diagonal == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_g_moment_arrays(self, fig1_params):
+        meas = eigenstate_measures(fig1_params)
+        ns = np.array([0.0, 2.0, 5.0])
+        table = meas.g_moment(np.arange(3), ns)
+        assert table.shape == (3, 3)
+        for mu in range(3):
+            for j, n in enumerate(ns):
+                assert table[mu, j] == pytest.approx(meas.g_moment(mu, float(n)), rel=1e-14, abs=1e-16)
+        assert isinstance(meas.g_moment(1, 2.0), complex)
+
+
+class TestAlpha0Family:
+    @pytest.mark.parametrize("lam, bb", [(3, [1.28765, 0.658016]), (4, [1.5, 1.5, 1.5]),
+                                         (5, [2.4416, 0.9565, 0.9908, 2.2618])])
+    def test_family_weights_are_the_lone_weights(self, lam, bb):
+        # the shared grid's values of eigenstate_measures against each weight's
+        # own evaluation, within the Meijer-G tol; evaluate() stays the weight's own
+        p = params_from_beta_bar(lam, bb)
+        meas = eigenstate_measures(p)
+        assert isinstance(meas, EigenstateMeasures)
+        for mu, w in enumerate(meas.weights):
+            lone = weight_function(p, mu, 0)
+            lone._ensure_grid(8.0)
+            assert w._grid.y.tobytes() == lone._grid.y.tobytes()
+            got = w._sign * np.exp(w._log_abs)
+            want = lone._sign * np.exp(lone._log_abs)
+            assert got == pytest.approx(want, rel=1e-11, abs=0), mu
+            y = np.array([1e-3, 0.7, 9.0])
+            assert w.evaluate(y).tobytes() == lone.evaluate(y).tobytes()
+            assert w.moment(np.arange(3.0))[0] == pytest.approx(lone.moment(np.arange(3.0))[0], rel=1e-11)

@@ -740,3 +740,112 @@ def test_confluent_sweep(case):
     with mp.workdps(30):
         ref = float(mp.meijerg([[], list(a)], [list(b), []], mp.mpf(y)))
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the contiguous family G(y | b + e_{j_1} + .. + e_{j_r}) of g_general_vec
+# ---------------------------------------------------------------------------
+
+# y / lambda^(lambda - 3) of a family check: the residue sum down to 1e-300,
+# the band the continuation serves, and the large-y expansion
+FAMILY_Y = (1e-300, 1e-40, 1e-3, 0.3, 2.0, 7.0, 25.0, 150.0, 3e3, 1e5)
+
+
+@st.composite
+def family_cases(draw):
+    """The alpha = 0 list b_0 of a lambda = 3..8 algebra, whose sector lists
+    are b_0 + e_1 + .. + e_mu: beta_bar drawn freely, all equal
+    (coincident lower parameters), or an integer apart give or take
+    1e-3..2e-2 (near-integer spacings); and the point of FAMILY_Y for the
+    meijerg check, the eighth at most: past it meijerg at dps 30 takes up
+    to a second a point at lambda = 8."""
+    lam = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(["free", "coincident", "near"]))
+    if kind == "free":
+        bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
+    elif kind == "coincident":
+        bb = [draw(st.sampled_from([0.5, 1.25, 1.5, 1.75]))] * (lam - 1)
+    else:
+        base = draw(st.floats(0.2, 1.4))
+        bb = [base + draw(st.integers(0, 1)) + draw(st.sampled_from([-1.0, 1.0]))
+              * 10.0 ** draw(st.floats(-3.0, math.log10(2e-2))) for _ in range(lam - 1)]
+    return lam, tuple(bb), draw(st.integers(0, 7))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(family_cases())
+@example((4, (1.5, 1.5, 1.5), 5))  # b_0 = (0, 1/2, 1/2, 1/2), the kummer lambda = 4 base
+def test_family_rows_are_the_shifted_lists(case):
+    # every row within 1e-12 of g_general_vec of its own list on FAMILY_Y,
+    # and of meijerg at one of its points; at tol 1e-12 the two evaluations
+    # stay within about 3e-13 of each other on such lists
+    lam, bb, pick = case
+    p = params_from_beta_bar(lam, list(bb))
+    y = np.array(FAMILY_Y) * float(lam) ** (lam - 3)
+    rows = g_general_vec((), mellin_lists(p, 0, 0)[1], y, 1e-12, shifts=range(1, lam))
+    assert rows.shape == (lam, y.size)
+    for mu, row in enumerate(rows):
+        lower = mellin_lists(p, mu, 0)[1]
+        own = g_general_vec((), lower, y, 1e-12)
+        assert row == pytest.approx(own, rel=1e-12, abs=0), mu
+        with mp.workdps(30):
+            ref = float(mp.meijerg([[], []], [lower, []], mp.mpf(y[pick])))
+        assert row[pick] == pytest.approx(ref, rel=1e-12, abs=0), mu
+
+
+def test_family_without_shifts_is_the_one_list_call():
+    b = [0.0, 0.28765, -0.341984]
+    y = np.geomspace(1e-300, 1e5, 400)
+    one = g_general_vec((), b, y)
+    rows = g_general_vec((), b, y, shifts=(1, 2))
+    assert rows.shape == (3, y.size)
+    assert g_general_vec((), b, y, shifts=()).tobytes() == one.tobytes()
+    assert rows[0] == pytest.approx(one, rel=1e-11, abs=0)
+
+
+def test_family_row_a_route_leaves_takes_its_own_list(monkeypatch):
+    # with the family's continuation refusing every shifted row, those rows
+    # come from their own lists, and row 0 stays the family's
+    b = [0.0, 0.28765, -0.341984]
+    y = np.geomspace(1e-3, 1e4, 60)
+    continuation, calls = specfun._continuation_vec, []
+
+    def refuse_shifted(a, b, y, tol, shifts=()):
+        if not shifts:
+            return continuation(a, b, y, tol)
+        calls.append(y.size)
+        vals, ok = continuation(a, b, y, tol, shifts)
+        ok[1:] = False
+        return vals, ok
+
+    monkeypatch.setattr(specfun, "_continuation_vec", refuse_shifted)
+    rows = g_general_vec((), b, y, shifts=(1, 2))
+    assert calls and calls[0] > 0
+    for row, lower in zip(rows, specfun._family(b, (1, 2))[1]):
+        assert row == pytest.approx(g_general_vec((), lower, y), rel=1e-11, abs=0)
+
+
+def test_one_route_pass_for_all_sector_weights(monkeypatch, tmp_path):
+    # a lambda = 3 resolution command runs the continuation's recurrence once
+    # and each cluster of b_0 once for all three of its weights
+    from clext import cli
+
+    # the moments workload's seed-1 draw about beta_bar = (4/3, 2/3), whose band
+    # needs the continuation
+    p = params_from_beta_bar(3, [1.28765, 0.658016])
+    b = mellin_lists(p, 0, 0)[1]
+    calls = {"_taylor_coeffs": 0, "_cluster_series": 0}
+    for name in calls:
+        inner = getattr(specfun, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(specfun, name, counted)
+    alpha = ",".join(repr(float(v)) for v in p.alpha)
+    for mode in ("diagonal_alpha0", "eigenstate_diag", "eigenstate_offdiag"):
+        calls.update({name: 0 for name in calls})
+        assert cli.main(["resolution", "--lambda", "3", "--alpha", alpha, "--mode", mode,
+                         "--out", str(tmp_path / f"{mode}.csv")]) == 0
+        assert calls == {"_taylor_coeffs": 1, "_cluster_series": len(specfun._clusters(b))}, mode

@@ -9,6 +9,7 @@ from clext import build_operator
 from clext import params_from_beta_bar, structure_function, validate_params
 from clext.errors import DomainError, SectorError, TruncationTooSmall
 from clext.states import (
+    FIRST_LEVELS,
     TAIL_THRESHOLD,
     CsAlphaSpec,
     component_zmu,
@@ -358,7 +359,9 @@ class TestFockWeightCore:
         st = _build(fig1_params, family, zs)
         sector = None if family == "eigen" else ARRAY_FAMILIES[3]
         mu, width = (0, 1) if sector is None else (sector[0], 3)
-        n, p, log_norm = _fock_weights(fig1_params, np.abs(zs), sector, (63 - mu) // width + 1)
+        # the build starts the core at its own level count, or at FIRST_LEVELS
+        levels = max((63 - mu) // width + 1, FIRST_LEVELS)
+        n, p, log_norm = _fock_weights(fig1_params, np.abs(zs), sector, levels)
         on = n < st.dim
         assert np.abs(st.coeffs[:, n[on]]) ** 2 == pytest.approx(p[:, on], rel=1e-15, abs=0)
         assert not np.delete(st.coeffs, n[on], axis=1).any()
