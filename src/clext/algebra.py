@@ -112,9 +112,14 @@ def params_from_beta_bar(lam: int, beta_bar_tail) -> AlgebraParams:
 
 def structure_function(params: AlgebraParams, n):
     """F(n) = n + beta_{n mod lambda}; F(0) = 0, F(mu) = lam*beta_bar_mu and
-    F(n < 0) = 0.  n is one level or an integer array of levels."""
+    F(n < 0) = 0.  n is one level or an integer array of levels; for a stack
+    of algebras of one lambda (a sequence of AlgebraParams) an array n gains a
+    leading stack axis."""
     if isinstance(n, np.ndarray):
-        return np.where(n < 0, 0.0, n + np.asarray(params.beta)[n % params.lam])
+        if isinstance(params, AlgebraParams):
+            return np.where(n < 0, 0.0, n + np.asarray(params.beta)[n % params.lam])
+        beta = np.array([p.beta for p in params])
+        return np.where(n < 0, 0.0, n + beta[:, n % params[0].lam])
     if n < 0:
         return 0.0
     return n + params.beta_at(n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import sys
 from dataclasses import replace
 
@@ -20,7 +21,7 @@ from . import __version__
 from .algebra import build_operator, energy_eigenvalue, sga_structure_poly, validate_params
 from .bargmann import check_commutators, check_hermiticity
 from .errors import ClextError, TruncationTooSmall
-from .figures import FIGURE_PRESETS, csv_rows, run_figure
+from .figures import FIGURE_PRESETS, run_figure
 from .measures import (
     MomentProblem,
     positivity_condition,
@@ -67,6 +68,14 @@ def _emit(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def csv_rows(line: str, *columns) -> str:
+    """One CSV line per row of the equal-length columns, each the % pattern
+    line ("%d,%.12g", say) plus a newline, in one % operation over all the
+    values: "%.12g" % v prints what f"{v:.12g}" does."""
+    rows = len(columns[0])
+    return ((line + "\n") * rows) % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 # --------------------------------------------------------------------------

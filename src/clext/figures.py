@@ -4,14 +4,13 @@ parameter grids, emitted as deterministic CSV documents.
 Each preset names one curve family (figure id 1-8 with a/b panels);
 run_figure computes every curve over the grid and returns
 the CSV text with '#'-prefixed metadata lines and 12-significant-digit
-numbers.  csv_rows formats the numeric rows of every CSV document the
-package prints.
+numbers.  The curves of a Q or X preset are one observable call on the
+stack of their algebras; a weight preset evaluates one weight per curve.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,13 +194,14 @@ FIGURE_PRESETS: dict[str, FigureJob] = {
 }
 
 
-def _curve_values(job: FigureJob, curve: Curve, grid: np.ndarray) -> np.ndarray:
-    params = curve.params(job.lam)
+def _values(job: FigureJob, grid: np.ndarray) -> np.ndarray:
+    """(curves, points) values of the job's curves on the grid."""
+    params = tuple(c.params(job.lam) for c in job.curves)
     kind = job.kind
     opts = job.options
     if kind in ("weight_h1", "weight_h2"):
-        w = weight_function(params, opts["mu"], opts["alpha"])
-        return np.asarray(w.evaluate(grid), dtype=float)
+        return np.array([weight_function(p, opts["mu"], opts["alpha"]).evaluate(grid)
+                         for p in params], dtype=float)
     if kind == "q_sector":
         spec = CsAlphaSpec(params, opts["mu"], opts["alpha"], grid.astype(complex))
         return mandel_q_cs_alpha(spec, "closed").mandel_Q
@@ -219,9 +219,11 @@ def _curve_values(job: FigureJob, curve: Curve, grid: np.ndarray) -> np.ndarray:
 
 def run_figure(job: FigureJob) -> str:
     """Compute all curves of a figure job; returns the CSV document."""
+    from .cli import csv_rows  # the CLI formats every document; it imports this module
+
     grid = job.grid_values()
     # Python floats format faster than numpy scalars, to the same text
-    cols = [_curve_values(job, c, grid).tolist() for c in job.curves]
+    cols = _values(job, grid).tolist()
     buf = io.StringIO()
     buf.write(f"# figure: {job.figure}\n")
     buf.write(f"# kind: {job.kind}, lambda = {job.lam}\n")
@@ -232,11 +234,3 @@ def run_figure(job: FigureJob) -> str:
     buf.write(",".join(header) + "\n")
     buf.write(csv_rows(",".join(["%.12g"] * (len(cols) + 1)), grid.tolist(), *cols))
     return buf.getvalue()
-
-
-def csv_rows(line: str, *columns) -> str:
-    """One CSV line per row of the equal-length columns, each the % pattern
-    line ("%d,%.12g", say) plus a newline, in one % operation over all the
-    values: "%.12g" % v prints what f"{v:.12g}" does."""
-    rows = len(columns[0])
-    return ((line + "\n") * rows) % tuple(itertools.chain.from_iterable(zip(*columns)))

@@ -5,7 +5,10 @@ Every closed form is an expectation <g(N)> = p @ g(n) over the Fock weights
 p_n = |c_n|^2 / N of the state, from the Fock-weight core of the states
 module (states._fock_weights), the weights the state builders take their
 coefficients from.  Every function takes one grid value or an array of
-them, so a figure curve or a CLI grid is one call.  Kept as a cross-check:
+them, and the closed forms one algebra or a stack of P algebras of one
+lambda (states._param_stack), so a CLI grid or a figure's curve family is
+one call: a stack gives (P, R) results for a grid of R values, (P,) for one
+value.  Kept as a cross-check:
 the coefficient-vector oracle (method="oracle"), which builds the truncated
 states of a grid with one states builder call per _row_blocks slice (the
 rows of a call share one dim).  As both columns read one weight array, what
@@ -29,6 +32,7 @@ from .states import (
     CsAlphaSpec,
     StateVector,
     _fock_weights,
+    _param_stack,
     _row_blocks,
     cs_alpha_state,
     eigenstate,
@@ -64,18 +68,37 @@ class SqueezeReport:
 
 
 def _as_given(z, *rows):
-    """Per-row results as floats for a scalar grid value, else as arrays."""
-    return tuple(float(r[0]) for r in rows) if np.ndim(z) == 0 else rows
+    """Results for a scalar grid value without their last (grid) axis, a 0-d
+    result as a float; per-algebra constants are floats or (P, 1) columns."""
+    if np.ndim(z):
+        return rows
+    rows = [r[..., 0] if np.ndim(r) else r for r in rows]
+    return tuple(float(r) if np.ndim(r) == 0 else r for r in rows)
+
+
+def _per_algebra(params, value):
+    """value(algebra) as a float for one algebra, as a (P, 1) column for a stack."""
+    if isinstance(params, AlgebraParams):
+        return value(params)
+    return np.array([[value(a)] for a in params])
+
+
+def _expect(p, g):
+    """<g(N)> per row of the weights p (rows, K) or (P, rows, K), for g on the
+    levels (K,) or one row per algebra (P, K)."""
+    return (p @ g[..., None])[..., 0]
 
 
 def _photon_moments(n, p, limit_q: float):
     """<N>, <N^2>, Q and the rows where <N> vanishes (Q = limit_q there), from
-    weights p (rows, K) on levels n.  The variance is two-pass: <N^2> - <N>^2
-    loses Q's digits where <N>^2 >> <N>."""
+    weights p (..., rows, K) on levels n.  The variance is two-pass:
+    <N^2> - <N>^2 loses Q's digits where <N>^2 >> <N>."""
     mean = p @ n
+    flat, flat_mean = p.reshape(-1, len(n)), mean.reshape(-1)
     var = np.concatenate(
-        [((n - mean[rows, None]) ** 2 * p[rows]).sum(axis=1) for rows in _row_blocks(*p.shape)]
-    )
+        [((n - flat_mean[rows, None]) ** 2 * flat[rows]).sum(axis=1)
+         for rows in _row_blocks(*flat.shape)]
+    ).reshape(mean.shape)
     limit = mean <= 1e-13
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.where(limit, limit_q, (var - mean) / mean)
@@ -88,17 +111,20 @@ def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
     return PhotonStats(*_as_given(z, mean, mean2, q), source)
 
 
-def _oracle_states(z, build) -> list[StateVector]:
+def _oracle_states(params, z, build) -> list[StateVector]:
     """build(z[rows]) for each _row_blocks slice of the grid z: a block holds at
-    most WORK_ELEMENTS coefficients even at MAX_AUTO_DIM."""
+    most WORK_ELEMENTS coefficients even at MAX_AUTO_DIM.  The oracle builds
+    the states of one algebra."""
+    if not isinstance(params, AlgebraParams):
+        raise DomainError("the oracle takes one algebra, not a stack")
     z = np.atleast_1d(z)
     return [build(z[rows]) for rows in _row_blocks(len(z), MAX_AUTO_DIM)]
 
 
-def _oracle_photon_stats(z, build, limit_q: float) -> PhotonStats:
+def _oracle_photon_stats(params, z, build, limit_q: float) -> PhotonStats:
     """Mandel Q from the weights |c_n|^2 of the truncated states of the grid z."""
     blocks = [_photon_moments(np.arange(st.dim), np.abs(st.coeffs) ** 2, limit_q)[:3]
-              for st in _oracle_states(z, build)]
+              for st in _oracle_states(params, z, build)]
     return PhotonStats(*_as_given(z, *map(np.concatenate, zip(*blocks))), "vector_oracle")
 
 
@@ -106,13 +132,15 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
     """Mandel Q of |z; mu; alpha>.
 
     closed: moments of the Fock weights; oracle: truncated coefficient
-    vectors; spec.z may be an array.  Where <N> vanishes (z = 0 with mu = 0)
-    the 0/0 ratio is replaced by the analytic limit lambda - 1.
+    vectors; spec.z may be an array, and spec.params a stack for closed.
+    Where <N> vanishes (z = 0 with mu = 0) the 0/0 ratio is replaced by the
+    analytic limit lambda - 1.
     """
     p, mu = spec.params, spec.mu
-    lam = p.lam
+    lam = _param_stack(p)[0].lam
     if method == "oracle":
-        return _oracle_photon_stats(spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), lam - 1.0)
+        return _oracle_photon_stats(
+            p, spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), lam - 1.0)
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     n, weights, _ = _fock_weights(p, np.abs(spec.z), (mu, spec.alpha))
@@ -120,9 +148,10 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
 
 
 def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") -> PhotonStats:
-    """Mandel Q of the annihilation-operator eigenstate |z>; z_abs may be an array."""
+    """Mandel Q of the annihilation-operator eigenstate |z>; z_abs may be an
+    array, and params a stack for closed."""
     if method == "oracle":
-        return _oracle_photon_stats(z_abs, lambda z: eigenstate(params, z), 0.0)
+        return _oracle_photon_stats(params, z_abs, lambda z: eigenstate(params, z), 0.0)
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     n, p, _ = _fock_weights(params, np.abs(z_abs))
@@ -157,7 +186,7 @@ def _contractions(params: AlgebraParams, st: StateVector):
 
 def _oracle_squeezing(params: AlgebraParams, z, build, vac: float, kind: str) -> SqueezeReport:
     """Quadrature variances from the truncated states of the grid z."""
-    blocks = [_contractions(params, st) for st in _oracle_states(z, build)]
+    blocks = [_contractions(params, st) for st in _oracle_states(params, z, build)]
     ex = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     if kind == "dressed":
         h0 = 0.5 * (ex["FN"] + ex["FN1"])
@@ -184,16 +213,18 @@ def squeezing_cs_alpha(
     The sector vacuum |mu> sets the dressed reference
     (lam/2)(bb_mu + bb_{mu+1}); the real-photon reference is 1/2.  There
     is no squeezing at lambda >= 3 (both off-diagonal moments vanish).
+    spec.z may be an array, and spec.params a stack for closed.
     """
     p, mu, alpha = spec.params, spec.mu, spec.alpha
-    lam = p.lam
-    bb = p.beta_bar_at
-    vac_x = vac_p = (
-        0.5 * lam * (bb(mu) + bb(mu + 1)) if kind == "dressed" else 0.5
-    )
+    lam = _param_stack(p)[0].lam
+
+    def bb(j):
+        return _per_algebra(p, lambda a: a.beta_bar_at(j))
+
+    vac = 0.5 * lam * (bb(mu) + bb(mu + 1)) if kind == "dressed" else 0.5
     if method == "oracle":
         return _oracle_squeezing(
-            p, spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), vac_x, kind
+            p, spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), vac, kind
         )
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
@@ -206,7 +237,7 @@ def squeezing_cs_alpha(
             # <J+ + J-> = Re z for the a^2 eigenstates; a - z adag (alpha = 1)
             # gives Re z (<N> + 2 bb1)
             off = z.real if alpha == 0 else z.real * (mean_n + 2.0 * bb(1))
-        h0 = mean_n + p.gamma(mu) + 0.5
+        h0 = mean_n + _per_algebra(p, lambda a: a.gamma(mu)) + 0.5
         rhs = 0.25 * (lam * (bb(mu + 1) - bb(mu))) ** 2
     else:
         # real photons: <b> = 0 in a sector state; at lambda = 2 the b^2
@@ -217,20 +248,22 @@ def squeezing_cs_alpha(
             f1 = structure_function(p, n + 1)
             f2 = structure_function(p, n + 2)
             num = (n + 1.0) * (n + 2.0)
-            off = (z * (weights @ np.sqrt(num * f1 / f2 if alpha else num / (f1 * f2)))).real
+            off = (z * _expect(weights, np.sqrt(num * f1 / f2 if alpha else num / (f1 * f2)))).real
         h0 = mean_n + 0.5
         rhs = 0.25
-    var_x, var_p = _as_given(spec.z, h0 + off, h0 - off)
-    return SqueezeReport(var_x, var_p, vac_x, vac_p, var_x * var_p, rhs, kind, "closed_form")
+    var_x, var_p, vac, rhs = _as_given(spec.z, h0 + off, h0 - off, vac, rhs)
+    return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, rhs, kind, "closed_form")
 
 
 def squeezing_eigenstate(
     params: AlgebraParams, z: complex, kind: str = "dressed", method: str = "closed"
 ) -> SqueezeReport:
-    """Quadrature variances of |z> (minimum-uncertainty for dressed photons); z may be an array."""
-    vac_x = vac_p = 0.5 * params.lam * params.beta_bar_at(1) if kind == "dressed" else 0.5
+    """Quadrature variances of |z> (minimum-uncertainty for dressed photons);
+    z may be an array, and params a stack for closed."""
+    lam = _param_stack(params)[0].lam
+    vac = 0.5 * lam * _per_algebra(params, lambda a: a.beta_bar_at(1)) if kind == "dressed" else 0.5
     if method == "oracle":
-        return _oracle_squeezing(params, z, lambda zs: eigenstate(params, zs), vac_x, kind)
+        return _oracle_squeezing(params, z, lambda zs: eigenstate(params, zs), vac, kind)
     if method != "closed":
         raise DomainError(f"unknown method {method!r}")
     z_rows = np.atleast_1d(z).astype(complex)
@@ -238,16 +271,16 @@ def squeezing_eigenstate(
     f1 = structure_function(params, n + 1)
     if kind == "dressed":
         # <[a, adag]> / 2 = <F(N+1) - F(N)> / 2 in both quadratures
-        (var,) = _as_given(z, 0.5 * (p @ (f1 - structure_function(params, n))))
-        return SqueezeReport(var, var, vac_x, vac_p, var * var, var * var, kind, "closed_form")
+        var, vac = _as_given(z, 0.5 * _expect(p, f1 - structure_function(params, n)), vac)
+        return SqueezeReport(var, var, vac, vac, var * var, var * var, kind, "closed_form")
     # real photons: E1 = <sqrt((N+1)/F(N+1))>, E2 = <sqrt((N+1)(N+2)/(F F))>
     f2 = structure_function(params, n + 2)
-    e1 = p @ np.sqrt((n + 1.0) / f1)
-    e2 = p @ np.sqrt((n + 1.0) * (n + 2.0) / (f1 * f2))
+    e1 = _expect(p, np.sqrt((n + 1.0) / f1))
+    e2 = _expect(p, np.sqrt((n + 1.0) * (n + 2.0) / (f1 * f2)))
     common = p @ n + 0.5 - np.abs(z_rows) ** 2 * e2
     var_x, var_p = _as_given(
         z,
         common + 2.0 * z_rows.real**2 * (e2 - e1 * e1),
         common + 2.0 * z_rows.imag**2 * (e2 - e1 * e1),
     )
-    return SqueezeReport(var_x, var_p, vac_x, vac_p, var_x * var_p, 0.25, kind, "closed_form")
+    return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, 0.25, kind, "closed_form")

@@ -16,15 +16,18 @@ mu + step k, and one Fock-weight core serves them.  log_weights is the one
 log-weight primitive: log w_k as the compensated prefix sum (hi, lo) of the
 per-level log ratios (_log_ratios, _prefix_sum); for the eigenstate it is
 -L(k), L(n) = log prod_{j<=n} F(j), which the Bargmann basis weights and
-the resolution diagonals read too.  The core (_fock_weights) doubles its
-level count until the largest |z|'s last weight is below LAST_WEIGHT, takes
-one prefix sum per count for every row, and centers each row on its peak
-level (_peak_normalized), so nothing overflows at large |z|.  The
-closed-form observables read its weights p_k; the builders (_build) take
-c = sqrt(p_k) e^(i k arg z) on the levels below dim, which makes the mass a
-truncation drops exact: tail_bound = 1 - sum(|c_n|^2).  Builders double dim
-(up to 1024) until that bound is at most 1e-10 and raise TruncationTooSmall
-when it never is.
+the resolution diagonals read too.  Both take one algebra or a stack of
+algebras of one lambda (_param_stack), one row of log weights per
+algebra.  The core (_fock_weights) takes one prefix sum per level count for
+every grid row of every algebra, doubles the count until each algebra's
+last weight at the largest |z| is below LAST_WEIGHT, cuts a first count
+that already holds the weights to the levels they reach, and centers each
+row on its peak level (_peak_normalized), so nothing overflows at large
+|z|.  The closed-form observables read its weights p_k; the builders
+(_build) take c = sqrt(p_k) e^(i k arg z) on the levels below dim, which
+makes the mass a truncation drops exact: tail_bound = 1 - sum(|c_n|^2).
+Builders double dim (up to 1024) until that bound is at most 1e-10 and
+raise TruncationTooSmall when it never is.
 
 The sector family's parameter lists (sector_lists) give its norm as a pFq,
 N^(alpha)_mu(y) = pFq(num; den; y), and the moment problem of its weight
@@ -44,12 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraParams, structure_function
-from .errors import DomainError, NoConvergence, SectorError, TruncationTooSmall
+from .errors import DomainError, NoConvergence, SectorError, ShapeError, TruncationTooSmall
 from .specfun import pfq
 
 TAIL_THRESHOLD = 1e-10
 MAX_AUTO_DIM = 1024
 LAST_WEIGHT = 1e-17
+_LOG_LAST_WEIGHT = math.log(LAST_WEIGHT)
 FIRST_LEVELS = 64
 MAX_LEVELS = 2**16
 WORK_ELEMENTS = 2**16
@@ -61,7 +65,8 @@ class CsAlphaSpec:
     """Label (z, mu, alpha) of one member of the sector family.
 
     z may also be an array, one state per entry, for cs_alpha_state and the
-    closed-form observables.
+    closed-form observables; params may be a stack of algebras of one lambda
+    (_param_stack) for the closed-form observables.
     """
 
     params: AlgebraParams
@@ -71,7 +76,7 @@ class CsAlphaSpec:
 
     def __post_init__(self):
         _check_finite(self.z)
-        lam = self.params.lam
+        lam = _param_stack(self.params)[0].lam
         if not 0 <= self.alpha <= lam // 2:
             raise SectorError(f"alpha must lie in [0, {lam // 2}], got {self.alpha}")
         if not 0 <= self.mu <= lam - self.alpha - 1:
@@ -85,8 +90,19 @@ class CsAlphaSpec:
 
     @property
     def y(self) -> float:
-        lam = self.params.lam
+        lam = _param_stack(self.params)[0].lam
         return abs(self.z) ** 2 / lam ** (lam - 2 * self.alpha)
+
+
+def _param_stack(params) -> tuple[AlgebraParams, ...]:
+    """params as a stack of algebras of one lambda: one AlgebraParams is the
+    stack of one, a sequence of them a stack of P."""
+    if isinstance(params, AlgebraParams):
+        return (params,)
+    stack = tuple(params)
+    if len({p.lam for p in stack}) != 1:
+        raise ShapeError("a stack of algebras needs at least one algebra, all of one lambda")
+    return stack
 
 
 def _check_finite(z):
@@ -147,30 +163,38 @@ def norm_series_cs_alpha(params: AlgebraParams, mu: int, alpha: int, y: float):
 
 def _log_ratios(params: AlgebraParams, n: np.ndarray, alpha: int, width: int) -> np.ndarray:
     """log |c_{n+width} / (z c_n)|^2 = sum_{j<=alpha} log F(n+j) - sum_{alpha<j<=width}
-    log F(n+j) for the levels n of a coherent state that steps by width.
+    log F(n+j) for the levels n of a coherent state that steps by width, one
+    row per algebra of a stack.
 
     width = lambda at n = k lambda + mu is |z; mu; alpha> (from its defining
     equation); width = 1 with alpha = 0 is the eigenstate |z>.
     """
     log_f = np.log(structure_function(params, np.add.outer(n, np.arange(1, width + 1))))
-    return log_f[:, :alpha].sum(axis=1) - log_f[:, alpha:].sum(axis=1)
+    return log_f[..., :alpha].sum(axis=-1) - log_f[..., alpha:].sum(axis=-1)
+
+
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """0, x_0, x_0 + x_1, .. along the last axis."""
+    run = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=run[..., 1:])
+    return run
 
 
 def _prefix_sum(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R_k = sum_{j<k} ratios_j for k = 0..len(ratios), as hi + lo.
+    """R_k = sum_{j<k} ratios_j for k = 0..K along the last axis, as hi + lo.
 
     The running float sum is compensated by the running sum of each step's
     exact rounding error (TwoSum; Ogita, Rump & Oishi 2005), and hi is that
-    sum rounded to a multiple of 2 ulp(max |R|), so hi_k - hi_j is exact for
-    every pair of levels.
+    sum rounded to a multiple of 2 ulp(max |R|) of its row, so hi_k - hi_j
+    is exact for every pair of levels.
     """
-    run = np.concatenate(([0.0], np.cumsum(ratios)))
-    before, after = run[:-1], run[1:]
+    run = _running_sum(ratios)
+    before, after = run[..., :-1], run[..., 1:]
     back = after - before
     err = (before - (after - back)) + (ratios - back)
-    step = 2.0 * np.spacing(np.abs(run).max())
-    hi = np.round(run / step) * step
-    return hi, (run - hi) + np.concatenate(([0.0], np.cumsum(err)))
+    step = 2.0 * np.spacing(np.abs(run).max(axis=-1))
+    hi = (np.round(run.T / step) * step).T  # transposed: one step per row broadcasts
+    return hi, (run - hi) + _running_sum(err)
 
 
 def log_weights(params: AlgebraParams, k_max: int, sector: tuple[int, int] | None = None):
@@ -178,8 +202,9 @@ def log_weights(params: AlgebraParams, k_max: int, sector: tuple[int, int] | Non
     compensated prefix sum (hi, lo) of its log ratios: sum(log_weights(..))
     is the value.  sector = (mu, alpha) selects |z; mu; alpha> on the levels
     k lambda + mu; None the eigenstate |z>, whose log weights are -L(k),
-    L(n) = log prod_{j<=n} F(j)."""
-    mu, alpha, width = (0, 0, 1) if sector is None else (*sector, params.lam)
+    L(n) = log prod_{j<=n} F(j).  A stack of P algebras (_param_stack)
+    gives (P, k_max + 1) arrays, one row per algebra."""
+    mu, alpha, width = (0, 0, 1) if sector is None else (*sector, _param_stack(params)[0].lam)
     return _prefix_sum(_log_ratios(params, mu + width * np.arange(k_max), alpha, width))
 
 
@@ -191,8 +216,9 @@ def _row_blocks(rows: int, levels: int) -> list[slice]:
 
 def _peak_normalized(log_z2: np.ndarray, hi: np.ndarray, lo: np.ndarray):
     """Weights p (rows, K), normalized to sum 1, with log p_k = k L + R_k plus a
-    constant per row, from L = log|z|^2 (rows, 1) and R = hi + lo (K,), and
-    each row's log N, N = sum_k exp(k L + R_k).
+    constant per row, from L = log|z|^2 (rows, 1) and R = hi + lo, one prefix
+    sum (K,) for every row or one per row (rows, K), and each row's log N,
+    N = sum_k exp(k L + R_k).
 
     Each row is taken relative to its peak level P, the k that maximizes
     k L + R_k:
@@ -210,58 +236,83 @@ def _peak_normalized(log_z2: np.ndarray, hi: np.ndarray, lo: np.ndarray):
     L = np.maximum(log_z2[:, 0], -1e300)
     big = _SPLIT * L
     L_hi = big - (big - L)
-    k = np.arange(len(hi), dtype=float)
+    k = np.arange(hi.shape[-1], dtype=float)
     exact = np.multiply.outer(L_hi, k)
     peak = np.argmax(exact + hi, axis=1)
     exact -= (peak * L_hi)[:, None]
-    log_p = hi - hi[peak, None]
+    at = peak if hi.ndim == 1 else (np.arange(len(peak)), peak)
+    hi_peak, lo_peak = hi[at], lo[at]
+    log_p = hi - hi_peak[:, None]
     log_p += exact
     L_lo = L - L_hi
-    rest = lo - (lo[peak] + peak * L_lo)[:, None]
+    rest = lo - (lo_peak + peak * L_lo)[:, None]
     rest += np.multiply.outer(L_lo, k)
     log_p += rest
     with np.errstate(under="ignore"):
         p = np.exp(log_p, out=log_p)
     total = p.sum(axis=1)
     p /= total[:, None]
-    return p, peak * L_hi + hi[peak] + (lo[peak] + peak * L_lo) + np.log(total)
+    return p, peak * L_hi + hi_peak + (lo_peak + peak * L_lo) + np.log(total)
 
 
 def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None = None,
-                  levels: int = FIRST_LEVELS):
+                  levels: int = 1):
     """Fock levels n (K,), normalized weights p_n = |c_n|^2 / N (rows, K) and
-    log N (rows,), one row per entry of z_abs.
+    log N (rows,), one row per entry of z_abs; for a stack of P algebras of
+    one lambda (_param_stack), (P, rows, K) and (P, rows).
 
     sector = (mu, alpha) selects |z; mu; alpha> on the levels n = k lambda + mu,
-    None the eigenstate |z> on every level.  The level count doubles from
-    levels until the last weight of the largest |z| (the largest last
-    weight) is below LAST_WEIGHT, NoConvergence past MAX_LEVELS; then every
-    row is built, in _row_blocks.  Each level count takes one prefix sum of
-    the log ratios (log_weights), which every row shares, and judges the
-    last weight from its hi part alone: k L + hi about its peak, less the
-    log of its sum.
+    None the eigenstate |z> on every level.  The level count starts at
+    FIRST_LEVELS, or at levels if that is more, and doubles until every
+    algebra's last weight at the largest |z| (its largest last weight) is
+    below LAST_WEIGHT, NoConvergence past MAX_LEVELS.  Each count takes one
+    prefix sum of the log ratios (log_weights), one row per algebra, which
+    every grid row shares, and judges the weights from its hi part alone:
+    k L + hi about its peak, less the log of its sum.  When the first count
+    holds the weights and is more than levels, it is cut to one past the last
+    level where any of those weights is at least LAST_WEIGHT, but never below
+    levels.  The cut holds for every row: past the mean level <k>,
+    d log p_k / d log|z|^2 = k - <k> > 0, so no smaller |z| has more weight
+    there.  A count the loop doubled to is kept whole (a cut would save less
+    than half of it), and so is one levels asks for: a state builder whose dim
+    doubles reads every level it had before the cut.  Then the rows of every
+    algebra, one after another, are built at once, in _row_blocks.
     """
-    mu, width = (0, 1) if sector is None else (sector[0], params.lam)
+    stack = _param_stack(params)
+    mu, width = (0, 1) if sector is None else (sector[0], stack[0].lam)
     with np.errstate(divide="ignore"):
         log_z2 = 2.0 * np.log(np.atleast_1d(z_abs).astype(float))[:, None]
     top = max(float(log_z2.max()), -1e300)
-    count = levels
+    count = start = max(levels, FIRST_LEVELS)
     while True:
         hi, lo = log_weights(params, count - 1, sector)
         t = top * np.arange(count) + hi
-        t -= t.max()
+        t -= t.max(axis=-1, keepdims=True)
         with np.errstate(under="ignore"):
-            last = t[-1] - math.log(np.exp(t).sum())
-        if last < math.log(LAST_WEIGHT):
-            p = np.empty((len(log_z2), count))
-            log_norm = np.empty(len(log_z2))
-            for rows in _row_blocks(len(log_z2), count):
-                p[rows], log_norm[rows] = _peak_normalized(log_z2[rows], hi, lo)
-            return mu + width * np.arange(count), p, log_norm
+            t -= np.log(np.exp(t).sum(axis=-1, keepdims=True))
+        if t.ndim == 2:
+            t = t.max(axis=0)  # each level's largest log weight
+        if t[-1] < _LOG_LAST_WEIGHT:
+            break
         if count >= MAX_LEVELS:
             raise NoConvergence(
-                f"Fock weights still {math.exp(last):.3e} at level {mu + width * (count - 1)}")
+                f"Fock weights still {math.exp(t[-1]):.3e} at level {mu + width * (count - 1)}")
         count = min(2 * count, MAX_LEVELS)
+    if count == start > levels:
+        count = max(levels, count + 1 - int(np.argmax(t[::-1] >= _LOG_LAST_WEIGHT)))
+        hi, lo = hi[..., :count], lo[..., :count]
+    rows = len(log_z2)
+    if hi.ndim == 2:  # each grid row once per algebra, with that algebra's sums
+        of = np.repeat(np.arange(len(stack)), rows)
+        log_z2 = np.tile(log_z2, (len(stack), 1))
+    p = np.empty((len(log_z2), count))
+    log_norm = np.empty(len(log_z2))
+    for block in _row_blocks(len(log_z2), count):
+        sums = (hi, lo) if hi.ndim == 1 else (hi[of[block]], lo[of[block]])
+        p[block], log_norm[block] = _peak_normalized(log_z2[block], *sums)
+    if hi.ndim == 2:
+        p, log_norm = p.reshape(len(stack), rows, count), log_norm.reshape(len(stack), rows)
+    return mu + width * np.arange(count), p, log_norm
 
 
 def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = None
@@ -276,8 +327,8 @@ def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = 
         raise TruncationTooSmall(f"need dim >= lambda = {params.lam}")
     z_rows = np.atleast_1d(z)
     mu, width = (0, 1) if sector is None else (sector[0], params.lam)
-    # the state's own level count, but no fewer than the core's first: at |z| = 2
-    # a lambda = 3 sector's 22 levels are too few, and the core would run twice
+    # the state's own level count, but no fewer than the core's first: the
+    # core then keeps its whole count, the levels a doubled dim reads
     levels = max((dim - 1 - mu) // width + 1, FIRST_LEVELS)
     n, p, log_norm = _fock_weights(params, np.abs(z_rows), sector, levels)
     phase = np.angle(z_rows)[:, None]

@@ -238,6 +238,17 @@ def test_criterion_7_asymptotics(paraboson_params):
     _report(7, "asymptotic slopes and limits")
 
 
+def test_criterion_7_approach_rate(paraboson_params):
+    # X reaches its limit 1/4 like 9/(16|z|^2): (X - 1/4)|z|^2 -> 9/16 from
+    # above, 0.5628125 at |z| = 30 and 0.5625281 at 100, that is
+    # 9/16 + 0.28/|z|^2 + ...
+    zabs = np.array([30.0, 50.0, 100.0])
+    x = squeezing_eigenstate(paraboson_params, zabs.astype(complex), "dressed", "closed").X
+    rate = (x - 0.25) * zabs**2
+    assert np.all(np.diff(rate) < 0)
+    assert np.abs((rate - 9 / 16) * zabs**2 - 0.28).max() < 0.01
+
+
 def test_criterion_8_figure_reproduction():
     start = time.perf_counter()
     docs = {}

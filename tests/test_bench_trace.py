@@ -41,3 +41,21 @@ def test_per_layer_metrics_are_non_zero(tmp_path, monkeypatch):
     for name in ("specfun.meijer.points", "measures.moment.calls", "states.build.calls",
                  "cli.calls"):
         assert metrics[name] > 0, name
+
+
+def test_a_figure_preset_is_one_closed_observable_call(tmp_path, monkeypatch):
+    # figure 4a draws four curves; their algebras are one stacked call
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        code = clext.cli.main(["figure", "4a", "--out", str(tmp_path / "4a.csv")])
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("tracing", None)
+    assert code == 0
+    metrics = tracer.pass_metrics()
+    assert metrics["observables.closed.calls"] == 1
+    assert metrics["figures.points"] == 400

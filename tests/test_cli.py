@@ -495,7 +495,7 @@ def test_csv_rows_print_what_the_format_spec_prints():
     # one % operation per document: "%.12g" % v and "%.3e" % v are the
     # f-string's text for every double, random bit patterns, specials and
     # subnormals included, and "%d" is str() for the row indices
-    from clext.figures import csv_rows
+    from clext.cli import csv_rows
 
     rng = np.random.default_rng(20261019)
     bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64).tolist()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
+from clext.figures import FIGURE_PRESETS
 from clext.observables import (
     mandel_q_cs_alpha,
     mandel_q_eigenstate,
@@ -377,10 +378,12 @@ class TestFockWeightsKernel:
             if za == 0:
                 assert np.array_equal(p[i], vacuum)
             else:
-                n_one, p_one, _ = states._fock_weights(params, za, family)
-                assert np.array_equal(n_one, n)  # the same level count, so the same sum
+                # a scalar call fitted to the grid's level count sums the same levels
+                n_one, p_one, _ = states._fock_weights(params, za, family, len(n))
+                assert np.array_equal(n_one, n)
                 assert np.array_equal(p_one[0], p[i])
-        assert np.array_equal(states._fock_weights(params, 0.0, family)[1][0], vacuum)
+        n_zero, p_zero, _ = states._fock_weights(params, 0.0, family)
+        assert np.array_equal(p_zero[0], (np.arange(len(n_zero)) == 0).astype(float))
 
     def test_one_prefix_sum_per_level_count(self, monkeypatch):
         import clext.states as states
@@ -400,9 +403,15 @@ class TestFockWeightsKernel:
         monkeypatch.setattr(np, "cumsum", counted_cumsum)
         params = params_from_beta_bar(2, (2.0,))
         n, p, _ = states._fock_weights(params, np.linspace(0.0, 12.0, 300))
-        assert len(n) == 256
         assert builds == [64, 128, 256]
         assert cumsums and set(cumsums) == {1}
+        assert len(n) == 256  # a count the loop doubled to is kept whole
+        # the first count, when it holds the weights, is cut to one past the
+        # last level where the largest |z| weighs LAST_WEIGHT
+        builds.clear()
+        n, p, _ = states._fock_weights(params, np.linspace(0.0, 3.0, 100))
+        assert builds == [64]
+        assert len(n) == 45 and p[-1, -2] >= states.LAST_WEIGHT > p[-1, -1]
 
 
 def assert_matches_reference(got, ref):
@@ -474,20 +483,82 @@ def test_closed_q_sweep(case):
     assert_matches_reference(q, FockSums(bb, zabs, family).q)
 
 
-@pytest.mark.parametrize("figure", ["4a", "6a", "7a"])
+OBSERVABLE_PRESETS = [key for key, job in FIGURE_PRESETS.items() if not job.kind.startswith("weight")]
+
+
+@pytest.mark.parametrize("figure", OBSERVABLE_PRESETS)
 def test_figure_curve_is_one_core_call(monkeypatch, figure):
-    # q_eigen (4a), dressed (6a) and real (7a) x_eigen: a curve's whole grid is one call
+    # every Q and X preset, sector and eigenstate: the stack of its curves'
+    # algebras on the whole grid is one core call
     import clext.observables as obs
-    from clext.figures import FIGURE_PRESETS, run_figure
+    from clext.figures import run_figure
 
     calls = []
     original = obs._fock_weights
 
     def counted(params, z_abs, sector=None):
-        calls.append(np.size(z_abs))
+        calls.append((len(params), np.size(z_abs)))
         return original(params, z_abs, sector)
 
     monkeypatch.setattr(obs, "_fock_weights", counted)
     job = FIGURE_PRESETS[figure]
     run_figure(job)
-    assert calls == [job.grid[2]] * len(job.curves)
+    assert calls == [(len(job.curves), job.grid[2])]
+
+
+STACK_BETA_BAR = {2: [(0.3,), (1.0,), (2.0,)], 3: [(4 / 3, 2 / 3), (0.1, 2 / 3), (2.0, 5.0)]}
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+def test_stacked_observables_are_their_single_calls(lam):
+    # a stack's row is its algebra's own call, up to the level count the stack
+    # shares (the cut follows the stack's widest algebra)
+    stack = [params_from_beta_bar(lam, bb) for bb in STACK_BETA_BAR[lam]]
+    r = np.linspace(0.02, 3.0, 25)
+    z = r * np.exp(0.3j)
+    family = (0, 0) if lam == 2 else (0, 1)
+    runs = {
+        "Q eigen": lambda p: mandel_q_eigenstate(p, r).mandel_Q,
+        "Q sector": lambda p: mandel_q_cs_alpha(CsAlphaSpec(p, *family, z)).mandel_Q,
+        "X eigen dressed": lambda p: squeezing_eigenstate(p, z, "dressed").X,
+        "X eigen real": lambda p: squeezing_eigenstate(p, z, "real").P,
+        "X sector dressed": lambda p: squeezing_cs_alpha(CsAlphaSpec(p, *family, z)).X,
+        "X sector real": lambda p: squeezing_cs_alpha(CsAlphaSpec(p, *family, z), "real").P,
+    }
+    for name, run in runs.items():
+        rows = run(stack)
+        assert rows.shape == (len(stack), len(r)), name
+        for got, params in zip(rows, stack):
+            assert got == pytest.approx(run(params), rel=1e-13, abs=1e-15), name
+    one = mandel_q_eigenstate(stack, 0.7).mandel_Q
+    assert one.shape == (len(stack),)
+
+
+def test_a_stack_is_one_lambda_and_closed_only(paraboson_params):
+    from clext.errors import DomainError, ShapeError
+
+    with pytest.raises(ShapeError):
+        mandel_q_eigenstate([paraboson_params, params_from_beta_bar(3, (1.0, 1.0))], 0.5)
+    with pytest.raises(DomainError):
+        mandel_q_eigenstate([paraboson_params, paraboson_params], np.array([0.5]), "oracle")
+
+
+def test_stacked_slope_marks_the_sub_poissonian_boundary():
+    # lambda = 2: Q / |z|^2 -> (2 bb1 - 1) / (2 bb1) as |z| -> 0, so Q changes
+    # sign at bb1 = 1/2; one stacked call over 50 bb1 at |z| = 1e-3
+    import clext.states as states
+
+    bb1 = np.append(np.linspace(0.1, 10.0, 49), 0.5)
+    stack = [params_from_beta_bar(2, (b,)) for b in bb1]
+    q = mandel_q_eigenstate(stack, 1e-3).mandel_Q
+    slope = q / 1e-6
+    ref = (2 * bb1 - 1) / (2 * bb1)
+    assert slope.shape == (50,)
+    assert np.all(np.abs(slope - ref) <= 1e-5 * np.maximum(1.0, np.abs(ref)))
+    # each row is its algebra's own call at the stack's level count, bit for bit
+    n, p, log_norm = states._fock_weights(stack, 1e-3)
+    for i, params in enumerate(stack):
+        n_one, p_one, log_norm_one = states._fock_weights(params, 1e-3, None, len(n))
+        assert np.array_equal(n_one, n)
+        assert np.array_equal(p_one, p[i]) and np.array_equal(log_norm_one, log_norm[i])
+        assert mandel_q_eigenstate(params, 1e-3).mandel_Q == q[i]
