@@ -38,6 +38,9 @@ from .observables import (
 )
 from .states import CsAlphaSpec, cs_alpha_state, eigenstate
 
+# the closed and oracle columns of a grid, both from one observables call
+COLUMNS = ("closed", "oracle")
+
 
 def _params(args) -> "AlgebraParams":
     if args.lam is None or args.alpha_csv is None:
@@ -128,12 +131,12 @@ def cmd_state(args) -> int:
 def cmd_mandel(args) -> int:
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
-
-    def q(method):
-        if args.family == "sector":
-            return mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, grid), method).mandel_Q
-        return mandel_q_eigenstate(p, grid, method).mandel_Q
-    rows = csv_rows("%.12g,%.12g,%.12g", grid.tolist(), q("closed").tolist(), q("oracle").tolist())
+    if args.family == "sector":
+        closed, oracle = mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, grid), COLUMNS)
+    else:
+        closed, oracle = mandel_q_eigenstate(p, grid, COLUMNS)
+    rows = csv_rows("%.12g,%.12g,%.12g", grid.tolist(), closed.mandel_Q.tolist(),
+                    oracle.mandel_Q.tolist())
     _emit(args, f"# mandel Q, family = {args.family}\nr,Q_closed,Q_oracle\n" + rows)
     return 0
 
@@ -141,16 +144,14 @@ def cmd_mandel(args) -> int:
 def cmd_squeeze(args) -> int:
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
-
     zs = 1j * grid if args.direction == "im" else grid.astype(complex)
-
-    def report(method):
-        if args.family == "sector":
-            return squeezing_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, zs), args.kind, method)
-        return squeezing_eigenstate(p, zs, args.kind, method)
+    if args.family == "sector":
+        spec = CsAlphaSpec(p, args.mu, args.cs_alpha, zs)
+        closed, oracle = squeezing_cs_alpha(spec, args.kind, COLUMNS)
+    else:
+        closed, oracle = squeezing_eigenstate(p, zs, args.kind, COLUMNS)
     head = (f"# squeezing, family = {args.family}, kind = {args.kind}, direction = {args.direction}\n"
             "g,X_closed,P_closed,X_oracle,P_oracle\n")
-    closed, oracle = report("closed"), report("oracle")
     cols = (v.tolist() for v in (grid, closed.X, closed.P, oracle.X, oracle.P))
     _emit(args, head + csv_rows("%.12g,%.12g,%.12g,%.12g,%.12g", *cols))
     return 0
@@ -282,16 +283,16 @@ def cmd_verify(args) -> int:
             rows += [(f"{basis}(mu={i // 6}) {r.pair} k={r.k}", r.residual, r.residual < 1e-10)
                      for i, r in enumerate(check_commutators(p, basis, k_max=5))]
     elif args.suite == "observables":
-        # closed and oracle Q each on the whole |z| list in one call
+        # closed and oracle Q of one |z| list from one call
         checks = (
             ("eigenstate", (0.4, 1.0, 1.7, 8.0, 14.0),
-             lambda z, method: mandel_q_eigenstate(p, z, method)),
+             lambda z: mandel_q_eigenstate(p, z, COLUMNS)),
             ("sector (0,0)", (1.0, 8.0),
-             lambda z, method: mandel_q_cs_alpha(CsAlphaSpec(p, 0, 0, z), method)),
+             lambda z: mandel_q_cs_alpha(CsAlphaSpec(p, 0, 0, z), COLUMNS)),
         )
         rows = []
         for family, zs, q in checks:
-            closed, oracle = (q(np.array(zs), method).mandel_Q for method in ("closed", "oracle"))
+            closed, oracle = (stats.mandel_Q for stats in q(np.array(zs)))
             for zz, qc, qo in zip(zs, closed, oracle):
                 err = abs(qc - qo) / (1.0 + abs(qo))
                 rows.append((f"{family} Q at |z|={zz}", err, err < 1e-8))

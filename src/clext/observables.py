@@ -11,26 +11,34 @@ one call: a stack gives (P, R) results for a grid of R values, (P,) for one
 value.  Kept as a cross-check:
 the coefficient-vector oracle (method="oracle"), which builds the truncated
 states of a grid with one states builder call per _row_blocks slice (the
-rows of a call share one dim).  As both columns read one weight array, what
-the oracle still checks on its own is the truncation at dim and, for
-squeezing, the contractions of each row against the ladder bands.  The
-Phi-ratio branch forms of the sector Q and the lambda = 2 Bessel form of the
-eigenstate Q are test references (tests/closed_forms.py).
+rows of a call share one dim).  A tuple of methods, ("closed", "oracle"),
+returns one report per method from one core call: the oracle's coefficient
+vectors then come from the closed column's weights, through the builders'
+coefficient step (states._coefficients) alone (_columns).  As both columns
+read one weight array, what the oracle still checks on its own is the
+truncation at dim and, for squeezing, the contractions of each row against
+the ladder bands.  The Phi-ratio branch forms of the sector Q and the
+lambda = 2 Bessel form of the eigenstate Q are test references
+(tests/closed_forms.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .algebra import AlgebraParams, structure_function
 from .errors import DomainError
 from .states import (
+    FIRST_DIM,
     MAX_AUTO_DIM,
     CsAlphaSpec,
     StateVector,
+    _build_levels,
+    _coefficients,
     _fock_weights,
     _param_stack,
     _row_blocks,
@@ -111,51 +119,74 @@ def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
     return PhotonStats(*_as_given(z, mean, mean2, q), source)
 
 
-def _oracle_states(params, z, build) -> list[StateVector]:
-    """build(z[rows]) for each _row_blocks slice of the grid z: a block holds at
-    most WORK_ELEMENTS coefficients even at MAX_AUTO_DIM.  The oracle builds
-    the states of one algebra."""
-    if not isinstance(params, AlgebraParams):
+def _columns(params, z, sector, method, closed: Callable, oracle: Callable, build: Callable):
+    """The report of method, "closed" or "oracle", or a tuple of reports, one
+    per entry of a tuple of methods.
+
+    closed(n, p) reads the Fock weights of the grid z; oracle(states) reads
+    the truncated states of its _row_blocks slices, a block of at most
+    WORK_ELEMENTS coefficients even at MAX_AUTO_DIM.  Alone, the closed column
+    takes the core's cut level count and the oracle builds each block with
+    build(z[rows]).  Together, one core call at the builders' level count
+    (_build_levels) serves both, and the oracle takes only the coefficient
+    step (_coefficients) on the closed column's weights: on a grid of one
+    block that is build(z) bit for bit.  The oracle builds the states of one
+    algebra.
+    """
+    methods = (method,) if isinstance(method, str) else tuple(method)
+    if not methods or not set(methods) <= {"closed", "oracle"}:
+        raise DomainError(f"unknown method {method!r}")
+    if "oracle" in methods and not isinstance(params, AlgebraParams):
         raise DomainError("the oracle takes one algebra, not a stack")
     z = np.atleast_1d(z)
-    return [build(z[rows]) for rows in _row_blocks(len(z), MAX_AUTO_DIM)]
+    blocks = _row_blocks(len(z), MAX_AUTO_DIM)
+    out = {}
+    if "closed" not in methods:
+        out["oracle"] = oracle([build(z[rows]) for rows in blocks])
+    elif "oracle" not in methods:
+        out["closed"] = closed(*_fock_weights(params, np.abs(z), sector)[:2])
+    else:
+        levels = _build_levels(params, FIRST_DIM, sector)
+        n, p, log_norm = _fock_weights(params, np.abs(z), sector, levels)
+        out["closed"] = closed(n, p)
+        out["oracle"] = oracle([_coefficients(z[rows], n, p[rows], log_norm[rows], FIRST_DIM)
+                                for rows in blocks])
+    return out[method] if isinstance(method, str) else tuple(out[m] for m in methods)
 
 
-def _oracle_photon_stats(params, z, build, limit_q: float) -> PhotonStats:
+def _oracle_photon_stats(z, states: list[StateVector], limit_q: float) -> PhotonStats:
     """Mandel Q from the weights |c_n|^2 of the truncated states of the grid z."""
     blocks = [_photon_moments(np.arange(st.dim), np.abs(st.coeffs) ** 2, limit_q)[:3]
-              for st in _oracle_states(params, z, build)]
+              for st in states]
     return PhotonStats(*_as_given(z, *map(np.concatenate, zip(*blocks))), "vector_oracle")
 
 
-def mandel_q_cs_alpha(spec: CsAlphaSpec, method: str = "closed") -> PhotonStats:
+def mandel_q_cs_alpha(spec: CsAlphaSpec, method="closed"):
     """Mandel Q of |z; mu; alpha>.
 
     closed: moments of the Fock weights; oracle: truncated coefficient
-    vectors; spec.z may be an array, and spec.params a stack for closed.
-    Where <N> vanishes (z = 0 with mu = 0) the 0/0 ratio is replaced by the
-    analytic limit lambda - 1.
+    vectors; a tuple of both: one report each (_columns).  spec.z may be an
+    array, and spec.params a stack for closed.  Where <N> vanishes (z = 0
+    with mu = 0) the 0/0 ratio is replaced by the analytic limit lambda - 1.
     """
-    p, mu = spec.params, spec.mu
-    lam = _param_stack(p)[0].lam
-    if method == "oracle":
-        return _oracle_photon_stats(
-            p, spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), lam - 1.0)
-    if method != "closed":
-        raise DomainError(f"unknown method {method!r}")
-    n, weights, _ = _fock_weights(p, np.abs(spec.z), (mu, spec.alpha))
-    return _photon_stats(spec.z, n, weights, lam - 1.0)
+    limit_q = _param_stack(spec.params)[0].lam - 1.0
+    return _columns(
+        spec.params, spec.z, (spec.mu, spec.alpha), method,
+        lambda n, p: _photon_stats(spec.z, n, p, limit_q),
+        lambda states: _oracle_photon_stats(spec.z, states, limit_q),
+        lambda z: cs_alpha_state(replace(spec, z=z)),
+    )
 
 
-def mandel_q_eigenstate(params: AlgebraParams, z_abs, method: str = "closed") -> PhotonStats:
+def mandel_q_eigenstate(params: AlgebraParams, z_abs, method="closed"):
     """Mandel Q of the annihilation-operator eigenstate |z>; z_abs may be an
-    array, and params a stack for closed."""
-    if method == "oracle":
-        return _oracle_photon_stats(params, z_abs, lambda z: eigenstate(params, z), 0.0)
-    if method != "closed":
-        raise DomainError(f"unknown method {method!r}")
-    n, p, _ = _fock_weights(params, np.abs(z_abs))
-    return _photon_stats(z_abs, n, p, 0.0)
+    array, and params a stack for closed; method as for mandel_q_cs_alpha."""
+    return _columns(
+        params, z_abs, None, method,
+        lambda n, p: _photon_stats(z_abs, n, p, 0.0),
+        lambda states: _oracle_photon_stats(z_abs, states, 0.0),
+        lambda z: eigenstate(params, z),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -184,9 +215,10 @@ def _contractions(params: AlgebraParams, st: StateVector):
     }
 
 
-def _oracle_squeezing(params: AlgebraParams, z, build, vac: float, kind: str) -> SqueezeReport:
+def _oracle_squeezing(params: AlgebraParams, z, states: list[StateVector], vac: float,
+                      kind: str) -> SqueezeReport:
     """Quadrature variances from the truncated states of the grid z."""
-    blocks = [_contractions(params, st) for st in _oracle_states(params, z, build)]
+    blocks = [_contractions(params, st) for st in states]
     ex = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     if kind == "dressed":
         h0 = 0.5 * (ex["FN"] + ex["FN1"])
@@ -205,82 +237,86 @@ def _oracle_squeezing(params: AlgebraParams, z, build, vac: float, kind: str) ->
     return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, rhs, kind, "vector_oracle")
 
 
-def squeezing_cs_alpha(
-    spec: CsAlphaSpec, kind: str = "dressed", method: str = "closed"
-) -> SqueezeReport:
+def squeezing_cs_alpha(spec: CsAlphaSpec, kind: str = "dressed", method="closed"):
     """Quadrature variances of |z; mu; alpha> (dressed or real photons).
 
     The sector vacuum |mu> sets the dressed reference
     (lam/2)(bb_mu + bb_{mu+1}); the real-photon reference is 1/2.  There
     is no squeezing at lambda >= 3 (both off-diagonal moments vanish).
-    spec.z may be an array, and spec.params a stack for closed.
+    spec.z may be an array, and spec.params a stack for closed; method as
+    for mandel_q_cs_alpha.
     """
     p, mu, alpha = spec.params, spec.mu, spec.alpha
     lam = _param_stack(p)[0].lam
+    z = np.atleast_1d(spec.z)
 
     def bb(j):
         return _per_algebra(p, lambda a: a.beta_bar_at(j))
 
     vac = 0.5 * lam * (bb(mu) + bb(mu + 1)) if kind == "dressed" else 0.5
-    if method == "oracle":
-        return _oracle_squeezing(
-            p, spec.z, lambda z: cs_alpha_state(replace(spec, z=z)), vac, kind
-        )
-    if method != "closed":
-        raise DomainError(f"unknown method {method!r}")
-    z = np.atleast_1d(spec.z)
-    n, weights, _ = _fock_weights(p, np.abs(z), (mu, alpha))
-    mean_n = weights @ n
-    off = 0.0
-    if kind == "dressed":
-        if lam == 2:
-            # <J+ + J-> = Re z for the a^2 eigenstates; a - z adag (alpha = 1)
-            # gives Re z (<N> + 2 bb1)
-            off = z.real if alpha == 0 else z.real * (mean_n + 2.0 * bb(1))
-        h0 = mean_n + _per_algebra(p, lambda a: a.gamma(mu)) + 0.5
-        rhs = 0.25 * (lam * (bb(mu + 1) - bb(mu))) ** 2
-    else:
-        # real photons: <b> = 0 in a sector state; at lambda = 2 the b^2
-        # off-diagonal term survives, with <b^2> = z <sqrt-ratio> through the
-        # defining-equation coefficient recursion (a^2 - z for alpha = 0,
-        # a - z adag for alpha = 1)
-        if lam == 2:
-            f1 = structure_function(p, n + 1)
-            f2 = structure_function(p, n + 2)
-            num = (n + 1.0) * (n + 2.0)
-            off = (z * _expect(weights, np.sqrt(num * f1 / f2 if alpha else num / (f1 * f2)))).real
-        h0 = mean_n + 0.5
-        rhs = 0.25
-    var_x, var_p, vac, rhs = _as_given(spec.z, h0 + off, h0 - off, vac, rhs)
-    return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, rhs, kind, "closed_form")
+
+    def closed(n, weights):
+        mean_n = weights @ n
+        off = 0.0
+        if kind == "dressed":
+            if lam == 2:
+                # <J+ + J-> = Re z for the a^2 eigenstates; a - z adag (alpha = 1)
+                # gives Re z (<N> + 2 bb1)
+                off = z.real if alpha == 0 else z.real * (mean_n + 2.0 * bb(1))
+            h0 = mean_n + _per_algebra(p, lambda a: a.gamma(mu)) + 0.5
+            rhs = 0.25 * (lam * (bb(mu + 1) - bb(mu))) ** 2
+        else:
+            # real photons: <b> = 0 in a sector state; at lambda = 2 the b^2
+            # off-diagonal term survives, with <b^2> = z <sqrt-ratio> through the
+            # defining-equation coefficient recursion (a^2 - z for alpha = 0,
+            # a - z adag for alpha = 1)
+            if lam == 2:
+                f1 = structure_function(p, n + 1)
+                f2 = structure_function(p, n + 2)
+                num = (n + 1.0) * (n + 2.0)
+                ratio = np.sqrt(num * f1 / f2 if alpha else num / (f1 * f2))
+                off = (z * _expect(weights, ratio)).real
+            h0 = mean_n + 0.5
+            rhs = 0.25
+        var_x, var_p, v, rhs = _as_given(spec.z, h0 + off, h0 - off, vac, rhs)
+        return SqueezeReport(var_x, var_p, v, v, var_x * var_p, rhs, kind, "closed_form")
+
+    return _columns(
+        p, spec.z, (mu, alpha), method, closed,
+        lambda states: _oracle_squeezing(p, spec.z, states, vac, kind),
+        lambda zs: cs_alpha_state(replace(spec, z=zs)),
+    )
 
 
-def squeezing_eigenstate(
-    params: AlgebraParams, z: complex, kind: str = "dressed", method: str = "closed"
-) -> SqueezeReport:
+def squeezing_eigenstate(params: AlgebraParams, z: complex, kind: str = "dressed",
+                         method="closed"):
     """Quadrature variances of |z> (minimum-uncertainty for dressed photons);
-    z may be an array, and params a stack for closed."""
+    z may be an array, and params a stack for closed; method as for
+    mandel_q_cs_alpha."""
     lam = _param_stack(params)[0].lam
     vac = 0.5 * lam * _per_algebra(params, lambda a: a.beta_bar_at(1)) if kind == "dressed" else 0.5
-    if method == "oracle":
-        return _oracle_squeezing(params, z, lambda zs: eigenstate(params, zs), vac, kind)
-    if method != "closed":
-        raise DomainError(f"unknown method {method!r}")
     z_rows = np.atleast_1d(z).astype(complex)
-    n, p, _ = _fock_weights(params, np.abs(z_rows))
-    f1 = structure_function(params, n + 1)
-    if kind == "dressed":
-        # <[a, adag]> / 2 = <F(N+1) - F(N)> / 2 in both quadratures
-        var, vac = _as_given(z, 0.5 * _expect(p, f1 - structure_function(params, n)), vac)
-        return SqueezeReport(var, var, vac, vac, var * var, var * var, kind, "closed_form")
-    # real photons: E1 = <sqrt((N+1)/F(N+1))>, E2 = <sqrt((N+1)(N+2)/(F F))>
-    f2 = structure_function(params, n + 2)
-    e1 = _expect(p, np.sqrt((n + 1.0) / f1))
-    e2 = _expect(p, np.sqrt((n + 1.0) * (n + 2.0) / (f1 * f2)))
-    common = p @ n + 0.5 - np.abs(z_rows) ** 2 * e2
-    var_x, var_p = _as_given(
-        z,
-        common + 2.0 * z_rows.real**2 * (e2 - e1 * e1),
-        common + 2.0 * z_rows.imag**2 * (e2 - e1 * e1),
+
+    def closed(n, p):
+        f1 = structure_function(params, n + 1)
+        if kind == "dressed":
+            # <[a, adag]> / 2 = <F(N+1) - F(N)> / 2 in both quadratures
+            var, v = _as_given(z, 0.5 * _expect(p, f1 - structure_function(params, n)), vac)
+            return SqueezeReport(var, var, v, v, var * var, var * var, kind, "closed_form")
+        # real photons: E1 = <sqrt((N+1)/F(N+1))>, E2 = <sqrt((N+1)(N+2)/(F F))>
+        f2 = structure_function(params, n + 2)
+        e1 = _expect(p, np.sqrt((n + 1.0) / f1))
+        e2 = _expect(p, np.sqrt((n + 1.0) * (n + 2.0) / (f1 * f2)))
+        common = p @ n + 0.5 - np.abs(z_rows) ** 2 * e2
+        var_x, var_p = _as_given(
+            z,
+            common + 2.0 * z_rows.real**2 * (e2 - e1 * e1),
+            common + 2.0 * z_rows.imag**2 * (e2 - e1 * e1),
+        )
+        return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, 0.25, kind, "closed_form")
+
+    return _columns(
+        params, z, None, method, closed,
+        lambda states: _oracle_squeezing(params, z, states, vac, kind),
+        lambda zs: eigenstate(params, zs),
     )
-    return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, 0.25, kind, "closed_form")

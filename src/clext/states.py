@@ -23,15 +23,19 @@ every grid row of every algebra, doubles the count until each algebra's
 last weight at the largest |z| is below LAST_WEIGHT, cuts a first count
 that already holds the weights to the levels they reach, and centers each
 row on its peak level (_peak_normalized), so nothing overflows at large
-|z|.  The closed-form observables read its weights p_k; the builders
-(_build) take c = sqrt(p_k) e^(i k arg z) on the levels below dim, which
-makes the mass a truncation drops exact: tail_bound = 1 - sum(|c_n|^2).
-Builders double dim (up to 1024) until that bound is at most 1e-10 and
-raise TruncationTooSmall when it never is.
+|z|.  The closed-form observables read its weights p_k.  A build is two
+steps: the core call at the build's level count (_build_levels), then the
+coefficient step (_coefficients), c = sqrt(p_k) e^(i k arg z) on the levels
+below dim, which makes the mass a truncation drops exact: tail_bound =
+1 - sum(|c_n|^2).  It doubles dim (up to 1024) until that bound is at most
+1e-10 and raises TruncationTooSmall when it never is.  An observable asked
+for both its columns makes the core call once, and its oracle takes only
+the coefficient step, on the closed column's weights.
 
 The sector family's parameter lists (sector_lists) give its norm as a pFq,
 N^(alpha)_mu(y) = pFq(num; den; y), and the moment problem of its weight
-(measures.MomentProblem, measures.mellin_lists).
+(measures.MomentProblem, measures.mellin_lists).  The pFq forms of the norms
+and overlaps are test references (tests/closed_forms.py).
 
 Both builders take one z or an array of them.  An array is built in one pass:
 the level weights are shared, each row has its own norm, and all rows share
@@ -48,9 +52,9 @@ import numpy as np
 
 from .algebra import AlgebraParams, structure_function
 from .errors import DomainError, NoConvergence, SectorError, ShapeError, TruncationTooSmall
-from .specfun import pfq
 
 TAIL_THRESHOLD = 1e-10
+FIRST_DIM = 64  # the dim a build starts at unless its caller asks for another
 MAX_AUTO_DIM = 1024
 LAST_WEIGHT = 1e-17
 _LOG_LAST_WEIGHT = math.log(LAST_WEIGHT)
@@ -153,12 +157,6 @@ def sector_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[list[float
     den = [bb(j) + 1.0 for j in range(1, mu + 1)]
     den += [bb(j) for j in range(mu + alpha + 1, params.lam)]
     return num, den
-
-
-def norm_series_cs_alpha(params: AlgebraParams, mu: int, alpha: int, y: float):
-    """N^(alpha)_mu as a pFq value at argument y."""
-    num, den = sector_lists(params, mu, alpha)
-    return pfq(num, den, y)
 
 
 def _log_ratios(params: AlgebraParams, n: np.ndarray, alpha: int, width: int) -> np.ndarray:
@@ -315,28 +313,30 @@ def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None =
     return mu + width * np.arange(count), p, log_norm
 
 
-def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = None
-           ) -> StateVector:
-    """Normalized state with c = sqrt(p_k) e^{i k arg z} on the levels n_k < dim
-    of _fock_weights, whose level count starts at the state's own or at
-    FIRST_LEVELS, whichever is more; one row
-    per entry of an array z.  The coefficients stay finite where N
-    overflows (norm_sq_analytic = exp(log N) is inf only there).
-    """
+def _build_levels(params: AlgebraParams, dim: int, sector: tuple[int, int] | None = None
+                  ) -> int:
+    """The core's level count for a build that starts at dim: the state's own,
+    but no fewer than FIRST_LEVELS, so the core keeps its whole count, the
+    levels a doubled dim reads.  TruncationTooSmall below dim = lambda."""
     if dim < params.lam:
         raise TruncationTooSmall(f"need dim >= lambda = {params.lam}")
-    z_rows = np.atleast_1d(z)
     mu, width = (0, 1) if sector is None else (sector[0], params.lam)
-    # the state's own level count, but no fewer than the core's first: the
-    # core then keeps its whole count, the levels a doubled dim reads
-    levels = max((dim - 1 - mu) // width + 1, FIRST_LEVELS)
-    n, p, log_norm = _fock_weights(params, np.abs(z_rows), sector, levels)
-    phase = np.angle(z_rows)[:, None]
-    # dim doubles up to MAX_AUTO_DIM until every row's exact tail bound
-    # 1 - sum|c|^2 is at most TAIL_THRESHOLD
+    return max((dim - 1 - mu) // width + 1, FIRST_LEVELS)
+
+
+def _coefficients(z: np.ndarray, n: np.ndarray, p: np.ndarray, log_norm: np.ndarray,
+                  dim: int) -> StateVector:
+    """Normalized states c = sqrt(p_k) e^{i k arg z} on the levels n_k < dim
+    of the core's weights (n, p, log_norm) at _build_levels(dim), one row per
+    entry of the array z.  dim doubles up to MAX_AUTO_DIM until every row's
+    exact tail bound 1 - sum|c|^2 is at most TAIL_THRESHOLD.  The coefficients
+    stay finite where N overflows (norm_sq_analytic = exp(log N) is inf only
+    there).
+    """
+    phase = np.angle(z)[:, None]
     while True:
         k = np.arange(np.searchsorted(n, dim))
-        coeffs = np.zeros((len(z_rows), dim), dtype=complex)
+        coeffs = np.zeros((len(z), dim), dtype=complex)
         coeffs[:, n[k]] = np.sqrt(p[:, k]) * np.exp(1j * k * phase)
         # np.vdot row by row: each sum has the digits of the row's scalar build
         tail = np.maximum(0.0, 1.0 - np.array([np.vdot(c, c).real for c in coeffs]))
@@ -345,18 +345,29 @@ def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = 
         if dim >= MAX_AUTO_DIM:
             i = int(np.argmax(tail > TAIL_THRESHOLD))
             raise TruncationTooSmall(
-                f"tail bound {tail[i]:.3e} above {TAIL_THRESHOLD} at |z| = {abs(z_rows[i]):g}, "
+                f"tail bound {tail[i]:.3e} above {TAIL_THRESHOLD} at |z| = {abs(z[i]):g}, "
                 f"dim = {dim}"
             )
         dim = min(2 * dim, MAX_AUTO_DIM)
     with np.errstate(over="ignore"):
         norm = np.exp(log_norm)
-    if np.ndim(z) == 0:
-        return StateVector(dim, coeffs[0], float(norm[0]), float(tail[0]))
     return StateVector(dim, coeffs, norm, tail)
 
 
-def cs_alpha_state(spec: CsAlphaSpec, dim: int = 64) -> StateVector:
+def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = None
+           ) -> StateVector:
+    """The state of z, one row per entry of an array z: the core's weights at
+    the build's level count (_build_levels), then their coefficients."""
+    z_rows = np.atleast_1d(z)
+    core = _fock_weights(params, np.abs(z_rows), sector, _build_levels(params, dim, sector))
+    st = _coefficients(z_rows, *core, dim)
+    if np.ndim(z) == 0:
+        return StateVector(st.dim, st.coeffs[0], float(st.norm_sq_analytic[0]),
+                           float(st.tail_bound[0]))
+    return st
+
+
+def cs_alpha_state(spec: CsAlphaSpec, dim: int = FIRST_DIM) -> StateVector:
     """Coefficient vector of |z; mu; alpha> on |0>..|dim-1>, one row per entry
     of an array spec.z.
 
@@ -366,85 +377,8 @@ def cs_alpha_state(spec: CsAlphaSpec, dim: int = 64) -> StateVector:
     return _build(spec.params, spec.z, dim, (spec.mu, spec.alpha))
 
 
-def eigenstate_norm_components(params: AlgebraParams, t: float) -> list[float]:
-    """N^(0)_mu(|omega|) for mu = 0..lambda-1, as functions of t = |z|^2/lambda."""
-    lam = params.lam
-    out = []
-    for mu in range(lam):
-        num, den = sector_lists(params, mu, 0)
-        out.append(pfq(num, den, t**lam).value.real)
-    return out
-
-
-def eigenstate_norm(params: AlgebraParams, t: float) -> float:
-    """Normalization N(|z|) = sum_mu N^(0)_mu(t^lam) t^mu / prod beta_bar."""
-    lam = params.lam
-    comps = eigenstate_norm_components(params, t)
-    total = 0.0
-    pref = 1.0
-    for mu in range(lam):
-        if mu > 0:
-            pref *= t / params.beta_bar_at(mu)
-        total += comps[mu] * pref
-    return total
-
-
-def eigenstate(params: AlgebraParams, z, dim: int = 64) -> StateVector:
+def eigenstate(params: AlgebraParams, z, dim: int = FIRST_DIM) -> StateVector:
     """Eigenstate a|z> = z|z> as a normalized coefficient vector, one row per
     entry of an array z: w_n = exp(-L(n)) on every level n."""
     _check_finite(z)
     return _build(params, z, dim)
-
-
-def component_zmu(params: AlgebraParams, z: complex, mu: int, dim: int = 64) -> StateVector:
-    """Sector component |z_mu> = P_mu |z> (not renormalized).
-
-    The components sum to the eigenstate and are mutually orthogonal;
-    their squared norms are N^(0)_mu(t^lam) t^mu / (prod beta_bar * N).
-    """
-    lam = params.lam
-    if not 0 <= mu < lam:
-        raise SectorError(f"mu must lie in [0, {lam})")
-    full = eigenstate(params, z, dim)
-    coeffs = np.array(full.coeffs)
-    coeffs[np.arange(full.dim) % lam != mu] = 0.0
-    t = abs(z) ** 2 / lam
-    comp = eigenstate_norm_components(params, t)[mu]
-    pref = t**mu
-    for nu in range(1, mu + 1):
-        pref /= params.beta_bar_at(nu)
-    norm_sq = comp * pref / full.norm_sq_analytic
-    return StateVector(full.dim, coeffs, norm_sq, full.tail_bound, False)
-
-
-def overlap_cs_alpha(s1: CsAlphaSpec, s2: CsAlphaSpec) -> complex:
-    """<s1|s2> from the closed hypergeometric form."""
-    if s1.params is not s2.params and s1.params != s2.params:
-        raise DomainError("overlap requires identical algebra parameters")
-    if s1.mu != s2.mu:
-        return 0.0
-    params = s1.params
-    lam = params.lam
-    mu = s1.mu
-    num = sector_lists(params, mu, min(s1.alpha, s2.alpha))[0]
-    den = sector_lists(params, mu, max(s1.alpha, s2.alpha))[1]
-    w = s1.z.conjugate() * s2.z / lam ** (lam - s1.alpha - s2.alpha)
-    n1 = norm_series_cs_alpha(params, mu, s1.alpha, s1.y).value.real
-    n2 = norm_series_cs_alpha(params, mu, s2.alpha, s2.y).value.real
-    return complex(pfq(num, den, w).value) / math.sqrt(n1 * n2)
-
-
-def overlap_eigenstate(params: AlgebraParams, z1: complex, z2: complex) -> complex:
-    """<z1|z2> from the closed form (complex pFq argument)."""
-    lam = params.lam
-    w = z1.conjugate() * z2 / lam
-    total = 0.0 + 0.0j
-    pref = 1.0 + 0.0j
-    for mu in range(lam):
-        if mu > 0:
-            pref *= w / params.beta_bar_at(mu)
-        num, den = sector_lists(params, mu, 0)
-        total += complex(pfq(num, den, w**lam).value) * pref
-    n1 = eigenstate_norm(params, abs(z1) ** 2 / lam)
-    n2 = eigenstate_norm(params, abs(z2) ** 2 / lam)
-    return total / math.sqrt(n1 * n2)

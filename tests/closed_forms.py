@@ -3,7 +3,10 @@
 * the modified Bessel I_nu of real order, behind the lambda = 2 (paraboson)
   eigenstate norm and Mandel Q;
 * the explicit Mandel Q branches of the sector states (mu = 0, mu = 1,
-  mu >= 2), written with ratios Phi of parameter-shifted normalization series.
+  mu >= 2), written with ratios Phi of parameter-shifted normalization series;
+* the pFq forms of the state norms and overlaps, N^(alpha)_mu(y) =
+  pFq(num; den; y) over the lists states.sector_lists gives, and the sector
+  components |z_mu> = P_mu |z> of the eigenstate.
 
 The library computes these quantities from its Fock weights; these forms
 are independent derivations that the tests compare against.
@@ -13,8 +16,11 @@ from __future__ import annotations
 
 import math
 
-from clext.errors import DomainError, NoConvergence
+import numpy as np
+
+from clext.errors import DomainError, NoConvergence, SectorError
 from clext.specfun import SeriesValue, pfq
+from clext.states import CsAlphaSpec, StateVector, eigenstate, sector_lists
 
 _EPS = 2.220446049250313e-16
 
@@ -172,3 +178,83 @@ def mandel_q_branch_form(spec) -> float:
         + lam * bb(mu - 1) * bb(mu) * phi_m2
     )
     return num / den
+
+
+# --------------------------------------------------------------------------
+# pFq forms of the state norms and overlaps
+# --------------------------------------------------------------------------
+
+def norm_series_cs_alpha(params, mu: int, alpha: int, y: float) -> SeriesValue:
+    """N^(alpha)_mu as a pFq value at argument y."""
+    num, den = sector_lists(params, mu, alpha)
+    return pfq(num, den, y)
+
+
+def eigenstate_norm_components(params, t: float) -> list[float]:
+    """N^(0)_mu(|omega|) for mu = 0..lambda-1, as functions of t = |z|^2/lambda."""
+    return [norm_series_cs_alpha(params, mu, 0, t**params.lam).value.real
+            for mu in range(params.lam)]
+
+
+def eigenstate_norm(params, t: float) -> float:
+    """Normalization N(|z|) = sum_mu N^(0)_mu(t^lam) t^mu / prod beta_bar."""
+    total = 0.0
+    pref = 1.0
+    for mu, comp in enumerate(eigenstate_norm_components(params, t)):
+        if mu > 0:
+            pref *= t / params.beta_bar_at(mu)
+        total += comp * pref
+    return total
+
+
+def component_zmu(params, z: complex, mu: int, dim: int = 64) -> StateVector:
+    """Sector component |z_mu> = P_mu |z> (not renormalized).
+
+    The components sum to the eigenstate and are mutually orthogonal;
+    their squared norms are N^(0)_mu(t^lam) t^mu / (prod beta_bar * N).
+    """
+    lam = params.lam
+    if not 0 <= mu < lam:
+        raise SectorError(f"mu must lie in [0, {lam})")
+    full = eigenstate(params, z, dim)
+    coeffs = np.array(full.coeffs)
+    coeffs[np.arange(full.dim) % lam != mu] = 0.0
+    t = abs(z) ** 2 / lam
+    pref = t**mu
+    for nu in range(1, mu + 1):
+        pref /= params.beta_bar_at(nu)
+    norm_sq = eigenstate_norm_components(params, t)[mu] * pref / full.norm_sq_analytic
+    return StateVector(full.dim, coeffs, norm_sq, full.tail_bound, False)
+
+
+def overlap_cs_alpha(s1: CsAlphaSpec, s2: CsAlphaSpec) -> complex:
+    """<s1|s2> from the closed hypergeometric form."""
+    if s1.params is not s2.params and s1.params != s2.params:
+        raise DomainError("overlap requires identical algebra parameters")
+    if s1.mu != s2.mu:
+        return 0.0
+    params = s1.params
+    lam = params.lam
+    mu = s1.mu
+    num = sector_lists(params, mu, min(s1.alpha, s2.alpha))[0]
+    den = sector_lists(params, mu, max(s1.alpha, s2.alpha))[1]
+    w = s1.z.conjugate() * s2.z / lam ** (lam - s1.alpha - s2.alpha)
+    n1 = norm_series_cs_alpha(params, mu, s1.alpha, s1.y).value.real
+    n2 = norm_series_cs_alpha(params, mu, s2.alpha, s2.y).value.real
+    return complex(pfq(num, den, w).value) / math.sqrt(n1 * n2)
+
+
+def overlap_eigenstate(params, z1: complex, z2: complex) -> complex:
+    """<z1|z2> from the closed form (complex pFq argument)."""
+    lam = params.lam
+    w = z1.conjugate() * z2 / lam
+    total = 0.0 + 0.0j
+    pref = 1.0 + 0.0j
+    for mu in range(lam):
+        if mu > 0:
+            pref *= w / params.beta_bar_at(mu)
+        num, den = sector_lists(params, mu, 0)
+        total += complex(pfq(num, den, w**lam).value) * pref
+    n1 = eigenstate_norm(params, abs(z1) ** 2 / lam)
+    n2 = eigenstate_norm(params, abs(z2) ** 2 / lam)
+    return total / math.sqrt(n1 * n2)

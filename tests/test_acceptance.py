@@ -40,15 +40,8 @@ from clext.observables import (
     mandel_q_eigenstate,
     squeezing_eigenstate,
 )
-from clext.states import (
-    CsAlphaSpec,
-    StateVector,
-    cs_alpha_state,
-    eigenstate,
-    eigenstate_norm,
-    norm_series_cs_alpha,
-)
-from closed_forms import bessel_i
+from clext.states import CsAlphaSpec, StateVector, cs_alpha_state, eigenstate
+from closed_forms import bessel_i, eigenstate_norm, norm_series_cs_alpha
 from conftest import dense, hausdorff_closed_form, meijer_weight, random_valid_params
 
 

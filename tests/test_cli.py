@@ -461,20 +461,24 @@ def test_untruncatable_grid_row_is_a_one_line_error():
         assert err == f"error: {message}\n"
 
 
+GRID_COMMANDS = [
+    ["mandel", "--family", "eigen", "--grid", "0.05:3:40"],
+    ["mandel", "--family", "sector", "--cs-alpha", "1", "--grid", "0.05:3:40"],
+    ["squeeze", "--family", "eigen", "--kind", "real", "--direction", "im", "--grid", "0.05:3:40"],
+    ["squeeze", "--family", "sector", "--grid", "0.05:3:40"],
+    ["verify", "observables"],
+]
+
+
 @pytest.mark.parametrize(
     "argv, builds",
-    [
-        (["mandel", "--family", "eigen", "--grid", "0.05:3:40"], {"eigenstate": 1}),
-        (["mandel", "--family", "sector", "--cs-alpha", "1", "--grid", "0.05:3:40"],
-         {"cs_alpha_state": 1}),
-        (["squeeze", "--family", "eigen", "--kind", "real", "--direction", "im", "--grid",
-          "0.05:3:40"], {"eigenstate": 1}),
-        (["squeeze", "--family", "sector", "--grid", "0.05:3:40"], {"cs_alpha_state": 1}),
-        (["verify", "observables"], {"eigenstate": 1, "cs_alpha_state": 1}),
-    ],
+    zip(GRID_COMMANDS, [{"eigenstate": 1}, {"cs_alpha_state": 1}, {"eigenstate": 1},
+                        {"cs_alpha_state": 1}, {"eigenstate": 1, "cs_alpha_state": 1}]),
 )
 def test_oracle_builds_each_grid_once(monkeypatch, argv, builds):
-    # the oracle column is one state build per grid (per family in verify), not one per point
+    # the oracle column is one state build per grid (per family in verify), not
+    # one per point: the builders' coefficient step on the closed column's
+    # weights, so neither public builder runs
     import clext.observables as obs
 
     calls = {"eigenstate": 0, "cs_alpha_state": 0}
@@ -486,9 +490,39 @@ def test_oracle_builds_each_grid_once(monkeypatch, argv, builds):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(obs, name, counted)
+    steps = {"eigenstate": 0, "cs_alpha_state": 0}
+    original_step = obs._coefficients
+
+    def counted_step(z, n, *rest):
+        # the eigenstate has every level, a sector state every lambda-th
+        steps["eigenstate" if n[1] - n[0] == 1 else "cs_alpha_state"] += 1
+        return original_step(z, n, *rest)
+
+    monkeypatch.setattr(obs, "_coefficients", counted_step)
     code, out, _ = run_cli([*argv, "--lambda", "3", "--alpha", "3,-3,0"])
     assert code == 0
-    assert calls == {"eigenstate": 0, "cs_alpha_state": 0, **builds}
+    assert calls == {"eigenstate": 0, "cs_alpha_state": 0}
+    assert steps == {"eigenstate": 0, "cs_alpha_state": 0, **builds}
+
+
+@pytest.mark.parametrize("argv, grids", zip(GRID_COMMANDS, [[40]] * 4 + [[5, 2]]))
+def test_one_core_call_per_grid(monkeypatch, argv, grids):
+    # both columns of a grid read one Fock-weight core call
+    import clext.observables as obs
+    import clext.states as states
+
+    sizes = []
+    original = states._fock_weights
+
+    def counted(params, z_abs, *args):
+        sizes.append(np.size(z_abs))
+        return original(params, z_abs, *args)
+
+    monkeypatch.setattr(states, "_fock_weights", counted)
+    monkeypatch.setattr(obs, "_fock_weights", counted)
+    code, out, _ = run_cli([*argv, "--lambda", "3", "--alpha", "3,-3,0"])
+    assert code == 0
+    assert sizes == grids
 
 
 def test_csv_rows_print_what_the_format_spec_prints():

@@ -1,4 +1,4 @@
-"""Ratchet on src/ code that only tests call.
+"""Ratchets on src/ code that only tests call, and on what the light modules import.
 
 A public module-level function of src/clext is used when clext.__all__
 names it, when bench/ or a module-level statement of src/clext other than
@@ -7,10 +7,16 @@ function does.  The public functions that are not used are the ones only
 tests reach; they are listed in TEST_ONLY, and the list may only shrink: a
 new function that only tests call fails the test, and so does a listed
 name that gained a caller or was deleted, until it leaves the list.
+
+The state builders and the algebra import no special functions: neither
+they nor any clext module they import, directly or through another,
+imports specfun, so a command that needs only them stays cheap to load.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import clext
 
@@ -29,14 +35,6 @@ TEST_ONLY = {
     },
     "measures": {"carleman_test", "hankel_hadamard"},
     "specfun": {"is_nonpositive_integer", "pfq"},
-    "states": {
-        "component_zmu",
-        "eigenstate_norm",
-        "eigenstate_norm_components",
-        "norm_series_cs_alpha",
-        "overlap_cs_alpha",
-        "overlap_eigenstate",
-    },
 }
 
 
@@ -90,3 +88,27 @@ def test_the_test_only_list_only_shrinks():
     found = _test_only()
     stale = {m: sorted(names - found.get(m, set())) for m, names in TEST_ONLY.items()}
     assert not any(stale.values()), f"no longer test-only, drop from TEST_ONLY: {stale}"
+
+
+def _clext_imports(stem: str) -> set[str]:
+    """The clext modules that src/clext/<stem>.py imports by its own statements."""
+    out = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "clext" / f"{stem}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("clext."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("clext."))
+    return out & {path.stem for path in (ROOT / "src" / "clext").glob("*.py")}
+
+
+@pytest.mark.parametrize("module", ["states", "algebra"])
+def test_light_module_does_not_import_specfun(module):
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_clext_imports(name))
+    assert "specfun" not in seen, f"clext.{module} imports specfun through {sorted(seen)}"

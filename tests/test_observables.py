@@ -313,6 +313,69 @@ class TestOracleGrid:
         assert rows == [64, 64, 2] and q.shape == (130,)
 
 
+# one algebra per lambda (the benchmark's bases) and one sector family below the unit disc
+COLUMN_BETA_BAR = {2: (1.0,), 3: (4 / 3, 2 / 3), 4: (1.5, 1.0, 0.75)}
+COLUMN_FAMILIES = {2: (0, 0), 3: (0, 1), 4: (1, 1)}
+PHOTON_FIELDS = ("mean_N", "mean_N2", "mandel_Q")
+SQUEEZE_FIELDS = ("variance_x", "variance_p", "uncertainty_rhs")
+
+
+class TestBothColumns:
+    """("closed", "oracle") is one core call: its oracle is the oracle alone
+    bit for bit, and its closed column reads the builders' uncut level count,
+    within 1e-14 of the closed column alone."""
+
+    @staticmethod
+    def _runs(params, family, z):
+        spec = CsAlphaSpec(params, *family, z)
+        runs = {
+            "Q eigen": (lambda m: mandel_q_eigenstate(params, np.abs(z), m), PHOTON_FIELDS),
+            "Q sector": (lambda m: mandel_q_cs_alpha(spec, m), PHOTON_FIELDS),
+        }
+        for kind in ("dressed", "real"):
+            runs[f"X eigen {kind}"] = (
+                lambda m, kind=kind: squeezing_eigenstate(params, z, kind, m), SQUEEZE_FIELDS)
+            runs[f"X sector {kind}"] = (
+                lambda m, kind=kind: squeezing_cs_alpha(spec, kind, m), SQUEEZE_FIELDS)
+        return runs
+
+    def _check(self, params, family, z):
+        for name, (run, fields) in self._runs(params, family, z).items():
+            closed, oracle = run(("closed", "oracle"))
+            closed_alone, oracle_alone = run("closed"), run("oracle")
+            assert (closed.source, oracle.source) == (closed_alone.source, oracle_alone.source)
+            for field in fields:
+                got, want = getattr(oracle, field), getattr(oracle_alone, field)
+                assert np.array_equal(got, want), (name, field)
+                got, want = getattr(closed, field), getattr(closed_alone, field)
+                assert got == pytest.approx(want, rel=1e-14, abs=0), (name, field)
+
+    @pytest.mark.parametrize("direction", [1.0, 1j])
+    @pytest.mark.parametrize("lam", [2, 3, 4])
+    def test_columns_are_the_single_column_calls(self, lam, direction):
+        params = params_from_beta_bar(lam, COLUMN_BETA_BAR[lam])
+        self._check(params, COLUMN_FAMILIES[lam], np.linspace(0.05, 3.0, 40) * direction)
+
+    def test_columns_where_the_level_count_doubles(self, fig1_params):
+        import clext.states as states
+
+        zs = np.linspace(0.5, 14.0, 12) * np.exp(0.3j)
+        for sector in (None, (0, 1)):
+            levels = states._build_levels(fig1_params, states.FIRST_DIM, sector)
+            n = states._fock_weights(fig1_params, np.abs(zs), sector, levels)[0]
+            assert len(n) > levels == states.FIRST_LEVELS
+        self._check(fig1_params, (0, 1), zs)
+        self._check(fig1_params, (0, 1), complex(zs[-1]))
+
+    def test_unknown_method_in_a_tuple(self, fig1_params):
+        from clext.errors import DomainError
+
+        with pytest.raises(DomainError, match="unknown method"):
+            mandel_q_eigenstate(fig1_params, 0.5, ("closed", "exact"))
+        with pytest.raises(DomainError, match="unknown method"):
+            squeezing_eigenstate(fig1_params, 0.5, "dressed", ())
+
+
 class TestRowBlocks:
     """_fock_weights builds its rows in blocks of at most WORK_ELEMENTS values."""
 

@@ -12,17 +12,19 @@ from clext.states import (
     FIRST_LEVELS,
     TAIL_THRESHOLD,
     CsAlphaSpec,
-    component_zmu,
     cs_alpha_state,
     eigenstate,
     _fock_weights,
-    eigenstate_norm,
     log_weights,
+)
+from closed_forms import (
+    bessel_i,
+    component_zmu,
+    eigenstate_norm,
     norm_series_cs_alpha,
     overlap_cs_alpha,
     overlap_eigenstate,
 )
-from closed_forms import bessel_i
 from conftest import dense, random_valid_params
 from fock_sums import FockSums
 
