@@ -18,14 +18,12 @@ from .algebra import (
     validate_params,
 )
 from .errors import ClextError
-from .specfun import SeriesValue
 
 __all__ = [
     "AlgebraParams",
     "FockIndex",
     "TruncatedOperator",
     "ClextError",
-    "SeriesValue",
     "build_operator",
     "energy_eigenvalue",
     "params_from_beta_bar",

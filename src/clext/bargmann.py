@@ -6,11 +6,14 @@ columns), and every generator becomes a product of first-order atoms
 {multiply by z, d/dz, z d/dz + c, d/dz + c/z} applied right to left.
 Atom application is exact on coefficients, so commutation and
 intertwining identities hold to rounding; Hermiticity with respect to
-the weighted inner products is checked by quadrature moments.
+the weighted inner products is checked by quadrature moments: one Gram
+product per stack of polynomials (inner_product) over a table of radial
+moments, the same code in all three bases.
 
 Atoms act on the last axis of a coefficient array and any leading axes
 hold a stack of polynomials, so one realization call maps a whole stack:
-the commutator checks apply each generator once to all monomials z^0..z^k_max.
+the commutator and Hermiticity checks apply each generator once to all
+their sample monomials.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 
 from .algebra import AlgebraParams, build_operator
 from .errors import NonPolynomialResult, SectorError, UnsupportedOp
-from .measures import EigenstateMeasures, WeightFunction
 from .states import StateVector, log_weights, sector_lists
 
 
@@ -46,17 +48,6 @@ class PolyFunction:
         if self.mu is not None:
             raise SectorError("sector polynomial has no components")
         return self.coeffs[..., mu, :]
-
-
-def sector_poly(coeffs, mu: int) -> PolyFunction:
-    return PolyFunction(np.asarray(coeffs, dtype=complex), mu)
-
-
-def vector_poly(coeffs) -> PolyFunction:
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 2:
-        raise SectorError("vector polynomial needs a (lambda, deg+1) array")
-    return PolyFunction(c, None)
 
 
 def _widen(c: np.ndarray, width: int, shift: int = 0) -> np.ndarray:
@@ -217,14 +208,7 @@ def apply_realization(
     raise UnsupportedOp(f"unknown basis {basis!r}")
 
 
-# ---- basis functions and transforms ----------------------------------------
-
-def basis_function(params: AlgebraParams, mu: int, alpha: int, k: int) -> PolyFunction:
-    """Orthonormal basis monomial phi_{mu,k}(z) = |c_k / z^k| z^k of |z; mu; alpha>."""
-    coeffs = np.zeros(k + 1, dtype=complex)
-    coeffs[k] = math.exp(0.5 * sum(log_weights(params, k, (mu, alpha)))[k])
-    return PolyFunction(coeffs, mu)
-
+# ---- transforms ------------------------------------------------------------
 
 def bargmann_transform(
     params: AlgebraParams,
@@ -260,59 +244,48 @@ def bargmann_transform(
 
 # ---- inner products and Hermiticity ----------------------------------------
 
-def bargmann_inner_product(
-    weight: WeightFunction, f: PolyFunction, g: PolyFunction
-) -> complex:
-    """<f, g> = int d2z h(y) conj(f) g over the sector space.
+def _moment_table(basis: str, measure, width: int) -> np.ndarray:
+    """<z^k, z^k> = pi scale^(k+1) M(k), k < width, of each component, shape
+    (components, width), from one array-k moment call per component.
 
-    Monomial phases integrate to Kronecker deltas, leaving radial
-    moments: <z^j, z^k> = delta_jk pi lam^((lam-2alpha)(k+1)) M_k.
+    sector: measure is the family's WeightFunction, scale = lam^(lam - 2 alpha);
+    vector_alpha0: the lam alpha = 0 weights (EigenstateMeasures.weights),
+    scale = lam^lam; eigenstate: the EigenstateMeasures, M = h_mu moments in
+    t = |z|^2 / lam, scale = lam, filled at k = mu (mod lam), k >= mu only.  At
+    any other k every coefficient of component mu vanishes, and the order
+    (k - mu) / lam of the h_mu moment is negative, where it can diverge.
     """
-    prob = weight.problem
-    lam = prob.params.lam
-    scale = lam ** (lam - 2 * prob.alpha)
-    n = min(f.coeffs.shape[-1], g.coeffs.shape[-1])
-    total = 0.0 + 0.0j
-    for k in range(n):
-        fk = f.coeffs[k]
-        gk = g.coeffs[k]
-        if fk == 0 or gk == 0:
-            continue
-        m_k, _ = weight.moment(float(k))
-        total += np.conj(fk) * gk * math.pi * scale ** (k + 1) * m_k
-    return complex(total)
+    k = np.arange(width)
+    if basis == "eigenstate":
+        lam = measure.params.lam
+        table = np.zeros((lam, width))
+        for mu in range(min(lam, width)):
+            n = k[mu::lam]
+            table[mu, n] = math.pi * float(lam) ** (n + 1) * measure.h_moment(mu, n)
+        return table
+    if basis not in ("sector", "vector_alpha0"):
+        raise UnsupportedOp(f"unknown basis {basis!r}")
+    rows = []
+    for weight in [measure] if basis == "sector" else measure:
+        scale = float(weight.problem.params.lam) ** weight.problem.r
+        rows.append(math.pi * scale ** (k + 1) * weight.moment(k.astype(float))[0])
+    return np.array(rows)
 
 
-def vector_inner_product(
-    weights: list[WeightFunction], f: PolyFunction, g: PolyFunction
-) -> complex:
-    total = 0.0 + 0.0j
-    lam = len(weights)
-    for m in range(lam):
-        total += bargmann_inner_product(
-            weights[m],
-            PolyFunction(f.component(m), m),
-            PolyFunction(g.component(m), m),
-        )
-    return total
+def inner_product(basis: str, measure, f: PolyFunction, g: PolyFunction) -> np.ndarray:
+    """Gram matrix <f_i, g_j> = sum_mu int d2z h_mu conj(f_i,mu) g_j,mu of the
+    stacks f and g in one product, of shape f's stack axes + g's (0-d for two
+    polynomials); measure as for the basis's _moment_table.
 
-
-def eigenstate_inner_product(
-    measures: EigenstateMeasures, f: PolyFunction, g: PolyFunction
-) -> complex:
-    """<f, g> = sum_mu int d2z h_mu(t) conj(f_mu) g_mu, t = |z|^2/lam."""
-    lam = measures.params.lam
-    total = 0.0 + 0.0j
-    for m in range(lam):
-        fc = f.component(m)
-        gc = g.component(m)
-        n = min(len(fc), len(gc))
-        for k in range(n):
-            if fc[k] == 0 or gc[k] == 0:
-                continue
-            mom = measures.h_moment(m, float(k))
-            total += np.conj(fc[k]) * gc[k] * math.pi * lam ** (k + 1) * mom
-    return complex(total)
+    Monomial phases integrate to Kronecker deltas, leaving the radial
+    moments <z^k, z^k> of each component.
+    """
+    fc, gc = f.coeffs, g.coeffs
+    if basis == "sector":
+        fc, gc = fc[..., None, :], gc[..., None, :]
+    w = min(fc.shape[-1], gc.shape[-1])
+    weighted = np.conj(fc[..., :w]) * _moment_table(basis, measure, w)
+    return np.tensordot(weighted, gc[..., :w], axes=([-2, -1], [-2, -1]))
 
 
 @dataclass(frozen=True)
@@ -326,68 +299,57 @@ class HermiticityRow:
         return abs(self.lhs - self.rhs)
 
 
+# each basis's adjoint pairs (name, A, B): <A f, g> = <f, B g>
+_ADJOINT_PAIRS = {
+    "sector": (("J+/J-", "Jplus", "Jminus"), ("J0/J0", "J0", "J0")),
+    "vector_alpha0": (("adag/a", "adag", "a"),),
+    "eigenstate": (("adag/a", "adag", "a"),),
+}
+
+
+def _unit_columns(lam: int, basis: str, k_max: int):
+    """Component m and degree k of the lam (k_max + 1) unit columns, component
+    major, and the columns as one stack: z^k in component m (vector_alpha0),
+    z^(k lam + m) (eigenstate), zero-extended to one width."""
+    m, k = np.divmod(np.arange(lam * (k_max + 1)), k_max + 1)
+    n = k * lam + m if basis == "eigenstate" else k
+    f = np.zeros((len(m), lam, n.max() + 1), dtype=complex)
+    f[np.arange(len(m)), m, n] = 1.0
+    return m, k, f
+
+
 def check_hermiticity(
     params: AlgebraParams,
-    mu: int,
-    alpha: int,
-    weight: WeightFunction,
-    sample_polys: list[PolyFunction] | None = None,
-) -> list[HermiticityRow]:
-    """<J+ f, g> = <f, J- g> and <J0 f, g> = <f, J0 g> by moment quadrature."""
-    if sample_polys is None:
-        sample_polys = [
-            PolyFunction(np.eye(1, d + 1, d, dtype=complex)[0], mu) for d in range(3)
-        ]
-    rows = []
-    for f in sample_polys:
-        for g in sample_polys:
-            jp_f = apply_realization(params, "sector", "Jplus", f, alpha=alpha)
-            jm_g = apply_realization(params, "sector", "Jminus", g, alpha=alpha)
-            rows.append(
-                HermiticityRow(
-                    "J+/J-",
-                    bargmann_inner_product(weight, jp_f, g),
-                    bargmann_inner_product(weight, f, jm_g),
-                )
-            )
-            j0_f = apply_realization(params, "sector", "J0", f, alpha=alpha)
-            j0_g = apply_realization(params, "sector", "J0", g, alpha=alpha)
-            rows.append(
-                HermiticityRow(
-                    "J0/J0",
-                    bargmann_inner_product(weight, j0_f, g),
-                    bargmann_inner_product(weight, f, j0_g),
-                )
-            )
-    return rows
-
-
-def check_hermiticity_vector(
-    params: AlgebraParams,
-    weights: list[WeightFunction],
+    basis: str,
+    measure,
+    mu: int = 0,
+    alpha: int = 0,
     degree: int = 2,
 ) -> list[HermiticityRow]:
-    """<adag f, g> = <f, a g> on the vector Bargmann space."""
-    lam = params.lam
-    samples = []
-    for m in range(lam):
-        for d in range(degree + 1):
-            c = np.zeros((lam, d + 1), dtype=complex)
-            c[m, d] = 1.0
-            samples.append(PolyFunction(c, None))
-    rows = []
-    for f in samples:
-        for g in samples:
-            ad_f = apply_realization(params, "vector_alpha0", "adag", f)
-            a_g = apply_realization(params, "vector_alpha0", "a", g)
-            rows.append(
-                HermiticityRow(
-                    "adag/a",
-                    vector_inner_product(weights, ad_f, g),
-                    vector_inner_product(weights, f, a_g),
-                )
-            )
-    return rows
+    """<A f, g> = <f, B g> for the basis's _ADJOINT_PAIRS by moment quadrature.
+
+    The samples f, g are the monomials of degree <= degree: z^0..z^degree of
+    sector (mu, alpha), or the unit columns of each component (vector_alpha0,
+    eigenstate; _unit_columns).  Each generator acts once on the stack of
+    samples, and each side of a pair is one Gram product (inner_product);
+    measure as for the basis's _moment_table.  Rows run over f, then g, then
+    the pairs.
+    """
+    if basis not in _ADJOINT_PAIRS:
+        raise UnsupportedOp(f"unknown basis {basis!r}")
+    if basis == "sector":
+        samples = PolyFunction(np.eye(degree + 1, dtype=complex), mu)
+    else:
+        samples = PolyFunction(_unit_columns(params.lam, basis, degree)[2])
+    grams = []
+    for pair, a_op, b_op in _ADJOINT_PAIRS[basis]:
+        a_f = apply_realization(params, basis, a_op, samples, alpha=alpha)
+        b_g = apply_realization(params, basis, b_op, samples, alpha=alpha)
+        grams.append((pair, inner_product(basis, measure, a_f, samples),
+                      inner_product(basis, measure, samples, b_g)))
+    count = len(samples.coeffs)
+    return [HermiticityRow(pair, complex(lhs[i, j]), complex(rhs[i, j]))
+            for i in range(count) for j in range(count) for pair, lhs, rhs in grams]
 
 
 @dataclass(frozen=True)
@@ -446,10 +408,7 @@ def check_commutators(params: AlgebraParams, basis: str, k_max: int = 10) -> lis
         def ap(op, c):
             return apply(params, op, c, None)
 
-        m, k = np.divmod(np.arange(lam * (k_max + 1)), k_max + 1)
-        n = k * lam + m if basis == "eigenstate" else k
-        f = np.zeros((len(m), lam, n.max() + 1), dtype=complex)
-        f[np.arange(len(m)), m, n] = 1.0
+        m, k, f = _unit_columns(lam, basis, k_max)
         lhs = ap("a", ap("adag", f))
         rhs = ap("adag", ap("a", f))
         w = max(lhs.shape[-1], rhs.shape[-1], f.shape[-1])
@@ -472,28 +431,10 @@ def intertwining_residual(
     mu_op: int | None = None,
 ) -> float:
     """max |transform(op psi) - op_B transform(psi)| on coefficients, op as its band."""
-    lam = params.lam
-    kind = {"Jplus": "Jplus", "Jminus": "Jminus", "J0": "J0", "N": "N", "a": "a", "adag": "adag", "P": "P"}[op]
-    mat = build_operator(params, kind, psi.dim, mu=mu_op)
-    mapped = StateVector(
-        psi.dim, mat @ psi.coeffs, psi.norm_sq_analytic, psi.tail_bound, False
-    )
-    lhs = bargmann_transform(params, mapped, basis, mu=mu, alpha=alpha)
-    rhs = apply_realization(params, basis, op, bargmann_transform(params, psi, basis, mu=mu, alpha=alpha), alpha=alpha, mu_op=mu_op)
-    if basis == "sector":
-        n = min(len(lhs.coeffs), len(rhs.coeffs))
-        a_c, b_c = lhs.coeffs, rhs.coeffs
-        diff = max(
-            float(np.abs(a_c[:n] - b_c[:n]).max()),
-            float(np.abs(a_c[n:]).max()) if len(a_c) > n else 0.0,
-        )
-        return diff
-    wa = lhs.coeffs.shape[1]
-    wb = rhs.coeffs.shape[1]
-    w = min(wa, wb)
-    diff = float(np.abs(lhs.coeffs[:, :w] - rhs.coeffs[:, :w]).max())
-    if wa > w:
-        diff = max(diff, float(np.abs(lhs.coeffs[:, w:]).max()))
-    if wb > w:
-        diff = max(diff, float(np.abs(rhs.coeffs[:, w:]).max()))
-    return diff
+    mat = build_operator(params, op, psi.dim, mu=mu_op)
+    mapped = StateVector(psi.dim, mat @ psi.coeffs, psi.norm_sq_analytic, psi.tail_bound)
+    lhs = bargmann_transform(params, mapped, basis, mu=mu, alpha=alpha).coeffs
+    image = bargmann_transform(params, psi, basis, mu=mu, alpha=alpha)
+    rhs = apply_realization(params, basis, op, image, alpha=alpha, mu_op=mu_op).coeffs
+    w = max(lhs.shape[-1], rhs.shape[-1])
+    return float(np.abs(_widen(lhs, w) - _widen(rhs, w)).max())

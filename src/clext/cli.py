@@ -19,13 +19,14 @@ import numpy as np
 
 from . import __version__
 from .algebra import build_operator, energy_eigenvalue, sga_structure_poly, validate_params
-from .bargmann import check_commutators, check_hermiticity
+from .bargmann import check_commutators, check_hermiticity, intertwining_residual
 from .errors import ClextError, TruncationTooSmall
 from .figures import FIGURE_PRESETS, run_figure
 from .measures import (
     MomentProblem,
     positivity_condition,
     PositivityRefusal,
+    eigenstate_measures,
     verify_identity_resolution,
     verify_moments,
     weight_function,
@@ -40,6 +41,8 @@ from .states import CsAlphaSpec, cs_alpha_state, eigenstate
 
 # the closed and oracle columns of a grid, both from one observables call
 COLUMNS = ("closed", "oracle")
+# the generators bargmann-check intertwines in the vector and eigenstate bases
+VECTOR_OPS = ("a", "adag", "N", "J0", "Jplus", "Jminus")
 
 
 def _params(args) -> "AlgebraParams":
@@ -182,8 +185,15 @@ def cmd_resolution(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _hermiticity_residual(rows) -> float:
+    """The largest |lhs - rhs| of the rows over the largest side, at least 1."""
+    worst = max(r.residual for r in rows)
+    return worst / max(1.0, max(max(abs(r.lhs), abs(r.rhs)) for r in rows))
+
+
 def cmd_bargmann_check(args) -> int:
     p = _params(args)
+    MomentProblem(p, args.mu, args.cs_alpha)  # the sector family, checked before any row
     lines = ["basis,op_pair,max_residual"]
     ok = True
     table: dict[tuple[str, str], float] = {}
@@ -193,14 +203,29 @@ def cmd_bargmann_check(args) -> int:
     for (basis, pair), res in sorted(table.items()):
         ok &= res < 1e-10
         lines.append(f"{basis},{pair},{res:.3e}")
+    herm = []
     if not isinstance(positivity_condition(p, args.mu, args.cs_alpha), PositivityRefusal):
         w = weight_function(p, args.mu, args.cs_alpha)
-        herm = check_hermiticity(p, args.mu, args.cs_alpha, w)
-        worst = max(r.residual for r in herm)
-        scale = max(max(abs(r.lhs), abs(r.rhs)) for r in herm)
-        res = worst / max(1.0, scale)
+        herm.append((f"sector(mu={args.mu}),J+/J-",
+                     check_hermiticity(p, "sector", w, args.mu, args.cs_alpha)))
+    # the vector basis's alpha = 0 weights are the eigenstate measures' own
+    meas = eigenstate_measures(p)
+    herm += [("vector_alpha0,adag/a", check_hermiticity(p, "vector_alpha0", meas.weights)),
+             ("eigenstate,adag/a", check_hermiticity(p, "eigenstate", meas))]
+    for label, rows in herm:
+        res = _hermiticity_residual(rows)
         ok &= res < args.tol
-        lines.append(f"sector(mu={args.mu}),J+/J- hermiticity,{res:.3e}")
+        lines.append(f"{label} hermiticity,{res:.3e}")
+    # the transform of op |z> against op's realization on the transform of |z>
+    psi = eigenstate(p, 0.9 + 0.4j)
+    sector = f"sector(mu={args.mu},alpha={args.cs_alpha})"
+    for basis, label, ops in (("sector", sector, ("N", "J0", "Jplus", "Jminus")),
+                              ("vector_alpha0", "vector_alpha0", VECTOR_OPS),
+                              ("eigenstate", "eigenstate", VECTOR_OPS)):
+        for op in ops:
+            res = intertwining_residual(p, basis, op, psi, mu=args.mu, alpha=args.cs_alpha)
+            ok &= res < 1e-10
+            lines.append(f"{label},{op} intertwining,{res:.3e}")
     _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
@@ -347,7 +372,8 @@ COMMANDS = {
                 ("k_max", "allow_unsigned", *_P, "mu", "cs_alpha", "tol")),
     "resolution": (cmd_resolution, "verify a resolution of the identity",
                    ("mode", "n_max", *_P, "tol")),
-    "bargmann-check": (cmd_bargmann_check, "commutator/Hermiticity residual table",
+    "bargmann-check": (cmd_bargmann_check,
+                       "commutator, Hermiticity and intertwining residual table",
                        (*_P, "mu", "cs_alpha", "tol")),
     "state": (cmd_state, "dump coherent-state coefficients",
               (*_P, "z_re", "z_im", "mu", "cs_alpha", "trunc")),

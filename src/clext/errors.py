@@ -40,14 +40,6 @@ class DomainError(ClextError, ValueError):
     """Argument outside the mathematical domain of the function."""
 
 
-class PoleInDenominator(ClextError, ValueError):
-    """A lower hypergeometric parameter is a non-positive integer."""
-
-
-class DivergentSeries(ClextError, ValueError):
-    """The requested series diverges for the given argument."""
-
-
 class NoConvergence(ClextError, ArithmeticError):
     """Iteration/term cap reached before the tolerance was met."""
 

@@ -1,5 +1,5 @@
 """Weight functions resolving unity, their positivity certificates,
-moment verification, uniqueness tests, and resolution-of-identity checks.
+moment verification, and resolution-of-identity checks.
 
 The completeness of a coherent-state family in sector F_mu is a Stieltjes
 (y on (0, inf), r = lambda - 2 alpha > 0) or Hausdorff (y on (0, 1),
@@ -306,7 +306,7 @@ def weight_function(
 
 
 # --------------------------------------------------------------------------
-# verification: moments, Hankel-Hadamard, Carleman
+# verification of the moments
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -348,56 +348,6 @@ def verify_moments(
         worst = max(worst, rel)
         rows.append(MomentRow(k, target, integral, rel, quad_err))
     return MomentReport(tuple(rows), worst, tol)
-
-
-def hankel_hadamard(problem: MomentProblem, order: int) -> tuple[float, float]:
-    """Minimal eigenvalues of the two Hankel-Hadamard moment matrices."""
-    if order > 10:
-        raise ValueError("order above 10 is numerically meaningless here")
-    h0 = np.empty((order, order))
-    h1 = np.empty((order, order))
-    for i in range(order):
-        for j in range(order):
-            h0[i, j] = moment_target(problem, i + j)
-            h1[i, j] = moment_target(problem, i + j + 1)
-    return float(np.linalg.eigvalsh(h0).min()), float(np.linalg.eigvalsh(h1).min())
-
-
-@dataclass(frozen=True)
-class CarlemanResult:
-    exponent: float
-    verdict: str  # unique | possibly_nonunique | inconclusive
-    partial_sum: float
-    partial_sum_half: float
-
-
-def carleman_test(params: AlgebraParams, alpha: int, k_sum: int = 200) -> CarlemanResult:
-    """Uniqueness classification of the moment problem.
-
-    The log-test exponent of B(k)^(-1/2k) is -(lambda/2 - alpha); the
-    series sum(B(k)^(-1/2k)) diverges (unique solution) for exponent
-    > -1, converges (other solutions possible) for < -1, and the test is
-    silent exactly at -1.  Partial sums over k <= k_sum corroborate.
-    """
-    lam = params.lam
-    exponent = -(lam / 2.0 - alpha)
-    if exponent > -1.0 + 1e-12:
-        verdict = "unique"
-    elif exponent < -1.0 - 1e-12:
-        verdict = "possibly_nonunique"
-    else:
-        verdict = "inconclusive"
-    if abs(exponent + 1.0) <= 1e-12:
-        verdict = "inconclusive"
-    problem = MomentProblem(params, 0, alpha)
-    s_full = 0.0
-    s_half = 0.0
-    for k in range(1, k_sum + 1):
-        term = math.exp(-problem.log_B(k) / (2.0 * k))
-        s_full += term
-        if k <= k_sum // 2:
-            s_half += term
-    return CarlemanResult(exponent, verdict, s_full, s_half)
 
 
 # --------------------------------------------------------------------------

@@ -9,23 +9,23 @@ them, and the closed forms one algebra or a stack of P algebras of one
 lambda (states._param_stack), so a CLI grid or a figure's curve family is
 one call: a stack gives (P, R) results for a grid of R values, (P,) for one
 value.  Kept as a cross-check:
-the coefficient-vector oracle (method="oracle"), which builds the truncated
-states of a grid with one states builder call per _row_blocks slice (the
-rows of a call share one dim).  A tuple of methods, ("closed", "oracle"),
-returns one report per method from one core call: the oracle's coefficient
-vectors then come from the closed column's weights, through the builders'
-coefficient step (states._coefficients) alone (_columns).  As both columns
-read one weight array, what the oracle still checks on its own is the
-truncation at dim and, for squeezing, the contractions of each row against
-the ladder bands.  The Phi-ratio branch forms of the sector Q and the
-lambda = 2 Bessel form of the eigenstate Q are test references
-(tests/closed_forms.py).
+the coefficient-vector oracle (method="oracle"), whose truncated states of a
+grid come from one core call at the state builders' level count
+(states._build_levels) and the builders' coefficient step
+(states._coefficients), one step per _row_blocks slice (the rows of a step
+share one dim).  A tuple of methods, ("closed", "oracle"), returns one
+report per method from that one core call: the closed column reads the same
+weights (_columns).  As both columns read one weight array, what the oracle
+still checks on its own is the truncation at dim and, for squeezing, the
+contractions of each row against the ladder bands.  The Phi-ratio branch
+forms of the sector Q and the lambda = 2 Bessel form of the eigenstate Q
+are test references (tests/closed_forms.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,12 +38,11 @@ from .states import (
     CsAlphaSpec,
     StateVector,
     _build_levels,
+    _check_finite,
     _coefficients,
     _fock_weights,
     _param_stack,
     _row_blocks,
-    cs_alpha_state,
-    eigenstate,
 )
 
 
@@ -119,38 +118,36 @@ def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
     return PhotonStats(*_as_given(z, mean, mean2, q), source)
 
 
-def _columns(params, z, sector, method, closed: Callable, oracle: Callable, build: Callable):
+def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     """The report of method, "closed" or "oracle", or a tuple of reports, one
-    per entry of a tuple of methods.
+    per entry of a tuple of methods; DomainError for a non-finite z.
 
     closed(n, p) reads the Fock weights of the grid z; oracle(states) reads
     the truncated states of its _row_blocks slices, a block of at most
-    WORK_ELEMENTS coefficients even at MAX_AUTO_DIM.  Alone, the closed column
-    takes the core's cut level count and the oracle builds each block with
-    build(z[rows]).  Together, one core call at the builders' level count
-    (_build_levels) serves both, and the oracle takes only the coefficient
-    step (_coefficients) on the closed column's weights: on a grid of one
-    block that is build(z) bit for bit.  The oracle builds the states of one
-    algebra.
+    WORK_ELEMENTS coefficients even at MAX_AUTO_DIM.  The closed column alone
+    takes the core's cut level count.  With the oracle, one core call at the
+    builders' level count (_build_levels) serves every method, and the oracle
+    takes only the coefficient step (_coefficients) per block: on a grid of
+    one block that is the state builders' own result bit for bit.  The oracle
+    builds the states of one algebra.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods or not set(methods) <= {"closed", "oracle"}:
         raise DomainError(f"unknown method {method!r}")
     if "oracle" in methods and not isinstance(params, AlgebraParams):
         raise DomainError("the oracle takes one algebra, not a stack")
+    _check_finite(z)
     z = np.atleast_1d(z)
-    blocks = _row_blocks(len(z), MAX_AUTO_DIM)
     out = {}
-    if "closed" not in methods:
-        out["oracle"] = oracle([build(z[rows]) for rows in blocks])
-    elif "oracle" not in methods:
+    if "oracle" not in methods:
         out["closed"] = closed(*_fock_weights(params, np.abs(z), sector)[:2])
     else:
         levels = _build_levels(params, FIRST_DIM, sector)
         n, p, log_norm = _fock_weights(params, np.abs(z), sector, levels)
-        out["closed"] = closed(n, p)
+        if "closed" in methods:
+            out["closed"] = closed(n, p)
         out["oracle"] = oracle([_coefficients(z[rows], n, p[rows], log_norm[rows], FIRST_DIM)
-                                for rows in blocks])
+                                for rows in _row_blocks(len(z), MAX_AUTO_DIM)])
     return out[method] if isinstance(method, str) else tuple(out[m] for m in methods)
 
 
@@ -174,7 +171,6 @@ def mandel_q_cs_alpha(spec: CsAlphaSpec, method="closed"):
         spec.params, spec.z, (spec.mu, spec.alpha), method,
         lambda n, p: _photon_stats(spec.z, n, p, limit_q),
         lambda states: _oracle_photon_stats(spec.z, states, limit_q),
-        lambda z: cs_alpha_state(replace(spec, z=z)),
     )
 
 
@@ -185,7 +181,6 @@ def mandel_q_eigenstate(params: AlgebraParams, z_abs, method="closed"):
         params, z_abs, None, method,
         lambda n, p: _photon_stats(z_abs, n, p, 0.0),
         lambda states: _oracle_photon_stats(z_abs, states, 0.0),
-        lambda z: eigenstate(params, z),
     )
 
 
@@ -284,7 +279,6 @@ def squeezing_cs_alpha(spec: CsAlphaSpec, kind: str = "dressed", method="closed"
     return _columns(
         p, spec.z, (mu, alpha), method, closed,
         lambda states: _oracle_squeezing(p, spec.z, states, vac, kind),
-        lambda zs: cs_alpha_state(replace(spec, z=zs)),
     )
 
 
@@ -318,5 +312,4 @@ def squeezing_eigenstate(params: AlgebraParams, z: complex, kind: str = "dressed
     return _columns(
         params, z, None, method, closed,
         lambda states: _oracle_squeezing(params, z, states, vac, kind),
-        lambda zs: eigenstate(params, zs),
     )

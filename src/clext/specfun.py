@@ -1,19 +1,17 @@
 """Self-contained special-function kernel.
 
 Everything the rest of the package needs is evaluated here in double
-precision with explicit error estimates: generalized hypergeometric pFq
-series, the modified Bessel K of real order, and the restricted Meijer G
-classes G^{m,0}_{0,m} and G^{m,0}_{alpha,m} that the unity-resolution
-weight functions are built from (Slater's residue sum at small y, with
-exact confluent residues for coincident or integer-spaced lower
-parameters, the exponential expansion at large y, a Taylor continuation
-of the Meijer differential equation down from it for the band between,
-and Norlund's (1 - y) series on the unit interval).
+precision with explicit error estimates: the modified Bessel K of real
+order, and the restricted Meijer G classes G^{m,0}_{0,m} and
+G^{m,0}_{alpha,m} that the unity-resolution weight functions are built
+from (Slater's residue sum at small y, with exact confluent residues for
+coincident or integer-spaced lower parameters, the exponential expansion
+at large y, a Taylor continuation of the Meijer differential equation
+down from it for the band between, and Norlund's (1 - y) series on the
+unit interval).
 
-Scalar evaluations return a SeriesValue carrying the value, an absolute
-error estimate, the number of terms (or nodes) consumed and a
-convergence flag; the Meijer-G and Bessel-K routes are vectorized over
-their argument array.  g_general_vec also returns a contiguous family
+The Meijer-G and Bessel-K routes are vectorized over their argument
+array.  g_general_vec also returns a contiguous family
 G(y | a; b + e_j1 + .. + e_jr), r = 0..q, from one pass of its routes:
 G(y | b + e_j) = (b_j - y d/dy) G(y | b) (DLMF 16.17 for the Mellin-Barnes
 integral).
@@ -24,117 +22,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DivergentSeries,
-    DomainError,
-    NoConvergence,
-    PoleInDenominator,
-)
+from .errors import DomainError, NoConvergence
 
 __all__ = [
-    "SeriesValue",
-    "pfq",
     "bessel_k_vec",
     "m0_eval_vec",
     "g_general_vec",
 ]
 
 _EPS = 2.220446049250313e-16
-
-
-@dataclass
-class SeriesValue:
-    """Numeric result with an absolute-error estimate.
-
-    converged=True means abs_error is believed to be at or below the
-    requested tolerance (scaled by the magnitude of the value).
-    """
-
-    value: complex | float
-    abs_error: float
-    terms: int
-    converged: bool
-
-    def __float__(self) -> float:
-        return float(self.value.real if isinstance(self.value, complex) else self.value)
-
-
-# --------------------------------------------------------------------------
-# gamma helpers
-# --------------------------------------------------------------------------
-
-def is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
-
-
-# --------------------------------------------------------------------------
-# generalized hypergeometric series
-# --------------------------------------------------------------------------
-
-def pfq(
-    a: Sequence[float],
-    b: Sequence[float],
-    z: complex | float,
-    tol: float = 1e-12,
-    max_terms: int = 100_000,
-) -> SeriesValue:
-    """pFq(a; b; z) by direct summation with multiplicative term recursion.
-
-    Stops once the geometric bound on the discarded tail, |term| r / (1 - r)
-    with r a bound on the later term ratios, plus the rounding of the sum is
-    at most tol * |partial sum|; that sum is the abs_error it reports.  With
-    p = q+1 the ratios tend to |z|, so r = max(ratio, |z|); with p <= q they
-    tend to 0, and only a falling ratio is taken as r.  Raises for
-    denominator poles, for p > q+1 with z != 0, and for p = q+1 with |z| >= 1.
-    """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    terminates_at = None
-    for ai in a:
-        if is_nonpositive_integer(ai):
-            k_stop = int(round(-ai))
-            terminates_at = k_stop if terminates_at is None else min(terminates_at, k_stop)
-    for bi in b:
-        if is_nonpositive_integer(bi):
-            if terminates_at is None or terminates_at > -round(bi):
-                raise PoleInDenominator(f"lower parameter {bi} is a non-positive integer")
-    p, q = len(a), len(b)
-    if z == 0:
-        return SeriesValue(1.0 if not isinstance(z, complex) else 1.0 + 0j, 0.0, 1, True)
-    if p > q + 1:
-        raise DivergentSeries(f"{p}F{q} diverges for z != 0")
-    if p == q + 1 and abs(z) >= 1.0:
-        raise DivergentSeries(f"{p}F{q} requires |z| < 1, got |z| = {abs(z)}")
-
-    total = 1.0 + 0j if isinstance(z, complex) else 1.0
-    term = total
-    ratio = 0.0
-    for k in range(max_terms):
-        if terminates_at is not None and k >= terminates_at:
-            return SeriesValue(total, 0.0, k + 1, True)
-        num = 1.0
-        for ai in a:
-            num *= ai + k
-        den = k + 1.0
-        for bi in b:
-            den *= bi + k
-        term = term * (num / den) * z
-        total += term
-        if abs(total) > 1e290:
-            raise NoConvergence("pFq partial sums overflow")
-        last, ratio = ratio, abs(num / den * z)
-        r = max(ratio, abs(z)) if p == q + 1 else (ratio if ratio <= last else 1.0)
-        if r < 1.0:
-            err = abs(term) * r / (1.0 - r) + 4.0 * _EPS * abs(total)
-            if err <= tol * max(abs(total), 1e-300):
-                return SeriesValue(total, err, k + 2, True)
-    raise NoConvergence(f"pFq did not converge within {max_terms} terms")
 
 
 # Taylor coefficients of 1/Gamma(1 + z) to 36 digits: the first 22 reach

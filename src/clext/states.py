@@ -118,27 +118,21 @@ def _check_finite(z):
 class StateVector:
     """Complex coefficients over |0>..|dim-1> plus norm metadata.
 
-    For normalized=True, coeffs are the physical amplitudes and
+    For a built state, coeffs are the physical amplitudes and
     norm_sq_analytic holds the norm N of the unnormalized "round bracket"
     state, which is sqrt(N) times this one.  tail_bound =
     max(0, 1 - sum|c_n|^2) is the probability mass lost to truncation.  A
     state built from an array z has coeffs of shape (rows, dim) and one
-    norm_sq_analytic and tail_bound per row; braket and norm_sq take 1-D
-    states.
+    norm_sq_analytic and tail_bound per row; norm_sq takes 1-D states.
     """
 
     dim: int
     coeffs: np.ndarray = field(repr=False)
     norm_sq_analytic: float
     tail_bound: float
-    normalized: bool = True
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-
-    def braket(self, other: "StateVector") -> complex:
-        n = min(self.dim, other.dim)
-        return complex(np.vdot(self.coeffs[:n], other.coeffs[:n]))
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)

@@ -1,28 +1,130 @@
 """Closed forms kept as test references for the library's own routes.
 
+* the generalized hypergeometric series pFq by direct summation, with its
+  SeriesValue result and the errors only it raises;
 * the modified Bessel I_nu of real order, behind the lambda = 2 (paraboson)
   eigenstate norm and Mandel Q;
 * the explicit Mandel Q branches of the sector states (mu = 0, mu = 1,
   mu >= 2), written with ratios Phi of parameter-shifted normalization series;
 * the pFq forms of the state norms and overlaps, N^(alpha)_mu(y) =
   pFq(num; den; y) over the lists states.sector_lists gives, and the sector
-  components |z_mu> = P_mu |z> of the eigenstate.
+  components |z_mu> = P_mu |z> of the eigenstate;
+* the uniqueness tests of the moment problems: the Hankel-Hadamard
+  eigenvalues of the moment targets and Carleman's criterion;
+* the orthonormal sector basis monomials of the Bargmann space.
 
-The library computes these quantities from its Fock weights; these forms
-are independent derivations that the tests compare against.
+The library computes these quantities from its Fock weights and weight
+functions; these forms are independent derivations that the tests compare
+against.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from clext.errors import DomainError, NoConvergence, SectorError
-from clext.specfun import SeriesValue, pfq
-from clext.states import CsAlphaSpec, StateVector, eigenstate, sector_lists
+from clext.bargmann import PolyFunction
+from clext.errors import ClextError, DomainError, NoConvergence, SectorError
+from clext.measures import MomentProblem, moment_target
+from clext.states import CsAlphaSpec, StateVector, eigenstate, log_weights, sector_lists
 
 _EPS = 2.220446049250313e-16
+
+
+# --------------------------------------------------------------------------
+# generalized hypergeometric series
+# --------------------------------------------------------------------------
+
+class PoleInDenominator(ClextError, ValueError):
+    """A lower hypergeometric parameter is a non-positive integer."""
+
+
+class DivergentSeries(ClextError, ValueError):
+    """The requested series diverges for the given argument."""
+
+
+@dataclass
+class SeriesValue:
+    """Numeric result with an absolute-error estimate.
+
+    converged=True means abs_error is believed to be at or below the
+    requested tolerance (scaled by the magnitude of the value).
+    """
+
+    value: complex | float
+    abs_error: float
+    terms: int
+    converged: bool
+
+    def __float__(self) -> float:
+        return float(self.value.real if isinstance(self.value, complex) else self.value)
+
+
+def is_nonpositive_integer(x: float, tol: float = 1e-12) -> bool:
+    return x <= tol and abs(x - round(x)) < tol
+
+
+def pfq(
+    a: Sequence[float],
+    b: Sequence[float],
+    z: complex | float,
+    tol: float = 1e-12,
+    max_terms: int = 100_000,
+) -> SeriesValue:
+    """pFq(a; b; z) by direct summation with multiplicative term recursion.
+
+    Stops once the geometric bound on the discarded tail, |term| r / (1 - r)
+    with r a bound on the later term ratios, plus the rounding of the sum is
+    at most tol * |partial sum|; that sum is the abs_error it reports.  With
+    p = q+1 the ratios tend to |z|, so r = max(ratio, |z|); with p <= q they
+    tend to 0, and only a falling ratio is taken as r.  Raises for
+    denominator poles, for p > q+1 with z != 0, and for p = q+1 with |z| >= 1.
+    """
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    terminates_at = None
+    for ai in a:
+        if is_nonpositive_integer(ai):
+            k_stop = int(round(-ai))
+            terminates_at = k_stop if terminates_at is None else min(terminates_at, k_stop)
+    for bi in b:
+        if is_nonpositive_integer(bi):
+            if terminates_at is None or terminates_at > -round(bi):
+                raise PoleInDenominator(f"lower parameter {bi} is a non-positive integer")
+    p, q = len(a), len(b)
+    if z == 0:
+        return SeriesValue(1.0 if not isinstance(z, complex) else 1.0 + 0j, 0.0, 1, True)
+    if p > q + 1:
+        raise DivergentSeries(f"{p}F{q} diverges for z != 0")
+    if p == q + 1 and abs(z) >= 1.0:
+        raise DivergentSeries(f"{p}F{q} requires |z| < 1, got |z| = {abs(z)}")
+
+    total = 1.0 + 0j if isinstance(z, complex) else 1.0
+    term = total
+    ratio = 0.0
+    for k in range(max_terms):
+        if terminates_at is not None and k >= terminates_at:
+            return SeriesValue(total, 0.0, k + 1, True)
+        num = 1.0
+        for ai in a:
+            num *= ai + k
+        den = k + 1.0
+        for bi in b:
+            den *= bi + k
+        term = term * (num / den) * z
+        total += term
+        if abs(total) > 1e290:
+            raise NoConvergence("pFq partial sums overflow")
+        last, ratio = ratio, abs(num / den * z)
+        r = max(ratio, abs(z)) if p == q + 1 else (ratio if ratio <= last else 1.0)
+        if r < 1.0:
+            err = abs(term) * r / (1.0 - r) + 4.0 * _EPS * abs(total)
+            if err <= tol * max(abs(total), 1e-300):
+                return SeriesValue(total, err, k + 2, True)
+    raise NoConvergence(f"pFq did not converge within {max_terms} terms")
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +326,7 @@ def component_zmu(params, z: complex, mu: int, dim: int = 64) -> StateVector:
     for nu in range(1, mu + 1):
         pref /= params.beta_bar_at(nu)
     norm_sq = eigenstate_norm_components(params, t)[mu] * pref / full.norm_sq_analytic
-    return StateVector(full.dim, coeffs, norm_sq, full.tail_bound, False)
+    return StateVector(full.dim, coeffs, norm_sq, full.tail_bound)
 
 
 def overlap_cs_alpha(s1: CsAlphaSpec, s2: CsAlphaSpec) -> complex:
@@ -258,3 +360,68 @@ def overlap_eigenstate(params, z1: complex, z2: complex) -> complex:
     n1 = eigenstate_norm(params, abs(z1) ** 2 / lam)
     n2 = eigenstate_norm(params, abs(z2) ** 2 / lam)
     return total / math.sqrt(n1 * n2)
+
+
+# --------------------------------------------------------------------------
+# uniqueness of the moment problems
+# --------------------------------------------------------------------------
+
+def hankel_hadamard(problem: MomentProblem, order: int) -> tuple[float, float]:
+    """Minimal eigenvalues of the two Hankel-Hadamard moment matrices."""
+    if order > 10:
+        raise ValueError("order above 10 is numerically meaningless here")
+    h0 = np.empty((order, order))
+    h1 = np.empty((order, order))
+    for i in range(order):
+        for j in range(order):
+            h0[i, j] = moment_target(problem, i + j)
+            h1[i, j] = moment_target(problem, i + j + 1)
+    return float(np.linalg.eigvalsh(h0).min()), float(np.linalg.eigvalsh(h1).min())
+
+
+@dataclass(frozen=True)
+class CarlemanResult:
+    exponent: float
+    verdict: str  # unique | possibly_nonunique | inconclusive
+    partial_sum: float
+    partial_sum_half: float
+
+
+def carleman_test(params, alpha: int, k_sum: int = 200) -> CarlemanResult:
+    """Uniqueness classification of the moment problem.
+
+    The log-test exponent of B(k)^(-1/2k) is -(lambda/2 - alpha); the
+    series sum(B(k)^(-1/2k)) diverges (unique solution) for exponent
+    > -1, converges (other solutions possible) for < -1, and the test is
+    silent exactly at -1.  Partial sums over k <= k_sum corroborate.
+    """
+    lam = params.lam
+    exponent = -(lam / 2.0 - alpha)
+    if exponent > -1.0 + 1e-12:
+        verdict = "unique"
+    elif exponent < -1.0 - 1e-12:
+        verdict = "possibly_nonunique"
+    else:
+        verdict = "inconclusive"
+    if abs(exponent + 1.0) <= 1e-12:
+        verdict = "inconclusive"
+    problem = MomentProblem(params, 0, alpha)
+    s_full = 0.0
+    s_half = 0.0
+    for k in range(1, k_sum + 1):
+        term = math.exp(-problem.log_B(k) / (2.0 * k))
+        s_full += term
+        if k <= k_sum // 2:
+            s_half += term
+    return CarlemanResult(exponent, verdict, s_full, s_half)
+
+
+# --------------------------------------------------------------------------
+# Bargmann basis monomials
+# --------------------------------------------------------------------------
+
+def basis_function(params, mu: int, alpha: int, k: int) -> PolyFunction:
+    """Orthonormal basis monomial phi_{mu,k}(z) = |c_k / z^k| z^k of |z; mu; alpha>."""
+    coeffs = np.zeros(k + 1, dtype=complex)
+    coeffs[k] = math.exp(0.5 * sum(log_weights(params, k, (mu, alpha)))[k])
+    return PolyFunction(coeffs, mu)

@@ -21,15 +21,10 @@ from clext import (
     params_from_beta_bar,
     sga_structure_poly,
 )
-from clext.bargmann import (
-    check_hermiticity,
-    check_hermiticity_vector,
-    intertwining_residual,
-)
+from clext.bargmann import check_hermiticity, intertwining_residual
 from clext.figures import FIGURE_PRESETS, run_figure
 from clext.measures import (
     MomentProblem,
-    carleman_test,
     eigenstate_measures,
     verify_identity_resolution,
     verify_moments,
@@ -41,7 +36,7 @@ from clext.observables import (
     squeezing_eigenstate,
 )
 from clext.states import CsAlphaSpec, StateVector, cs_alpha_state, eigenstate
-from closed_forms import bessel_i, eigenstate_norm, norm_series_cs_alpha
+from closed_forms import bessel_i, carleman_test, eigenstate_norm, norm_series_cs_alpha
 from conftest import dense, hausdorff_closed_form, meijer_weight, random_valid_params
 
 
@@ -294,7 +289,7 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
         c = np.zeros(dim, dtype=complex)
         for n, amp in amps.items():
             c[n] = amp
-        psi = StateVector(dim, c, 1.0, 0.0, False)
+        psi = StateVector(dim, c, 1.0, 0.0)
         for alpha in range(lam // 2 + 1):
             for mu in range(lam - alpha):
                 for op in ("N", "J0", "Jplus", "Jminus"):
@@ -305,12 +300,12 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
     # Hermiticity under the certified weights (lambda <= 3)
     for p, mu, alpha in [(paraboson_params, 0, 0), (paraboson_params, 0, 1), (fig1_params, 0, 1)]:
         w = weight_function(p, mu, alpha)
-        rows = check_hermiticity(p, mu, alpha, w)
+        rows = check_hermiticity(p, "sector", w, mu, alpha)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 1e-6 * scale
     for p in (paraboson_params, fig1_params):
         weights = [weight_function(p, m, 0) for m in range(p.lam)]
-        rows = check_hermiticity_vector(p, weights, degree=2)
+        rows = check_hermiticity(p, "vector_alpha0", weights, degree=2)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 2e-6 * scale
     # Meijer-form candidate vs the paper's 2F1 and Appell forms at alpha = 2, 3 on (0,1)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from clext import params_from_beta_bar
 from clext.algebra import structure_function
 import clext.bargmann as bargmann
 from clext.algebra import sga_structure_poly
@@ -10,20 +11,16 @@ from clext.bargmann import (
     CommutatorRow,
     PolyFunction,
     apply_realization,
-    bargmann_inner_product,
     bargmann_transform,
-    basis_function,
     check_commutators,
     check_hermiticity,
-    check_hermiticity_vector,
-    eigenstate_inner_product,
+    inner_product,
     intertwining_residual,
-    sector_poly,
-    vector_poly,
 )
 from clext.errors import NonPolynomialResult, UnsupportedOp
 from clext.measures import eigenstate_measures, weight_function
 from clext.states import StateVector, eigenstate
+from closed_forms import basis_function
 from conftest import random_valid_params
 
 
@@ -71,7 +68,7 @@ def _per_monomial_commutators(params, basis, k_max):
             n = k * lam + m if basis == "eigenstate" else k
             c = np.zeros((lam, n + 1), dtype=complex)
             c[m, n] = 1.0
-            f = vector_poly(c)
+            f = PolyFunction(c)
 
             def ap(op, g):
                 return apply_realization(params, basis, op, g)
@@ -92,7 +89,7 @@ def _fock(params, amps, dim=48):
     c = np.zeros(dim, dtype=complex)
     for n, a in amps.items():
         c[n] = a
-    return StateVector(dim, c, 1.0, 0.0, False)
+    return StateVector(dim, c, 1.0, 0.0)
 
 
 class TestRealizations:
@@ -125,7 +122,7 @@ class TestRealizations:
 
     def test_pole_cancellation_guard(self, fig1_params):
         # component 1 holding a constant is an invalid sector function for a
-        bad = vector_poly(np.array([[0.0], [1.0], [0.0]], dtype=complex))
+        bad = PolyFunction(np.array([[0.0], [1.0], [0.0]], dtype=complex))
         with pytest.raises(NonPolynomialResult):
             apply_realization(fig1_params, "eigenstate", "a", bad)
 
@@ -170,16 +167,16 @@ class TestBasisFunctions:
         w = weight_function(paraboson_params, 0, 1)
         for k in range(5):
             fk = basis_function(paraboson_params, 0, 1, k)
-            assert bargmann_inner_product(w, fk, fk).real == pytest.approx(1.0, rel=1e-8)
+            assert inner_product("sector", w, fk, fk).real == pytest.approx(1.0, rel=1e-8)
         f0 = basis_function(paraboson_params, 0, 1, 0)
         f2 = basis_function(paraboson_params, 0, 1, 2)
-        assert abs(bargmann_inner_product(w, f0, f2)) == 0.0
+        assert abs(inner_product("sector", w, f0, f2)) == 0.0
 
     def test_angular_orthogonality(self, paraboson_params):
         w = weight_function(paraboson_params, 0, 1)
-        one = sector_poly([1.0], 0)
-        z = sector_poly([0.0, 1.0], 0)
-        assert bargmann_inner_product(w, one, z) == 0.0
+        one = PolyFunction(np.array([1.0], dtype=complex), 0)
+        z = PolyFunction(np.array([0.0, 1.0], dtype=complex), 0)
+        assert inner_product("sector", w, one, z) == 0.0
 
 
 class TestCommutators:
@@ -269,24 +266,145 @@ class TestHermiticity:
             (fig1_params, 0, 1, 1e-6),
         ]:
             w = weight_function(p, mu, alpha)
-            rows = check_hermiticity(p, mu, alpha, w)
+            rows = check_hermiticity(p, "sector", w, mu, alpha)
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < tol * scale
 
     def test_trivial_pair_is_zero(self, paraboson_params):
         w = weight_function(paraboson_params, 0, 1)
-        one = sector_poly([1.0], 0)
+        one = PolyFunction(np.array([1.0], dtype=complex), 0)
         jp = apply_realization(paraboson_params, "sector", "Jplus", one, alpha=1)
         jm = apply_realization(paraboson_params, "sector", "Jminus", one, alpha=1)
-        assert bargmann_inner_product(w, jp, one) == 0.0
+        assert inner_product("sector", w, jp, one) == 0.0
         assert np.abs(jm.coeffs).max() == 0.0
 
     def test_vector_adjoint_pair(self, paraboson_params, fig1_params):
         for p in (paraboson_params, fig1_params):
             weights = [weight_function(p, m, 0) for m in range(p.lam)]
-            rows = check_hermiticity_vector(p, weights, degree=2)
+            rows = check_hermiticity(p, "vector_alpha0", weights, degree=2)
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < 2e-6 * scale
+
+
+    @pytest.mark.parametrize("beta_bar", [(2.0,), (4 / 3, 2 / 3), (1.5, 1.0, 0.75)])
+    def test_eigenstate_adjoint_pair(self, beta_bar):
+        # adag and a are adjoint under the eigenstate measures h_mu, whose
+        # alpha = 0 weights give the vector basis the same pair
+        p = params_from_beta_bar(len(beta_bar) + 1, beta_bar)
+        meas = eigenstate_measures(p)
+        for basis, measure in (("eigenstate", meas), ("vector_alpha0", meas.weights)):
+            rows = check_hermiticity(p, basis, measure)
+            assert len(rows) == (3 * p.lam) ** 2
+            scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
+            assert max(r.residual for r in rows) < 1e-10 * scale
+
+    @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
+    def test_generators_act_once_whatever_the_degree(self, monkeypatch, fig1_params, basis):
+        calls = []
+        original = bargmann.apply_realization
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bargmann, "apply_realization", counted)
+        meas = eigenstate_measures(fig1_params)
+        measure = {"sector": meas.weights[0], "vector_alpha0": meas.weights,
+                   "eigenstate": meas}[basis]
+        per_degree = []
+        for degree in (1, 4):
+            calls.clear()
+            check_hermiticity(fig1_params, basis, measure, degree=degree)
+            per_degree.append(sorted(calls))
+        ops = ["J0", "J0", "Jminus", "Jplus"] if basis == "sector" else ["a", "adag"]
+        assert per_degree == [ops, ops]
+
+    def test_unknown_basis(self, fig1_params):
+        with pytest.raises(UnsupportedOp):
+            check_hermiticity(fig1_params, "polar", weight_function(fig1_params, 0, 0))
+
+
+def _loop_inner_product(basis, measure, f, g):
+    """<f, g> of two polynomials as a sum over their coefficients, one scalar
+    moment per term: pi scale^(k+1) M(k) in each component."""
+    if basis == "sector":
+        f, g, weights = f[None], g[None], [measure]
+    else:
+        weights = measure.weights if basis == "eigenstate" else measure
+    lam = weights[0].problem.params.lam
+    total = 0.0
+    for m, (fm, gm) in enumerate(zip(f, g)):
+        for k in range(min(len(fm), len(gm))):
+            if fm[k] == 0 or gm[k] == 0:
+                continue
+            if basis == "eigenstate":
+                moment = lam ** (k + 1) * measure.h_moment(m, float(k))
+            else:
+                problem = weights[m].problem
+                scale = lam ** problem.r
+                moment = scale ** (k + 1) * weights[m].moment(float(k))[0]
+            total += np.conj(fm[k]) * gm[k] * math.pi * moment
+    return complex(total)
+
+
+class TestInnerProduct:
+    @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
+    def test_gram_of_stacks_is_every_pair(self, rng, fig1_params, basis):
+        # one product over two stacks holds each pair's own inner product, and
+        # that is the sum over its coefficients with one moment per term
+        meas = eigenstate_measures(fig1_params)
+        measure = {"sector": meas.weights[1], "vector_alpha0": meas.weights,
+                   "eigenstate": meas}[basis]
+        shape = (4, 5) if basis == "sector" else (4, 3, 7)
+        f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        g = rng.normal(size=(2, *shape[1:-1], 6)) + 1j * rng.normal(size=(2, *shape[1:-1], 6))
+        if basis == "eigenstate":
+            # component m holds the levels n = m (mod 3)
+            for c in (f, g):
+                n = np.arange(c.shape[-1])
+                c[:, np.arange(3)[:, None] != n % 3] = 0.0
+        mu = 1 if basis == "sector" else None
+        gram = inner_product(basis, measure, PolyFunction(f, mu), PolyFunction(g, mu))
+        assert gram.shape == (4, 2)
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                one = inner_product(basis, measure, PolyFunction(fi, mu), PolyFunction(gj, mu))
+                assert one.shape == ()
+                assert gram[i, j] == pytest.approx(complex(one), rel=1e-13)
+                loop = _loop_inner_product(basis, measure, fi, gj)
+                assert gram[i, j] == pytest.approx(loop, rel=1e-13)
+                # conjugate symmetry <g, f> = conj <f, g>
+                back = inner_product(basis, measure, PolyFunction(gj, mu), PolyFunction(fi, mu))
+                assert complex(back) == pytest.approx(np.conj(one), rel=1e-13)
+
+    @pytest.mark.parametrize("basis", ["vector_alpha0", "eigenstate"])
+    def test_number_states_are_orthonormal(self, fig1_params, basis):
+        # the transforms of |0>..|11> as one stack: their Gram matrix is the identity
+        p = fig1_params
+        meas = eigenstate_measures(p)
+        measure = meas if basis == "eigenstate" else meas.weights
+        dim = 12
+        images = [bargmann_transform(p, _fock(p, {n: 1.0}, dim), basis).coeffs
+                  for n in range(dim)]
+        gram = inner_product(basis, measure, PolyFunction(np.stack(images)),
+                             PolyFunction(np.stack(images)))
+        assert np.abs(gram - np.eye(dim)).max() < 1e-9
+
+    def test_eigenstate_table_reads_only_its_levels(self, monkeypatch, fig1_params):
+        # one h_mu moment call per component, at the levels n = mu (mod lambda),
+        # n >= mu, where the order (n - mu) / lambda is not negative
+        meas = eigenstate_measures(fig1_params)
+        seen = []
+        original = meas.h_moment
+
+        def recorded(mu, n):
+            seen.append((mu, np.asarray(n).tolist()))
+            return original(mu, n)
+
+        monkeypatch.setattr(meas, "h_moment", recorded)
+        f = PolyFunction(np.ones((3, 8), dtype=complex))
+        inner_product("eigenstate", meas, f, f)
+        assert seen == [(0, [0, 3, 6]), (1, [1, 4, 7]), (2, [2, 5])]
 
 
 class TestEigenstateBasis:
@@ -317,14 +435,14 @@ class TestEigenstateBasis:
                         n = k * lam + m
                         col = np.zeros((lam, n + 1), dtype=complex)
                         col[m, n] = 1.0
-                        lhs = apply_realization(p, "eigenstate", op, vector_poly(col))
+                        lhs = apply_realization(p, "eigenstate", op, PolyFunction(col))
                         # conjugate route: scale into the omega variable
                         dm = np.zeros((lam, k + 1), dtype=complex)
                         pref = lam ** (m / 2.0)
                         for nu in range(1, m + 1):
                             pref *= math.sqrt(p.beta_bar_at(nu))
                         dm[m, k] = pref
-                        rhs_v = apply_realization(p, "vector_alpha0", op, vector_poly(dm))
+                        rhs_v = apply_realization(p, "vector_alpha0", op, PolyFunction(dm))
                         # map back: component nu, omega^j -> z^{j lam + nu} * D_nu
                         width = lhs.coeffs.shape[1]
                         rhs = np.zeros((lam, width + lam), dtype=complex)
@@ -349,7 +467,7 @@ class TestEigenstateBasis:
         for n in range(4):
             psi = _fock(p, {n: 1.0}, dim=16)
             f = bargmann_transform(p, psi, "eigenstate")
-            val = eigenstate_inner_product(meas, f, f)
+            val = inner_product("eigenstate", meas, f, f)
             assert val.real == pytest.approx(1.0, rel=1e-7)
 
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import time
@@ -478,18 +479,10 @@ GRID_COMMANDS = [
 def test_oracle_builds_each_grid_once(monkeypatch, argv, builds):
     # the oracle column is one state build per grid (per family in verify), not
     # one per point: the builders' coefficient step on the closed column's
-    # weights, so neither public builder runs
+    # weights; observables does not even import the public builders
     import clext.observables as obs
 
-    calls = {"eigenstate": 0, "cs_alpha_state": 0}
-    for name in calls:
-        original = getattr(obs, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(obs, name, counted)
+    assert not hasattr(obs, "eigenstate") and not hasattr(obs, "cs_alpha_state")
     steps = {"eigenstate": 0, "cs_alpha_state": 0}
     original_step = obs._coefficients
 
@@ -501,7 +494,6 @@ def test_oracle_builds_each_grid_once(monkeypatch, argv, builds):
     monkeypatch.setattr(obs, "_coefficients", counted_step)
     code, out, _ = run_cli([*argv, "--lambda", "3", "--alpha", "3,-3,0"])
     assert code == 0
-    assert calls == {"eigenstate": 0, "cs_alpha_state": 0}
     assert steps == {"eigenstate": 0, "cs_alpha_state": 0, **builds}
 
 
@@ -538,3 +530,80 @@ def test_csv_rows_print_what_the_format_spec_prints():
     got = csv_rows("%d,%.12g,%.3e", ints, values, values)
     want = "".join(f"{i},{v:.12g},{v:.3e}\n" for i, v in zip(ints, values))
     assert got == want
+
+
+# the rows bargmann-check printed before it had Hermiticity rows for the
+# vector and eigenstate bases and intertwining rows: they keep their bytes
+BARGMANN_ROWS = {
+    ("2", "3,-3"): """basis,op_pair,max_residual
+eigenstate,[a,adag],0.000e+00
+sector(mu=0,alpha=0),[J+,J-],0.000e+00
+sector(mu=0,alpha=0),[J0,Jminus],0.000e+00
+sector(mu=0,alpha=0),[J0,Jplus],0.000e+00
+sector(mu=0,alpha=1),[J+,J-],0.000e+00
+sector(mu=0,alpha=1),[J0,Jminus],0.000e+00
+sector(mu=0,alpha=1),[J0,Jplus],0.000e+00
+sector(mu=1,alpha=0),[J+,J-],0.000e+00
+sector(mu=1,alpha=0),[J0,Jminus],0.000e+00
+sector(mu=1,alpha=0),[J0,Jplus],0.000e+00
+vector_alpha0,[a,adag],0.000e+00
+sector(mu=0),J+/J- hermiticity,2.467e-17
+""",
+    ("3", "3,-3,0"): """basis,op_pair,max_residual
+eigenstate,[a,adag],0.000e+00
+sector(mu=0,alpha=0),[J+,J-],4.480e-16
+sector(mu=0,alpha=0),[J0,Jminus],1.998e-16
+sector(mu=0,alpha=0),[J0,Jplus],1.086e-16
+sector(mu=0,alpha=1),[J+,J-],3.438e-16
+sector(mu=0,alpha=1),[J0,Jminus],6.661e-17
+sector(mu=0,alpha=1),[J0,Jplus],9.992e-17
+sector(mu=1,alpha=0),[J+,J-],9.504e-16
+sector(mu=1,alpha=0),[J0,Jminus],1.615e-16
+sector(mu=1,alpha=0),[J0,Jplus],1.190e-16
+sector(mu=1,alpha=1),[J+,J-],4.073e-16
+sector(mu=1,alpha=1),[J0,Jminus],0.000e+00
+sector(mu=1,alpha=1),[J0,Jplus],1.120e-16
+sector(mu=2,alpha=0),[J+,J-],1.354e-15
+sector(mu=2,alpha=0),[J0,Jminus],2.414e-16
+sector(mu=2,alpha=0),[J0,Jplus],1.063e-16
+vector_alpha0,[a,adag],7.105e-15
+sector(mu=0),J+/J- hermiticity,5.921e-15
+""",
+}
+
+
+class TestBargmannCheck:
+    @pytest.mark.parametrize("lam, alpha", list(BARGMANN_ROWS))
+    def test_every_basis_has_each_kind_of_row(self, lam, alpha):
+        code, out, err = run_cli(["bargmann-check", "--lambda", lam, "--alpha", alpha])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "basis,op_pair,max_residual"
+        # basis label (with its parenthesized sector), op or pair, residual
+        parsed = [re.fullmatch(r"(\w+(?:\([^)]*\))?),(.*),([^,]*)", line).groups()
+                  for line in lines[1:]]
+        for basis in ("sector", "vector_alpha0", "eigenstate"):
+            rows = [row for label, row, _ in parsed if label.startswith(basis)]
+            assert any(row.startswith("[") for row in rows), basis  # a commutator
+            assert any(row.endswith(" hermiticity") for row in rows), basis
+            ops = {row.split()[0] for row in rows if row.endswith(" intertwining")}
+            assert ops == ({"N", "J0", "Jplus", "Jminus"} if basis == "sector"
+                           else {"a", "adag", "N", "J0", "Jplus", "Jminus"}), basis
+        assert all(float(res) < 1e-10 for _, _, res in parsed)
+
+    @pytest.mark.parametrize("lam, alpha", list(BARGMANN_ROWS))
+    def test_former_rows_keep_their_bytes(self, lam, alpha):
+        code, out, _ = run_cli(["bargmann-check", "--lambda", lam, "--alpha", alpha])
+        assert code == 0 and out.startswith(BARGMANN_ROWS[lam, alpha])
+
+    @pytest.mark.parametrize("lam, alpha", list(BARGMANN_ROWS))
+    def test_unmet_tolerance_exits_one(self, lam, alpha):
+        # the Hermiticity rows carry quadrature rounding far above 1e-30
+        code, out, _ = run_cli(["bargmann-check", "--lambda", lam, "--alpha", alpha,
+                                "--tol", "1e-30"])
+        assert code == 1 and out.count(" hermiticity,") == 3
+
+    def test_sector_outside_the_family_is_a_usage_error(self):
+        code, out, err = run_cli(["bargmann-check", "--lambda", "3", "--alpha", "3,-3,0",
+                                  "--mu", "2", "--cs-alpha", "1"])
+        assert code == 2 and out == "" and err == "error: mu out of range: 2\n"

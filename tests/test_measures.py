@@ -15,9 +15,7 @@ from clext.measures import (
     WeightFunction,
     PositivityCertificate,
     PositivityRefusal,
-    carleman_test,
     eigenstate_measures,
-    hankel_hadamard,
     mellin_lists,
     moment_target,
     positivity_condition,
@@ -26,6 +24,7 @@ from clext.measures import (
     weight_function,
 )
 from clext.states import log_weights
+from closed_forms import carleman_test, hankel_hadamard
 from conftest import hausdorff_closed_form, meijer_weight, random_valid_params
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -298,19 +299,40 @@ class TestOracleGrid:
             assert sq_eigen.uncertainty_rhs[i] == 0.25
 
     def test_long_grid_is_built_in_row_blocks(self, monkeypatch, paraboson_params):
-        # at most 64 rows of up to 1024 levels per build
+        # one core call for the grid, then at most 64 rows of up to 1024 levels
+        # per coefficient step
         import clext.observables as obs
 
-        rows = []
-        original = obs.eigenstate
+        cores, rows = [], []
+        core, step = obs._fock_weights, obs._coefficients
 
-        def counted(params, z, dim=64):
+        def counted_core(params, z_abs, *args):
+            cores.append(len(z_abs))
+            return core(params, z_abs, *args)
+
+        def counted_step(z, *args):
             rows.append(len(z))
-            return original(params, z, dim)
+            return step(z, *args)
 
-        monkeypatch.setattr(obs, "eigenstate", counted)
+        monkeypatch.setattr(obs, "_fock_weights", counted_core)
+        monkeypatch.setattr(obs, "_coefficients", counted_step)
         q = mandel_q_eigenstate(paraboson_params, np.linspace(0.1, 3.0, 130), "oracle").mandel_Q
-        assert rows == [64, 64, 2] and q.shape == (130,)
+        assert cores == [130] and rows == [64, 64, 2] and q.shape == (130,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("method", ["closed", "oracle", ("closed", "oracle")])
+    def test_non_finite_z_is_a_domain_error(self, paraboson_params, method, bad):
+        # refused where it enters, whatever the method, before any level is summed
+        from clext.errors import DomainError
+
+        z = np.array([1.0, bad])
+        for run in (lambda: mandel_q_eigenstate(paraboson_params, z, method),
+                    lambda: squeezing_eigenstate(paraboson_params, z, "dressed", method),
+                    lambda: squeezing_eigenstate(paraboson_params, z, "real", method)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="finite"):
+                    run()
 
 
 # one algebra per lambda (the benchmark's bases) and one sector family below the unit disc

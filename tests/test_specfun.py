@@ -16,13 +16,7 @@ import scipy.special as sp
 from hypothesis import assume, example, given, note, settings, strategies as st
 
 from clext import params_from_beta_bar
-from clext.errors import (
-    ClextError,
-    DivergentSeries,
-    DomainError,
-    NoConvergence,
-    PoleInDenominator,
-)
+from clext.errors import ClextError, DomainError, NoConvergence
 from clext import specfun
 from clext.measures import (
     PositivityCertificate,
@@ -39,9 +33,8 @@ from clext.specfun import (
     bessel_k_vec,
     g_general_vec,
     m0_eval_vec,
-    pfq,
 )
-from closed_forms import bessel_i
+from closed_forms import DivergentSeries, PoleInDenominator, bessel_i, pfq
 from conftest import random_valid_params
 
 mp.mp.dps = 30
