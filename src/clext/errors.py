@@ -47,10 +47,6 @@ class NoConvergence(ClextError, ArithmeticError):
 class QuadratureFailure(ClextError, ArithmeticError):
     """Numerical integration failed to reach the requested accuracy."""
 
-    def __init__(self, message, worst_interval=None):
-        self.worst_interval = worst_interval
-        super().__init__(message)
-
 
 class PositivityUnavailable(ClextError, ValueError):
     """No positivity certificate exists for the requested weight."""

@@ -32,7 +32,7 @@ import numpy as np
 from .algebra import AlgebraParams
 from .errors import PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
-from .specfun import _NorlundKernel, g_general_vec, m0_eval_vec
+from .specfun import _NorlundKernel, g_general_vec
 from .states import log_weights, sector_lists
 
 
@@ -225,7 +225,7 @@ class WeightFunction:
         err = np.abs(fine - terms[:, g.coarse] @ g.w_coarse)
         bad = ~np.isfinite(fine)
         if bad.any():
-            raise QuadratureFailure(f"moment k={ks[bad][0]} integral is not finite", None)
+            raise QuadratureFailure(f"moment k={ks[bad][0]} integral is not finite")
         if np.ndim(k) == 0:
             return float(fine[0]), float(err[0])
         return fine, err
@@ -247,21 +247,20 @@ def weight_function(
     params: AlgebraParams,
     mu: int,
     alpha: int,
-    tol: float = 1e-11,
     require_positive: bool = True,
 ) -> WeightFunction:
     """Weight solving the (mu, alpha) moment problem.
 
-    Dispatch: alpha = 0 evaluates G^{m,0}_{0,m} by m0_eval_vec (closed
-    forms for m <= 2); r = 0 is the Hausdorff weight G^{alpha,0}_{alpha,alpha}
+    Two evaluators: r = 0 is the Hausdorff weight G^{alpha,0}_{alpha,alpha}
     on (0, 1), Norlund's (1 - y) series of the certificate's pairs
-    (specfun._NorlundKernel); r > 0 is G^{m,0}_{alpha,m} on (0, inf) by
-    g_general_vec (residue sum, large-y expansion, ODE continuation), whatever
-    alpha.  An upper parameter equal to a lower one cancels with it first,
-    when the reduced lists still certify; with no upper one left, the
-    weight is G^{m,0}_{0,m} of the rest.  The form label names the paper's
-    closed form of the uncancelled weight (Beta power, Gauss 2F1, Appell
-    F3, multiple series by alpha).  tol is the Meijer-G routes' tolerance.
+    (specfun._NorlundKernel); every r > 0 weight, alpha = 0 included, is
+    G^{m,0}_{alpha,m} on (0, inf) by g_general_vec (closed forms for m <= 2
+    with no upper parameter, residue sum, large-y expansion, ODE
+    continuation).  An upper parameter equal to a lower one cancels with it
+    first, when the reduced lists still certify; with no upper one left,
+    the weight is G^{m,0}_{0,m} of the rest.  The form label names the
+    paper's closed form of the uncancelled weight (Beta power, Gauss 2F1,
+    Appell F3, multiple series by alpha).
 
     Without a positivity certificate the default is to refuse; passing
     require_positive=False still returns the r > 0 inverse Mellin
@@ -290,17 +289,14 @@ def weight_function(
         reduced = _pairing(a_left, b_left) if len(a_left) < alpha else None
         if reduced is not None:
             a, b, pairing = a_left, b_left, reduced
-    if not a:
-        def evaluator(y, one_minus_y=None, _b=tuple(b), _amp=amp):
-            return _amp * m0_eval_vec(_b, y, tol)
-    elif r == 0:
+    if r == 0:
         kernel = _NorlundKernel([(a[i], b[j]) for i, j in enumerate(pairing)])
 
         def evaluator(y, one_minus_y=None, _k=kernel, _amp=amp):
             return _amp * _k(y, one_minus_y)
     else:
         def evaluator(y, one_minus_y=None, _a=tuple(a), _b=tuple(b), _amp=amp):
-            return _amp * g_general_vec(_a, _b, y, tol)
+            return _amp * g_general_vec(_a, _b, y)
 
     return WeightFunction(problem, form, cert, evaluator)
 
@@ -399,28 +395,27 @@ class EigenstateMeasures:
         return complex(out) if out.ndim == 0 else out
 
 
-def _alpha0_weights(params: AlgebraParams, tol: float = 1e-11) -> list[WeightFunction]:
+def _alpha0_weights(params: AlgebraParams) -> list[WeightFunction]:
     """The lambda alpha = 0 sector weights (always certified).
 
-    Their lower lists are b_0 + e_1 + .. + e_mu (mellin_lists), so for
-    lambda >= 3 one g_general_vec family call (shifts 1..lambda-1) gives all
-    of them on their shared moment grid, each row scaled by its A_mu; the
-    weights hold those values, and evaluate() elsewhere still runs each
-    weight's own list.  lambda = 2 keeps the Bessel closed forms.
+    Their lower lists are b_0 + e_1 + .. + e_mu (mellin_lists), so one
+    g_general_vec family call (shifts 1..lambda-1) gives all of them on
+    their shared moment grid, each row scaled by its A_mu; the weights hold
+    those values, and evaluate() elsewhere still runs each weight's own
+    list.
     """
     lam = params.lam
-    weights = [weight_function(params, mu, 0, tol=tol) for mu in range(lam)]
-    if lam > 2:
-        grid = weights[0]._moment_grid()
-        rows = g_general_vec((), mellin_lists(params, 0, 0)[1], grid.y, tol, shifts=range(1, lam))
-        for w, row in zip(weights, rows):
-            w._keep(grid, math.exp(w.problem.log_A) * row)
+    weights = [weight_function(params, mu, 0) for mu in range(lam)]
+    grid = weights[0]._moment_grid()
+    rows = g_general_vec((), mellin_lists(params, 0, 0)[1], grid.y, shifts=range(1, lam))
+    for w, row in zip(weights, rows):
+        w._keep(grid, math.exp(w.problem.log_A) * row)
     return weights
 
 
-def eigenstate_measures(params: AlgebraParams, tol: float = 1e-11) -> EigenstateMeasures:
+def eigenstate_measures(params: AlgebraParams) -> EigenstateMeasures:
     """Build h_mu / g_mu from the alpha = 0 sector weights (always certified)."""
-    return EigenstateMeasures(params, _alpha0_weights(params, tol))
+    return EigenstateMeasures(params, _alpha0_weights(params))
 
 
 @dataclass(frozen=True)
@@ -477,7 +472,7 @@ def verify_identity_resolution(
             leak = np.abs(acc.imag) > 1e-8 * np.maximum(1.0, np.abs(acc.real))
             if leak.any():
                 raise QuadratureFailure(
-                    f"off-diagonal resolution produced imaginary part {acc.imag[leak][0]:.3e}", None
+                    f"off-diagonal resolution produced imaginary part {acc.imag[leak][0]:.3e}"
                 )
             mn = acc.real
         diag = math.pi * lam * np.exp(-log_d) * mn

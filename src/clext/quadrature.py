@@ -54,21 +54,20 @@ def _cached_rule(level: int):
 
 
 def _level_nodes(a: float, b: float, level: int):
-    """(x, dl, dr, w) for one tanh-sinh level on (a, b).
+    """(x, dr, w) for one tanh-sinh level on (a, b).
 
-    dl = x - a and dr = b - x are exact: near each endpoint they are
-    half * delta by construction, never a subtraction of close floats.
+    dr = b - x is exact near the right endpoint: there it is half * delta
+    by construction, never a subtraction of close floats.
     """
     half = 0.5 * (b - a)
     delta, w = _cached_rule(level)
     d = half * delta
     span = b - a
     # left half: x = a + d; right half: x = b - d, skipping the shared midpoint
-    dl = np.concatenate([d, span - d[1:]])
     dr = np.concatenate([span - d, d[1:]])
     x = np.concatenate([a + d, b - d[1:]])
     ww = np.concatenate([w, w[1:]]) * half
-    return x, dl, dr, ww
+    return x, dr, ww
 
 
 @dataclass
@@ -98,15 +97,15 @@ def _coarse_index(level: int) -> np.ndarray:
 
 def fixed_grid_unit(level: int = 8) -> FixedGrid:
     """Tanh-sinh grid on (0, 1) plus a one-level-coarser shadow."""
-    y, _, dr, w = _level_nodes(0.0, 1.0, level)
+    y, dr, w = _level_nodes(0.0, 1.0, level)
     coarse = _coarse_index(level)
     return FixedGrid(y, w, dr, coarse, 2.0 * w[coarse])
 
 
 def fixed_grid_zero_inf(level: int = 8, v_max: float = 48.0) -> FixedGrid:
     """Frozen node set for (0, inf): unit interval plus exp-substituted tail."""
-    y1, _, dr1, w1 = _level_nodes(0.0, 1.0, level)
-    v, _, _, wv = _level_nodes(0.0, v_max, level)
+    y1, dr1, w1 = _level_nodes(0.0, 1.0, level)
+    v, _, wv = _level_nodes(0.0, v_max, level)
     y = np.concatenate([y1, np.exp(v)])
     w = np.concatenate([w1, wv * np.exp(v)])
     dr = np.concatenate([dr1, np.full(v.shape, np.inf)])

@@ -4,11 +4,14 @@ Everything the rest of the package needs is evaluated here in double
 precision with explicit error estimates: the modified Bessel K of real
 order, and the restricted Meijer G classes G^{m,0}_{0,m} and
 G^{m,0}_{alpha,m} that the unity-resolution weight functions are built
-from (Slater's residue sum at small y, with exact confluent residues for
-coincident or integer-spaced lower parameters, the exponential expansion
-at large y, a Taylor continuation of the Meijer differential equation
-down from it for the band between, and Norlund's (1 - y) series on the
-unit interval).
+from.  One router, g_general_vec, evaluates every r > 0 weight: the
+closed forms y^b e^-y and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y) for lists
+with no upper parameter and m <= 2; Slater's residue sum at small y, with
+exact confluent residues for coincident or integer-spaced lower
+parameters; the exponential expansion at large y; and a Taylor
+continuation of the Meijer differential equation down from it for the
+band between.  Norlund's (1 - y) series gives the r = 0 weight on the
+unit interval.
 
 The Meijer-G and Bessel-K routes are vectorized over their argument
 array.  g_general_vec also returns a contiguous family
@@ -31,7 +34,6 @@ from .errors import DomainError, NoConvergence
 
 __all__ = [
     "bessel_k_vec",
-    "m0_eval_vec",
     "g_general_vec",
 ]
 
@@ -794,34 +796,23 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = (
     return vals
 
 
-def m0_eval_vec(b: Sequence[float], y: np.ndarray, tol: float = 1e-11) -> np.ndarray:
-    """G^{m,0}_{0,m}(y|b) for an array of y > 0 (zeros where y <= 0).
+def _closed_vec(b: Sequence[float], y: np.ndarray, shifts: Sequence[int]):
+    """G^{m,0}_{0,m}(y | b), m <= 2, over an array of y > 0 by its closed form:
+    y^b e^-y, and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y) at any order.
 
-    Closed forms for m <= 2: y^b e^-y, and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y)
-    at any order (g_general_vec's residue sum where K overflows);
-    g_general_vec for m >= 3.
+    Returns (values, ok), one row per list of the family (_family); ok
+    marks the finite values, so the points where K overflows at small y
+    are left to the other routes.
     """
-    y = np.asarray(y, dtype=float)
-    b = [float(v) for v in b]
-    out = np.zeros_like(y)
-    pos = y > 0
-    if not pos.any():
-        return out
-    ys = y[pos]
-    if len(b) > 2:
-        out[pos] = g_general_vec((), b, ys, tol)
-        return out
+    lists = _family(b, shifts)[1]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         if len(b) == 1:
-            v = np.exp(b[0] * np.log(ys) - ys)
+            ln_y = np.log(y)
+            vals = np.array([np.exp(b0 * ln_y - y) for b0, in lists])
         else:
-            kv = bessel_k_vec(b[0] - b[1], 2.0 * np.sqrt(ys))
-            v = 2.0 * ys ** (0.5 * (b[0] + b[1])) * kv
-            over = np.isinf(kv)
-            if over.any():
-                v[over] = g_general_vec((), b, ys[over], tol)
-    out[pos] = np.where(np.isfinite(v), v, 0.0)
-    return out
+            x = 2.0 * np.sqrt(y)
+            vals = np.array([2.0 * y ** (0.5 * (b1 + b2)) * bessel_k_vec(b1 - b2, x) for b1, b2 in lists])
+    return vals, np.isfinite(vals)
 
 
 def g_general_vec(
@@ -830,7 +821,9 @@ def g_general_vec(
 ) -> np.ndarray:
     """G^{m,0}_{alpha,m}(y|a;b) over an array of y > 0.
 
-    Three routes by y, for s = m - alpha >= 1: the residue sum
+    With no upper parameter and m <= 2 the closed forms come first
+    (_closed_vec), and the points where they overflow go on to the
+    routes below.  Three routes by y, for s = m - alpha >= 1: the residue sum
     (_slater_vec: Slater's expansion, with exact confluent residues for
     coincident, integer-spaced or nearly integer-spaced lower parameters)
     while it conditions well, its cancellation within min(1e6, tol / eps)
@@ -865,6 +858,11 @@ def g_general_vec(
     # and so is y <= 0, outside the support
     ok = np.zeros(vals.shape, dtype=bool)
     ok[:] = (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
+    if not a and len(b) in (1, 2):
+        live = ~ok[0]
+        vals[:, live], ok[:, live] = _closed_vec(b, y[live], shifts)
+        if ok.all():
+            return vals if family else vals[0, ...]
     # rounding in a residue sum that cancels by a factor c leaves about c eps / 3
     limit = min(_SLATER_COND_LIMIT, tol / _EPS)
     reach = ~ok[0] & (_slater_reaches(r, np.where(ok[0], 1.0, y), limit) if r > 0 else True)

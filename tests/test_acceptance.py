@@ -281,10 +281,11 @@ def test_criterion_8_figure_reproduction():
 
 
 def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
-    # intertwining at degree <= 10, every op in every basis
+    # intertwining at degree <= 10, every op in every basis, with amplitudes on
+    # every level so that each sector mu is tested
     for lam in (2, 3):
         p = random_valid_params(rng, lam)
-        amps = {n: complex(0.4, -0.1) ** (n % 3 + 1) for n in range(0, 10 * lam, max(1, lam))}
+        amps = {n: complex(0.4, -0.1) ** (n % 3 + 1) for n in range(10 * lam)}
         dim = 10 * lam + 2 * lam
         c = np.zeros(dim, dtype=complex)
         for n, amp in amps.items():

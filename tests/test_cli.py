@@ -268,6 +268,37 @@ def test_verify_failure_exits_one():
     assert "False" in out
 
 
+@pytest.mark.parametrize("lam, alpha", [("2", "3,-3"), ("3", "3,-3,0")])
+def test_verify_resolution_rows(lam, alpha):
+    # one row per level of the diagonal_alpha0 resolution; lambda = 2 takes
+    # the same family call as lambda = 3
+    argv = ["verify", "resolution", "--lambda", lam, "--alpha", alpha]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "check,residual,passed"
+    assert [line.split(",")[0] for line in lines[1:]] == [f"<{n}|I|{n}>" for n in range(7)]
+    assert all(line.endswith(",True") for line in lines[1:])
+    code, out, _ = run_cli(argv + ["--tol", "1e-30"])
+    assert code == 1 and ",False" in out
+
+
+def test_state_dump_of_a_sector_state():
+    # |z; mu = 1; alpha = 1> at lambda = 3 lives on the levels n = 1 (mod 3)
+    code, out, _ = run_cli(
+        ["state", "--lambda", "3", "--alpha", "3,-3,0", "--mu", "1", "--cs-alpha", "1",
+         "--z-re", "1.2", "--z-im", "0.5", "--k", "24"]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# |z; mu; alpha> with z = (1.2+0.5j), mu = 1, alpha = 1"
+    assert re.fullmatch(r"# norm_series = \S+, tail_bound = \S+", lines[1])
+    assert lines[2] == "n,re_c,im_c"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[3:]])
+    live = rows[:, 1] ** 2 + rows[:, 2] ** 2 > 0.0
+    assert (rows[live, 0] % 3 == 1).all() and live[rows[:, 0] % 3 == 1].all()
+
+
 def test_figure_3b_solid_q_limit():
     # mu = 1 curves start at Q(0+) = -1
     code, out, _ = run_cli(["figure", "3b", "--grid", "0.02:1:8"])

@@ -1,4 +1,4 @@
-"""Ratchets on src/ code that only tests call, and on what the light modules import.
+"""Ratchets on src/ code and knobs that only tests use, and on what the light modules import.
 
 A public module-level function of src/clext is used when clext.__all__
 names it, when bench/ or a module-level statement of src/clext other than
@@ -7,6 +7,12 @@ function does.  The public functions that are not used are the ones only
 tests reach; they are listed in TEST_ONLY, and the list may only shrink: a
 new function that only tests call fails the test, and so does a listed
 name that gained a caller or was deleted, until it leaves the list.
+
+Likewise every defaulted parameter of a public module-level function of
+src/clext must be set, by keyword or by position, by some call in src/ or
+bench/ (a call with *args sets every positional one, one with **kwargs
+all); the ones only tests set are listed in TEST_ONLY_PARAMS, which may
+only shrink.
 
 The package itself, the state builders and the algebra import no special
 functions: neither they nor any clext module they import, directly or
@@ -24,6 +30,13 @@ import clext
 ROOT = Path(__file__).resolve().parents[1]
 
 TEST_ONLY: dict[str, set[str]] = {}
+
+# function -> its defaulted parameters that no call in src/ or bench/ sets
+TEST_ONLY_PARAMS: dict[str, set[str]] = {
+    "check_hermiticity": {"degree"},
+    "intertwining_residual": {"mu_op"},
+    "verify_identity_resolution": {"measures"},
+}
 
 
 def _names(node) -> set[str]:
@@ -76,6 +89,49 @@ def test_the_test_only_list_only_shrinks():
     found = _test_only()
     stale = {m: sorted(names - found.get(m, set())) for m, names in TEST_ONLY.items()}
     assert not any(stale.values()), f"no longer test-only, drop from TEST_ONLY: {stale}"
+
+
+def _unset_params() -> dict[str, set[str]]:
+    src = sorted((ROOT / "src" / "clext").glob("*.py"))
+    bench = sorted((ROOT / "bench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in src + bench}
+    params: dict[str, list[str]] = {}  # public function -> positional parameter names
+    unset: dict[str, set[str]] = {}
+    for path in src:
+        for stmt in trees[path].body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                args = stmt.args
+                positional = args.posonlyargs + args.args
+                params[stmt.name] = [arg.arg for arg in positional]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                unset[stmt.name] = {arg.arg for arg in defaulted}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in unset:
+                continue
+            if any(kw.arg is None for kw in call.keywords):
+                unset[name].clear()
+            unset[name] -= {kw.arg for kw in call.keywords}
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            unset[name] -= set(params[name] if starred else params[name][:len(call.args)])
+    return {name: names for name, names in unset.items() if names}
+
+
+def test_no_new_parameter_only_tests_set():
+    found = _unset_params()
+    new = {f: sorted(names - TEST_ONLY_PARAMS.get(f, set())) for f, names in found.items()}
+    assert not any(new.values()), f"defaulted parameters that only tests set: {new}"
+
+
+def test_the_test_only_params_list_only_shrinks():
+    found = _unset_params()
+    stale = {f: sorted(names - found.get(f, set())) for f, names in TEST_ONLY_PARAMS.items()}
+    assert not any(stale.values()), f"set outside tests, drop from TEST_ONLY_PARAMS: {stale}"
 
 
 def _clext_imports(stem: str) -> set[str]:

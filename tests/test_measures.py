@@ -715,3 +715,14 @@ class TestAlpha0Family:
             y = np.array([1e-3, 0.7, 9.0])
             assert w.evaluate(y).tobytes() == lone.evaluate(y).tobytes()
             assert w.moment(np.arange(3.0))[0] == pytest.approx(lone.moment(np.arange(3.0))[0], rel=1e-11)
+
+    @pytest.mark.parametrize("bb", [1.5, 2.0, 0.05])
+    def test_lambda2_family_values_are_each_weights_own(self, bb):
+        # at lambda = 2 the family call's two rows are the Bessel closed forms
+        # of each weight's own list: the grid holds what evaluate() returns
+        meas = eigenstate_measures(params_from_beta_bar(2, [bb]))
+        for w in meas.weights:
+            vals = w.evaluate(w._grid.y, w._grid.one_minus_y)
+            with np.errstate(divide="ignore"):
+                assert w._log_abs.tobytes() == np.log(np.abs(vals)).tobytes()
+            assert w._sign.tobytes() == np.sign(vals).tobytes()

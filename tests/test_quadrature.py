@@ -68,12 +68,12 @@ def test_shadow_is_the_coarser_level(level, v_max):
     # the shadow index picks the nodes, offsets and halved weights of a
     # level - 1 build; weights below 1e-280 come from subnormal rule
     # weights, where doubling and the coarser rule round differently
-    y, _, dr, w = _level_nodes(0.0, 1.0, level - 1)
+    y, dr, w = _level_nodes(0.0, 1.0, level - 1)
     if v_max is None:
         g = fixed_grid_unit(level)
     else:
         g = fixed_grid_zero_inf(level, v_max)
-        v, _, _, wv = _level_nodes(0.0, v_max, level - 1)
+        v, _, wv = _level_nodes(0.0, v_max, level - 1)
         y = np.concatenate([y, np.exp(v)])
         w = np.concatenate([w, wv * np.exp(v)])
         dr = np.concatenate([dr, np.full(v.shape, np.inf)])

@@ -32,7 +32,6 @@ from clext.specfun import (
     _slater_vec,
     bessel_k_vec,
     g_general_vec,
-    m0_eval_vec,
 )
 from closed_forms import DivergentSeries, PoleInDenominator, bessel_i, pfq
 from conftest import random_valid_params
@@ -212,7 +211,7 @@ class TestMeijerG:
     def test_exponential_case_vs_contour(self):
         # G^{1,0}_{0,1} = e^-y, continued down its ODE D G = -e^x G
         y = np.array([1.0])
-        assert float(m0_eval_vec([0.0], y)[0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert float(g_general_vec((), [0.0], y)[0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert float(_continuation_vec([], [0.0], y, 1e-11)[0]) == pytest.approx(math.exp(-1.0), rel=1e-11)
 
     def test_two_parameter_bessel_identity(self):
@@ -276,7 +275,7 @@ class TestMeijerG:
     @pytest.mark.parametrize("y", [1e-6, 0.3, 2.0, 60.0, 400.0])
     def test_m0_vec_degenerate_integer_spacing(self, y):
         # b = (0, 1): the acceptance parameter set beta_bar_1 = 2
-        got = float(m0_eval_vec([0.0, 1.0], np.array([y]))[0])
+        got = float(g_general_vec((), [0.0, 1.0], np.array([y]))[0])
         ref = float(mp.meijerg([[], []], [[0.0, 1.0], []], y))
         assert got == pytest.approx(ref, rel=1e-9)
 
@@ -285,7 +284,7 @@ class TestMeijerG:
         # K_nu at any order; b = (0, 0) at 1e-13 went through a leading
         # small-y form 4e-2 off
         y = np.array([1e-300, 1e-100, 1e-13, 1e-6])
-        got = m0_eval_vec(list(b), y)
+        got = g_general_vec((), b, y)
         for g, v in zip(got, y):
             assert g == pytest.approx(float(mp.meijerg([[], []], [list(b), []], v)), rel=1e-13)
 
@@ -298,8 +297,6 @@ class TestMeijerG:
         # the residue sum's own first poles serve these points
         y = np.array([1e-70, 1e-300, 5e-324])
         got = g_general_vec(a, b, y)
-        if not a:
-            assert m0_eval_vec(b, y).tolist() == got.tolist()
         for g, v in zip(got, y):
             ref = float(mp.meijerg([[], list(a)], [list(b), []], mp.mpf(v)))
             assert g == pytest.approx(ref, rel=1e-10)
@@ -441,7 +438,9 @@ class TestMeijerG:
             ref = sp.polygamma(n, x)
             assert np.abs(_polygamma(n, x) / ref - 1.0).max() < 1e-13, n
 
-    @pytest.mark.parametrize("a, b", [((), (0.0, 0.3, 0.2)), ((0.5,), (0.0, 0.3, 0.2, -0.1))])
+    @pytest.mark.parametrize(
+        "a, b", [((), (0.0, 0.3, 0.2)), ((0.5,), (0.0, 0.3, 0.2, -0.1)), ((), (0.0, 0.3))]
+    )
     def test_infinite_y_is_an_exact_zero(self, monkeypatch, a, b):
         # G ~ e^{-s y^{1/s}}: y = inf returns 0 before any route runs, with
         # no floating-point warning
@@ -450,8 +449,7 @@ class TestMeijerG:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals = g_general_vec(a, b, np.array([np.inf, np.inf]))
-            kernel = m0_eval_vec(b, np.array([np.inf])) if not a else np.zeros(1)
-        assert vals.tolist() == [0.0, 0.0] and kernel.tolist() == [0.0]
+        assert vals.tolist() == [0.0, 0.0]
         assert not calls
 
     @pytest.mark.parametrize(
@@ -768,6 +766,10 @@ def family_cases(draw):
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
 @given(family_cases())
 @example((4, (1.5, 1.5, 1.5), 5))  # b_0 = (0, 1/2, 1/2, 1/2), the kummer lambda = 4 base
+# lambda = 2: the two rows are the Bessel closed forms; b_0 = (0, 1) is integer-spaced
+@example((2, (1.5,), 2))
+@example((2, (2.0,), 6))
+@example((2, (0.05,), 9))
 def test_family_rows_are_the_shifted_lists(case):
     # every row within 1e-12 of g_general_vec of its own list on FAMILY_Y,
     # and of meijerg at one of its points; at tol 1e-12 the two evaluations
