@@ -166,7 +166,8 @@ class WeightFunction:
 
     evaluate() is vectorized; moment(k) integrates y^k h(y) dy on a
     cached tanh-sinh grid (k may be fractional, as the eigenstate
-    measures require, and an array of k takes one product per rule).
+    measures require; an array of k is one product per rule, each order's
+    row summed on its own, so it matches a one-order call bit for bit).
     """
 
     problem: MomentProblem
@@ -221,8 +222,10 @@ class WeightFunction:
         g = self._grid
         # y^k h in log space: y^k alone overflows before h decays
         terms = self._sign * np.exp(np.multiply.outer(ks, self._log_y) + self._log_abs)
-        fine = terms @ g.w
-        err = np.abs(fine - terms[:, g.coarse] @ g.w_coarse)
+        # summed row by row (a BLAS product blocks rows by their count, and
+        # terms[:, coarse] is column-major), so each order keeps its own bits
+        fine = (terms * g.w).sum(axis=1)
+        err = np.abs(fine - (np.take(terms, g.coarse, axis=1) * g.w_coarse).sum(axis=1))
         bad = ~np.isfinite(fine)
         if bad.any():
             raise QuadratureFailure(f"moment k={ks[bad][0]} integral is not finite")

@@ -59,91 +59,89 @@ _RGAMMA1P_DIGITS = (
 )
 _RGAMMA1P = tuple(float(c) for c in _RGAMMA1P_DIGITS[:22])
 
-# Iterations of Temme's series (x < 2) and of Steed's CF2 (x >= 2) that
-# reach 1e-17 at x = 2, the worst point of both.  Calls carry at most a
-# few thousand points, where numpy's cost per operation outweighs the work
-# per element, so one count per method beats bands of x.
+# Terms of Temme's series (x < 2), which reach 1e-17 at x = 2, its worst
+# point.  For x >= 2, u = sqrt(2x) sinh(t/2) turns K_mu(x) = int_0^inf
+# e^{-x cosh t} cosh(mu t) dt into e^-x sqrt(2/x) int_0^inf e^{-u^2}
+# cosh(mu t) / sqrt(1 + u^2/2x) du, an even integrand analytic for
+# |Im u| < sqrt(2x) >= 2, where e^{-u^2} grows by at most e^4 and cosh(mu t)
+# stays bounded for |mu| <= 3/2.  The trapezoid rule of step h errs by
+# 2M / (e^{2 pi a/h} - 1) on a strip of half-width a (Trefethen & Weideman,
+# SIAM Rev. 56 (2014) 385): about e^{4 - 4 pi/h} = 4e-17 at h = 0.3.  Its 22
+# nodes reach u = 6.3, past which the integrand is below 1e-18 even at x = 2;
+# each weight is e^{-u^2} times half the step (the mean in cosh), and half
+# that at u = 0.
 _TEMME_TERMS = 15
-_STEED_STEPS = 92
+_TRAPEZOID_U = 0.3 * np.arange(22)
+_TRAPEZOID_W = 0.15 * np.exp(-_TRAPEZOID_U**2) * np.where(_TRAPEZOID_U > 0.0, 1.0, 0.5)
 
 
 def _temme_k(mu: float, x: np.ndarray):
-    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and x < 2 by Temme's series."""
+    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and 0 < x < 2 by Temme's series (J. Comput.
+    Phys. 19 (1975) 324).  Term i is (x^2/4)^i / i! times ff_i for K_mu and
+    p_i - i ff_i for K_{mu+1} x/2, linear in ff_0, p_0, q_0 with coefficients in
+    mu alone: both sums are the powers of x^2/4 times one (terms x 6) table.
+    (x/2)^-mu is a power, as exp(mu ln(x/2)) loses |mu ln(x/2)| ulps at small x."""
     # (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) and the mean of the two
     gam1 = -sum(c * mu ** (k - 1) for k, c in enumerate(_RGAMMA1P) if k % 2)
     gam2 = sum(c * mu**k for k, c in enumerate(_RGAMMA1P) if k % 2 == 0)
     gampl, gammi = gam2 - mu * gam1, gam2 + mu * gam1  # 1/Gamma(1 +- mu)
     fact = 1.0 if mu == 0.0 else math.pi * mu / math.sin(math.pi * mu)
-    d = -np.log(0.5 * x)
-    e = mu * d
-    with np.errstate(invalid="ignore"):
-        fact2 = np.where(e == 0.0, 1.0, np.sinh(e) / e)
-    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    k_mu = ff
-    p = 0.5 * np.exp(e) / gampl
-    q = 0.5 * np.exp(-e) / gammi
-    k_1 = p
-    c = np.ones_like(x)
-    x2 = 0.25 * x * x
+    # rows: ff_i / i! and (p_i - i ff_i) / i! as multiples of ff_0, p_0 and q_0
+    table, f, p, q, fac = [(1.0, 0, 0, 0, 1.0, 0)], (1.0, 0.0, 0.0), 1.0, 1.0, 1.0
     for i in range(1, _TEMME_TERMS + 1):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c = c * x2 / i
-        p = p / (i - mu)
-        q = q / (i + mu)
-        k_mu = k_mu + c * ff
-        k_1 = k_1 + c * (p - i * ff)
+        den = i * i - mu * mu
+        f = (i * f[0] / den, (i * f[1] + p) / den, (i * f[2] + q) / den)
+        p, q, fac = p / (i - mu), q / (i + mu), fac * i
+        table.append(tuple(v / fac for v in (*f, -i * f[0], p - i * f[1], -i * f[2])))
+    d = math.log(2.0) - np.log(x)
+    up = np.power(x, -mu) * 2.0**mu  # e^{mu d}
+    sinh = np.where(np.abs(mu * d) > 1.0, 0.5 * (up - 1.0 / up), np.sinh(mu * d))
+    ff = fact * (gam1 * 0.5 * (up + 1.0 / up) + gam2 * (sinh / mu if mu else d))
+    start = (ff, 0.5 * up / gampl, 0.5 / (up * gammi))  # ff_0, p_0, q_0
+    s = np.vander(0.25 * x * x, _TEMME_TERMS + 1, increasing=True) @ np.array(table)
+    k_mu, k_1 = (sum(v * s[:, col + j] for j, v in enumerate(start)) for col in (0, 3))
     return k_mu, k_1 * (2.0 / x)
 
 
-def _steed_k(mu: float, x: np.ndarray):
-    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and x >= 2 by Steed's CF2."""
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = np.zeros_like(x), np.ones_like(x)
-    a1 = 0.25 - mu * mu
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _STEED_STEPS + 2):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q = q + c * q2
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        s = s + q * delh
-    k_mu = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) / s
-    return k_mu, k_mu * (mu + x + 0.5 - a1 * h) / x
+def _trapezoid_k(mu: float, x: np.ndarray):
+    """(K_mu, K_{mu+1}) for |mu| <= 1/2 and x >= 2 by the trapezoid rule: one
+    (points x nodes) table per order, cosh(nu t) the mean of e^{nu t} and
+    its inverse, e^{t/2} = s + sqrt(1 + s^2), s = u / sqrt(2x)."""
+    s = _TRAPEZOID_U / np.sqrt(2.0 * x)[:, None]
+    r = np.sqrt(1.0 + s * s)
+    e0 = (s + r) ** (2.0 * mu)  # e^{mu t}
+    scale = np.exp(-x) * np.sqrt(2.0 / x)
+    return tuple((e + 1.0 / e) / r @ _TRAPEZOID_W * scale for e in (e0, e0 * (s + r) ** 2))
 
 
 def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
-    """Modified Bessel K_nu over an array of positive x, real order.
+    """Modified Bessel K_nu over an array of x >= 0, real order.
 
     K_mu and K_{mu+1} at mu = |nu| - round(|nu|) come from Temme's series
-    for x < 2 and Steed's continued fraction CF2 above (Numerical Recipes
-    section 6.7, bessik), each with a fixed iteration count; the upward
-    recurrence then reaches nu.  Each distinct x is evaluated once.  Zero
-    where e^-x underflows, inf where K overflows.
-    """
+    for x < 2 (_temme_k) and the trapezoid rule above (_trapezoid_k), each
+    one table product over the points; the upward recurrence then reaches
+    nu.  Each distinct x is evaluated once.  +inf at x = 0 and where K
+    overflows, 0 at x = +inf and where e^-x underflows; NaN or x < 0 raises
+    DomainError."""
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any() or (x < 0.0).any():
+        raise DomainError(f"Bessel K needs x >= 0, got {x[np.isnan(x) | (x < 0.0)].flat[0]}")
     nu = abs(float(nu))
     n_up = int(nu + 0.5)
     mu = nu - n_up
     xs, where = np.unique(x, return_inverse=True)
-    live = xs[np.exp(-xs) > 0.0]  # a prefix, as xs is sorted
-    cut = np.searchsorted(live, 2.0)
-    k0, k1 = np.empty_like(live), np.empty_like(live)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for part, step in ((slice(None, cut), _temme_k), (slice(cut, None), _steed_k)):
-            if live[part].size:
-                k0[part], k1[part] = step(mu, live[part])
+    out = np.where(xs == 0.0, np.inf, 0.0)
+    live = (xs > 0.0) & (np.exp(-xs) > 0.0)  # a run, as xs is sorted
+    pos = xs[live]
+    cut = np.searchsorted(pos, 2.0)
+    k0, k1 = np.empty_like(pos), np.empty_like(pos)
+    with np.errstate(over="ignore"):
+        for part, step in ((slice(None, cut), _temme_k), (slice(cut, None), _trapezoid_k)):
+            if pos[part].size:
+                k0[part], k1[part] = step(mu, pos[part])
         for i in range(1, n_up + 1):
-            k0, k1 = k1, (mu + i) * (2.0 / live) * k1 + k0
-    out = np.zeros_like(xs)
-    out[:live.size] = k0
+            k0, k1 = k1, (mu + i) * (2.0 / pos) * k1 + k0
+    out[live] = k0
     return out[where].reshape(x.shape)
 
 
@@ -577,13 +575,13 @@ def _expansion_terms(a, b, lw: np.ndarray, tol: float):
 
 
 def _expansion_sum(M, n: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """sum_{k<n} M_k w^-k at each ln w, by Horner over the points; M of shape
-    (rows, terms) with n of shape (rows, points) sums every row in one loop."""
-    u = np.exp(-lw)
-    acc = np.zeros(n.shape)
-    for k in range(n.max() - 1, -1, -1):
-        acc = acc * u + M[..., k, None] * (k < n)
-    return acc
+    """sum_{k<n} M_k w^-k at each ln w: a (points x terms) table of w^-k, zero
+    from each point's own n on, times M.  M of shape (rows, terms) with n of
+    shape (rows, points) sums every row in one product.  A point's powers
+    stop at its largest n, so the table overflows only where its sum would."""
+    k = np.arange(n.max())
+    powers = np.exp(-lw[:, None] * np.minimum(k, np.atleast_2d(n).max(axis=0)[:, None] - 1))
+    return (powers * (k < n[..., None]) @ M[..., :k.size, None])[..., 0]
 
 
 def _expansion_lead(a, b, lw):
@@ -597,14 +595,14 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = ()):
     """Large-y expansion of G^{m,0}_{p,m}, s = m - p >= 1, over an array of y.
 
     Each point sums the terms before the first k whose term and the next
-    are both below _EXPANSION_MARGIN * tol (by Horner over the points, one
-    array operation per term), or below that share of the sum where the
-    sum is smaller than 1; ok marks the points where such a k exists among
-    _EXPANSION_TERMS and those two terms are below that share of the sum.
+    are both below _EXPANSION_MARGIN * tol (_expansion_sum), or below that
+    share of the sum where the sum is smaller than 1; ok marks the points
+    where such a k exists among _EXPANSION_TERMS and those two terms are
+    below that share of the sum.
     Points where the leading factor is below e^-750 are an exact 0.  With
     shifts, row r is the expansion of the shifted list (_family), the
     derivative (beta - theta) of row r - 1's series term by term, as its
-    coefficients are unique; the rows share one Horner loop, and ok has
+    coefficients are unique; the rows share one table product, and ok has
     one row each.
     """
     lists = _family(b, shifts)[1]
@@ -835,9 +833,9 @@ def g_general_vec(
     of lambda <= 8); and the continuation of the Meijer ODE down from the
     expansion (_continuation_vec: one Taylor recurrence for every step of
     the call) for the band between and for any point the residue sum
-    leaves at small y.  y = +inf and y <= 0 are an exact 0.  At s <= 0
-    only the residue sum runs, and a point it refuses raises
-    DomainError.
+    leaves at small y.  y = +inf and y <= 0 are an exact 0, and a NaN y
+    raises DomainError.  At s <= 0 only the residue sum runs, and a point
+    it refuses raises DomainError.
 
     shifts = (j_1, .., j_q) returns q + 1 rows, row r the G of the lower
     list b + e_{j_1} + .. + e_{j_r}: by the contiguous relation
@@ -848,6 +846,8 @@ def g_general_vec(
     rest to cancel) takes its own list at that point.
     """
     y = np.asarray(y, dtype=float)
+    if np.isnan(y).any():
+        raise DomainError(f"Meijer-G argument y is NaN at index {np.flatnonzero(np.isnan(y))[0]} of {y.size}")
     a = [float(v) for v in a]
     b = [float(v) for v in b]
     r = len(b) - len(a)

@@ -161,6 +161,24 @@ class TestVerifyMoments:
                     rep = verify_moments(w, MomentProblem(p, mu, alpha), 8, 1e-6)
                     assert rep.passed, (lam, mu, alpha, rep.max_rel_error)
 
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
+    def test_orders_of_one_call_match_their_own_calls(self, rng, lam):
+        # an order's integral and error estimate carry the same bits whichever
+        # orders share its call
+        checked = 0
+        for p in (random_valid_params(rng, lam) for _ in range(2)):
+            for alpha in range(lam // 2 + 1):
+                for mu in range(lam - alpha):
+                    if isinstance(positivity_condition(p, mu, alpha), PositivityRefusal):
+                        continue
+                    w = weight_function(p, mu, alpha)
+                    for width in (3, 4, 9):
+                        fine, err = w.moment(np.arange(width, dtype=float))
+                        for k in range(width):
+                            assert w.moment(float(k)) == (fine[k], err[k]), (p, mu, alpha, width, k)
+                            checked += 1
+        assert checked >= 32
+
     @pytest.mark.parametrize("lam, mu, alpha", [(3, 0, 0), (3, 0, 1), (4, 0, 2)])
     def test_one_weight_evaluation_per_grid(self, lam, mu, alpha):
         # the shadow grid's values are a slice of the fine grid's

@@ -146,6 +146,40 @@ class TestBessel:
         assert np.isinf(got[~fin]).all()
         assert np.max(np.abs(got[fin] / ref[fin] - 1.0)) <= 2e-14
 
+    def test_k_sweep_against_mpmath(self):
+        # seeded orders |nu| <= 8 and x from 1e-300 to 745, with the doubles on
+        # both sides of x = 2, against besselk at the same order and x: the
+        # trapezoid rule (x >= 2) within 2e-15, Temme's series within 2e-14,
+        # wherever K_nu is a normal double; where it overflows, inf
+        rng = np.random.default_rng(20261020)
+        orders = [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 5.0, -8.0, 8.0, 7.5]
+        orders += list(rng.uniform(-8.0, 8.0, 10))
+        edge = [2.0, np.nextafter(2.0, 3.0), np.nextafter(np.nextafter(2.0, 3.0), 3.0)]
+        edge += [np.nextafter(2.0, 0.0), np.nextafter(np.nextafter(2.0, 0.0), 0.0)]
+        x = np.concatenate((10.0 ** rng.uniform(-300.0, math.log10(745.0), 150), edge, [1e-300, 745.0]))
+        for nu in orders:
+            got = bessel_k_vec(nu, x)
+            ref = np.array([float(mp.besselk(mp.mpf(nu), mp.mpf(v))) for v in x])
+            assert np.isinf(got[np.isinf(ref)]).all(), nu
+            normal = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+            err = np.abs(got[normal] / ref[normal] - 1.0)
+            above = x[normal] >= 2.0
+            assert err[above].max() <= 2e-15, nu
+            assert err[~above].max() <= 2e-14, nu
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.3])
+    def test_input_is_checked_where_it_enters(self, nu):
+        # NaN and x < 0 raise; K_nu(0+) = +inf and K_nu(+inf) = 0, all
+        # without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bad in (np.nan, -1.0, -1e-300, -np.inf):
+                with pytest.raises(DomainError, match="x >= 0"):
+                    bessel_k_vec(nu, np.array([1.0, bad]))
+            got = bessel_k_vec(nu, np.array([0.0, 1.0, np.inf, 800.0]))
+        assert got[0] == np.inf and got[2] == 0.0 and got[3] == 0.0
+        assert got[1] == bessel_k(nu, 1.0) > 0.0
+
     @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.0, 3.5])
     @pytest.mark.parametrize("x", [0.05, 0.9, 3.0, 18.0, 40.0])
     def test_against_scipy(self, nu, x):
@@ -556,6 +590,15 @@ class TestMeijerG:
                 ref = float(mp.meijerg([[], a], [b, []], y[i]))
             assert vals[i] == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("b", [[0.0, 0.5], [0.0, 0.2, 0.5]])
+    @pytest.mark.parametrize("shifts", [(), (1,)])
+    def test_nan_y_is_a_domain_error(self, b, shifts):
+        # rejected where it enters, before any route runs on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"y is NaN at index 1 of 3"):
+                g_general_vec((), b, np.array([1.0, np.nan, 2.0]), shifts=shifts)
+
     def test_continuation_without_a_start_raises(self, monkeypatch):
         # where the expansion accepts no rung of the ladder there is no
         # start, and the call names the largest y
@@ -592,6 +635,47 @@ def test_contour_sweep(case):
     with mp.workdps(30):
         ref = float(mp.meijerg([[], []], [b, []], y))
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+def _horner_expansion_sum(M, n, lw):
+    """The large-y expansion's sum_{k<n} M_k w^-k by Horner over the points, one
+    array operation per term: the reference for _expansion_sum's table."""
+    u = np.exp(-lw)
+    acc = np.zeros(n.shape)
+    for k in range(n.max() - 1, -1, -1):
+        acc = acc * u + M[..., k, None] * (k < n)
+    return acc
+
+
+def test_expansion_table_sum_matches_horner():
+    # random M, n and ln w, one row or several (a family), with terms that
+    # fall at least like 2^-k, as where the expansion is summed: within 1e-15
+    # of the sum of the terms' magnitudes, the bound of either summation
+    # order; on the families of certified lists, where M_0 = 1, within 1e-15
+    # of the sum itself
+    rng = np.random.default_rng(20261021)
+    for rows in (None, 1, 3, 5):
+        shape = () if rows is None else (rows,)
+        growth = rng.uniform(0.0, 1.5)
+        M = rng.normal(size=shape + (48,)) * np.exp(growth * np.arange(48))
+        n = rng.integers(1, 48, size=shape + (300,))
+        lw = growth + rng.uniform(math.log(2.0), 5.0, 300)
+        k = np.arange(48)
+        size = np.where(k < n[..., None], np.abs(M[..., None, :]) * np.exp(-lw[:, None] * k), 0.0).sum(axis=-1)
+        got = specfun._expansion_sum(M, n, lw)
+        assert got.shape == n.shape
+        assert np.all(np.abs(got - _horner_expansion_sum(M, n, lw)) <= 1e-15 * size)
+    for _ in range(12):
+        lam = int(rng.integers(3, 8))
+        b = mellin_lists(random_valid_params(rng, lam), 0, 0)[1]
+        lw = np.linspace(1.0, 6.0, 200)
+        terms = [specfun._expansion_terms((), bb, lw, 1e-11) for bb in specfun._family(b, range(1, lam))[1]]
+        M, n = np.array([t[1] for t in terms]), np.array([t[2] for t in terms])
+        settled = (n < M.shape[1] - 1).all(axis=0)  # the points the expansion sums
+        assert settled.sum() >= 50
+        n, lw = n[:, settled], lw[settled]
+        ref = _horner_expansion_sum(M, n, lw)
+        assert np.all(np.abs(specfun._expansion_sum(M, n, lw) - ref) <= 1e-15 * np.abs(ref))
 
 
 @st.composite
