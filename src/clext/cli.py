@@ -162,9 +162,8 @@ def cmd_squeeze(args) -> int:
 
 def cmd_moments(args) -> int:
     p = _params(args)
-    problem = MomentProblem(p, args.mu, args.cs_alpha)
     weight = weight_function(p, args.mu, args.cs_alpha, require_positive=not args.allow_unsigned)
-    report = verify_moments(weight, problem, k_max=args.k_max, tol=args.tol)
+    report = verify_moments(weight, k_max=args.k_max, tol=args.tol)
     head = (f"# moments for mu = {args.mu}, alpha = {args.cs_alpha}, form = {weight.form}\n"
             "k,target,integral,rel_error\n")
     rows = csv_rows("%d,%.12g,%.12g,%.3e", *zip(*((r.k, r.target, r.integral, r.rel_error)
@@ -293,9 +292,8 @@ def cmd_verify(args) -> int:
     elif args.suite == "states":
         rows = _verify_states(p, args.trunc, max(tol, 1e-9))
     elif args.suite == "moments":
-        problem = MomentProblem(p, args.mu, args.cs_alpha)
         weight = weight_function(p, args.mu, args.cs_alpha)
-        rep = verify_moments(weight, problem, k_max=8, tol=tol)
+        rep = verify_moments(weight, k_max=8, tol=tol)
         rows = [(f"moment k={r.k}", r.rel_error, r.rel_error < tol) for r in rep.rows]
     elif args.suite == "resolution":
         rep = verify_identity_resolution(p, "diagonal_alpha0", n_max=6, tol=tol)

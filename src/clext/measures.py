@@ -334,15 +334,13 @@ class MomentReport:
         return max(row.quad_err / row.target for row in self.rows)
 
 
-def verify_moments(
-    weight: WeightFunction, problem: MomentProblem, k_max: int = 8, tol: float = 1e-6
-) -> MomentReport:
-    """Compare quadrature moments of the weight against the B(k) targets."""
+def verify_moments(weight: WeightFunction, k_max: int = 8, tol: float = 1e-6) -> MomentReport:
+    """Compare quadrature moments of the weight against its family's B(k) targets."""
     rows = []
     worst = 0.0
     integrals, quad_errs = weight.moment(np.arange(k_max + 1, dtype=float))
     for k, integral, quad_err in zip(range(k_max + 1), integrals.tolist(), quad_errs.tolist()):
-        target = moment_target(problem, k)
+        target = moment_target(weight.problem, k)
         rel = abs(integral - target) / abs(target)
         worst = max(worst, rel)
         rows.append(MomentRow(k, target, integral, rel, quad_err))

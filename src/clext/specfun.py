@@ -17,7 +17,9 @@ The Meijer-G and Bessel-K routes are vectorized over their argument
 array.  g_general_vec also returns a contiguous family
 G(y | a; b + e_j1 + .. + e_jr), r = 0..q, from one pass of its routes:
 G(y | b + e_j) = (b_j - y d/dy) G(y | b) (DLMF 16.17 for the Mellin-Barnes
-integral).
+integral).  Each route takes (a, b, y, tol, shifts) and returns the
+family's values and ok flags, both of shape (rows, points); a call
+without shifts is the family of one row, routed and refused the same way.
 """
 
 from __future__ import annotations
@@ -121,11 +123,13 @@ def bessel_k_vec(nu: float, x: np.ndarray) -> np.ndarray:
     for x < 2 (_temme_k) and the trapezoid rule above (_trapezoid_k), each
     one table product over the points; the upward recurrence then reaches
     nu.  Each distinct x is evaluated once.  +inf at x = 0 and where K
-    overflows, 0 at x = +inf and where e^-x underflows; NaN or x < 0 raises
-    DomainError."""
+    overflows, 0 at x = +inf and where e^-x underflows; NaN or x < 0, and a
+    NaN or infinite order, raise DomainError."""
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any() or (x < 0.0).any():
         raise DomainError(f"Bessel K needs x >= 0, got {x[np.isnan(x) | (x < 0.0)].flat[0]}")
+    if not math.isfinite(nu):
+        raise DomainError(f"Bessel K needs a finite order nu, got {nu}")
     nu = abs(float(nu))
     n_up = int(nu + 0.5)
     mu = nu - n_up
@@ -440,8 +444,8 @@ def _theta_rows(betas: Sequence[float], e0: float, value, major, last, log_size,
 
 
 def _slater_vec(
-    b: Sequence[float], y: np.ndarray, tol: float, a: Sequence[float] = (),
-    limit: float = _SLATER_COND_LIMIT, shifts: Sequence[int] = (),
+    a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float, shifts: Sequence[int] = (),
+    limit: float = _SLATER_COND_LIMIT,
 ):
     """Slater's residue sum for G^{m,0}_{p,m}(y | a; b) over an array of y > 0.
 
@@ -464,11 +468,11 @@ def _slater_vec(
     prod (a - c - K - 1 + eps) / prod (b - c - K - 1 + eps), a member's own
     factor joining the nodes; this scalar work (_cluster_series) runs in
     _RESIDUE_DIGITS decimal digits, and every cluster's poles are then
-    summed over the points in one product with the powers of y.  With
-    shifts, each row of the family (g_general_vec) maps those coefficients
-    (_theta_rows) and is summed the same way.
+    summed over the points in one product with the powers of y.  Each row
+    of the family (g_general_vec) maps those coefficients (_theta_rows)
+    and is summed the same way.
 
-    Returns (values, ok), of shape (rows, points) with shifts.  ok marks
+    Returns (values, ok), of shape (rows, points).  ok marks
     the points whose sum settled (the last two poles' terms below tol of
     it), whose majorant sum |term| stays within limit times |value|, and,
     for spread nodes, whose last kept Taylor terms stay below tol of it;
@@ -479,9 +483,6 @@ def _slater_vec(
     a = [float(v) for v in a]
     betas = _family(b, shifts)[0]
     rows = len(betas) + 1
-    if not y.size:
-        vals, ok = np.zeros((rows,) + y.shape), np.zeros((rows,) + y.shape, dtype=bool)
-        return (vals, ok) if shifts else (vals[0], ok[0])
     lny = np.log(y)
     parts = [_cluster_series(a, b, members, float(y.max()), float(np.abs(lny).max()), tol, betas)
              for members in _clusters(b)]
@@ -506,7 +507,7 @@ def _slater_vec(
         ok &= tail <= np.log(tol * np.abs(total))
         ok |= (np.maximum(major, trunc) < _TINY) & (tail < math.log(_TINY))
     ok &= np.isfinite(total)
-    return (total, ok) if shifts else (total[0], ok[0])
+    return total, ok
 
 
 # Terms of the large-y expansion kept per list, and the share of tol below
@@ -599,8 +600,8 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = ()):
     share of the sum where the sum is smaller than 1; ok marks the points
     where such a k exists among _EXPANSION_TERMS and those two terms are
     below that share of the sum.
-    Points where the leading factor is below e^-750 are an exact 0.  With
-    shifts, row r is the expansion of the shifted list (_family), the
+    Points where the leading factor is below e^-750 are an exact 0.  Row r
+    of the family is the expansion of the shifted list (_family), the
     derivative (beta - theta) of row r - 1's series term by term, as its
     coefficients are unique; the rows share one table product, and ok has
     one row each.
@@ -629,7 +630,7 @@ def _expansion_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = ()):
         with np.errstate(under="ignore"):
             vals[:, live] = acc * np.exp(log_g[:, live])
         ok[:, live] = (n < M.shape[1] - 1) & (err <= _EXPANSION_MARGIN * tol * np.abs(acc))
-    return (vals, ok) if shifts else (vals[0], ok[0])
+    return vals, ok
 
 
 def _expansion_state(a, b, lw: float, tol: float) -> tuple[np.ndarray, bool]:
@@ -717,15 +718,15 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = (
     each point is one polynomial in its step.  The remainder is the last
     two Taylor terms: per step that of the state relative to its largest
     entry, summed onto the start's _EXPANSION_MARGIN * tol; at a point
-    that sum times |G| plus the point's own.  A point whose remainder
-    exceeds tol |G|, or a state that overflows, raises NoConvergence.
+    that sum times |G| plus the point's own.
 
-    With shifts, row r of the family (_family) is prod_{i<=r} (beta_i - D) G:
-    D^j G comes from the derivative of the point's polynomial, with the
-    drift times |D^j G| plus that polynomial's own last two terms as its
+    Row r of the family (_family) is prod_{i<=r} (beta_i - D) G: D^j G
+    comes from the derivative of the point's polynomial, with the drift
+    times |D^j G| plus that polynomial's own last two terms as its
     remainder, and a row meets tol with the sum of its terms' remainders.
-    The family returns (values, ok), of shape (rows, points), and leaves the
-    rows that miss to its caller instead of raising.
+    Returns (values, ok), of shape (rows, points): a row-0 point whose
+    remainder exceeds tol |G|, or a state that overflows, raises
+    NoConvergence; ok leaves the other rows' misses to the caller.
     """
     s, m, n = len(b) - len(a), len(b), _TAYLOR_TERMS
     x = np.log(y)
@@ -770,33 +771,33 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = (
     terms = series[step] * at
     vals = terms.sum(axis=1)
     err = drift[step] * np.abs(vals) + np.abs(terms[:, -2:]).sum(axis=1)
-    if shifts:
-        # D^j G at each point with its remainder; row r is poly(D) G
-        coef, deriv, rem = series[step], [vals], [err]
-        poly, rows, errs = np.ones(1), [vals], [err]
-        for j, beta in enumerate(_family(b, shifts)[0], 1):
-            coef = coef[:, 1:] * np.arange(1.0, n - j + 1)
-            d_terms = coef * at[:, :n - j]
-            deriv.append(d_terms.sum(axis=1))
-            rem.append(drift[step] * np.abs(deriv[-1]) + np.abs(d_terms[:, -2:]).sum(axis=1))
-            poly = np.append(beta * poly, 0.0) - np.append(0.0, poly)
-            rows.append(poly @ np.array(deriv))
-            errs.append(np.abs(poly) @ np.array(rem))
-        vals = np.array(rows)
-        return vals, np.array(errs) <= tol * np.abs(vals)
-    bad = ~(err <= tol * np.abs(vals))
-    if bad.any():
-        i = np.nonzero(bad)[0][np.argmax(x[bad])]
+    # D^j G at each point with its remainder; row r is poly(D) G
+    coef, deriv, rem = series[step], [vals], [err]
+    poly, rows, errs = np.ones(1), [vals], [err]
+    for j, beta in enumerate(_family(b, shifts)[0], 1):
+        coef = coef[:, 1:] * np.arange(1.0, n - j + 1)
+        d_terms = coef * at[:, :n - j]
+        deriv.append(d_terms.sum(axis=1))
+        rem.append(drift[step] * np.abs(deriv[-1]) + np.abs(d_terms[:, -2:]).sum(axis=1))
+        poly = np.append(beta * poly, 0.0) - np.append(0.0, poly)
+        rows.append(poly @ np.array(deriv))
+        errs.append(np.abs(poly) @ np.array(rem))
+    vals = np.array(rows)
+    ok = np.array(errs) <= tol * np.abs(vals)
+    if not ok[0].all():
+        i = np.flatnonzero(~ok[0])[np.argmax(x[~ok[0]])]
         raise NoConvergence(
             f"Meijer-G continuation at y = {y[i]:.6g} missed its remainder bound: "
-            f"{err[i]:.3e} on {vals[i]:.6g}"
+            f"{err[i]:.3e} on {vals[0, i]:.6g}"
         )
-    return vals
+    return vals, ok
 
 
-def _closed_vec(b: Sequence[float], y: np.ndarray, shifts: Sequence[int]):
+def _closed_vec(a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float,
+                shifts: Sequence[int] = ()):
     """G^{m,0}_{0,m}(y | b), m <= 2, over an array of y > 0 by its closed form:
-    y^b e^-y, and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y) at any order.
+    y^b e^-y, and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y) at any order (a is
+    empty, and tol unused: the forms are exact to rounding).
 
     Returns (values, ok), one row per list of the family (_family); ok
     marks the finite values, so the points where K overflows at small y
@@ -840,10 +841,13 @@ def g_general_vec(
     shifts = (j_1, .., j_q) returns q + 1 rows, row r the G of the lower
     list b + e_{j_1} + .. + e_{j_r}: by the contiguous relation
     G(y | b + e_j) = (b_j - theta) G(y | b), theta = y d/dy (_family), each
-    route runs once for all rows.  Row 0 routes every point as a call
-    without shifts would; a row that a route leaves unsettled at a point
-    row 0 settles there (a shift that removes the dominant pole leaves the
-    rest to cancel) takes its own list at that point.
+    route runs once for all rows.  Every route returns the family's rows
+    and their ok flags, and a call without shifts is the family of one row:
+    row 0 routes and refuses every point exactly as that call does (the
+    continuation raises where row 0 misses its bound).  A row >= 1 that a
+    route leaves unsettled at a point row 0 settles there (a shift that
+    removes the dominant pole leaves the rest to cancel) takes its own list
+    at that point.
     """
     y = np.asarray(y, dtype=float)
     if np.isnan(y).any():
@@ -851,43 +855,36 @@ def g_general_vec(
     a = [float(v) for v in a]
     b = [float(v) for v in b]
     r = len(b) - len(a)
-    # the routes take shifts only for a family, so a call without them is the one-list call
-    family = {"shifts": tuple(shifts)} if len(shifts) else {}
     vals = np.zeros((len(shifts) + 1,) + y.shape)
     # G decays like e^{-r y^{1/r}}: y = inf is an exact 0 that no route runs,
     # and so is y <= 0, outside the support
-    ok = np.zeros(vals.shape, dtype=bool)
-    ok[:] = (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
+    ok = np.zeros(vals.shape, dtype=bool) | (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
+
+    def route(evaluate, where, tol, **kw):
+        if where.any():
+            vals[:, where], ok[:, where] = evaluate(a, b, y[where], tol, shifts, **kw)
+
     if not a and len(b) in (1, 2):
-        live = ~ok[0]
-        vals[:, live], ok[:, live] = _closed_vec(b, y[live], shifts)
-        if ok.all():
-            return vals if family else vals[0, ...]
+        route(_closed_vec, ~ok[0], tol)
     # rounding in a residue sum that cancels by a factor c leaves about c eps / 3
     limit = min(_SLATER_COND_LIMIT, tol / _EPS)
-    reach = ~ok[0] & (_slater_reaches(r, np.where(ok[0], 1.0, y), limit) if r > 0 else True)
-    vals[:, reach], ok[:, reach] = _slater_vec(b, y[reach], min(tol, 1e-13), a, limit, **family)
-    rest = ~ok[0]
-    if rest.any() and r > 0:
-        vals[:, rest], ok[:, rest] = _expansion_vec(a, b, y[rest], tol, **family)
-        rest = ~ok[0]
-    if rest.any():
-        if r <= 0:
-            raise DomainError(
-                f"Slater refused {int(rest.sum())} of {y.size} points of "
-                f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the continuation needs m > p"
-            )
-        if family:
-            vals[:, rest], ok[:, rest] = _continuation_vec(a, b, y[rest], tol, **family)
-        else:
-            vals[:, rest] = _continuation_vec(a, b, y[rest], tol)
-    if not family:
-        return vals[0, ...]
-    for i, lower in enumerate(_family(b, shifts)[1]):
+    reach = ~ok[0]
+    if r > 0 and reach.any():
+        reach &= _slater_reaches(r, np.where(reach, y, 1.0), limit)
+    route(_slater_vec, reach, min(tol, 1e-13), limit=limit)
+    if r > 0:
+        route(_expansion_vec, ~ok[0], tol)
+        route(_continuation_vec, ~ok[0], tol)
+    elif not ok[0].all():
+        raise DomainError(
+            f"Slater refused {int((~ok[0]).sum())} of {y.size} points of "
+            f"G^{{{len(b)},0}}_{{{len(a)},{len(b)}}} and the continuation needs m > p"
+        )
+    for i, lower in enumerate(_family(b, shifts)[1][1:], 1):
         miss = ~ok[i]
         if miss.any():
             vals[i, miss] = g_general_vec(a, lower, y[miss], tol)
-    return vals
+    return vals if len(shifts) else vals[0, ...]
 
 
 # Below this x the (1 - x) series converges too slowly and Slater takes over;

@@ -24,7 +24,6 @@ from clext import (
 from clext.bargmann import check_hermiticity, intertwining_residual
 from clext.figures import FIGURE_PRESETS, run_figure
 from clext.measures import (
-    MomentProblem,
     eigenstate_measures,
     verify_identity_resolution,
     verify_moments,
@@ -125,30 +124,19 @@ def test_criterion_3_norm_closed_forms(rng, paraboson_params):
 def test_criterion_4_moment_problems(paraboson_params, fig1_params):
     start = time.perf_counter()
     # exact Beta case first: lambda = 2, alpha = 1, bb1 = 2
-    rep = verify_moments(
-        weight_function(paraboson_params, 0, 1), MomentProblem(paraboson_params, 0, 1), 8, 1e-10
-    )
+    rep = verify_moments(weight_function(paraboson_params, 0, 1), 8, 1e-10)
     assert rep.passed, rep.max_rel_error
-    rep = verify_moments(
-        weight_function(paraboson_params, 0, 0), MomentProblem(paraboson_params, 0, 0), 8, 1e-6
-    )
+    rep = verify_moments(weight_function(paraboson_params, 0, 0), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
     # lambda = 3, alpha = 1, mu in {0, 1} at the Fig.-1 parameters; mu = 1
     # has no positivity certificate there, so its inverse Mellin transform
     # is verified unsigned
-    rep = verify_moments(
-        weight_function(fig1_params, 0, 1), MomentProblem(fig1_params, 0, 1), 8, 1e-6
-    )
+    rep = verify_moments(weight_function(fig1_params, 0, 1), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
-    rep = verify_moments(
-        weight_function(fig1_params, 1, 1, require_positive=False),
-        MomentProblem(fig1_params, 1, 1),
-        8,
-        1e-6,
-    )
+    rep = verify_moments(weight_function(fig1_params, 1, 1, require_positive=False), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
     p42 = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-    rep = verify_moments(weight_function(p42, 0, 2), MomentProblem(p42, 0, 2), 8, 1e-6)
+    rep = verify_moments(weight_function(p42, 0, 2), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -415,7 +415,8 @@ class TestConfluentWeights:
         # weight raises NoConvergence, which the CLI reports on one line
         monkeypatch.setattr(
             specfun, "_slater_vec",
-            lambda b, y, tol, a=(), limit=None: (np.zeros_like(y), np.zeros(y.shape, bool)),
+            lambda a, b, y, tol, shifts=(), limit=None: (np.zeros((len(shifts) + 1,) + y.shape),
+                                                         np.zeros((len(shifts) + 1,) + y.shape, bool)),
         )
         monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 4)
         code, out, err = run_cli(

@@ -14,6 +14,9 @@ bench/ (a call with *args sets every positional one, one with **kwargs
 all); the ones only tests set are listed in TEST_ONLY_PARAMS, which may
 only shrink.
 
+The four Meijer-G routes of specfun.g_general_vec take (a, b, y, tol,
+shifts) first, so that the router calls each the same way.
+
 The package itself, the state builders and the algebra import no special
 functions: neither they nor any clext module they import, directly or
 through another, imports specfun, so `import clext` and a command that
@@ -21,11 +24,13 @@ needs only them stay cheap to load.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import clext
+from clext import specfun
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -156,3 +161,9 @@ def test_light_module_does_not_import_specfun(module):
             seen.add(name)
             todo.extend(_clext_imports(name))
     assert "specfun" not in seen, f"clext.{module} imports specfun through {sorted(seen)}"
+
+
+@pytest.mark.parametrize("route", ["_closed_vec", "_slater_vec", "_expansion_vec", "_continuation_vec"])
+def test_meijer_routes_share_one_signature(route):
+    params = list(inspect.signature(getattr(specfun, route)).parameters)
+    assert params[:5] == ["a", "b", "y", "tol", "shifts"], params

@@ -180,6 +180,14 @@ class TestBessel:
         assert got[0] == np.inf and got[2] == 0.0 and got[3] == 0.0
         assert got[1] == bessel_k(nu, 1.0) > 0.0
 
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    def test_order_is_checked_where_it_enters(self, nu):
+        # a NaN or infinite order names itself, without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=f"finite order nu, got {nu}"):
+                bessel_k_vec(nu, np.array([1.0, 2.0]))
+
     @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.0, 3.5])
     @pytest.mark.parametrize("x", [0.05, 0.9, 3.0, 18.0, 40.0])
     def test_against_scipy(self, nu, x):
@@ -246,11 +254,11 @@ class TestMeijerG:
         # G^{1,0}_{0,1} = e^-y, continued down its ODE D G = -e^x G
         y = np.array([1.0])
         assert float(g_general_vec((), [0.0], y)[0]) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert float(_continuation_vec([], [0.0], y, 1e-11)[0]) == pytest.approx(math.exp(-1.0), rel=1e-11)
+        assert float(_continuation_vec([], [0.0], y, 1e-11)[0][0, 0]) == pytest.approx(math.exp(-1.0), rel=1e-11)
 
     def test_two_parameter_bessel_identity(self):
         b, y = 1 / 3, 0.7
-        slater, ok = _slater_vec([0.0, b], np.array([y]), 1e-13)
+        (slater,), (ok,) = _slater_vec([], [0.0, b], np.array([y]), 1e-13)
         ref = 2.0 * y ** (b / 2.0) * sp.kv(b, 2.0 * math.sqrt(y))
         assert float(slater[0]) == pytest.approx(ref, rel=1e-9)
         assert ok.all()  # cancellation stayed below the conditioning limit
@@ -259,7 +267,7 @@ class TestMeijerG:
         # integer-spaced lower parameters: the residue sum takes the double
         # poles as one cluster (logarithmic residues) instead of refusing
         y = np.array([1e-30, 0.5, 3.0])
-        vals, ok = _slater_vec([0.0, 1.0], y, 1e-13)
+        (vals,), (ok,) = _slater_vec([], [0.0, 1.0], y, 1e-13)
         assert ok.all()
         for v, t in zip(vals, y):
             assert v == pytest.approx(float(mp.meijerg([[], []], [[0.0, 1.0], []], t)), rel=1e-12)
@@ -272,7 +280,7 @@ class TestMeijerG:
         b = [0.0, 0.009, 0.0269, 0.0806, 0.2418, 0.72]
         assert specfun._clusters(b) == [list(range(6))]
         y = np.array([1e-3, 0.1, 0.5])
-        assert not _slater_vec(b, y, 1e-13)[1].any()
+        assert not _slater_vec([], b, y, 1e-13)[1].any()
         for g, t in zip(g_general_vec([], b, y), y):
             assert g == pytest.approx(float(mp.meijerg([[], []], [b, []], t)), rel=1e-10)
         with pytest.raises(DomainError):
@@ -285,8 +293,8 @@ class TestMeijerG:
     )
     def test_slater_vs_contour_grid(self, y, b):
         # the residue sum against the ODE continuation
-        slater, ok = _slater_vec(list(b), np.array([y]), 1e-13)
-        continued = _continuation_vec([], list(b), np.array([y]), 1e-11)
+        (slater,), (ok,) = _slater_vec([], list(b), np.array([y]), 1e-13)
+        (continued,), _ = _continuation_vec([], list(b), np.array([y]), 1e-11)
         assert ok.all()
         assert float(slater[0]) == pytest.approx(float(continued[0]), rel=1e-7, abs=1e-12)
 
@@ -382,7 +390,7 @@ class TestMeijerG:
         y = np.linspace(1.0, 1.5, 401)
         tracemalloc.start()
         try:
-            vals = _continuation_vec([], b, y, 1e-11)
+            (vals,), _ = _continuation_vec([], b, y, 1e-11)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -438,9 +446,9 @@ class TestMeijerG:
         w._ensure_grid(8.0)
         _, b = mellin_lists(p, 0, 0)
         y = np.unique(w._grid.y)
-        _, ok = _slater_vec(b, y, 1e-13)
+        _, (ok,) = _slater_vec([], b, y, 1e-13)
         y = y[~ok & (y >= 1e-60)]
-        vals = _continuation_vec([], b, y, 1e-11)
+        (vals,), _ = _continuation_vec([], b, y, 1e-11)
         keys = np.floor(np.log(y) / 0.7)
         assert len(np.unique(keys)) >= 10
         for key in np.unique(keys):
@@ -455,7 +463,7 @@ class TestMeijerG:
         p = params_from_beta_bar(3, [4 / 3, 2 / 3])
         a, b = mellin_lists(p, 0, 1)
         y = np.array([1.72922976e-322, 5e-324, 1e-300])
-        vals, ok = _slater_vec(b, y, 1e-13, a)
+        (vals,), (ok,) = _slater_vec(a, b, y, 1e-13)
         assert ok.all() and g_general_vec(a, b, y).tolist() == vals.tolist()
         for v, t in zip(vals, y):
             assert v == pytest.approx(float(mp.meijerg([[], a], [b, []], mp.mpf(t))), rel=1e-12)
@@ -511,11 +519,12 @@ class TestMeijerG:
         rows = []
         continuation = specfun._continuation_vec
         monkeypatch.setattr(
-            specfun, "_continuation_vec", lambda a, b, y, tol: rows.append(y) or continuation(a, b, y, tol)
+            specfun, "_continuation_vec",
+            lambda a, b, y, tol, shifts=(): rows.append(y) or continuation(a, b, y, tol, shifts),
         )
         vals = g_general_vec([], b, y)
-        _, slater_ok = _slater_vec(b, y, 1e-13)
-        _, ok = _expansion_vec([], b, y, 1e-11)
+        _, (slater_ok,) = _slater_vec([], b, y, 1e-13)
+        _, (ok,) = _expansion_vec([], b, y, 1e-11)
         reach = y[ok].min()
         assert not (~ok & (y > reach)).any()
         got = np.concatenate(rows) if rows else np.zeros(0)
@@ -541,7 +550,7 @@ class TestMeijerG:
         a, b = [0.9], [0.0, 0.2, 0.55]
         for y in (np.array([30.0]), np.geomspace(1e-30, 40.0, 2000)):
             calls.clear()
-            vals = _continuation_vec(a, b, y, 1e-11)
+            (vals,), _ = _continuation_vec(a, b, y, 1e-11)
             assert len(calls) == 1 and vals.shape == y.shape
             steps = calls[0]
         assert steps > 100
@@ -564,7 +573,7 @@ class TestMeijerG:
         # one continuation from above s y^{1/s} = 147 down to 6.2
         a, b = [0.9, 0.7], [0.0, 0.5, -0.1, -0.2]
         y = (np.array([6.2, 48.87969925, 113.21804511, 147.13283208]) / 2.0) ** 2
-        continued = _continuation_vec(a, b, y, 1e-11)
+        (continued,), _ = _continuation_vec(a, b, y, 1e-11)
         for routed, cont, t in zip(g_general_vec(a, b, y), continued, y):
             with mp.workdps(30):
                 ref = float(mp.meijerg([[], a], [b, []], t))
@@ -579,7 +588,7 @@ class TestMeijerG:
         a, b = [0.9, 0.7], [0.0, 0.5, -0.1, -0.2]
         sw = np.linspace(0.5, 200.0, 400)
         y = (sw / 2.0) ** 2
-        vals, ok = _expansion_vec(a, b, y, 1e-11)
+        (vals,), (ok,) = _expansion_vec(a, b, y, 1e-11)
         first = int(np.argmax(ok))
         assert sw[first] <= 36.0 and ok[first:].all()
         # meijerg costs 30 ms a point: every 8th point and the five above
@@ -631,7 +640,7 @@ def test_contour_sweep(case):
     # the continuation meets its remainder bound (no NoConvergence) and
     # 1e-10 against meijerg, from wherever the expansion lets it start
     b, y = case
-    got = float(_continuation_vec([], b, np.array([y]), 1e-11)[0])
+    got = float(_continuation_vec([], b, np.array([y]), 1e-11)[0][0, 0])
     with mp.workdps(30):
         ref = float(mp.meijerg([[], []], [b, []], y))
     assert got == pytest.approx(ref, rel=1e-10)
@@ -697,7 +706,7 @@ def expansion_cases(draw):
     a, b = mellin_lists(p, mu, alpha)
     s = lam - 2 * alpha
     grid = np.geomspace(1e-2, (350.0 / s) ** s, 400)
-    _, ok = _expansion_vec(a, b, grid, 1e-11)
+    _, (ok,) = _expansion_vec(a, b, grid, 1e-11)
     lo, hi = math.log(grid[ok].min()), math.log(grid[-1])
     return a, b, math.exp(lo + (hi - lo) * draw(st.floats(0.0, 1.0)))
 
@@ -707,7 +716,7 @@ def expansion_cases(draw):
 def test_expansion_sweep(case):
     # every point the large-y expansion accepts is within 1e-11 of meijerg
     a, b, y = case
-    val, ok = _expansion_vec(a, b, np.array([y]), 1e-11)
+    (val,), (ok,) = _expansion_vec(a, b, np.array([y]), 1e-11)
     assume(ok[0])
     with mp.workdps(30):
         ref = float(mp.meijerg([[], a], [b, []], y))
@@ -731,8 +740,8 @@ def band_cases(draw):
     a, b = mellin_lists(p, mu, alpha)
     s = lam - 2 * alpha
     grid = np.geomspace((1.0 / s) ** s, (350.0 / s) ** s, 300)
-    _, slater = _slater_vec(b, grid, 1e-13, a, 1e-11 / specfun._EPS)
-    _, expansion = _expansion_vec(a, b, grid, 1e-11)
+    _, (slater,) = _slater_vec(a, b, grid, 1e-13, limit=1e-11 / specfun._EPS)
+    _, (expansion,) = _expansion_vec(a, b, grid, 1e-11)
     band = grid[~slater & ~expansion]
     assume(band.size)
     lo, hi = math.log(band.min()), math.log(band.max())
@@ -745,7 +754,7 @@ def test_continuation_sweep(case):
     # every point of the band that the continuation returns is within
     # 1e-10 of meijerg, and none misses its remainder bound
     a, b, y = case
-    got = float(_continuation_vec(a, b, np.array([y]), 1e-11)[0])
+    got = float(_continuation_vec(a, b, np.array([y]), 1e-11)[0][0, 0])
     with mp.workdps(30):
         ref = float(mp.meijerg([[], a], [b, []], y))
     assert got == pytest.approx(ref, rel=1e-10)
@@ -763,7 +772,7 @@ def test_slater_prescreen_skips_only_refused_points():
                 a, b = mellin_lists(p, mu, 0)
                 skip = ~specfun._slater_reaches(len(b) - len(a), y)
                 assert skip.any()
-                _, ok = _slater_vec(b, y[skip], 1e-13, a)
+                _, (ok,) = _slater_vec(a, b, y[skip], 1e-13)
                 assert not ok.any(), (lam, mu, b, y[skip][ok])
 
 
@@ -902,6 +911,55 @@ def test_family_row_a_route_leaves_takes_its_own_list(monkeypatch):
     assert calls and calls[0] > 0
     for row, lower in zip(rows, specfun._family(b, (1, 2))[1]):
         assert row == pytest.approx(g_general_vec((), lower, y), rel=1e-11, abs=0)
+
+
+ROUTES = ("_closed_vec", "_slater_vec", "_expansion_vec", "_continuation_vec")
+
+
+@pytest.mark.parametrize("shifts", [(), (1,), (1, 0, 1)])
+@pytest.mark.parametrize("route", ROUTES)
+def test_route_returns_the_family_rows_and_ok(route, shifts):
+    # every route returns (values, ok), each of shape (rows, points), a call
+    # without shifts one row; each accepts some of these points, and there
+    # agrees with the router's rows
+    b, y = [0.0, 0.4], np.array([0.3, 2.0, 30.0, 400.0])
+    vals, ok = getattr(specfun, route)([], b, y, 1e-11, shifts)
+    assert vals.shape == ok.shape == (len(shifts) + 1, y.size) and ok.dtype == bool
+    assert ok[0].any()
+    rows = np.atleast_2d(g_general_vec((), b, y, 1e-11, shifts=shifts))
+    assert vals[ok] == pytest.approx(rows[ok], rel=1e-12, abs=0)
+
+
+def test_family_continuation_miss_on_row_0_raises_as_the_one_list_call(monkeypatch):
+    # the residue sum refuses every point and four Taylor terms a step leave
+    # the continuation short of its bound on the kummer list of
+    # test_unmet_tolerance_is_a_one_line_error: a family raises the one-list
+    # call's NoConvergence, whatever its shifts
+    monkeypatch.setattr(
+        specfun, "_slater_vec",
+        lambda a, b, y, tol, shifts=(), limit=None: (np.zeros((len(shifts) + 1,) + y.shape),
+                                                     np.zeros((len(shifts) + 1,) + y.shape, bool)),
+    )
+    monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 4)
+    a, b = [1 / 3], [0.0, -1 / 3]
+    y = np.geomspace(1e-3, 50.0, 30)
+    with pytest.raises(NoConvergence, match="missed its remainder bound") as one:
+        g_general_vec(a, b, y)
+    for shifts in ((1,), (0, 1)):
+        with pytest.raises(NoConvergence) as family:
+            g_general_vec(a, b, y, shifts=shifts)
+        assert str(family.value) == str(one.value)
+
+
+@pytest.mark.parametrize("a, b", [((), (0.0, 0.4)), ((), (0.0, 1 / 3, 0.9)), ((0.9,), (0.0, 0.2, 0.55))])
+@pytest.mark.parametrize("shifts", [(), (1,)])
+def test_empty_y_runs_no_route(monkeypatch, a, b, shifts):
+    calls = []
+    for name in ROUTES:
+        monkeypatch.setattr(specfun, name, lambda *args, **kw: calls.append(args))
+    got = g_general_vec(a, b, np.zeros(0), shifts=shifts)
+    assert got.shape == ((len(shifts) + 1, 0) if shifts else (0,)) and got.dtype == float
+    assert not calls
 
 
 def test_one_route_pass_for_all_sector_weights(monkeypatch, tmp_path):
