@@ -132,11 +132,11 @@ def energy_eigenvalue(params: AlgebraParams, n):
 
 
 def _shifted(v: np.ndarray, s: int) -> np.ndarray:
-    """w[n] = v[n + s], zero where n + s falls outside v."""
+    """w[..., n] = v[..., n + s], zero where n + s falls outside v's last axis."""
     w = np.zeros_like(v)
-    k = len(v) - abs(s)
+    k = v.shape[-1] - abs(s)
     if k > 0:
-        w[max(0, -s):max(0, -s) + k] = v[max(0, s):max(0, s) + k]
+        w[..., max(0, -s):max(0, -s) + k] = v[..., max(0, s):max(0, s) + k]
     return w
 
 
@@ -146,7 +146,8 @@ class TruncatedOperator:
 
     band is real, of length dim, and zero where n + offset falls outside
     the truncation.  A @ B is the band product (offsets add), A @ c the
-    O(K) matvec, and A - B needs equal offsets.
+    O(K) matvec of c, or of every row of a stack c (.., K), and A - B needs
+    equal offsets.
     """
 
     dim: int
@@ -164,8 +165,8 @@ class TruncatedOperator:
                 self.dim, self.offset + other.offset, self.band * _shifted(other.band, self.offset)
             )
         c = np.asarray(other)
-        if c.shape != (self.dim,):
-            raise ShapeError(f"need a vector of length {self.dim}, got shape {c.shape}")
+        if c.shape[-1:] != (self.dim,):
+            raise ShapeError(f"need vectors of length {self.dim}, got shape {c.shape}")
         return self.band * _shifted(c, self.offset)
 
     def __sub__(self, other: "TruncatedOperator") -> "TruncatedOperator":

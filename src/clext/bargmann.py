@@ -13,7 +13,10 @@ moments, the same code in all three bases.
 Atoms act on the last axis of a coefficient array and any leading axes
 hold a stack of polynomials, so one realization call maps a whole stack:
 the commutator and Hermiticity checks apply each generator once to all
-their sample monomials.
+their sample monomials.  The sector realization also takes an array of
+members mu of one family alpha, one per leading row of the stack, with each
+atom's constant as a column over them: the sector commutator check applies
+each generator once per family.
 """
 
 from __future__ import annotations
@@ -95,23 +98,34 @@ def _atom_ddz_plus_over_z(c: np.ndarray, const: float) -> np.ndarray:
 
 # ---- sector realization ----------------------------------------------------
 
-def _apply_sector(params: AlgebraParams, mu: int, alpha: int, op: str, c: np.ndarray):
+def _apply_sector(params: AlgebraParams, mu, alpha: int, op: str, c: np.ndarray):
+    """op on sector mu of family alpha, applied to the coefficients c.  mu is
+    one sector, or an array of members of the family, one per leading row of
+    c (shape (members, .., width)): each atom then takes one constant per
+    member as a (members, 1, .., 1) column."""
     lam = params.lam
     bb = params.beta_bar_at
+    mus = np.atleast_1d(mu).tolist()
+
+    def column(values):
+        if np.ndim(mu) == 0:
+            return values[0]
+        return np.array(values).reshape((-1,) + (1,) * (c.ndim - 1))
+
     if op == "N":
-        return _atom_theta_plus(c, mu / lam) * lam
+        return _atom_theta_plus(c, column([m / lam for m in mus])) * lam
     if op == "J0":
-        return _atom_theta_plus(c, 0.5 * (bb(mu) + bb(mu + 1)))
-    num, den = sector_lists(params, mu, alpha)
+        return _atom_theta_plus(c, column([0.5 * (bb(m) + bb(m + 1)) for m in mus]))
+    nums, dens = zip(*(sector_lists(params, m, alpha) for m in mus))
     if op == "Jplus":
         out = c
-        for v in num:
-            out = _atom_theta_plus(out, v)
+        for v in zip(*nums):
+            out = _atom_theta_plus(out, column(v))
         return lam ** (alpha - 1) * _atom_mul_z(out)
     if op == "Jminus":
         out = _atom_ddz(c)
-        for v in den:
-            out = _atom_theta_plus(out, v)
+        for v in zip(*dens):
+            out = _atom_theta_plus(out, column(v))
         return lam ** (lam - alpha - 1) * out
     raise UnsupportedOp(f"op {op!r} is not defined on a single sector")
 
@@ -364,44 +378,47 @@ def check_commutators(params: AlgebraParams, basis: str, k_max: int = 10) -> lis
     """Commutation relations as exact coefficient identities on monomials.
 
     Each generator acts once on the stack of every monomial z^k, k <= k_max
-    (sector basis: per (mu, alpha); vector bases: the lambda (k_max + 1) unit
-    columns, component mu major), zero-extended to one degree.  Rows run over
+    (sector basis: per family alpha, on every member mu at once, one stack of
+    monomials per member; vector bases: the lambda (k_max + 1) unit columns,
+    component mu major), zero-extended to one degree.  Rows run over
     (alpha, mu) or mu, then k.
     """
     from .algebra import sga_structure_poly
 
     lam = params.lam
+    bb = params.beta_bar_at
     rows = []
     if basis == "sector":
         k = np.arange(k_max + 1)
-        zk = np.eye(k_max + 1, dtype=complex)
         for alpha in range(lam // 2 + 1):
-            for mu in range(lam - alpha):
+            mus = np.arange(lam - alpha)
+            zk = np.broadcast_to(np.eye(k_max + 1, dtype=complex), (len(mus), k_max + 1, k_max + 1))
 
-                def ap(op, c):
-                    return _apply_sector(params, mu, alpha, op, c)
+            def ap(op, c):
+                return _apply_sector(params, mus, alpha, op, c)
 
-                j0_zk = ap("J0", zk)
-                q_zk, res = {}, {}
-                for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
-                    q_zk[qop] = ap(qop, zk)
-                    lhs = ap("J0", q_zk[qop])
-                    rhs = ap(qop, j0_zk)
-                    # lhs, rhs and q_zk share one width
-                    diff = np.abs(lhs - rhs - sgn * q_zk[qop]).max(axis=-1)
-                    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1),
-                                                       np.abs(rhs).max(axis=-1)))
-                    res[f"[J0,{qop}]"] = diff / scale
-                comm = (np.diagonal(ap("Jplus", q_zk["Jminus"]))
-                        - np.diagonal(ap("Jminus", q_zk["Jplus"])))
-                j0_eig = k + 0.5 * (params.beta_bar_at(mu) + params.beta_bar_at(mu + 1))
-                f_val = sga_structure_poly(params, j0_eig, mu)
-                res["[J+,J-]"] = np.abs(comm - f_val) / np.maximum(1.0, np.abs(f_val))
-                rows += [
-                    CommutatorRow(f"sector(mu={mu},alpha={alpha})", pair, i, float(r[i]))
-                    for i in range(k_max + 1)
-                    for pair, r in res.items()
-                ]
+            j0_zk = ap("J0", zk)
+            q_zk, res = {}, {}
+            for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
+                q_zk[qop] = ap(qop, zk)
+                lhs = ap("J0", q_zk[qop])
+                rhs = ap(qop, j0_zk)
+                # lhs, rhs and q_zk share one width
+                diff = np.abs(lhs - rhs - sgn * q_zk[qop]).max(axis=-1)
+                scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1),
+                                                   np.abs(rhs).max(axis=-1)))
+                res[f"[J0,{qop}]"] = diff / scale
+            comm = (np.diagonal(ap("Jplus", q_zk["Jminus"]), axis1=-2, axis2=-1)
+                    - np.diagonal(ap("Jminus", q_zk["Jplus"]), axis1=-2, axis2=-1))
+            f_val = np.array([sga_structure_poly(params, k + 0.5 * (bb(mu) + bb(mu + 1)), mu)
+                              for mu in mus.tolist()])
+            res["[J+,J-]"] = np.abs(comm - f_val) / np.maximum(1.0, np.abs(f_val))
+            rows += [
+                CommutatorRow(f"sector(mu={mu},alpha={alpha})", pair, i, float(r[mu, i]))
+                for mu in mus.tolist()
+                for i in range(k_max + 1)
+                for pair, r in res.items()
+            ]
     elif basis in ("vector_alpha0", "eigenstate"):
         apply = _apply_vector_alpha0 if basis == "vector_alpha0" else _apply_eigenstate
 

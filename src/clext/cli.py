@@ -12,6 +12,7 @@ import argparse
 import cmath
 import functools
 import itertools
+import os
 import sys
 from dataclasses import replace
 
@@ -37,7 +38,7 @@ from .observables import (
     squeezing_cs_alpha,
     squeezing_eigenstate,
 )
-from .states import CsAlphaSpec, cs_alpha_state, eigenstate
+from .states import CsAlphaSpec, cs_alpha_family, cs_alpha_state, eigenstate
 
 # the closed and oracle columns of a grid, both from one observables call
 COLUMNS = ("closed", "oracle")
@@ -69,11 +70,17 @@ def min_max_n(text: str) -> np.ndarray:
 
 
 def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """text to stdout, or to the --out file as its UTF-8 bytes in one write."""
+    if not args.out:
         sys.stdout.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def csv_rows(line: str, *columns) -> str:
@@ -264,21 +271,20 @@ def _apply(op, c, times: int):
 def _verify_states(p, trunc, tol):
     rows = []
     lam = p.lam
+    # a and adag once per truncation a build reaches
+    ladders = functools.cache(lambda dim: (build_operator(p, "a", dim),
+                                           build_operator(p, "adag", dim)))
     worst = 0.0
     for alpha in range(lam // 2 + 1):
-        for mu in range(lam - alpha):
-            zmag = 0.85 if 2 * alpha == lam else 1.3
-            spec = CsAlphaSpec(p, mu, alpha, zmag * cmath.exp(0.4j))
-            st = cs_alpha_state(spec, trunc)
-            a = build_operator(p, "a", st.dim)
-            ad = build_operator(p, "adag", st.dim)
-            # a^(lam - alpha) |psi> = z adag^alpha |psi>
-            lhs = _apply(a, st.coeffs, lam - alpha) - spec.z * _apply(ad, st.coeffs, alpha)
-            res = np.linalg.norm(lhs[: st.dim - lam])
-            worst = max(worst, res)
+        z = (0.85 if 2 * alpha == lam else 1.3) * cmath.exp(0.4j)
+        family = cs_alpha_family(p, alpha, z, trunc)
+        a, ad = ladders(family.dim)
+        # a^(lam - alpha) |psi> = z adag^alpha |psi>, one row per member mu
+        lhs = _apply(a, family.coeffs, lam - alpha) - z * _apply(ad, family.coeffs, alpha)
+        worst = max(worst, *(np.linalg.norm(row[: family.dim - lam]) for row in lhs))
     rows.append(("CS defining-equation residual", worst, worst < tol))
     st = eigenstate(p, 1.1 + 0.7j, trunc)
-    a = build_operator(p, "a", st.dim)
+    a = ladders(st.dim)[0]
     res = float(np.linalg.norm((a @ st.coeffs - (1.1 + 0.7j) * st.coeffs)[: st.dim - 1]))
     rows.append(("a |z> = z |z> residual", res, res < tol))
     return rows
@@ -378,18 +384,20 @@ COMMANDS = {
 }
 
 
-# parsing leaves the parser unchanged, so one per process serves every call
+# parsing leaves the parsers unchanged, so one set per process serves every call
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own subparser, by command."""
     ap = argparse.ArgumentParser(
         prog="clext",
         description="C_lambda-extended oscillator numerics: states, measures, observables",
     )
     ap.add_argument("--version", action="version", version=f"clext {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    commands = {}
     for command, (func, help_, dests) in COMMANDS.items():
         # no prefix matching: moments' --k-max must not take a stray --k
-        p = sub.add_parser(command, help=help_, allow_abbrev=False)
+        p = commands[command] = sub.add_parser(command, help=help_, allow_abbrev=False)
         for dest in (*dests, "out", "config"):
             flag, kind, default, text = OPTIONS[dest]
             if kind is bool:
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                 kw["dest"] = dest
             p.add_argument(flag or dest, help=text, **kw)
         p.set_defaults(func=func)
-    return ap
+    return ap, commands
 
 
 def _config_argv(args) -> list[str]:
@@ -425,11 +433,24 @@ def _config_argv(args) -> list[str]:
     return argv
 
 
+def _parse_command(command: str, tokens: list[str]) -> argparse.Namespace:
+    """tokens parsed by command's own subparser into the namespace the
+    top-level parser would give; a leftover token is the top-level parser's
+    "unrecognized arguments" error."""
+    top, commands = build_parsers()
+    args, extras = commands[command].parse_known_args(tokens, argparse.Namespace(command=command))
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def parse_args(argv) -> argparse.Namespace:
     """The namespace a handler reads; argparse exits 2 on a bad flag or value.
 
-    The --config file's values are parsed as flags placed before the
-    command line's own, so the command line wins.
+    A command's tokens take one pass of its own subparser (_parse_command);
+    no command, -h, --version and an unknown command go to the top-level
+    parser.  The --config file's values are parsed as flags placed before
+    the command line's own, so the command line wins.
     """
     argv = list(argv)
     # let --alpha take a leading-minus CSV without the '=' form
@@ -438,10 +459,13 @@ def parse_args(argv) -> argparse.Namespace:
             argv[i] = f"--alpha={argv[i + 1]}"
             del argv[i + 1]
             break
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    top, commands = build_parsers()
+    if argv and argv[0] in commands:
+        args = _parse_command(argv[0], argv[1:])
+    else:
+        args = top.parse_args(argv)
     if args.config:
-        args = ap.parse_args([args.command, *_config_argv(args), *argv[1:]])
+        args = _parse_command(args.command, [*_config_argv(args), *argv[1:]])
     return args
 
 

@@ -838,8 +838,9 @@ def g_general_vec(
     raises DomainError.  At s <= 0 only the residue sum runs, and a point
     it refuses raises DomainError.
 
-    shifts = (j_1, .., j_q) returns q + 1 rows, row r the G of the lower
-    list b + e_{j_1} + .. + e_{j_r}: by the contiguous relation
+    shifts = (j_1, .., j_q), each an index 0 <= j < m of b (DomainError
+    otherwise), returns q + 1 rows, row r the G of the lower list
+    b + e_{j_1} + .. + e_{j_r}: by the contiguous relation
     G(y | b + e_j) = (b_j - theta) G(y | b), theta = y d/dy (_family), each
     route runs once for all rows.  Every route returns the family's rows
     and their ok flags, and a call without shifts is the family of one row:
@@ -854,6 +855,8 @@ def g_general_vec(
         raise DomainError(f"Meijer-G argument y is NaN at index {np.flatnonzero(np.isnan(y))[0]} of {y.size}")
     a = [float(v) for v in a]
     b = [float(v) for v in b]
+    if not all(0 <= j < len(b) for j in shifts):
+        raise DomainError(f"shifts index the lower list 0..{len(b) - 1}, got {tuple(shifts)}")
     r = len(b) - len(a)
     vals = np.zeros((len(shifts) + 1,) + y.shape)
     # G decays like e^{-r y^{1/r}}: y = inf is an exact 0 that no route runs,

@@ -41,6 +41,9 @@ Both builders take one z or an array of them.  An array is built in one pass:
 the level weights are shared, each row has its own norm, and all rows share
 one dim, the first at which every row's tail bound is small enough.  A scalar
 z is the length-1 case, returned with 1-D coefficients and float metadata.
+cs_alpha_family builds every member mu of one family alpha at one z the same
+way: the members are a stack of the core, like a stack of algebras, with one
+row of levels per member, and the build has one row per member.
 """
 
 from __future__ import annotations
@@ -189,15 +192,20 @@ def _prefix_sum(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, (run - hi) + _running_sum(err)
 
 
-def log_weights(params: AlgebraParams, k_max: int, sector: tuple[int, int] | None = None):
+def log_weights(params: AlgebraParams, k_max: int, sector: tuple | None = None):
     """log |c_k / z^k|^2 for k = 0..k_max of the unnormalized state, as the
     compensated prefix sum (hi, lo) of its log ratios: sum(log_weights(..))
     is the value.  sector = (mu, alpha) selects |z; mu; alpha> on the levels
     k lambda + mu; None the eigenstate |z>, whose log weights are -L(k),
     L(n) = log prod_{j<=n} F(j).  A stack of P algebras (_param_stack)
-    gives (P, k_max + 1) arrays, one row per algebra."""
+    gives (P, k_max + 1) arrays, one row per algebra; so does an array of M
+    members mu of family alpha, one row per member, each the ratios and the
+    prefix sum of that member's own.  One call takes one of the two stacks."""
     mu, alpha, width = (0, 0, 1) if sector is None else (*sector, _param_stack(params)[0].lam)
-    return _prefix_sum(_log_ratios(params, mu + width * np.arange(k_max), alpha, width))
+    if not isinstance(params, AlgebraParams) and np.ndim(mu):
+        raise ShapeError("an array of members takes one algebra, not a stack")
+    levels = np.add.outer(mu, width * np.arange(k_max))
+    return _prefix_sum(_log_ratios(params, levels, alpha, width))
 
 
 def _row_blocks(rows: int, levels: int) -> list[slice]:
@@ -247,31 +255,35 @@ def _peak_normalized(log_z2: np.ndarray, hi: np.ndarray, lo: np.ndarray):
     return p, peak * L_hi + hi_peak + (lo_peak + peak * L_lo) + np.log(total)
 
 
-def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None = None,
+def _fock_weights(params: AlgebraParams, z_abs, sector: tuple | None = None,
                   levels: int = 1):
     """Fock levels n (K,), normalized weights p_n = |c_n|^2 / N (rows, K) and
     log N (rows,), one row per entry of z_abs; for a stack of P algebras of
     one lambda (_param_stack), (P, rows, K) and (P, rows).
 
     sector = (mu, alpha) selects |z; mu; alpha> on the levels n = k lambda + mu,
-    None the eigenstate |z> on every level.  The level count starts at
-    FIRST_LEVELS, or at levels if that is more, and doubles until every
-    algebra's last weight at the largest |z| (its largest last weight) is
-    below LAST_WEIGHT, NoConvergence past MAX_LEVELS.  Each count takes one
-    prefix sum of the log ratios (log_weights), one row per algebra, which
-    every grid row shares, and judges the weights from its hi part alone:
-    k L + hi about its peak, less the log of its sum.  When the first count
-    holds the weights and is more than levels, it is cut to one past the last
-    level where any of those weights is at least LAST_WEIGHT, but never below
-    levels.  The cut holds for every row: past the mean level <k>,
-    d log p_k / d log|z|^2 = k - <k> > 0, so no smaller |z| has more weight
-    there.  A count the loop doubled to is kept whole (a cut would save less
-    than half of it), and so is one levels asks for: a state builder whose dim
-    doubles reads every level it had before the cut.  Then the rows of every
-    algebra, one after another, are built at once, in _row_blocks.
+    None the eigenstate |z> on every level.  An array of M members mu of
+    family alpha stacks like the algebras (log_weights): (M, rows, K) weights,
+    (M, rows) log N and one row of levels per member, n of shape (M, K).
+
+    The level count starts at FIRST_LEVELS, or at levels if that is more, and
+    doubles until every row's (algebra's or member's) last weight at the
+    largest |z| (its largest last weight) is below LAST_WEIGHT, NoConvergence
+    past MAX_LEVELS.  Each count takes one prefix sum of the log ratios
+    (log_weights), one row per algebra or member, which every grid row
+    shares, and judges the weights from its hi part alone: k L + hi about its
+    peak, less the log of its sum.  When the first count holds the weights
+    and is more than levels, it is cut to one past the last level where any
+    of those weights is at least LAST_WEIGHT, but never below levels.  The
+    cut holds for every row: past the mean level <k>, d log p_k / d log|z|^2
+    = k - <k> > 0, so no smaller |z| has more weight there.  A count the loop
+    doubled to is kept whole (a cut would save less than half of it), and so
+    is one levels asks for: a state builder whose dim doubles reads every
+    level it had before the cut.  Then the rows of every algebra or member,
+    one after another, are built at once, in _row_blocks.
     """
-    stack = _param_stack(params)
-    mu, width = (0, 1) if sector is None else (sector[0], stack[0].lam)
+    lam = _param_stack(params)[0].lam
+    mu, width = (0, 1) if sector is None else (sector[0], lam)
     with np.errstate(divide="ignore"):
         log_z2 = 2.0 * np.log(np.atleast_1d(z_abs).astype(float))[:, None]
     top = max(float(log_z2.max()), -1e300)
@@ -288,50 +300,58 @@ def _fock_weights(params: AlgebraParams, z_abs, sector: tuple[int, int] | None =
             break
         if count >= MAX_LEVELS:
             raise NoConvergence(
-                f"Fock weights still {math.exp(t[-1]):.3e} at level {mu + width * (count - 1)}")
+                f"Fock weights still {math.exp(t[-1]):.3e} at level "
+                f"{np.max(mu) + width * (count - 1)}")
         count = min(2 * count, MAX_LEVELS)
     if count == start > levels:
         count = max(levels, count + 1 - int(np.argmax(t[::-1] >= _LOG_LAST_WEIGHT)))
         hi, lo = hi[..., :count], lo[..., :count]
     rows = len(log_z2)
-    if hi.ndim == 2:  # each grid row once per algebra, with that algebra's sums
-        of = np.repeat(np.arange(len(stack)), rows)
-        log_z2 = np.tile(log_z2, (len(stack), 1))
+    if hi.ndim == 2:  # each grid row once per algebra or member, with its own sums
+        of = np.repeat(np.arange(len(hi)), rows)
+        log_z2 = np.tile(log_z2, (len(hi), 1))
     p = np.empty((len(log_z2), count))
     log_norm = np.empty(len(log_z2))
     for block in _row_blocks(len(log_z2), count):
         sums = (hi, lo) if hi.ndim == 1 else (hi[of[block]], lo[of[block]])
         p[block], log_norm[block] = _peak_normalized(log_z2[block], *sums)
     if hi.ndim == 2:
-        p, log_norm = p.reshape(len(stack), rows, count), log_norm.reshape(len(stack), rows)
-    return mu + width * np.arange(count), p, log_norm
+        p, log_norm = p.reshape(len(hi), rows, count), log_norm.reshape(len(hi), rows)
+    return np.add.outer(mu, width * np.arange(count)), p, log_norm
 
 
-def _build_levels(params: AlgebraParams, dim: int, sector: tuple[int, int] | None = None
-                  ) -> int:
-    """The core's level count for a build that starts at dim: the state's own,
-    but no fewer than FIRST_LEVELS, so the core keeps its whole count, the
-    levels a doubled dim reads.  TruncationTooSmall below dim = lambda."""
+def _build_levels(params: AlgebraParams, dim: int, sector: tuple | None = None) -> int:
+    """The core's level count for a build that starts at dim: the state's own
+    (of an array of members, the lowest member's), but no fewer than
+    FIRST_LEVELS, so the core keeps its whole count, the levels a doubled dim
+    reads.  TruncationTooSmall below dim = lambda."""
     if dim < params.lam:
         raise TruncationTooSmall(f"need dim >= lambda = {params.lam}")
     mu, width = (0, 1) if sector is None else (sector[0], params.lam)
-    return max((dim - 1 - mu) // width + 1, FIRST_LEVELS)
+    return max(int(dim - 1 - np.min(mu)) // width + 1, FIRST_LEVELS)
 
 
 def _coefficients(z: np.ndarray, n: np.ndarray, p: np.ndarray, log_norm: np.ndarray,
                   dim: int) -> StateVector:
     """Normalized states c = sqrt(p_k) e^{i k arg z} on the levels n_k < dim
     of the core's weights (n, p, log_norm) at _build_levels(dim), one row per
-    entry of the array z.  dim doubles up to MAX_AUTO_DIM until every row's
-    exact tail bound 1 - sum|c|^2 is at most TAIL_THRESHOLD.  The coefficients
-    stay finite where N overflows (norm_sq_analytic = exp(log N) is inf only
+    entry of the array z; n is one row of levels for every state, or one row
+    per state.  dim doubles up to MAX_AUTO_DIM until every row's exact tail
+    bound 1 - sum|c|^2 is at most TAIL_THRESHOLD.  The coefficients stay
+    finite where N overflows (norm_sq_analytic = exp(log N) is inf only
     there).
     """
     phase = np.angle(z)[:, None]
+    rows = np.arange(len(z))[:, None]
+    # each level index's lowest and highest level over the rows
+    lowest, highest = (n, n) if n.ndim == 1 else (n.min(axis=0), n.max(axis=0))
     while True:
-        k = np.arange(np.searchsorted(n, dim))
-        coeffs = np.zeros((len(z), dim), dtype=complex)
-        coeffs[:, n[k]] = np.sqrt(p[:, k]) * np.exp(1j * k * phase)
+        # the level indices below dim in some row; the levels a row has past
+        # dim land in the columns the slice to dim drops
+        k = np.arange(np.searchsorted(lowest, dim))
+        coeffs = np.zeros((len(z), max(dim, highest[len(k) - 1] + 1)), dtype=complex)
+        coeffs[rows, n[..., k]] = np.sqrt(p[:, k]) * np.exp(1j * k * phase)
+        coeffs = coeffs[:, :dim]
         # np.vdot row by row: each sum has the digits of the row's scalar build
         tail = np.maximum(0.0, 1.0 - np.array([np.vdot(c, c).real for c in coeffs]))
         if tail.max() <= TAIL_THRESHOLD:
@@ -348,14 +368,19 @@ def _coefficients(z: np.ndarray, n: np.ndarray, p: np.ndarray, log_norm: np.ndar
     return StateVector(dim, coeffs, norm, tail)
 
 
-def _build(params: AlgebraParams, z, dim: int, sector: tuple[int, int] | None = None
-           ) -> StateVector:
+def _build(params: AlgebraParams, z, dim: int, sector: tuple | None = None) -> StateVector:
     """The state of z, one row per entry of an array z: the core's weights at
-    the build's level count (_build_levels), then their coefficients."""
+    the build's level count (_build_levels), then their coefficients.  For an
+    array of members (sector = (mus, alpha)) the rows run over the members,
+    then over z: one row per member at a scalar z."""
     z_rows = np.atleast_1d(z)
-    core = _fock_weights(params, np.abs(z_rows), sector, _build_levels(params, dim, sector))
-    st = _coefficients(z_rows, *core, dim)
-    if np.ndim(z) == 0:
+    n, p, log_norm = _fock_weights(params, np.abs(z_rows), sector,
+                                   _build_levels(params, dim, sector))
+    if n.ndim == 2:  # each member's levels for each of its rows
+        n, z_rows = np.repeat(n, len(z_rows), axis=0), np.tile(z_rows, len(n))
+        p, log_norm = p.reshape(len(n), -1), log_norm.reshape(-1)
+    st = _coefficients(z_rows, n, p, log_norm, dim)
+    if np.ndim(z) == 0 and n.ndim == 1:
         return StateVector(st.dim, st.coeffs[0], float(st.norm_sq_analytic[0]),
                            float(st.tail_bound[0]))
     return st
@@ -369,6 +394,17 @@ def cs_alpha_state(spec: CsAlphaSpec, dim: int = FIRST_DIM) -> StateVector:
     exceeds the tail threshold; TruncationTooSmall if it never drops below.
     """
     return _build(spec.params, spec.z, dim, (spec.mu, spec.alpha))
+
+
+def cs_alpha_family(params: AlgebraParams, alpha: int, z, dim: int = FIRST_DIM) -> StateVector:
+    """Every member |z; mu; alpha>, mu = 0..lambda-alpha-1, of family alpha at
+    one z, as the rows (members, dim) of one build: one core call for the
+    family, one norm and tail bound per member and one dim for all.  Each row
+    is the member's own cs_alpha_state build, on the family's one level count
+    and dim.
+    """
+    CsAlphaSpec(params, 0, alpha, z)  # mu = 0 is in every family: checks alpha and z
+    return _build(params, z, dim, (np.arange(params.lam - alpha), alpha))
 
 
 def eigenstate(params: AlgebraParams, z, dim: int = FIRST_DIM) -> StateVector:

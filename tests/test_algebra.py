@@ -157,6 +157,17 @@ class TestBands:
             a @ build_operator(fig1_params, "a", 9)
         with pytest.raises(ShapeError):
             a @ np.ones(9)
+        with pytest.raises(ShapeError):
+            a @ np.ones((3, 9))
+
+    def test_stack_matvec_is_each_rows_matvec(self, rng, fig1_params):
+        # a stack (.., K) maps row by row, bit for bit
+        c = rng.standard_normal((2, 3, 16)) + 1j * rng.standard_normal((2, 3, 16))
+        for kind in ("a", "adag", "Jplus", "Jminus", "N"):
+            x = build_operator(fig1_params, kind, 16)
+            out = x @ c
+            assert out.shape == c.shape
+            assert all(np.array_equal(out[i, j], x @ c[i, j]) for i in range(2) for j in range(3))
 
     @pytest.mark.parametrize("lam", [2, 3, 4, 5])
     def test_sga_poly_array_equals_scalar_calls(self, rng, lam):

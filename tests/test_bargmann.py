@@ -179,6 +179,40 @@ class TestBasisFunctions:
         assert inner_product("sector", w, one, z) == 0.0
 
 
+def _per_member_sector_commutators(params, k_max):
+    """The sector rows of check_commutators as one _apply_sector call per
+    generator and member (mu, alpha), on the stack of monomials z^0..z^k_max:
+    the reference the family-grouped check must equal."""
+    lam = params.lam
+    k = np.arange(k_max + 1)
+    zk = np.eye(k_max + 1, dtype=complex)
+    rows = []
+    for alpha in range(lam // 2 + 1):
+        for mu in range(lam - alpha):
+
+            def ap(op, c):
+                return bargmann._apply_sector(params, mu, alpha, op, c)
+
+            j0_zk = ap("J0", zk)
+            q_zk, res = {}, {}
+            for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
+                q_zk[qop] = ap(qop, zk)
+                lhs = ap("J0", q_zk[qop])
+                rhs = ap(qop, j0_zk)
+                diff = np.abs(lhs - rhs - sgn * q_zk[qop]).max(axis=-1)
+                scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1),
+                                                   np.abs(rhs).max(axis=-1)))
+                res[f"[J0,{qop}]"] = diff / scale
+            comm = (np.diagonal(ap("Jplus", q_zk["Jminus"]))
+                    - np.diagonal(ap("Jminus", q_zk["Jplus"])))
+            j0_eig = k + 0.5 * (params.beta_bar_at(mu) + params.beta_bar_at(mu + 1))
+            f_val = sga_structure_poly(params, j0_eig, mu)
+            res["[J+,J-]"] = np.abs(comm - f_val) / np.maximum(1.0, np.abs(f_val))
+            rows += [CommutatorRow(f"sector(mu={mu},alpha={alpha})", pair, i, float(r[i]))
+                     for i in range(k_max + 1) for pair, r in res.items()]
+    return rows
+
+
 class TestCommutators:
     @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
     def test_sector_identities(self, rng, lam):
@@ -202,6 +236,24 @@ class TestCommutators:
         for _ in range(2):
             p = random_valid_params(rng, lam)
             assert check_commutators(p, basis, k_max=7) == _per_monomial_commutators(p, basis, 7)
+
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
+    def test_family_rows_equal_per_member_rows(self, rng, lam):
+        # one application per generator and family alpha: the same rows, in
+        # the same order, as one per member
+        for _ in range(2):
+            p = random_valid_params(rng, lam)
+            assert check_commutators(p, "sector", k_max=6) == _per_member_sector_commutators(p, 6)
+
+    @pytest.mark.parametrize("op", ["N", "J0", "Jplus", "Jminus"])
+    def test_member_column_is_each_members_application(self, rng, op):
+        p = random_valid_params(rng, 5)
+        for alpha in range(3):
+            mus = np.arange(5 - alpha)
+            c = rng.normal(size=(len(mus), 3, 6)) + 1j * rng.normal(size=(len(mus), 3, 6))
+            out = bargmann._apply_sector(p, mus, alpha, op, c)
+            for mu in mus:
+                assert np.array_equal(out[mu], bargmann._apply_sector(p, int(mu), alpha, op, c[mu]))
 
     @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
     def test_realization_calls_do_not_grow_with_k_max(self, monkeypatch, fig1_params, basis):

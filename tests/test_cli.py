@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import subprocess
 import sys
@@ -8,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clext import specfun
-from clext.cli import main, parse_args
+from clext import cli, specfun
+from clext.cli import build_parsers, main, parse_args
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -463,6 +465,88 @@ class TestOptionTable:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def _workload_argvs(workload):
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import make_ops
+
+        return [op.argv for seed in (1, 2, 3) for op in make_ops(workload, seed)]
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.modules.pop("workloads", None)
+
+
+def _top_level_parse_args(argv):
+    """parse_args as whole passes of the top-level parser: the reference the
+    command's own subparser must match, namespace, messages and exit code."""
+    top = build_parsers()[0]
+    args = top.parse_args(argv)
+    if args.config:
+        args = top.parse_args([args.command, *cli._config_argv(args), *argv[1:]])
+    return args
+
+
+class TestCommandParser:
+    @pytest.mark.parametrize("workload", ["figures", "moments", "oracle"])
+    def test_namespace_is_the_top_level_one(self, workload):
+        for argv in _workload_argvs(workload):
+            # the '=' form the top-level parser needs for a leading-minus --alpha
+            joined = " ".join(argv).replace("--alpha ", "--alpha=").split(" ")
+            got, want = (
+                [(k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in vars(ns).items()]
+                for ns in (parse_args(argv), _top_level_parse_args(joined)))
+            # the same values in the same order: config errors list the keys in it
+            assert got == want, argv
+
+    BAD = {
+        "unknown flag": ["verify", "states", "--lambda", "2", "--alpha", "3,-3", "--bogus", "1"],
+        "extra positional": ["verify", "states", "extra", "--lambda", "2", "--alpha", "3,-3"],
+        "missing positional": ["verify", "--lambda", "2", "--alpha", "3,-3"],
+        "bad choice": ["mandel", "--family", "x", "--lambda", "2", "--alpha", "3,-3"],
+        "bad int": ["verify", "states", "--lambda", "x"],
+        "nan z": ["state", "--lambda", "2", "--alpha", "3,-3", "--z-re", "nan"],
+        "bad grid": ["mandel", "--lambda", "2", "--alpha", "3,-3", "--grid", "1:2"],
+        "bad config key": ["verify", "states", "--config", "{dir}/key.cfg"],
+        "bad config value": ["verify", "states", "--config", "{dir}/value.cfg"],
+        "config and flags": ["verify", "states", "--config", "{dir}/good.cfg", "--mu", "1"],
+        "no command": [],
+        "unknown command": ["bogus"],
+        "help": ["-h"],
+        "command help": ["verify", "-h"],
+        "version": ["--version"],
+        "flag of another command": ["moments", "--lambda", "2", "--alpha", "3,-3", "--k", "12"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_output_and_exit_code_are_the_top_level_ones(self, case, tmp_path, monkeypatch):
+        (tmp_path / "key.cfg").write_text("lambda = 2\n")
+        (tmp_path / "value.cfg").write_text("mu = x\n")
+        (tmp_path / "good.cfg").write_text("lam = 2\nalpha_csv = 3,-3\n")
+        argv = [tok.format(dir=tmp_path) for tok in self.BAD[case]]
+
+        def captured():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # argparse's usage errors, -h and --version
+                    code = exc.code
+            return code, out.getvalue(), err.getvalue()
+
+        got = captured()
+        monkeypatch.setattr(cli, "parse_args", _top_level_parse_args)
+        assert got == captured()
+
+
+def test_out_file_holds_the_stdout_bytes(tmp_path):
+    argv = ["verify", "states", "--lambda", "3", "--alpha", "3,-3,0"]
+    code, out, _ = run_cli(argv)
+    path = tmp_path / "op.csv"
+    path.write_bytes(b"x" * 10_000)  # a longer file is truncated, not overwritten in place
+    assert run_cli([*argv, "--out", str(path)]) == (code, "", "")
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("command", ["mandel", "squeeze"])

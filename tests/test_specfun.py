@@ -962,6 +962,18 @@ def test_empty_y_runs_no_route(monkeypatch, a, b, shifts):
     assert not calls
 
 
+@pytest.mark.parametrize("shifts", [(2,), (-1,), (1, 0, 5)])
+def test_shifts_are_checked_where_they_enter(monkeypatch, shifts):
+    # an index past the lower list, or a negative one that would wrap, names
+    # the shifts before any route runs
+    calls = []
+    for name in ROUTES:
+        monkeypatch.setattr(specfun, name, lambda *args, **kw: calls.append(args))
+    with pytest.raises(DomainError, match=r"shifts index the lower list 0\.\.1"):
+        g_general_vec([], [0.0, 0.4], np.array([0.5, 2.0]), shifts=shifts)
+    assert not calls
+
+
 def test_one_route_pass_for_all_sector_weights(monkeypatch, tmp_path):
     # a lambda = 3 resolution command runs the continuation's recurrence once
     # and each cluster of b_0 once for all three of its weights

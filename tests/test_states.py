@@ -7,11 +7,12 @@ import pytest
 
 from clext import build_operator
 from clext import params_from_beta_bar, structure_function, validate_params
-from clext.errors import DomainError, SectorError, TruncationTooSmall
+from clext.errors import DomainError, SectorError, ShapeError, TruncationTooSmall
 from clext.states import (
     FIRST_LEVELS,
     TAIL_THRESHOLD,
     CsAlphaSpec,
+    cs_alpha_family,
     cs_alpha_state,
     eigenstate,
     _fock_weights,
@@ -447,3 +448,60 @@ class TestArrayBuilders:
             eigenstate(fig1_params, z)
         with pytest.raises(DomainError, match="finite"):
             CsAlphaSpec(fig1_params, 0, 1, z)
+
+
+class TestFamilyBuild:
+    """A family alpha at one z is one build: one row per member mu, each row
+    that member's length-1 cs_alpha_state build."""
+
+    @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
+    def test_rows_match_length_one_builds(self, rng, lam):
+        p = random_valid_params(rng, lam)
+        for alpha in range(lam // 2 + 1):
+            z = (0.85 if 2 * alpha == lam else 1.7) * cmath.exp(2.1j)
+            family = cs_alpha_family(p, alpha, z)
+            members = lam - alpha
+            assert family.coeffs.shape == (members, family.dim)
+            assert family.norm_sq_analytic.shape == family.tail_bound.shape == (members,)
+            for mu, row in enumerate(family.coeffs):
+                single = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z))
+                # the family's dim is its largest member's; past a member's
+                # own dim its row holds only the mass that build truncated
+                assert single.dim <= family.dim
+                assert np.abs(row[: single.dim] - single.coeffs).max() <= 1e-15
+                rest = row[single.dim :]
+                assert np.vdot(rest, rest).real <= single.tail_bound + 1e-15
+                assert family.tail_bound[mu] <= single.tail_bound + 1e-15
+                assert family.norm_sq_analytic[mu] == pytest.approx(single.norm_sq_analytic,
+                                                                    rel=1e-15)
+                assert not row[np.arange(family.dim) % lam != mu].any()
+
+    @pytest.mark.parametrize("lam", [3, 4, 5])
+    def test_member_log_weights_are_each_members_own(self, rng, lam):
+        # one row per member: the ratios and prefix sum of its own call, bit for bit
+        p = random_valid_params(rng, lam)
+        for alpha in range(lam // 2 + 1):
+            mus = np.arange(lam - alpha)
+            hi, lo = log_weights(p, 40, (mus, alpha))
+            assert hi.shape == lo.shape == (len(mus), 41)
+            for mu in mus:
+                one_hi, one_lo = log_weights(p, 40, (int(mu), alpha))
+                assert np.array_equal(hi[mu], one_hi) and np.array_equal(lo[mu], one_lo)
+
+    def test_core_gives_one_row_of_levels_per_member(self, fig1_params):
+        mus = np.arange(3)
+        n, p, log_norm = _fock_weights(fig1_params, np.array([0.4, 1.3]), (mus, 0), 64)
+        assert n.shape == (3, 64) and p.shape == (3, 2, 64) and log_norm.shape == (3, 2)
+        assert np.array_equal(n, mus[:, None] + 3 * np.arange(64))
+
+    def test_one_stack_per_call(self, fig1_params):
+        with pytest.raises(ShapeError, match="one algebra"):
+            log_weights([fig1_params, fig1_params], 8, (np.arange(2), 1))
+
+    def test_family_is_checked_where_it_enters(self, fig1_params, paraboson_params):
+        with pytest.raises(SectorError):
+            cs_alpha_family(fig1_params, 2, 0.5)  # alpha > lambda / 2
+        with pytest.raises(DomainError, match="finite"):
+            cs_alpha_family(fig1_params, 1, complex(math.nan, 0.0))
+        with pytest.raises(DomainError, match="unit disc"):
+            cs_alpha_family(paraboson_params, 1, 1.2)
