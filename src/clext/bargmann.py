@@ -13,14 +13,17 @@ moments, the same code in all three bases.
 Atoms act on the last axis of a coefficient array and any leading axes
 hold a stack of polynomials, so one realization call maps a whole stack:
 the commutator and Hermiticity checks apply each generator once to all
-their sample monomials.  The sector realization also takes an array of
-members mu of one family alpha, one per leading row of the stack, with each
-atom's constant as a column over them: the sector commutator check applies
-each generator once per family.
+their sample monomials.  The sector realization takes an array of members
+mu of one family alpha, one per leading row of the stack, each atom's
+constant a column over them; a single sector is the family of one member.
+So the sector commutator check applies each generator once per family, and
+the vector_alpha0 basis's N, J0, J+- and its transform act on its lambda
+components as the members of family 0, in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +45,6 @@ class PolyFunction:
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[-1] - 1
 
     def component(self, mu: int) -> np.ndarray:
         if self.mu is not None:
@@ -98,25 +97,27 @@ def _atom_ddz_plus_over_z(c: np.ndarray, const: float) -> np.ndarray:
 
 # ---- sector realization ----------------------------------------------------
 
-def _apply_sector(params: AlgebraParams, mu, alpha: int, op: str, c: np.ndarray):
-    """op on sector mu of family alpha, applied to the coefficients c.  mu is
-    one sector, or an array of members of the family, one per leading row of
-    c (shape (members, .., width)): each atom then takes one constant per
-    member as a (members, 1, .., 1) column."""
+@functools.lru_cache(maxsize=256)
+def _member_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[tuple, tuple]:
+    """states.sector_lists as tuples, built once per (params, mu, alpha)."""
+    return tuple(map(tuple, sector_lists(params, mu, alpha)))
+
+
+def _apply_sector(params: AlgebraParams, mus, alpha: int, op: str, c: np.ndarray):
+    """op on the members mus of family alpha, one per leading row of the
+    coefficients c (shape (members, .., width)): each atom takes one constant
+    per member as a (members, 1, .., 1) column."""
     lam = params.lam
     bb = params.beta_bar_at
-    mus = np.atleast_1d(mu).tolist()
 
     def column(values):
-        if np.ndim(mu) == 0:
-            return values[0]
         return np.array(values).reshape((-1,) + (1,) * (c.ndim - 1))
 
     if op == "N":
         return _atom_theta_plus(c, column([m / lam for m in mus])) * lam
     if op == "J0":
         return _atom_theta_plus(c, column([0.5 * (bb(m) + bb(m + 1)) for m in mus]))
-    nums, dens = zip(*(sector_lists(params, m, alpha) for m in mus))
+    nums, dens = zip(*(_member_lists(params, m, alpha) for m in mus))
     if op == "Jplus":
         out = c
         for v in zip(*nums):
@@ -142,12 +143,11 @@ def _apply_vector_alpha0(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
     lam = params.lam
     bb = params.beta_bar_at
     if op in ("N", "Jplus", "Jminus", "J0"):
-        return _components([_apply_sector(params, mu, 0, op, c[..., mu, :]) for mu in range(lam)])
+        # component mu is member mu of family 0
+        return np.moveaxis(_apply_sector(params, range(lam), 0, op, np.moveaxis(c, -2, 0)), 0, -2)
     if op == "P":
         return _project(c, mu_op % lam)
-    prod = 1.0
-    for nu in range(1, lam):
-        prod *= bb(nu)
+    prod = math.prod(bb(nu) for nu in range(1, lam))
     if op == "adag":
         top = _atom_mul_z(c[..., lam - 1, :]) / math.sqrt(lam ** (lam - 1) * prod)
         return _components(
@@ -211,7 +211,7 @@ def apply_realization(
     if basis == "sector":
         if f.mu is None:
             raise SectorError("sector basis requires a sector polynomial")
-        out = _apply_sector(params, f.mu, alpha, op, np.asarray(f.coeffs))
+        out = _apply_sector(params, [f.mu], alpha, op, np.asarray(f.coeffs)[None])[0]
         return PolyFunction(np.asarray(out, dtype=complex), f.mu)
     if f.mu is not None:
         raise SectorError("vector bases require a lambda-component polynomial")
@@ -231,22 +231,20 @@ def bargmann_transform(
     mu: int | None = None,
     alpha: int = 0,
 ) -> PolyFunction:
-    """Map Fock coefficients to Bargmann polynomial coefficients."""
+    """Map Fock coefficients to Bargmann polynomial coefficients; vector_alpha0
+    holds the lambda members of family 0, zero past the state's last level."""
     lam = params.lam
-    if basis == "sector":
-        if mu is None:
+    if basis in ("sector", "vector_alpha0"):
+        if basis == "sector" and mu is None:
             raise SectorError("sector transform needs mu")
-        k = np.arange((psi.dim - 1 - mu) // lam + 1)
+        mus, alpha = ([mu], alpha) if basis == "sector" else (range(lam), 0)
+        levels = np.add.outer(mus, lam * np.arange((psi.dim - 1 - min(mus)) // lam + 1))
         with np.errstate(under="ignore"):
-            weights = np.exp(0.5 * sum(log_weights(params, len(k) - 1, (mu, alpha))))
-        return PolyFunction(psi.coeffs[k * lam + mu] * weights, mu)
-    if basis == "vector_alpha0":
-        k_max = (psi.dim - 1) // lam
-        out = np.zeros((lam, k_max + 1), dtype=complex)
-        for m in range(lam):
-            sec = bargmann_transform(params, psi, "sector", mu=m, alpha=0)
-            out[m, : len(sec.coeffs)] = sec.coeffs
-        return PolyFunction(out, None)
+            weights = np.exp(0.5 * sum(log_weights(params, levels.shape[1] - 1, (mus, alpha))))
+        inside = levels < psi.dim
+        out = np.zeros(levels.shape, dtype=complex)
+        out[inside] = psi.coeffs[levels[inside]] * weights[inside]
+        return PolyFunction(out[0], mu) if basis == "sector" else PolyFunction(out)
     if basis == "eigenstate":
         n = np.arange(psi.dim)
         out = np.zeros((lam, psi.dim), dtype=complex)

@@ -61,6 +61,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_float(text: str) -> float:
+    """The --tol type: a finite number above zero."""
+    value = finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
 def min_max_n(text: str) -> np.ndarray:
     """The --grid type: n >= 2 evenly spaced points from min to max."""
     lo, hi, n = text.split(":")
@@ -348,7 +356,7 @@ OPTIONS = {
     "z_im": ("--z-im", finite_float, 0.0, "imaginary part of z"),
     "grid": ("--grid", min_max_n, None, "min:max:n (mandel, squeeze: 0.02:3:60)"),
     "trunc": ("--k", int, 64, "operator/state truncation"),
-    "tol": ("--tol", float, 1e-6, "pass tolerance"),
+    "tol": ("--tol", positive_float, 1e-6, "pass tolerance"),
     "family": ("--family", ("sector", "eigen"), "eigen", "sector states or eigenstates |z>"),
     "kind": ("--kind", ("dressed", "real"), "dressed", "dressed or real photons"),
     "direction": ("--direction", ("re", "im"), "re", "grid along the real or imaginary z axis"),

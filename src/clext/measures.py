@@ -336,6 +336,8 @@ class MomentReport:
 
 def verify_moments(weight: WeightFunction, k_max: int = 8, tol: float = 1e-6) -> MomentReport:
     """Compare quadrature moments of the weight against its family's B(k) targets."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     rows = []
     worst = 0.0
     integrals, quad_errs = weight.moment(np.arange(k_max + 1, dtype=float))
@@ -445,6 +447,8 @@ def verify_identity_resolution(
     eigenstate_diag (the |z_mu> form), eigenstate_offdiag (the complex
     g_mu mixture of |z><z e^{2 pi i mu / lambda}|).
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > 8:
         raise ValueError("n_max above 8 exceeds the supported range")
     lam = params.lam

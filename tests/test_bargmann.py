@@ -17,9 +17,10 @@ from clext.bargmann import (
     inner_product,
     intertwining_residual,
 )
+from clext.cli import main
 from clext.errors import NonPolynomialResult, UnsupportedOp
 from clext.measures import eigenstate_measures, weight_function
-from clext.states import StateVector, eigenstate
+from clext.states import StateVector, eigenstate, sector_lists
 from closed_forms import basis_function
 from conftest import random_valid_params
 
@@ -191,7 +192,7 @@ def _per_member_sector_commutators(params, k_max):
         for mu in range(lam - alpha):
 
             def ap(op, c):
-                return bargmann._apply_sector(params, mu, alpha, op, c)
+                return bargmann._apply_sector(params, [mu], alpha, op, c[None])[0]
 
             j0_zk = ap("J0", zk)
             q_zk, res = {}, {}
@@ -253,7 +254,16 @@ class TestCommutators:
             c = rng.normal(size=(len(mus), 3, 6)) + 1j * rng.normal(size=(len(mus), 3, 6))
             out = bargmann._apply_sector(p, mus, alpha, op, c)
             for mu in mus:
-                assert np.array_equal(out[mu], bargmann._apply_sector(p, int(mu), alpha, op, c[mu]))
+                assert np.array_equal(out[mu], bargmann._apply_sector(p, [mu], alpha, op, c[mu][None])[0])
+
+    def test_verify_bargmann_builds_each_members_lists_once(self, monkeypatch):
+        # lambda = 4 has 9 members (mu, alpha): 4 of family 0, 3 of 1 and 2 of 2
+        built = []
+        monkeypatch.setattr(bargmann, "sector_lists",
+                            lambda *key: built.append(key) or sector_lists(*key))
+        bargmann._member_lists.cache_clear()
+        assert main(["verify", "bargmann", "--lambda", "4", "--alpha", "1,2,-1,-2"]) == 0
+        assert len(built) == len(set(built)) == 9
 
     @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
     def test_realization_calls_do_not_grow_with_k_max(self, monkeypatch, fig1_params, basis):

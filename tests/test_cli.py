@@ -75,6 +75,33 @@ class TestValidate:
         assert captured.out == ""
 
 
+class TestToleranceAndOrders:
+    @pytest.mark.parametrize("tol, why", [("nan", "not finite"), ("inf", "not finite"),
+                                          ("-1", "not positive"), ("0", "not positive")])
+    @pytest.mark.parametrize("argv", [["moments"], ["verify", "algebra"], ["resolution"]])
+    def test_bad_tolerance_is_a_usage_error(self, argv, tol, why, capsys):
+        # refused by the parser: a nan tolerance would fail every row, inf pass any
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--lambda", "2", "--alpha", "3,-3", "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        errors = [l for l in captured.err.splitlines() if "error:" in l]
+        assert len(errors) == 1 and f"argument --tol: '{tol}' is {why}" in errors[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, name", [(["moments", "--k-max", "-1"], "k_max"),
+                                            (["resolution", "--n-max", "-1"], "n_max")])
+    def test_negative_order_names_its_argument(self, argv, name):
+        code, out, err = run_cli([*argv, "--lambda", "2", "--alpha", "3,-3"])
+        assert code == 2 and out == "" and err == f"error: {name} must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", [["moments", "--k-max", "0"], ["resolution", "--n-max", "0"]])
+    def test_order_zero_is_one_row(self, argv):
+        code, out, err = run_cli([*argv, "--lambda", "2", "--alpha", "3,-3"])
+        assert code == 0 and err == "" and out.splitlines()[2].startswith("0,")
+        assert len(out.splitlines()) == 4
+
+
 class TestVerify:
     def test_algebra_pass(self):
         code, out, _ = run_cli(["verify", "algebra", "--lambda", "3", "--alpha", "3,-3,0", "--k", "32"])
@@ -690,6 +717,50 @@ sector(mu=0),J+/J- hermiticity,5.921e-15
 }
 
 
+# one algebra per lambda at which the families (mu, alpha) = (1, 0), (0, 1)
+# and (1, 1) all hold a positivity certificate
+CERTIFIED = {"3": "3.5,-1,-2.5", "4": "1,-1,-2,2"}
+# bargmann-check at lambda = 3, CERTIFIED["3"], (mu, alpha) = (1, 1)
+CERTIFIED_DOC = """basis,op_pair,max_residual
+eigenstate,[a,adag],0.000e+00
+sector(mu=0,alpha=0),[J+,J-],5.404e-16
+sector(mu=0,alpha=0),[J0,Jminus],0.000e+00
+sector(mu=0,alpha=0),[J0,Jplus],1.074e-16
+sector(mu=0,alpha=1),[J+,J-],0.000e+00
+sector(mu=0,alpha=1),[J0,Jminus],0.000e+00
+sector(mu=0,alpha=1),[J0,Jplus],0.000e+00
+sector(mu=1,alpha=0),[J+,J-],3.445e-16
+sector(mu=1,alpha=0),[J0,Jminus],0.000e+00
+sector(mu=1,alpha=0),[J0,Jplus],1.110e-16
+sector(mu=1,alpha=1),[J+,J-],0.000e+00
+sector(mu=1,alpha=1),[J0,Jminus],0.000e+00
+sector(mu=1,alpha=1),[J0,Jplus],0.000e+00
+sector(mu=2,alpha=0),[J+,J-],4.505e-16
+sector(mu=2,alpha=0),[J0,Jminus],0.000e+00
+sector(mu=2,alpha=0),[J0,Jplus],1.332e-16
+vector_alpha0,[a,adag],3.553e-15
+sector(mu=1),J+/J- hermiticity,5.220e-15
+vector_alpha0,adag/a hermiticity,4.793e-15
+eigenstate,adag/a hermiticity,4.944e-15
+sector(mu=1,alpha=1),N intertwining,5.551e-17
+sector(mu=1,alpha=1),J0 intertwining,1.084e-19
+sector(mu=1,alpha=1),Jplus intertwining,1.110e-16
+sector(mu=1,alpha=1),Jminus intertwining,8.674e-19
+vector_alpha0,a intertwining,1.110e-16
+vector_alpha0,adag intertwining,1.251e-17
+vector_alpha0,N intertwining,5.551e-17
+vector_alpha0,J0 intertwining,3.469e-18
+vector_alpha0,Jplus intertwining,1.110e-16
+vector_alpha0,Jminus intertwining,1.119e-16
+eigenstate,a intertwining,1.110e-16
+eigenstate,adag intertwining,1.110e-16
+eigenstate,N intertwining,2.711e-20
+eigenstate,J0 intertwining,2.776e-17
+eigenstate,Jplus intertwining,1.110e-16
+eigenstate,Jminus intertwining,1.186e-16
+"""
+
+
 class TestBargmannCheck:
     @pytest.mark.parametrize("lam, alpha", list(BARGMANN_ROWS))
     def test_every_basis_has_each_kind_of_row(self, lam, alpha):
@@ -725,3 +796,19 @@ class TestBargmannCheck:
         code, out, err = run_cli(["bargmann-check", "--lambda", "3", "--alpha", "3,-3,0",
                                   "--mu", "2", "--cs-alpha", "1"])
         assert code == 2 and out == "" and err == "error: mu out of range: 2\n"
+
+    @pytest.mark.parametrize("mu, cs_alpha", [(1, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("lam", list(CERTIFIED))
+    def test_certified_families_pass(self, lam, mu, cs_alpha):
+        # the vector_alpha0 rows hold at any --cs-alpha: its transform is family 0
+        code, out, err = run_cli(["bargmann-check", "--lambda", lam, "--alpha", CERTIFIED[lam],
+                                  "--mu", str(mu), "--cs-alpha", str(cs_alpha)])
+        assert code == 0 and err == ""
+        assert f"sector(mu={mu}),J+/J- hermiticity," in out
+        rows = [line.rsplit(",", 1) for line in out.splitlines() if " intertwining," in line]
+        assert len(rows) == 16 and all(float(res) < 1e-10 for _, res in rows)
+
+    def test_certified_family_keeps_its_bytes(self):
+        code, out, _ = run_cli(["bargmann-check", "--lambda", "3", "--alpha", CERTIFIED["3"],
+                                "--mu", "1", "--cs-alpha", "1"])
+        assert code == 0 and out == CERTIFIED_DOC

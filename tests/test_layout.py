@@ -2,11 +2,16 @@
 
 A public module-level function of src/clext is used when clext.__all__
 names it, when bench/ or a module-level statement of src/clext other than
-an import (a class body, a table of handlers) refers to it, or when a used
-function does.  The public functions that are not used are the ones only
-tests reach; they are listed in TEST_ONLY, and the list may only shrink: a
-new function that only tests call fails the test, and so does a listed
-name that gained a caller or was deleted, until it leaves the list.
+an import (a table of handlers, a class body outside its methods) refers
+to it, or when a used function or method does.  A public method or
+property of a src/clext class is used when one of those refers to it as
+an attribute (obj.name); a dunder method counts as used.  The public
+functions that are not used are the ones only tests reach; they are listed
+in TEST_ONLY, the methods (as Class.name) in TEST_ONLY_METHODS, and both
+lists may only shrink: a new function or method that only tests call
+fails the test, and so does a listed name that gained a caller or was
+deleted, until it leaves the list.  Names are matched by name alone, so a
+method counts as used when any attribute of its name is.
 
 Likewise every defaulted parameter of a public module-level function of
 src/clext must be set, by keyword or by position, by some call in src/ or
@@ -36,6 +41,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 TEST_ONLY: dict[str, set[str]] = {}
 
+# module -> Class.method; EigenstateMeasures.g and .h are wrapped by name in
+# bench/tracing.py METHODS, which refers to them as strings, not attributes
+TEST_ONLY_METHODS: dict[str, set[str]] = {
+    "algebra": {"FockIndex.from_level"},
+    "bargmann": {"PolyFunction.component"},
+    "measures": {"EigenstateMeasures.g", "EigenstateMeasures.h"},
+    "states": {"StateVector.norm_sq"},
+}
+
 # function -> its defaulted parameters that no call in src/ or bench/ sets
 TEST_ONLY_PARAMS: dict[str, set[str]] = {
     "check_hermiticity": {"degree"},
@@ -57,20 +71,38 @@ def _names(node) -> set[str]:
     return out
 
 
-def _test_only() -> dict[str, set[str]]:
+def _refers(node) -> set[str]:
+    """_names of node, plus ".attr" for each attribute it refers to."""
+    return _names(node) | {"." + sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def _test_only(methods: bool = False) -> dict[str, set[str]]:
+    """The public functions, or methods (as Class.name), that nothing but
+    tests reaches, by module.  A method is the node ".name" of the walk."""
     src = sorted((ROOT / "src" / "clext").glob("*.py"))
     bench = sorted((ROOT / "bench").glob("*.py"))
-    refers: dict[str, set[str]] = {}  # function -> names its body refers to
-    public: dict[str, str] = {}  # public function -> module
+    refers: dict[str, set[str]] = {}  # function or ".method" -> what its body refers to
+    public: dict[str, tuple[str, str]] = {}  # function or Class.method -> (module, node)
     roots = set(clext.__all__)
     for path in src + bench:
         for stmt in ast.parse(path.read_text()).body:
             if path in src and isinstance(stmt, ast.FunctionDef):
-                refers[stmt.name] = _names(stmt) - {stmt.name}
+                refers[stmt.name] = _refers(stmt) - {stmt.name}
                 if not stmt.name.startswith("_"):
-                    public[stmt.name] = path.stem
+                    public[stmt.name] = (path.stem, stmt.name)
+            elif path in src and isinstance(stmt, ast.ClassDef):
+                roots |= set().union(*map(_refers, stmt.decorator_list + stmt.bases))
+                for item in stmt.body:
+                    # fields, and the dunder methods python calls itself
+                    if not isinstance(item, ast.FunctionDef) or item.name.startswith("__"):
+                        roots |= _refers(item)
+                        continue
+                    node = "." + item.name
+                    refers[node] = refers.get(node, set()) | _refers(item)
+                    if not item.name.startswith("_"):
+                        public[f"{stmt.name}.{item.name}"] = (path.stem, node)
             elif path not in src or not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                roots |= _names(stmt)
+                roots |= _refers(stmt)
     used, todo = set(), list(roots)
     while todo:
         name = todo.pop()
@@ -78,8 +110,8 @@ def _test_only() -> dict[str, set[str]]:
             used.add(name)
             todo.extend(refers.get(name, ()))
     out: dict[str, set[str]] = {}
-    for name, module in public.items():
-        if name not in used:
+    for name, (module, node) in public.items():
+        if node not in used and ("." in name) == methods:
             out.setdefault(module, set()).add(name)
     return out
 
@@ -94,6 +126,18 @@ def test_the_test_only_list_only_shrinks():
     found = _test_only()
     stale = {m: sorted(names - found.get(m, set())) for m, names in TEST_ONLY.items()}
     assert not any(stale.values()), f"no longer test-only, drop from TEST_ONLY: {stale}"
+
+
+def test_no_new_method_only_tests_call():
+    found = _test_only(methods=True)
+    new = {m: sorted(names - TEST_ONLY_METHODS.get(m, set())) for m, names in found.items()}
+    assert not any(new.values()), f"public methods and properties that only tests call: {new}"
+
+
+def test_the_test_only_methods_list_only_shrinks():
+    found = _test_only(methods=True)
+    stale = {m: sorted(names - found.get(m, set())) for m, names in TEST_ONLY_METHODS.items()}
+    assert not any(stale.values()), f"no longer test-only, drop from TEST_ONLY_METHODS: {stale}"
 
 
 def _unset_params() -> dict[str, set[str]]:

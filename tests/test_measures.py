@@ -147,6 +147,10 @@ class TestVerifyMoments:
         rep = verify_moments(weight_function(paraboson_params, 0, 1), 10, 1e-10)
         assert rep.passed and rep.max_rel_error < 1e-10
 
+    def test_negative_k_max_is_refused(self, paraboson_params):
+        with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
+            verify_moments(weight_function(paraboson_params, 0, 1), -1, 1e-10)
+
     def test_every_certified_case_lambda_le_4(self, rng):
         for lam in (2, 3, 4):
             p = random_valid_params(rng, lam)
@@ -301,6 +305,11 @@ class TestResolutions:
     def test_n_max_guard(self, paraboson_params):
         with pytest.raises(ValueError):
             verify_identity_resolution(paraboson_params, "diagonal_alpha0", 9)
+
+    @pytest.mark.parametrize("mode", ["diagonal_alpha0", "eigenstate_diag", "eigenstate_offdiag"])
+    def test_negative_n_max_is_refused(self, paraboson_params, mode):
+        with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+            verify_identity_resolution(paraboson_params, mode, -1)
 
 
 class TestConjecture:
