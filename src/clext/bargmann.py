@@ -1,55 +1,35 @@
 """Bargmann-space realizations as exact maps on polynomial coefficients.
 
-Fock vectors become polynomials (sector basis: |k lam + mu> ~ z^k inside
-one sector; vector and eigenstate bases: lambda-component polynomial
-columns), and every generator becomes a product of first-order atoms
-{multiply by z, d/dz, z d/dz + c, d/dz + c/z} applied right to left.
-Atom application is exact on coefficients, so commutation and
-intertwining identities hold to rounding; Hermiticity with respect to
-the weighted inner products is checked by quadrature moments: one Gram
-product per stack of polynomials (inner_product) over a table of radial
-moments, the same code in all three bases.
+A Bargmann function is its coefficient array: coefficients on the last
+axis, any leading axes a stack of polynomials.  Fock vectors become
+polynomials (sector basis: |k lam + mu> ~ z^k inside the caller's sector
+(mu, alpha); vector and eigenstate bases: axis -2 holds the lambda
+components), and every generator becomes a product of first-order atoms
+{multiply by z, d/dz, z d/dz + c, d/dz + c/z} applied right to left.  Atom
+application is exact on coefficients, so commutation and intertwining
+identities hold to rounding; Hermiticity under the weighted inner products
+is checked by quadrature moments: one Gram product per stack of polynomials
+(inner_product) over a table of radial moments, the same code in all bases.
 
-Atoms act on the last axis of a coefficient array and any leading axes
-hold a stack of polynomials, so one realization call maps a whole stack:
-the commutator and Hermiticity checks apply each generator once to all
-their sample monomials.  The sector realization takes an array of members
-mu of one family alpha, one per leading row of the stack, each atom's
-constant a column over them; a single sector is the family of one member.
-So the sector commutator check applies each generator once per family, and
-the vector_alpha0 basis's N, J0, J+- and its transform act on its lambda
-components as the members of family 0, in one call.
+An atom maps every row of a stack alike, with one constant per row where
+its constant is a column, so one call maps a whole stack.  The sector
+realization takes an array of members mu of one family alpha, one per
+leading row (a single sector is the family of one member); the vector
+basis's N, J0, J+- and its transform are family 0 over its components; a,
+adag and the eigenstate J- roll the components and act on all at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import AlgebraParams, build_operator
-from .errors import NonPolynomialResult, SectorError, UnsupportedOp
-from .states import StateVector, log_weights, sector_lists
-
-
-@dataclass(frozen=True)
-class PolyFunction:
-    """Polynomial coefficients on the last axis, any leading axes a stack of
-    polynomials; mu labels a sector function, mu=None a lambda-component
-    column (coeffs shape (..., lambda, deg + 1))."""
-
-    coeffs: np.ndarray = field(repr=False)
-    mu: int | None = None
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    def component(self, mu: int) -> np.ndarray:
-        if self.mu is not None:
-            raise SectorError("sector polynomial has no components")
-        return self.coeffs[..., mu, :]
+from .errors import NonPolynomialResult, SectorError, ShapeError, UnsupportedOp
+from .states import StateVector, check_sector, log_weights, sector_lists
 
 
 def _widen(c: np.ndarray, width: int, shift: int = 0) -> np.ndarray:
@@ -59,10 +39,9 @@ def _widen(c: np.ndarray, width: int, shift: int = 0) -> np.ndarray:
     return out
 
 
-def _components(rows: list[np.ndarray]) -> np.ndarray:
-    """Component polynomials mu = 0, 1, ... zero-extended into one (..., lambda, width) array."""
-    width = max(r.shape[-1] for r in rows)
-    return np.stack([_widen(r, width) for r in rows], axis=-2)
+def _column(values) -> np.ndarray:
+    """One constant per component: a (lambda, 1) column over axis -2."""
+    return np.array(values, dtype=float)[:, None]
 
 
 # ---- atoms: each maps the last axis, every row of a stack alike -------------
@@ -79,16 +58,17 @@ def _atom_theta_plus(c: np.ndarray, const) -> np.ndarray:
     return c * (np.arange(c.shape[-1]) + const)
 
 
-def _atom_ddz_plus_over_z(c: np.ndarray, const: float) -> np.ndarray:
-    # (d/dz + const/z) z^k = (k + const) z^{k-1}; the z^{-1} term must
-    # cancel, i.e. const * c_0 = 0, in every row against its own scale
-    if abs(const) > 0:
-        bad = np.flatnonzero(np.abs(c[..., 0]) > 1e-13 * (np.abs(c).max(axis=-1) + 1e-300))
+def _atom_ddz_plus_over_z(c: np.ndarray, const) -> np.ndarray:
+    # (d/dz + const/z) z^k = (k + const) z^{k-1}, const a float or a (lambda, 1)
+    # column; where const is nonzero the z^{-1} term must cancel, const * c_0 = 0,
+    # in every row against its own scale
+    if np.count_nonzero(const):
+        c0, scale = c[..., :1], np.abs(c).max(axis=-1, keepdims=True) + 1e-300
+        bad = np.flatnonzero((np.asarray(const) != 0) & (np.abs(c0) > 1e-13 * scale))
         if len(bad):
-            raise NonPolynomialResult(
-                f"pole residue {const * c[..., 0].flat[bad[0]]:.3e} of row {bad[0]} does not "
-                "cancel; wrong sector routing"
-            )
+            raise NonPolynomialResult(f"pole residue {(const * c0).flat[bad[0]]:.3e} of row "
+                                      f"{bad[0] // np.size(const)} does not cancel; "
+                                      "wrong sector routing")
     n = c.shape[-1]
     if n == 1:
         return np.zeros(c.shape, dtype=complex)
@@ -133,32 +113,28 @@ def _apply_sector(params: AlgebraParams, mus, alpha: int, op: str, c: np.ndarray
 
 # ---- vector realizations: component mu of c is c[..., mu, :] -----------------
 
-def _project(c: np.ndarray, mu: int) -> np.ndarray:
-    out = np.zeros_like(c)
-    out[..., mu, :] = c[..., mu, :]
-    return out
-
-
 def _apply_vector_alpha0(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
     lam = params.lam
     bb = params.beta_bar_at
     if op in ("N", "Jplus", "Jminus", "J0"):
         # component mu is member mu of family 0
         return np.moveaxis(_apply_sector(params, range(lam), 0, op, np.moveaxis(c, -2, 0)), 0, -2)
-    if op == "P":
-        return _project(c, mu_op % lam)
     prod = math.prod(bb(nu) for nu in range(1, lam))
     if op == "adag":
-        top = _atom_mul_z(c[..., lam - 1, :]) / math.sqrt(lam ** (lam - 1) * prod)
-        return _components(
-            [top] + [math.sqrt(lam * bb(mu)) * c[..., mu - 1, :] for mu in range(1, lam)]
-        )
+        # component mu is sqrt(lam bb_mu) times component mu - 1; the wrapped
+        # component 0 is z times component lam - 1
+        scale = np.sqrt(lam * _column([bb(mu) for mu in range(lam)]))
+        out = _widen(c[..., np.arange(lam) - 1, :] * scale, c.shape[-1] + 1)
+        out[..., 0, :] = _atom_mul_z(c[..., lam - 1, :]) / math.sqrt(lam ** (lam - 1) * prod)
+        return out
     if op == "a":
-        rows = [
-            math.sqrt(lam / bb(mu + 1)) * _atom_theta_plus(c[..., mu + 1, :], bb(mu + 1))
-            for mu in range(lam - 1)
-        ]
-        return _components(rows + [math.sqrt(lam ** (lam + 1) * prod) * _atom_ddz(c[..., 0, :])])
+        # component mu is (z d/dz + bb_{mu+1}) on component mu + 1; the
+        # wrapped component lam - 1 is d/dz on component 0
+        up = _column([bb(mu + 1) for mu in range(lam)])
+        out = np.sqrt(lam / up) * _atom_theta_plus(c[..., (np.arange(lam) + 1) % lam, :], up)
+        last = math.sqrt(lam ** (lam + 1) * prod) * _atom_ddz(c[..., 0, :])
+        out[..., lam - 1, :] = _widen(last, c.shape[-1])
+        return out
     raise UnsupportedOp(f"op {op!r} unsupported in the vector basis")
 
 
@@ -168,28 +144,22 @@ def _apply_eigenstate(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
     if op == "N":
         return _atom_theta_plus(c, 0.0)
     if op == "J0":
-        const = np.array([0.5 * (beta(mu) + beta(mu + 1) + 1.0) for mu in range(lam)])
-        return _atom_theta_plus(c, const[:, None]) / lam
-    if op == "P":
-        return _project(c, mu_op % lam)
+        return _atom_theta_plus(c, _column([0.5 * (beta(mu) + beta(mu + 1) + 1.0)
+                                            for mu in range(lam)])) / lam
     if op == "Jplus":
         return _widen(c / lam, c.shape[-1] + lam, shift=lam)
     if op == "Jminus":
-        rows = []
-        for mu in range(lam):
-            row = c[..., mu, :]
-            for nu in range(mu, 0, -1):
-                row = _atom_ddz_plus_over_z(row, beta(nu))
-            row = _atom_ddz(row)
-            for nu in range(lam - 1, mu, -1):
-                row = _atom_ddz_plus_over_z(row, beta(nu))
-            rows.append(row / lam)
-        return _components(rows)
+        # lambda steps d/dz + beta_{mu - j}/z, step j on every component mu at
+        # once; beta_0 = 0 makes the step j = mu a plain d/dz
+        for j in range(lam):
+            c = _atom_ddz_plus_over_z(c, _column([beta(mu - j) for mu in range(lam)]))
+        return c / lam
     if op == "adag":
-        return _atom_mul_z(np.roll(c, 1, axis=-2))
+        return _atom_mul_z(c[..., np.arange(lam) - 1, :])
     if op == "a":
-        rows = [_atom_ddz_plus_over_z(c[..., mu + 1, :], beta(mu + 1)) for mu in range(lam - 1)]
-        return _components(rows + [_atom_ddz(c[..., 0, :])])
+        # component mu is d/dz + beta_{mu+1}/z on component mu + 1 (mod lambda)
+        return _atom_ddz_plus_over_z(c[..., (np.arange(lam) + 1) % lam, :],
+                                     _column([beta(mu + 1) for mu in range(lam)]))
     raise UnsupportedOp(f"op {op!r} unsupported in the eigenstate basis")
 
 
@@ -197,29 +167,36 @@ def apply_realization(
     params: AlgebraParams,
     basis: str,
     op: str,
-    f: PolyFunction,
+    c: np.ndarray,
+    mu: int | None = None,
     alpha: int = 0,
     mu_op: int | None = None,
-) -> PolyFunction:
-    """Apply one generator in the chosen basis to a polynomial, or to every
-    polynomial of a stack (the leading axes of f.coeffs) in one call.
+) -> np.ndarray:
+    """Apply one generator in the chosen basis to the coefficients c of a
+    polynomial, or of every polynomial of a stack (its leading axes), in one call.
 
-    basis: "sector" (f carries its mu; N, J+, J-, J0), "vector_alpha0" or
-    "eigenstate" (f is a lambda-component column; additionally a, adag
-    and P(mu_op)).
+    basis: "sector" (c in sector (mu, alpha); N, J+, J-, J0), "vector_alpha0"
+    or "eigenstate" (axis -2 of c holds the lambda components; additionally
+    a, adag and P(mu_op)).
     """
+    lam, c = params.lam, np.asarray(c, dtype=complex)
     if basis == "sector":
-        if f.mu is None:
-            raise SectorError("sector basis requires a sector polynomial")
-        out = _apply_sector(params, [f.mu], alpha, op, np.asarray(f.coeffs)[None])[0]
-        return PolyFunction(np.asarray(out, dtype=complex), f.mu)
-    if f.mu is not None:
-        raise SectorError("vector bases require a lambda-component polynomial")
-    if basis == "vector_alpha0":
-        return PolyFunction(_apply_vector_alpha0(params, op, f.coeffs, mu_op), None)
-    if basis == "eigenstate":
-        return PolyFunction(_apply_eigenstate(params, op, f.coeffs, mu_op), None)
-    raise UnsupportedOp(f"unknown basis {basis!r}")
+        if mu is None:
+            raise SectorError("sector basis requires mu")
+        check_sector(lam, mu, alpha)
+        return _apply_sector(params, [mu], alpha, op, c[None])[0]
+    if basis not in ("vector_alpha0", "eigenstate"):
+        raise UnsupportedOp(f"unknown basis {basis!r}")
+    if c.shape[-2:-1] != (lam,):
+        raise SectorError(f"vector bases take {lam} components on axis -2, got shape {c.shape}")
+    if op == "P":
+        if mu_op is None:
+            raise ShapeError("P requires a sector index mu")
+        out = np.zeros_like(c)
+        out[..., mu_op % lam, :] = c[..., mu_op % lam, :]
+        return out
+    apply = _apply_vector_alpha0 if basis == "vector_alpha0" else _apply_eigenstate
+    return apply(params, op, c, mu_op)
 
 
 # ---- transforms ------------------------------------------------------------
@@ -230,13 +207,15 @@ def bargmann_transform(
     basis: str,
     mu: int | None = None,
     alpha: int = 0,
-) -> PolyFunction:
+) -> np.ndarray:
     """Map Fock coefficients to Bargmann polynomial coefficients; vector_alpha0
     holds the lambda members of family 0, zero past the state's last level."""
     lam = params.lam
     if basis in ("sector", "vector_alpha0"):
-        if basis == "sector" and mu is None:
-            raise SectorError("sector transform needs mu")
+        if basis == "sector":
+            if mu is None:
+                raise SectorError("sector transform needs mu")
+            check_sector(lam, mu, alpha)
         mus, alpha = ([mu], alpha) if basis == "sector" else (range(lam), 0)
         levels = np.add.outer(mus, lam * np.arange((psi.dim - 1 - min(mus)) // lam + 1))
         with np.errstate(under="ignore"):
@@ -244,13 +223,13 @@ def bargmann_transform(
         inside = levels < psi.dim
         out = np.zeros(levels.shape, dtype=complex)
         out[inside] = psi.coeffs[levels[inside]] * weights[inside]
-        return PolyFunction(out[0], mu) if basis == "sector" else PolyFunction(out)
+        return out[0] if basis == "sector" else out
     if basis == "eigenstate":
         n = np.arange(psi.dim)
         out = np.zeros((lam, psi.dim), dtype=complex)
         with np.errstate(under="ignore"):
             out[n % lam, n] = psi.coeffs * np.exp(0.5 * sum(log_weights(params, psi.dim - 1)))
-        return PolyFunction(out, None)
+        return out
     raise UnsupportedOp(f"unknown basis {basis!r}")
 
 
@@ -284,7 +263,7 @@ def _moment_table(basis: str, measure, width: int) -> np.ndarray:
     return np.array(rows)
 
 
-def inner_product(basis: str, measure, f: PolyFunction, g: PolyFunction) -> np.ndarray:
+def inner_product(basis: str, measure, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gram matrix <f_i, g_j> = sum_mu int d2z h_mu conj(f_i,mu) g_j,mu of the
     stacks f and g in one product, of shape f's stack axes + g's (0-d for two
     polynomials); measure as for the basis's _moment_table.
@@ -292,7 +271,7 @@ def inner_product(basis: str, measure, f: PolyFunction, g: PolyFunction) -> np.n
     Monomial phases integrate to Kronecker deltas, leaving the radial
     moments <z^k, z^k> of each component.
     """
-    fc, gc = f.coeffs, g.coeffs
+    fc, gc = np.asarray(f), np.asarray(g)
     if basis == "sector":
         fc, gc = fc[..., None, :], gc[..., None, :]
     w = min(fc.shape[-1], gc.shape[-1])
@@ -349,19 +328,19 @@ def check_hermiticity(
     """
     if basis not in _ADJOINT_PAIRS:
         raise UnsupportedOp(f"unknown basis {basis!r}")
-    if basis == "sector":
-        samples = PolyFunction(np.eye(degree + 1, dtype=complex), mu)
-    else:
-        samples = PolyFunction(_unit_columns(params.lam, basis, degree)[2])
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    samples = (np.eye(degree + 1, dtype=complex) if basis == "sector"
+               else _unit_columns(params.lam, basis, degree)[2])
     grams = []
     for pair, a_op, b_op in _ADJOINT_PAIRS[basis]:
-        a_f = apply_realization(params, basis, a_op, samples, alpha=alpha)
-        b_g = apply_realization(params, basis, b_op, samples, alpha=alpha)
+        a_f = apply_realization(params, basis, a_op, samples, mu=mu, alpha=alpha)
+        b_g = apply_realization(params, basis, b_op, samples, mu=mu, alpha=alpha)
         grams.append((pair, inner_product(basis, measure, a_f, samples),
                       inner_product(basis, measure, samples, b_g)))
-    count = len(samples.coeffs)
+    count = range(len(samples))
     return [HermiticityRow(pair, complex(lhs[i, j]), complex(rhs[i, j]))
-            for i in range(count) for j in range(count) for pair, lhs, rhs in grams]
+            for i in count for j in count for pair, lhs, rhs in grams]
 
 
 @dataclass(frozen=True)
@@ -383,6 +362,8 @@ def check_commutators(params: AlgebraParams, basis: str, k_max: int = 10) -> lis
     """
     from .algebra import sga_structure_poly
 
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     lam = params.lam
     bb = params.beta_bar_at
     rows = []
@@ -448,8 +429,8 @@ def intertwining_residual(
     """max |transform(op psi) - op_B transform(psi)| on coefficients, op as its band."""
     mat = build_operator(params, op, psi.dim, mu=mu_op)
     mapped = StateVector(psi.dim, mat @ psi.coeffs, psi.norm_sq_analytic, psi.tail_bound)
-    lhs = bargmann_transform(params, mapped, basis, mu=mu, alpha=alpha).coeffs
+    lhs = bargmann_transform(params, mapped, basis, mu=mu, alpha=alpha)
     image = bargmann_transform(params, psi, basis, mu=mu, alpha=alpha)
-    rhs = apply_realization(params, basis, op, image, alpha=alpha, mu_op=mu_op).coeffs
+    rhs = apply_realization(params, basis, op, image, mu=mu, alpha=alpha, mu_op=mu_op)
     w = max(lhs.shape[-1], rhs.shape[-1])
     return float(np.abs(_widen(lhs, w) - _widen(rhs, w)).max())

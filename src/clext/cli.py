@@ -13,6 +13,7 @@ import cmath
 import functools
 import itertools
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -460,13 +461,15 @@ def parse_args(argv) -> argparse.Namespace:
     parser.  The --config file's values are parsed as flags placed before
     the command line's own, so the command line wins.
     """
-    argv = list(argv)
-    # let --alpha take a leading-minus CSV without the '=' form
-    for i, tok in enumerate(argv[:-1]):
-        if tok == "--alpha" and argv[i + 1].startswith("-"):
-            argv[i] = f"--alpha={argv[i + 1]}"
-            del argv[i + 1]
-            break
+    # a value-taking flag takes a value with one leading minus (--alpha -1,1,
+    # --grid -1:1:3) without the '=' form; a long flag (two minus) is no value
+    takes_value = {flag for flag, kind, *_ in OPTIONS.values() if flag and kind is not bool}
+    tokens, argv = list(argv), []
+    while tokens:
+        tok = tokens.pop(0)
+        if tok in takes_value and tokens and re.match("-(?!-)", tokens[0]):
+            tok = f"{tok}={tokens.pop(0)}"
+        argv.append(tok)
     top, commands = build_parsers()
     if argv and argv[0] in commands:
         args = _parse_command(argv[0], argv[1:])

@@ -84,12 +84,7 @@ class CsAlphaSpec:
     def __post_init__(self):
         _check_finite(self.z)
         lam = _param_stack(self.params)[0].lam
-        if not 0 <= self.alpha <= lam // 2:
-            raise SectorError(f"alpha must lie in [0, {lam // 2}], got {self.alpha}")
-        if not 0 <= self.mu <= lam - self.alpha - 1:
-            raise SectorError(
-                f"only the trivial solution exists for mu = {self.mu}, alpha = {self.alpha}"
-            )
+        check_sector(lam, self.mu, self.alpha)
         if 2 * self.alpha == lam and np.max(self.y) >= 1.0:
             raise DomainError(
                 f"alpha = lambda/2 states live on the unit disc; y = {np.max(self.y):.6g} >= 1"
@@ -99,6 +94,15 @@ class CsAlphaSpec:
     def y(self) -> float:
         lam = _param_stack(self.params)[0].lam
         return abs(self.z) ** 2 / lam ** (lam - 2 * self.alpha)
+
+
+def check_sector(lam: int, mu: int, alpha: int) -> None:
+    """Refuse a (mu, alpha) outside the sector family: 0 <= alpha <= lambda // 2
+    and 0 <= mu <= lambda - alpha - 1."""
+    if not 0 <= alpha <= lam // 2:
+        raise SectorError(f"alpha must lie in [0, {lam // 2}], got {alpha}")
+    if not 0 <= mu <= lam - alpha - 1:
+        raise SectorError(f"only the trivial solution exists for mu = {mu}, alpha = {alpha}")
 
 
 def _param_stack(params) -> tuple[AlgebraParams, ...]:

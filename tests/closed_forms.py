@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from clext.bargmann import PolyFunction
 from clext.errors import ClextError, DomainError, NoConvergence, SectorError
 from clext.measures import MomentProblem, moment_target
 from clext.states import CsAlphaSpec, StateVector, eigenstate, log_weights, sector_lists
@@ -420,8 +419,8 @@ def carleman_test(params, alpha: int, k_sum: int = 200) -> CarlemanResult:
 # Bargmann basis monomials
 # --------------------------------------------------------------------------
 
-def basis_function(params, mu: int, alpha: int, k: int) -> PolyFunction:
+def basis_function(params, mu: int, alpha: int, k: int) -> np.ndarray:
     """Orthonormal basis monomial phi_{mu,k}(z) = |c_k / z^k| z^k of |z; mu; alpha>."""
     coeffs = np.zeros(k + 1, dtype=complex)
     coeffs[k] = math.exp(0.5 * sum(log_weights(params, k, (mu, alpha)))[k])
-    return PolyFunction(coeffs, mu)
+    return coeffs

@@ -566,6 +566,25 @@ class TestCommandParser:
         monkeypatch.setattr(cli, "parse_args", _top_level_parse_args)
         assert got == captured()
 
+    @pytest.mark.parametrize("argv, value", [
+        (["squeeze", "--lambda", "2", "--alpha", "1,-1", "--grid"], "-1:1:3"),
+        (["figure", "5a", "--grid"], "-3:-0.02:4"),
+        (["state", "--lambda", "2", "--alpha", "3,-3", "--z-re"], "-1e-1"),
+    ])
+    def test_leading_minus_value_needs_no_equals(self, argv, value):
+        # any value-taking flag, not only --alpha, reads as its '=' form
+        code, out, err = run_cli([*argv, value])
+        assert code == 0 and err == "" and out
+        assert (code, out, err) == run_cli([*argv[:-1], f"{argv[-1]}={value}"])
+
+    def test_a_flag_is_no_value(self, capsys):
+        # '--' or a long flag after a value-taking flag leaves it without a value
+        for argv in (["--lambda", "2", "--alpha", "--"], ["--alpha", "--lambda", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "states", *argv])
+            assert exc.value.code == 2
+            assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
 
 def test_out_file_holds_the_stdout_bytes(tmp_path):
     argv = ["verify", "states", "--lambda", "3", "--alpha", "3,-3,0"]

@@ -45,7 +45,6 @@ TEST_ONLY: dict[str, set[str]] = {}
 # bench/tracing.py METHODS, which refers to them as strings, not attributes
 TEST_ONLY_METHODS: dict[str, set[str]] = {
     "algebra": {"FockIndex.from_level"},
-    "bargmann": {"PolyFunction.component"},
     "measures": {"EigenstateMeasures.g", "EigenstateMeasures.h"},
     "states": {"StateVector.norm_sq"},
 }
