@@ -163,6 +163,12 @@ def _apply_eigenstate(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
     raise UnsupportedOp(f"op {op!r} unsupported in the eigenstate basis")
 
 
+def _check_components(lam: int, *arrays: np.ndarray) -> None:
+    for c in arrays:
+        if c.shape[-2:-1] != (lam,):
+            raise SectorError(f"vector bases take {lam} components on axis -2, got shape {c.shape}")
+
+
 def apply_realization(
     params: AlgebraParams,
     basis: str,
@@ -187,8 +193,7 @@ def apply_realization(
         return _apply_sector(params, [mu], alpha, op, c[None])[0]
     if basis not in ("vector_alpha0", "eigenstate"):
         raise UnsupportedOp(f"unknown basis {basis!r}")
-    if c.shape[-2:-1] != (lam,):
-        raise SectorError(f"vector bases take {lam} components on axis -2, got shape {c.shape}")
+    _check_components(lam, c)
     if op == "P":
         if mu_op is None:
             raise ShapeError("P requires a sector index mu")
@@ -266,7 +271,8 @@ def _moment_table(basis: str, measure, width: int) -> np.ndarray:
 def inner_product(basis: str, measure, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gram matrix <f_i, g_j> = sum_mu int d2z h_mu conj(f_i,mu) g_j,mu of the
     stacks f and g in one product, of shape f's stack axes + g's (0-d for two
-    polynomials); measure as for the basis's _moment_table.
+    polynomials); measure as for the basis's _moment_table.  In the vector
+    bases axis -2 of each holds the lambda components (SectorError otherwise).
 
     Monomial phases integrate to Kronecker deltas, leaving the radial
     moments <z^k, z^k> of each component.
@@ -275,7 +281,9 @@ def inner_product(basis: str, measure, f: np.ndarray, g: np.ndarray) -> np.ndarr
     if basis == "sector":
         fc, gc = fc[..., None, :], gc[..., None, :]
     w = min(fc.shape[-1], gc.shape[-1])
-    weighted = np.conj(fc[..., :w]) * _moment_table(basis, measure, w)
+    table = _moment_table(basis, measure, w)
+    _check_components(len(table), fc, gc)
+    weighted = np.conj(fc[..., :w]) * table
     return np.tensordot(weighted, gc[..., :w], axes=([-2, -1], [-2, -1]))
 
 

@@ -7,7 +7,7 @@ G^{m,0}_{alpha,m} that the unity-resolution weight functions are built
 from.  One router, g_general_vec, evaluates every r > 0 weight: the
 closed forms y^b e^-y and 2 y^{(b1+b2)/2} K_{b1-b2}(2 sqrt y) for lists
 with no upper parameter and m <= 2; Slater's residue sum at small y, with
-exact confluent residues for coincident or integer-spaced lower
+confluent residues for coincident or nearly integer-spaced lower
 parameters; the exponential expansion at large y; and a Taylor
 continuation of the Meijer differential equation down from it for the
 band between.  Norlund's (1 - y) series gives the r = 0 weight on the
@@ -188,7 +188,7 @@ _TINY = np.finfo(float).tiny
 # Gamma prefactors by 1/d, digits an expansion about the cluster keeps.
 _CLUSTER_GAP = 1e-2
 
-# Taylor terms of a cluster's series at most: its polygamma coefficients
+# Taylor terms of R_K at most (_cluster_series): its polygamma coefficients
 # (from order about 163) and 1/k! (from 171) leave the double range.
 _CLUSTER_TERMS = 150
 
@@ -243,16 +243,6 @@ def _clusters(b: Sequence[float]) -> list[list[int]]:
     return sorted(sorted(g) for g in groups)
 
 
-def _lgamma_series(x: Sequence[float], n: int) -> np.ndarray:
-    """Taylor coefficients 1..n-1 in eps of ln Gamma(x_j + eps), one row per
-    x_j >= 1 (coefficient 0 left at 0): coefficient k is psi^(k-1)(x)/k!."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((x.size, n))
-    for k in range(1, n):
-        out[:, k] = _polygamma(k - 1, x) / math.factorial(k)
-    return out
-
-
 def _exp_series(g: np.ndarray) -> np.ndarray:
     """Taylor coefficients of exp(g(eps)), g_0 = 0: n f_n = sum_k k g_k f_{n-k}."""
     f = np.zeros_like(g)
@@ -262,12 +252,38 @@ def _exp_series(g: np.ndarray) -> np.ndarray:
     return f
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray):
-    """sum_i coeffs[i] x^i; the bare scalar for one coefficient."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
+def _exp_dd(x: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """exp(ell J) at each ell, shape (points, M, M), J bidiagonal with the nodes
+    x_j >= 0 on its diagonal and 1 above it: E[i, k] is the divided difference
+    of e^{ell eps} over x_i..x_k (Opitz).  Scaling and squaring of Z = ell J, or
+    for ell < 0 of |ell| D (x_max - J) D, D = diag(+-1), E = e^{ell x_max} D
+    exp(Z) D, so that every Taylor term is >= 0, with the diagonal and first
+    superdiagonal set exactly after each squaring (Al-Mohy & Higham, 2009)."""
+    m, k = x.size, np.arange(x.size)
+    if not x.any():  # ell^(k-i)/(k-i)!
+        e = np.zeros((ell.size, m, m))
+        e[:, k, k] = 1.0
+        for d in range(1, m):
+            e[:, k[:m - d], k[d:]] = (ell**d / math.factorial(d))[:, None]
+        return e
+    neg, t = ell < 0.0, np.abs(ell)
+    z = np.where(neg[:, None], x.max() - x, x)
+    # scaled to norm <= 1/2, where m + 18 Taylor terms leave below 1e-17 of each entry
+    squarings = max(0, math.ceil(math.log2(max(t[np.isfinite(t)].max(initial=0.0) * (z.max() + 1.0), 1.0))) + 1)
+    tau = t / 2.0**squarings
+    a = tau[:, None, None] * (np.eye(m) * z[:, None, :] + np.eye(m, k=1))
+    e = np.eye(m)
+    for j in range(m + 18, 0, -1):
+        e = np.eye(m) + a @ e / j
+    for i in range(squarings + 1):
+        if i:
+            e, tau = e @ e, 2.0 * tau
+        u = tau[:, None] * 0.5 * (z[:, 1:] - z[:, :-1])  # tau times half the gap of two neighbours
+        with np.errstate(invalid="ignore"):
+            sinhc = np.where(u == 0.0, 1.0, np.sinh(u) / u)
+        e[:, k, k] = np.exp(tau[:, None] * z)
+        e[:, k[:-1], k[1:]] = tau[:, None] * np.exp(tau[:, None] * 0.5 * (z[:, 1:] + z[:, :-1])) * sinhc
+    return e * np.where(neg[:, None, None], np.exp(ell * x.max())[:, None, None] * (-1.0) ** (k - k[:, None]), 1.0)
 
 
 # Decimal digits of the residue sum's scalar work, the Gamma products and the
@@ -295,19 +311,18 @@ def _gamma_decimal(x: Decimal) -> Decimal:
 def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float, tol: float,
                     betas: Sequence[float] = ()):
     """The residues of one cluster's poles as coefficients, for y up to y_top
-    and |ln y| up to ln_top; see _slater_vec.
-
-    Returns (c, first, value, major, last, log_size), each a list with one
-    entry per row of the family (_theta_rows, betas): pole K = first + i
-    contributes y^(c + K) sum_d value[i, d] (ln 1/y)^d; major bounds it
-    with |ln y| (R's majorant, so that the conditioning test also sees
-    the cancellation inside R's own coefficients), last is the share of
-    the last kept Taylor terms (spread nodes only, else None), and
-    log_size[i] the log of major at ln_top.  The poles end where every
-    row's majorant has fallen off its peak; a row's factor
-    |beta - c - K| + (n - 1) / max(ln_top, 1) bounds its growth over the
-    row before it, as P'(L) <= (n - 1) P(L) / L for a polynomial P of
-    degree n - 1 with nonnegative coefficients.
+    and |ln y| up to ln_top; see _slater_vec.  None where R_K needs more than
+    _CLUSTER_TERMS Taylor terms, else (c, first, x, cols, value, major,
+    log_size), the last three with one entry per row of the family
+    (_theta_rows, betas): pole K = first + i contributes y^(c + K) sum_j
+    value[i, j] E[j, cols[i]], E = _exp_dd(x, ln 1/y), x the nodes in join
+    order; major bounds |value| (R's majorant, so that the conditioning test
+    also sees the cancellation inside R's own coefficients), and log_size[i]
+    is the log of its sum with E at ln_top, which bounds |E| at every point.
+    The poles end where every row's majorant has fallen off its peak; a
+    row's factor |beta - c - K| + spread + (M - 1) / max(ln_top, 1)
+    estimates its growth over the row before it (d/d ln(1/y) E = J E, and
+    E[j + 1, col] / E[j, col] = (col - j) / ln(1/y) at coincident nodes).
     """
     with localcontext() as ctx:
         ctx.prec = _RESIDUE_DIGITS
@@ -319,56 +334,47 @@ def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float
         joins = {j: int(round(diff[j])) for j in members}
         node = {j: float(joins[j] - diff[j]) for j in members}
         spread = max(abs(x) for x in node.values())
-        # Taylor terms of R y^-eps over spread nodes: R's fade like (spread / rho)^k, rho
-        # the distance to the nearest pole not joined at eps = 0 (the members' own
-        # next poles lie 1 - spread away), and y^-eps's like (spread |ln y|)^k / k!,
-        # whose tail past k = e x + 20 is below 1e-12 e^-x.  Past _CLUSTER_TERMS the
-        # kept terms' share (last) leaves the points that need more unsettled.
+        # R's Taylor terms fade like (spread / rho)^k, rho the distance to the
+        # nearest pole not joined at eps = 0 (the members' own next poles lie
+        # 1 - spread away): below 1e-17 after 17 / log10(rho / spread) of them
         n = len(members)
         if spread > 0.0:
             rho = min([_spacing(float(diff[j])) for j in range(len(b)) if j not in joins] + [1.0 - spread])
-            reach = 17.0 / max(1e-2, -math.log10(min(spread / rho, 0.99)))
-            n = min(_CLUSTER_TERMS, n + math.ceil(max(reach, math.e * spread * ln_top + 20.0)))
+            n += math.ceil(17.0 / max(1e-2, -math.log10(min(spread / rho, 0.99))))
+            if n > _CLUSTER_TERMS:
+                return None
+        x = np.array([node[j] for j in sorted(members, key=lambda j: (joins[j], j))])
+        top = _exp_dd(x, np.array([ln_top]))[0]
         lift = max(1, math.ceil(max(1.0 - float(d) for d in diff)))
         lead = Decimal(1)
         for i, d in enumerate(diff):
             lead = lead * _gamma_decimal(d + lift) if i < len(b) else lead / _gamma_decimal(d + lift)
         series, bound = [lead], None
         if n > 1:
-            rows = np.concatenate((_lgamma_series([float(d) + lift for d in diff[:len(b)]], n),
-                                   -_lgamma_series([float(d) + lift for d in diff[len(b):]], n)))
+            # Taylor coefficients of +-ln Gamma(d + lift + eps), psi^(k-1)/k!, minus for a
+            arg = np.array([float(d) + lift for d in diff])
+            rows = np.array([np.zeros_like(arg)] + [_polygamma(k - 1, arg) / math.factorial(k) for k in range(1, n)]).T
+            rows[len(b):] *= -1.0
             series = [lead * Decimal(t) for t in _exp_series(rows.sum(axis=0))]
             bound = [abs(lead) * Decimal(t) for t in _exp_series(np.abs(rows).sum(axis=0))]
-        k = np.arange(n)
-        inv_fact = np.array([1.0 / math.factorial(i) for i in range(n)])
-        degree = k[:, None] + k  # [d, i]: power d of ln(1/y) times Taylor coefficient i of R
-        value, major, last, log_size = [], [], [], []
-        joined, coef, first, quiet = [], None, None, False
+            # row j: DD[x_0..x_j] of R's Taylor terms, sum_i R_i h_{i-j}(x_0..x_j) (>= 0)
+            coef, h = np.zeros((x.size, n)), np.eye(1, n)[0]
+        value, major, cols, log_size, joined, first, quiet = [], [], [], [], 0, None, False
         log_peak, cut, log_top = [-math.inf] * (len(betas) + 1), math.log(tol / _SLATER_COND_LIMIT), math.log(y_top)
-        slope = (n - 1) / max(ln_top, 1.0)
-        steps_a, steps_b = diff[len(b):], [(j, joins.get(j), d) for j, d in enumerate(diff[:len(b)])]
+        slope = spread + (x.size - 1) / max(ln_top, 1.0)
+        steps_a, steps_b = diff[len(b):], [(joins.get(j), d) for j, d in enumerate(diff[:len(b)])]
         for K in range(-lift, _SLATER_TERMS):
             if joined:
                 first = K if first is None else first
+                cols.append(joined - 1)
                 if n == 1:  # one term, its own majorant
                     value.append((float(series[0]),))
                     major.append((abs(value[-1][0]),))
                     size = major[-1][0]
                 else:
-                    if coef is None:
-                        h = np.zeros(n)
-                        h[0] = 1.0
-                        for x in joined:
-                            for i in range(1, n):
-                                h[i] += x * h[i - 1]
-                        hk = degree - len(joined) + 1
-                        coef = np.where((hk >= 0) & (degree < n), h[np.clip(hk, 0, n - 1)], 0.0)
-                        coef *= inv_fact[:, None]
-                    bounds = np.array([float(t) for t in bound])
                     value.append(coef @ np.array([float(t) for t in series]))
-                    major.append(np.abs(coef) @ bounds)
-                    last.append(np.where(degree == n - 1, np.abs(coef), 0.0) @ bounds)
-                    size = float(_horner(major[-1], ln_top))
+                    major.append(coef @ np.array([float(t) for t in bound]))
+                    size = float(major[-1] @ top[:, joined - 1])
                 if size > 0.0 and not 1e-280 < size < 1e280 and log_size:
                     break  # past the double range: the points that need more stay unsettled
                 log_size.append(math.log(size) if size > 0.0 else -math.inf)
@@ -395,10 +401,12 @@ def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float
                 else:
                     series = [d * t + u for t, u in zip(series, [0] + series[:-1])]
                     bound = [abs(d) * t + u for t, u in zip(bound, [0] + bound[:-1])]
-            for j, join, d in steps_b:
+            for join, d in steps_b:
                 if join == K + 1:
-                    joined.append(node[j])
-                    coef = None
+                    if n > 1:
+                        h = np.convolve(h, x[joined] ** np.arange(n))[:n]
+                        coef[joined, joined:] = h[:n - joined]
+                    joined += 1
                     continue
                 d -= K + 1
                 if n == 1:
@@ -408,37 +416,27 @@ def _cluster_series(a: list, b: list, members: list, y_top: float, ln_top: float
                     for i in range(n):
                         s_prev = series[i] = (series[i] - s_prev) / d
                         b_prev = bound[i] = (bound[i] + b_prev) / abs(d)
-    value, major = np.array(value), np.array(major)
-    last = np.array(last) if spread > 0.0 else None
-    return c, first, *_theta_rows(betas, c + first, value, major, last, log_size, ln_top)
+    return c, first, x, cols, *_theta_rows(betas, c + first, x, cols, top, np.array(value), np.array(major), log_size)
 
 
-def _theta_rows(betas: Sequence[float], e0: float, value, major, last, log_size, ln_top: float):
+def _theta_rows(betas: Sequence[float], e0: float, x, cols, top, value, major, log_size):
     """The family's rows of one cluster's coefficients (_cluster_series): row r
-    is (beta_r - theta) applied to row r - 1, theta = y d/dy.  Since
-    theta y^e (ln 1/y)^d = e y^e (ln 1/y)^d - d y^e (ln 1/y)^(d-1), the
-    coefficients of pole K (e = e0 + i) map by v_d -> (beta - e) v_d +
-    (d + 1) v_{d+1}, the majorants and the last Taylor terms by the same
-    map in absolute values, and log_size follows from the mapped
-    majorants.  Row 0 is the input unchanged."""
-    rows = [[value], [major], [last], [log_size]]
-    d = np.arange(1.0, value.shape[1])
+    is (beta_r - theta) applied to row r - 1, theta = y d/dy = -d/d ln(1/y).
+    Since d/d ln(1/y) E = J E, it maps the coefficients of pole K
+    (e = e0 + i) by v_j -> (beta - e + x_j) v_j + v_{j-1}, the majorants by
+    the same map in absolute values, and log_size is the log of the mapped
+    majorants' sum with top = E at ln_top.  Row 0 is the input unchanged."""
+    rows = [[value], [major], [log_size]]
     e = e0 + np.arange(len(value))[:, None]
-
-    def step(factor, v):
-        out = factor * v
-        out[:, :-1] += d * v[:, 1:]
-        return out
-
+    weight = top[:, cols[:len(log_size)]].T
     for beta in betas:
-        factor = beta - e
-        v, m, l = rows[0][-1], rows[1][-1], rows[2][-1]
-        v, m = step(factor, v), step(np.abs(factor), m)
-        if l is not None:
-            l = step(np.abs(factor), l)
+        factor = beta - e + x
+        v, m = factor * rows[0][-1], np.abs(factor) * rows[1][-1]
+        v[:, 1:] += rows[0][-1][:, :-1]
+        m[:, 1:] += rows[1][-1][:, :-1]
         with np.errstate(divide="ignore"):
-            size = np.log(_horner(m[:len(log_size)].T, ln_top))
-        for row, new in zip(rows, (v, m, l, size)):
+            size = np.log((m[:len(log_size)] * weight).sum(axis=1))
+        for row, new in zip(rows, (v, m, size)):
             row.append(new)
     return rows
 
@@ -457,55 +455,52 @@ def _slater_vec(
         prod Gamma(b + s) / prod Gamma(a + s) = R_K(eps) / prod_{n_j <= K} (eps - x_j),
 
     R_K analytic at 0, so those poles' residues of it times y^-s add up to
-    the divided difference of R_K(eps) y^-eps over the nodes: in Taylor
-    coefficients, sum_k [R_K y^-eps]_k h_{k-M+1}(x), h the complete
-    homogeneous symmetric polynomials of the M joined nodes (McCurdy, Ng
-    & Parlett, Math. Comp. 43 (1984) 501).  Coincident and integer-spaced
+    the divided difference of R_K(eps) y^-eps over the M joined nodes
+    (McCurdy, Ng & Parlett, Math. Comp. 43 (1984) 501), by Leibniz's rule
+    sum_j DD[x_0..x_j](R_K) DD[x_j..x_{M-1}](y^-eps): the first from R_K's
+    Taylor coefficients, sum_i R_i h_{i-j}(x_0..x_j), h the complete
+    homogeneous symmetric polynomials, the second exactly, as column M - 1
+    of one matrix per point (_exp_dd).  Coincident and integer-spaced
     members (all x_j = 0) leave Luke's logarithmic residues, a polynomial
     of degree M - 1 in ln y; a lone parameter is one Slater series.  R_K
     starts from Gamma and its log-derivative Taylor series at arguments
     >= 1 (_gamma_decimal, _polygamma) and steps to the next pole by
     prod (a - c - K - 1 + eps) / prod (b - c - K - 1 + eps), a member's own
     factor joining the nodes; this scalar work (_cluster_series) runs in
-    _RESIDUE_DIGITS decimal digits, and every cluster's poles are then
-    summed over the points in one product with the powers of y.  Each row
-    of the family (g_general_vec) maps those coefficients (_theta_rows)
-    and is summed the same way.
+    _RESIDUE_DIGITS decimal digits, and the poles of each M are then summed
+    over the points in one product with the powers of y and one with that
+    column.  Each row of the family (g_general_vec) maps those coefficients
+    (_theta_rows) and is summed the same way.
 
-    Returns (values, ok), of shape (rows, points).  ok marks
-    the points whose sum settled (the last two poles' terms below tol of
-    it), whose majorant sum |term| stays within limit times |value|, and,
-    for spread nodes, whose last kept Taylor terms stay below tol of it;
-    and points where the majorant, those Taylor terms and the last two
-    poles all lie below the smallest normal double, whose G underflows.
+    Returns (values, ok), of shape (rows, points).  ok marks the points
+    whose sum settled (the last two poles' terms below tol of it) and whose
+    majorant sum |term| stays within limit times |value|, and points where
+    both lie below the smallest normal double, whose G underflows; none
+    where a cluster's R_K needs more than _CLUSTER_TERMS Taylor terms.
     """
-    b = [float(v) for v in b]
-    a = [float(v) for v in a]
+    a, b = [float(v) for v in a], [float(v) for v in b]
     betas = _family(b, shifts)[0]
-    rows = len(betas) + 1
     lny = np.log(y)
     parts = [_cluster_series(a, b, members, float(y.max()), float(np.abs(lny).max()), tol, betas)
              for members in _clusters(b)]
-    total, major, trunc = (np.zeros((rows,) + y.shape) for _ in range(3))
-    tail = np.full((rows,) + y.shape, -np.inf)
+    total, major, tail = (np.full((len(betas) + 1,) + y.shape, v) for v in (0.0, 0.0, -np.inf))
+    if None in parts:
+        return total, np.zeros(total.shape, dtype=bool)
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        longest = max(len(part[2][0]) for part in parts)
+        longest = max(len(part[3]) for part in parts)
         powers = np.cumprod(np.vstack([np.ones_like(y)] + [y] * (longest - 1)), axis=0)
-        abs_ln = np.abs(lny)
-        for c, first, values, majors, lasts, log_sizes in parts:
-            pref, power = np.power(y, c + first), powers[:len(values[0])]
-            for r, (value, major_k, last) in enumerate(zip(values, majors, lasts)):
-                total[r] += pref * _horner(value.T @ power, -lny)
-                major[r] += pref * _horner(major_k.T @ power, abs_ln)
-                if last is not None:
-                    trunc[r] += pref * _horner(last.T @ power, abs_ln)
-            log_sizes = np.array(log_sizes)
-            end = first + log_sizes.shape[1]
+        for c, first, x, cols, values, majors, log_sizes in parts:
+            pref, e = np.power(y, c + first), _exp_dd(x, -lny)
+            for col in sorted(set(cols)):  # the poles of one joined count, a run as cols grows
+                run, cell = slice(cols.index(col), len(cols) - cols[::-1].index(col)), e[:, :col + 1, col].T
+                sums = np.array([v[run, :col + 1].T @ powers[run] for v in (*values, *majors)])
+                total += pref * (sums[:len(values)] * cell).sum(axis=1)
+                major += pref * (sums[len(values):] * abs(cell)).sum(axis=1)
+            end = first + len(log_sizes[0])
             for K in range(max(first, end - 2), end):
-                tail = np.maximum(tail, log_sizes[:, K - first, None] + (c + K) * lny)
-        ok = (major <= limit * np.abs(total)) & (trunc <= tol * np.abs(total))
-        ok &= tail <= np.log(tol * np.abs(total))
-        ok |= (np.maximum(major, trunc) < _TINY) & (tail < math.log(_TINY))
+                tail = np.maximum(tail, np.array(log_sizes)[:, K - first, None] + (c + K) * lny)
+        ok = (major <= limit * np.abs(total)) & (tail <= np.log(tol * np.abs(total)))
+        ok |= (major < _TINY) & (tail < math.log(_TINY))
     ok &= np.isfinite(total)
     return total, ok
 
@@ -823,9 +818,9 @@ def g_general_vec(
     With no upper parameter and m <= 2 the closed forms come first
     (_closed_vec), and the points where they overflow go on to the
     routes below.  Three routes by y, for s = m - alpha >= 1: the residue sum
-    (_slater_vec: Slater's expansion, with exact confluent residues for
-    coincident, integer-spaced or nearly integer-spaced lower parameters)
-    while it conditions well, its cancellation within min(1e6, tol / eps)
+    (_slater_vec: Slater's expansion, with confluent residues for coincident,
+    integer-spaced or nearly integer-spaced lower parameters that take y^-eps
+    exactly at every y) while it conditions well, its cancellation within min(1e6, tol / eps)
     (rounding leaves about that times eps / 3), and not run where it
     would refuse every point (2 s y^{1/s} above the log of that limit +
     (s - 1) ln 2 + 3, _slater_reaches); the large-y expansion
@@ -833,8 +828,8 @@ def g_general_vec(
     below tol / 100 of its sum (s y^{1/s} ~ 16..40 on the certified lists
     of lambda <= 8); and the continuation of the Meijer ODE down from the
     expansion (_continuation_vec: one Taylor recurrence for every step of
-    the call) for the band between and for any point the residue sum
-    leaves at small y.  y = +inf and y <= 0 are an exact 0, and a NaN y
+    the call) for the band between and for every point of a list with a
+    cluster the residue sum refuses.  y = +inf and y <= 0 are an exact 0, and a NaN y
     raises DomainError.  At s <= 0 only the residue sum runs, and a point
     it refuses raises DomainError.
 

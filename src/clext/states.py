@@ -130,7 +130,7 @@ class StateVector:
     state, which is sqrt(N) times this one.  tail_bound =
     max(0, 1 - sum|c_n|^2) is the probability mass lost to truncation.  A
     state built from an array z has coeffs of shape (rows, dim) and one
-    norm_sq_analytic and tail_bound per row; norm_sq takes 1-D states.
+    norm_sq_analytic and tail_bound per row.
     """
 
     dim: int
@@ -140,9 +140,6 @@ class StateVector:
 
     def __post_init__(self):
         self.coeffs.setflags(write=False)
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.coeffs, self.coeffs).real)
 
 
 def sector_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[list[float], list[float]]:

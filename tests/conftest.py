@@ -32,6 +32,11 @@ def dense(op):
     return m
 
 
+def norm_sq(state):
+    """sum |c_n|^2 of a 1-D state's coefficients."""
+    return float(np.vdot(state.coeffs, state.coeffs).real)
+
+
 def random_valid_params(rng, lam):
     """Random admissible parameter set: beta_bar_mu drawn in (0.08, 2.5)."""
     tail = rng.uniform(0.08, 2.5, size=lam - 1)

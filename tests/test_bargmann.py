@@ -207,6 +207,19 @@ class TestRealizations:
                 with pytest.raises(SectorError, match="3 components on axis -2"):
                     apply_realization(fig1_params, basis, "a", np.ones(shape))
 
+    def test_inner_product_needs_lambda_components(self, fig1_params):
+        # a (1, 4) array at lambda = 3, on either side of the Gram product, is
+        # refused with apply_realization's SectorError, not numpy's shape error
+        meas = eigenstate_measures(fig1_params)
+        short, good = np.ones((1, 4)), np.ones((3, 4))
+        for basis, measure in (("vector_alpha0", meas.weights), ("eigenstate", meas)):
+            with pytest.raises(SectorError) as want:
+                apply_realization(fig1_params, basis, "a", short)
+            for f, g in ((short, good), (good, short)):
+                with pytest.raises(SectorError) as got:
+                    inner_product(basis, measure, f, g)
+                assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("basis", ["vector_alpha0", "eigenstate"])
     def test_projector_needs_its_sector(self, fig1_params, basis):
         with pytest.raises(ShapeError) as want:

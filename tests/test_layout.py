@@ -46,7 +46,6 @@ TEST_ONLY: dict[str, set[str]] = {}
 TEST_ONLY_METHODS: dict[str, set[str]] = {
     "algebra": {"FockIndex.from_level"},
     "measures": {"EigenstateMeasures.g", "EigenstateMeasures.h"},
-    "states": {"StateVector.norm_sq"},
 }
 
 # function -> its defaulted parameters that no call in src/ or bench/ sets

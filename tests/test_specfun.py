@@ -27,6 +27,7 @@ from clext.measures import (
 from clext.specfun import (
     _NorlundKernel,
     _continuation_vec,
+    _exp_dd,
     _expansion_vec,
     _polygamma,
     _slater_vec,
@@ -824,6 +825,79 @@ def test_confluent_sweep(case):
     with mp.workdps(30):
         ref = float(mp.meijerg([[], list(a)], [list(b), []], mp.mpf(y)))
     assert got == pytest.approx(ref, rel=1e-10)
+
+
+# the mu = 0, alpha = 0 list of lambda = 5, beta_bar = (2.068968, 1.075485,
+# 2.063253, 1.098098): one cluster of spread 0.098, whose y^-eps Taylor series
+# needs about e * 0.098 * 745 = 200 terms at the moment grid's first node
+SPREAD_CLUSTER = [0.0, 1.068968, 0.075485, 1.063253, 0.098098]
+
+
+def test_spread_cluster_at_the_smallest_y():
+    # a Taylor series of y^-eps in ln y would need about 200 terms here; the
+    # residue sum takes y^-eps exactly and accepts every point
+    y = np.array([1e-270, 1e-300, 1.73e-322])
+    with mp.workdps(40):
+        ref = np.array([float(mp.meijerg([[], []], [SPREAD_CLUSTER, []], mp.mpf(v))) for v in y])
+    (vals,), (ok,) = _slater_vec([], SPREAD_CLUSTER, y, 1e-13, (), 1e-11 / specfun._EPS)
+    assert ok.all()
+    assert vals == pytest.approx(ref, rel=1e-13, abs=0)
+    assert g_general_vec([], SPREAD_CLUSTER, y) == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+def test_cluster_sweep():
+    # alpha = 0 lists of lambda = 3..6 whose lower parameters form one cluster
+    # of spread log-uniform in [1e-4, 0.1] (integer shifts of 0 or 1), at y
+    # log-uniform from the moment grid's first node to 1: every point the
+    # residue sum accepts at g_general_vec's tol 1e-11 is within it of meijerg
+    rng = np.random.default_rng(20261020)
+    accepted = 0
+    for lam in (3, 4, 5, 6):
+        for _ in range(10):
+            spread = 10.0 ** rng.uniform(-4.0, -1.0)
+            bb = 1.0 + rng.integers(0, 2, lam - 1) + spread * rng.uniform(0.0, 1.0, lam - 1)
+            a, b = mellin_lists(params_from_beta_bar(lam, list(bb)), 0, 0)
+            y = 10.0 ** rng.uniform(math.log10(1.73e-322), 0.0, 4)
+            (vals,), (ok,) = _slater_vec(a, b, y, 1e-13, limit=1e-11 / specfun._EPS)
+            accepted += ok.sum()
+            for v, t in zip(vals[ok], y[ok]):
+                with mp.workdps(40):
+                    ref = float(mp.meijerg([[], a], [b, []], mp.mpf(t)))
+                assert v == pytest.approx(ref, rel=1e-11, abs=0), (b, t)
+    assert accepted >= 150
+
+
+def _divided_differences(x, ell):
+    """[i][k]: the divided difference of e^{ell t} over x_i..x_k, in mpmath at
+    80 digits; coincident nodes give ell^(k-i) e^{ell x} / (k-i)!."""
+    with mp.workdps(80):
+        x, ell = [mp.mpf(v) for v in x], mp.mpf(ell)
+        table = [[mp.exp(ell * v) if i == k else None for k, v in enumerate(x)] for i in range(len(x))]
+        for lag in range(1, len(x)):
+            for i in range(len(x) - lag):
+                k = i + lag
+                if x[k] == x[i]:
+                    table[i][k] = ell**lag * mp.exp(ell * x[i]) / mp.factorial(lag)
+                else:
+                    table[i][k] = (table[i + 1][k] - table[i][k - 1]) / (x[k] - x[i])
+        return [[float(v) if v is not None else 0.0 for v in row] for row in table]
+
+
+@pytest.mark.parametrize("ell", [-2.0, 10.0, 300.0, 745.0])
+@pytest.mark.parametrize("x", [
+    [0.098098, 0.022613, 0.0, 0.02913, 0.034845],  # SPREAD_CLUSTER's nodes in join order
+    [0.0, 1e-9, 2e-9, 3e-9],
+    [0.03, 0.03 + 1e-9, 0.0, 1e-9],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.3, 0.3, 0.3],
+])
+def test_exp_dd_is_the_divided_differences(x, ell):
+    # E[i, k] = DD[x_i..x_k](e^{ell t}) within 1e-13, and exactly 0 below the
+    # diagonal; each point is the same computation
+    got = _exp_dd(np.array(x), np.array([ell, ell]))
+    assert got.shape == (2, len(x), len(x))
+    assert got[0] == pytest.approx(np.array(_divided_differences(x, ell)), rel=1e-13, abs=0)
+    assert got[1].tobytes() == got[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from closed_forms import (
     overlap_cs_alpha,
     overlap_eigenstate,
 )
-from conftest import dense, random_valid_params
+from conftest import dense, norm_sq, random_valid_params
 from fock_sums import FockSums
 
 
@@ -121,13 +121,13 @@ class TestTruncation:
             st = eigenstate(p, zabs)
             assert st.dim == 512
             assert st.tail_bound <= TAIL_THRESHOLD
-            assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+            assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
 
     def test_sector_state_grows_past_the_peak(self, fig1_params):
         st = cs_alpha_state(CsAlphaSpec(fig1_params, 0, 1, 15.0))
         assert st.dim == 512
         assert st.tail_bound <= TAIL_THRESHOLD
-        assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
 
     def test_sector_state_normalized_where_the_norm_overflows(self):
         # lambda = 2, (mu, alpha) = (0, 0): log N = 2 sqrt(y) = |z| is past the
@@ -135,7 +135,7 @@ class TestTruncation:
         st = cs_alpha_state(CsAlphaSpec(validate_params(2, (1.0, -1.0)), 0, 0, 720.0))
         assert st.norm_sq_analytic == math.inf
         assert st.dim == 1024 and st.tail_bound <= TAIL_THRESHOLD
-        assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_disc_edge_raises(self):
         p = validate_params(2, (3, -3))
@@ -147,7 +147,7 @@ class TestTruncation:
         spec = CsAlphaSpec(fig1_params, 0, 0, 2.0)
         st = cs_alpha_state(spec, 2048)
         assert st.dim == 2048
-        assert st.tail_bound == max(0.0, 1.0 - st.norm_sq())
+        assert st.tail_bound == max(0.0, 1.0 - norm_sq(st))
         unnormalized = st.coeffs * math.sqrt(st.norm_sq_analytic)
         mass = np.vdot(unnormalized, unnormalized).real
         assert st.tail_bound == pytest.approx(max(0.0, 1.0 - mass / st.norm_sq_analytic), abs=1e-15)
@@ -205,7 +205,7 @@ class TestEigenstate:
         st = eigenstate(fig1_params, z, 64)
         a = dense(build_operator(fig1_params, "a", 64))
         res = np.linalg.norm((a @ st.coeffs - z * st.coeffs)[:63])
-        assert res < 1e-9 * math.sqrt(st.norm_sq())
+        assert res < 1e-9 * math.sqrt(norm_sq(st))
 
     def test_paraboson_norm_bessel_form(self, paraboson_params):
         bb1 = paraboson_params.beta_bar[1]
@@ -231,14 +231,14 @@ class TestEigenstate:
         st = eigenstate(validate_params(2, (3, -3)), 27.0)
         assert st.norm_sq_analytic == math.inf
         assert st.tail_bound <= TAIL_THRESHOLD
-        assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
 
     def test_norm_matches_coefficients(self, rng):
         for lam in (2, 3):
             p = random_valid_params(rng, lam)
             st = eigenstate(p, 1.4 + 0.3j, 64)
-            assert st.norm_sq() == pytest.approx(1.0, rel=1e-10)
-            assert abs(st.norm_sq() - 1.0) <= st.tail_bound + 1e-12
+            assert norm_sq(st) == pytest.approx(1.0, rel=1e-10)
+            assert abs(norm_sq(st) - 1.0) <= st.tail_bound + 1e-12
 
 
 def _braket(bra, ket) -> complex:
@@ -326,7 +326,7 @@ class TestComponents:
         total = 0.0
         for mu in range(3):
             comp = component_zmu(fig1_params, z, mu, 64)
-            assert comp.norm_sq() == pytest.approx(comp.norm_sq_analytic, rel=1e-10)
+            assert norm_sq(comp) == pytest.approx(comp.norm_sq_analytic, rel=1e-10)
             total += comp.norm_sq_analytic
         assert total == pytest.approx(1.0, rel=1e-10)
 
