@@ -8,7 +8,6 @@ and squeezing observables, plus a CSV-emitting command line front end.
 
 from .algebra import (
     AlgebraParams,
-    FockIndex,
     TruncatedOperator,
     build_operator,
     energy_eigenvalue,
@@ -21,7 +20,6 @@ from .errors import ClextError
 
 __all__ = [
     "AlgebraParams",
-    "FockIndex",
     "TruncatedOperator",
     "ClextError",
     "build_operator",

@@ -60,21 +60,6 @@ class AlgebraParams:
         return 0.5 * (self.beta_at(mu) + self.beta_at(mu + 1))
 
 
-@dataclass(frozen=True)
-class FockIndex:
-    """Number level n split as n = k*lam + mu with 0 <= mu < lam."""
-
-    n: int
-    k: int
-    mu: int
-
-    @classmethod
-    def from_level(cls, n: int, lam: int) -> "FockIndex":
-        if n < 0:
-            raise ShapeError("level must be non-negative")
-        return cls(n=n, k=n // lam, mu=n % lam)
-
-
 def validate_params(lam: int, alpha) -> AlgebraParams:
     """Check the defining constraints and derive beta, beta_bar.
 
@@ -112,17 +97,12 @@ def params_from_beta_bar(lam: int, beta_bar_tail) -> AlgebraParams:
 
 def structure_function(params: AlgebraParams, n):
     """F(n) = n + beta_{n mod lambda}; F(0) = 0, F(mu) = lam*beta_bar_mu and
-    F(n < 0) = 0.  n is one level or an integer array of levels; for a stack
-    of algebras of one lambda (a sequence of AlgebraParams) an array n gains a
-    leading stack axis."""
-    if isinstance(n, np.ndarray):
-        if isinstance(params, AlgebraParams):
-            return np.where(n < 0, 0.0, n + np.asarray(params.beta)[n % params.lam])
-        beta = np.array([p.beta for p in params])
-        return np.where(n < 0, 0.0, n + beta[:, n % params[0].lam])
-    if n < 0:
-        return 0.0
-    return n + params.beta_at(n)
+    F(n < 0) = 0.  n is one level (an np.float64 for one algebra) or an
+    integer array of levels; for a stack of algebras of one lambda (a
+    sequence of AlgebraParams) the result gains a leading stack axis."""
+    n = np.asarray(n)
+    beta = np.array(params.beta if isinstance(params, AlgebraParams) else [p.beta for p in params])
+    return np.where(n < 0, 0.0, n + beta[..., n % beta.shape[-1]])[()]
 
 
 def energy_eigenvalue(params: AlgebraParams, n):

@@ -113,7 +113,7 @@ def _apply_sector(params: AlgebraParams, mus, alpha: int, op: str, c: np.ndarray
 
 # ---- vector realizations: component mu of c is c[..., mu, :] -----------------
 
-def _apply_vector_alpha0(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
+def _apply_vector_alpha0(params: AlgebraParams, op: str, c: np.ndarray):
     lam = params.lam
     bb = params.beta_bar_at
     if op in ("N", "Jplus", "Jminus", "J0"):
@@ -138,7 +138,7 @@ def _apply_vector_alpha0(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
     raise UnsupportedOp(f"op {op!r} unsupported in the vector basis")
 
 
-def _apply_eigenstate(params: AlgebraParams, op: str, c: np.ndarray, mu_op):
+def _apply_eigenstate(params: AlgebraParams, op: str, c: np.ndarray):
     lam = params.lam
     beta = params.beta_at
     if op == "N":
@@ -201,7 +201,7 @@ def apply_realization(
         out[..., mu_op % lam, :] = c[..., mu_op % lam, :]
         return out
     apply = _apply_vector_alpha0 if basis == "vector_alpha0" else _apply_eigenstate
-    return apply(params, op, c, mu_op)
+    return apply(params, op, c)
 
 
 # ---- transforms ------------------------------------------------------------
@@ -410,7 +410,7 @@ def check_commutators(params: AlgebraParams, basis: str, k_max: int = 10) -> lis
         apply = _apply_vector_alpha0 if basis == "vector_alpha0" else _apply_eigenstate
 
         def ap(op, c):
-            return apply(params, op, c, None)
+            return apply(params, op, c)
 
         m, k, f = _unit_columns(lam, basis, k_max)
         lhs = ap("a", ap("adag", f))

@@ -218,8 +218,12 @@ def cmd_bargmann_check(args) -> int:
     for (basis, pair), res in sorted(table.items()):
         ok &= res < 1e-10
         lines.append(f"{basis},{pair},{res:.3e}")
-    herm = []
-    if not isinstance(positivity_condition(p, args.mu, args.cs_alpha), PositivityRefusal):
+    herm, notes = [], []
+    cert = positivity_condition(p, args.mu, args.cs_alpha)
+    if isinstance(cert, PositivityRefusal):
+        notes.append(f"# sector(mu={args.mu}),J+/J- hermiticity skipped: no positivity "
+                     f"certificate for (mu, alpha) = ({args.mu}, {args.cs_alpha}): {cert.reason}")
+    else:
         w = weight_function(p, args.mu, args.cs_alpha)
         herm.append((f"sector(mu={args.mu}),J+/J-",
                      check_hermiticity(p, "sector", w, args.mu, args.cs_alpha)))
@@ -241,7 +245,7 @@ def cmd_bargmann_check(args) -> int:
             res = intertwining_residual(p, basis, op, psi, mu=args.mu, alpha=args.cs_alpha)
             ok &= res < 1e-10
             lines.append(f"{label},{op} intertwining,{res:.3e}")
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines + notes) + "\n")
     return 0 if ok else 1
 
 
@@ -368,7 +372,8 @@ OPTIONS = {
              "diagonal_alpha0", "resolution to verify"),
     "n_max": ("--n-max", int, 6, "highest Fock level"),
     "out": ("--out", str, None, "output path (default stdout)"),
-    "config": ("--config", str, None, "file of key = value lines, keyed by dest; flags win"),
+    "config": ("--config", str, None,
+               "file of key = value lines, keyed by dest (a switch takes true or false); flags win"),
 }
 
 _P = ("lam", "alpha_csv")
@@ -423,7 +428,8 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _config_argv(args) -> list[str]:
-    """The --config file's key = value lines as --flag=value tokens of args.command."""
+    """The --config file's key = value lines as --flag=value tokens of args.command;
+    a switch's value is true (the flag) or false (no token)."""
     keys = [k for k in vars(args) if OPTIONS.get(k, (None,))[0] is not None]
     argv = []
     with open(args.config, encoding="utf-8") as fh:
@@ -438,7 +444,12 @@ def _config_argv(args) -> list[str]:
                 raise ClextError(f"config key {key!r} is not an option of clext {args.command}; "
                                  f"its keys are {', '.join(keys)}")
             flag, kind = OPTIONS[key][:2]
-            argv.append(flag if kind is bool and val == "true" else f"{flag}={val}")
+            if kind is not bool:
+                argv.append(f"{flag}={val}")
+            elif val not in ("true", "false"):
+                raise ClextError(f"config key {key!r} is a switch: its value is true or false, got {val!r}")
+            elif val == "true":
+                argv.append(flag)
     return argv
 
 

@@ -438,14 +438,14 @@ def verify_identity_resolution(
     mode: str,
     n_max: int = 6,
     tol: float = 1e-6,
-    measures: EigenstateMeasures | None = None,
 ) -> ResolutionReport:
     """Check <n| integral |n'> = delta_{nn'} for the requested resolution.
 
     Angular integrals are exact Kronecker deltas, so only the diagonal
     radial moments are computed; modes: diagonal_alpha0 (sector family),
     eigenstate_diag (the |z_mu> form), eigenstate_offdiag (the complex
-    g_mu mixture of |z><z e^{2 pi i mu / lambda}|).
+    g_mu mixture of |z><z e^{2 pi i mu / lambda}|).  Each call builds the
+    mode's alpha = 0 weights, or the eigenstate measures on them, from params.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -457,15 +457,14 @@ def verify_identity_resolution(
     if mode == "diagonal_alpha0":
         # the alpha = 0 weight of sector mu resolves |k lam + mu> iff its k-th
         # moment is the target B(k)
-        weights = measures.weights if measures is not None else _alpha0_weights(params)
-        for mu, weight in enumerate(weights[:n_max + 1]):
+        for mu, weight in enumerate(_alpha0_weights(params)[:n_max + 1]):
             ks = n[mu::lam] // lam
             targets = [moment_target(weight.problem, k) for k in ks.tolist()]
             diag[mu::lam] = weight.moment(ks.astype(float))[0] / targets
     elif mode in ("eigenstate_diag", "eigenstate_offdiag"):
         # log D_n = L(n) - n log(lam), D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
         log_d = -sum(log_weights(params, n_max)) - n * math.log(lam)
-        meas = measures if measures is not None else eigenstate_measures(params)
+        meas = eigenstate_measures(params)
         if mode == "eigenstate_diag":
             mn = np.empty(n_max + 1)
             for mu in range(min(lam, n_max + 1)):

@@ -15,6 +15,7 @@ to its right endpoint alongside the abscissas.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ import numpy as np
 _HALF_PI = math.pi / 2.0
 
 
+@functools.cache
 def _rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Tanh-sinh endpoint offsets/weights on (-1, 1) at step h = 2**-level.
 
@@ -44,15 +46,6 @@ def _rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     return delta[keep], w[keep]
 
 
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _cached_rule(level: int):
-    if level not in _RULES:
-        _RULES[level] = _rule(level)
-    return _RULES[level]
-
-
 def _level_nodes(a: float, b: float, level: int):
     """(x, dr, w) for one tanh-sinh level on (a, b).
 
@@ -60,7 +53,7 @@ def _level_nodes(a: float, b: float, level: int):
     by construction, never a subtraction of close floats.
     """
     half = 0.5 * (b - a)
-    delta, w = _cached_rule(level)
+    delta, w = _rule(level)
     d = half * delta
     span = b - a
     # left half: x = a + d; right half: x = b - d, skipping the shared midpoint
@@ -90,7 +83,7 @@ class FixedGrid:
 def _coarse_index(level: int) -> np.ndarray:
     """Positions of the level - 1 nodes (the even j of t = j h) among
     _level_nodes(.., level), which lists j >= 0 and then j >= 1 again."""
-    n = len(_cached_rule(level)[0])
+    n = len(_rule(level)[0])
     even = np.arange(0, n, 2)
     return np.concatenate([even, n - 1 + even[1:]])
 

@@ -207,12 +207,20 @@ def _family(b: Sequence[float], shifts: Sequence[int]) -> tuple[list[float], lis
     return betas, lists
 
 
-def _slater_reaches(r: int, y: np.ndarray, limit: float = _SLATER_COND_LIMIT) -> np.ndarray:
-    """Where Slater can condition G^{m,0}_{p,m}, r = m - p > 0: its terms cancel by
-    about 2^{1-r} e^{2 r y^{1/r}} (asymptotic (2 pi)^{1-r}, reflection pi^{r-1}), and
-    past limit times that plus a margin of e^3 for the pre-asymptotic range it
-    refuses every point."""
-    return 2.0 * r * y ** (1.0 / r) <= math.log(limit) + (r - 1) * math.log(2.0) + 3.0
+def _slater_limit(tol: float) -> tuple[float, float]:
+    """(target, limit) of the residue sum at tol: it ends where its last two
+    poles' terms fall below target = min(tol, 1e-13) of the sum, and accepts
+    a cancellation within limit = min(_SLATER_COND_LIMIT, tol / eps), since
+    rounding in a sum that cancels by a factor c leaves about c eps / 3."""
+    return min(tol, 1e-13), min(_SLATER_COND_LIMIT, tol / _EPS)
+
+
+def _slater_reaches(r: int, y: np.ndarray, tol: float) -> np.ndarray:
+    """Where Slater can condition G^{m,0}_{p,m} at tol, r = m - p > 0: its terms cancel
+    by about 2^{1-r} e^{2 r y^{1/r}} (asymptotic (2 pi)^{1-r}, reflection pi^{r-1}), and
+    past the limit of _slater_limit(tol) times that plus a margin of e^3 for the
+    pre-asymptotic range it refuses every point."""
+    return 2.0 * r * y ** (1.0 / r) <= math.log(_slater_limit(tol)[1]) + (r - 1) * math.log(2.0) + 3.0
 
 
 def _spacing(u: float) -> float:
@@ -441,10 +449,8 @@ def _theta_rows(betas: Sequence[float], e0: float, x, cols, top, value, major, l
     return rows
 
 
-def _slater_vec(
-    a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float, shifts: Sequence[int] = (),
-    limit: float = _SLATER_COND_LIMIT,
-):
+def _slater_vec(a: Sequence[float], b: Sequence[float], y: np.ndarray, tol: float,
+                shifts: Sequence[int] = ()):
     """Slater's residue sum for G^{m,0}_{p,m}(y | a; b) over an array of y > 0.
 
     The poles of prod Gamma(b + s) are summed cluster by cluster
@@ -472,16 +478,18 @@ def _slater_vec(
     column.  Each row of the family (g_general_vec) maps those coefficients
     (_theta_rows) and is summed the same way.
 
-    Returns (values, ok), of shape (rows, points).  ok marks the points
-    whose sum settled (the last two poles' terms below tol of it) and whose
-    majorant sum |term| stays within limit times |value|, and points where
-    both lie below the smallest normal double, whose G underflows; none
-    where a cluster's R_K needs more than _CLUSTER_TERMS Taylor terms.
+    Returns (values, ok), of shape (rows, points).  With (target, limit)
+    = _slater_limit(tol), ok marks the points whose sum settled (the last
+    two poles' terms below target of it) and whose majorant sum |term|
+    stays within limit times |value|, and points where both lie below the
+    smallest normal double, whose G underflows; none where a cluster's R_K
+    needs more than _CLUSTER_TERMS Taylor terms.
     """
     a, b = [float(v) for v in a], [float(v) for v in b]
     betas = _family(b, shifts)[0]
+    target, limit = _slater_limit(tol)
     lny = np.log(y)
-    parts = [_cluster_series(a, b, members, float(y.max()), float(np.abs(lny).max()), tol, betas)
+    parts = [_cluster_series(a, b, members, float(y.max()), float(np.abs(lny).max()), target, betas)
              for members in _clusters(b)]
     total, major, tail = (np.full((len(betas) + 1,) + y.shape, v) for v in (0.0, 0.0, -np.inf))
     if None in parts:
@@ -499,7 +507,7 @@ def _slater_vec(
             end = first + len(log_sizes[0])
             for K in range(max(first, end - 2), end):
                 tail = np.maximum(tail, np.array(log_sizes)[:, K - first, None] + (c + K) * lny)
-        ok = (major <= limit * np.abs(total)) & (tail <= np.log(tol * np.abs(total)))
+        ok = (major <= limit * np.abs(total)) & (tail <= np.log(target * np.abs(total)))
         ok |= (major < _TINY) & (tail < math.log(_TINY))
     ok &= np.isfinite(total)
     return total, ok
@@ -821,7 +829,7 @@ def g_general_vec(
     (_slater_vec: Slater's expansion, with confluent residues for coincident,
     integer-spaced or nearly integer-spaced lower parameters that take y^-eps
     exactly at every y) while it conditions well, its cancellation within min(1e6, tol / eps)
-    (rounding leaves about that times eps / 3), and not run where it
+    (_slater_limit: rounding leaves about that times eps / 3), and not run where it
     would refuse every point (2 s y^{1/s} above the log of that limit +
     (s - 1) ln 2 + 3, _slater_reaches); the large-y expansion
     (_expansion_vec) from the y where its first two omitted terms fall
@@ -858,21 +866,19 @@ def g_general_vec(
     # and so is y <= 0, outside the support
     ok = np.zeros(vals.shape, dtype=bool) | (y <= 0.0) | (np.isposinf(y) if r > 0 else False)
 
-    def route(evaluate, where, tol, **kw):
+    def route(evaluate, where):
         if where.any():
-            vals[:, where], ok[:, where] = evaluate(a, b, y[where], tol, shifts, **kw)
+            vals[:, where], ok[:, where] = evaluate(a, b, y[where], tol, shifts)
 
     if not a and len(b) in (1, 2):
-        route(_closed_vec, ~ok[0], tol)
-    # rounding in a residue sum that cancels by a factor c leaves about c eps / 3
-    limit = min(_SLATER_COND_LIMIT, tol / _EPS)
+        route(_closed_vec, ~ok[0])
     reach = ~ok[0]
     if r > 0 and reach.any():
-        reach &= _slater_reaches(r, np.where(reach, y, 1.0), limit)
-    route(_slater_vec, reach, min(tol, 1e-13), limit=limit)
+        reach &= _slater_reaches(r, np.where(reach, y, 1.0), tol)
+    route(_slater_vec, reach)
     if r > 0:
-        route(_expansion_vec, ~ok[0], tol)
-        route(_continuation_vec, ~ok[0], tol)
+        route(_expansion_vec, ~ok[0])
+        route(_continuation_vec, ~ok[0])
     elif not ok[0].all():
         raise DomainError(
             f"Slater refused {int((~ok[0]).sum())} of {y.size} points of "

@@ -24,7 +24,6 @@ from clext import (
 from clext.bargmann import check_hermiticity, intertwining_residual
 from clext.figures import FIGURE_PRESETS, run_figure
 from clext.measures import (
-    eigenstate_measures,
     verify_identity_resolution,
     verify_moments,
     weight_function,
@@ -147,9 +146,8 @@ def test_criterion_5_identity_resolution(paraboson_params, fig1_params):
     for p in (paraboson_params, fig1_params):
         rep = verify_identity_resolution(p, "diagonal_alpha0", 6, 1e-6)
         assert rep.passed, rep.diagonal
-    meas = eigenstate_measures(paraboson_params)
-    diag = verify_identity_resolution(paraboson_params, "eigenstate_diag", 6, 1e-6, measures=meas)
-    off = verify_identity_resolution(paraboson_params, "eigenstate_offdiag", 6, 1e-6, measures=meas)
+    diag = verify_identity_resolution(paraboson_params, "eigenstate_diag", 6, 1e-6)
+    off = verify_identity_resolution(paraboson_params, "eigenstate_offdiag", 6, 1e-6)
     assert diag.passed and off.passed
     for a, b in zip(diag.diagonal, off.diagonal):
         assert abs(a - b) < 1e-8

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from clext import (
-    FockIndex,
     build_operator,
     energy_eigenvalue,
     params_from_beta_bar,
@@ -64,11 +63,6 @@ class TestValidate:
     def test_params_from_beta_bar_roundtrip(self):
         p = params_from_beta_bar(4, [1.5, 1.5, 1.25])
         assert p.alpha == pytest.approx((5.0, -1.0, -2.0, -2.0))
-
-
-def test_fock_index():
-    fi = FockIndex.from_level(7, 3)
-    assert (fi.n, fi.k, fi.mu) == (7, 2, 1)
 
 
 class TestStructureFunction:

@@ -261,6 +261,28 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err.startswith(f"error: config key {key!r} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value, code", [("true", 0), ("false", 2)])
+    def test_switch_value_sets_or_leaves_the_switch(self, tmp_path, value, code):
+        # (mu, alpha) = (1, 1) of lambda = 3, alpha = (3, -3, 0) has no positivity
+        # certificate: moments evaluates it only with --allow-unsigned
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"lam = 3\nalpha_csv = 3,-3,0\nmu = 1\ncs_alpha = 1\nallow_unsigned = {value}\n")
+        got, out, err = run_cli(["moments", "--config", str(cfg)])
+        assert got == code
+        if code:
+            assert out == "" and err.startswith("error: no positive weight function available")
+        else:
+            assert "form = meijer_unsigned" in out and err == ""
+
+    @pytest.mark.parametrize("value", ["yes", "True", "1", ""])
+    def test_bad_switch_value_is_a_one_line_error(self, tmp_path, value):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"lam = 2\nalpha_csv = 3,-3\nallow_unsigned = {value}\n")
+        code, out, err = run_cli(["moments", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err == (f"error: config key 'allow_unsigned' is a switch: its value is true or false, "
+                       f"got {value!r}\n")
+
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
         cfg.write_text("lam = 2\nalpha_csv = 3,-3\nmu = x\n")
@@ -444,8 +466,8 @@ class TestConfluentWeights:
         # weight raises NoConvergence, which the CLI reports on one line
         monkeypatch.setattr(
             specfun, "_slater_vec",
-            lambda a, b, y, tol, shifts=(), limit=None: (np.zeros((len(shifts) + 1,) + y.shape),
-                                                         np.zeros((len(shifts) + 1,) + y.shape, bool)),
+            lambda a, b, y, tol, shifts=(): (np.zeros((len(shifts) + 1,) + y.shape),
+                                              np.zeros((len(shifts) + 1,) + y.shape, bool)),
         )
         monkeypatch.setattr(specfun, "_TAYLOR_TERMS", 4)
         code, out, err = run_cli(
@@ -826,6 +848,18 @@ class TestBargmannCheck:
         assert f"sector(mu={mu}),J+/J- hermiticity," in out
         rows = [line.rsplit(",", 1) for line in out.splitlines() if " intertwining," in line]
         assert len(rows) == 16 and all(float(res) < 1e-10 for _, res in rows)
+
+    def test_uncertified_member_names_the_skipped_check(self):
+        # (0, 1) of lambda = 2, alpha = (0.5, -0.5) has no positivity certificate:
+        # the table has no sector Hermiticity row, and one # line after it says why
+        code, out, err = run_cli(["bargmann-check", "--lambda", "2", "--alpha", "0.5,-0.5",
+                                  "--mu", "0", "--cs-alpha", "1"])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert "J+/J- hermiticity" not in "\n".join(lines[:-1])
+        assert [line for line in lines if line.startswith("#")] == [lines[-1]] == [
+            "# sector(mu=0),J+/J- hermiticity skipped: no positivity certificate for "
+            "(mu, alpha) = (0, 1): no injective assignment a_i > b_j exists"]
 
     def test_certified_family_keeps_its_bytes(self):
         code, out, _ = run_cli(["bargmann-check", "--lambda", "3", "--alpha", CERTIFIED["3"],

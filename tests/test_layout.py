@@ -19,8 +19,12 @@ bench/ (a call with *args sets every positional one, one with **kwargs
 all); the ones only tests set are listed in TEST_ONLY_PARAMS, which may
 only shrink.
 
-The four Meijer-G routes of specfun.g_general_vec take (a, b, y, tol,
-shifts) first, so that the router calls each the same way.
+The four Meijer-G routes of specfun.g_general_vec take exactly (a, b, y,
+tol, shifts), so that the router calls each the same way.  Every other
+parameter of a module-level function or method of src/clext is read in its
+body, and every name that clext.__all__ or clext.specfun.__all__ exports is
+referred to in src/clext outside its own definition and its imports, or in
+bench/.
 
 The package itself, the state builders and the algebra import no special
 functions: neither they nor any clext module they import, directly or
@@ -44,7 +48,6 @@ TEST_ONLY: dict[str, set[str]] = {}
 # module -> Class.method; EigenstateMeasures.g and .h are wrapped by name in
 # bench/tracing.py METHODS, which refers to them as strings, not attributes
 TEST_ONLY_METHODS: dict[str, set[str]] = {
-    "algebra": {"FockIndex.from_level"},
     "measures": {"EigenstateMeasures.g", "EigenstateMeasures.h"},
 }
 
@@ -52,7 +55,6 @@ TEST_ONLY_METHODS: dict[str, set[str]] = {
 TEST_ONLY_PARAMS: dict[str, set[str]] = {
     "check_hermiticity": {"degree"},
     "intertwining_residual": {"mu_op"},
-    "verify_identity_resolution": {"measures"},
 }
 
 
@@ -205,7 +207,36 @@ def test_light_module_does_not_import_specfun(module):
     assert "specfun" not in seen, f"clext.{module} imports specfun through {sorted(seen)}"
 
 
-@pytest.mark.parametrize("route", ["_closed_vec", "_slater_vec", "_expansion_vec", "_continuation_vec"])
+ROUTES = ("_closed_vec", "_slater_vec", "_expansion_vec", "_continuation_vec")
+
+
+@pytest.mark.parametrize("route", ROUTES)
 def test_meijer_routes_share_one_signature(route):
     params = list(inspect.signature(getattr(specfun, route)).parameters)
-    assert params[:5] == ["a", "b", "y", "tol", "shifts"], params
+    assert params == ["a", "b", "y", "tol", "shifts"], params
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "clext").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                if not isinstance(node, ast.FunctionDef) or node.name in ROUTES:
+                    continue
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+                read = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                unread += [f"{path.stem}.{node.name}({p})" for p in params if p not in read]
+    assert not unread, f"parameters that their function never reads: {unread}"
+
+
+def test_every_export_is_used():
+    refs = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        refs |= _names(ast.parse(path.read_text()))
+    for path in sorted((ROOT / "src" / "clext").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                refs |= _names(stmt) - {getattr(stmt, "name", None)}
+    unused = sorted(set(clext.__all__ + specfun.__all__) - refs)
+    assert not unused, f"exported names that nothing in src/ or bench/ uses: {unused}"

@@ -286,7 +286,7 @@ class TestResolutions:
         for p in (paraboson_params, fig1_params, random_valid_params(rng, 4)):
             lam = p.lam
             meas = eigenstate_measures(p)
-            rep = verify_identity_resolution(p, "diagonal_alpha0", 8, 1e-6, measures=meas)
+            rep = verify_identity_resolution(p, "diagonal_alpha0", 8, 1e-6)
             log_d = -sum(log_weights(p, 8)) - np.arange(9) * math.log(lam)
             for n, got in enumerate(rep.diagonal):
                 k, mu = divmod(n, lam)
@@ -295,9 +295,8 @@ class TestResolutions:
                 assert abs(got - ref) <= 1e-13
 
     def test_eigenstate_modes_agree(self, paraboson_params):
-        meas = eigenstate_measures(paraboson_params)
-        diag = verify_identity_resolution(paraboson_params, "eigenstate_diag", 6, 1e-6, measures=meas)
-        off = verify_identity_resolution(paraboson_params, "eigenstate_offdiag", 6, 1e-6, measures=meas)
+        diag = verify_identity_resolution(paraboson_params, "eigenstate_diag", 6, 1e-6)
+        off = verify_identity_resolution(paraboson_params, "eigenstate_offdiag", 6, 1e-6)
         assert diag.passed and off.passed
         for a, b in zip(diag.diagonal, off.diagonal):
             assert abs(a - b) < 1e-8
@@ -642,7 +641,7 @@ def test_m0_slater_vs_contour_on_algebra_parameters(rng):
             if degenerate:
                 continue
             y = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
-            (slater,), (ok,) = _slater_vec([], b, y, 1e-13)
+            (slater,), (ok,) = _slater_vec([], b, y, 1e-9)
             (continued,), _ = _continuation_vec([], b, y, 1e-11)
             assert ok.all()
             assert slater == pytest.approx(continued, rel=1e-7, abs=1e-12)
@@ -704,7 +703,7 @@ class TestMomentArrays:
             return moment(self, k)
 
         monkeypatch.setattr(WeightFunction, "moment", counted)
-        rep = verify_identity_resolution(fig1_params, "eigenstate_offdiag", 6, 1e-6, measures=meas)
+        rep = verify_identity_resolution(fig1_params, "eigenstate_offdiag", 6, 1e-6)
         assert sizes == [7, 7, 7]
         assert rep.passed
         assert rep.diagonal == pytest.approx(ref, rel=1e-14, abs=0)
