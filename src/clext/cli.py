@@ -33,13 +33,8 @@ from .measures import (
     verify_moments,
     weight_function,
 )
-from .observables import (
-    mandel_q_cs_alpha,
-    mandel_q_eigenstate,
-    squeezing_cs_alpha,
-    squeezing_eigenstate,
-)
-from .states import CsAlphaSpec, cs_alpha_family, cs_alpha_state, eigenstate
+from .observables import mandel_q, squeezing
+from .states import cs_alpha_state, eigenstate
 
 # the closed and oracle columns of a grid, both from one observables call
 COLUMNS = ("closed", "oracle")
@@ -52,6 +47,12 @@ def _params(args) -> "AlgebraParams":
         raise ClextError("--lambda and --alpha are required")
     alpha = [float(v) for v in args.alpha_csv.split(",") if v.strip() != ""]
     return validate_params(args.lam, alpha)
+
+
+def _sector(args):
+    """The family of a grid command's states: (mu, alpha) for --family
+    sector, None for the eigenstates |z>."""
+    return (args.mu, args.cs_alpha) if args.family == "sector" else None
 
 
 def finite_float(text: str) -> float:
@@ -135,7 +136,7 @@ def cmd_state(args) -> int:
     p = _params(args)
     z = complex(args.z_re, args.z_im)
     if args.cs_alpha >= 0:
-        st = cs_alpha_state(CsAlphaSpec(p, args.mu, args.cs_alpha, z), args.trunc)
+        st = cs_alpha_state(p, z, (args.mu, args.cs_alpha), args.trunc)
         head = f"# |z; mu; alpha> with z = {z}, mu = {args.mu}, alpha = {args.cs_alpha}"
     else:
         st = eigenstate(p, z, args.trunc)
@@ -150,10 +151,7 @@ def cmd_state(args) -> int:
 def cmd_mandel(args) -> int:
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
-    if args.family == "sector":
-        closed, oracle = mandel_q_cs_alpha(CsAlphaSpec(p, args.mu, args.cs_alpha, grid), COLUMNS)
-    else:
-        closed, oracle = mandel_q_eigenstate(p, grid, COLUMNS)
+    closed, oracle = mandel_q(p, grid, _sector(args), COLUMNS)
     rows = csv_rows("%.12g,%.12g,%.12g", grid.tolist(), closed.mandel_Q.tolist(),
                     oracle.mandel_Q.tolist())
     _emit(args, f"# mandel Q, family = {args.family}\nr,Q_closed,Q_oracle\n" + rows)
@@ -164,11 +162,7 @@ def cmd_squeeze(args) -> int:
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
     zs = 1j * grid if args.direction == "im" else grid.astype(complex)
-    if args.family == "sector":
-        spec = CsAlphaSpec(p, args.mu, args.cs_alpha, zs)
-        closed, oracle = squeezing_cs_alpha(spec, args.kind, COLUMNS)
-    else:
-        closed, oracle = squeezing_eigenstate(p, zs, args.kind, COLUMNS)
+    closed, oracle = squeezing(p, zs, args.kind, _sector(args), COLUMNS)
     head = (f"# squeezing, family = {args.family}, kind = {args.kind}, direction = {args.direction}\n"
             "g,X_closed,P_closed,X_oracle,P_oracle\n")
     cols = (v.tolist() for v in (grid, closed.X, closed.P, oracle.X, oracle.P))
@@ -290,7 +284,7 @@ def _verify_states(p, trunc, tol):
     worst = 0.0
     for alpha in range(lam // 2 + 1):
         z = (0.85 if 2 * alpha == lam else 1.3) * cmath.exp(0.4j)
-        family = cs_alpha_family(p, alpha, z, trunc)
+        family = cs_alpha_state(p, z, (np.arange(lam - alpha), alpha), trunc)
         a, ad = ladders(family.dim)
         # a^(lam - alpha) |psi> = z adag^alpha |psi>, one row per member mu
         lhs = _apply(a, family.coeffs, lam - alpha) - z * _apply(ad, family.coeffs, alpha)
@@ -326,15 +320,11 @@ def cmd_verify(args) -> int:
                      for i, r in enumerate(check_commutators(p, basis, k_max=5))]
     elif args.suite == "observables":
         # closed and oracle Q of one |z| list from one call
-        checks = (
-            ("eigenstate", (0.4, 1.0, 1.7, 8.0, 14.0),
-             lambda z: mandel_q_eigenstate(p, z, COLUMNS)),
-            ("sector (0,0)", (1.0, 8.0),
-             lambda z: mandel_q_cs_alpha(CsAlphaSpec(p, 0, 0, z), COLUMNS)),
-        )
+        checks = (("eigenstate", None, (0.4, 1.0, 1.7, 8.0, 14.0)),
+                  ("sector (0,0)", (0, 0), (1.0, 8.0)))
         rows = []
-        for family, zs, q in checks:
-            closed, oracle = (stats.mandel_Q for stats in q(np.array(zs)))
+        for family, sector, zs in checks:
+            closed, oracle = (s.mandel_Q for s in mandel_q(p, np.array(zs), sector, COLUMNS))
             for zz, qc, qo in zip(zs, closed, oracle):
                 err = abs(qc - qo) / (1.0 + abs(qo))
                 rows.append((f"{family} Q at |z|={zz}", err, err < 1e-8))
@@ -429,8 +419,9 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def _config_argv(args) -> list[str]:
     """The --config file's key = value lines as --flag=value tokens of args.command;
-    a switch's value is true (the flag) or false (no token)."""
-    keys = [k for k in vars(args) if OPTIONS.get(k, (None,))[0] is not None]
+    a switch's value is true (the flag) or false (no token).  config itself
+    is no key: a file does not name another."""
+    keys = [k for k in vars(args) if k != "config" and OPTIONS.get(k, (None,))[0] is not None]
     argv = []
     with open(args.config, encoding="utf-8") as fh:
         for line in map(str.strip, fh):

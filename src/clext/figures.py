@@ -17,8 +17,7 @@ import numpy as np
 
 from .algebra import AlgebraParams, params_from_beta_bar
 from .measures import weight_function
-from .observables import mandel_q_cs_alpha, mandel_q_eigenstate, squeezing_cs_alpha, squeezing_eigenstate
-from .states import CsAlphaSpec
+from .observables import mandel_q, squeezing
 
 
 @dataclass(frozen=True)
@@ -197,24 +196,18 @@ FIGURE_PRESETS: dict[str, FigureJob] = {
 def _values(job: FigureJob, grid: np.ndarray) -> np.ndarray:
     """(curves, points) values of the job's curves on the grid."""
     params = tuple(c.params(job.lam) for c in job.curves)
-    kind = job.kind
-    opts = job.options
+    kind, opts = job.kind, job.options
     if kind in ("weight_h1", "weight_h2"):
         return np.array([weight_function(p, opts["mu"], opts["alpha"]).evaluate(grid)
                          for p in params], dtype=float)
-    if kind == "q_sector":
-        spec = CsAlphaSpec(params, opts["mu"], opts["alpha"], grid.astype(complex))
-        return mandel_q_cs_alpha(spec, "closed").mandel_Q
-    if kind == "q_eigen":
-        return mandel_q_eigenstate(params, grid, "closed").mandel_Q
-    if kind == "x_sector":
-        z = (-grid if job.grid_var == "-Re z" else grid).astype(complex)
-        spec = CsAlphaSpec(params, opts["mu"], opts["alpha"], z)
-        return squeezing_cs_alpha(spec, opts.get("squeeze_kind", "dressed"), "closed").X
-    if kind == "x_eigen":
-        z = 1j * grid if opts.get("direction") == "im" else grid.astype(complex)
-        return squeezing_eigenstate(params, z, opts.get("squeeze_kind", "dressed"), "closed").X
-    raise ValueError(f"unknown figure kind {kind!r}")
+    if kind not in ("q_sector", "q_eigen", "x_sector", "x_eigen"):
+        raise ValueError(f"unknown figure kind {kind!r}")
+    sector = (opts["mu"], opts["alpha"]) if kind.endswith("sector") else None
+    if kind.startswith("q"):
+        return mandel_q(params, grid, sector, "closed").mandel_Q
+    z = -grid if job.grid_var == "-Re z" else 1j * grid if opts.get("direction") == "im" else grid
+    return squeezing(params, z.astype(complex), opts.get("squeeze_kind", "dressed"), sector,
+                     "closed").X
 
 
 def run_figure(job: FigureJob) -> str:

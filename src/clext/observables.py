@@ -1,25 +1,27 @@
 """Photon statistics (Mandel Q) and quadrature squeezing for both
 coherent-state families.
 
-Every closed form is an expectation <g(N)> = p @ g(n) over the Fock weights
-p_n = |c_n|^2 / N of the state, from the Fock-weight core of the states
-module (states._fock_weights), the weights the state builders take their
+mandel_q and squeezing name the family as the states module does: sector =
+(mu, alpha), one member, is |z; mu; alpha>, None the eigenstate |z>, and
+states._check_state refuses a state outside its family.  Every closed form
+is an expectation <g(N)> = p @ g(n) over the Fock weights p_n = |c_n|^2 / N
+of the state, from the Fock-weight core of the states module
+(states._fock_weights), the weights the state builders take their
 coefficients from.  Every function takes one grid value or an array of
 them, and the closed forms one algebra or a stack of P algebras of one
 lambda (states._param_stack), so a CLI grid or a figure's curve family is
 one call: a stack gives (P, R) results for a grid of R values, (P,) for one
-value.  Kept as a cross-check:
-the coefficient-vector oracle (method="oracle"), whose truncated states of a
-grid come from one core call at the state builders' level count
-(states._build_levels) and the builders' coefficient step
-(states._coefficients), one step per _row_blocks slice (the rows of a step
-share one dim).  A tuple of methods, ("closed", "oracle"), returns one
-report per method from that one core call: the closed column reads the same
-weights (_columns).  As both columns read one weight array, what the oracle
-still checks on its own is the truncation at dim and, for squeezing, the
-contractions of each row against the ladder bands.  The Phi-ratio branch
-forms of the sector Q and the lambda = 2 Bessel form of the eigenstate Q
-are test references (tests/closed_forms.py).
+value.  Kept as a cross-check: the coefficient-vector oracle
+(method="oracle"), whose truncated states of a grid come from one core call
+at the state builders' level count (states._build_levels) and the builders'
+coefficient step (states._coefficients), one step per _row_blocks slice (the
+rows of a step share one dim).  A tuple of methods, ("closed", "oracle"),
+returns one report per method from that one core call: the closed column
+reads the same weights (_columns).  As both columns read one weight array,
+what the oracle still checks on its own is the truncation at dim and, for
+squeezing, the contractions of each row against the ladder bands.  The
+Phi-ratio branch forms of the sector Q and the lambda = 2 Bessel form of the
+eigenstate Q are test references (tests/closed_forms.py).
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ from .errors import DomainError
 from .states import (
     FIRST_DIM,
     MAX_AUTO_DIM,
-    CsAlphaSpec,
     StateVector,
     _build_levels,
-    _check_finite,
+    _check_state,
     _coefficients,
     _fock_weights,
     _param_stack,
@@ -120,7 +121,8 @@ def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
 
 def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     """The report of method, "closed" or "oracle", or a tuple of reports, one
-    per entry of a tuple of methods; DomainError for a non-finite z.
+    per entry of a tuple of methods, for the states of the grid z in the
+    family sector, checked first (states._check_state).
 
     closed(n, p) reads the Fock weights of the grid z; oracle(states) reads
     the truncated states of its _row_blocks slices, a block of at most
@@ -131,12 +133,12 @@ def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     one block that is the state builders' own result bit for bit.  The oracle
     builds the states of one algebra.
     """
+    _check_state(params, z, sector)
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods or not set(methods) <= {"closed", "oracle"}:
         raise DomainError(f"unknown method {method!r}")
     if "oracle" in methods and not isinstance(params, AlgebraParams):
         raise DomainError("the oracle takes one algebra, not a stack")
-    _check_finite(z)
     z = np.atleast_1d(z)
     out = {}
     if "oracle" not in methods:
@@ -158,29 +160,21 @@ def _oracle_photon_stats(z, states: list[StateVector], limit_q: float) -> Photon
     return PhotonStats(*_as_given(z, *map(np.concatenate, zip(*blocks))), "vector_oracle")
 
 
-def mandel_q_cs_alpha(spec: CsAlphaSpec, method="closed"):
-    """Mandel Q of |z; mu; alpha>.
+def mandel_q(params, z_abs, sector: tuple | None = None, method="closed"):
+    """Mandel Q of |z; mu; alpha>, sector = (mu, alpha), or of the eigenstate
+    |z> (sector None).
 
     closed: moments of the Fock weights; oracle: truncated coefficient
-    vectors; a tuple of both: one report each (_columns).  spec.z may be an
-    array, and spec.params a stack for closed.  Where <N> vanishes (z = 0
-    with mu = 0) the 0/0 ratio is replaced by the analytic limit lambda - 1.
+    vectors; a tuple of both: one report each (_columns).  z_abs may be an
+    array, and params a stack for closed.  Where <N> vanishes (z = 0, with
+    mu = 0 in a sector) the 0/0 ratio is replaced by the analytic limit:
+    lambda - 1 in a sector, 0 for |z>.
     """
-    limit_q = _param_stack(spec.params)[0].lam - 1.0
+    limit_q = 0.0 if sector is None else _param_stack(params)[0].lam - 1.0
     return _columns(
-        spec.params, spec.z, (spec.mu, spec.alpha), method,
-        lambda n, p: _photon_stats(spec.z, n, p, limit_q),
-        lambda states: _oracle_photon_stats(spec.z, states, limit_q),
-    )
-
-
-def mandel_q_eigenstate(params: AlgebraParams, z_abs, method="closed"):
-    """Mandel Q of the annihilation-operator eigenstate |z>; z_abs may be an
-    array, and params a stack for closed; method as for mandel_q_cs_alpha."""
-    return _columns(
-        params, z_abs, None, method,
-        lambda n, p: _photon_stats(z_abs, n, p, 0.0),
-        lambda states: _oracle_photon_stats(z_abs, states, 0.0),
+        params, z_abs, sector, method,
+        lambda n, p: _photon_stats(z_abs, n, p, limit_q),
+        lambda states: _oracle_photon_stats(z_abs, states, limit_q),
     )
 
 
@@ -232,21 +226,17 @@ def _oracle_squeezing(params: AlgebraParams, z, states: list[StateVector], vac: 
     return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, rhs, kind, "vector_oracle")
 
 
-def squeezing_cs_alpha(spec: CsAlphaSpec, kind: str = "dressed", method="closed"):
-    """Quadrature variances of |z; mu; alpha> (dressed or real photons).
+def _sector_squeezing(params, lam: int, z, kind: str, mu: int, alpha: int):
+    """The vacuum reference and the closed form of |z; mu; alpha>.
 
     The sector vacuum |mu> sets the dressed reference
     (lam/2)(bb_mu + bb_{mu+1}); the real-photon reference is 1/2.  There
     is no squeezing at lambda >= 3 (both off-diagonal moments vanish).
-    spec.z may be an array, and spec.params a stack for closed; method as
-    for mandel_q_cs_alpha.
     """
-    p, mu, alpha = spec.params, spec.mu, spec.alpha
-    lam = _param_stack(p)[0].lam
-    z = np.atleast_1d(spec.z)
+    z_rows = np.atleast_1d(z)
 
     def bb(j):
-        return _per_algebra(p, lambda a: a.beta_bar_at(j))
+        return _per_algebra(params, lambda a: a.beta_bar_at(j))
 
     vac = 0.5 * lam * (bb(mu) + bb(mu + 1)) if kind == "dressed" else 0.5
 
@@ -257,8 +247,8 @@ def squeezing_cs_alpha(spec: CsAlphaSpec, kind: str = "dressed", method="closed"
             if lam == 2:
                 # <J+ + J-> = Re z for the a^2 eigenstates; a - z adag (alpha = 1)
                 # gives Re z (<N> + 2 bb1)
-                off = z.real if alpha == 0 else z.real * (mean_n + 2.0 * bb(1))
-            h0 = mean_n + _per_algebra(p, lambda a: a.gamma(mu)) + 0.5
+                off = z_rows.real if alpha == 0 else z_rows.real * (mean_n + 2.0 * bb(1))
+            h0 = mean_n + _per_algebra(params, lambda a: a.gamma(mu)) + 0.5
             rhs = 0.25 * (lam * (bb(mu + 1) - bb(mu))) ** 2
         else:
             # real photons: <b> = 0 in a sector state; at lambda = 2 the b^2
@@ -266,28 +256,22 @@ def squeezing_cs_alpha(spec: CsAlphaSpec, kind: str = "dressed", method="closed"
             # defining-equation coefficient recursion (a^2 - z for alpha = 0,
             # a - z adag for alpha = 1)
             if lam == 2:
-                f1 = structure_function(p, n + 1)
-                f2 = structure_function(p, n + 2)
+                f1 = structure_function(params, n + 1)
+                f2 = structure_function(params, n + 2)
                 num = (n + 1.0) * (n + 2.0)
                 ratio = np.sqrt(num * f1 / f2 if alpha else num / (f1 * f2))
-                off = (z * _expect(weights, ratio)).real
+                off = (z_rows * _expect(weights, ratio)).real
             h0 = mean_n + 0.5
             rhs = 0.25
-        var_x, var_p, v, rhs = _as_given(spec.z, h0 + off, h0 - off, vac, rhs)
+        var_x, var_p, v, rhs = _as_given(z, h0 + off, h0 - off, vac, rhs)
         return SqueezeReport(var_x, var_p, v, v, var_x * var_p, rhs, kind, "closed_form")
 
-    return _columns(
-        p, spec.z, (mu, alpha), method, closed,
-        lambda states: _oracle_squeezing(p, spec.z, states, vac, kind),
-    )
+    return vac, closed
 
 
-def squeezing_eigenstate(params: AlgebraParams, z: complex, kind: str = "dressed",
-                         method="closed"):
-    """Quadrature variances of |z> (minimum-uncertainty for dressed photons);
-    z may be an array, and params a stack for closed; method as for
-    mandel_q_cs_alpha."""
-    lam = _param_stack(params)[0].lam
+def _eigenstate_squeezing(params, lam: int, z, kind: str):
+    """The vacuum reference and the closed form of |z> (minimum-uncertainty
+    for dressed photons)."""
     vac = 0.5 * lam * _per_algebra(params, lambda a: a.beta_bar_at(1)) if kind == "dressed" else 0.5
     z_rows = np.atleast_1d(z).astype(complex)
 
@@ -309,7 +293,19 @@ def squeezing_eigenstate(params: AlgebraParams, z: complex, kind: str = "dressed
         )
         return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, 0.25, kind, "closed_form")
 
+    return vac, closed
+
+
+def squeezing(params, z, kind: str = "dressed", sector: tuple | None = None, method="closed"):
+    """Quadrature variances (dressed or real photons) of |z; mu; alpha>,
+    sector = (mu, alpha), or of the eigenstate |z> (sector None).
+
+    z may be an array, and params a stack for closed; method as for mandel_q.
+    """
+    lam = _param_stack(params)[0].lam
+    vac, closed = (_eigenstate_squeezing(params, lam, z, kind) if sector is None
+                   else _sector_squeezing(params, lam, z, kind, *sector))
     return _columns(
-        params, z, None, method, closed,
+        params, z, sector, method, closed,
         lambda states: _oracle_squeezing(params, z, states, vac, kind),
     )

@@ -37,12 +37,16 @@ N^(alpha)_mu(y) = pFq(num; den; y), and the moment problem of its weight
 (measures.MomentProblem, measures.mellin_lists).  The pFq forms of the norms
 and overlaps are test references (tests/closed_forms.py).
 
-Both builders take one z or an array of them.  An array is built in one pass:
-the level weights are shared, each row has its own norm, and all rows share
-one dim, the first at which every row's tail bound is small enough.  A scalar
-z is the length-1 case, returned with 1-D coefficients and float metadata.
-cs_alpha_family builds every member mu of one family alpha at one z the same
-way: the members are a stack of the core, like a stack of algebras, with one
+One value names the family everywhere: sector = (mu, alpha) is
+|z; mu; alpha>, None the eigenstate |z>, from the core up through the
+builders (cs_alpha_state, eigenstate) and the observables, and one check
+(_check_state) refuses a state outside its family.  Both builders take one
+z or an array of them.  An array is built in one pass: the level weights
+are shared, each row has its own norm, and all rows share one dim, the
+first at which every row's tail bound is small enough.  A scalar z is the
+length-1 case, returned with 1-D coefficients and float metadata.  An
+array of members mu of one family alpha at one z is built the same way:
+the members are a stack of the core, like a stack of algebras, with one
 row of levels per member, and the build has one row per member.
 """
 
@@ -67,42 +71,14 @@ WORK_ELEMENTS = 2**16
 _SPLIT = 2.0**27 + 1.0  # Veltkamp splitter for doubles
 
 
-@dataclass(frozen=True)
-class CsAlphaSpec:
-    """Label (z, mu, alpha) of one member of the sector family.
-
-    z may also be an array, one state per entry, for cs_alpha_state and the
-    closed-form observables; params may be a stack of algebras of one lambda
-    (_param_stack) for the closed-form observables.
-    """
-
-    params: AlgebraParams
-    mu: int
-    alpha: int
-    z: complex
-
-    def __post_init__(self):
-        _check_finite(self.z)
-        lam = _param_stack(self.params)[0].lam
-        check_sector(lam, self.mu, self.alpha)
-        if 2 * self.alpha == lam and np.max(self.y) >= 1.0:
-            raise DomainError(
-                f"alpha = lambda/2 states live on the unit disc; y = {np.max(self.y):.6g} >= 1"
-            )
-
-    @property
-    def y(self) -> float:
-        lam = _param_stack(self.params)[0].lam
-        return abs(self.z) ** 2 / lam ** (lam - 2 * self.alpha)
-
-
-def check_sector(lam: int, mu: int, alpha: int) -> None:
+def check_sector(lam: int, mu, alpha: int) -> None:
     """Refuse a (mu, alpha) outside the sector family: 0 <= alpha <= lambda // 2
-    and 0 <= mu <= lambda - alpha - 1."""
+    and 0 <= mu <= lambda - alpha - 1, for one member mu or each of an array."""
     if not 0 <= alpha <= lam // 2:
         raise SectorError(f"alpha must lie in [0, {lam // 2}], got {alpha}")
-    if not 0 <= mu <= lam - alpha - 1:
-        raise SectorError(f"only the trivial solution exists for mu = {mu}, alpha = {alpha}")
+    for m in np.atleast_1d(mu).tolist():
+        if not 0 <= m <= lam - alpha - 1:
+            raise SectorError(f"only the trivial solution exists for mu = {m}, alpha = {alpha}")
 
 
 def _param_stack(params) -> tuple[AlgebraParams, ...]:
@@ -116,9 +92,19 @@ def _param_stack(params) -> tuple[AlgebraParams, ...]:
     return stack
 
 
-def _check_finite(z):
+def _check_state(params, z, sector: tuple | None = None) -> None:
+    """Refuse a state outside its family (sector None is |z>): a non-finite z,
+    a (mu, alpha) outside the family (check_sector; mu one member or an array
+    of them), and at alpha = lambda/2 any y = |z|^2 >= 1, off the unit disc.
+    params is one algebra or a stack (_param_stack)."""
     if not np.all(np.isfinite(z)):
         raise DomainError(f"z must be finite, got {z}")
+    if sector is not None:
+        lam = _param_stack(params)[0].lam
+        check_sector(lam, *sector)
+        y = np.max(np.abs(z)) ** 2
+        if 2 * sector[1] == lam and y >= 1.0:
+            raise DomainError(f"alpha = lambda/2 states live on the unit disc; y = {y:.6g} >= 1")
 
 
 @dataclass(frozen=True)
@@ -373,7 +359,9 @@ def _build(params: AlgebraParams, z, dim: int, sector: tuple | None = None) -> S
     """The state of z, one row per entry of an array z: the core's weights at
     the build's level count (_build_levels), then their coefficients.  For an
     array of members (sector = (mus, alpha)) the rows run over the members,
-    then over z: one row per member at a scalar z."""
+    then over z: one row per member at a scalar z.  The state is checked
+    first (_check_state)."""
+    _check_state(params, z, sector)
     z_rows = np.atleast_1d(z)
     n, p, log_norm = _fock_weights(params, np.abs(z_rows), sector,
                                    _build_levels(params, dim, sector))
@@ -387,29 +375,19 @@ def _build(params: AlgebraParams, z, dim: int, sector: tuple | None = None) -> S
     return st
 
 
-def cs_alpha_state(spec: CsAlphaSpec, dim: int = FIRST_DIM) -> StateVector:
-    """Coefficient vector of |z; mu; alpha> on |0>..|dim-1>, one row per entry
-    of an array spec.z.
+def cs_alpha_state(params: AlgebraParams, z, sector: tuple, dim: int = FIRST_DIM) -> StateVector:
+    """Coefficient vector of |z; mu; alpha>, sector = (mu, alpha), on
+    |0>..|dim-1>, one row per entry of an array z, or one row per member of
+    an array of members mu of family alpha at one z: (np.arange(lambda -
+    alpha), alpha) is the whole family, one core call and one dim for all.
 
     dim doubles automatically (up to 1024) while any row's truncated norm mass
     exceeds the tail threshold; TruncationTooSmall if it never drops below.
     """
-    return _build(spec.params, spec.z, dim, (spec.mu, spec.alpha))
-
-
-def cs_alpha_family(params: AlgebraParams, alpha: int, z, dim: int = FIRST_DIM) -> StateVector:
-    """Every member |z; mu; alpha>, mu = 0..lambda-alpha-1, of family alpha at
-    one z, as the rows (members, dim) of one build: one core call for the
-    family, one norm and tail bound per member and one dim for all.  Each row
-    is the member's own cs_alpha_state build, on the family's one level count
-    and dim.
-    """
-    CsAlphaSpec(params, 0, alpha, z)  # mu = 0 is in every family: checks alpha and z
-    return _build(params, z, dim, (np.arange(params.lam - alpha), alpha))
+    return _build(params, z, dim, sector)
 
 
 def eigenstate(params: AlgebraParams, z, dim: int = FIRST_DIM) -> StateVector:
     """Eigenstate a|z> = z|z> as a normalized coefficient vector, one row per
     entry of an array z: w_n = exp(-L(n)) on every level n."""
-    _check_finite(z)
     return _build(params, z, dim)

@@ -28,7 +28,7 @@ import numpy as np
 
 from clext.errors import ClextError, DomainError, NoConvergence, SectorError
 from clext.measures import MomentProblem, moment_target
-from clext.states import CsAlphaSpec, StateVector, eigenstate, log_weights, sector_lists
+from clext.states import StateVector, eigenstate, log_weights, sector_lists
 
 _EPS = 2.220446049250313e-16
 
@@ -232,12 +232,17 @@ def phi_ratio(params, mu: int, alpha: int, y: float, shift_num: int, shift_den: 
     return pfq(num_u, den_u, y).value.real / pfq(num_l, den_l, y).value.real
 
 
-def mandel_q_branch_form(spec) -> float:
+def sector_y(params, z, alpha: int) -> float:
+    """The pFq argument y = |z|^2 / lambda^(lambda - 2 alpha) of |z; mu; alpha>."""
+    return abs(z) ** 2 / params.lam ** (params.lam - 2 * alpha)
+
+
+def mandel_q_branch_form(p, z, sector) -> float:
     """The explicit Q branches (mu = 0, mu = 1, mu >= 2) with Phi ratios."""
-    p, mu, alpha = spec.params, spec.mu, spec.alpha
+    mu, alpha = sector
     lam = p.lam
     bb = p.beta_bar_at
-    y = spec.y
+    y = sector_y(p, z, alpha)
     if mu == 0:
         pref = 1.0
         for nu in range(1, alpha + 1):
@@ -328,20 +333,17 @@ def component_zmu(params, z: complex, mu: int, dim: int = 64) -> StateVector:
     return StateVector(full.dim, coeffs, norm_sq, full.tail_bound)
 
 
-def overlap_cs_alpha(s1: CsAlphaSpec, s2: CsAlphaSpec) -> complex:
-    """<s1|s2> from the closed hypergeometric form."""
-    if s1.params is not s2.params and s1.params != s2.params:
-        raise DomainError("overlap requires identical algebra parameters")
-    if s1.mu != s2.mu:
+def overlap_cs_alpha(params, z1, sector1, z2, sector2) -> complex:
+    """<z1; sector1|z2; sector2> from the closed hypergeometric form."""
+    (mu, alpha1), (mu2, alpha2) = sector1, sector2
+    if mu != mu2:
         return 0.0
-    params = s1.params
     lam = params.lam
-    mu = s1.mu
-    num = sector_lists(params, mu, min(s1.alpha, s2.alpha))[0]
-    den = sector_lists(params, mu, max(s1.alpha, s2.alpha))[1]
-    w = s1.z.conjugate() * s2.z / lam ** (lam - s1.alpha - s2.alpha)
-    n1 = norm_series_cs_alpha(params, mu, s1.alpha, s1.y).value.real
-    n2 = norm_series_cs_alpha(params, mu, s2.alpha, s2.y).value.real
+    num = sector_lists(params, mu, min(alpha1, alpha2))[0]
+    den = sector_lists(params, mu, max(alpha1, alpha2))[1]
+    w = z1.conjugate() * z2 / lam ** (lam - alpha1 - alpha2)
+    n1 = norm_series_cs_alpha(params, mu, alpha1, sector_y(params, z1, alpha1)).value.real
+    n2 = norm_series_cs_alpha(params, mu, alpha2, sector_y(params, z2, alpha2)).value.real
     return complex(pfq(num, den, w).value) / math.sqrt(n1 * n2)
 
 

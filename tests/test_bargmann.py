@@ -19,7 +19,7 @@ from clext.bargmann import (
 from clext.cli import main
 from clext.errors import NonPolynomialResult, SectorError, ShapeError, UnsupportedOp
 from clext.measures import eigenstate_measures, weight_function
-from clext.states import CsAlphaSpec, StateVector, eigenstate, sector_lists
+from clext.states import StateVector, cs_alpha_state, eigenstate, sector_lists
 from closed_forms import basis_function
 from conftest import random_valid_params
 
@@ -230,10 +230,10 @@ class TestRealizations:
 
     @pytest.mark.parametrize("mu, alpha", [(5, 0), (0, 2), (2, 1), (-1, 0), (0, -1)])
     def test_sector_outside_the_family_is_refused(self, mu, alpha):
-        # lambda = 3: refused where it enters, with the message of CsAlphaSpec
+        # lambda = 3: refused where it enters, with the message of cs_alpha_state
         p = validate_params(3, (1.0, 0.0, -1.0))
         with pytest.raises(SectorError) as want:
-            CsAlphaSpec(p, mu, alpha, 0.5)
+            cs_alpha_state(p, 0.5, (mu, alpha))
         psi = _fock(p, {0: 0.5, 1: 0.3, 4: 0.2}, dim=12)
         for call in (lambda: bargmann_transform(p, psi, "sector", mu=mu, alpha=alpha),
                      lambda: apply_realization(p, "sector", "J0", _monomial(2), mu, alpha),

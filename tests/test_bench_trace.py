@@ -4,10 +4,12 @@ bench/tracing.py wraps clext's public functions by name; a deletion or a
 rename in clext would silently zero the matching per-layer metric.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
 import clext.cli
+import clext.states
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -59,3 +61,36 @@ def test_a_figure_preset_is_one_closed_observable_call(tmp_path, monkeypatch):
     metrics = tracer.pass_metrics()
     assert metrics["observables.closed.calls"] == 1
     assert metrics["figures.points"] == 400
+
+
+def test_verify_states_counts_every_family_build(tmp_path, monkeypatch):
+    # lambda = 4: one build per family alpha = 0, 1, 2 (all its members) and
+    # one for the eigenstate
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        code = clext.cli.main(["verify", "states", "--lambda", "4", "--alpha", "5,-3,-2,0",
+                               "--out", str(tmp_path / "states.csv")])
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("tracing", None)
+    assert code == 0
+    assert tracer.pass_metrics()["states.build.calls"] == 4
+
+
+def test_every_state_builder_is_traced(monkeypatch):
+    # a public states function that returns a StateVector is a build that
+    # states.build.* must count
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        from tracing import STATE_BUILDERS
+    finally:
+        sys.modules.pop("tracing", None)
+    builders = {f"states.{name}" for name, fn in vars(clext.states).items()
+                if inspect.isfunction(fn) and not name.startswith("_")
+                and fn.__module__ == clext.states.__name__
+                and fn.__annotations__.get("return") in ("StateVector", clext.states.StateVector)}
+    assert builders and builders <= set(STATE_BUILDERS), builders - set(STATE_BUILDERS)

@@ -261,6 +261,15 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err.startswith(f"error: config key {key!r} ") and err.count("\n") == 1
 
+    def test_config_is_not_a_key(self, tmp_path):
+        # a config file cannot name another one: the line is refused, not ignored
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("lam = 2\nalpha_csv = 3,-3\nconfig = nowhere.cfg\n")
+        code, out, err = run_cli(["validate", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert err == ("error: config key 'config' is not an option of clext validate; "
+                       "its keys are lam, alpha_csv, out\n")
+
     @pytest.mark.parametrize("value, code", [("true", 0), ("false", 2)])
     def test_switch_value_sets_or_leaves_the_switch(self, tmp_path, value, code):
         # (mu, alpha) = (1, 1) of lambda = 3, alpha = (3, -3, 0) has no positivity

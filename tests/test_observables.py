@@ -8,13 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
 from clext.figures import FIGURE_PRESETS
-from clext.observables import (
-    mandel_q_cs_alpha,
-    mandel_q_eigenstate,
-    squeezing_cs_alpha,
-    squeezing_eigenstate,
-)
-from clext.states import CsAlphaSpec
+from clext.observables import mandel_q, squeezing
 from closed_forms import mandel_q_bessel, mandel_q_branch_form
 from conftest import random_valid_params
 from fock_sums import FockSums
@@ -24,26 +18,24 @@ class TestMandelSector:
     def test_perelomov_closed_form(self, paraboson_params):
         # Q = (1+y)/(1-y), independent of the algebra parameter
         for y in (0.1, 0.5, 0.8):
-            spec = CsAlphaSpec(paraboson_params, 0, 1, math.sqrt(y))
-            st = mandel_q_cs_alpha(spec, "closed")
+            st = mandel_q(paraboson_params, math.sqrt(y), (0, 1), "closed")
             assert st.mandel_Q == pytest.approx((1 + y) / (1 - y), rel=1e-12)
-            oracle = mandel_q_cs_alpha(spec, "oracle")
+            oracle = mandel_q(paraboson_params, math.sqrt(y), (0, 1), "oracle")
             assert st.mandel_Q == pytest.approx(oracle.mandel_Q, rel=1e-8)
 
     def test_equal_bb_gives_q2(self):
         p = params_from_beta_bar(3, [4 / 3, 4 / 3])
         for z in (0.4, 1.1, 2.5):
-            spec = CsAlphaSpec(p, 0, 1, z)
-            assert mandel_q_cs_alpha(spec, "closed").mandel_Q == pytest.approx(2.0, abs=1e-10)
-            assert mandel_q_branch_form(spec) == pytest.approx(2.0, abs=1e-10)
+            assert mandel_q(p, z, (0, 1), "closed").mandel_Q == pytest.approx(2.0, abs=1e-10)
+            assert mandel_q_branch_form(p, z, (0, 1)) == pytest.approx(2.0, abs=1e-10)
 
     def test_mu1_shifted_bb_formula(self):
         # bb2 = bb1 + 1: Q = 2 - 3/(3y+1), independent of bb1
         p = params_from_beta_bar(3, [0.7, 1.7])
         y = 1.0 / 3.0
-        spec = CsAlphaSpec(p, 1, 1, math.sqrt(3 * y))
-        assert mandel_q_cs_alpha(spec, "closed").mandel_Q == pytest.approx(0.5, abs=1e-10)
-        assert mandel_q_branch_form(spec) == pytest.approx(0.5, abs=1e-10)
+        z = math.sqrt(3 * y)
+        assert mandel_q(p, z, (1, 1), "closed").mandel_Q == pytest.approx(0.5, abs=1e-10)
+        assert mandel_q_branch_form(p, z, (1, 1)) == pytest.approx(0.5, abs=1e-10)
 
     def test_branch_forms_match_oracle(self, rng):
         for lam in (2, 3, 4):
@@ -51,46 +43,43 @@ class TestMandelSector:
             for alpha in range((lam - 1) // 2 + 1):
                 for mu in range(lam - alpha):
                     for zmag in (0.5, 1.4):
-                        spec = CsAlphaSpec(p, mu, alpha, zmag)
-                        qo = mandel_q_cs_alpha(spec, "oracle").mandel_Q
-                        qc = mandel_q_cs_alpha(spec, "closed").mandel_Q
-                        qb = mandel_q_branch_form(spec)
+                        qo = mandel_q(p, zmag, (mu, alpha), "oracle").mandel_Q
+                        qc = mandel_q(p, zmag, (mu, alpha), "closed").mandel_Q
+                        qb = mandel_q_branch_form(p, zmag, (mu, alpha))
                         assert qc == pytest.approx(qo, abs=1e-8 * (1 + abs(qo)))
                         assert qb == pytest.approx(qo, abs=1e-8 * (1 + abs(qo)))
 
     def test_z_zero_limits(self, fig1_params):
-        spec = CsAlphaSpec(fig1_params, 0, 1, 0.0)
-        st = mandel_q_cs_alpha(spec, "closed")
+        st = mandel_q(fig1_params, 0.0, (0, 1), "closed")
         assert st.source == "closed_limit"
         assert st.mandel_Q == pytest.approx(2.0)  # lambda - 1
-        spec = CsAlphaSpec(fig1_params, 1, 1, 0.0)
-        assert mandel_q_cs_alpha(spec, "closed").mandel_Q == pytest.approx(-1.0)
+        assert mandel_q(fig1_params, 0.0, (1, 1), "closed").mandel_Q == pytest.approx(-1.0)
 
     def test_variance_nonnegativity(self, rng):
         p = random_valid_params(rng, 3)
         for z in (0.3, 1.0, 2.0):
-            st = mandel_q_cs_alpha(CsAlphaSpec(p, 0, 1, z), "oracle")
+            st = mandel_q(p, z, (0, 1), "oracle")
             assert st.mean_N2 >= st.mean_N**2 - 1e-12
 
 
 class TestMandelEigenstate:
     def test_undeformed_is_poissonian(self, undeformed2):
         for z in (0.3, 1.0, 2.5):
-            assert mandel_q_eigenstate(undeformed2, z, "closed").mandel_Q == pytest.approx(0.0, abs=1e-10)
-            assert mandel_q_eigenstate(undeformed2, z, "oracle").mandel_Q == pytest.approx(0.0, abs=1e-10)
+            assert mandel_q(undeformed2, z, method="closed").mandel_Q == pytest.approx(0.0, abs=1e-10)
+            assert mandel_q(undeformed2, z, method="oracle").mandel_Q == pytest.approx(0.0, abs=1e-10)
 
     def test_bessel_form_lambda2(self, paraboson_params):
         for z in (0.5, 1.2, 2.4):
-            qc = mandel_q_eigenstate(paraboson_params, z, "closed").mandel_Q
+            qc = mandel_q(paraboson_params, z, method="closed").mandel_Q
             qb = mandel_q_bessel(paraboson_params, z)
-            qo = mandel_q_eigenstate(paraboson_params, z, "oracle").mandel_Q
+            qo = mandel_q(paraboson_params, z, method="oracle").mandel_Q
             assert qb == pytest.approx(qc, rel=1e-9)
             assert qc == pytest.approx(qo, abs=1e-8 * (1 + abs(qo)))
 
     def test_small_z_quadratic_slope(self, paraboson_params):
         bb1 = 2.0
         z = 0.05
-        q = mandel_q_eigenstate(paraboson_params, z, "closed").mandel_Q
+        q = mandel_q(paraboson_params, z, method="closed").mandel_Q
         assert q / z**2 == pytest.approx((2 * bb1 - 1) / (2 * bb1), rel=0.01)
 
     def test_small_z_quartic_when_bb2_is_2bb1(self):
@@ -100,14 +89,14 @@ class TestMandelEigenstate:
         for bb1 in (0.4, 0.5, 0.7):
             p = params_from_beta_bar(3, [bb1, 2 * bb1])
             z = 0.05
-            q = mandel_q_eigenstate(p, z, "closed").mandel_Q
+            q = mandel_q(p, z, method="closed").mandel_Q
             assert q / z**4 == pytest.approx((3 * bb1 - 1) / (9 * bb1**2), rel=0.01)
 
     def test_small_z_quadratic_lambda3(self):
         bb1, bb2 = 0.5, 0.8
         p = params_from_beta_bar(3, [bb1, bb2])
         z = 0.04
-        q = mandel_q_eigenstate(p, z, "closed").mandel_Q
+        q = mandel_q(p, z, method="closed").mandel_Q
         assert q / z**2 == pytest.approx((2 * bb1 - bb2) / (3 * bb1 * bb2), rel=0.01)
 
     def test_sign_dichotomy(self):
@@ -115,14 +104,13 @@ class TestMandelEigenstate:
         for bb1, sign in [(0.25, -1.0), (10.0, 1.0)]:
             p = params_from_beta_bar(2, [bb1])
             for r in np.linspace(0.1, 3.0, 8):
-                q = mandel_q_eigenstate(p, float(r), "closed").mandel_Q
+                q = mandel_q(p, float(r), method="closed").mandel_Q
                 assert math.copysign(1.0, q) == sign
 
 
 class TestSqueezingSector:
     def test_vacuum_reference(self, paraboson_params):
-        spec = CsAlphaSpec(paraboson_params, 0, 0, 0.0)
-        rep = squeezing_cs_alpha(spec, "dressed", "closed")
+        rep = squeezing(paraboson_params, 0.0, "dressed", (0, 0), "closed")
         assert rep.X == pytest.approx(1.0, abs=1e-12)
         assert rep.P == pytest.approx(1.0, abs=1e-12)
 
@@ -130,24 +118,24 @@ class TestSqueezingSector:
         p = random_valid_params(rng, 3)
         for alpha in (0, 1):
             for z in (-1.5, -0.3, 0.8):
-                rep = squeezing_cs_alpha(CsAlphaSpec(p, 0, alpha, z), "dressed", "oracle")
+                rep = squeezing(p, z, "dressed", (0, alpha), "oracle")
                 assert rep.X >= 1.0 - 1e-10 and rep.P >= 1.0 - 1e-10
-                repb = squeezing_cs_alpha(CsAlphaSpec(p, 0, alpha, z), "real", "oracle")
+                repb = squeezing(p, z, "real", (0, alpha), "oracle")
                 assert repb.X >= 1.0 - 1e-10 and repb.P >= 1.0 - 1e-10
 
     def test_lambda2_squeezing_on_negative_axis(self, paraboson_params):
         # bb1 = 2 > 1/2: X < 1 across the sampled range (dressed photons)
         for g in (0.3, 1.0, 2.0, 3.0):
-            rep = squeezing_cs_alpha(CsAlphaSpec(paraboson_params, 0, 0, -g), "dressed", "closed")
+            rep = squeezing(paraboson_params, -g, "dressed", (0, 0), "closed")
             assert rep.X < 1.0
-            oracle = squeezing_cs_alpha(CsAlphaSpec(paraboson_params, 0, 0, -g), "dressed", "oracle")
+            oracle = squeezing(paraboson_params, -g, "dressed", (0, 0), "oracle")
             assert rep.X == pytest.approx(oracle.X, rel=1e-8)
             assert rep.P == pytest.approx(oracle.P, rel=1e-8)
 
     def test_reflection_symmetry(self, paraboson_params):
         for z in (0.7, 1.9):
-            plus = squeezing_cs_alpha(CsAlphaSpec(paraboson_params, 0, 0, z), "dressed", "closed")
-            minus = squeezing_cs_alpha(CsAlphaSpec(paraboson_params, 0, 0, -z), "dressed", "closed")
+            plus = squeezing(paraboson_params, z, "dressed", (0, 0), "closed")
+            minus = squeezing(paraboson_params, -z, "dressed", (0, 0), "closed")
             assert plus.X == pytest.approx(minus.P, rel=1e-12)
             assert plus.P == pytest.approx(minus.X, rel=1e-12)
 
@@ -155,9 +143,9 @@ class TestSqueezingSector:
         for alpha in (0, 1):
             for z in (-1.2, 0.6):
                 # the alpha = lambda/2 family lives on the unit disc
-                spec = CsAlphaSpec(paraboson_params, 0, alpha, 0.5 * z if alpha else z)
-                rep = squeezing_cs_alpha(spec, "real", "closed")
-                oracle = squeezing_cs_alpha(spec, "real", "oracle")
+                zz = 0.5 * z if alpha else z
+                rep = squeezing(paraboson_params, zz, "real", (0, alpha), "closed")
+                oracle = squeezing(paraboson_params, zz, "real", (0, alpha), "oracle")
                 assert rep.X == pytest.approx(oracle.X, rel=1e-8)
                 assert rep.P == pytest.approx(oracle.P, rel=1e-8)
 
@@ -166,27 +154,27 @@ class TestSqueezingSector:
             p = random_valid_params(rng, lam)
             for alpha in range(lam // 2 + 1):
                 z = 0.7 if 2 * alpha == lam else 1.3
-                rep = squeezing_cs_alpha(CsAlphaSpec(p, 0, alpha, z), "dressed", "oracle")
+                rep = squeezing(p, z, "dressed", (0, alpha), "oracle")
                 assert rep.uncertainty_lhs >= rep.uncertainty_rhs - 1e-9
 
     def test_minimum_uncertainty_only_mu0(self, paraboson_params):
         # the sector vacuum |mu> saturates the bound only for mu = 0
-        rep0 = squeezing_cs_alpha(CsAlphaSpec(paraboson_params, 0, 0, 0.0), "dressed", "oracle")
+        rep0 = squeezing(paraboson_params, 0.0, "dressed", (0, 0), "oracle")
         assert rep0.uncertainty_lhs == pytest.approx(rep0.uncertainty_rhs, rel=1e-10)
-        rep1 = squeezing_cs_alpha(CsAlphaSpec(paraboson_params, 1, 0, 0.0), "dressed", "oracle")
+        rep1 = squeezing(paraboson_params, 0.0, "dressed", (1, 0), "oracle")
         assert rep1.uncertainty_lhs > rep1.uncertainty_rhs + 1e-6
 
 
 class TestSqueezingEigenstate:
     def test_minimum_uncertainty_everywhere(self, fig1_params):
         for z in (0.4 + 0.0j, 1.2 - 0.8j, 2.0j):
-            rep = squeezing_eigenstate(fig1_params, z, "dressed", "oracle")
+            rep = squeezing(fig1_params, z, "dressed", method="oracle")
             assert rep.variance_x == pytest.approx(rep.variance_p, rel=1e-10)
             assert rep.uncertainty_lhs == pytest.approx(rep.uncertainty_rhs, rel=1e-9)
 
     def test_undeformed_saturates_vacuum(self, undeformed2):
         for z in (0.5, 1.5 + 0.5j):
-            rep = squeezing_eigenstate(undeformed2, z, "dressed", "closed")
+            rep = squeezing(undeformed2, z, "dressed", method="closed")
             assert rep.X == pytest.approx(1.0, rel=1e-10)
             assert rep.P == pytest.approx(1.0, rel=1e-10)
 
@@ -194,10 +182,10 @@ class TestSqueezingEigenstate:
         # X = P -> 1/(lam bb1) = 1/4; the approach is ~ 0.3/t, so the
         # 1e-3 window opens around |z| ~ 24 (see the ledger note on the
         # acceptance-criterion wording)
-        rep = squeezing_eigenstate(paraboson_params, 30.0 + 0.0j, "dressed", "closed")
+        rep = squeezing(paraboson_params, 30.0 + 0.0j, "dressed", method="closed")
         assert abs(rep.X - 0.25) < 1e-3
         seq = [
-            squeezing_eigenstate(paraboson_params, complex(z), "dressed", "closed").X
+            squeezing(paraboson_params, complex(z), "dressed", method="closed").X
             for z in (3.0, 6.0, 12.0, 30.0)
         ]
         assert all(a > b for a, b in zip(seq, seq[1:]))  # monotone approach
@@ -206,24 +194,24 @@ class TestSqueezingEigenstate:
     def test_small_z_expansion(self, paraboson_params):
         bb1 = 2.0
         z = 0.05
-        rep = squeezing_eigenstate(paraboson_params, complex(z), "dressed", "closed")
+        rep = squeezing(paraboson_params, complex(z), "dressed", method="closed")
         assert rep.X == pytest.approx(1.0 + (1 - 2 * bb1) * z**2 / (2 * bb1**2), rel=1e-4)
 
     def test_closed_vs_oracle_dressed(self, rng):
         for lam in (2, 3):
             p = random_valid_params(rng, lam)
             for z in (0.5, 1.4, 2.0):
-                rc = squeezing_eigenstate(p, complex(z), "dressed", "closed")
-                ro = squeezing_eigenstate(p, complex(z), "dressed", "oracle")
+                rc = squeezing(p, complex(z), "dressed", method="closed")
+                ro = squeezing(p, complex(z), "dressed", method="oracle")
                 assert rc.X == pytest.approx(ro.X, rel=1e-8)
 
     def test_real_photon_re_im_roles(self, paraboson_params):
         z = 1.1
-        re = squeezing_eigenstate(paraboson_params, complex(z), "real", "closed")
-        im = squeezing_eigenstate(paraboson_params, complex(0, z), "real", "closed")
+        re = squeezing(paraboson_params, complex(z), "real", method="closed")
+        im = squeezing(paraboson_params, complex(0, z), "real", method="closed")
         assert re.X == pytest.approx(im.P, rel=1e-10)
         assert re.P == pytest.approx(im.X, rel=1e-10)
-        ro = squeezing_eigenstate(paraboson_params, complex(z), "real", "oracle")
+        ro = squeezing(paraboson_params, complex(z), "real", method="oracle")
         assert re.X == pytest.approx(ro.X, rel=1e-8)
         assert re.P == pytest.approx(ro.P, rel=1e-8)
 
@@ -235,15 +223,14 @@ class TestPublishedQShapes:
         for bb2 in (0.3, 0.9):
             p = params_from_beta_bar(3, [bb2 + 1.0, bb2])
             y_star = math.sqrt(bb2 * (bb2 + 1.0))
-            spec = CsAlphaSpec(p, 0, 1, math.sqrt(3.0 * y_star))
-            q_min = mandel_q_cs_alpha(spec, "closed").mandel_Q
+            q_min = mandel_q(p, math.sqrt(3.0 * y_star), (0, 1), "closed").mandel_Q
             expect = 2.0 - 3.0 / (math.sqrt(bb2) + math.sqrt(bb2 + 1.0)) ** 2
             assert q_min == pytest.approx(expect, rel=1e-10)
 
     def test_large_z_tail_lambda2(self, paraboson_params):
         # Q ~ (2 bb1 - 1)/(2 |z|^2) for |z| >> 1
         for z in (6.0, 9.0):
-            q = mandel_q_eigenstate(paraboson_params, z, "closed").mandel_Q
+            q = mandel_q(paraboson_params, z, method="closed").mandel_Q
             assert q * 2.0 * z * z == pytest.approx(3.0, rel=5e-3)
 
 
@@ -254,15 +241,14 @@ class TestOracleAtModerateZ:
     def test_eigenstate_lambda2(self):
         p = params_from_beta_bar(2, [2.0])  # alpha = (3, -3)
         for zabs, q in ((13.0, 0.0088750335), (14.0, 0.0076526092)):
-            closed = mandel_q_eigenstate(p, zabs, "closed").mandel_Q
-            oracle = mandel_q_eigenstate(p, zabs, "oracle").mandel_Q
+            closed = mandel_q(p, zabs, method="closed").mandel_Q
+            oracle = mandel_q(p, zabs, method="oracle").mandel_Q
             assert closed == pytest.approx(q, rel=1e-8)
             assert oracle == pytest.approx(closed, rel=1e-8)
 
     def test_sector_lambda3(self, fig1_params):
-        spec = CsAlphaSpec(fig1_params, 0, 1, 15.0)
-        closed = mandel_q_cs_alpha(spec, "closed").mandel_Q
-        oracle = mandel_q_cs_alpha(spec, "oracle").mandel_Q
+        closed = mandel_q(fig1_params, 15.0, (0, 1), "closed").mandel_Q
+        oracle = mandel_q(fig1_params, 15.0, (0, 1), "oracle").mandel_Q
         assert closed == pytest.approx(1.97380, rel=1e-5)
         assert oracle == pytest.approx(closed, rel=1e-8)
 
@@ -270,7 +256,7 @@ class TestOracleAtModerateZ:
     def test_sector_q_variance_keeps_its_digits(self):
         # <N>^2 >> <N> at |z| = 100: a one-pass <N^2> - <N>^2 lost 7.6e-10 of Q here
         p = validate_params(2, (1.0, -1.0))
-        oracle = mandel_q_cs_alpha(CsAlphaSpec(p, 0, 0, 100.0), "oracle").mandel_Q
+        oracle = mandel_q(p, 100.0, (0, 0), "oracle").mandel_Q
         ref = float(FockSums(p.beta_bar[1:], 100.0, (0, 0)).q)
         assert oracle == pytest.approx(ref, rel=1e-12)
 
@@ -280,21 +266,19 @@ class TestOracleGrid:
 
     def test_grid_matches_points(self, fig1_params):
         zs = np.array([0.05, 0.7, 1.9, 3.0]) * np.exp(0.3j)
-        spec = CsAlphaSpec(fig1_params, 0, 1, zs)
-        q_sector = mandel_q_cs_alpha(spec, "oracle").mandel_Q
-        q_eigen = mandel_q_eigenstate(fig1_params, np.abs(zs), "oracle").mandel_Q
-        sq_sector = squeezing_cs_alpha(spec, "dressed", "oracle")
-        sq_eigen = squeezing_eigenstate(fig1_params, zs, "real", "oracle")
+        q_sector = mandel_q(fig1_params, zs, (0, 1), "oracle").mandel_Q
+        q_eigen = mandel_q(fig1_params, np.abs(zs), method="oracle").mandel_Q
+        sq_sector = squeezing(fig1_params, zs, "dressed", (0, 1), "oracle")
+        sq_eigen = squeezing(fig1_params, zs, "real", method="oracle")
         for i, z in enumerate(zs):
-            one = CsAlphaSpec(fig1_params, 0, 1, complex(z))
-            q_one = mandel_q_cs_alpha(one, "oracle").mandel_Q
+            q_one = mandel_q(fig1_params, complex(z), (0, 1), "oracle").mandel_Q
             assert q_sector[i] == pytest.approx(q_one, rel=1e-12)
             assert q_eigen[i] == pytest.approx(
-                mandel_q_eigenstate(fig1_params, abs(z), "oracle").mandel_Q, rel=1e-12
+                mandel_q(fig1_params, abs(z), method="oracle").mandel_Q, rel=1e-12
             )
-            rep = squeezing_cs_alpha(one, "dressed", "oracle")
+            rep = squeezing(fig1_params, complex(z), "dressed", (0, 1), "oracle")
             assert (sq_sector.X[i], sq_sector.P[i]) == pytest.approx((rep.X, rep.P), rel=1e-12)
-            rep = squeezing_eigenstate(fig1_params, complex(z), "real", "oracle")
+            rep = squeezing(fig1_params, complex(z), "real", method="oracle")
             assert (sq_eigen.X[i], sq_eigen.P[i]) == pytest.approx((rep.X, rep.P), rel=1e-12)
             assert sq_eigen.uncertainty_rhs[i] == 0.25
 
@@ -316,7 +300,7 @@ class TestOracleGrid:
 
         monkeypatch.setattr(obs, "_fock_weights", counted_core)
         monkeypatch.setattr(obs, "_coefficients", counted_step)
-        q = mandel_q_eigenstate(paraboson_params, np.linspace(0.1, 3.0, 130), "oracle").mandel_Q
+        q = mandel_q(paraboson_params, np.linspace(0.1, 3.0, 130), method="oracle").mandel_Q
         assert cores == [130] and rows == [64, 64, 2] and q.shape == (130,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -326,9 +310,9 @@ class TestOracleGrid:
         from clext.errors import DomainError
 
         z = np.array([1.0, bad])
-        for run in (lambda: mandel_q_eigenstate(paraboson_params, z, method),
-                    lambda: squeezing_eigenstate(paraboson_params, z, "dressed", method),
-                    lambda: squeezing_eigenstate(paraboson_params, z, "real", method)):
+        for run in (lambda: mandel_q(paraboson_params, z, method=method),
+                    lambda: squeezing(paraboson_params, z, "dressed", method=method),
+                    lambda: squeezing(paraboson_params, z, "real", method=method)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="finite"):
@@ -349,16 +333,15 @@ class TestBothColumns:
 
     @staticmethod
     def _runs(params, family, z):
-        spec = CsAlphaSpec(params, *family, z)
         runs = {
-            "Q eigen": (lambda m: mandel_q_eigenstate(params, np.abs(z), m), PHOTON_FIELDS),
-            "Q sector": (lambda m: mandel_q_cs_alpha(spec, m), PHOTON_FIELDS),
+            "Q eigen": (lambda m: mandel_q(params, np.abs(z), method=m), PHOTON_FIELDS),
+            "Q sector": (lambda m: mandel_q(params, z, family, m), PHOTON_FIELDS),
         }
         for kind in ("dressed", "real"):
             runs[f"X eigen {kind}"] = (
-                lambda m, kind=kind: squeezing_eigenstate(params, z, kind, m), SQUEEZE_FIELDS)
+                lambda m, kind=kind: squeezing(params, z, kind, method=m), SQUEEZE_FIELDS)
             runs[f"X sector {kind}"] = (
-                lambda m, kind=kind: squeezing_cs_alpha(spec, kind, m), SQUEEZE_FIELDS)
+                lambda m, kind=kind: squeezing(params, z, kind, family, m), SQUEEZE_FIELDS)
         return runs
 
     def _check(self, params, family, z):
@@ -393,9 +376,9 @@ class TestBothColumns:
         from clext.errors import DomainError
 
         with pytest.raises(DomainError, match="unknown method"):
-            mandel_q_eigenstate(fig1_params, 0.5, ("closed", "exact"))
+            mandel_q(fig1_params, 0.5, method=("closed", "exact"))
         with pytest.raises(DomainError, match="unknown method"):
-            squeezing_eigenstate(fig1_params, 0.5, "dressed", ())
+            squeezing(fig1_params, 0.5, "dressed", method=())
 
 
 class TestRowBlocks:
@@ -407,7 +390,7 @@ class TestRowBlocks:
         p = params_from_beta_bar(2, [2.0])
         tracemalloc.start()
         try:
-            mandel_q_eigenstate(p, np.linspace(0.05, 100, 200))
+            mandel_q(p, np.linspace(0.05, 100, 200))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -420,9 +403,9 @@ class TestRowBlocks:
         zabs = np.linspace(0.05, 12.0, 50)
 
         def run():
-            return (mandel_q_eigenstate(p, zabs).mandel_Q,
-                    squeezing_eigenstate(p, zabs * np.exp(0.4j), "real").X,
-                    mandel_q_cs_alpha(CsAlphaSpec(p, 1, 1, zabs)).mandel_Q)
+            return (mandel_q(p, zabs).mandel_Q,
+                    squeezing(p, zabs * np.exp(0.4j), "real").X,
+                    mandel_q(p, zabs, (1, 1)).mandel_Q)
 
         whole = run()
         monkeypatch.setattr(states, "WORK_ELEMENTS", 1000)  # blocks of a few rows
@@ -516,7 +499,7 @@ class TestLargeZ:
 
     def test_dressed_x_approaches_the_limit_from_above(self, paraboson_params):
         zabs = np.array([30.0, 60.0])
-        x = squeezing_eigenstate(paraboson_params, zabs.astype(complex), "dressed", "closed").X
+        x = squeezing(paraboson_params, zabs.astype(complex), "dressed", method="closed").X
         for xi, za in zip(x, zabs):
             assert xi == pytest.approx(float(FockSums((2.0,), za).dressed_x()), rel=1e-10)
         assert x[0] == pytest.approx(0.250625347173, rel=1e-11)
@@ -528,11 +511,11 @@ class TestLargeZ:
         p = params_from_beta_bar(lam, bb)
         zabs = np.array([30.0, 60.0, 100.0])
         z = zabs * np.exp(0.4j)
-        q = mandel_q_eigenstate(p, zabs, "closed").mandel_Q
-        x_dressed = squeezing_eigenstate(p, z, "dressed", "closed").X
-        real = squeezing_eigenstate(p, z, "real", "closed")
+        q = mandel_q(p, zabs, method="closed").mandel_Q
+        x_dressed = squeezing(p, z, "dressed", method="closed").X
+        real = squeezing(p, z, "real", method="closed")
         families = LARGE_Z_FAMILIES[lam]
-        q_sector = {f: mandel_q_cs_alpha(CsAlphaSpec(p, *f, zabs), "closed").mandel_Q for f in families}
+        q_sector = {f: mandel_q(p, zabs, f, "closed").mandel_Q for f in families}
         for i, za in enumerate(zabs):
             ref = FockSums(bb, za)
             assert_matches_reference(q[i], ref.q)
@@ -562,9 +545,9 @@ def test_closed_q_sweep(case):
     lam, bb, zabs, family = case
     p = params_from_beta_bar(lam, bb)
     if family is None:
-        q = mandel_q_eigenstate(p, zabs, "closed").mandel_Q
+        q = mandel_q(p, zabs, method="closed").mandel_Q
     else:
-        q = mandel_q_cs_alpha(CsAlphaSpec(p, *family, zabs), "closed").mandel_Q
+        q = mandel_q(p, zabs, family, "closed").mandel_Q
     assert_matches_reference(q, FockSums(bb, zabs, family).q)
 
 
@@ -603,19 +586,19 @@ def test_stacked_observables_are_their_single_calls(lam):
     z = r * np.exp(0.3j)
     family = (0, 0) if lam == 2 else (0, 1)
     runs = {
-        "Q eigen": lambda p: mandel_q_eigenstate(p, r).mandel_Q,
-        "Q sector": lambda p: mandel_q_cs_alpha(CsAlphaSpec(p, *family, z)).mandel_Q,
-        "X eigen dressed": lambda p: squeezing_eigenstate(p, z, "dressed").X,
-        "X eigen real": lambda p: squeezing_eigenstate(p, z, "real").P,
-        "X sector dressed": lambda p: squeezing_cs_alpha(CsAlphaSpec(p, *family, z)).X,
-        "X sector real": lambda p: squeezing_cs_alpha(CsAlphaSpec(p, *family, z), "real").P,
+        "Q eigen": lambda p: mandel_q(p, r).mandel_Q,
+        "Q sector": lambda p: mandel_q(p, z, family).mandel_Q,
+        "X eigen dressed": lambda p: squeezing(p, z, "dressed").X,
+        "X eigen real": lambda p: squeezing(p, z, "real").P,
+        "X sector dressed": lambda p: squeezing(p, z, sector=family).X,
+        "X sector real": lambda p: squeezing(p, z, "real", family).P,
     }
     for name, run in runs.items():
         rows = run(stack)
         assert rows.shape == (len(stack), len(r)), name
         for got, params in zip(rows, stack):
             assert got == pytest.approx(run(params), rel=1e-13, abs=1e-15), name
-    one = mandel_q_eigenstate(stack, 0.7).mandel_Q
+    one = mandel_q(stack, 0.7).mandel_Q
     assert one.shape == (len(stack),)
 
 
@@ -623,9 +606,9 @@ def test_a_stack_is_one_lambda_and_closed_only(paraboson_params):
     from clext.errors import DomainError, ShapeError
 
     with pytest.raises(ShapeError):
-        mandel_q_eigenstate([paraboson_params, params_from_beta_bar(3, (1.0, 1.0))], 0.5)
+        mandel_q([paraboson_params, params_from_beta_bar(3, (1.0, 1.0))], 0.5)
     with pytest.raises(DomainError):
-        mandel_q_eigenstate([paraboson_params, paraboson_params], np.array([0.5]), "oracle")
+        mandel_q([paraboson_params, paraboson_params], np.array([0.5]), method="oracle")
 
 
 def test_stacked_slope_marks_the_sub_poissonian_boundary():
@@ -635,7 +618,7 @@ def test_stacked_slope_marks_the_sub_poissonian_boundary():
 
     bb1 = np.append(np.linspace(0.1, 10.0, 49), 0.5)
     stack = [params_from_beta_bar(2, (b,)) for b in bb1]
-    q = mandel_q_eigenstate(stack, 1e-3).mandel_Q
+    q = mandel_q(stack, 1e-3).mandel_Q
     slope = q / 1e-6
     ref = (2 * bb1 - 1) / (2 * bb1)
     assert slope.shape == (50,)
@@ -646,4 +629,4 @@ def test_stacked_slope_marks_the_sub_poissonian_boundary():
         n_one, p_one, log_norm_one = states._fock_weights(params, 1e-3, None, len(n))
         assert np.array_equal(n_one, n)
         assert np.array_equal(p_one, p[i]) and np.array_equal(log_norm_one, log_norm[i])
-        assert mandel_q_eigenstate(params, 1e-3).mandel_Q == q[i]
+        assert mandel_q(params, 1e-3).mandel_Q == q[i]

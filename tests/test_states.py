@@ -8,11 +8,10 @@ import pytest
 from clext import build_operator
 from clext import params_from_beta_bar, structure_function, validate_params
 from clext.errors import DomainError, SectorError, ShapeError, TruncationTooSmall
+from clext.observables import mandel_q, squeezing
 from clext.states import (
     FIRST_LEVELS,
     TAIL_THRESHOLD,
-    CsAlphaSpec,
-    cs_alpha_family,
     cs_alpha_state,
     eigenstate,
     _fock_weights,
@@ -25,6 +24,7 @@ from closed_forms import (
     norm_series_cs_alpha,
     overlap_cs_alpha,
     overlap_eigenstate,
+    sector_y,
 )
 from conftest import dense, norm_sq, random_valid_params
 from fock_sums import FockSums
@@ -33,16 +33,16 @@ from fock_sums import FockSums
 class TestSpecValidation:
     def test_sector_out_of_range(self, fig1_params):
         with pytest.raises(SectorError):
-            CsAlphaSpec(fig1_params, 2, 1, 0.5)  # mu > lam - alpha - 1
+            cs_alpha_state(fig1_params, 0.5, (2, 1))  # mu > lam - alpha - 1
 
     def test_disc_domain(self, paraboson_params):
         with pytest.raises(DomainError):
-            CsAlphaSpec(paraboson_params, 0, 1, 1.2)  # |z|^2 >= 1 at alpha = lam/2
+            cs_alpha_state(paraboson_params, 1.2, (0, 1))  # |z|^2 >= 1 at alpha = lam/2
 
 
 class TestCsAlphaState:
     def test_z_zero_is_number_state(self, fig1_params):
-        st = cs_alpha_state(CsAlphaSpec(fig1_params, 1, 1, 0.0), 12)
+        st = cs_alpha_state(fig1_params, 0.0, (1, 1), 12)
         expect = np.zeros(12)
         expect[1] = 1.0
         assert np.abs(st.coeffs - expect).max() == 0.0
@@ -50,7 +50,7 @@ class TestCsAlphaState:
     def test_perelomov_ratio_and_norm(self, paraboson_params):
         bb1 = paraboson_params.beta_bar[1]
         z = 0.6
-        st = cs_alpha_state(CsAlphaSpec(paraboson_params, 0, 1, z), 64)
+        st = cs_alpha_state(paraboson_params, z, (0, 1), 64)
         # coefficients sit on even levels; ratio c_{k+1}/c_k = z sqrt((bb1+k)/(k+1))
         for k in range(4):
             ratio = st.coeffs[2 * (k + 1)] / st.coeffs[2 * k]
@@ -59,7 +59,7 @@ class TestCsAlphaState:
 
     def test_defining_equation_residual_fig1(self, fig1_params):
         z = 1.0
-        st = cs_alpha_state(CsAlphaSpec(fig1_params, 0, 1, z), 64)
+        st = cs_alpha_state(fig1_params, z, (0, 1), 64)
         a = dense(build_operator(fig1_params, "a", 64))
         ad = dense(build_operator(fig1_params, "adag", 64))
         res = np.linalg.norm((a @ a @ st.coeffs - z * ad @ st.coeffs)[:60])
@@ -72,7 +72,7 @@ class TestCsAlphaState:
                 for mu in range(lam - alpha):
                     zmag = 0.9 if 2 * alpha == lam else 2.0
                     z = zmag * cmath.exp(0.7j)
-                    st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), 64)
+                    st = cs_alpha_state(p, z, (mu, alpha), 64)
                     a = dense(build_operator(p, "a", st.dim))
                     ad = dense(build_operator(p, "adag", st.dim))
                     op = np.linalg.matrix_power(a, lam - alpha) - z * np.linalg.matrix_power(ad, alpha)
@@ -85,7 +85,7 @@ class TestCsAlphaState:
             for alpha in range(lam // 2 + 1):
                 mu = 0
                 z = 0.8 if 2 * alpha == lam else 1.7
-                st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z), 64)
+                st = cs_alpha_state(p, z, (mu, alpha), 64)
                 unnormalized = st.coeffs * math.sqrt(st.norm_sq_analytic)
                 mass = np.vdot(unnormalized, unnormalized).real
                 assert abs(mass / st.norm_sq_analytic - 1.0) <= st.tail_bound + 1e-12
@@ -104,9 +104,9 @@ class TestCsAlphaState:
                 else:
                     zabs = (0.7, 3.0, 9.0)
                 for mu in range(lam - alpha):
-                    for spec in (CsAlphaSpec(p, mu, alpha, v * cmath.exp(0.3j)) for v in zabs):
-                        norm = cs_alpha_state(spec).norm_sq_analytic
-                        series = norm_series_cs_alpha(p, mu, alpha, spec.y)
+                    for z in (v * cmath.exp(0.3j) for v in zabs):
+                        norm = cs_alpha_state(p, z, (mu, alpha)).norm_sq_analytic
+                        series = norm_series_cs_alpha(p, mu, alpha, sector_y(p, z, alpha))
                         assert abs(norm - series.value) <= 1e-12 * series.value + series.abs_error
 
 
@@ -124,7 +124,7 @@ class TestTruncation:
             assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
 
     def test_sector_state_grows_past_the_peak(self, fig1_params):
-        st = cs_alpha_state(CsAlphaSpec(fig1_params, 0, 1, 15.0))
+        st = cs_alpha_state(fig1_params, 15.0, (0, 1))
         assert st.dim == 512
         assert st.tail_bound <= TAIL_THRESHOLD
         assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
@@ -132,7 +132,7 @@ class TestTruncation:
     def test_sector_state_normalized_where_the_norm_overflows(self):
         # lambda = 2, (mu, alpha) = (0, 0): log N = 2 sqrt(y) = |z| is past the
         # double range at |z| = 720, while the weights peak near level 720
-        st = cs_alpha_state(CsAlphaSpec(validate_params(2, (1.0, -1.0)), 0, 0, 720.0))
+        st = cs_alpha_state(validate_params(2, (1.0, -1.0)), 720.0, (0, 0))
         assert st.norm_sq_analytic == math.inf
         assert st.dim == 1024 and st.tail_bound <= TAIL_THRESHOLD
         assert norm_sq(st) == pytest.approx(1.0, abs=1e-10)
@@ -140,12 +140,11 @@ class TestTruncation:
     def test_unit_disc_edge_raises(self):
         p = validate_params(2, (3, -3))
         with pytest.raises(TruncationTooSmall):
-            cs_alpha_state(CsAlphaSpec(p, 0, 1, 0.99))
+            cs_alpha_state(p, 0.99, (0, 1))
 
     def test_bound_is_the_missing_mass(self, fig1_params):
         # an explicit dim above the auto-doubling cap is kept as given
-        spec = CsAlphaSpec(fig1_params, 0, 0, 2.0)
-        st = cs_alpha_state(spec, 2048)
+        st = cs_alpha_state(fig1_params, 2.0, (0, 0), 2048)
         assert st.dim == 2048
         assert st.tail_bound == max(0.0, 1.0 - norm_sq(st))
         unnormalized = st.coeffs * math.sqrt(st.norm_sq_analytic)
@@ -169,7 +168,7 @@ def test_log_form_matches_product_recursion(rng, zabs):
         p = random_valid_params(rng, lam)
         for alpha in range(lam // 2):
             for mu in range(lam - alpha):
-                st = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z))
+                st = cs_alpha_state(p, z, (mu, alpha))
                 ref = np.zeros(st.dim, dtype=complex)
                 val = 1.0 + 0.0j
                 for n in range(mu, st.dim, lam):
@@ -249,25 +248,24 @@ def _braket(bra, ket) -> complex:
 
 class TestOverlaps:
     def test_distinct_sectors_orthogonal(self, fig1_params):
-        s1 = CsAlphaSpec(fig1_params, 0, 1, 1.0)
-        s2 = CsAlphaSpec(fig1_params, 1, 1, 1.0)
-        assert overlap_cs_alpha(s1, s2) == 0.0
+        assert overlap_cs_alpha(fig1_params, 1.0, (0, 1), 1.0, (1, 1)) == 0.0
 
     def test_self_overlap(self, fig1_params):
-        s = CsAlphaSpec(fig1_params, 0, 1, 1.0 + 0.2j)
-        assert overlap_cs_alpha(s, s) == pytest.approx(1.0, abs=1e-12)
+        z = 1.0 + 0.2j
+        assert overlap_cs_alpha(fig1_params, z, (0, 1), z, (0, 1)) == pytest.approx(1.0, abs=1e-12)
 
     def test_closed_form_vs_vector(self, fig1_params):
-        s1 = CsAlphaSpec(fig1_params, 0, 1, 1.0)
-        s2 = CsAlphaSpec(fig1_params, 0, 1, 0.5)
-        vec = _braket(cs_alpha_state(s1, 64), cs_alpha_state(s2, 64))
-        assert overlap_cs_alpha(s1, s2) == pytest.approx(vec, abs=1e-10)
+        vec = _braket(cs_alpha_state(fig1_params, 1.0, (0, 1), 64),
+                      cs_alpha_state(fig1_params, 0.5, (0, 1), 64))
+        got = overlap_cs_alpha(fig1_params, 1.0, (0, 1), 0.5, (0, 1))
+        assert got == pytest.approx(vec, abs=1e-10)
 
     def test_mixed_family_overlap_vs_vector(self, fig1_params):
-        s1 = CsAlphaSpec(fig1_params, 0, 0, 1.1 + 0.4j)
-        s2 = CsAlphaSpec(fig1_params, 0, 1, 0.8 - 0.2j)
-        vec = _braket(cs_alpha_state(s1, 96), cs_alpha_state(s2, 96))
-        assert overlap_cs_alpha(s1, s2) == pytest.approx(vec, abs=1e-10)
+        z1, z2 = 1.1 + 0.4j, 0.8 - 0.2j
+        vec = _braket(cs_alpha_state(fig1_params, z1, (0, 0), 96),
+                      cs_alpha_state(fig1_params, z2, (0, 1), 96))
+        got = overlap_cs_alpha(fig1_params, z1, (0, 0), z2, (0, 1))
+        assert got == pytest.approx(vec, abs=1e-10)
 
     def test_eigenstate_overlap(self, fig1_params, undeformed2):
         z, zp = 1.0 + 0.0j, 1j
@@ -378,10 +376,9 @@ class TestFockWeightCore:
 
 
 def test_norm_series_matches_squared_sum(fig1_params):
-    spec = CsAlphaSpec(fig1_params, 0, 1, 1.4)
-    st = cs_alpha_state(spec, 96)
+    st = cs_alpha_state(fig1_params, 1.4, (0, 1), 96)
     unnormalized = st.coeffs * math.sqrt(st.norm_sq_analytic)
-    n = norm_series_cs_alpha(fig1_params, 0, 1, spec.y).value.real
+    n = norm_series_cs_alpha(fig1_params, 0, 1, sector_y(fig1_params, 1.4, 1)).value.real
     assert np.vdot(unnormalized, unnormalized).real == pytest.approx(n, rel=1e-10)
 
 
@@ -393,7 +390,7 @@ def _build(params, family, z):
     if family == "eigen":
         return eigenstate(params, z)
     mu, alpha = ARRAY_FAMILIES[params.lam]
-    return cs_alpha_state(CsAlphaSpec(params, mu, alpha, z))
+    return cs_alpha_state(params, z, (mu, alpha))
 
 
 class TestArrayBuilders:
@@ -447,7 +444,7 @@ class TestArrayBuilders:
         with pytest.raises(DomainError, match="finite"):
             eigenstate(fig1_params, z)
         with pytest.raises(DomainError, match="finite"):
-            CsAlphaSpec(fig1_params, 0, 1, z)
+            cs_alpha_state(fig1_params, z, (0, 1))
 
 
 class TestFamilyBuild:
@@ -459,12 +456,12 @@ class TestFamilyBuild:
         p = random_valid_params(rng, lam)
         for alpha in range(lam // 2 + 1):
             z = (0.85 if 2 * alpha == lam else 1.7) * cmath.exp(2.1j)
-            family = cs_alpha_family(p, alpha, z)
+            family = cs_alpha_state(p, z, (np.arange(lam - alpha), alpha))
             members = lam - alpha
             assert family.coeffs.shape == (members, family.dim)
             assert family.norm_sq_analytic.shape == family.tail_bound.shape == (members,)
             for mu, row in enumerate(family.coeffs):
-                single = cs_alpha_state(CsAlphaSpec(p, mu, alpha, z))
+                single = cs_alpha_state(p, z, (mu, alpha))
                 # the family's dim is its largest member's; past a member's
                 # own dim its row holds only the mass that build truncated
                 assert single.dim <= family.dim
@@ -500,8 +497,60 @@ class TestFamilyBuild:
 
     def test_family_is_checked_where_it_enters(self, fig1_params, paraboson_params):
         with pytest.raises(SectorError):
-            cs_alpha_family(fig1_params, 2, 0.5)  # alpha > lambda / 2
+            cs_alpha_state(fig1_params, 0.5, (np.arange(1), 2))  # alpha > lambda / 2
         with pytest.raises(DomainError, match="finite"):
-            cs_alpha_family(fig1_params, 1, complex(math.nan, 0.0))
+            cs_alpha_state(fig1_params, complex(math.nan, 0.0), (np.arange(2), 1))
         with pytest.raises(DomainError, match="unit disc"):
-            cs_alpha_family(paraboson_params, 1, 1.2)
+            cs_alpha_state(paraboson_params, 1.2, (np.arange(1), 1))
+
+
+# one family check for every entry point: entry -> (call, takes a stack, the
+# sectors it takes: None for |z>, one member mu, an array of members)
+ENTRIES = {
+    "cs_alpha_state": (lambda p, z, sector: cs_alpha_state(p, z, sector), False,
+                       {"member", "members"}),
+    "eigenstate": (lambda p, z, sector: eigenstate(p, z), False, {None}),
+    "mandel_q": (lambda p, z, sector: mandel_q(p, z, sector), True, {None, "member"}),
+    "squeezing": (lambda p, z, sector: squeezing(p, z, "dressed", sector), True,
+                  {None, "member"}),
+}
+LAM3 = (3.0, -3.0, 0.0)  # fig1_params
+LAM2 = (3.0, -3.0)  # paraboson_params
+# case -> (alpha list, z, sector, error, message), the message each refusal has always had
+REFUSALS = {
+    "non-finite z": (LAM3, np.array([1.0, math.nan]), (0, 1), DomainError,
+                     "z must be finite, got [ 1. nan]"),
+    "non-finite z of |z>": (LAM3, np.array([1.0, math.inf]), None, DomainError,
+                            "z must be finite, got [ 1. inf]"),
+    "mu outside": (LAM3, 0.5, (2, 1), SectorError,
+                   "only the trivial solution exists for mu = 2, alpha = 1"),
+    "alpha outside": (LAM3, 0.5, (0, 2), SectorError, "alpha must lie in [0, 1], got 2"),
+    "one member outside": (LAM3, 0.5, (np.array([0, 1, 3]), 0), SectorError,
+                           "only the trivial solution exists for mu = 3, alpha = 0"),
+    "a row off the unit disc": (LAM2, np.array([0.5, 1.2]), (0, 1), DomainError,
+                                "alpha = lambda/2 states live on the unit disc; y = 1.44 >= 1"),
+}
+
+
+def _sector_kind(sector):
+    if sector is None:
+        return None
+    return "members" if np.ndim(sector[0]) else "member"
+
+
+FAMILY_CHECKS = [
+    pytest.param(entry, case, stacked, id=f"{entry}-{case}-{'stack' if stacked else 'one'}")
+    for entry, (_, takes_stack, kinds) in ENTRIES.items()
+    for case, refusal in REFUSALS.items()
+    for stacked in ((False, True) if takes_stack else (False,))
+    if _sector_kind(refusal[2]) in kinds
+]
+
+
+@pytest.mark.parametrize("entry, case, stacked", FAMILY_CHECKS)
+def test_one_family_check(entry, case, stacked):
+    alpha, z, sector, error, message = REFUSALS[case]
+    params = validate_params(len(alpha), alpha)
+    with pytest.raises(error) as got:
+        ENTRIES[entry][0]([params, params] if stacked else params, z, sector)
+    assert str(got.value) == message
