@@ -2,8 +2,8 @@
 
 A Bargmann function is its coefficient array: coefficients on the last
 axis, any leading axes a stack of polynomials.  Fock vectors become
-polynomials (sector basis: |k lam + mu> ~ z^k inside the caller's sector
-(mu, alpha); vector and eigenstate bases: axis -2 holds the lambda
+polynomials (sector basis: |k lam + mu> ~ z^k inside the caller's
+sector = (mu, alpha); vector and eigenstate bases: axis -2 holds the lambda
 components), and every generator becomes a product of first-order atoms
 {multiply by z, d/dz, z d/dz + c, d/dz + c/z} applied right to left.  Atom
 application is exact on coefficients, so commutation and intertwining
@@ -13,10 +13,11 @@ is checked by quadrature moments: one Gram product per stack of polynomials
 
 An atom maps every row of a stack alike, with one constant per row where
 its constant is a column, so one call maps a whole stack.  The sector
-realization takes an array of members mu of one family alpha, one per
-leading row (a single sector is the family of one member); the vector
-basis's N, J0, J+- and its transform are family 0 over its components; a,
-adag and the eigenstate J- roll the components and act on all at once.
+basis takes sector = (mu, alpha), mu one member or an array of members of
+family alpha, one per leading row; check_hermiticity reads it from its
+weight.  The vector basis's N, J0, J+- and its transform are the family
+(range(lambda), 0) over its components; a, adag and the eigenstate J- roll
+the components and act on all at once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, build_operator
+from .algebra import AlgebraParams, build_operator, sga_structure_poly
 from .errors import NonPolynomialResult, SectorError, ShapeError, UnsupportedOp
 from .states import StateVector, check_sector, log_weights, sector_lists
 
@@ -169,28 +170,33 @@ def _check_components(lam: int, *arrays: np.ndarray) -> None:
             raise SectorError(f"vector bases take {lam} components on axis -2, got shape {c.shape}")
 
 
-def apply_realization(
-    params: AlgebraParams,
-    basis: str,
-    op: str,
-    c: np.ndarray,
-    mu: int | None = None,
-    alpha: int = 0,
-    mu_op: int | None = None,
-) -> np.ndarray:
+def _members(lam: int, sector):
+    """The members mu (an array) and family alpha of sector = (mu, alpha),
+    refused outside the family (check_sector)."""
+    if sector is None:
+        raise SectorError("the sector basis requires sector = (mu, alpha)")
+    check_sector(lam, *sector)
+    return np.atleast_1d(sector[0]), sector[1]
+
+
+def apply_realization(params: AlgebraParams, basis: str, op: str, c: np.ndarray,
+                      sector: tuple | None = None, mu_op: int | None = None) -> np.ndarray:
     """Apply one generator in the chosen basis to the coefficients c of a
     polynomial, or of every polynomial of a stack (its leading axes), in one call.
 
-    basis: "sector" (c in sector (mu, alpha); N, J+, J-, J0), "vector_alpha0"
-    or "eigenstate" (axis -2 of c holds the lambda components; additionally
-    a, adag and P(mu_op)).
+    basis: "sector" (N, J+, J-, J0 on sector = (mu, alpha): c in the one
+    member mu, or, for an array of members mu of family alpha, one leading
+    row of c per member), "vector_alpha0" or "eigenstate" (axis -2 of c
+    holds the lambda components; additionally a, adag and P(mu_op)).
     """
     lam, c = params.lam, np.asarray(c, dtype=complex)
     if basis == "sector":
-        if mu is None:
-            raise SectorError("sector basis requires mu")
-        check_sector(lam, mu, alpha)
-        return _apply_sector(params, [mu], alpha, op, c[None])[0]
+        mus, alpha = _members(lam, sector)
+        if not np.ndim(sector[0]):
+            return _apply_sector(params, mus, alpha, op, c[None])[0]
+        if c.ndim < 2 or len(c) != len(mus):
+            raise ShapeError(f"{len(mus)} members take one leading row of c each, got shape {c.shape}")
+        return _apply_sector(params, mus, alpha, op, c)
     if basis not in ("vector_alpha0", "eigenstate"):
         raise UnsupportedOp(f"unknown basis {basis!r}")
     _check_components(lam, c)
@@ -206,29 +212,23 @@ def apply_realization(
 
 # ---- transforms ------------------------------------------------------------
 
-def bargmann_transform(
-    params: AlgebraParams,
-    psi: StateVector,
-    basis: str,
-    mu: int | None = None,
-    alpha: int = 0,
-) -> np.ndarray:
-    """Map Fock coefficients to Bargmann polynomial coefficients; vector_alpha0
-    holds the lambda members of family 0, zero past the state's last level."""
+def bargmann_transform(params: AlgebraParams, psi: StateVector, basis: str,
+                       sector: tuple | None = None) -> np.ndarray:
+    """Map Fock coefficients to Bargmann polynomial coefficients, zero past the
+    state's last level: in sector = (mu, alpha), one row per member for an
+    array of members mu; vector_alpha0 is the family (range(lambda), 0)."""
     lam = params.lam
     if basis in ("sector", "vector_alpha0"):
-        if basis == "sector":
-            if mu is None:
-                raise SectorError("sector transform needs mu")
-            check_sector(lam, mu, alpha)
-        mus, alpha = ([mu], alpha) if basis == "sector" else (range(lam), 0)
+        if basis == "vector_alpha0":
+            sector = (np.arange(lam), 0)
+        mus, alpha = _members(lam, sector)
         levels = np.add.outer(mus, lam * np.arange((psi.dim - 1 - min(mus)) // lam + 1))
         with np.errstate(under="ignore"):
             weights = np.exp(0.5 * sum(log_weights(params, levels.shape[1] - 1, (mus, alpha))))
         inside = levels < psi.dim
         out = np.zeros(levels.shape, dtype=complex)
         out[inside] = psi.coeffs[levels[inside]] * weights[inside]
-        return out[0] if basis == "sector" else out
+        return out if np.ndim(sector[0]) else out[0]
     if basis == "eigenstate":
         n = np.arange(psi.dim)
         out = np.zeros((lam, psi.dim), dtype=complex)
@@ -298,6 +298,8 @@ class HermiticityRow:
         return abs(self.lhs - self.rhs)
 
 
+SAMPLE_DEGREE = 2  # check_hermiticity samples the monomials of degree <= 2
+
 # each basis's adjoint pairs (name, A, B): <A f, g> = <f, B g>
 _ADJOINT_PAIRS = {
     "sector": (("J+/J-", "Jplus", "Jminus"), ("J0/J0", "J0", "J0")),
@@ -317,18 +319,12 @@ def _unit_columns(lam: int, basis: str, k_max: int):
     return m, k, f
 
 
-def check_hermiticity(
-    params: AlgebraParams,
-    basis: str,
-    measure,
-    mu: int = 0,
-    alpha: int = 0,
-    degree: int = 2,
-) -> list[HermiticityRow]:
+def check_hermiticity(params: AlgebraParams, basis: str, measure) -> list[HermiticityRow]:
     """<A f, g> = <f, B g> for the basis's _ADJOINT_PAIRS by moment quadrature.
 
-    The samples f, g are the monomials of degree <= degree: z^0..z^degree of
-    sector (mu, alpha), or the unit columns of each component (vector_alpha0,
+    The samples f, g are the monomials of degree <= SAMPLE_DEGREE: z^0, z^1,
+    .. of the family of the sector weight measure (its problem's (mu,
+    alpha)), or the unit columns of each component (vector_alpha0,
     eigenstate; _unit_columns).  Each generator acts once on the stack of
     samples, and each side of a pair is one Gram product (inner_product);
     measure as for the basis's _moment_table.  Rows run over f, then g, then
@@ -336,14 +332,13 @@ def check_hermiticity(
     """
     if basis not in _ADJOINT_PAIRS:
         raise UnsupportedOp(f"unknown basis {basis!r}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    samples = (np.eye(degree + 1, dtype=complex) if basis == "sector"
-               else _unit_columns(params.lam, basis, degree)[2])
+    samples = (np.eye(SAMPLE_DEGREE + 1, dtype=complex) if basis == "sector"
+               else _unit_columns(params.lam, basis, SAMPLE_DEGREE)[2])
+    sector = (measure.problem.mu, measure.problem.alpha) if basis == "sector" else None
     grams = []
     for pair, a_op, b_op in _ADJOINT_PAIRS[basis]:
-        a_f = apply_realization(params, basis, a_op, samples, mu=mu, alpha=alpha)
-        b_g = apply_realization(params, basis, b_op, samples, mu=mu, alpha=alpha)
+        a_f = apply_realization(params, basis, a_op, samples, sector)
+        b_g = apply_realization(params, basis, b_op, samples, sector)
         grams.append((pair, inner_product(basis, measure, a_f, samples),
                       inner_product(basis, measure, samples, b_g)))
     count = range(len(samples))
@@ -362,83 +357,63 @@ class CommutatorRow:
 def check_commutators(params: AlgebraParams, basis: str, k_max: int = 10) -> list[CommutatorRow]:
     """Commutation relations as exact coefficient identities on monomials.
 
-    Each generator acts once on the stack of every monomial z^k, k <= k_max
-    (sector basis: per family alpha, on every member mu at once, one stack of
-    monomials per member; vector bases: the lambda (k_max + 1) unit columns,
-    component mu major), zero-extended to one degree.  Rows run over
-    (alpha, mu) or mu, then k.
+    Each generator acts once (apply_realization) on the stack of every
+    monomial z^k, k <= k_max (sector basis: per family alpha, on every member
+    mu at once, one stack of monomials per member; vector bases: the lambda
+    (k_max + 1) unit columns, component mu major), zero-extended to one
+    degree.  Rows run over (alpha, mu) or mu, then k.
     """
-    from .algebra import sga_structure_poly
-
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     lam = params.lam
     bb = params.beta_bar_at
-    rows = []
-    if basis == "sector":
-        k = np.arange(k_max + 1)
-        for alpha in range(lam // 2 + 1):
-            mus = np.arange(lam - alpha)
-            zk = np.broadcast_to(np.eye(k_max + 1, dtype=complex), (len(mus), k_max + 1, k_max + 1))
-
-            def ap(op, c):
-                return _apply_sector(params, mus, alpha, op, c)
-
-            j0_zk = ap("J0", zk)
-            q_zk, res = {}, {}
-            for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
-                q_zk[qop] = ap(qop, zk)
-                lhs = ap("J0", q_zk[qop])
-                rhs = ap(qop, j0_zk)
-                # lhs, rhs and q_zk share one width
-                diff = np.abs(lhs - rhs - sgn * q_zk[qop]).max(axis=-1)
-                scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1),
-                                                   np.abs(rhs).max(axis=-1)))
-                res[f"[J0,{qop}]"] = diff / scale
-            comm = (np.diagonal(ap("Jplus", q_zk["Jminus"]), axis1=-2, axis2=-1)
-                    - np.diagonal(ap("Jminus", q_zk["Jplus"]), axis1=-2, axis2=-1))
-            f_val = np.array([sga_structure_poly(params, k + 0.5 * (bb(mu) + bb(mu + 1)), mu)
-                              for mu in mus.tolist()])
-            res["[J+,J-]"] = np.abs(comm - f_val) / np.maximum(1.0, np.abs(f_val))
-            rows += [
-                CommutatorRow(f"sector(mu={mu},alpha={alpha})", pair, i, float(r[mu, i]))
-                for mu in mus.tolist()
-                for i in range(k_max + 1)
-                for pair, r in res.items()
-            ]
-    elif basis in ("vector_alpha0", "eigenstate"):
-        apply = _apply_vector_alpha0 if basis == "vector_alpha0" else _apply_eigenstate
-
-        def ap(op, c):
-            return apply(params, op, c)
-
+    if basis != "sector":
         m, k, f = _unit_columns(lam, basis, k_max)
-        lhs = ap("a", ap("adag", f))
-        rhs = ap("adag", ap("a", f))
+        lhs = apply_realization(params, basis, "a", apply_realization(params, basis, "adag", f))
+        rhs = apply_realization(params, basis, "adag", apply_realization(params, basis, "a", f))
         w = max(lhs.shape[-1], rhs.shape[-1], f.shape[-1])
         comm = _widen(lhs, w) - _widen(rhs, w)
         expect = _widen(f * (1.0 + np.asarray(params.alpha))[m, None, None], w)
         res = np.abs(comm - expect).max(axis=(-2, -1))
-        rows = [CommutatorRow(basis, "[a,adag]", ki, r) for ki, r in zip(k.tolist(), res.tolist())]
-    else:
-        raise UnsupportedOp(f"unknown basis {basis!r}")
+        return [CommutatorRow(basis, "[a,adag]", ki, r) for ki, r in zip(k.tolist(), res.tolist())]
+    k = np.arange(k_max + 1)
+    rows = []
+    for alpha in range(lam // 2 + 1):
+        mus = np.arange(lam - alpha)
+        sector = (mus, alpha)
+        zk = np.broadcast_to(np.eye(k_max + 1, dtype=complex), (len(mus), k_max + 1, k_max + 1))
+        j0_zk = apply_realization(params, basis, "J0", zk, sector)
+        q_zk, res = {}, {}
+        for sgn, qop in ((1.0, "Jplus"), (-1.0, "Jminus")):
+            q_zk[qop] = apply_realization(params, basis, qop, zk, sector)
+            lhs = apply_realization(params, basis, "J0", q_zk[qop], sector)
+            rhs = apply_realization(params, basis, qop, j0_zk, sector)
+            # lhs, rhs and q_zk share one width
+            diff = np.abs(lhs - rhs - sgn * q_zk[qop]).max(axis=-1)
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1)))
+            res[f"[J0,{qop}]"] = diff / scale
+        jp_jm = apply_realization(params, basis, "Jplus", q_zk["Jminus"], sector)
+        jm_jp = apply_realization(params, basis, "Jminus", q_zk["Jplus"], sector)
+        comm = np.diagonal(jp_jm, axis1=-2, axis2=-1) - np.diagonal(jm_jp, axis1=-2, axis2=-1)
+        f_val = np.array([sga_structure_poly(params, k + 0.5 * (bb(mu) + bb(mu + 1)), mu)
+                          for mu in mus.tolist()])
+        res["[J+,J-]"] = np.abs(comm - f_val) / np.maximum(1.0, np.abs(f_val))
+        rows += [
+            CommutatorRow(f"sector(mu={mu},alpha={alpha})", pair, i, float(r[mu, i]))
+            for mu in mus.tolist()
+            for i in range(k_max + 1)
+            for pair, r in res.items()
+        ]
     return rows
 
 
-def intertwining_residual(
-    params: AlgebraParams,
-    basis: str,
-    op: str,
-    psi: StateVector,
-    mu: int | None = None,
-    alpha: int = 0,
-    mu_op: int | None = None,
-) -> float:
+def intertwining_residual(params: AlgebraParams, basis: str, op: str, psi: StateVector,
+                          sector: tuple | None = None, mu_op: int | None = None) -> float:
     """max |transform(op psi) - op_B transform(psi)| on coefficients, op as its band."""
     mat = build_operator(params, op, psi.dim, mu=mu_op)
     mapped = StateVector(psi.dim, mat @ psi.coeffs, psi.norm_sq_analytic, psi.tail_bound)
-    lhs = bargmann_transform(params, mapped, basis, mu=mu, alpha=alpha)
-    image = bargmann_transform(params, psi, basis, mu=mu, alpha=alpha)
-    rhs = apply_realization(params, basis, op, image, mu=mu, alpha=alpha, mu_op=mu_op)
+    lhs = bargmann_transform(params, mapped, basis, sector)
+    image = bargmann_transform(params, psi, basis, sector)
+    rhs = apply_realization(params, basis, op, image, sector, mu_op)
     w = max(lhs.shape[-1], rhs.shape[-1])
     return float(np.abs(_widen(lhs, w) - _widen(rhs, w)).max())

@@ -220,7 +220,7 @@ def cmd_bargmann_check(args) -> int:
     else:
         w = weight_function(p, args.mu, args.cs_alpha)
         herm.append((f"sector(mu={args.mu}),J+/J-",
-                     check_hermiticity(p, "sector", w, args.mu, args.cs_alpha)))
+                     check_hermiticity(p, "sector", w)))
     # the vector basis's alpha = 0 weights are the eigenstate measures' own
     meas = eigenstate_measures(p)
     herm += [("vector_alpha0,adag/a", check_hermiticity(p, "vector_alpha0", meas.weights)),
@@ -236,7 +236,7 @@ def cmd_bargmann_check(args) -> int:
                               ("vector_alpha0", "vector_alpha0", VECTOR_OPS),
                               ("eigenstate", "eigenstate", VECTOR_OPS)):
         for op in ops:
-            res = intertwining_residual(p, basis, op, psi, mu=args.mu, alpha=args.cs_alpha)
+            res = intertwining_residual(p, basis, op, psi, (args.mu, args.cs_alpha))
             ok &= res < 1e-10
             lines.append(f"{label},{op} intertwining,{res:.3e}")
     _emit(args, "\n".join(lines + notes) + "\n")

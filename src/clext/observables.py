@@ -2,16 +2,16 @@
 coherent-state families.
 
 mandel_q and squeezing name the family as the states module does: sector =
-(mu, alpha), one member, is |z; mu; alpha>, None the eigenstate |z>, and
-states._check_state refuses a state outside its family.  Every closed form
-is an expectation <g(N)> = p @ g(n) over the Fock weights p_n = |c_n|^2 / N
-of the state, from the Fock-weight core of the states module
-(states._fock_weights), the weights the state builders take their
-coefficients from.  Every function takes one grid value or an array of
-them, and the closed forms one algebra or a stack of P algebras of one
-lambda (states._param_stack), so a CLI grid or a figure's curve family is
-one call: a stack gives (P, R) results for a grid of R values, (P,) for one
-value.  Kept as a cross-check: the coefficient-vector oracle
+(mu, alpha), one member, is |z; mu; alpha>, None the eigenstate |z>, and a
+state outside its family (states._check_state) or an array of members is
+refused first.  Every closed form is an expectation <g(N)> = p @ g(n) over
+the Fock weights p_n = |c_n|^2 / N of the state, from the Fock-weight core
+of the states module (states._fock_weights), the weights the state builders
+take their coefficients from.  Every function takes one grid value or an
+array of them, and the closed forms one algebra or a stack of P algebras of
+one lambda (states._param_stack), so a CLI grid or a figure's curve family
+is one call: a stack gives (P, R) results for a grid of R values, (P,) for
+one value.  Kept as a cross-check: the coefficient-vector oracle
 (method="oracle"), whose truncated states of a grid come from one core call
 at the state builders' level count (states._build_levels) and the builders'
 coefficient step (states._coefficients), one step per _row_blocks slice (the
@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraParams, structure_function
-from .errors import DomainError
+from .errors import DomainError, SectorError
 from .states import (
     FIRST_DIM,
     MAX_AUTO_DIM,
@@ -122,7 +122,7 @@ def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
 def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     """The report of method, "closed" or "oracle", or a tuple of reports, one
     per entry of a tuple of methods, for the states of the grid z in the
-    family sector, checked first (states._check_state).
+    family sector, which its caller has checked (_check_one_member).
 
     closed(n, p) reads the Fock weights of the grid z; oracle(states) reads
     the truncated states of its _row_blocks slices, a block of at most
@@ -133,7 +133,6 @@ def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     one block that is the state builders' own result bit for bit.  The oracle
     builds the states of one algebra.
     """
-    _check_state(params, z, sector)
     methods = (method,) if isinstance(method, str) else tuple(method)
     if not methods or not set(methods) <= {"closed", "oracle"}:
         raise DomainError(f"unknown method {method!r}")
@@ -153,6 +152,13 @@ def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     return out[method] if isinstance(method, str) else tuple(out[m] for m in methods)
 
 
+def _check_one_member(params, z, sector) -> None:
+    """states._check_state, for one member mu: the observables take no array of them."""
+    _check_state(params, z, sector)
+    if sector is not None and np.ndim(sector[0]):
+        raise SectorError(f"the observables take one member mu, got {sector[0]}")
+
+
 def _oracle_photon_stats(z, states: list[StateVector], limit_q: float) -> PhotonStats:
     """Mandel Q from the weights |c_n|^2 of the truncated states of the grid z."""
     blocks = [_photon_moments(np.arange(st.dim), np.abs(st.coeffs) ** 2, limit_q)[:3]
@@ -170,6 +176,7 @@ def mandel_q(params, z_abs, sector: tuple | None = None, method="closed"):
     mu = 0 in a sector) the 0/0 ratio is replaced by the analytic limit:
     lambda - 1 in a sector, 0 for |z>.
     """
+    _check_one_member(params, z_abs, sector)
     limit_q = 0.0 if sector is None else _param_stack(params)[0].lam - 1.0
     return _columns(
         params, z_abs, sector, method,
@@ -302,6 +309,7 @@ def squeezing(params, z, kind: str = "dressed", sector: tuple | None = None, met
 
     z may be an array, and params a stack for closed; method as for mandel_q.
     """
+    _check_one_member(params, z, sector)
     lam = _param_stack(params)[0].lam
     vac, closed = (_eigenstate_squeezing(params, lam, z, kind) if sector is None
                    else _sector_squeezing(params, lam, z, kind, *sector))

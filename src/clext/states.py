@@ -73,10 +73,18 @@ _SPLIT = 2.0**27 + 1.0  # Veltkamp splitter for doubles
 
 def check_sector(lam: int, mu, alpha: int) -> None:
     """Refuse a (mu, alpha) outside the sector family: 0 <= alpha <= lambda // 2
-    and 0 <= mu <= lambda - alpha - 1, for one member mu or each of an array."""
+    and 0 <= mu <= lambda - alpha - 1, for one member mu or each of a
+    nonempty array; mu and alpha are integers."""
+    if not isinstance(alpha, (int, np.integer)):
+        raise SectorError(f"alpha must be an integer, got {alpha}")
     if not 0 <= alpha <= lam // 2:
         raise SectorError(f"alpha must lie in [0, {lam // 2}], got {alpha}")
-    for m in np.atleast_1d(mu).tolist():
+    members = np.atleast_1d(mu)
+    if not members.size:
+        raise SectorError(f"a family needs at least one member mu, got {mu}")
+    if members.dtype.kind not in "iu":
+        raise SectorError(f"mu must be an integer, got {mu}")
+    for m in members.tolist():
         if not 0 <= m <= lam - alpha - 1:
             raise SectorError(f"only the trivial solution exists for mu = {m}, alpha = {alpha}")
 

@@ -272,19 +272,19 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
         for alpha in range(lam // 2 + 1):
             for mu in range(lam - alpha):
                 for op in ("N", "J0", "Jplus", "Jminus"):
-                    assert intertwining_residual(p, "sector", op, psi, mu=mu, alpha=alpha) < 1e-12
+                    assert intertwining_residual(p, "sector", op, psi, (mu, alpha)) < 1e-12
         for basis in ("vector_alpha0", "eigenstate"):
             for op in ("a", "adag", "N", "Jplus", "Jminus", "J0"):
-                assert intertwining_residual(p, basis, op, psi, alpha=0) < 1e-12
+                assert intertwining_residual(p, basis, op, psi) < 1e-12
     # Hermiticity under the certified weights (lambda <= 3)
     for p, mu, alpha in [(paraboson_params, 0, 0), (paraboson_params, 0, 1), (fig1_params, 0, 1)]:
         w = weight_function(p, mu, alpha)
-        rows = check_hermiticity(p, "sector", w, mu, alpha)
+        rows = check_hermiticity(p, "sector", w)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 1e-6 * scale
     for p in (paraboson_params, fig1_params):
         weights = [weight_function(p, m, 0) for m in range(p.lam)]
-        rows = check_hermiticity(p, "vector_alpha0", weights, degree=2)
+        rows = check_hermiticity(p, "vector_alpha0", weights)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 2e-6 * scale
     # Meijer-form candidate vs the paper's 2F1 and Appell forms at alpha = 2, 3 on (0,1)

@@ -41,7 +41,7 @@ def _per_monomial_commutators(params, basis, k_max):
                 label = f"sector(mu={mu},alpha={alpha})"
 
                 def ap(op, f):
-                    return apply_realization(params, "sector", op, f, mu, alpha)
+                    return apply_realization(params, "sector", op, f, (mu, alpha))
 
                 for k in range(k_max + 1):
                     zk = _monomial(k)
@@ -127,29 +127,29 @@ class TestRealizations:
     def test_j0_on_monomial(self, fig1_params):
         p = fig1_params
         for mu, alpha, k in [(0, 1, 3), (1, 1, 2), (2, 0, 4)]:
-            out = apply_realization(p, "sector", "J0", _monomial(k), mu, alpha)
+            out = apply_realization(p, "sector", "J0", _monomial(k), (mu, alpha))
             expect = k + 0.5 * (p.beta_bar_at(mu) + p.beta_bar_at(mu + 1))
             assert out[k] == pytest.approx(expect, rel=1e-14)
 
     def test_perelomov_jminus_is_derivative(self, paraboson_params):
         # lambda = 2, alpha = 1, mu = 0: J- = d/dz
-        out = apply_realization(paraboson_params, "sector", "Jminus", _monomial(3), 0, alpha=1)
+        out = apply_realization(paraboson_params, "sector", "Jminus", _monomial(3), (0, 1))
         assert out[2] == pytest.approx(3.0)
         assert np.abs(out[:2]).max() == 0.0
 
     def test_barut_girardello_jplus_is_half_z(self, paraboson_params):
         # lambda = 2, alpha = 0: J+ = z/2 in every sector
         for mu in (0, 1):
-            out = apply_realization(paraboson_params, "sector", "Jplus", _monomial(2), mu, alpha=0)
+            out = apply_realization(paraboson_params, "sector", "Jplus", _monomial(2), (mu, 0))
             assert out[3] == pytest.approx(0.5)
 
     def test_number_operator(self, fig1_params):
-        out = apply_realization(fig1_params, "sector", "N", _monomial(2), 1, alpha=0)
+        out = apply_realization(fig1_params, "sector", "N", _monomial(2), (1, 0))
         assert out[2] == pytest.approx(3 * 2 + 1)
 
     def test_unsupported_op_in_sector(self, fig1_params):
         with pytest.raises(UnsupportedOp):
-            apply_realization(fig1_params, "sector", "a", _monomial(1), 0, alpha=0)
+            apply_realization(fig1_params, "sector", "a", _monomial(1), (0, 0))
 
     def test_pole_cancellation_guard(self, fig1_params):
         # component 1 holding a constant is an invalid sector function for a
@@ -177,11 +177,23 @@ class TestRealizations:
         c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if basis == "eigenstate":
             c[:, 1:, 0] = 0.0  # components mu >= 1 vanish at z = 0
-        mu = 1 if basis == "sector" else None
-        stacked = apply_realization(p, basis, op, c, mu, alpha=1 if mu else 0)
+        sector = (1, 1) if basis == "sector" else None
+        stacked = apply_realization(p, basis, op, c, sector)
         for row, cr in zip(stacked, c):
-            single = apply_realization(p, basis, op, cr, mu, alpha=1 if mu else 0)
+            single = apply_realization(p, basis, op, cr, sector)
             assert np.array_equal(row, single)
+
+    def test_member_array_takes_one_row_per_member(self, fig1_params):
+        # three members of family 0 take a (3, width) stack, not one polynomial
+        # whose coefficients would each meet another member's constant
+        c = np.eye(3, dtype=complex)
+        sector = (np.arange(3), 0)
+        out = apply_realization(fig1_params, "sector", "J0", c, sector)
+        for mu in range(3):
+            assert np.array_equal(out[mu], apply_realization(fig1_params, "sector", "J0", c[mu], (mu, 0)))
+        for bad in (c[0], c[:2]):
+            with pytest.raises(ShapeError, match="^3 members take one leading row of c each"):
+                apply_realization(fig1_params, "sector", "J0", bad, sector)
 
     @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
     def test_component_rows_equal_per_component_loops(self, rng, lam):
@@ -228,17 +240,16 @@ class TestRealizations:
             apply_realization(fig1_params, basis, "P", np.ones((3, 4)))
         assert str(got.value) == str(want.value)
 
-    @pytest.mark.parametrize("mu, alpha", [(5, 0), (0, 2), (2, 1), (-1, 0), (0, -1)])
+    @pytest.mark.parametrize("mu, alpha", [(5, 0), (0, 2), (2, 1), (-1, 0), (0, -1), (0.5, 1), (1, 0.5)])
     def test_sector_outside_the_family_is_refused(self, mu, alpha):
         # lambda = 3: refused where it enters, with the message of cs_alpha_state
         p = validate_params(3, (1.0, 0.0, -1.0))
         with pytest.raises(SectorError) as want:
             cs_alpha_state(p, 0.5, (mu, alpha))
         psi = _fock(p, {0: 0.5, 1: 0.3, 4: 0.2}, dim=12)
-        for call in (lambda: bargmann_transform(p, psi, "sector", mu=mu, alpha=alpha),
-                     lambda: apply_realization(p, "sector", "J0", _monomial(2), mu, alpha),
-                     lambda: intertwining_residual(p, "sector", "N", psi, mu=mu, alpha=alpha),
-                     lambda: check_hermiticity(p, "sector", None, mu, alpha)):
+        for call in (lambda: bargmann_transform(p, psi, "sector", (mu, alpha)),
+                     lambda: apply_realization(p, "sector", "J0", _monomial(2), (mu, alpha)),
+                     lambda: intertwining_residual(p, "sector", "N", psi, (mu, alpha))):
             with pytest.raises(SectorError) as got:
                 call()
             assert str(got.value) == str(want.value)
@@ -386,7 +397,7 @@ class TestIntertwining:
         p = fig1_params
         for mu, alpha in [(0, 1), (1, 1), (2, 0)]:
             psi = _fock(p, {mu: 0.8, 3 + mu: -0.4 + 0.2j, 9 + mu: 0.1})
-            res = intertwining_residual(p, "sector", op, psi, mu=mu, alpha=alpha)
+            res = intertwining_residual(p, "sector", op, psi, (mu, alpha))
             assert res < 1e-12
 
     @pytest.mark.parametrize("op", ["a", "adag", "N", "Jplus", "Jminus", "J0"])
@@ -395,22 +406,20 @@ class TestIntertwining:
         for lam in (2, 3):
             p = random_valid_params(rng, lam)
             psi = _fock(p, {0: 0.5, 1: 0.3 - 0.1j, 2: -0.2, 5: 0.15, 7: 0.08j})
-            res = intertwining_residual(p, basis, op, psi, alpha=0)
+            res = intertwining_residual(p, basis, op, psi)
             assert res < 1e-12
 
     def test_projector(self, fig1_params):
         psi = _fock(fig1_params, {0: 0.5, 1: 0.3, 2: -0.2, 4: 0.1})
         for mu in range(3):
-            res = intertwining_residual(
-                fig1_params, "vector_alpha0", "P", psi, alpha=0, mu_op=mu
-            )
+            res = intertwining_residual(fig1_params, "vector_alpha0", "P", psi, mu_op=mu)
             assert res < 1e-14
 
     def test_transform_maps_number_state_to_basis_function(self, fig1_params):
         p = fig1_params
         for mu, alpha, k in [(0, 1, 2), (1, 0, 3)]:
             psi = _fock(p, {k * 3 + mu: 1.0})
-            f = bargmann_transform(p, psi, "sector", mu=mu, alpha=alpha)
+            f = bargmann_transform(p, psi, "sector", (mu, alpha))
             ref = basis_function(p, mu, alpha, k)
             assert f[k] == pytest.approx(ref[k], rel=1e-13)
 
@@ -423,22 +432,22 @@ class TestHermiticity:
             (fig1_params, 0, 1, 1e-6),
         ]:
             w = weight_function(p, mu, alpha)
-            rows = check_hermiticity(p, "sector", w, mu, alpha)
+            rows = check_hermiticity(p, "sector", w)
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < tol * scale
 
     def test_trivial_pair_is_zero(self, paraboson_params):
         w = weight_function(paraboson_params, 0, 1)
         one = np.array([1.0], dtype=complex)
-        jp = apply_realization(paraboson_params, "sector", "Jplus", one, 0, alpha=1)
-        jm = apply_realization(paraboson_params, "sector", "Jminus", one, 0, alpha=1)
+        jp = apply_realization(paraboson_params, "sector", "Jplus", one, (0, 1))
+        jm = apply_realization(paraboson_params, "sector", "Jminus", one, (0, 1))
         assert inner_product("sector", w, jp, one) == 0.0
         assert np.abs(jm).max() == 0.0
 
     def test_vector_adjoint_pair(self, paraboson_params, fig1_params):
         for p in (paraboson_params, fig1_params):
             weights = [weight_function(p, m, 0) for m in range(p.lam)]
-            rows = check_hermiticity(p, "vector_alpha0", weights, degree=2)
+            rows = check_hermiticity(p, "vector_alpha0", weights)
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < 2e-6 * scale
 
@@ -471,7 +480,8 @@ class TestHermiticity:
         per_degree = []
         for degree in (1, 4):
             calls.clear()
-            check_hermiticity(fig1_params, basis, measure, degree=degree)
+            monkeypatch.setattr(bargmann, "SAMPLE_DEGREE", degree)
+            check_hermiticity(fig1_params, basis, measure)
             per_degree.append(sorted(calls))
         ops = ["J0", "J0", "Jminus", "Jplus"] if basis == "sector" else ["a", "adag"]
         assert per_degree == [ops, ops]
@@ -479,11 +489,6 @@ class TestHermiticity:
     def test_unknown_basis(self, fig1_params):
         with pytest.raises(UnsupportedOp):
             check_hermiticity(fig1_params, "polar", weight_function(fig1_params, 0, 0))
-
-    @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
-    def test_negative_degree_is_refused(self, fig1_params, basis):
-        with pytest.raises(ValueError, match="^degree must be >= 0, got -1$"):
-            check_hermiticity(fig1_params, basis, None, degree=-1)
 
 
 def _loop_inner_product(basis, measure, f, g):

@@ -24,7 +24,10 @@ tol, shifts), so that the router calls each the same way.  Every other
 parameter of a module-level function or method of src/clext is read in its
 body, and every name that clext.__all__ or clext.specfun.__all__ exports is
 referred to in src/clext outside its own definition and its imports, or in
-bench/.
+bench/.  No function of src/clext but apply_realization refers to the
+private realizations of clext.bargmann (_apply_sector, _apply_vector_alpha0,
+_apply_eigenstate), apart from _apply_vector_alpha0's family-0 call of
+_apply_sector.
 
 The package itself, the state builders and the algebra import no special
 functions: neither they nor any clext module they import, directly or
@@ -53,7 +56,6 @@ TEST_ONLY_METHODS: dict[str, set[str]] = {
 
 # function -> its defaulted parameters that no call in src/ or bench/ sets
 TEST_ONLY_PARAMS: dict[str, set[str]] = {
-    "check_hermiticity": {"degree"},
     "intertwining_residual": {"mu_op"},
 }
 
@@ -181,6 +183,25 @@ def test_the_test_only_params_list_only_shrinks():
     found = _unset_params()
     stale = {f: sorted(names - found.get(f, set())) for f, names in TEST_ONLY_PARAMS.items()}
     assert not any(stale.values()), f"set outside tests, drop from TEST_ONLY_PARAMS: {stale}"
+
+
+# function -> the private realizations of clext.bargmann it may refer to: the
+# others reach them through apply_realization; the vector basis's N, J0, J+-
+# are family 0 of the sector realization
+REALIZATIONS = {"_apply_sector", "_apply_vector_alpha0", "_apply_eigenstate"}
+REALIZATION_CALLERS = {"apply_realization": REALIZATIONS, "_apply_vector_alpha0": {"_apply_sector"}}
+
+
+def test_realizations_are_reached_through_apply_realization():
+    found = {}
+    for path in sorted((ROOT / "src" / "clext").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                if isinstance(node, ast.FunctionDef):
+                    refs = _names(node) & REALIZATIONS - REALIZATION_CALLERS.get(node.name, set())
+                    if refs:
+                        found[f"{path.stem}.{node.name}"] = sorted(refs)
+    assert not found, f"functions that bypass apply_realization: {found}"
 
 
 def _clext_imports(stem: str) -> set[str]:

@@ -516,7 +516,8 @@ ENTRIES = {
 }
 LAM3 = (3.0, -3.0, 0.0)  # fig1_params
 LAM2 = (3.0, -3.0)  # paraboson_params
-# case -> (alpha list, z, sector, error, message), the message each refusal has always had
+# case -> (alpha list, z, sector, error, message); the first six messages are
+# the ones each refusal has always had
 REFUSALS = {
     "non-finite z": (LAM3, np.array([1.0, math.nan]), (0, 1), DomainError,
                      "z must be finite, got [ 1. nan]"),
@@ -529,7 +530,17 @@ REFUSALS = {
                            "only the trivial solution exists for mu = 3, alpha = 0"),
     "a row off the unit disc": (LAM2, np.array([0.5, 1.2]), (0, 1), DomainError,
                                 "alpha = lambda/2 states live on the unit disc; y = 1.44 >= 1"),
+    "non-integer mu": (LAM3, 0.5, (0.5, 1), SectorError, "mu must be an integer, got 0.5"),
+    "non-integer alpha": (LAM3, 0.5, (0, 0.5), SectorError, "alpha must be an integer, got 0.5"),
+    "a non-integer member": (LAM3, 0.5, (np.array([0, 1.5]), 0), SectorError,
+                             "mu must be an integer, got [0.  1.5]"),
+    "no members": (LAM3, 0.5, (np.arange(0), 1), SectorError,
+                   "a family needs at least one member mu, got []"),
+    "a member array": (LAM3, 0.5, (np.arange(2), 1), SectorError,
+                       "the observables take one member mu, got [0 1]"),
 }
+# a case that only the entries which do not take its sector refuse -> those entries
+REFUSED_BY = {"a member array": {"mandel_q", "squeezing"}}
 
 
 def _sector_kind(sector):
@@ -543,7 +554,7 @@ FAMILY_CHECKS = [
     for entry, (_, takes_stack, kinds) in ENTRIES.items()
     for case, refusal in REFUSALS.items()
     for stacked in ((False, True) if takes_stack else (False,))
-    if _sector_kind(refusal[2]) in kinds
+    if (entry in REFUSED_BY[case] if case in REFUSED_BY else _sector_kind(refusal[2]) in kinds)
 ]
 
 
