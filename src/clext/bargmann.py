@@ -22,7 +22,6 @@ the components and act on all at once.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -78,12 +77,6 @@ def _atom_ddz_plus_over_z(c: np.ndarray, const) -> np.ndarray:
 
 # ---- sector realization ----------------------------------------------------
 
-@functools.lru_cache(maxsize=256)
-def _member_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[tuple, tuple]:
-    """states.sector_lists as tuples, built once per (params, mu, alpha)."""
-    return tuple(map(tuple, sector_lists(params, mu, alpha)))
-
-
 def _apply_sector(params: AlgebraParams, mus, alpha: int, op: str, c: np.ndarray):
     """op on the members mus of family alpha, one per leading row of the
     coefficients c (shape (members, .., width)): each atom takes one constant
@@ -98,7 +91,7 @@ def _apply_sector(params: AlgebraParams, mus, alpha: int, op: str, c: np.ndarray
         return _atom_theta_plus(c, column([m / lam for m in mus])) * lam
     if op == "J0":
         return _atom_theta_plus(c, column([0.5 * (bb(m) + bb(m + 1)) for m in mus]))
-    nums, dens = zip(*(_member_lists(params, m, alpha) for m in mus))
+    nums, dens = zip(*(sector_lists(params, (m, alpha)) for m in mus))
     if op == "Jplus":
         out = c
         for v in zip(*nums):
@@ -175,7 +168,7 @@ def _members(lam: int, sector):
     refused outside the family (check_sector)."""
     if sector is None:
         raise SectorError("the sector basis requires sector = (mu, alpha)")
-    check_sector(lam, *sector)
+    check_sector(lam, sector)
     return np.atleast_1d(sector[0]), sector[1]
 
 
@@ -323,18 +316,18 @@ def check_hermiticity(params: AlgebraParams, basis: str, measure) -> list[Hermit
     """<A f, g> = <f, B g> for the basis's _ADJOINT_PAIRS by moment quadrature.
 
     The samples f, g are the monomials of degree <= SAMPLE_DEGREE: z^0, z^1,
-    .. of the family of the sector weight measure (its problem's (mu,
-    alpha)), or the unit columns of each component (vector_alpha0,
-    eigenstate; _unit_columns).  Each generator acts once on the stack of
-    samples, and each side of a pair is one Gram product (inner_product);
-    measure as for the basis's _moment_table.  Rows run over f, then g, then
+    .. of the family of the sector weight measure (its problem's sector),
+    or the unit columns of each component (vector_alpha0, eigenstate;
+    _unit_columns).  Each generator acts once on the stack of samples, and
+    each side of a pair is one Gram product (inner_product); measure as for
+    the basis's _moment_table.  Rows run over f, then g, then
     the pairs.
     """
     if basis not in _ADJOINT_PAIRS:
         raise UnsupportedOp(f"unknown basis {basis!r}")
     samples = (np.eye(SAMPLE_DEGREE + 1, dtype=complex) if basis == "sector"
                else _unit_columns(params.lam, basis, SAMPLE_DEGREE)[2])
-    sector = (measure.problem.mu, measure.problem.alpha) if basis == "sector" else None
+    sector = measure.problem.sector if basis == "sector" else None
     grams = []
     for pair, a_op, b_op in _ADJOINT_PAIRS[basis]:
         a_f = apply_realization(params, basis, a_op, samples, sector)

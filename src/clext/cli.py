@@ -25,10 +25,9 @@ from .bargmann import check_commutators, check_hermiticity, intertwining_residua
 from .errors import ClextError, TruncationTooSmall
 from .figures import FIGURE_PRESETS, run_figure
 from .measures import (
-    MomentProblem,
-    positivity_condition,
-    PositivityRefusal,
+    NO_PAIRING,
     eigenstate_measures,
+    positivity_condition,
     verify_identity_resolution,
     verify_moments,
     weight_function,
@@ -172,7 +171,7 @@ def cmd_squeeze(args) -> int:
 
 def cmd_moments(args) -> int:
     p = _params(args)
-    weight = weight_function(p, args.mu, args.cs_alpha, require_positive=not args.allow_unsigned)
+    weight = weight_function(p, (args.mu, args.cs_alpha), require_positive=not args.allow_unsigned)
     report = verify_moments(weight, k_max=args.k_max, tol=args.tol)
     head = (f"# moments for mu = {args.mu}, alpha = {args.cs_alpha}, form = {weight.form}\n"
             "k,target,integral,rel_error\n")
@@ -202,7 +201,8 @@ def _hermiticity_residual(rows) -> float:
 
 def cmd_bargmann_check(args) -> int:
     p = _params(args)
-    MomentProblem(p, args.mu, args.cs_alpha)  # the sector family, checked before any row
+    sector = (args.mu, args.cs_alpha)
+    pairing = positivity_condition(p, sector)  # refuses a sector outside the family
     lines = ["basis,op_pair,max_residual"]
     ok = True
     table: dict[tuple[str, str], float] = {}
@@ -213,14 +213,12 @@ def cmd_bargmann_check(args) -> int:
         ok &= res < 1e-10
         lines.append(f"{basis},{pair},{res:.3e}")
     herm, notes = [], []
-    cert = positivity_condition(p, args.mu, args.cs_alpha)
-    if isinstance(cert, PositivityRefusal):
+    if pairing is None:
         notes.append(f"# sector(mu={args.mu}),J+/J- hermiticity skipped: no positivity "
-                     f"certificate for (mu, alpha) = ({args.mu}, {args.cs_alpha}): {cert.reason}")
+                     f"certificate for (mu, alpha) = {sector}: {NO_PAIRING}")
     else:
-        w = weight_function(p, args.mu, args.cs_alpha)
         herm.append((f"sector(mu={args.mu}),J+/J-",
-                     check_hermiticity(p, "sector", w)))
+                     check_hermiticity(p, "sector", weight_function(p, sector))))
     # the vector basis's alpha = 0 weights are the eigenstate measures' own
     meas = eigenstate_measures(p)
     herm += [("vector_alpha0,adag/a", check_hermiticity(p, "vector_alpha0", meas.weights)),
@@ -231,12 +229,12 @@ def cmd_bargmann_check(args) -> int:
         lines.append(f"{label} hermiticity,{res:.3e}")
     # the transform of op |z> against op's realization on the transform of |z>
     psi = eigenstate(p, 0.9 + 0.4j)
-    sector = f"sector(mu={args.mu},alpha={args.cs_alpha})"
-    for basis, label, ops in (("sector", sector, ("N", "J0", "Jplus", "Jminus")),
+    for basis, label, ops in (("sector", f"sector(mu={args.mu},alpha={args.cs_alpha})",
+                               ("N", "J0", "Jplus", "Jminus")),
                               ("vector_alpha0", "vector_alpha0", VECTOR_OPS),
                               ("eigenstate", "eigenstate", VECTOR_OPS)):
         for op in ops:
-            res = intertwining_residual(p, basis, op, psi, (args.mu, args.cs_alpha))
+            res = intertwining_residual(p, basis, op, psi, sector)
             ok &= res < 1e-10
             lines.append(f"{label},{op} intertwining,{res:.3e}")
     _emit(args, "\n".join(lines + notes) + "\n")
@@ -305,7 +303,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "states":
         rows = _verify_states(p, args.trunc, max(tol, 1e-9))
     elif args.suite == "moments":
-        weight = weight_function(p, args.mu, args.cs_alpha)
+        weight = weight_function(p, (args.mu, args.cs_alpha))
         rep = verify_moments(weight, k_max=8, tol=tol)
         rows = [(f"moment k={r.k}", r.rel_error, r.rel_error < tol) for r in rep.rows]
     elif args.suite == "resolution":

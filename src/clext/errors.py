@@ -51,10 +51,6 @@ class QuadratureFailure(ClextError, ArithmeticError):
 class PositivityUnavailable(ClextError, ValueError):
     """No positivity certificate exists for the requested weight."""
 
-    def __init__(self, refusal):
-        self.refusal = refusal
-        super().__init__(f"no positive weight function available: {refusal}")
-
 
 class UnsupportedOp(ClextError, ValueError):
     """Operator not available in the chosen Bargmann basis."""

@@ -198,7 +198,7 @@ def _values(job: FigureJob, grid: np.ndarray) -> np.ndarray:
     params = tuple(c.params(job.lam) for c in job.curves)
     kind, opts = job.kind, job.options
     if kind in ("weight_h1", "weight_h2"):
-        return np.array([weight_function(p, opts["mu"], opts["alpha"]).evaluate(grid)
+        return np.array([weight_function(p, (opts["mu"], opts["alpha"])).evaluate(grid)
                          for p in params], dtype=float)
     if kind not in ("q_sector", "q_eigen", "x_sector", "x_eigen"):
         raise ValueError(f"unknown figure kind {kind!r}")

@@ -10,7 +10,13 @@ r = 0) power-moment problem
 solved by restricted Meijer G densities: G^{m,0}_{alpha,m} evaluated
 directly for r > 0, and Norlund's (1 - y) series for r = 0.
 Positivity holds when the upper parameter list can be matched injectively
-below the lower list, which this module searches exhaustively.
+below the lower list, which this module searches exhaustively: the
+certificate is that pairing, () at alpha = 0, and None when there is none.
+
+One argument names the family everywhere: sector = (mu, alpha), mu one
+member, as in clext.states.  Every entry takes its lists from
+states.sector_lists, whose check (states.check_sector) is the family's only
+range rule, and whose cache every caller shares.
 
 The lambda alpha = 0 weights of one algebra, which the eigenstate measures
 and the diagonal_alpha0 resolution integrate, have the lower lists
@@ -30,10 +36,10 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraParams
-from .errors import PositivityUnavailable, QuadratureFailure
+from .errors import DomainError, PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
 from .specfun import _NorlundKernel, g_general_vec
-from .states import log_weights, sector_lists
+from .states import check_sector, log_weights, sector_lists
 
 
 # --------------------------------------------------------------------------
@@ -42,22 +48,18 @@ from .states import log_weights, sector_lists
 
 @dataclass(frozen=True)
 class MomentProblem:
-    """Moment targets B(k) for the family (mu, alpha) of one algebra."""
+    """Moment targets B(k) for the family sector = (mu, alpha) of one algebra,
+    mu one member; a sector outside the family is refused (sector_lists)."""
 
     params: AlgebraParams
-    mu: int
-    alpha: int
+    sector: tuple
 
     def __post_init__(self):
-        lam = self.params.lam
-        if not 0 <= self.alpha <= lam // 2:
-            raise ValueError(f"alpha out of range: {self.alpha}")
-        if not 0 <= self.mu <= lam - self.alpha - 1:
-            raise ValueError(f"mu out of range: {self.mu}")
+        sector_lists(self.params, self.sector)
 
     @property
     def r(self) -> int:
-        return self.params.lam - 2 * self.alpha
+        return self.params.lam - 2 * self.sector[1]
 
     @property
     def y_max(self) -> float:
@@ -65,7 +67,7 @@ class MomentProblem:
 
     @property
     def log_A(self) -> float:
-        num, den = sector_lists(self.params, self.mu, self.alpha)
+        num, den = sector_lists(self.params, self.sector)
         out = -math.log(math.pi) - self.r * math.log(self.params.lam)
         for v in num:
             out += math.lgamma(v)
@@ -74,7 +76,7 @@ class MomentProblem:
         return out
 
     def log_B(self, k: float) -> float:
-        num, den = sector_lists(self.params, self.mu, self.alpha)
+        num, den = sector_lists(self.params, self.sector)
         out = self.log_A + math.lgamma(k + 1.0)
         for v in den:
             out += math.lgamma(v + k)
@@ -88,10 +90,10 @@ def moment_target(problem: MomentProblem, k: float) -> float:
     return math.exp(problem.log_B(k))
 
 
-def mellin_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[list[float], list[float]]:
+def mellin_lists(params: AlgebraParams, sector: tuple) -> tuple[list[float], list[float]]:
     """Upper/lower parameter lists (a, b) of the inverse Mellin transform:
     a = num - 1 and b = (0, den - 1) for the family's sector_lists."""
-    num, den = sector_lists(params, mu, alpha)
+    num, den = sector_lists(params, sector)
     return [v - 1.0 for v in num], [0.0] + [v - 1.0 for v in den]
 
 
@@ -99,39 +101,14 @@ def mellin_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[list[float
 # positivity certificates
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PositivityCertificate:
-    """Injective assignment a_i > b_{pairing[i]} proving the weight positive."""
-
-    pairing: tuple[int, ...]
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    condition: str = ""
+NO_PAIRING = "no injective assignment a_i > b_j exists"
 
 
-@dataclass(frozen=True)
-class PositivityRefusal:
-    reason: str
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-
-
-def positivity_condition(params: AlgebraParams, mu: int, alpha: int):
-    """Search all injective a->b assignments; first witness wins.
-
-    alpha = 0 needs no condition.  Returns a PositivityCertificate or a
-    PositivityRefusal.
-    """
-    a, b = mellin_lists(params, mu, alpha)
-    if alpha == 0:
-        return PositivityCertificate((), tuple(a), tuple(b), "unconditional")
-    combo = _pairing(a, b)
-    if combo is None:
-        return PositivityRefusal(
-            "no injective assignment a_i > b_j exists", tuple(a), tuple(b)
-        )
-    cond = ", ".join(f"a_{i + 1}={a[i]:.6g} > b_{j + 1}={b[j]:.6g}" for i, j in enumerate(combo))
-    return PositivityCertificate(combo, tuple(a), tuple(b), cond)
+def positivity_condition(params: AlgebraParams, sector: tuple) -> tuple[int, ...] | None:
+    """The positivity certificate of the sector's weight: the first injective
+    pairing with a_i > b_{pairing[i]} of its mellin_lists (a, b), () at
+    alpha = 0 (no a), None when there is none (NO_PAIRING)."""
+    return _pairing(*mellin_lists(params, sector))
 
 
 def _pairing(a, b) -> tuple[int, ...] | None:
@@ -162,7 +139,7 @@ def _cancel_equal(a, b) -> tuple[list[float], list[float]]:
 
 @dataclass
 class WeightFunction:
-    """Evaluable density on (0, y_max) with its positivity certificate.
+    """Evaluable density on (0, y_max) of its moment problem.
 
     evaluate() is vectorized; moment(k) integrates y^k h(y) dy on a
     cached tanh-sinh grid (k may be fractional, as the eigenstate
@@ -172,7 +149,6 @@ class WeightFunction:
 
     problem: MomentProblem
     form: str
-    certificate: PositivityCertificate | PositivityRefusal
     _eval: Callable[..., np.ndarray]
     k_budget: float = 10.0
     _grid: FixedGrid | None = field(default=None, repr=False)
@@ -218,6 +194,10 @@ class WeightFunction:
         """(integral of y^k h, error estimate): floats for a scalar k, arrays
         for an array of k."""
         ks = np.atleast_1d(np.asarray(k, dtype=float))
+        if not ks.size:
+            raise DomainError(f"a moment needs at least one order k, got {k}")
+        if not np.isfinite(ks).all():
+            raise DomainError(f"moment orders k must be finite, got {k}")
         self._ensure_grid(float(ks.max()))
         g = self._grid
         # y^k h in log space: y^k alone overflows before h decays
@@ -246,13 +226,9 @@ def _decay_cutoff(r: int, k_max: float) -> float:
 _HAUSDORFF_FORMS = {1: "beta_power", 2: "gauss2f1", 3: "appell_f3"}
 
 
-def weight_function(
-    params: AlgebraParams,
-    mu: int,
-    alpha: int,
-    require_positive: bool = True,
-) -> WeightFunction:
-    """Weight solving the (mu, alpha) moment problem.
+def weight_function(params: AlgebraParams, sector: tuple,
+                    require_positive: bool = True) -> WeightFunction:
+    """Weight solving the moment problem of sector = (mu, alpha), mu one member.
 
     Two evaluators: r = 0 is the Hausdorff weight G^{alpha,0}_{alpha,alpha}
     on (0, 1), Norlund's (1 - y) series of the certificate's pairs
@@ -270,24 +246,22 @@ def weight_function(
     transform (then possibly sign-indefinite), whose moments still
     reproduce B(k).
     """
-    problem = MomentProblem(params, mu, alpha)
-    cert = positivity_condition(params, mu, alpha)
-    a, b = mellin_lists(params, mu, alpha)
+    problem = MomentProblem(params, sector)
+    a, b = mellin_lists(params, sector)
+    pairing = _pairing(a, b)
     amp = math.exp(problem.log_A)
-    r = problem.r
-    if isinstance(cert, PositivityRefusal):
+    r, alpha = problem.r, sector[1]
+    if pairing is None:
+        refusal = f"no positive weight function available: {NO_PAIRING}"
         if require_positive:
-            raise PositivityUnavailable(cert.reason)
+            raise PositivityUnavailable(refusal)
         if r == 0:
-            raise PositivityUnavailable(
-                f"{cert.reason}; no unsigned evaluation on (0, 1) is implemented"
-            )
+            raise PositivityUnavailable(f"{refusal}; no unsigned evaluation on (0, 1) is implemented")
         form = "meijer_unsigned"
     elif alpha == 0:
         form = "meijer_m0"
     else:
         form = "kummer" if r > 0 else _HAUSDORFF_FORMS.get(alpha, "multiple_series")
-        pairing = cert.pairing
         a_left, b_left = _cancel_equal(a, b)
         reduced = _pairing(a_left, b_left) if len(a_left) < alpha else None
         if reduced is not None:
@@ -301,7 +275,7 @@ def weight_function(
         def evaluator(y, one_minus_y=None, _a=tuple(a), _b=tuple(b), _amp=amp):
             return _amp * g_general_vec(_a, _b, y)
 
-    return WeightFunction(problem, form, cert, evaluator)
+    return WeightFunction(problem, form, evaluator)
 
 
 # --------------------------------------------------------------------------
@@ -363,6 +337,7 @@ class EigenstateMeasures:
     def h(self, mu: int, t) -> np.ndarray:
         p = self.params
         lam = p.lam
+        check_sector(lam, (mu, 0))
         t = np.atleast_1d(np.asarray(t, dtype=float))
         pref = lam**lam
         for nu in range(1, mu + 1):
@@ -379,9 +354,11 @@ class EigenstateMeasures:
 
     def h_moment(self, mu: int, n) -> float | np.ndarray:
         """int t^n h_mu(t) dt = lam^(lam-1) prod(beta_bar) * M_mu((n - mu)/lam),
-        for one n or an array of them (one moment call)."""
+        for one n or an array of them (one moment call); mu is a member of
+        family 0 (check_sector)."""
         p = self.params
         lam = p.lam
+        check_sector(lam, (mu, 0))
         pref = float(lam) ** (lam - 1)
         for nu in range(1, mu + 1):
             pref *= p.beta_bar_at(nu)
@@ -408,9 +385,9 @@ def _alpha0_weights(params: AlgebraParams) -> list[WeightFunction]:
     list.
     """
     lam = params.lam
-    weights = [weight_function(params, mu, 0) for mu in range(lam)]
+    weights = [weight_function(params, (mu, 0)) for mu in range(lam)]
     grid = weights[0]._moment_grid()
-    rows = g_general_vec((), mellin_lists(params, 0, 0)[1], grid.y, shifts=range(1, lam))
+    rows = g_general_vec((), mellin_lists(params, (0, 0))[1], grid.y, shifts=range(1, lam))
     for w, row in zip(weights, rows):
         w._keep(grid, math.exp(w.problem.log_A) * row)
     return weights

@@ -233,13 +233,15 @@ def _oracle_squeezing(params: AlgebraParams, z, states: list[StateVector], vac: 
     return SqueezeReport(var_x, var_p, vac, vac, var_x * var_p, rhs, kind, "vector_oracle")
 
 
-def _sector_squeezing(params, lam: int, z, kind: str, mu: int, alpha: int):
-    """The vacuum reference and the closed form of |z; mu; alpha>.
+def _sector_squeezing(params, lam: int, z, kind: str, sector: tuple):
+    """The vacuum reference and the closed form of |z; mu; alpha>, sector =
+    (mu, alpha).
 
     The sector vacuum |mu> sets the dressed reference
     (lam/2)(bb_mu + bb_{mu+1}); the real-photon reference is 1/2.  There
     is no squeezing at lambda >= 3 (both off-diagonal moments vanish).
     """
+    mu, alpha = sector
     z_rows = np.atleast_1d(z)
 
     def bb(j):
@@ -312,7 +314,7 @@ def squeezing(params, z, kind: str = "dressed", sector: tuple | None = None, met
     _check_one_member(params, z, sector)
     lam = _param_stack(params)[0].lam
     vac, closed = (_eigenstate_squeezing(params, lam, z, kind) if sector is None
-                   else _sector_squeezing(params, lam, z, kind, *sector))
+                   else _sector_squeezing(params, lam, z, kind, sector))
     return _columns(
         params, z, sector, method, closed,
         lambda states: _oracle_squeezing(params, z, states, vac, kind),

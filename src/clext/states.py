@@ -34,24 +34,29 @@ the coefficient step, on the closed column's weights.
 
 The sector family's parameter lists (sector_lists) give its norm as a pFq,
 N^(alpha)_mu(y) = pFq(num; den; y), and the moment problem of its weight
-(measures.MomentProblem, measures.mellin_lists).  The pFq forms of the norms
-and overlaps are test references (tests/closed_forms.py).
+(measures.MomentProblem, measures.mellin_lists).  sector_lists takes one
+member, checks its sector (check_sector) on every call and builds each
+member's lists once, in one cache for the measures and the Bargmann
+realizations.  The pFq forms of the norms and overlaps are test references
+(tests/closed_forms.py).
 
 One value names the family everywhere: sector = (mu, alpha) is
 |z; mu; alpha>, None the eigenstate |z>, from the core up through the
-builders (cs_alpha_state, eigenstate) and the observables, and one check
-(_check_state) refuses a state outside its family.  Both builders take one
-z or an array of them.  An array is built in one pass: the level weights
-are shared, each row has its own norm, and all rows share one dim, the
-first at which every row's tail bound is small enough.  A scalar z is the
-length-1 case, returned with 1-D coefficients and float metadata.  An
-array of members mu of one family alpha at one z is built the same way:
-the members are a stack of the core, like a stack of algebras, with one
-row of levels per member, and the build has one row per member.
+builders (cs_alpha_state, eigenstate), the observables and the measures,
+and one check (_check_state) refuses a state outside its family.  Both
+builders take one z or an array of them.  An array is built in one pass:
+the level weights are shared, each row has its own norm, and all rows
+share one dim, the first at which every row's tail bound is small enough.
+A scalar z is the length-1 case, returned with 1-D coefficients and float
+metadata.  An array of members mu of one family alpha at one z is built
+the same way: the members are a stack of the core, like a stack of
+algebras, with one row of levels per member, and the build has one row
+per member.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,20 +76,21 @@ WORK_ELEMENTS = 2**16
 _SPLIT = 2.0**27 + 1.0  # Veltkamp splitter for doubles
 
 
-def check_sector(lam: int, mu, alpha: int) -> None:
-    """Refuse a (mu, alpha) outside the sector family: 0 <= alpha <= lambda // 2
-    and 0 <= mu <= lambda - alpha - 1, for one member mu or each of a
-    nonempty array; mu and alpha are integers."""
+def check_sector(lam: int, sector: tuple) -> None:
+    """Refuse a sector = (mu, alpha) outside the sector family: 0 <= alpha <=
+    lambda // 2 and 0 <= mu <= lambda - alpha - 1, for one member mu or each of
+    a nonempty array; mu and alpha are integers."""
+    mu, alpha = sector
     if not isinstance(alpha, (int, np.integer)):
         raise SectorError(f"alpha must be an integer, got {alpha}")
     if not 0 <= alpha <= lam // 2:
         raise SectorError(f"alpha must lie in [0, {lam // 2}], got {alpha}")
-    members = np.atleast_1d(mu)
+    members = np.asarray(mu)
     if not members.size:
         raise SectorError(f"a family needs at least one member mu, got {mu}")
     if members.dtype.kind not in "iu":
         raise SectorError(f"mu must be an integer, got {mu}")
-    for m in members.tolist():
+    for m in members.ravel().tolist():
         if not 0 <= m <= lam - alpha - 1:
             raise SectorError(f"only the trivial solution exists for mu = {m}, alpha = {alpha}")
 
@@ -109,7 +115,7 @@ def _check_state(params, z, sector: tuple | None = None) -> None:
         raise DomainError(f"z must be finite, got {z}")
     if sector is not None:
         lam = _param_stack(params)[0].lam
-        check_sector(lam, *sector)
+        check_sector(lam, sector)
         y = np.max(np.abs(z)) ** 2
         if 2 * sector[1] == lam and y >= 1.0:
             raise DomainError(f"alpha = lambda/2 states live on the unit disc; y = {y:.6g} >= 1")
@@ -136,18 +142,31 @@ class StateVector:
         self.coeffs.setflags(write=False)
 
 
-def sector_lists(params: AlgebraParams, mu: int, alpha: int) -> tuple[list[float], list[float]]:
-    """Numerator/denominator lists (num, den) of the family (mu, alpha).
+def sector_lists(params: AlgebraParams, sector: tuple) -> tuple[tuple, tuple]:
+    """Numerator/denominator lists (num, den) of the family sector = (mu, alpha),
+    mu one member; a sector outside the family (check_sector) or an array of
+    members is refused.
 
     num = (bb_{mu+1}, .., bb_{mu+alpha}) and den = (bb_1 + 1, .., bb_mu + 1,
     bb_{mu+alpha+1}, .., bb_{lambda-1}): the norm is N^(alpha)_mu(y) =
     pFq(num; den; y), and the moment targets are B(k) = k! prod Gamma(den + k)
     / prod Gamma(num + k) times A = prod Gamma(num) / (pi lambda^r prod Gamma(den)).
     """
+    check_sector(params.lam, sector)
+    mu, alpha = sector
+    if np.asarray(mu).ndim:
+        raise SectorError(f"sector_lists takes one member mu, got {mu}")
+    return _cached_lists(params, (int(mu), alpha))
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_lists(params: AlgebraParams, sector: tuple) -> tuple[tuple, tuple]:
+    """sector_lists of a checked sector, built once per (params, sector)."""
+    mu, alpha = sector
     bb = params.beta_bar_at
-    num = [bb(j) for j in range(mu + 1, mu + alpha + 1)]
-    den = [bb(j) + 1.0 for j in range(1, mu + 1)]
-    den += [bb(j) for j in range(mu + alpha + 1, params.lam)]
+    num = tuple(bb(j) for j in range(mu + 1, mu + alpha + 1))
+    den = tuple(bb(j) + 1.0 for j in range(1, mu + 1))
+    den += tuple(bb(j) for j in range(mu + alpha + 1, params.lam))
     return num, den
 
 

@@ -292,7 +292,7 @@ def mandel_q_branch_form(p, z, sector) -> float:
 
 def norm_series_cs_alpha(params, mu: int, alpha: int, y: float) -> SeriesValue:
     """N^(alpha)_mu as a pFq value at argument y."""
-    num, den = sector_lists(params, mu, alpha)
+    num, den = sector_lists(params, (mu, alpha))
     return pfq(num, den, y)
 
 
@@ -339,8 +339,8 @@ def overlap_cs_alpha(params, z1, sector1, z2, sector2) -> complex:
     if mu != mu2:
         return 0.0
     lam = params.lam
-    num = sector_lists(params, mu, min(alpha1, alpha2))[0]
-    den = sector_lists(params, mu, max(alpha1, alpha2))[1]
+    num = sector_lists(params, (mu, min(alpha1, alpha2)))[0]
+    den = sector_lists(params, (mu, max(alpha1, alpha2)))[1]
     w = z1.conjugate() * z2 / lam ** (lam - alpha1 - alpha2)
     n1 = norm_series_cs_alpha(params, mu, alpha1, sector_y(params, z1, alpha1)).value.real
     n2 = norm_series_cs_alpha(params, mu, alpha2, sector_y(params, z2, alpha2)).value.real
@@ -356,7 +356,7 @@ def overlap_eigenstate(params, z1: complex, z2: complex) -> complex:
     for mu in range(lam):
         if mu > 0:
             pref *= w / params.beta_bar_at(mu)
-        num, den = sector_lists(params, mu, 0)
+        num, den = sector_lists(params, (mu, 0))
         total += complex(pfq(num, den, w**lam).value) * pref
     n1 = eigenstate_norm(params, abs(z1) ** 2 / lam)
     n2 = eigenstate_norm(params, abs(z2) ** 2 / lam)
@@ -406,7 +406,7 @@ def carleman_test(params, alpha: int, k_sum: int = 200) -> CarlemanResult:
         verdict = "inconclusive"
     if abs(exponent + 1.0) <= 1e-12:
         verdict = "inconclusive"
-    problem = MomentProblem(params, 0, alpha)
+    problem = MomentProblem(params, (0, alpha))
     s_full = 0.0
     s_half = 0.0
     for k in range(1, k_sum + 1):

@@ -53,9 +53,9 @@ def rng():
 def meijer_weight(params, mu, alpha, y):
     """A * G^{m,0}_{alpha,m}(y | a; b) of the (mu, alpha) Mellin lists, by mpmath
     at 30 digits: the reference for every weight, r = 0 or r > 0."""
-    a, b = mellin_lists(params, mu, alpha)
+    a, b = mellin_lists(params, (mu, alpha))
     with mp.workdps(30):
-        amp = mp.exp(MomentProblem(params, mu, alpha).log_A)
+        amp = mp.exp(MomentProblem(params, (mu, alpha)).log_A)
         return float(amp * mp.meijerg([[], a], [b, []], mp.mpf(y)))
 
 
@@ -72,7 +72,7 @@ def hausdorff_closed_form(params, mu, alpha, y):
     bb = lambda j: params.beta_bar_at(mu + j)
     with mp.workdps(30):
         y = mp.mpf(y)
-        amp = mp.exp(MomentProblem(params, mu, alpha).log_A)
+        amp = mp.exp(MomentProblem(params, (mu, alpha)).log_A)
         if alpha == 2:
             s = bb(1) + bb(2) - bb(3) - 1
             h = (1 - y) ** (s - 1) / mp.gamma(s) * mp.hyp2f1(bb(1) - bb(3), bb(2) - bb(3), s, 1 - y)

@@ -118,19 +118,19 @@ def test_criterion_3_norm_closed_forms(rng, paraboson_params):
 def test_criterion_4_moment_problems(paraboson_params, fig1_params):
     start = time.perf_counter()
     # exact Beta case first: lambda = 2, alpha = 1, bb1 = 2
-    rep = verify_moments(weight_function(paraboson_params, 0, 1), 8, 1e-10)
+    rep = verify_moments(weight_function(paraboson_params, (0, 1)), 8, 1e-10)
     assert rep.passed, rep.max_rel_error
-    rep = verify_moments(weight_function(paraboson_params, 0, 0), 8, 1e-6)
+    rep = verify_moments(weight_function(paraboson_params, (0, 0)), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
     # lambda = 3, alpha = 1, mu in {0, 1} at the Fig.-1 parameters; mu = 1
     # has no positivity certificate there, so its inverse Mellin transform
     # is verified unsigned
-    rep = verify_moments(weight_function(fig1_params, 0, 1), 8, 1e-6)
+    rep = verify_moments(weight_function(fig1_params, (0, 1)), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
-    rep = verify_moments(weight_function(fig1_params, 1, 1, require_positive=False), 8, 1e-6)
+    rep = verify_moments(weight_function(fig1_params, (1, 1), require_positive=False), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
     p42 = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-    rep = verify_moments(weight_function(p42, 0, 2), 8, 1e-6)
+    rep = verify_moments(weight_function(p42, (0, 2)), 8, 1e-6)
     assert rep.passed, rep.max_rel_error
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -242,9 +242,9 @@ def test_criterion_8_figure_reproduction():
     # Fig 2b endpoint limits as bb1 + bb2 - bb3 <=> 2 (solid diverges,
     # dashed tends to the Gamma value, dot-dashed vanishes); probed with
     # exact endpoint offsets since the (1-y)^(+-1/4) approach is slow
-    solid = weight_function(params_from_beta_bar(4, [1.5, 1.0, 0.75]), 0, 2)
-    dashed = weight_function(params_from_beta_bar(4, [1.5, 1.25, 0.75]), 0, 2)
-    dotdash = weight_function(params_from_beta_bar(4, [1.5, 1.5, 0.75]), 0, 2)
+    solid = weight_function(params_from_beta_bar(4, [1.5, 1.0, 0.75]), (0, 2))
+    dashed = weight_function(params_from_beta_bar(4, [1.5, 1.25, 0.75]), (0, 2))
+    dotdash = weight_function(params_from_beta_bar(4, [1.5, 1.5, 0.75]), (0, 2))
 
     def near_one(w, om):
         return float(w.evaluate(1.0 - om, one_minus_y=om)[0])
@@ -278,12 +278,12 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
                 assert intertwining_residual(p, basis, op, psi) < 1e-12
     # Hermiticity under the certified weights (lambda <= 3)
     for p, mu, alpha in [(paraboson_params, 0, 0), (paraboson_params, 0, 1), (fig1_params, 0, 1)]:
-        w = weight_function(p, mu, alpha)
+        w = weight_function(p, (mu, alpha))
         rows = check_hermiticity(p, "sector", w)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 1e-6 * scale
     for p in (paraboson_params, fig1_params):
-        weights = [weight_function(p, m, 0) for m in range(p.lam)]
+        weights = [weight_function(p, (m, 0)) for m in range(p.lam)]
         rows = check_hermiticity(p, "vector_alpha0", weights)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 2e-6 * scale
@@ -294,7 +294,7 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
         ser = hausdorff_closed_form(p4, 0, 2, float(y))
         assert conv == pytest.approx(ser, rel=1e-7)
     p6 = params_from_beta_bar(6, [1.9, 1.7, 1.5, 0.9, 0.8])
-    w6 = weight_function(p6, 0, 3)
+    w6 = weight_function(p6, (0, 3))
     for y in (0.25, 0.5, 0.75):
         conv = meijer_weight(p6, 0, 3, float(y))
         ser = float(w6.evaluate(float(y))[0])

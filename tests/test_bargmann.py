@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from clext import params_from_beta_bar
 from clext.algebra import build_operator, structure_function, validate_params
 import clext.bargmann as bargmann
+import clext.states as states
 from clext.algebra import sga_structure_poly
 from clext.bargmann import (
     CommutatorRow,
@@ -19,7 +21,7 @@ from clext.bargmann import (
 from clext.cli import main
 from clext.errors import NonPolynomialResult, SectorError, ShapeError, UnsupportedOp
 from clext.measures import eigenstate_measures, weight_function
-from clext.states import StateVector, cs_alpha_state, eigenstate, sector_lists
+from clext.states import StateVector, cs_alpha_state, eigenstate
 from closed_forms import basis_function
 from conftest import random_valid_params
 
@@ -266,7 +268,7 @@ class TestBasisFunctions:
         assert f[1] == pytest.approx(math.sqrt(bb1))
 
     def test_orthonormal_under_weight(self, paraboson_params):
-        w = weight_function(paraboson_params, 0, 1)
+        w = weight_function(paraboson_params, (0, 1))
         for k in range(5):
             fk = basis_function(paraboson_params, 0, 1, k)
             assert inner_product("sector", w, fk, fk).real == pytest.approx(1.0, rel=1e-8)
@@ -275,7 +277,7 @@ class TestBasisFunctions:
         assert abs(inner_product("sector", w, f0, f2)) == 0.0
 
     def test_angular_orthogonality(self, paraboson_params):
-        w = weight_function(paraboson_params, 0, 1)
+        w = weight_function(paraboson_params, (0, 1))
         one = np.array([1.0], dtype=complex)
         z = np.array([0.0, 1.0], dtype=complex)
         assert inner_product("sector", w, one, z) == 0.0
@@ -359,10 +361,12 @@ class TestCommutators:
 
     def test_verify_bargmann_builds_each_members_lists_once(self, monkeypatch):
         # lambda = 4 has 9 members (mu, alpha): 4 of family 0, 3 of 1 and 2 of 2
+        # states.sector_lists checks each call and builds each member's lists
+        # once, in its cache
         built = []
-        monkeypatch.setattr(bargmann, "sector_lists",
-                            lambda *key: built.append(key) or sector_lists(*key))
-        bargmann._member_lists.cache_clear()
+        build = states._cached_lists.__wrapped__
+        monkeypatch.setattr(states, "_cached_lists", functools.lru_cache(
+            lambda *key: built.append(key) or build(*key)))
         assert main(["verify", "bargmann", "--lambda", "4", "--alpha", "1,2,-1,-2"]) == 0
         assert len(built) == len(set(built)) == 9
 
@@ -431,13 +435,13 @@ class TestHermiticity:
             (paraboson_params, 0, 1, 1e-7),
             (fig1_params, 0, 1, 1e-6),
         ]:
-            w = weight_function(p, mu, alpha)
+            w = weight_function(p, (mu, alpha))
             rows = check_hermiticity(p, "sector", w)
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < tol * scale
 
     def test_trivial_pair_is_zero(self, paraboson_params):
-        w = weight_function(paraboson_params, 0, 1)
+        w = weight_function(paraboson_params, (0, 1))
         one = np.array([1.0], dtype=complex)
         jp = apply_realization(paraboson_params, "sector", "Jplus", one, (0, 1))
         jm = apply_realization(paraboson_params, "sector", "Jminus", one, (0, 1))
@@ -446,7 +450,7 @@ class TestHermiticity:
 
     def test_vector_adjoint_pair(self, paraboson_params, fig1_params):
         for p in (paraboson_params, fig1_params):
-            weights = [weight_function(p, m, 0) for m in range(p.lam)]
+            weights = [weight_function(p, (m, 0)) for m in range(p.lam)]
             rows = check_hermiticity(p, "vector_alpha0", weights)
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < 2e-6 * scale
@@ -488,7 +492,7 @@ class TestHermiticity:
 
     def test_unknown_basis(self, fig1_params):
         with pytest.raises(UnsupportedOp):
-            check_hermiticity(fig1_params, "polar", weight_function(fig1_params, 0, 0))
+            check_hermiticity(fig1_params, "polar", weight_function(fig1_params, (0, 0)))
 
 
 def _loop_inner_product(basis, measure, f, g):
@@ -686,16 +690,16 @@ class TestWeightODE:
         return abs(mid_l - mid_r) / scale
 
     def test_perelomov_weight_satisfies_ode(self, paraboson_params):
-        w = weight_function(paraboson_params, 0, 1)
+        w = weight_function(paraboson_params, (0, 1))
         for y0 in (0.25, 0.5, 0.75):
             assert self._ode_residual(paraboson_params, 0, 1, w, y0) < 1e-6
 
     def test_fig1_weight_satisfies_ode(self, fig1_params):
-        w = weight_function(fig1_params, 0, 1)
+        w = weight_function(fig1_params, (0, 1))
         for y0 in (0.5, 1.5, 3.0):
             assert self._ode_residual(fig1_params, 0, 1, w, y0) < 1e-5
 
     def test_alpha0_weight_satisfies_ode(self, paraboson_params):
-        w = weight_function(paraboson_params, 0, 0)
+        w = weight_function(paraboson_params, (0, 0))
         for y0 in (0.5, 2.0):
             assert self._ode_residual(paraboson_params, 0, 0, w, y0) < 1e-5

@@ -845,7 +845,8 @@ class TestBargmannCheck:
     def test_sector_outside_the_family_is_a_usage_error(self):
         code, out, err = run_cli(["bargmann-check", "--lambda", "3", "--alpha", "3,-3,0",
                                   "--mu", "2", "--cs-alpha", "1"])
-        assert code == 2 and out == "" and err == "error: mu out of range: 2\n"
+        assert code == 2 and out == "" and err == (
+            "error: only the trivial solution exists for mu = 2, alpha = 1\n")
 
     @pytest.mark.parametrize("mu, cs_alpha", [(1, 0), (0, 1), (1, 1)])
     @pytest.mark.parametrize("lam", list(CERTIFIED))

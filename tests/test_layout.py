@@ -27,7 +27,9 @@ referred to in src/clext outside its own definition and its imports, or in
 bench/.  No function of src/clext but apply_realization refers to the
 private realizations of clext.bargmann (_apply_sector, _apply_vector_alpha0,
 _apply_eigenstate), apart from _apply_vector_alpha0's family-0 call of
-_apply_sector.
+_apply_sector.  No function of src/clext takes both a mu and an alpha
+parameter, and no class holds both as fields: sector = (mu, alpha) is one
+argument.
 
 The package itself, the state builders and the algebra import no special
 functions: neither they nor any clext module they import, directly or
@@ -202,6 +204,25 @@ def test_realizations_are_reached_through_apply_realization():
                     if refs:
                         found[f"{path.stem}.{node.name}"] = sorted(refs)
     assert not found, f"functions that bypass apply_realization: {found}"
+
+
+def test_a_family_is_one_sector_argument():
+    # sector = (mu, alpha) names a family: no function takes mu and alpha as
+    # two parameters, and no class holds them as two fields
+    found = []
+    for path in sorted((ROOT / "src" / "clext").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            elif isinstance(node, ast.ClassDef):
+                names = {item.target.id for item in node.body
+                         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+            else:
+                continue
+            if {"mu", "alpha"} <= names:
+                found.append(f"{path.stem}.{node.name}")
+    assert not found, f"functions and classes that take mu and alpha apart: {found}"
 
 
 def _clext_imports(stem: str) -> set[str]:

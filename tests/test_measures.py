@@ -8,13 +8,11 @@ import scipy.special as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from clext import params_from_beta_bar, validate_params
-from clext.errors import PositivityUnavailable
+from clext.errors import DomainError, PositivityUnavailable, SectorError
 from clext.measures import (
     EigenstateMeasures,
     MomentProblem,
     WeightFunction,
-    PositivityCertificate,
-    PositivityRefusal,
     eigenstate_measures,
     mellin_lists,
     moment_target,
@@ -31,14 +29,14 @@ from conftest import hausdorff_closed_form, meijer_weight, random_valid_params
 class TestMomentTargets:
     def test_perelomov_case(self, paraboson_params):
         # lambda = 2, alpha = 1, bb1 = 2: B(k) = 1/(pi (k+1))
-        prob = MomentProblem(paraboson_params, 0, 1)
+        prob = MomentProblem(paraboson_params, (0, 1))
         for k in range(6):
             assert moment_target(prob, k) == pytest.approx(1.0 / (math.pi * (k + 1)), rel=1e-13)
 
     def test_lambda2_alpha0_case(self, paraboson_params):
         # B(k) = Gamma(k+1) Gamma(bb1+k) / (4 pi Gamma(bb1))
         bb1 = 2.0
-        prob = MomentProblem(paraboson_params, 0, 0)
+        prob = MomentProblem(paraboson_params, (0, 0))
         for k in range(6):
             expect = math.gamma(k + 1.0) * math.gamma(bb1 + k) / (4 * math.pi * math.gamma(bb1))
             assert moment_target(prob, k) == pytest.approx(expect, rel=1e-13)
@@ -47,45 +45,45 @@ class TestMomentTargets:
         for lam in (2, 3, 4):
             p = random_valid_params(rng, lam)
             for alpha in range(lam // 2 + 1):
-                prob = MomentProblem(p, 0, alpha)
+                prob = MomentProblem(p, (0, alpha))
                 assert all(moment_target(prob, k) > 0 for k in range(0, 51, 10))
 
 
 class TestPositivityCondition:
     def test_fig1_certificate(self, fig1_params):
-        cert = positivity_condition(fig1_params, 0, 1)
-        assert isinstance(cert, PositivityCertificate)
+        cert = positivity_condition(fig1_params, (0, 1))
+        assert cert is not None
 
     def test_zero_parameter_refusal(self):
         p = validate_params(3, (0.0, 0.0, 0.0))
-        assert isinstance(positivity_condition(p, 0, 1), PositivityRefusal)
+        assert positivity_condition(p, (0, 1)) is None
 
     def test_perelomov_certificate(self, paraboson_params):
-        cert = positivity_condition(paraboson_params, 0, 1)
-        assert isinstance(cert, PositivityCertificate)  # bb1 = 2 > 1
+        cert = positivity_condition(paraboson_params, (0, 1))
+        assert cert is not None  # bb1 = 2 > 1
 
     def test_alpha0_unconditional(self, fig1_params):
-        cert = positivity_condition(fig1_params, 2, 0)
-        assert cert.condition == "unconditional"
+        cert = positivity_condition(fig1_params, (2, 0))
+        assert cert == ()
 
     def test_matches_branch_conditions(self):
         # alpha = 2, mu = 0: either bb1 > bb3, bb2 > 1 or bb1 > 1, bb2 > bb3
         good = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-        assert isinstance(positivity_condition(good, 0, 2), PositivityCertificate)
+        assert positivity_condition(good, (0, 2)) is not None
         bad = params_from_beta_bar(4, [0.9, 0.8, 1.25])
-        assert isinstance(positivity_condition(bad, 0, 2), PositivityRefusal)
+        assert positivity_condition(bad, (0, 2)) is None
 
 
 class TestWeights:
     def test_perelomov_flat_weight(self, paraboson_params):
-        w = weight_function(paraboson_params, 0, 1)
+        w = weight_function(paraboson_params, (0, 1))
         assert w.form == "beta_power"
         vals = w.evaluate(np.array([0.1, 0.5, 0.9]))
         assert vals == pytest.approx(np.full(3, 1.0 / math.pi), rel=1e-12)
 
     def test_fig1_weight_is_kummer_form(self, fig1_params):
         bb1, bb2 = 4 / 3, 2 / 3
-        w = weight_function(fig1_params, 0, 1)
+        w = weight_function(fig1_params, (0, 1))
         assert w.form == "kummer"
         for y in (0.1, 1.0, 4.0, 12.0):
             ref = (
@@ -99,7 +97,7 @@ class TestWeights:
     def test_h2_finite_limit_at_zero(self):
         # bb3 > 1: h(0+) -> (bb1-1)(bb2-1)/(pi (bb3-1))
         p = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-        w = weight_function(p, 0, 2)
+        w = weight_function(p, (0, 2))
         limit = (0.5 * 0.5) / (math.pi * 0.25)
         # the limit is approached like y^(bb3 - 1) = y^0.25, so probe deep
         assert float(w.evaluate(1e-26)[0]) == pytest.approx(limit, rel=1e-5)
@@ -110,10 +108,10 @@ class TestWeights:
         # A y^(bb3-1) (1-y)^(s-1) / Gamma(s) 2F1(bb1-1, bb2-1; s; 1-y),
         # s = bb1 + bb2 - bb3 - 1
         p = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-        w = weight_function(p, 0, 2)
+        w = weight_function(p, (0, 2))
         bb1, bb2, bb3 = 1.5, 1.5, 1.25
         s = bb1 + bb2 - bb3 - 1.0
-        amp = math.exp(MomentProblem(p, 0, 2).log_A)
+        amp = math.exp(MomentProblem(p, (0, 2)).log_A)
         for y in (0.15, 0.5, 0.85):
             swapped = (
                 amp
@@ -127,39 +125,39 @@ class TestWeights:
     def test_refusal_raises(self):
         p = validate_params(3, (0.0, 0.0, 0.0))
         with pytest.raises(PositivityUnavailable):
-            weight_function(p, 0, 1)
+            weight_function(p, (0, 1))
 
     def test_certified_weights_nonnegative(self, rng):
         grid = np.logspace(-3, 1, 1000)
         for lam, mu, alpha in [(2, 0, 0), (3, 0, 1), (3, 1, 0), (4, 0, 1)]:
             for _ in range(3):
                 p = random_valid_params(rng, lam)
-                cert = positivity_condition(p, mu, alpha)
-                if isinstance(cert, PositivityRefusal):
+                cert = positivity_condition(p, (mu, alpha))
+                if cert is None:
                     continue
-                w = weight_function(p, mu, alpha)
+                w = weight_function(p, (mu, alpha))
                 g = grid if w.y_max == math.inf else np.linspace(1e-3, 0.999, 1000)
                 assert float(np.min(w.evaluate(g))) > -1e-12
 
 
 class TestVerifyMoments:
     def test_exact_beta_case(self, paraboson_params):
-        rep = verify_moments(weight_function(paraboson_params, 0, 1), 10, 1e-10)
+        rep = verify_moments(weight_function(paraboson_params, (0, 1)), 10, 1e-10)
         assert rep.passed and rep.max_rel_error < 1e-10
 
     def test_negative_k_max_is_refused(self, paraboson_params):
         with pytest.raises(ValueError, match="k_max must be >= 0, got -1"):
-            verify_moments(weight_function(paraboson_params, 0, 1), -1, 1e-10)
+            verify_moments(weight_function(paraboson_params, (0, 1)), -1, 1e-10)
 
     def test_every_certified_case_lambda_le_4(self, rng):
         for lam in (2, 3, 4):
             p = random_valid_params(rng, lam)
             for alpha in range(lam // 2 + 1):
                 for mu in range(lam - alpha):
-                    cert = positivity_condition(p, mu, alpha)
-                    if isinstance(cert, PositivityRefusal):
+                    cert = positivity_condition(p, (mu, alpha))
+                    if cert is None:
                         continue
-                    w = weight_function(p, mu, alpha)
+                    w = weight_function(p, (mu, alpha))
                     rep = verify_moments(w, 8, 1e-6)
                     assert rep.passed, (lam, mu, alpha, rep.max_rel_error)
 
@@ -171,9 +169,9 @@ class TestVerifyMoments:
         for p in (random_valid_params(rng, lam) for _ in range(2)):
             for alpha in range(lam // 2 + 1):
                 for mu in range(lam - alpha):
-                    if isinstance(positivity_condition(p, mu, alpha), PositivityRefusal):
+                    if positivity_condition(p, (mu, alpha)) is None:
                         continue
-                    w = weight_function(p, mu, alpha)
+                    w = weight_function(p, (mu, alpha))
                     for width in (3, 4, 9):
                         fine, err = w.moment(np.arange(width, dtype=float))
                         for k in range(width):
@@ -185,7 +183,7 @@ class TestVerifyMoments:
     def test_one_weight_evaluation_per_grid(self, lam, mu, alpha):
         # the shadow grid's values are a slice of the fine grid's
         p = params_from_beta_bar(lam, [4 / 3, 2 / 3] if lam == 3 else [1.5, 1.5, 1.25])
-        w = weight_function(p, mu, alpha)
+        w = weight_function(p, (mu, alpha))
         calls = []
         inner = w._eval
 
@@ -200,18 +198,18 @@ class TestVerifyMoments:
 
 class TestHankelHadamard:
     def test_solvable_cases_positive(self, paraboson_params, fig1_params):
-        for prob in (MomentProblem(paraboson_params, 0, 1), MomentProblem(fig1_params, 0, 1)):
+        for prob in (MomentProblem(paraboson_params, (0, 1)), MomentProblem(fig1_params, (0, 1))):
             e0, e1 = hankel_hadamard(prob, 5)
             assert e0 > 0 and e1 > 0
 
     def test_order_one(self, paraboson_params):
-        prob = MomentProblem(paraboson_params, 0, 1)
+        prob = MomentProblem(paraboson_params, (0, 1))
         e0, e1 = hankel_hadamard(prob, 1)
         assert e0 == pytest.approx(moment_target(prob, 0))
         assert e1 == pytest.approx(moment_target(prob, 1))
 
     def test_scaling_linearity(self, paraboson_params):
-        prob = MomentProblem(paraboson_params, 0, 1)
+        prob = MomentProblem(paraboson_params, (0, 1))
         e0, e1 = hankel_hadamard(prob, 4)
         h0 = np.array([[moment_target(prob, i + j) for j in range(4)] for i in range(4)])
         assert np.linalg.eigvalsh(2.0 * h0).min() == pytest.approx(2.0 * e0, rel=1e-12)
@@ -272,6 +270,17 @@ class TestEigenstateMeasures:
         assert total.imag == pytest.approx(0.0, abs=1e-12)
         assert total.real == pytest.approx(float(meas.h(0, t)[0]), rel=1e-10)
 
+    @pytest.mark.parametrize("mu", [-1, 3])
+    def test_member_outside_family_0_is_refused(self, fig1_params, mu):
+        # at the parent h_moment(-1, .) read the mu = 2 weight with the mu = 0
+        # prefactor, and mu = 3 raised IndexError
+        meas = eigenstate_measures(fig1_params)
+        message = f"^only the trivial solution exists for mu = {mu}, alpha = 0$"
+        with pytest.raises(SectorError, match=message):
+            meas.h_moment(mu, 2.0)
+        with pytest.raises(SectorError, match=message):
+            meas.h(mu, 0.7)
+
 
 class TestResolutions:
     def test_diagonal_alpha0(self, paraboson_params, fig1_params):
@@ -317,7 +326,7 @@ class TestConjecture:
     # library's Norlund series
     def test_alpha2_matches_series(self):
         p = params_from_beta_bar(4, [1.5, 1.5, 1.25])
-        w = weight_function(p, 0, 2)
+        w = weight_function(p, (0, 2))
         for y in (0.1, 0.35, 0.6, 0.85):
             meijer = meijer_weight(p, 0, 2, y)
             closed = hausdorff_closed_form(p, 0, 2, y)
@@ -326,7 +335,7 @@ class TestConjecture:
 
     def test_alpha3_three_routes(self):
         p = params_from_beta_bar(6, [1.9, 1.7, 1.5, 0.9, 0.8])
-        w = weight_function(p, 0, 3)
+        w = weight_function(p, (0, 3))
         for y in (0.3, 0.55, 0.8):
             appell = hausdorff_closed_form(p, 0, 3, y)
             series = float(w.evaluate(y)[0])
@@ -341,10 +350,10 @@ class TestLambda6Weight:
 
         mp.mp.dps = 30
         p6 = params_from_beta_bar(6, [1.9, 1.7, 1.5, 0.9, 0.8])
-        w = weight_function(p6, 0, 3)
+        w = weight_function(p6, (0, 3))
         assert w.form == "appell_f3"
-        a, b = mellin_lists(p6, 0, 3)
-        amp = math.exp(MomentProblem(p6, 0, 3).log_A)
+        a, b = mellin_lists(p6, (0, 3))
+        amp = math.exp(MomentProblem(p6, (0, 3)).log_A)
         for y in (1e-6, 0.2, 0.44, 0.46, 0.8):
             ref = amp * float(mp.meijerg([[], list(a)], [list(b), []], y))
             assert float(w.evaluate(y)[0]) == pytest.approx(ref, rel=1e-9)
@@ -365,7 +374,7 @@ HAUSDORFF_CASES = [
 def test_hausdorff_moments(form, bb):
     lam = len(bb) + 1
     p = params_from_beta_bar(lam, bb)
-    w = weight_function(p, 0, lam // 2)
+    w = weight_function(p, (0, lam // 2))
     assert w.form == form
     rep = verify_moments(w, 8, 1e-10)
     assert rep.passed, rep.max_rel_error
@@ -396,14 +405,14 @@ def test_hausdorff_weight_sweep(case):
     lam, bb, mu, y = case
     p = params_from_beta_bar(lam, bb)
     alpha = lam // 2
-    assume(not isinstance(positivity_condition(p, mu, alpha), PositivityRefusal))
-    problem = MomentProblem(p, mu, alpha)
-    a, b = mellin_lists(p, mu, alpha)
+    assume(positivity_condition(p, (mu, alpha)) is not None)
+    problem = MomentProblem(p, (mu, alpha))
+    a, b = mellin_lists(p, (mu, alpha))
     with mp.workdps(30):
         # scale G so that its zeroth moment is B(0)
         mass = mp.fprod(mp.gamma(1 + v) for v in b) / mp.fprod(mp.gamma(1 + v) for v in a)
         ref = float(moment_target(problem, 0) / mass * mp.meijerg([[], a], [b, []], y))
-    got = float(weight_function(p, mu, alpha).evaluate(y)[0])
+    got = float(weight_function(p, (mu, alpha)).evaluate(y)[0])
     assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -433,14 +442,14 @@ def test_stieltjes_weight_sweep(case):
     # (1 - u)^(s-1) mass lay beyond its tanh-sinh nodes)
     lam, bb, mu, alpha, y = case
     p = params_from_beta_bar(lam, bb)
-    cert = positivity_condition(p, mu, alpha)
-    assume(isinstance(cert, PositivityCertificate))
-    a, b = mellin_lists(p, mu, alpha)
+    cert = positivity_condition(p, (mu, alpha))
+    assume(cert is not None)
+    a, b = mellin_lists(p, (mu, alpha))
     with mp.workdps(30):
         mass = mp.fprod(mp.gamma(1 + v) for v in b) / mp.fprod(mp.gamma(1 + v) for v in a)
-        ref = float(moment_target(MomentProblem(p, mu, alpha), 0) / mass
+        ref = float(moment_target(MomentProblem(p, (mu, alpha)), 0) / mass
                     * mp.meijerg([[], a], [b, []], y))
-    got = float(weight_function(p, mu, alpha).evaluate(y)[0])
+    got = float(weight_function(p, (mu, alpha)).evaluate(y)[0])
     assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -468,11 +477,11 @@ def test_certified_stieltjes_moments_sweep():
         if rng.random() < 1 / 3:
             bb[rng.random(lam - 1) < 0.5] = bb[0]
         p = params_from_beta_bar(lam, bb)
-        if isinstance(positivity_condition(p, mu, alpha), PositivityCertificate):
+        if positivity_condition(p, (mu, alpha)) is not None:
             cases.append((lam, tuple(bb), mu, alpha))
     for lam, bb, mu, alpha in cases:
         p = params_from_beta_bar(lam, bb)
-        rep = verify_moments(weight_function(p, mu, alpha), 8, 1e-10)
+        rep = verify_moments(weight_function(p, (mu, alpha)), 8, 1e-10)
         assert rep.passed, (lam, bb, mu, alpha, rep.max_rel_error)
 
 
@@ -480,22 +489,22 @@ class TestStieltjesRegressions:
     def test_bessel_inner_kernel_at_small_y(self):
         # the Bessel inner kernel's small-x form was 3.8e-4 off at nu = 0.25
         p = params_from_beta_bar(4, [1.5, 1.0, 0.75])
-        a, b = mellin_lists(p, 0, 1)
-        amp = math.exp(MomentProblem(p, 0, 1).log_A)
+        a, b = mellin_lists(p, (0, 1))
+        amp = math.exp(MomentProblem(p, (0, 1)).log_A)
         with mp.workdps(30):
             ref = amp * float(mp.meijerg([[], a], [b, []], 1e-15))
-        assert float(weight_function(p, 0, 1).evaluate(1e-15)[0]) == pytest.approx(ref, rel=1e-13)
+        assert float(weight_function(p, (0, 1)).evaluate(1e-15)[0]) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("bb", [(1.5, 1.5, 1.5), (1.25, 1.25, 1.25)])
     def test_equal_parameters_cancel(self, bb):
         # a = (bb - 1) cancels one of b = (0, bb - 1, bb - 1): the weight is
         # 2A y^(b/2) K_b(2 sqrt y) with b = bb - 1, not a convolution
         p = params_from_beta_bar(4, bb)
-        w = weight_function(p, 0, 1)
+        w = weight_function(p, (0, 1))
         assert w.form == "kummer"
         rep = verify_moments(w, 8, 1e-13)
         assert rep.passed, rep.max_rel_error
-        a, b = mellin_lists(p, 0, 1)
+        a, b = mellin_lists(p, (0, 1))
         y = np.array([1e-12, 1e-3, 0.5, 4.0, 60.0])
         got = w.evaluate(y)
         with mp.workdps(30):
@@ -508,7 +517,7 @@ class TestStieltjesRegressions:
         # r = 3: the weight whose inner G^{3,0}_{0,3} once came from a
         # log-log table, now evaluated directly
         p = params_from_beta_bar(5, [1.5, 1.3, 1.2, 0.9])
-        w = weight_function(p, 0, 1)
+        w = weight_function(p, (0, 1))
         assert w.form == "kummer"
         rep = verify_moments(w, 8, 1e-7)
         assert rep.passed, rep.max_rel_error
@@ -516,12 +525,12 @@ class TestStieltjesRegressions:
 
 class TestBoundaryBehavior:
     def test_fig1_weight_vanishes_at_infinity(self, fig1_params):
-        w = weight_function(fig1_params, 0, 1)
+        w = weight_function(fig1_params, (0, 1))
         assert float(w.evaluate(25.0)[0]) < 1e-6 * float(w.evaluate(0.1)[0])
 
     def test_fig1_divergent_limit_when_bb2_le_1(self, fig1_params):
         # bb2 = 2/3 <= 1: h(0+) diverges
-        w = weight_function(fig1_params, 0, 1)
+        w = weight_function(fig1_params, (0, 1))
         assert float(w.evaluate(1e-8)[0]) > 100.0 * float(w.evaluate(0.1)[0])
 
     def test_fig2b_endpoint_limits(self):
@@ -530,14 +539,14 @@ class TestBoundaryBehavior:
         dashed = params_from_beta_bar(4, [1.5, 1.25, 0.75])  # exactly 2
         dotdash = params_from_beta_bar(4, [1.5, 1.5, 0.75])  # 2.25 > 2
         near, nearer = 1e-3, 1e-6
-        w = weight_function(solid, 0, 2)
+        w = weight_function(solid, (0, 2))
         assert float(w.evaluate(1 - nearer, one_minus_y=nearer)[0]) > 5.0 * float(
             w.evaluate(1 - near, one_minus_y=near)[0]
         )
-        w = weight_function(dashed, 0, 2)
+        w = weight_function(dashed, (0, 2))
         limit = math.gamma(1.5) * math.gamma(1.25) / (math.pi * math.gamma(0.75))
         assert float(w.evaluate(1 - nearer, one_minus_y=nearer)[0]) == pytest.approx(limit, rel=1e-2)
-        w = weight_function(dotdash, 0, 2)
+        w = weight_function(dotdash, (0, 2))
         assert float(w.evaluate(1 - nearer, one_minus_y=nearer)[0]) < 0.2 * float(
             w.evaluate(1 - near, one_minus_y=near)[0]
         )
@@ -545,10 +554,10 @@ class TestBoundaryBehavior:
 
 class TestUnsignedEscape:
     def test_mu1_fig1_moments_without_certificate(self, fig1_params):
-        assert isinstance(positivity_condition(fig1_params, 1, 1), PositivityRefusal)
+        assert positivity_condition(fig1_params, (1, 1)) is None
         with pytest.raises(PositivityUnavailable):
-            weight_function(fig1_params, 1, 1)
-        w = weight_function(fig1_params, 1, 1, require_positive=False)
+            weight_function(fig1_params, (1, 1))
+        w = weight_function(fig1_params, (1, 1), require_positive=False)
         rep = verify_moments(w, 8, 1e-6)
         assert rep.passed
         # the density really does change sign here
@@ -559,8 +568,8 @@ class TestUnsignedEscape:
 def test_mellin_lists_reproduce_targets(fig1_params):
     # gamma-product check: B(k)/A = prod Gamma(k+1+b) / prod Gamma(k+1+a)
     for mu, alpha in [(0, 1), (1, 1), (0, 0), (2, 0)]:
-        prob = MomentProblem(fig1_params, mu, alpha)
-        a, b = mellin_lists(fig1_params, mu, alpha)
+        prob = MomentProblem(fig1_params, (mu, alpha))
+        a, b = mellin_lists(fig1_params, (mu, alpha))
         for k in (0, 3):
             log = sum(math.lgamma(k + 1 + bv) for bv in b)
             log -= sum(math.lgamma(k + 1 + av) for av in a)
@@ -612,11 +621,11 @@ def test_sector_lists_match_the_index_loops(rng):
         p = random_valid_params(rng, lam)
         for alpha in range(lam // 2 + 1):
             for mu in range(lam - alpha):
-                a, b = mellin_lists(p, mu, alpha)
+                a, b = mellin_lists(p, (mu, alpha))
                 ref_a, ref_b = _mellin_lists_by_index(p, mu, alpha)
                 assert a == ref_a
                 np.testing.assert_allclose(b, ref_b, rtol=0, atol=2.0**-51)
-                prob = MomentProblem(p, mu, alpha)
+                prob = MomentProblem(p, (mu, alpha))
                 assert prob.log_A == _log_a_loops(p, mu, alpha)
                 for k in range(51):
                     ref = _log_b_loops(p, mu, alpha, k)
@@ -632,7 +641,7 @@ def test_m0_slater_vs_contour_on_algebra_parameters(rng):
     for lam in (2, 3, 4):
         p = random_valid_params(rng, lam)
         for mu in range(lam):
-            _, b = mellin_lists(p, mu, 0)
+            _, b = mellin_lists(p, (mu, 0))
             degenerate = any(
                 abs((b[i] - b[j]) - round(b[i] - b[j])) < 1e-9
                 for i in range(len(b))
@@ -652,7 +661,7 @@ def test_alpha4_conjecture_reported_not_asserted():
     # reported against the proven nested series; correctness of the
     # candidate is an open question, so nothing beyond sanity is asserted
     p8 = params_from_beta_bar(8, [2.4, 2.2, 2.0, 1.8, 0.9, 0.85, 0.8])
-    w = weight_function(p8, 0, 4)
+    w = weight_function(p8, (0, 4))
     assert w.form == "multiple_series"
     for y in (0.3, 0.6):
         series = float(w.evaluate(y)[0])
@@ -680,7 +689,7 @@ class TestMomentArrays:
     @pytest.mark.parametrize("lam, mu, alpha", [(3, 0, 0), (3, 0, 1), (4, 0, 2), (2, 1, 0)])
     def test_moment_array_is_the_scalar_moments(self, lam, mu, alpha):
         p = params_from_beta_bar(lam, {2: [1.5], 3: [4 / 3, 2 / 3], 4: [1.5, 1.5, 1.25]}[lam])
-        w = weight_function(p, mu, alpha)
+        w = weight_function(p, (mu, alpha))
         ks = np.array([0.0, 0.5, 1.0, 7 / 3, 4.0, 8.0])
         fine, err = w.moment(ks)
         assert fine.shape == err.shape == ks.shape
@@ -689,6 +698,17 @@ class TestMomentArrays:
             assert isinstance(one, float) and isinstance(one_err, float)
             assert f == pytest.approx(one, rel=1e-15, abs=0)
             assert e == pytest.approx(one_err, rel=1e-6, abs=1e-15 * abs(one))
+
+    @pytest.mark.parametrize("k, message", [
+        (math.inf, "moment orders k must be finite, got inf"),
+        (np.array([1.0, math.nan]), "moment orders k must be finite, got [ 1. nan]"),
+        (np.array([]), "a moment needs at least one order k, got []"),
+    ])
+    def test_order_is_checked_where_it_enters(self, fig1_params, k, message):
+        w = weight_function(fig1_params, (0, 1))
+        with pytest.raises(DomainError) as got:
+            w.moment(k)
+        assert str(got.value) == message
 
     def test_offdiag_integrates_each_pair_once(self, fig1_params, monkeypatch):
         # lambda = 3, n_max = 6: 21 integrals (nu, n) in 3 moment calls, and the
@@ -729,7 +749,7 @@ class TestAlpha0Family:
         meas = eigenstate_measures(p)
         assert isinstance(meas, EigenstateMeasures)
         for mu, w in enumerate(meas.weights):
-            lone = weight_function(p, mu, 0)
+            lone = weight_function(p, (mu, 0))
             lone._ensure_grid(8.0)
             assert w._grid.y.tobytes() == lone._grid.y.tobytes()
             got = w._sign * np.exp(w._log_abs)

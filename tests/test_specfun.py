@@ -19,7 +19,6 @@ from clext import params_from_beta_bar
 from clext.errors import ClextError, DomainError, NoConvergence
 from clext import specfun
 from clext.measures import (
-    PositivityCertificate,
     mellin_lists,
     positivity_condition,
     weight_function,
@@ -443,9 +442,9 @@ class TestMeijerG:
         # every row of the alpha = 0 moment grid that Slater refuses, in one
         # continuation call; both ends of each log-y bucket against meijerg
         p = params_from_beta_bar(lam, beta_bar)
-        w = weight_function(p, 0, 0)
+        w = weight_function(p, (0, 0))
         w._ensure_grid(8.0)
-        _, b = mellin_lists(p, 0, 0)
+        _, b = mellin_lists(p, (0, 0))
         y = np.unique(w._grid.y)
         _, (ok,) = _slater_vec([], b, y, 1e-9)
         y = y[~ok & (y >= 1e-60)]
@@ -462,7 +461,7 @@ class TestMeijerG:
         # bits at y = 1.7e-322 and the row ran to the tanh-sinh node cap; the
         # residue sum takes these rows directly
         p = params_from_beta_bar(3, [4 / 3, 2 / 3])
-        a, b = mellin_lists(p, 0, 1)
+        a, b = mellin_lists(p, (0, 1))
         y = np.array([1.72922976e-322, 5e-324, 1e-300])
         (vals,), (ok,) = _slater_vec(a, b, y, 1e-9)
         assert ok.all() and g_general_vec(a, b, y).tolist() == vals.tolist()
@@ -513,9 +512,9 @@ class TestMeijerG:
         # (Gauss multiplication makes G a pure e^{-m y^{1/m}} y^c), so every
         # M_k, k >= 1, vanishes and the continuation gets nothing.
         p = params_from_beta_bar(lam, beta_bar)
-        w = weight_function(p, 0, 0)
+        w = weight_function(p, (0, 0))
         w._ensure_grid(8.0)
-        _, b = mellin_lists(p, 0, 0)
+        _, b = mellin_lists(p, (0, 0))
         y = np.unique(w._grid.y)
         rows = []
         continuation = specfun._continuation_vec
@@ -631,7 +630,7 @@ def contour_cases(draw):
     lam = draw(st.sampled_from([3, 4, 5, 6]))
     bb = [draw(st.floats(0.08, 2.5)) for _ in range(lam - 1)]
     mu = draw(st.integers(0, lam - 1))
-    _, b = mellin_lists(params_from_beta_bar(lam, bb), mu, 0)
+    _, b = mellin_lists(params_from_beta_bar(lam, bb), (mu, 0))
     return b, 10.0 ** draw(st.floats(math.log10(5.0), 7.0))
 
 
@@ -677,7 +676,7 @@ def test_expansion_table_sum_matches_horner():
         assert np.all(np.abs(got - _horner_expansion_sum(M, n, lw)) <= 1e-15 * size)
     for _ in range(12):
         lam = int(rng.integers(3, 8))
-        b = mellin_lists(random_valid_params(rng, lam), 0, 0)[1]
+        b = mellin_lists(random_valid_params(rng, lam), (0, 0))[1]
         lw = np.linspace(1.0, 6.0, 200)
         terms = [specfun._expansion_terms((), bb, lw, 1e-11) for bb in specfun._family(b, range(1, lam))[1]]
         M, n = np.array([t[1] for t in terms]), np.array([t[2] for t in terms])
@@ -702,9 +701,9 @@ def expansion_cases(draw):
     if draw(st.integers(0, 2)) == 0:
         bb = [draw(st.sampled_from([0.5, 1.25, 1.5, 1.75]))] * (lam - 1)
     p = params_from_beta_bar(lam, bb)
-    mu = draw(st.integers(0, lam - 1))
-    assume(isinstance(positivity_condition(p, mu, alpha), PositivityCertificate))
-    a, b = mellin_lists(p, mu, alpha)
+    mu = draw(st.integers(0, lam - alpha - 1))
+    assume(positivity_condition(p, (mu, alpha)) is not None)
+    a, b = mellin_lists(p, (mu, alpha))
     s = lam - 2 * alpha
     grid = np.geomspace(1e-2, (350.0 / s) ** s, 400)
     _, (ok,) = _expansion_vec(a, b, grid, 1e-11)
@@ -736,9 +735,9 @@ def band_cases(draw):
     if draw(st.integers(0, 2)) == 0:
         bb = [draw(st.sampled_from([0.5, 1.25, 1.5, 1.75]))] * (lam - 1)
     p = params_from_beta_bar(lam, bb)
-    mu = draw(st.integers(0, lam - 1))
-    assume(isinstance(positivity_condition(p, mu, alpha), PositivityCertificate))
-    a, b = mellin_lists(p, mu, alpha)
+    mu = draw(st.integers(0, lam - alpha - 1))
+    assume(positivity_condition(p, (mu, alpha)) is not None)
+    a, b = mellin_lists(p, (mu, alpha))
     s = lam - 2 * alpha
     grid = np.geomspace((1.0 / s) ** s, (350.0 / s) ** s, 300)
     _, (slater,) = _slater_vec(a, b, grid, 1e-11)
@@ -770,7 +769,7 @@ def test_slater_prescreen_skips_only_refused_points():
         for _ in range(25):
             p = random_valid_params(rng, lam)
             for mu in range(lam):
-                a, b = mellin_lists(p, mu, 0)
+                a, b = mellin_lists(p, (mu, 0))
                 skip = ~specfun._slater_reaches(len(b) - len(a), y, 1e-9)
                 assert skip.any()
                 _, (ok,) = _slater_vec(a, b, y[skip], 1e-9)
@@ -799,8 +798,8 @@ def confluent_cases(draw):
             bb[i] = min(2.5, max(0.08, bb[0] + shift))
     p = params_from_beta_bar(lam, bb)
     mu = draw(st.integers(0, lam - alpha - 1))
-    assume(isinstance(positivity_condition(p, mu, alpha), PositivityCertificate))
-    a, b = mellin_lists(p, mu, alpha)
+    assume(positivity_condition(p, (mu, alpha)) is not None)
+    a, b = mellin_lists(p, (mu, alpha))
     r = lam - 2 * alpha
     hi = 0.95 if r == 0 else ((math.log(specfun._SLATER_COND_LIMIT) + (r - 1) * math.log(2.0) + 3.0) / (2 * r)) ** r
     return tuple(a), tuple(b), 10.0 ** draw(st.floats(-30.0, math.log10(hi)))
@@ -856,7 +855,7 @@ def test_cluster_sweep():
         for _ in range(10):
             spread = 10.0 ** rng.uniform(-4.0, -1.0)
             bb = 1.0 + rng.integers(0, 2, lam - 1) + spread * rng.uniform(0.0, 1.0, lam - 1)
-            a, b = mellin_lists(params_from_beta_bar(lam, list(bb)), 0, 0)
+            a, b = mellin_lists(params_from_beta_bar(lam, list(bb)), (0, 0))
             y = 10.0 ** rng.uniform(math.log10(1.73e-322), 0.0, 4)
             (vals,), (ok,) = _slater_vec(a, b, y, 1e-11)
             accepted += ok.sum()
@@ -944,10 +943,10 @@ def test_family_rows_are_the_shifted_lists(case):
     lam, bb, pick = case
     p = params_from_beta_bar(lam, list(bb))
     y = np.array(FAMILY_Y) * float(lam) ** (lam - 3)
-    rows = g_general_vec((), mellin_lists(p, 0, 0)[1], y, 1e-12, shifts=range(1, lam))
+    rows = g_general_vec((), mellin_lists(p, (0, 0))[1], y, 1e-12, shifts=range(1, lam))
     assert rows.shape == (lam, y.size)
     for mu, row in enumerate(rows):
-        lower = mellin_lists(p, mu, 0)[1]
+        lower = mellin_lists(p, (mu, 0))[1]
         own = g_general_vec((), lower, y, 1e-12)
         assert row == pytest.approx(own, rel=1e-12, abs=0), mu
         with mp.workdps(30):
@@ -1056,7 +1055,7 @@ def test_one_route_pass_for_all_sector_weights(monkeypatch, tmp_path):
     # the moments workload's seed-1 draw about beta_bar = (4/3, 2/3), whose band
     # needs the continuation
     p = params_from_beta_bar(3, [1.28765, 0.658016])
-    b = mellin_lists(p, 0, 0)[1]
+    b = mellin_lists(p, (0, 0))[1]
     calls = {"_taylor_coeffs": 0, "_cluster_series": 0}
     for name in calls:
         inner = getattr(specfun, name)

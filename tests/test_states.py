@@ -8,6 +8,12 @@ import pytest
 from clext import build_operator
 from clext import params_from_beta_bar, structure_function, validate_params
 from clext.errors import DomainError, SectorError, ShapeError, TruncationTooSmall
+from clext.measures import (
+    MomentProblem,
+    mellin_lists,
+    positivity_condition,
+    weight_function,
+)
 from clext.observables import mandel_q, squeezing
 from clext.states import (
     FIRST_LEVELS,
@@ -16,6 +22,7 @@ from clext.states import (
     eigenstate,
     _fock_weights,
     log_weights,
+    sector_lists,
 )
 from closed_forms import (
     bessel_i,
@@ -505,14 +512,20 @@ class TestFamilyBuild:
 
 
 # one family check for every entry point: entry -> (call, takes a stack, the
-# sectors it takes: None for |z>, one member mu, an array of members)
+# sectors it takes: None for |z>, one member mu, an array of members; takes a z)
 ENTRIES = {
     "cs_alpha_state": (lambda p, z, sector: cs_alpha_state(p, z, sector), False,
-                       {"member", "members"}),
-    "eigenstate": (lambda p, z, sector: eigenstate(p, z), False, {None}),
-    "mandel_q": (lambda p, z, sector: mandel_q(p, z, sector), True, {None, "member"}),
+                       {"member", "members"}, True),
+    "eigenstate": (lambda p, z, sector: eigenstate(p, z), False, {None}, True),
+    "mandel_q": (lambda p, z, sector: mandel_q(p, z, sector), True, {None, "member"}, True),
     "squeezing": (lambda p, z, sector: squeezing(p, z, "dressed", sector), True,
-                  {None, "member"}),
+                  {None, "member"}, True),
+    "sector_lists": (lambda p, z, sector: sector_lists(p, sector), False, {"member"}, False),
+    "mellin_lists": (lambda p, z, sector: mellin_lists(p, sector), False, {"member"}, False),
+    "MomentProblem": (lambda p, z, sector: MomentProblem(p, sector), False, {"member"}, False),
+    "positivity_condition": (lambda p, z, sector: positivity_condition(p, sector), False,
+                             {"member"}, False),
+    "weight_function": (lambda p, z, sector: weight_function(p, sector), False, {"member"}, False),
 }
 LAM3 = (3.0, -3.0, 0.0)  # fig1_params
 LAM2 = (3.0, -3.0)  # paraboson_params
@@ -538,9 +551,17 @@ REFUSALS = {
                    "a family needs at least one member mu, got []"),
     "a member array": (LAM3, 0.5, (np.arange(2), 1), SectorError,
                        "the observables take one member mu, got [0 1]"),
+    "a member array to the measures": (LAM3, 0.5, (np.arange(2), 1), SectorError,
+                                       "sector_lists takes one member mu, got [0 1]"),
 }
+# the cases about z, which only the entries that take a z refuse
+Z_CASES = {"non-finite z", "non-finite z of |z>", "a row off the unit disc"}
 # a case that only the entries which do not take its sector refuse -> those entries
-REFUSED_BY = {"a member array": {"mandel_q", "squeezing"}}
+REFUSED_BY = {
+    "a member array": {"mandel_q", "squeezing"},
+    "a member array to the measures": {entry for entry, (*_, takes_z) in ENTRIES.items()
+                                       if not takes_z},
+}
 
 
 def _sector_kind(sector):
@@ -549,12 +570,24 @@ def _sector_kind(sector):
     return "members" if np.ndim(sector[0]) else "member"
 
 
+def _refuses(entry, case):
+    """Whether entry refuses case: its sector's family is checked before an
+    entry that takes one member refuses an array of them."""
+    _, _, kinds, takes_z = ENTRIES[entry]
+    if case in Z_CASES and not takes_z:
+        return False
+    if case in REFUSED_BY:
+        return entry in REFUSED_BY[case]
+    kind = _sector_kind(REFUSALS[case][2])
+    return kind in kinds or (kind == "members" and "member" in kinds)
+
+
 FAMILY_CHECKS = [
     pytest.param(entry, case, stacked, id=f"{entry}-{case}-{'stack' if stacked else 'one'}")
-    for entry, (_, takes_stack, kinds) in ENTRIES.items()
-    for case, refusal in REFUSALS.items()
+    for entry, (_, takes_stack, *_) in ENTRIES.items()
+    for case in REFUSALS
     for stacked in ((False, True) if takes_stack else (False,))
-    if (entry in REFUSED_BY[case] if case in REFUSED_BY else _sector_kind(refusal[2]) in kinds)
+    if _refuses(entry, case)
 ]
 
 
