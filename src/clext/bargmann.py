@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import AlgebraParams, build_operator, sga_structure_poly
 from .errors import NonPolynomialResult, SectorError, ShapeError, UnsupportedOp
-from .states import StateVector, check_sector, log_weights, sector_lists
+from .states import StateVector, _cached_lists, check_sector, log_weights
 
 
 def _widen(c: np.ndarray, width: int, shift: int = 0) -> np.ndarray:
@@ -80,7 +80,7 @@ def _atom_ddz_plus_over_z(c: np.ndarray, const) -> np.ndarray:
 def _apply_sector(params: AlgebraParams, mus, alpha: int, op: str, c: np.ndarray):
     """op on the members mus of family alpha, one per leading row of the
     coefficients c (shape (members, .., width)): each atom takes one constant
-    per member as a (members, 1, .., 1) column."""
+    per member as a (members, 1, .., 1) column; the caller checked the family."""
     lam = params.lam
     bb = params.beta_bar_at
 
@@ -91,7 +91,7 @@ def _apply_sector(params: AlgebraParams, mus, alpha: int, op: str, c: np.ndarray
         return _atom_theta_plus(c, column([m / lam for m in mus])) * lam
     if op == "J0":
         return _atom_theta_plus(c, column([0.5 * (bb(m) + bb(m + 1)) for m in mus]))
-    nums, dens = zip(*(sector_lists(params, (m, alpha)) for m in mus))
+    nums, dens = zip(*(_cached_lists(params, (int(m), alpha)) for m in mus))
     if op == "Jplus":
         out = c
         for v in zip(*nums):
@@ -209,8 +209,9 @@ def bargmann_transform(params: AlgebraParams, psi: StateVector, basis: str,
                        sector: tuple | None = None) -> np.ndarray:
     """Map Fock coefficients to Bargmann polynomial coefficients, zero past the
     state's last level: in sector = (mu, alpha), one row per member for an
-    array of members mu; vector_alpha0 is the family (range(lambda), 0)."""
-    lam = params.lam
+    array of members mu; vector_alpha0 is the family (range(lambda), 0).  The
+    leading axes of psi.coeffs, a stack of states, lead each state's image."""
+    lam, c = params.lam, psi.coeffs
     if basis in ("sector", "vector_alpha0"):
         if basis == "vector_alpha0":
             sector = (np.arange(lam), 0)
@@ -219,14 +220,14 @@ def bargmann_transform(params: AlgebraParams, psi: StateVector, basis: str,
         with np.errstate(under="ignore"):
             weights = np.exp(0.5 * sum(log_weights(params, levels.shape[1] - 1, (mus, alpha))))
         inside = levels < psi.dim
-        out = np.zeros(levels.shape, dtype=complex)
-        out[inside] = psi.coeffs[levels[inside]] * weights[inside]
-        return out if np.ndim(sector[0]) else out[0]
+        out = np.zeros(c.shape[:-1] + levels.shape, dtype=complex)
+        out[..., inside] = c[..., levels[inside]] * weights[inside]
+        return out if np.ndim(sector[0]) else out[..., 0, :]
     if basis == "eigenstate":
         n = np.arange(psi.dim)
-        out = np.zeros((lam, psi.dim), dtype=complex)
+        out = np.zeros(c.shape[:-1] + (lam, psi.dim), dtype=complex)
         with np.errstate(under="ignore"):
-            out[n % lam, n] = psi.coeffs * np.exp(0.5 * sum(log_weights(params, psi.dim - 1)))
+            out[..., n % lam, n] = c * np.exp(0.5 * sum(log_weights(params, psi.dim - 1)))
         return out
     raise UnsupportedOp(f"unknown basis {basis!r}")
 
@@ -238,9 +239,9 @@ def _moment_table(basis: str, measure, width: int) -> np.ndarray:
     (components, width), from one array-k moment call per component.
 
     sector: measure is the family's WeightFunction, scale = lam^(lam - 2 alpha);
-    vector_alpha0: the lam alpha = 0 weights (EigenstateMeasures.weights),
-    scale = lam^lam; eigenstate: the EigenstateMeasures, M = h_mu moments in
-    t = |z|^2 / lam, scale = lam, filled at k = mu (mod lam), k >= mu only.  At
+    vector_alpha0 and eigenstate: the EigenstateMeasures, M the moments of its
+    weights, scale = lam^lam (vector_alpha0), or of h_mu in t = |z|^2 / lam,
+    scale = lam, filled at k = mu (mod lam), k >= mu only (eigenstate).  At
     any other k every coefficient of component mu vanishes, and the order
     (k - mu) / lam of the h_mu moment is negative, where it can diverge.
     """
@@ -255,7 +256,7 @@ def _moment_table(basis: str, measure, width: int) -> np.ndarray:
     if basis not in ("sector", "vector_alpha0"):
         raise UnsupportedOp(f"unknown basis {basis!r}")
     rows = []
-    for weight in [measure] if basis == "sector" else measure:
+    for weight in [measure] if basis == "sector" else measure.weights:
         scale = float(weight.problem.params.lam) ** weight.problem.r
         rows.append(math.pi * scale ** (k + 1) * weight.moment(k.astype(float))[0])
     return np.array(rows)

@@ -219,9 +219,8 @@ def cmd_bargmann_check(args) -> int:
     else:
         herm.append((f"sector(mu={args.mu}),J+/J-",
                      check_hermiticity(p, "sector", weight_function(p, sector))))
-    # the vector basis's alpha = 0 weights are the eigenstate measures' own
     meas = eigenstate_measures(p)
-    herm += [("vector_alpha0,adag/a", check_hermiticity(p, "vector_alpha0", meas.weights)),
+    herm += [("vector_alpha0,adag/a", check_hermiticity(p, "vector_alpha0", meas)),
              ("eigenstate,adag/a", check_hermiticity(p, "eigenstate", meas))]
     for label, rows in herm:
         res = _hermiticity_residual(rows)

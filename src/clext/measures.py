@@ -18,16 +18,16 @@ member, as in clext.states.  Every entry takes its lists from
 states.sector_lists, whose check (states.check_sector) is the family's only
 range rule, and whose cache every caller shares.
 
-The lambda alpha = 0 weights of one algebra, which the eigenstate measures
-and the diagonal_alpha0 resolution integrate, have the lower lists
-b_0 + e_1 + .. + e_mu; their values on the shared moment grid come from one
-g_general_vec family call.  A weight's moments of every order come from
-one product per quadrature rule.
+The lambda alpha = 0 weights of one algebra, the eigenstate measures', have
+the lower lists b_0 + e_1 + .. + e_mu; their values on the shared moment
+grid come from one g_general_vec family call.  A weight's moments of every
+order come from one product per quadrature rule.  A resolution of unity is
+the Bargmann Gram diagonal of the Fock basis, so only clext.states and
+clext.bargmann derive the norm of a Fock level.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -36,10 +36,11 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraParams
+from .bargmann import _moment_table, bargmann_transform
 from .errors import DomainError, PositivityUnavailable, QuadratureFailure
 from .quadrature import FixedGrid, fixed_grid_unit, fixed_grid_zero_inf
 from .specfun import _NorlundKernel, g_general_vec
-from .states import check_sector, log_weights, sector_lists
+from .states import StateVector, _cached_lists, check_sector, sector_lists
 
 
 # --------------------------------------------------------------------------
@@ -58,6 +59,11 @@ class MomentProblem:
         sector_lists(self.params, self.sector)
 
     @property
+    def lists(self) -> tuple[tuple, tuple]:
+        """(num, den) of the sector, checked at construction: from their cache."""
+        return _cached_lists(self.params, (int(self.sector[0]), self.sector[1]))
+
+    @property
     def r(self) -> int:
         return self.params.lam - 2 * self.sector[1]
 
@@ -67,7 +73,7 @@ class MomentProblem:
 
     @property
     def log_A(self) -> float:
-        num, den = sector_lists(self.params, self.sector)
+        num, den = self.lists
         out = -math.log(math.pi) - self.r * math.log(self.params.lam)
         for v in num:
             out += math.lgamma(v)
@@ -76,7 +82,7 @@ class MomentProblem:
         return out
 
     def log_B(self, k: float) -> float:
-        num, den = sector_lists(self.params, self.sector)
+        num, den = self.lists
         out = self.log_A + math.lgamma(k + 1.0)
         for v in den:
             out += math.lgamma(v + k)
@@ -142,9 +148,11 @@ class WeightFunction:
     """Evaluable density on (0, y_max) of its moment problem.
 
     evaluate() is vectorized; moment(k) integrates y^k h(y) dy on a
-    cached tanh-sinh grid (k may be fractional, as the eigenstate
-    measures require; an array of k is one product per rule, each order's
-    row summed on its own, so it matches a one-order call bit for bit).
+    cached tanh-sinh grid (k may be fractional or negative, as the
+    eigenstate measures require; an array of k is one product per rule, each
+    order's row summed on its own, so it matches a one-order call bit for
+    bit).  An order at or below the first pole of B(k), k <= -min(1, den),
+    is refused: there the integral diverges.
     """
 
     problem: MomentProblem
@@ -198,14 +206,26 @@ class WeightFunction:
             raise DomainError(f"a moment needs at least one order k, got {k}")
         if not np.isfinite(ks).all():
             raise DomainError(f"moment orders k must be finite, got {k}")
+        low, pole = ks.min(), -min((1.0, *self.problem.lists[1]))
+        if low <= pole:
+            raise DomainError(f"moment order k = {ks[ks <= pole][0]:.6g} is at or below "
+                              f"B(k)'s first pole k = {pole:.6g}: its integral diverges")
         self._ensure_grid(float(ks.max()))
         g = self._grid
         # y^k h in log space: y^k alone overflows before h decays
-        terms = self._sign * np.exp(np.multiply.outer(ks, self._log_y) + self._log_abs)
+        lead = np.multiply.outer(ks, self._log_y) + self._log_abs
+        w, w_coarse = g.w, g.w_coarse
+        if low < 0:
+            # below k = 0 y^k h overflows at the grid's first nodes before w tames
+            # it: there w joins the exponent, and the rules weigh by 1 and w_coarse / w
+            negative = (ks < 0)[:, None]
+            lead = np.where(negative, lead + np.log(w), lead)
+            w, w_coarse = np.where(negative, 1.0, w), np.where(negative, w_coarse / w[g.coarse], w_coarse)
+        terms = self._sign * np.exp(lead)
         # summed row by row (a BLAS product blocks rows by their count, and
         # terms[:, coarse] is column-major), so each order keeps its own bits
-        fine = (terms * g.w).sum(axis=1)
-        err = np.abs(fine - (np.take(terms, g.coarse, axis=1) * g.w_coarse).sum(axis=1))
+        fine = (terms * w).sum(axis=1)
+        err = np.abs(fine - (np.take(terms, g.coarse, axis=1) * w_coarse).sum(axis=1))
         bad = ~np.isfinite(fine)
         if bad.any():
             raise QuadratureFailure(f"moment k={ks[bad][0]} integral is not finite")
@@ -339,18 +359,13 @@ class EigenstateMeasures:
         lam = p.lam
         check_sector(lam, (mu, 0))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        pref = lam**lam
-        for nu in range(1, mu + 1):
-            pref *= p.beta_bar_at(nu)
+        pref = math.prod(map(p.beta_bar_at, range(1, mu + 1)), start=lam**lam)
         return pref * t ** (lam - mu - 1) * self.weights[mu].evaluate(t**lam)
 
     def g(self, mu: int, t) -> np.ndarray:
         lam = self.params.lam
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape, dtype=complex)
-        for nu in range(lam):
-            out += cmath.exp(2j * math.pi * mu * nu / lam) * self.h(nu, t)
-        return out / lam
+        h = np.array([self.h(nu, t) for nu in range(lam)])
+        return np.tensordot(np.exp(2j * math.pi * mu * np.arange(lam) / lam), h, axes=1) / lam
 
     def h_moment(self, mu: int, n) -> float | np.ndarray:
         """int t^n h_mu(t) dt = lam^(lam-1) prod(beta_bar) * M_mu((n - mu)/lam),
@@ -359,9 +374,7 @@ class EigenstateMeasures:
         p = self.params
         lam = p.lam
         check_sector(lam, (mu, 0))
-        pref = float(lam) ** (lam - 1)
-        for nu in range(1, mu + 1):
-            pref *= p.beta_bar_at(nu)
+        pref = math.prod(map(p.beta_bar_at, range(1, mu + 1)), start=float(lam) ** (lam - 1))
         val, _ = self.weights[mu].moment((np.asarray(n, dtype=float) - mu) / lam)
         return pref * val
 
@@ -375,8 +388,8 @@ class EigenstateMeasures:
         return complex(out) if out.ndim == 0 else out
 
 
-def _alpha0_weights(params: AlgebraParams) -> list[WeightFunction]:
-    """The lambda alpha = 0 sector weights (always certified).
+def eigenstate_measures(params: AlgebraParams) -> EigenstateMeasures:
+    """h_mu / g_mu from the lambda alpha = 0 sector weights (always certified).
 
     Their lower lists are b_0 + e_1 + .. + e_mu (mellin_lists), so one
     g_general_vec family call (shifts 1..lambda-1) gives all of them on
@@ -390,12 +403,7 @@ def _alpha0_weights(params: AlgebraParams) -> list[WeightFunction]:
     rows = g_general_vec((), mellin_lists(params, (0, 0))[1], grid.y, shifts=range(1, lam))
     for w, row in zip(weights, rows):
         w._keep(grid, math.exp(w.problem.log_A) * row)
-    return weights
-
-
-def eigenstate_measures(params: AlgebraParams) -> EigenstateMeasures:
-    """Build h_mu / g_mu from the alpha = 0 sector weights (always certified)."""
-    return EigenstateMeasures(params, _alpha0_weights(params))
+    return EigenstateMeasures(params, weights)
 
 
 @dataclass(frozen=True)
@@ -418,47 +426,38 @@ def verify_identity_resolution(
 ) -> ResolutionReport:
     """Check <n| integral |n'> = delta_{nn'} for the requested resolution.
 
-    Angular integrals are exact Kronecker deltas, so only the diagonal
-    radial moments are computed; modes: diagonal_alpha0 (sector family),
-    eigenstate_diag (the |z_mu> form), eigenstate_offdiag (the complex
-    g_mu mixture of |z><z e^{2 pi i mu / lambda}|).  Each call builds the
-    mode's alpha = 0 weights, or the eigenstate measures on them, from params.
+    Angular integrals are exact Kronecker deltas, so only the diagonal is
+    computed: the Bargmann Gram diagonal of |0>..|n_max>, their images under
+    one stacked bargmann_transform weighted by the basis's moment table
+    (bargmann._moment_table) of the eigenstate measures.  Modes:
+    diagonal_alpha0 (the alpha = 0 weights, vector_alpha0 basis),
+    eigenstate_diag (h_mu, eigenstate basis), eigenstate_offdiag (the g_mu
+    mixture of |z><z e^{2 pi i mu / lambda}|: the table holds
+    sum_mu e^{-2 pi i mu n / lambda} int t^n g_mu in place of h's moments).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > 8:
         raise ValueError("n_max above 8 exceeds the supported range")
-    lam = params.lam
-    n = np.arange(n_max + 1)
-    diag = np.empty(n_max + 1)
-    if mode == "diagonal_alpha0":
-        # the alpha = 0 weight of sector mu resolves |k lam + mu> iff its k-th
-        # moment is the target B(k)
-        for mu, weight in enumerate(_alpha0_weights(params)[:n_max + 1]):
-            ks = n[mu::lam] // lam
-            targets = [moment_target(weight.problem, k) for k in ks.tolist()]
-            diag[mu::lam] = weight.moment(ks.astype(float))[0] / targets
-    elif mode in ("eigenstate_diag", "eigenstate_offdiag"):
-        # log D_n = L(n) - n log(lam), D_n = k! prod_(nu<=mu) (bb_nu)_(k+1) prod_(nu>mu) (bb_nu)_k
-        log_d = -sum(log_weights(params, n_max)) - n * math.log(lam)
-        meas = eigenstate_measures(params)
-        if mode == "eigenstate_diag":
-            mn = np.empty(n_max + 1)
-            for mu in range(min(lam, n_max + 1)):
-                mn[mu::lam] = meas.h_moment(mu, n[mu::lam].astype(float))
-        else:
-            mus = np.arange(lam)
-            g = meas.g_moment(mus, n.astype(float))
-            acc = (np.exp(-2j * math.pi * np.multiply.outer(mus, n) / lam) * g).sum(axis=0)
-            leak = np.abs(acc.imag) > 1e-8 * np.maximum(1.0, np.abs(acc.real))
-            if leak.any():
-                raise QuadratureFailure(
-                    f"off-diagonal resolution produced imaginary part {acc.imag[leak][0]:.3e}"
-                )
-            mn = acc.real
-        diag = math.pi * lam * np.exp(-log_d) * mn
-    else:
+    if mode not in ("diagonal_alpha0", "eigenstate_diag", "eigenstate_offdiag"):
         raise ValueError(f"unknown resolution mode {mode!r}")
-    diag = diag.tolist()
+    basis = "vector_alpha0" if mode == "diagonal_alpha0" else "eigenstate"
+    meas = eigenstate_measures(params)
+    n = np.arange(n_max + 1)
+    fock = StateVector(n_max + 1, np.eye(n_max + 1), np.ones(n_max + 1), np.zeros(n_max + 1))
+    images = bargmann_transform(params, fock, basis)
+    if mode == "eigenstate_offdiag":
+        lam, mus = params.lam, np.arange(params.lam)
+        g = meas.g_moment(mus, n.astype(float))
+        acc = (np.exp(-2j * math.pi * np.multiply.outer(mus, n) / lam) * g).sum(axis=0)
+        leak = np.abs(acc.imag) > 1e-8 * np.maximum(1.0, np.abs(acc.real))
+        if leak.any():
+            raise QuadratureFailure(f"off-diagonal resolution produced imaginary part "
+                                    f"{acc.imag[leak][0]:.3e}")
+        table = np.zeros((lam, n_max + 1))
+        table[n % lam, n] = math.pi * float(lam) ** (n + 1) * acc.real
+    else:
+        table = _moment_table(basis, meas, images.shape[-1])
+    diag = (np.abs(images) ** 2 * table).sum(axis=(-2, -1)).tolist()
     errs = [abs(v - 1.0) for v in diag]
     return ResolutionReport(mode, tuple(diag), max(errs), tol)

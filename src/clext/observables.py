@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraParams, structure_function
-from .errors import DomainError, SectorError
+from .errors import DomainError
 from .states import (
     FIRST_DIM,
     MAX_AUTO_DIM,
@@ -42,6 +42,7 @@ from .states import (
     _check_state,
     _coefficients,
     _fock_weights,
+    _one_member,
     _param_stack,
     _row_blocks,
 )
@@ -122,7 +123,7 @@ def _photon_stats(z, n, p, limit_q: float) -> PhotonStats:
 def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     """The report of method, "closed" or "oracle", or a tuple of reports, one
     per entry of a tuple of methods, for the states of the grid z in the
-    family sector, which its caller has checked (_check_one_member).
+    family sector, which its caller has checked (_check_state, _one_member).
 
     closed(n, p) reads the Fock weights of the grid z; oracle(states) reads
     the truncated states of its _row_blocks slices, a block of at most
@@ -152,13 +153,6 @@ def _columns(params, z, sector, method, closed: Callable, oracle: Callable):
     return out[method] if isinstance(method, str) else tuple(out[m] for m in methods)
 
 
-def _check_one_member(params, z, sector) -> None:
-    """states._check_state, for one member mu: the observables take no array of them."""
-    _check_state(params, z, sector)
-    if sector is not None and np.ndim(sector[0]):
-        raise SectorError(f"the observables take one member mu, got {sector[0]}")
-
-
 def _oracle_photon_stats(z, states: list[StateVector], limit_q: float) -> PhotonStats:
     """Mandel Q from the weights |c_n|^2 of the truncated states of the grid z."""
     blocks = [_photon_moments(np.arange(st.dim), np.abs(st.coeffs) ** 2, limit_q)[:3]
@@ -176,7 +170,8 @@ def mandel_q(params, z_abs, sector: tuple | None = None, method="closed"):
     mu = 0 in a sector) the 0/0 ratio is replaced by the analytic limit:
     lambda - 1 in a sector, 0 for |z>.
     """
-    _check_one_member(params, z_abs, sector)
+    _check_state(params, z_abs, sector)
+    _one_member(sector)
     limit_q = 0.0 if sector is None else _param_stack(params)[0].lam - 1.0
     return _columns(
         params, z_abs, sector, method,
@@ -311,7 +306,8 @@ def squeezing(params, z, kind: str = "dressed", sector: tuple | None = None, met
 
     z may be an array, and params a stack for closed; method as for mandel_q.
     """
-    _check_one_member(params, z, sector)
+    _check_state(params, z, sector)
+    _one_member(sector)
     lam = _param_stack(params)[0].lam
     vac, closed = (_eigenstate_squeezing(params, lam, z, kind) if sector is None
                    else _sector_squeezing(params, lam, z, kind, sector))

@@ -36,8 +36,8 @@ The sector family's parameter lists (sector_lists) give its norm as a pFq,
 N^(alpha)_mu(y) = pFq(num; den; y), and the moment problem of its weight
 (measures.MomentProblem, measures.mellin_lists).  sector_lists takes one
 member, checks its sector (check_sector) on every call and builds each
-member's lists once, in one cache for the measures and the Bargmann
-realizations.  The pFq forms of the norms and overlaps are test references
+member's lists once, in one cache (_cached_lists) that a checked sector reads
+directly.  The pFq forms of the norms and overlaps are test references
 (tests/closed_forms.py).
 
 One value names the family everywhere: sector = (mu, alpha) is
@@ -93,6 +93,12 @@ def check_sector(lam: int, sector: tuple) -> None:
     for m in members.ravel().tolist():
         if not 0 <= m <= lam - alpha - 1:
             raise SectorError(f"only the trivial solution exists for mu = {m}, alpha = {alpha}")
+
+
+def _one_member(sector) -> None:
+    """Refuse an array of members mu where an entry takes one (None passes)."""
+    if sector is not None and np.ndim(sector[0]):
+        raise SectorError(f"this entry takes one member mu, got {sector[0]}")
 
 
 def _param_stack(params) -> tuple[AlgebraParams, ...]:
@@ -153,10 +159,8 @@ def sector_lists(params: AlgebraParams, sector: tuple) -> tuple[tuple, tuple]:
     / prod Gamma(num + k) times A = prod Gamma(num) / (pi lambda^r prod Gamma(den)).
     """
     check_sector(params.lam, sector)
-    mu, alpha = sector
-    if np.asarray(mu).ndim:
-        raise SectorError(f"sector_lists takes one member mu, got {mu}")
-    return _cached_lists(params, (int(mu), alpha))
+    _one_member(sector)
+    return _cached_lists(params, (int(sector[0]), sector[1]))
 
 
 @functools.lru_cache(maxsize=256)

@@ -24,6 +24,7 @@ from clext import (
 from clext.bargmann import check_hermiticity, intertwining_residual
 from clext.figures import FIGURE_PRESETS, run_figure
 from clext.measures import (
+    EigenstateMeasures,
     verify_identity_resolution,
     verify_moments,
     weight_function,
@@ -283,8 +284,8 @@ def test_criterion_9_bargmann_suite(rng, paraboson_params, fig1_params):
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 1e-6 * scale
     for p in (paraboson_params, fig1_params):
-        weights = [weight_function(p, (m, 0)) for m in range(p.lam)]
-        rows = check_hermiticity(p, "vector_alpha0", weights)
+        meas = EigenstateMeasures(p, [weight_function(p, (m, 0)) for m in range(p.lam)])
+        rows = check_hermiticity(p, "vector_alpha0", meas)
         scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
         assert max(r.residual for r in rows) < 2e-6 * scale
     # Meijer-form candidate vs the paper's 2F1 and Appell forms at alpha = 2, 3 on (0,1)

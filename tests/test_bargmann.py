@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from clext.bargmann import (
 )
 from clext.cli import main
 from clext.errors import NonPolynomialResult, SectorError, ShapeError, UnsupportedOp
-from clext.measures import eigenstate_measures, weight_function
+from clext.measures import EigenstateMeasures, eigenstate_measures, weight_function
 from clext.states import StateVector, cs_alpha_state, eigenstate
 from closed_forms import basis_function
 from conftest import random_valid_params
@@ -226,12 +225,12 @@ class TestRealizations:
         # refused with apply_realization's SectorError, not numpy's shape error
         meas = eigenstate_measures(fig1_params)
         short, good = np.ones((1, 4)), np.ones((3, 4))
-        for basis, measure in (("vector_alpha0", meas.weights), ("eigenstate", meas)):
+        for basis in ("vector_alpha0", "eigenstate"):
             with pytest.raises(SectorError) as want:
                 apply_realization(fig1_params, basis, "a", short)
             for f, g in ((short, good), (good, short)):
                 with pytest.raises(SectorError) as got:
-                    inner_product(basis, measure, f, g)
+                    inner_product(basis, meas, f, g)
                 assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("basis", ["vector_alpha0", "eigenstate"])
@@ -359,16 +358,13 @@ class TestCommutators:
             for mu in mus:
                 assert np.array_equal(out[mu], bargmann._apply_sector(p, [mu], alpha, op, c[mu][None])[0])
 
-    def test_verify_bargmann_builds_each_members_lists_once(self, monkeypatch):
-        # lambda = 4 has 9 members (mu, alpha): 4 of family 0, 3 of 1 and 2 of 2
-        # states.sector_lists checks each call and builds each member's lists
-        # once, in its cache
-        built = []
-        build = states._cached_lists.__wrapped__
-        monkeypatch.setattr(states, "_cached_lists", functools.lru_cache(
-            lambda *key: built.append(key) or build(*key)))
+    def test_verify_bargmann_builds_each_members_lists_once(self):
+        # lambda = 4 has 9 members (mu, alpha): 4 of family 0, 3 of 1 and 2 of 2;
+        # each member's lists are built once, in the one cache of states, which
+        # the realizations read once apply_realization has checked the family
+        states._cached_lists.cache_clear()
         assert main(["verify", "bargmann", "--lambda", "4", "--alpha", "1,2,-1,-2"]) == 0
-        assert len(built) == len(set(built)) == 9
+        assert states._cached_lists.cache_info().misses == 9
 
     @pytest.mark.parametrize("basis", ["sector", "vector_alpha0", "eigenstate"])
     def test_negative_k_max_is_refused(self, fig1_params, basis):
@@ -419,6 +415,21 @@ class TestIntertwining:
             res = intertwining_residual(fig1_params, "vector_alpha0", "P", psi, mu_op=mu)
             assert res < 1e-14
 
+    @pytest.mark.parametrize("basis, sector", [("sector", (1, 1)), ("sector", (np.arange(2), 1)),
+                                               ("vector_alpha0", None), ("eigenstate", None)])
+    def test_stacked_transform_is_each_states_transform(self, rng, fig1_params, basis, sector):
+        # the leading axes of the coefficients are a stack: each state's image
+        # is its own transform, bit for bit; a built family of states (one row
+        # per z) and a (2, 3) stack of random ones
+        p = fig1_params
+        built = eigenstate(p, np.array([0.3, 0.9 + 0.4j, 1.7j]), 16)
+        coeffs = rng.normal(size=(2, 3, 13)) + 1j * rng.normal(size=(2, 3, 13))
+        for psi in (built, StateVector(13, coeffs, np.ones((2, 3)), np.zeros((2, 3)))):
+            stacked = bargmann_transform(p, psi, basis, sector)
+            for i in np.ndindex(psi.coeffs.shape[:-1]):
+                one = bargmann_transform(p, _fock(p, dict(enumerate(psi.coeffs[i])), psi.dim), basis, sector)
+                assert stacked[i].shape == one.shape and stacked[i].tobytes() == one.tobytes()
+
     def test_transform_maps_number_state_to_basis_function(self, fig1_params):
         p = fig1_params
         for mu, alpha, k in [(0, 1, 2), (1, 0, 3)]:
@@ -450,8 +461,9 @@ class TestHermiticity:
 
     def test_vector_adjoint_pair(self, paraboson_params, fig1_params):
         for p in (paraboson_params, fig1_params):
-            weights = [weight_function(p, (m, 0)) for m in range(p.lam)]
-            rows = check_hermiticity(p, "vector_alpha0", weights)
+            # each alpha = 0 weight built on its own, not by the family call
+            meas = EigenstateMeasures(p, [weight_function(p, (m, 0)) for m in range(p.lam)])
+            rows = check_hermiticity(p, "vector_alpha0", meas)
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < 2e-6 * scale
 
@@ -462,8 +474,8 @@ class TestHermiticity:
         # alpha = 0 weights give the vector basis the same pair
         p = params_from_beta_bar(len(beta_bar) + 1, beta_bar)
         meas = eigenstate_measures(p)
-        for basis, measure in (("eigenstate", meas), ("vector_alpha0", meas.weights)):
-            rows = check_hermiticity(p, basis, measure)
+        for basis in ("eigenstate", "vector_alpha0"):
+            rows = check_hermiticity(p, basis, meas)
             assert len(rows) == (3 * p.lam) ** 2
             scale = max(max(abs(r.lhs), abs(r.rhs), 1.0) for r in rows)
             assert max(r.residual for r in rows) < 1e-10 * scale
@@ -479,8 +491,7 @@ class TestHermiticity:
 
         monkeypatch.setattr(bargmann, "apply_realization", counted)
         meas = eigenstate_measures(fig1_params)
-        measure = {"sector": meas.weights[0], "vector_alpha0": meas.weights,
-                   "eigenstate": meas}[basis]
+        measure = meas.weights[0] if basis == "sector" else meas
         per_degree = []
         for degree in (1, 4):
             calls.clear()
@@ -501,7 +512,7 @@ def _loop_inner_product(basis, measure, f, g):
     if basis == "sector":
         f, g, weights = f[None], g[None], [measure]
     else:
-        weights = measure.weights if basis == "eigenstate" else measure
+        weights = measure.weights
     lam = weights[0].problem.params.lam
     total = 0.0
     for m, (fm, gm) in enumerate(zip(f, g)):
@@ -524,8 +535,7 @@ class TestInnerProduct:
         # one product over two stacks holds each pair's own inner product, and
         # that is the sum over its coefficients with one moment per term
         meas = eigenstate_measures(fig1_params)
-        measure = {"sector": meas.weights[1], "vector_alpha0": meas.weights,
-                   "eigenstate": meas}[basis]
+        measure = meas.weights[1] if basis == "sector" else meas
         shape = (4, 5) if basis == "sector" else (4, 3, 7)
         f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         g = rng.normal(size=(2, *shape[1:-1], 6)) + 1j * rng.normal(size=(2, *shape[1:-1], 6))
@@ -552,11 +562,9 @@ class TestInnerProduct:
         # the transforms of |0>..|11> as one stack: their Gram matrix is the identity
         p = fig1_params
         meas = eigenstate_measures(p)
-        measure = meas if basis == "eigenstate" else meas.weights
         dim = 12
-        images = [bargmann_transform(p, _fock(p, {n: 1.0}, dim), basis)
-                  for n in range(dim)]
-        gram = inner_product(basis, measure, np.stack(images), np.stack(images))
+        images = bargmann_transform(p, StateVector(dim, np.eye(dim), np.ones(dim), np.zeros(dim)), basis)
+        gram = inner_product(basis, meas, images, images)
         assert np.abs(gram - np.eye(dim)).max() < 1e-9
 
     def test_eigenstate_table_reads_only_its_levels(self, monkeypatch, fig1_params):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clext import cli, specfun
+from clext import cli, specfun, states
 from clext.cli import build_parsers, main, parse_args
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -875,3 +875,26 @@ class TestBargmannCheck:
         code, out, _ = run_cli(["bargmann-check", "--lambda", "3", "--alpha", CERTIFIED["3"],
                                 "--mu", "1", "--cs-alpha", "1"])
         assert code == 0 and out == CERTIFIED_DOC
+
+
+# a command -> the check_sector calls it makes: a sector is checked where it
+# enters (apply_realization, bargmann_transform, sector_lists, h_moment), and the
+# realizations, the moment targets and the order bound read its cached lists
+# (21, 81 and 141 when each of those checked again)
+SECTOR_CHECKS = [
+    (["moments", "--lambda", "3", "--alpha", "3,-3,0", "--mu", "0", "--cs-alpha", "1"], 2),
+    (["verify", "bargmann", "--lambda", "4", "--alpha", "1,2,-1,-2"], 27),
+    (["bargmann-check", "--lambda", "4", "--alpha", "1,2,-1,-2", "--mu", "0", "--cs-alpha", "1"], 69),
+]
+
+
+@pytest.mark.parametrize("argv, count", SECTOR_CHECKS, ids=[argv[0] for argv, _ in SECTOR_CHECKS])
+def test_a_sector_is_checked_where_it_enters(monkeypatch, argv, count):
+    calls = []
+    check = states.check_sector
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("clext.") and getattr(module, "check_sector", None) is check:
+            monkeypatch.setattr(module, "check_sector", lambda *a: calls.append(a) or check(*a))
+    code, _, err = run_cli(argv)
+    assert code == 0 and err == ""
+    assert len(calls) == count

@@ -34,7 +34,9 @@ argument.
 The package itself, the state builders and the algebra import no special
 functions: neither they nor any clext module they import, directly or
 through another, imports specfun, so `import clext` and a command that
-needs only them stay cheap to load.
+needs only them stay cheap to load.  Only states and bargmann refer to
+log_weights: the resolution of unity reads the Fock-level norms through the
+Bargmann transform.
 """
 
 import ast
@@ -223,6 +225,17 @@ def test_a_family_is_one_sector_argument():
             if {"mu", "alpha"} <= names:
                 found.append(f"{path.stem}.{node.name}")
     assert not found, f"functions and classes that take mu and alpha apart: {found}"
+
+
+# the modules that derive a Fock level's norm from log_weights: the state
+# builders and the Bargmann transform, whose Gram diagonal is the resolution of unity
+FOCK_NORMS = {"states", "bargmann"}
+
+
+def test_fock_level_norms_live_in_states_and_bargmann():
+    found = {path.stem for path in (ROOT / "src" / "clext").glob("*.py")
+             if "log_weights" in _names(ast.parse(path.read_text()))}
+    assert found <= FOCK_NORMS, f"modules that derive Fock-level norms: {sorted(found - FOCK_NORMS)}"
 
 
 def _clext_imports(stem: str) -> set[str]:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,7 @@ from clext.measures import (
     verify_moments,
     weight_function,
 )
-from clext.states import log_weights
+from clext.states import log_weights, sector_lists
 from closed_forms import carleman_test, hankel_hadamard
 from conftest import hausdorff_closed_form, meijer_weight, random_valid_params
 
@@ -769,3 +770,77 @@ class TestAlpha0Family:
             with np.errstate(divide="ignore"):
                 assert w._log_abs.tobytes() == np.log(np.abs(vals)).tobytes()
             assert w._sign.tobytes() == np.sign(vals).tobytes()
+
+
+class TestNegativeOrders:
+    # B(k) = A k! prod Gamma(den + k) / prod Gamma(num + k) has its first pole
+    # at k = -min(1, den), where the integral of y^k h starts to diverge
+    CASES = [(3, [4 / 3, 2 / 3], (0, 0)), (3, [4 / 3, 2 / 3], (1, 0)), (4, [1.5, 1.5, 1.25], (1, 0)),
+             (3, [0.3, 2.0], (0, 0)), (4, [1.5, 1.5, 1.25], (0, 1))]
+
+    @staticmethod
+    def _pole(weight):
+        return -min([1.0, *sector_lists(weight.problem.params, weight.problem.sector)[1]])
+
+    @pytest.mark.parametrize("lam, bb, sector", CASES)
+    def test_orders_inside_the_bound_are_the_targets(self, lam, bb, sector):
+        w = weight_function(params_from_beta_bar(lam, bb), sector)
+        ks = self._pole(w) * np.array([0.9, 0.5, 0.1])
+        fine, _ = w.moment(ks)
+        for k, f in zip(ks, fine):
+            assert f == pytest.approx(moment_target(w.problem, k), rel=1e-9)
+
+    @pytest.mark.parametrize("lam, bb, sector", CASES)
+    def test_each_order_keeps_its_bits(self, lam, bb, sector):
+        # a negative order's row carries the weight in its exponent; each row
+        # of a mixed array is its one-order call, and the k >= 0 rows are the
+        # plain sum of sign e^(k ln y + ln|h|) w
+        w = weight_function(params_from_beta_bar(lam, bb), sector)
+        ks = np.array([0.5 * self._pole(w), 0.0, 1.0, -0.01, 7 / 3])
+        fine, err = w.moment(ks)
+        for k, f, e in zip(ks, fine, err):
+            assert (f, e) == w.moment(float(k))
+        g = w._grid
+        terms = w._sign * np.exp(np.multiply.outer(ks[ks >= 0], w._log_y) + w._log_abs)
+        assert fine[ks >= 0].tobytes() == (terms * g.w).sum(axis=1).tobytes()
+
+    def test_order_at_or_below_the_first_pole_is_refused_before_integrating(self, fig1_params):
+        w = weight_function(fig1_params, (0, 0))
+        pole = self._pole(w)
+        # (orders, the order named): the first refused one
+        for k, named in ((pole, pole), (pole - 0.25, pole - 0.25), (np.array([1.0, pole, -5.0]), pole)):
+            with pytest.raises(DomainError) as got:
+                w.moment(k)
+            assert str(got.value) == (f"moment order k = {named:.6g} is at or below B(k)'s "
+                                      f"first pole k = {pole:.6g}: its integral diverges")
+        assert w._grid is None
+
+    def test_roadmap_offdiag_example_passes(self):
+        # at the parent, the (nu, n) = (1, 0) term of this algebra overflowed
+        # as y^(-1/3) h_1 at the grid's first node
+        p = validate_params(3, (-0.36939971444069675, -0.5768343458589137, 0.9462340602996104))
+        rep = verify_identity_resolution(p, "eigenstate_offdiag", 6, 1e-6)
+        assert rep.passed and rep.max_error < 1e-12
+
+
+# the names of the eigenstate_offdiag refusal of a divergent h_nu moment
+DIVERGENT = r"^moment order k = -[0-9.e-]+ is at or below B\(k\)'s first pole k = -[0-9.e-]+: its integral diverges$"
+
+
+@pytest.mark.parametrize("lam", [3, 4])
+def test_seeded_sweep_slice(lam):
+    # six algebras with beta_bar log-uniform in [0.05, 5]: the two diagonal
+    # modes pass on every draw; eigenstate_offdiag passes, or refuses a
+    # divergent h_nu moment by name (tier-1 turns any numpy warning into an error)
+    rng = np.random.default_rng(1)
+    outcomes = []
+    for _ in range(6):
+        p = params_from_beta_bar(lam, np.exp(rng.uniform(math.log(0.05), math.log(5), lam - 1)).tolist())
+        for mode in ("diagonal_alpha0", "eigenstate_diag"):
+            assert verify_identity_resolution(p, mode, 8).passed, (mode, p.alpha)
+        try:
+            outcomes.append(verify_identity_resolution(p, "eigenstate_offdiag", 8).passed)
+        except DomainError as refusal:
+            assert re.match(DIVERGENT, str(refusal)), str(refusal)
+            outcomes.append("refused")
+    assert set(outcomes) == {True, "refused"}

@@ -550,9 +550,9 @@ REFUSALS = {
     "no members": (LAM3, 0.5, (np.arange(0), 1), SectorError,
                    "a family needs at least one member mu, got []"),
     "a member array": (LAM3, 0.5, (np.arange(2), 1), SectorError,
-                       "the observables take one member mu, got [0 1]"),
+                       "this entry takes one member mu, got [0 1]"),
     "a member array to the measures": (LAM3, 0.5, (np.arange(2), 1), SectorError,
-                                       "sector_lists takes one member mu, got [0 1]"),
+                                       "this entry takes one member mu, got [0 1]"),
 }
 # the cases about z, which only the entries that take a z refuse
 Z_CASES = {"non-finite z", "non-finite z of |z>", "a row off the unit disc"}
