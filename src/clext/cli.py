@@ -21,19 +21,10 @@ import numpy as np
 
 from . import __version__
 from .algebra import build_operator, energy_eigenvalue, sga_structure_poly, validate_params
-from .bargmann import check_commutators, check_hermiticity, intertwining_residual
 from .errors import ClextError, TruncationTooSmall
-from .figures import FIGURE_PRESETS, run_figure
-from .measures import (
-    NO_PAIRING,
-    eigenstate_measures,
-    positivity_condition,
-    verify_identity_resolution,
-    verify_moments,
-    weight_function,
-)
-from .observables import mandel_q, squeezing
-from .states import cs_alpha_state, eigenstate
+
+# Each handler imports the modules it runs, so that a fresh process loads
+# (and compiles, without bytecode) only what its command needs.
 
 # the closed and oracle columns of a grid, both from one observables call
 COLUMNS = ("closed", "oracle")
@@ -114,6 +105,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    from .figures import FIGURE_PRESETS, run_figure
+
     name = args.figure.lower().removeprefix("fig")
     jobs = []
     if name in FIGURE_PRESETS:
@@ -132,6 +125,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_state(args) -> int:
+    from .states import cs_alpha_state, eigenstate
+
     p = _params(args)
     z = complex(args.z_re, args.z_im)
     if args.cs_alpha >= 0:
@@ -148,6 +143,8 @@ def cmd_state(args) -> int:
 
 
 def cmd_mandel(args) -> int:
+    from .observables import mandel_q
+
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
     closed, oracle = mandel_q(p, grid, _sector(args), COLUMNS)
@@ -158,6 +155,8 @@ def cmd_mandel(args) -> int:
 
 
 def cmd_squeeze(args) -> int:
+    from .observables import squeezing
+
     p = _params(args)
     grid = np.linspace(0.02, 3.0, 60) if args.grid is None else args.grid
     zs = 1j * grid if args.direction == "im" else grid.astype(complex)
@@ -170,6 +169,8 @@ def cmd_squeeze(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .measures import verify_moments, weight_function
+
     p = _params(args)
     weight = weight_function(p, (args.mu, args.cs_alpha), require_positive=not args.allow_unsigned)
     report = verify_moments(weight, k_max=args.k_max, tol=args.tol)
@@ -184,6 +185,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_resolution(args) -> int:
+    from .measures import verify_identity_resolution
+
     p = _params(args)
     rep = verify_identity_resolution(p, args.mode, n_max=args.n_max, tol=args.tol)
     n = range(len(rep.diagonal))
@@ -200,6 +203,10 @@ def _hermiticity_residual(rows) -> float:
 
 
 def cmd_bargmann_check(args) -> int:
+    from .bargmann import check_commutators, check_hermiticity, intertwining_residual
+    from .measures import NO_PAIRING, eigenstate_measures, positivity_condition, weight_function
+    from .states import eigenstate
+
     p = _params(args)
     sector = (args.mu, args.cs_alpha)
     pairing = positivity_condition(p, sector)  # refuses a sector outside the family
@@ -273,6 +280,8 @@ def _apply(op, c, times: int):
 
 
 def _verify_states(p, trunc, tol):
+    from .states import cs_alpha_state, eigenstate
+
     rows = []
     lam = p.lam
     # a and adag once per truncation a build reaches
@@ -302,13 +311,19 @@ def cmd_verify(args) -> int:
     elif args.suite == "states":
         rows = _verify_states(p, args.trunc, max(tol, 1e-9))
     elif args.suite == "moments":
+        from .measures import verify_moments, weight_function
+
         weight = weight_function(p, (args.mu, args.cs_alpha))
         rep = verify_moments(weight, k_max=8, tol=tol)
         rows = [(f"moment k={r.k}", r.rel_error, r.rel_error < tol) for r in rep.rows]
     elif args.suite == "resolution":
+        from .measures import verify_identity_resolution
+
         rep = verify_identity_resolution(p, "diagonal_alpha0", n_max=6, tol=tol)
         rows = [(f"<{n}|I|{n}>", abs(v - 1.0), abs(v - 1.0) < tol) for n, v in enumerate(rep.diagonal)]
     elif args.suite == "bargmann":
+        from .bargmann import check_commutators
+
         rows = [(f"{r.basis} {r.pair} k={r.k}", r.residual, r.residual < 1e-10)
                 for r in check_commutators(p, "sector", k_max=5)]
         # the ladder rows run over the components mu, then k = 0..5
@@ -316,6 +331,8 @@ def cmd_verify(args) -> int:
             rows += [(f"{basis}(mu={i // 6}) {r.pair} k={r.k}", r.residual, r.residual < 1e-10)
                      for i, r in enumerate(check_commutators(p, basis, k_max=5))]
     elif args.suite == "observables":
+        from .observables import mandel_q
+
         # closed and oracle Q of one |z| list from one call
         checks = (("eigenstate", None, (0.4, 1.0, 1.7, 8.0, 14.0)),
                   ("sector (0,0)", (0, 0), (1.0, 8.0)))

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraParams, params_from_beta_bar
-from .measures import weight_function
-from .observables import mandel_q, squeezing
+from .cli import csv_rows
 
 
 @dataclass(frozen=True)
@@ -198,10 +197,14 @@ def _values(job: FigureJob, grid: np.ndarray) -> np.ndarray:
     params = tuple(c.params(job.lam) for c in job.curves)
     kind, opts = job.kind, job.options
     if kind in ("weight_h1", "weight_h2"):
+        from .measures import weight_function
+
         return np.array([weight_function(p, (opts["mu"], opts["alpha"])).evaluate(grid)
                          for p in params], dtype=float)
     if kind not in ("q_sector", "q_eigen", "x_sector", "x_eigen"):
         raise ValueError(f"unknown figure kind {kind!r}")
+    from .observables import mandel_q, squeezing
+
     sector = (opts["mu"], opts["alpha"]) if kind.endswith("sector") else None
     if kind.startswith("q"):
         return mandel_q(params, grid, sector, "closed").mandel_Q
@@ -212,8 +215,6 @@ def _values(job: FigureJob, grid: np.ndarray) -> np.ndarray:
 
 def run_figure(job: FigureJob) -> str:
     """Compute all curves of a figure job; returns the CSV document."""
-    from .cli import csv_rows  # the CLI formats every document; it imports this module
-
     grid = job.grid_values()
     # Python floats format faster than numpy scalars, to the same text
     cols = _values(job, grid).tolist()

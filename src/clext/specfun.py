@@ -729,7 +729,8 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = (
     remainder, and a row meets tol with the sum of its terms' remainders.
     Returns (values, ok), of shape (rows, points): a row-0 point whose
     remainder exceeds tol |G|, or a state that overflows, raises
-    NoConvergence; ok leaves the other rows' misses to the caller.
+    NoConvergence; ok leaves the other rows' misses, a value that
+    overflows among them, to the caller.
     """
     s, m, n = len(b) - len(a), len(b), _TAYLOR_TERMS
     x = np.log(y)
@@ -777,16 +778,18 @@ def _continuation_vec(a, b, y: np.ndarray, tol: float, shifts: Sequence[int] = (
     # D^j G at each point with its remainder; row r is poly(D) G
     coef, deriv, rem = series[step], [vals], [err]
     poly, rows, errs = np.ones(1), [vals], [err]
-    for j, beta in enumerate(_family(b, shifts)[0], 1):
-        coef = coef[:, 1:] * np.arange(1.0, n - j + 1)
-        d_terms = coef * at[:, :n - j]
-        deriv.append(d_terms.sum(axis=1))
-        rem.append(drift[step] * np.abs(deriv[-1]) + np.abs(d_terms[:, -2:]).sum(axis=1))
-        poly = np.append(beta * poly, 0.0) - np.append(0.0, poly)
-        rows.append(poly @ np.array(deriv))
-        errs.append(np.abs(poly) @ np.array(rem))
-    vals = np.array(rows)
-    ok = np.array(errs) <= tol * np.abs(vals)
+    # a row may overflow where G does not: it is unsettled there, not inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, beta in enumerate(_family(b, shifts)[0], 1):
+            coef = coef[:, 1:] * np.arange(1.0, n - j + 1)
+            d_terms = coef * at[:, :n - j]
+            deriv.append(d_terms.sum(axis=1))
+            rem.append(drift[step] * np.abs(deriv[-1]) + np.abs(d_terms[:, -2:]).sum(axis=1))
+            poly = np.append(beta * poly, 0.0) - np.append(0.0, poly)
+            rows.append(poly @ np.array(deriv))
+            errs.append(np.abs(poly) @ np.array(rem))
+        vals = np.array(rows)
+        ok = (np.array(errs) <= tol * np.abs(vals)) & np.isfinite(vals)
     if not ok[0].all():
         i = np.flatnonzero(~ok[0])[np.argmax(x[~ok[0]])]
         raise NoConvergence(
@@ -898,7 +901,8 @@ _NORLUND_SPLIT = 0.1
 _NORLUND_TERMS = math.ceil(math.log(1e-17) / math.log(1.0 - _NORLUND_SPLIT)) + 48
 
 # Terms of D summed per block in one matrix product; Horner then runs over
-# the blocks in (1 - x)^block, not over every term.
+# the blocks in (1 - x)^block, not over every term.  One pair's D is one
+# term, and its block is that term alone.
 _NORLUND_BLOCK = 20
 
 
@@ -932,7 +936,8 @@ class _NorlundKernel:
             d = d * (math.exp(math.lgamma(sigma) - math.lgamma(nxt)) * ratio)
             beta, sigma = bq, nxt
         self.d = d
-        self.blocks = np.pad(d, (0, -d.size % _NORLUND_BLOCK)).reshape(-1, _NORLUND_BLOCK)
+        width = min(d.size, _NORLUND_BLOCK)
+        self.blocks = np.pad(d, (0, -d.size % width)).reshape(-1, width)
         self.beta = beta
         self.s = sigma
 
@@ -947,8 +952,9 @@ class _NorlundKernel:
             out[low] = g_general_vec(self.a, self.b, x[low])
         if series.any():
             t = om[series]
-            parts = (t[:, None] ** np.arange(_NORLUND_BLOCK)) @ self.blocks.T
-            step, acc = t**_NORLUND_BLOCK, np.zeros_like(t)
+            width = self.blocks.shape[1]
+            parts = (t[:, None] ** np.arange(width)) @ self.blocks.T
+            step, acc = t**width, np.zeros_like(t)
             for part in parts.T[::-1]:
                 acc = acc * step + part
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):

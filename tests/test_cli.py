@@ -318,6 +318,42 @@ def test_module_entrypoint_runs():
     assert proc.returncode == 0
 
 
+# the clext modules loaded in a fresh process after `import clext.cli` and,
+# when argv is given, one command
+_LOADED = """import contextlib, io, sys
+import clext.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = clext.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(m for m in sys.modules if m.startswith("clext")))
+"""
+# what `import clext.cli` loads; a command adds the modules it runs
+PARSER_LAYER = {"clext", "clext.algebra", "clext.errors", "clext.cli"}
+
+
+def _loaded_after(argv):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True,
+                          text=True, check=True)
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules)
+
+
+# none of these loads specfun, measures, bargmann or quadrature
+@pytest.mark.parametrize("argv,added", [
+    ([], set()),
+    (["verify", "algebra", "--lambda", "3", "--alpha", "2,-1.5,-0.5"], set()),
+    (["state", "--lambda", "3", "--alpha", "2,-1.5,-0.5"], {"clext.states"}),
+    (["figure", "4a"], {"clext.figures", "clext.observables", "clext.states"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, added):
+    assert _loaded_after(argv) == (0, PARSER_LAYER | added)
+
+
+def test_moments_loads_the_special_functions():
+    code, modules = _loaded_after(["moments", "--lambda", "3", "--alpha", "3,-3,0",
+                                   "--mu", "0", "--cs-alpha", "1"])
+    assert code == 0 and "clext.specfun" in modules
+
+
 def test_verify_failure_exits_one():
     # an unreachable tolerance must flip the exit code to 1
     code, out, _ = run_cli(
@@ -485,6 +521,19 @@ class TestConfluentWeights:
         assert code == 2 and not out
         assert err.startswith("error: Meijer-G continuation at y = ") and err.count("\n") == 1
         assert "missed its remainder bound" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["resolution", "--mode", "diagonal_alpha0"],
+                                      ["bargmann-check", "--mu", "0", "--cs-alpha", "1"]])
+    def test_family_row_that_overflows_takes_its_own_list(self, argv):
+        # the alpha = 0 family call of this lambda = 10 algebra overflows on
+        # rows 8 and 9 at y = 1.73e-322, where their own lists are finite: an
+        # inf row was accepted (inf <= inf), and the moment k = 0 was not finite
+        alpha = ("13.397294793669921,-14.27454949410406,24.504598703253592,"
+                 "-21.57543422612672,-5.064013201899911,0.5143316742134068,"
+                 "-3.9325766160941065,-0.6834418144622632,9.084098505365176,"
+                 "-1.9703083238150327")
+        code, out, err = run_cli([*argv, "--lambda", "10", "--alpha", alpha])
+        assert code == 0 and not err, err
 
     def test_overflowing_continuation_is_a_one_line_error(self):
         # b = -0.9995 in the k = 0 weight: continued down towards y = 1e-312,

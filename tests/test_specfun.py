@@ -362,14 +362,16 @@ class TestMeijerG:
 
     def test_norlund_blocks_match_term_by_term_horner(self):
         # D's terms summed per block, then Horner over the blocks, against
-        # Horner over every term of the (1 - x) series
-        kernel = _NorlundKernel([(1.5, 0.5), (1.25, 0.0), (0.9, -0.2)])
+        # Horner over every term of the (1 - x) series; one pair is the exact
+        # Beta density, whose D is one term
         x = np.linspace(0.1, 0.999, 200)
-        acc = np.zeros_like(x)
-        for dn in kernel.d[::-1]:
-            acc = acc * (1.0 - x) + dn
-        ref = acc * x**kernel.beta * (1.0 - x) ** (kernel.s - 1.0)
-        np.testing.assert_allclose(kernel(x), ref, rtol=1e-14)
+        for pairs in ([(1.5, 0.5), (1.25, 0.0), (0.9, -0.2)], [(2.6, 0.3)]):
+            kernel = _NorlundKernel(pairs)
+            acc = np.zeros_like(x)
+            for dn in kernel.d[::-1]:
+                acc = acc * (1.0 - x) + dn
+            ref = acc * x**kernel.beta * (1.0 - x) ** (kernel.s - 1.0)
+            np.testing.assert_allclose(kernel(x), ref, rtol=1e-14)
 
     def test_pq_points_slater_refuses_raise(self):
         # p = q: near y = 1 the residue sum (terms ~ y^K) does not settle in
